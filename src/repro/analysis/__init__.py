@@ -6,7 +6,7 @@ from .competition import (CompetitionMatrix, competition_matrix,
                           run_competition_point)
 from .diagnostics import (load_bundle, replay_bundle, write_crash_bundle)
 from .harness import (ResilientSweep, RunBudget, RunFailure, SweepOutcome,
-                      describe_failures, run_with_retry)
+                      describe_failures)
 from .metrics import (loss_rate, mean_rtt_ms, queueing_delay_ms,
                       summarize_run, throughputs_mbps, utilization)
 from .report import (comparison_line, describe_run, flow_table,
@@ -24,7 +24,7 @@ __all__ = [
     "format_table", "load_bundle", "log_rate_grid", "loss_rate",
     "make_backend", "replay_bundle", "write_crash_bundle",
     "mean_rtt_ms", "queueing_delay_ms", "rate_delay_ascii",
-    "export_run_tsv", "flow_arrays", "queue_arrays", "run_with_retry",
+    "export_run_tsv", "flow_arrays", "queue_arrays",
     "summarize_run", "sweep_rate_delay", "throughputs_mbps",
     "utilization", "write_tsv",
 ]

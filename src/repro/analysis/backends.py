@@ -54,8 +54,7 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, Optional,
 
 from ..errors import ConfigurationError
 from ..store import ResultStore, point_cache_key, summarize_params, task_name
-from .harness import (RECOVERABLE, RunBudget, RunFailure, _first_line,
-                      run_with_retry)
+from .harness import RECOVERABLE, RunBudget, RunFailure, _first_line
 
 #: ``run_point(params, budget) -> result`` — the unit of grid work.
 RunPoint = Callable[[Dict[str, Any], RunBudget], Any]
@@ -96,6 +95,9 @@ def execute_point(run_point: RunPoint, key: str, params: Dict[str, Any],
 
     This is the single execution path shared by every backend (it is a
     module-level function precisely so process pools can pickle it).
+    ``run_point`` receives each attempt's (back-off scaled)
+    :class:`RunBudget` and should pass its limits into the run so the
+    engine watchdog can fire.
 
     With a ``store``, the point's content address is looked up first —
     a hit skips the simulation entirely and is bit-identical to a live
@@ -135,11 +137,6 @@ def execute_point(run_point: RunPoint, key: str, params: Dict[str, Any],
                                     cache_key=ckey)
     attempts = 0
 
-    def attempt(budget: RunBudget) -> Any:
-        nonlocal attempts
-        attempts += 1
-        return run_point(params, budget)
-
     def fail(exc: BaseException, kind: str) -> PointOutcome:
         elapsed = time.monotonic() - start
         bundle: Optional[str] = None
@@ -147,11 +144,11 @@ def execute_point(run_point: RunPoint, key: str, params: Dict[str, Any],
             from .diagnostics import write_crash_bundle
             bundle = write_crash_bundle(
                 crash_dir, key=key, params=params, exc=exc,
-                task=task_name(run_point), attempts=max(attempts, 1),
+                task=task_name(run_point), attempts=attempts,
                 elapsed=elapsed, budget=budget, backend=backend_name)
         failure = RunFailure(
             key=key, reason=type(exc).__name__,
-            message=_first_line(exc), attempts=max(attempts, 1),
+            message=_first_line(exc), attempts=attempts,
             elapsed=elapsed, params=params, kind=kind, bundle=bundle)
         if store is not None and ckey is not None:
             try:
@@ -165,17 +162,25 @@ def execute_point(run_point: RunPoint, key: str, params: Dict[str, Any],
         return PointOutcome(key=key, params=params, failure=failure,
                             cache_key=ckey)
 
-    try:
-        result = run_with_retry(attempt, budget)
-    except RECOVERABLE as exc:
-        return fail(exc, "error")
-    except (KeyboardInterrupt, SystemExit):
-        raise
-    except Exception as exc:
-        # A programming error in the experiment script: degrade to a
-        # structured failure (with a bundle carrying the traceback)
-        # instead of killing the whole sweep from inside a worker.
-        return fail(exc, "internal")
+    # The one retry loop: a recoverable failure is retried up to
+    # ``budget.retries`` times with both budgets multiplied by
+    # ``budget.backoff`` per attempt; the last failure is recorded.
+    while True:
+        attempts += 1
+        try:
+            result = run_point(params, budget.scaled(attempts - 1))
+            break
+        except RECOVERABLE as exc:
+            if attempts > budget.retries:
+                return fail(exc, "error")
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception as exc:
+            # A programming error in the experiment script: degrade to
+            # a structured failure (with a bundle carrying the
+            # traceback) instead of killing the whole sweep from inside
+            # a worker. Never retried.
+            return fail(exc, "internal")
     if store is not None and ckey is not None:
         try:
             store.put(ckey, result, meta={"point": key},

@@ -8,8 +8,10 @@ any :class:`~repro.spec.TopologySpec` (e.g. a parking lot) — and the
 resulting per-pair goodputs are distilled into Jain's index and the
 paper-style max/min throughput ratio.
 
-Execution rides the same machinery as rate sweeps: grid points are
-serialized :class:`~repro.spec.ScenarioSpec` documents shipped through
+Execution rides the same pipeline as rate sweeps
+(:mod:`repro.analysis.plan`): :func:`competition_plan` pairs the grid
+of serialized :class:`~repro.spec.ScenarioSpec` documents with its
+worker and assembler, and the plan runs through one
 :class:`~repro.analysis.harness.ResilientSweep`, so ``jobs=N`` fans
 pairs out over worker processes bit-identically to a serial run, the
 content-addressed store caches finished pairs, and a failed pair lands
@@ -28,12 +30,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from .. import units
 from ..core.fairness import jain_index, throughput_ratio
 from ..errors import ConfigurationError
 from ..spec import (CCASpec, FlowSpec, LinkSpec, ScenarioSpec,
                     TopologySpec, derive_seed)
-from .harness import ResilientSweep, RunBudget, RunFailure
-from .backends import make_backend
+from .harness import RunBudget, RunFailure
+from .plan import JobPlan, run_plan
 from .report import format_table
 
 
@@ -214,24 +217,49 @@ def build_matrix_points(ccas: Sequence[str], rate: float, rm: float,
     return points
 
 
-def assemble_competition_matrix(ccas: Sequence[str], rate: float,
-                                rm: float, duration: float,
-                                points: Sequence[Any], outcome: Any,
-                                starve_threshold: float = 50.0,
-                                cached: bool = False
-                                ) -> CompetitionMatrix:
-    """Fold a :class:`SweepOutcome` back into a
-    :class:`CompetitionMatrix` (grid order from ``points``)."""
-    cache = None
-    if cached:
-        cache = {"hits": outcome.hits, "misses": outcome.misses,
-                 "resumed": outcome.resumed}
-    return CompetitionMatrix(
-        ccas=list(ccas), rate=rate, rm=rm, duration=duration,
-        cells={key: outcome.completed[key] for key, _ in points
-               if key in outcome.completed},
+def competition_plan(ccas: Sequence[str], rate: float, rm: float,
+                     duration: float = 30.0,
+                     warmup_fraction: float = 0.5,
+                     mss: int = 1500,
+                     seed: int = 0,
+                     starve_threshold: float = 50.0,
+                     topology: Optional[TopologySpec] = None) -> JobPlan:
+    """Pair the grid, its worker and its matrix assembler (SI units)."""
+    names = list(ccas)
+    points = build_matrix_points(names, rate, rm, duration=duration,
+                                 warmup_fraction=warmup_fraction,
+                                 mss=mss, seed=seed, topology=topology)
+
+    def assemble(outcome: Any) -> CompetitionMatrix:
+        return CompetitionMatrix(
+            ccas=names, rate=rate, rm=rm, duration=duration,
+            cells={key: outcome.completed[key] for key, _ in points
+                   if key in outcome.completed},
+            starve_threshold=starve_threshold,
+            failures=list(outcome.failures))
+
+    return JobPlan(run_competition_point, points, assemble)
+
+
+def compile_matrix_plan(ccas: Sequence[str], rate_mbps: float,
+                        rm_ms: float, duration: float = 30.0,
+                        seed: int = 0, warmup_fraction: float = 0.5,
+                        mss: int = 1500, starve_threshold: float = 50.0,
+                        topology: Optional[Dict[str, Any]] = None
+                        ) -> JobPlan:
+    """Compile a matrix parameter document into its plan.
+
+    The keywords are exactly the normalized matrix
+    :class:`~repro.service.jobs.JobSpec` params — the one vocabulary the
+    CLI flags, a submitted job and this compiler share. ``topology`` is
+    a serialized :class:`TopologySpec`.
+    """
+    return competition_plan(
+        ccas, units.mbps(rate_mbps), units.ms(rm_ms), duration=duration,
+        warmup_fraction=warmup_fraction, mss=mss, seed=seed,
         starve_threshold=starve_threshold,
-        failures=list(outcome.failures), cache=cache)
+        topology=(None if topology is None
+                  else TopologySpec.from_json(topology)))
 
 
 def competition_matrix(ccas: Sequence[str], rate: float, rm: float,
@@ -273,27 +301,12 @@ def competition_matrix(ccas: Sequence[str], rate: float, rm: float,
         max_failures: exactly as in
             :func:`repro.analysis.sweep.sweep_rate_delay`.
     """
-    names = list(ccas)
-    if backend is None:
-        backend = make_backend(jobs)
-    elif jobs is not None:
-        raise ConfigurationError("pass backend or jobs, not both")
-    if cache_dir is not None:
-        if store is not None:
-            raise ConfigurationError("pass store or cache_dir, not both")
-        from ..store import ResultStore
-        store = ResultStore(cache_dir)
-
-    points = build_matrix_points(names, rate, rm, duration=duration,
-                                 warmup_fraction=warmup_fraction,
-                                 mss=mss, seed=seed, topology=topology)
-
-    sweep = ResilientSweep(run_competition_point, budget=budget,
-                           checkpoint_path=checkpoint_path,
-                           backend=backend, store=store, refresh=refresh,
-                           crash_dir=crash_dir,
-                           max_failures=max_failures)
-    outcome = sweep.run(points)
-    return assemble_competition_matrix(
-        names, rate, rm, duration, points, outcome,
-        starve_threshold=starve_threshold, cached=store is not None)
+    plan = competition_plan(
+        ccas, rate, rm, duration=duration,
+        warmup_fraction=warmup_fraction, mss=mss, seed=seed,
+        starve_threshold=starve_threshold, topology=topology)
+    _, matrix = run_plan(
+        plan, budget=budget, backend=backend, jobs=jobs, store=store,
+        cache_dir=cache_dir, checkpoint_path=checkpoint_path,
+        refresh=refresh, crash_dir=crash_dir, max_failures=max_failures)
+    return matrix

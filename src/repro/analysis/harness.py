@@ -6,9 +6,9 @@ partial results. This module supplies the missing robustness layer:
 
 * :class:`RunBudget` — per-run event-count and wall-clock budgets,
   enforced by the engine watchdog (:class:`~repro.errors.
-  BudgetExceededError`).
-* :func:`run_with_retry` — bounded retries with parameter back-off for
-  flaky or budget-limited runs.
+  BudgetExceededError`), plus the retry/back-off policy that
+  :func:`~repro.analysis.backends.execute_point` (the one retry loop)
+  applies to a failing point.
 * :class:`ResilientSweep` — grid execution with graceful degradation
   (a failed point becomes a structured :class:`RunFailure` instead of
   aborting the sweep) and JSON checkpointing so interrupted sweeps
@@ -23,9 +23,7 @@ benchmark panels all fit.
 from __future__ import annotations
 
 import json
-import os
 import signal
-import tempfile
 import threading
 import traceback
 from contextlib import contextmanager
@@ -33,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple)
 
 from ..errors import ReproError, SweepAbortedError
+from ..store.fsio import FileIO
 
 
 @dataclass
@@ -128,36 +127,6 @@ class RunFailure:
 RECOVERABLE = (ReproError, ArithmeticError, MemoryError, RecursionError)
 
 
-def run_with_retry(fn: Callable[..., Any],
-                   budget: Optional[RunBudget] = None,
-                   on_retry: Optional[Callable[[int, BaseException],
-                                               None]] = None) -> Any:
-    """Call ``fn(budget=...)`` with bounded retries and budget back-off.
-
-    ``fn`` receives the attempt's (scaled) :class:`RunBudget` as a
-    keyword argument and should pass its limits into the run (e.g.
-    ``run_scenario_full(..., max_events=budget.max_events,
-    wall_clock_budget=budget.wall_clock)``). On a recoverable failure
-    the call is retried up to ``budget.retries`` times, with both
-    budgets multiplied by ``budget.backoff`` each attempt; the last
-    failure propagates.
-
-    ``on_retry(attempt, exc)`` is invoked before each retry — use it to
-    back off *parameters* too (shorter duration, coarser sampling).
-    """
-    budget = budget or RunBudget()
-    last_exc: Optional[BaseException] = None
-    for attempt in range(budget.retries + 1):
-        try:
-            return fn(budget=budget.scaled(attempt))
-        except RECOVERABLE as exc:
-            last_exc = exc
-            if attempt < budget.retries and on_retry is not None:
-                on_retry(attempt, exc)
-    assert last_exc is not None
-    raise last_exc
-
-
 @dataclass
 class SweepOutcome:
     """Everything a resilient sweep produced.
@@ -227,9 +196,11 @@ class ResilientSweep:
             a sweep with a warm store executes zero simulations. With a
             store, the checkpoint stops persisting results of its own:
             it records each completed point's *cache key* and becomes a
-            view over the store (results from a pre-store checkpoint
-            are migrated in on first resume). A checkpoint entry whose
-            store object was garbage-collected simply re-runs.
+            view over the store. A checkpoint entry whose store object
+            was garbage-collected simply re-runs, and so does a whole
+            checkpoint written in the other mode (inline results read
+            with a store attached, or cache keys read without one) —
+            it is ignored like a corrupt file.
         refresh: recompute every point even when cached, overwriting
             store entries (the CLI's ``--force``).
         max_failures: fail-fast threshold — the number of failed points
@@ -259,8 +230,8 @@ class ResilientSweep:
         outcome.failures    # [RunFailure(...)] for divergent points
     """
 
-    #: Version 1 checkpoints inline every result; version 2 (written
-    #: when a result store is attached) records cache keys instead and
+    #: One format per mode: version 1 checkpoints (no store) inline
+    #: every result; version 2 (store attached) records cache keys and
     #: resolves them through the store on load.
     CHECKPOINT_VERSION = 1
     CHECKPOINT_STORE_VERSION = 2
@@ -302,20 +273,16 @@ class ResilientSweep:
     # Checkpointing
     # ------------------------------------------------------------------
 
-    def load_checkpoint(self) -> Tuple[Dict[str, Any], List[RunFailure]]:
-        """Read prior progress; tolerates a missing or corrupt file."""
-        completed, _refs, failures = self._load_state()
-        return completed, failures
-
     def _load_state(self) -> Tuple[Dict[str, Any], Dict[str, str],
                                    List[RunFailure]]:
         """Prior progress as ``(results, cache-key refs, failures)``.
 
-        Version 1 files carry results inline (refs stay empty).
-        Version 2 files carry cache keys; each is resolved through the
-        attached store, and an unresolvable key (entry gc'd, store
-        moved, no store attached) silently drops the point so it simply
-        re-runs — the checkpoint is a view, the store is the truth.
+        Without a store the file carries results inline (refs stay
+        empty). With one it carries cache keys; each is resolved
+        through the store, and an unresolvable key (entry gc'd, store
+        moved) silently drops the point so it simply re-runs — the
+        checkpoint is a view, the store is the truth. A missing or
+        corrupt file, or one written in the other mode, is no progress.
         """
         if self.checkpoint_path is None:
             return {}, {}, []
@@ -324,32 +291,30 @@ class ResilientSweep:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError):
             return {}, {}, []
-        version = data.get("version")
+        expected = (self.CHECKPOINT_VERSION if self.store is None
+                    else self.CHECKPOINT_STORE_VERSION)
+        if data.get("version") != expected:
+            return {}, {}, []
         completed: Dict[str, Any] = {}
         refs: Dict[str, str] = {}
-        if version == self.CHECKPOINT_VERSION:
+        if self.store is None:
             completed = dict(data.get("completed", {}))
-        elif version == self.CHECKPOINT_STORE_VERSION:
-            completed = dict(data.get("inline", {}))
-            if self.store is not None:
-                for key, cache_key in data.get("completed", {}).items():
-                    found, result = self.store.fetch(cache_key)
-                    if found:
-                        completed[key] = result
-                        refs[key] = cache_key
         else:
-            return {}, {}, []
+            for key, cache_key in data.get("completed", {}).items():
+                found, result = self.store.fetch(cache_key)
+                if found:
+                    completed[key] = result
+                    refs[key] = cache_key
         failures = [RunFailure.from_json(f)
                     for f in data.get("failures", [])]
         return completed, refs, failures
 
     def _write_checkpoint(self, completed: Dict[str, Any],
                           failures: List[RunFailure],
-                          refs: Optional[Dict[str, str]] = None) -> None:
+                          refs: Dict[str, str]) -> None:
         if self.checkpoint_path is None:
             return
         if self.store is not None:
-            refs = refs or {}
             payload = {
                 "version": self.CHECKPOINT_STORE_VERSION,
                 "store": getattr(self.store, "root", ""),
@@ -357,11 +322,6 @@ class ResilientSweep:
                 # remembers which cache keys belong to this grid.
                 "completed": {key: refs[key] for key in completed
                               if key in refs},
-                # Results that never obtained a cache key (carried over
-                # from a pre-store checkpoint for points outside the
-                # current grid) are kept inline so nothing is lost.
-                "inline": {key: value for key, value in completed.items()
-                           if key not in refs},
                 "failures": [f.to_json() for f in failures],
             }
         else:
@@ -371,20 +331,10 @@ class ResilientSweep:
                 "failures": [f.to_json() for f in failures],
             }
         # Atomic replace so a kill mid-write can't corrupt progress.
-        directory = os.path.dirname(os.path.abspath(self.checkpoint_path))
-        fd, tmp_path = tempfile.mkstemp(dir=directory,
-                                        prefix=".checkpoint-",
-                                        suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=1, sort_keys=True)
-            os.replace(tmp_path, self.checkpoint_path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        FileIO().write_atomic(
+            self.checkpoint_path,
+            json.dumps(payload, indent=1, sort_keys=True),
+            prefix=".checkpoint-")
 
     # ------------------------------------------------------------------
     # Execution
@@ -442,8 +392,6 @@ class ResilientSweep:
         completed, refs, failures = self._load_state()
         if self.retry_failures_on_resume:
             failures = []
-        if self.store is not None:
-            self._migrate_inline_results(completed, refs, dict(points))
         failed_keys = {f.key for f in failures}
         pending = [(key, params) for key, params in points
                    if key not in completed and key not in failed_keys]
@@ -507,28 +455,6 @@ class ResilientSweep:
                 f"(last: {failures[-1].key}: {failures[-1].reason}: "
                 f"{failures[-1].message})",
                 failures=list(failures))
-
-    def _migrate_inline_results(self, completed: Dict[str, Any],
-                                refs: Dict[str, str],
-                                params_by_key: Dict[str, Any]) -> None:
-        """Unify pre-store checkpoints with the store.
-
-        A version-1 checkpoint carries results inline. When a store is
-        attached, each inline result whose point is still on the grid
-        is put under its content address, so from here on the
-        checkpoint is purely a view over cached keys.
-        """
-        from ..store import point_cache_key, task_name
-        for key, result in completed.items():
-            if key in refs or key not in params_by_key:
-                continue
-            cache_key = point_cache_key(self.run_point,
-                                        params_by_key[key],
-                                        fingerprint=self.store.fingerprint)
-            if not self.store.contains(cache_key):
-                self.store.put(cache_key, result, meta={"point": key},
-                               task=task_name(self.run_point))
-            refs[key] = cache_key
 
     def _note(self, key: str, status: str) -> None:
         if self.progress is not None:

@@ -16,8 +16,13 @@ the CCA declaratively — a registry string or
 workers as a serialized :class:`~repro.spec.ScenarioSpec`, so
 ``jobs=N`` scales with cores while staying bit-identical to a serial
 run (per-point seeds derive from the root ``seed`` and the grid key,
-never from execution order). Passing a live callable factory still
-works but is confined to the serial backend.
+never from execution order). A class or factory registered in
+:mod:`repro.ccas.registry` is accepted as shorthand for its name.
+
+:func:`rate_delay_plan` is the one place the grid builder, the worker
+and the curve assembler are paired (see :mod:`repro.analysis.plan`);
+:func:`sweep_rate_delay`, ``repro sweep`` and the sweep service all run
+the plan it returns.
 """
 
 from __future__ import annotations
@@ -27,16 +32,15 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence,
                     Tuple, Union)
 
 from .. import units
+from ..ccas import registry
 from ..errors import ConfigurationError
 from ..spec import CCASpec, ScenarioSpec, derive_seed, single_flow_scenario
-from ..sim.network import FlowConfig, LinkConfig
-from ..sim.runner import run_scenario_full
-from .backends import SerialBackend, make_backend
-from .harness import ResilientSweep, RunBudget, RunFailure
+from .harness import RunBudget, RunFailure
+from .plan import JobPlan, run_plan
 
-#: What callers may sweep: a registry name, a CCASpec, or (legacy,
-#: serial-only) a zero-argument live factory.
-CCALike = Union[str, CCASpec, Callable[[], object]]
+#: What callers may sweep: a registry name, a CCASpec, or a class /
+#: factory registered in :mod:`repro.ccas.registry`.
+CCALike = Union[str, CCASpec, Callable[..., object]]
 
 
 @dataclass
@@ -119,12 +123,20 @@ def run_rate_delay_point(params: Dict[str, Any], budget: RunBudget
             "d_max": stats.max_rtt, "throughput": stats.throughput}
 
 
-def _as_cca_spec(cca: CCALike) -> Optional[CCASpec]:
+def _as_cca_spec(cca: Optional[CCALike]) -> CCASpec:
     if isinstance(cca, CCASpec):
         return cca
     if isinstance(cca, str):
         return CCASpec(cca)
-    return None
+    for name in registry.names():
+        if registry.entry(name).factory is cca:
+            return CCASpec(name)
+    raise ConfigurationError(
+        f"sweeps need a declarative CCA (a registry name, a CCASpec or "
+        f"a registered class) or a ScenarioSpec template, got {cca!r} "
+        f"— a closure cannot cross process boundaries or be part of a "
+        f"stable cache key; give it a name with "
+        f"repro.ccas.registry.register() first")
 
 
 def build_rate_delay_points(cca: Optional[CCALike],
@@ -146,10 +158,6 @@ def build_rate_delay_points(cca: Optional[CCALike],
     grid byte-identical.
     """
     spec = None if template is not None else _as_cca_spec(cca)
-    if spec is None and template is None:
-        raise ConfigurationError(
-            "build_rate_delay_points needs a declarative CCA (registry "
-            "name or CCASpec) or a ScenarioSpec template")
     points: List[Tuple[str, Dict[str, Any]]] = []
     for rate_mbps in link_rates_mbps:
         key = f"{float(rate_mbps):g}mbps"
@@ -172,25 +180,50 @@ def build_rate_delay_points(cca: Optional[CCALike],
     return label, points
 
 
-def assemble_rate_delay_curve(label: str, rm: float,
-                              points: Sequence[Tuple[str, Dict[str, Any]]],
-                              outcome: Any,
-                              cached: bool = False) -> RateDelayCurve:
-    """Fold a :class:`SweepOutcome` back into a :class:`RateDelayCurve`.
+def rate_delay_plan(cca: Optional[CCALike],
+                    link_rates_mbps: Sequence[float], rm: float,
+                    label: str = "",
+                    duration: Optional[float] = None,
+                    warmup_fraction: float = 0.5,
+                    mss: int = 1500,
+                    seed: int = 0,
+                    template: Optional[ScenarioSpec] = None) -> JobPlan:
+    """Pair the grid, its worker and its curve assembler (SI units)."""
+    built_label, points = build_rate_delay_points(
+        cca, link_rates_mbps, rm, duration=duration,
+        warmup_fraction=warmup_fraction, mss=mss, seed=seed,
+        template=template)
+    label = label or built_label
 
-    Grid order comes from ``points`` (not completion order), so the
-    curve is independent of the execution backend. ``cached`` attaches
-    the outcome's hit/miss accounting (sweeps without a store leave
-    ``curve.cache`` as None).
+    def assemble(outcome: Any) -> RateDelayCurve:
+        return RateDelayCurve(
+            label=label, rm=rm,
+            points=[RateDelayPoint(**outcome.completed[key])
+                    for key, _ in points if key in outcome.completed],
+            failures=list(outcome.failures))
+
+    return JobPlan(run_rate_delay_point, points, assemble)
+
+
+def compile_sweep_plan(cca: str, rates_mbps: Sequence[float],
+                       rm_ms: float, duration: Optional[float] = None,
+                       seed: int = 0, warmup_fraction: float = 0.5,
+                       mss: int = 1500,
+                       template: Optional[Dict[str, Any]] = None
+                       ) -> JobPlan:
+    """Compile a sweep parameter document into its plan.
+
+    The keywords are exactly the normalized sweep
+    :class:`~repro.service.jobs.JobSpec` params — the one vocabulary the
+    CLI flags, a submitted job and this compiler share. ``template`` is
+    a serialized :class:`ScenarioSpec`; the curve is labelled by
+    ``cca`` either way.
     """
-    curve_points = [RateDelayPoint(**outcome.completed[key])
-                    for key, _ in points if key in outcome.completed]
-    cache = None
-    if cached:
-        cache = {"hits": outcome.hits, "misses": outcome.misses,
-                 "resumed": outcome.resumed}
-    return RateDelayCurve(label=label, rm=rm, points=curve_points,
-                          failures=list(outcome.failures), cache=cache)
+    return rate_delay_plan(
+        cca, rates_mbps, units.ms(rm_ms), label=cca, duration=duration,
+        warmup_fraction=warmup_fraction, mss=mss, seed=seed,
+        template=(None if template is None
+                  else ScenarioSpec.from_json(template)))
 
 
 def sweep_rate_delay(cca_factory: CCALike,
@@ -217,9 +250,8 @@ def sweep_rate_delay(cca_factory: CCALike,
     Args:
         cca_factory: the CCA to sweep — a registry name (``"vegas"``),
             a :class:`~repro.spec.CCASpec` (``CCASpec("bbr",
-            {"seed": 3})``), or a legacy zero-argument factory
-            (serial-only: live callables cannot cross process
-            boundaries).
+            {"seed": 3})``), or a class registered in
+            :mod:`repro.ccas.registry` (``Vegas``).
         link_rates_mbps: sweep grid in Mbit/s (the paper uses
             0.1 .. 100).
         rm: propagation RTT (the paper's Figure 3 uses 100 ms).
@@ -261,70 +293,16 @@ def sweep_rate_delay(cca_factory: CCALike,
             this many grid points have failed (``0`` = abort on the
             first failure; ``None`` = never, the default).
     """
-    if backend is None:
-        backend = make_backend(jobs)
-    elif jobs is not None:
-        raise ConfigurationError("pass backend or jobs, not both")
-    if cache_dir is not None:
-        if store is not None:
-            raise ConfigurationError("pass store or cache_dir, not both")
-        from ..store import ResultStore
-        store = ResultStore(cache_dir)
-
-    spec = None if template is not None else _as_cca_spec(cca_factory)
-
-    if spec is not None or template is not None:
-        run_point = run_rate_delay_point
-        built_label, points = build_rate_delay_points(
-            cca_factory, link_rates_mbps, rm, duration=duration,
-            warmup_fraction=warmup_fraction, mss=mss, seed=seed,
-            template=template)
-        if not label:
-            label = built_label
-    else:
-        # Legacy path: a live factory closure. Works, but only serially.
-        if not isinstance(backend, SerialBackend):
-            raise ConfigurationError(
-                "parallel sweeps need a declarative CCA (a registry "
-                "name or CCASpec), not a live factory callable — "
-                "closures cannot cross process boundaries")
-        if store is not None:
-            raise ConfigurationError(
-                "result caching needs a declarative CCA (a registry "
-                "name or CCASpec), not a live factory callable — a "
-                "closure's identity cannot be part of a stable cache "
-                "key")
-
-        def run_point(params: Dict[str, object],
-                      point_budget: RunBudget) -> Dict[str, float]:
-            rate = units.mbps(float(params["rate_mbps"]))
-            run_time = duration
-            if run_time is None:
-                run_time = default_run_time(rate, rm, mss)
-            result = run_scenario_full(
-                LinkConfig(rate=rate),
-                [FlowConfig(cca_factory=cca_factory, rm=rm, mss=mss)],
-                duration=run_time, warmup=run_time * warmup_fraction,
-                max_events=point_budget.max_events,
-                wall_clock_budget=point_budget.wall_clock)
-            stats = result.stats[0]
-            return {"link_rate": rate, "d_min": stats.min_rtt,
-                    "d_max": stats.max_rtt,
-                    "throughput": stats.throughput}
-
-        points = [(f"{float(rate_mbps):g}mbps",
-                   {"rate_mbps": float(rate_mbps)})
-                  for rate_mbps in link_rates_mbps]
-
-    sweep = ResilientSweep(run_point, budget=budget,
-                           checkpoint_path=checkpoint_path,
-                           retry_failures_on_resume=retry_failures,
-                           backend=backend, store=store, refresh=refresh,
-                           crash_dir=crash_dir,
-                           max_failures=max_failures)
-    outcome = sweep.run(points)
-    return assemble_rate_delay_curve(label, rm, points, outcome,
-                                     cached=store is not None)
+    plan = rate_delay_plan(
+        cca_factory, link_rates_mbps, rm, label=label, duration=duration,
+        warmup_fraction=warmup_fraction, mss=mss, seed=seed,
+        template=template)
+    _, curve = run_plan(
+        plan, budget=budget, backend=backend, jobs=jobs, store=store,
+        cache_dir=cache_dir, checkpoint_path=checkpoint_path,
+        retry_failures_on_resume=retry_failures, refresh=refresh,
+        crash_dir=crash_dir, max_failures=max_failures)
+    return curve
 
 
 def log_rate_grid(lo_mbps: float = 0.1, hi_mbps: float = 100.0,

@@ -72,9 +72,11 @@ from . import units
 from .errors import (ConfigurationError, SpecValidationError,
                      SweepAbortedError)
 from .analysis.backends import make_backend
+from .analysis.competition import compile_matrix_plan
 from .analysis.harness import RunBudget, describe_failures
+from .analysis.plan import render_result, run_plan
 from .analysis.report import describe_run, rate_delay_ascii
-from .analysis.sweep import sweep_rate_delay
+from .analysis.sweep import compile_sweep_plan
 from .analysis import starvation
 from .ccas import registry
 from .spec import (CCASpec, ElementSpec, FaultScheduleSpec,
@@ -152,6 +154,62 @@ def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
         help="also dump raw pstats data to PATH (for snakeviz etc.)")
 
 
+def _add_pool_flags(parser: argparse.ArgumentParser, unit: str) -> None:
+    """``--jobs``/``--chunksize``, shared by run/sweep/matrix/starve."""
+    parser.add_argument(
+        "--jobs", type=int, default=None,
+        help=f"run {unit} in N worker processes (bit-identical to "
+             f"serial)")
+    parser.add_argument(
+        "--chunksize", type=int, default=1,
+        help=f"{unit} per worker task with --jobs (default 1); larger "
+             f"chunks amortize IPC for many short {unit}")
+
+
+def _add_budget_flags(parser: argparse.ArgumentParser, unit: str,
+                      on_excess: str) -> None:
+    """Per-point watchdog and fail-fast flags, shared by
+    sweep/matrix/serve."""
+    parser.add_argument(
+        "--max-events", type=int, default=20_000_000,
+        help=f"per-{unit} event budget (watchdog; default 20M)")
+    parser.add_argument(
+        "--wall-clock", type=float, default=120.0,
+        help=f"per-{unit} wall-clock budget in seconds (default 120)")
+    parser.add_argument(
+        "--max-failures", type=int, default=None, metavar="N",
+        help=f"{on_excess} once more than N {unit}s have failed (0 = "
+             f"on the first failure; default: never, record failures "
+             f"and continue)")
+
+
+def _add_client_flags(parser: argparse.ArgumentParser, timeout: float,
+                      timeout_help: str) -> None:
+    """``--url``/``--timeout``, shared by submit/jobs."""
+    parser.add_argument(
+        "--url", default=os.environ.get("REPRO_SERVICE_URL",
+                                        "http://127.0.0.1:8642"),
+        help="daemon base URL (default: $REPRO_SERVICE_URL or "
+             "http://127.0.0.1:8642)")
+    parser.add_argument(
+        "--timeout", type=float, default=timeout,
+        help=f"{timeout_help} (default {timeout:g})")
+
+
+def _write_json(path: str, doc: Dict[str, Any]) -> None:
+    """Write ``doc`` in the canonical result serialization."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(render_result(doc))
+
+
+def _require_cca(name: str) -> str:
+    if not registry.is_registered(name):
+        raise SystemExit(
+            f"unknown CCA {name!r}; choose from "
+            f"{', '.join(registry.names())}")
+    return name
+
+
 def _cache_store(args: argparse.Namespace) -> Optional[ResultStore]:
     """The ResultStore the flags ask for, or None."""
     if args.no_cache or not args.cache_dir:
@@ -198,10 +256,7 @@ def parse_flow_spec(spec: str, rm: float,
     root seed.
     """
     name, _, rest = spec.partition(":")
-    if not registry.is_registered(name):
-        raise SystemExit(
-            f"unknown CCA {name!r}; choose from "
-            f"{', '.join(registry.names())}")
+    _require_cca(name)
     ack_elements: List[ElementSpec] = []
     windows: List[FaultWindowSpec] = []
     ack_every = 1
@@ -381,6 +436,43 @@ def _run_spec_point(params: Dict[str, Any], budget: RunBudget
     return {"report": describe_run(params["title"], result)}
 
 
+def _report_grid(args: argparse.Namespace, run_point: Any,
+                 points: List[Tuple[str, Dict[str, Any]]],
+                 budget: RunBudget) -> int:
+    """Run report-producing points (``repro run``/``repro starve``) and
+    print the reports in grid order.
+
+    Iterates ``backend.execute`` directly rather than through a
+    :class:`~repro.analysis.harness.ResilientSweep`, whose signal trap
+    would make Ctrl-C wait for the running scenario.
+    """
+    backend = make_backend(args.jobs, chunksize=args.chunksize)
+    store = _cache_store(args)
+    reports: Dict[str, str] = {}
+    failures = []
+    hits = misses = 0
+    for outcome in backend.execute(run_point, points, budget,
+                                   store=store, refresh=args.force,
+                                   crash_dir=args.crash_dir):
+        if outcome.failure is not None:
+            failures.append(outcome.failure)
+        else:
+            reports[outcome.key] = outcome.result["report"]
+            if outcome.cached:
+                hits += 1
+            else:
+                misses += 1
+    for key, _ in points:
+        if key in reports:
+            print(reports[key])
+    _print_cache_line(store, hits, misses)
+    if failures:
+        print(f"{len(failures)} scenario(s) failed:")
+        print(describe_failures(failures))
+        return 1
+    return 0
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     _apply_invariants(args)
     specs = _specs_from_args(args)
@@ -404,91 +496,170 @@ def cmd_run(args: argparse.Namespace) -> int:
             "warmup": warmup,
             "title": f"{name}, {duration:.0f} s",
         }))
-    backend = make_backend(args.jobs, chunksize=args.chunksize)
-    budget = RunBudget(max_events=args.max_events, wall_clock=None,
-                       retries=0)
-    store = _cache_store(args)
-    reports: Dict[str, str] = {}
-    failures = []
-    hits = misses = 0
-    for outcome in backend.execute(_run_spec_point, points, budget,
-                                   store=store, refresh=args.force,
-                                   crash_dir=args.crash_dir):
-        if outcome.failure is not None:
-            failures.append(outcome.failure)
-        else:
-            reports[outcome.key] = outcome.result["report"]
-            if outcome.cached:
-                hits += 1
-            else:
-                misses += 1
-    for key, _ in points:
-        if key in reports:
-            print(reports[key])
-    _print_cache_line(store, hits, misses)
-    if failures:
-        print(f"{len(failures)} scenario(s) failed:")
-        print(describe_failures(failures))
-        return 1
-    return 0
+    return _report_grid(args, _run_spec_point, points,
+                        RunBudget(max_events=args.max_events,
+                                  wall_clock=None, retries=0))
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    _apply_invariants(args)
-    if not registry.is_registered(args.cca):
-        raise SystemExit(
-            f"unknown CCA {args.cca!r}; choose from "
-            f"{', '.join(registry.names())}")
+def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
+    """The rate-delay experiment flags, shared by sweep/submit sweep."""
+    parser.add_argument("--cca", required=True)
+    parser.add_argument("--rates", default="0.4,2,10,50")
+    parser.add_argument("--rm", type=float, default=50.0)
+    parser.add_argument("--duration", type=float, default=None)
+    parser.add_argument(
+        "--seed", type=int, default=0,
+        help="root seed; per-point scenario seeds derive from it")
+    parser.add_argument(
+        "--spec", default=None, metavar="FILE",
+        help="sweep a ScenarioSpec template: each grid point runs the "
+             "template with its bottleneck rate replaced")
+    parser.add_argument(
+        "--topology", default=None, metavar="FILE",
+        help="sweep over a TopologySpec JSON graph: one --cca flow "
+             "routed over every link, with the first link's rate "
+             "(the designated bottleneck) swept across --rates")
+    parser.set_defaults(params=_sweep_params)
+
+
+def _sweep_params(args: argparse.Namespace) -> Dict[str, Any]:
+    """The sweep parameter document the flags describe — what
+    ``compile_sweep_plan`` compiles locally and ``repro submit`` sends
+    as a JobSpec."""
+    cca = _require_cca(args.cca)
     template = None
     if args.topology:
         if args.spec:
             raise SystemExit("pass --topology or --spec, not both")
-        topology = _load_topology(args.topology)
         # One flow of the swept CCA routed over every link; each grid
         # point replaces the first (designated bottleneck) link's rate.
         template = ScenarioSpec(
-            topology=topology,
-            flows=(FlowSpec(cca=CCASpec(args.cca),
-                            rm=units.ms(args.rm)),))
+            topology=_load_topology(args.topology),
+            flows=(FlowSpec(cca=CCASpec(cca), rm=units.ms(args.rm)),))
     elif args.spec:
         try:
             template = ScenarioSpec.load(args.spec)
         except ConfigurationError as exc:
             raise SystemExit(str(exc))
-    grid = [float(x) for x in args.rates.split(",")]
+    return {
+        "cca": cca,
+        "rates_mbps": [float(x) for x in args.rates.split(",")],
+        "rm_ms": args.rm,
+        "duration": args.duration,
+        "seed": args.seed,
+        "template": None if template is None else template.to_json(),
+    }
+
+
+def _add_matrix_args(parser: argparse.ArgumentParser) -> None:
+    """The competition experiment flags, shared by matrix/submit
+    matrix."""
+    parser.add_argument(
+        "--ccas", required=True, metavar="NAME[,NAME...]",
+        help="comma-separated CCA registry names; every unordered "
+             "pair (incl. self-pairs) competes head-to-head")
+    parser.add_argument(
+        "--rate", type=float, default=10.0,
+        help="bottleneck rate in Mbit/s (with --topology: the first "
+             "link's rate; default 10)")
+    parser.add_argument(
+        "--rm", type=float, default=40.0,
+        help="both flows' propagation RTT, ms (default 40)")
+    parser.add_argument(
+        "--duration", type=float, default=30.0,
+        help="per-pair run length in seconds (default 30; the first "
+             "half is warmup)")
+    parser.add_argument(
+        "--seed", type=int, default=0,
+        help="root seed; per-pair scenario seeds derive from it")
+    parser.add_argument(
+        "--starve-threshold", type=float, default=50.0, metavar="S",
+        help="flag a pair as starved when its max/min throughput "
+             "ratio reaches S (default 50)")
+    parser.add_argument(
+        "--topology", default=None, metavar="FILE",
+        help="compete over a TopologySpec JSON graph (both flows "
+             "routed over every link) instead of the dumbbell")
+    parser.set_defaults(params=_matrix_params)
+
+
+def _matrix_params(args: argparse.Namespace) -> Dict[str, Any]:
+    """The matrix parameter document the flags describe (see
+    :func:`_sweep_params`)."""
+    names = [_require_cca(name.strip()) for name in args.ccas.split(",")
+             if name.strip()]
+    if not names:
+        raise SystemExit("matrix needs --ccas NAME[,NAME...]")
+    topology = None
+    if args.topology:
+        topology = _load_topology(args.topology).to_json()
+    return {
+        "ccas": names,
+        "rate_mbps": args.rate,
+        "rm_ms": args.rm,
+        "duration": args.duration,
+        "seed": args.seed,
+        "starve_threshold": args.starve_threshold,
+        "topology": topology,
+    }
+
+
+def _add_grid_flags(parser: argparse.ArgumentParser, unit: str,
+                    on_excess: str) -> None:
+    """The execution flags :func:`_run_grid` reads, shared by
+    sweep/matrix."""
+    _add_pool_flags(parser, f"{unit}s")
+    parser.add_argument(
+        "--json", default=None, metavar="PATH",
+        help=f"also write the result ({unit}s + failures) as JSON")
+    parser.add_argument(
+        "--checkpoint", default=None, metavar="PATH",
+        help=f"JSON checkpoint; re-invoking resumes completed {unit}s")
+    _add_budget_flags(parser, unit, on_excess)
+    _add_cache_flags(parser)
+    _add_robustness_flags(parser)
+
+
+def _run_grid(args: argparse.Namespace, compiler: Any) -> Any:
+    """Compile the flags' parameter document and run its plan the way
+    the sweep/matrix flags ask; returns the assembled result, or None
+    when ``--max-failures`` aborted the grid."""
     store = _cache_store(args)
     try:
-        curve = sweep_rate_delay(
-            args.cca, grid,
-            units.ms(args.rm), label=args.cca,
-            duration=args.duration,
+        _, result = run_plan(
+            compiler(**args.params(args)),
             budget=RunBudget(max_events=args.max_events,
                              wall_clock=args.wall_clock),
+            backend=make_backend(args.jobs, chunksize=args.chunksize),
+            store=store, refresh=args.force, crash_dir=args.crash_dir,
             checkpoint_path=args.checkpoint,
-            retry_failures=args.retry_failures,
-            backend=make_backend(args.jobs,
-                                 chunksize=args.chunksize),
-            seed=args.seed,
-            template=template, store=store,
-            refresh=args.force,
-            crash_dir=args.crash_dir,
+            retry_failures_on_resume=getattr(args, "retry_failures",
+                                             False),
             max_failures=args.max_failures)
     except SweepAbortedError as exc:
-        print(f"sweep aborted early (--max-failures "
+        print(f"{args.command} aborted early (--max-failures "
               f"{args.max_failures}):")
         print(describe_failures(exc.failures))
+        return None
+    except ConfigurationError as exc:
+        raise SystemExit(str(exc))
+    if args.json:
+        _write_json(args.json, result.to_json())
+    if result.cache is not None:
+        _print_cache_line(store, result.cache["hits"],
+                          result.cache["misses"])
+    return result
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    _apply_invariants(args)
+    curve = _run_grid(args, compile_sweep_plan)
+    if curve is None:
         if args.checkpoint:
             print(f"completed points are checkpointed in "
                   f"{args.checkpoint}; fix the setup and re-invoke "
                   f"with --retry-failures to resume")
         return 1
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(curve.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    if curve.cache is not None:
-        _print_cache_line(store, curve.cache["hits"],
-                          curve.cache["misses"])
     if not curve.points:
         print("every grid point failed:")
         print(describe_failures(curve.failures))
@@ -504,45 +675,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_matrix(args: argparse.Namespace) -> int:
     """Per-CCA-pair fairness/starvation competition matrix."""
-    from .analysis.competition import competition_matrix
     _apply_invariants(args)
-    names = [name.strip() for name in args.ccas.split(",")
-             if name.strip()]
-    if not names:
-        raise SystemExit("matrix needs --ccas NAME[,NAME...]")
-    for name in names:
-        if not registry.is_registered(name):
-            raise SystemExit(
-                f"unknown CCA {name!r}; choose from "
-                f"{', '.join(registry.names())}")
-    topology = _load_topology(args.topology) if args.topology else None
-    store = _cache_store(args)
-    try:
-        matrix = competition_matrix(
-            names, rate=units.mbps(args.rate), rm=units.ms(args.rm),
-            duration=args.duration, seed=args.seed,
-            starve_threshold=args.starve_threshold,
-            topology=topology,
-            budget=RunBudget(max_events=args.max_events,
-                             wall_clock=args.wall_clock),
-            backend=make_backend(args.jobs, chunksize=args.chunksize),
-            store=store, refresh=args.force, crash_dir=args.crash_dir,
-            checkpoint_path=args.checkpoint,
-            max_failures=args.max_failures)
-    except SweepAbortedError as exc:
-        print(f"matrix aborted early (--max-failures "
-              f"{args.max_failures}):")
-        print(describe_failures(exc.failures))
+    matrix = _run_grid(args, compile_matrix_plan)
+    if matrix is None:
         return 1
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(matrix.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    if matrix.cache is not None:
-        _print_cache_line(store, matrix.cache["hits"],
-                          matrix.cache["misses"])
     print(matrix.describe())
     if matrix.failures:
         print(f"{len(matrix.failures)} pair(s) failed:")
@@ -569,33 +705,10 @@ def cmd_starve(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"unknown scenario {name!r}; choose from "
                 f"{', '.join(sorted(STARVE_SCENARIOS))}")
-    backend = make_backend(args.jobs, chunksize=args.chunksize)
-    budget = RunBudget(max_events=None, wall_clock=None, retries=0)
-    store = _cache_store(args)
-    points = [(name, {"scenario": name}) for name in names]
-    reports: Dict[str, str] = {}
-    failures = []
-    hits = misses = 0
-    for outcome in backend.execute(_run_starve_point, points, budget,
-                                   store=store, refresh=args.force,
-                                   crash_dir=args.crash_dir):
-        if outcome.failure is not None:
-            failures.append(outcome.failure)
-        else:
-            reports[outcome.key] = outcome.result["report"]
-            if outcome.cached:
-                hits += 1
-            else:
-                misses += 1
-    for name in names:
-        if name in reports:
-            print(reports[name])
-    _print_cache_line(store, hits, misses)
-    if failures:
-        print(f"{len(failures)} scenario(s) failed:")
-        print(describe_failures(failures))
-        return 1
-    return 0
+    return _report_grid(
+        args, _run_starve_point,
+        [(name, {"scenario": name}) for name in names],
+        RunBudget(max_events=None, wall_clock=None, retries=0))
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -655,9 +768,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         crash_dir=args.crash_dir, progress=progress)
     print(report.describe())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json, report.to_json())
     if report.fresh:
         print(f"{len(report.fresh)} fresh finding(s) not in the corpus"
               + (f" — minimized entries written under "
@@ -742,10 +853,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
     raise SystemExit(f"unknown cache action {args.action!r}")
 
 
-DEFAULT_SERVICE_URL = os.environ.get("REPRO_SERVICE_URL",
-                                     "http://127.0.0.1:8642")
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the sweep-service daemon in the foreground."""
     from .service import (ChaosPolicy, FaultyFS, ReproServer,
@@ -789,28 +896,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _submit_spec(args: argparse.Namespace):
-    """Assemble the JobSpec a ``repro submit`` invocation describes."""
-    from .service import JobSpec
-    if args.kind == "sweep":
-        template = None
-        if args.spec:
-            template = ScenarioSpec.load(args.spec).to_json()
-        return JobSpec.sweep(
-            args.cca, [float(x) for x in args.rates.split(",")],
-            args.rm, duration=args.duration, seed=args.seed,
-            template=template)
-    topology = None
-    if args.topology:
-        topology = _load_topology(args.topology).to_json()
-    names = [name.strip() for name in args.ccas.split(",")
-             if name.strip()]
-    return JobSpec.matrix(
-        names, args.rate, args.rm, duration=args.duration,
-        seed=args.seed, starve_threshold=args.starve_threshold,
-        topology=topology)
-
-
 def _print_job_line(job: Dict[str, Any]) -> None:
     progress = job.get("progress", {})
     done = (progress.get("done", 0) + progress.get("cached", 0)
@@ -833,10 +918,11 @@ def _print_job_line(job: Dict[str, Any]) -> None:
 def cmd_submit(args: argparse.Namespace) -> int:
     """Submit an experiment to a running sweep-service daemon."""
     from .errors import ServiceError
-    from .service import ServiceClient
+    from .service import JobSpec, ServiceClient
     client = ServiceClient(args.url, timeout=args.timeout)
     try:
-        spec = _submit_spec(args)
+        spec = JobSpec.from_json({"kind": args.kind,
+                                  **args.params(args)})
     except (ConfigurationError, ServiceError) as exc:
         raise SystemExit(str(exc))
     try:
@@ -915,9 +1001,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     doc = run_suite(quick=args.quick)
     print(describe_suite(doc))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json, doc)
         print(f"wrote {args.json}")
     if args.compare:
         try:
@@ -1019,14 +1103,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None,
         help="scenario root seed; every component RNG derives from it "
              "(default 0, or the spec file's embedded seed)")
-    run_parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="run multiple scenarios (--spec/--cca sets) in N worker "
-             "processes")
-    run_parser.add_argument(
-        "--chunksize", type=int, default=1,
-        help="scenarios per worker task with --jobs (default 1); "
-             "larger chunks amortize IPC for many short scenarios")
+    _add_pool_flags(run_parser, "scenarios")
     run_parser.add_argument(
         "--buffer-bdp", type=float, default=4.0,
         help="droptail buffer as a multiple of the BDP (default 4; "
@@ -1053,122 +1130,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_parser = sub.add_parser("sweep",
                                   help="rate-delay curve (Figure 3)")
-    sweep_parser.add_argument("--cca", required=True)
-    sweep_parser.add_argument("--rates", default="0.4,2,10,50")
-    sweep_parser.add_argument("--rm", type=float, default=50.0)
-    sweep_parser.add_argument("--duration", type=float, default=None)
-    sweep_parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="run grid points in N worker processes (bit-identical "
-             "to serial)")
-    sweep_parser.add_argument(
-        "--chunksize", type=int, default=1,
-        help="grid points per worker task with --jobs (default 1); "
-             "larger chunks amortize IPC for grids of short points")
-    sweep_parser.add_argument(
-        "--seed", type=int, default=0,
-        help="root seed; per-point scenario seeds derive from it")
-    sweep_parser.add_argument(
-        "--spec", default=None, metavar="FILE",
-        help="sweep a ScenarioSpec template: each grid point runs the "
-             "template with its bottleneck rate replaced")
-    sweep_parser.add_argument(
-        "--topology", default=None, metavar="FILE",
-        help="sweep over a TopologySpec JSON graph: one --cca flow "
-             "routed over every link, with the first link's rate "
-             "(the designated bottleneck) swept across --rates")
-    sweep_parser.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="also write the curve (points + failures) as JSON")
-    sweep_parser.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="JSON checkpoint; re-invoking resumes completed points")
-    sweep_parser.add_argument(
-        "--max-events", type=int, default=20_000_000,
-        help="per-point event budget (watchdog; default 20M)")
-    sweep_parser.add_argument(
-        "--wall-clock", type=float, default=120.0,
-        help="per-point wall-clock budget in seconds (default 120)")
+    _add_sweep_args(sweep_parser)
+    _add_grid_flags(sweep_parser, "point", "abort the sweep")
     sweep_parser.add_argument(
         "--retry-failures", action="store_true",
         help="re-run checkpointed failed points (e.g. after raising "
              "--max-events) instead of keeping their failure records")
-    sweep_parser.add_argument(
-        "--max-failures", type=int, default=None, metavar="N",
-        help="abort the sweep once more than N grid points have "
-             "failed (0 = abort on the first failure; default: "
-             "never abort, record failures and continue)")
-    _add_cache_flags(sweep_parser)
-    _add_robustness_flags(sweep_parser)
     _add_profile_flags(sweep_parser)
     sweep_parser.set_defaults(func=cmd_sweep)
 
     matrix_parser = sub.add_parser(
         "matrix",
         help="per-CCA-pair fairness/starvation competition matrix")
-    matrix_parser.add_argument(
-        "--ccas", required=True, metavar="NAME[,NAME...]",
-        help="comma-separated CCA registry names; every unordered "
-             "pair (incl. self-pairs) competes head-to-head")
-    matrix_parser.add_argument(
-        "--rate", type=float, default=10.0,
-        help="bottleneck rate in Mbit/s (with --topology: the first "
-             "link's rate; default 10)")
-    matrix_parser.add_argument(
-        "--rm", type=float, default=40.0,
-        help="both flows' propagation RTT, ms (default 40)")
-    matrix_parser.add_argument(
-        "--duration", type=float, default=30.0,
-        help="per-pair run length in seconds (default 30; the first "
-             "half is warmup)")
-    matrix_parser.add_argument(
-        "--seed", type=int, default=0,
-        help="root seed; per-pair scenario seeds derive from it")
-    matrix_parser.add_argument(
-        "--starve-threshold", type=float, default=50.0, metavar="S",
-        help="flag a pair as starved when its max/min throughput "
-             "ratio reaches S (default 50)")
-    matrix_parser.add_argument(
-        "--topology", default=None, metavar="FILE",
-        help="compete over a TopologySpec JSON graph (both flows "
-             "routed over every link) instead of the dumbbell")
-    matrix_parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="run pairs in N worker processes (bit-identical to "
-             "serial)")
-    matrix_parser.add_argument(
-        "--chunksize", type=int, default=1,
-        help="pairs per worker task with --jobs (default 1)")
-    matrix_parser.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="also write the matrix (cells + failures) as JSON")
-    matrix_parser.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="JSON checkpoint; re-invoking resumes completed pairs")
-    matrix_parser.add_argument(
-        "--max-events", type=int, default=20_000_000,
-        help="per-pair event budget (watchdog; default 20M)")
-    matrix_parser.add_argument(
-        "--wall-clock", type=float, default=120.0,
-        help="per-pair wall-clock budget in seconds (default 120)")
-    matrix_parser.add_argument(
-        "--max-failures", type=int, default=None, metavar="N",
-        help="abort once more than N pairs have failed (default: "
-             "never abort, record failures and continue)")
-    _add_cache_flags(matrix_parser)
-    _add_robustness_flags(matrix_parser)
+    _add_matrix_args(matrix_parser)
+    _add_grid_flags(matrix_parser, "pair", "abort")
     matrix_parser.set_defaults(func=cmd_matrix)
 
     starve_parser = sub.add_parser(
         "starve", help="run Section 5 starvation scenarios")
     starve_parser.add_argument("scenario", nargs="+",
                                choices=sorted(STARVE_SCENARIOS))
-    starve_parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="run multiple scenarios in N worker processes")
-    starve_parser.add_argument(
-        "--chunksize", type=int, default=1,
-        help="scenarios per worker task with --jobs (default 1)")
+    _add_pool_flags(starve_parser, "scenarios")
     _add_cache_flags(starve_parser)
     _add_robustness_flags(starve_parser)
     starve_parser.set_defaults(func=cmd_starve)
@@ -1215,16 +1197,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes per executing job (default: serial)")
-    serve_parser.add_argument(
-        "--max-events", type=int, default=20_000_000,
-        help="per-point event budget (watchdog; default 20M)")
-    serve_parser.add_argument(
-        "--wall-clock", type=float, default=120.0,
-        help="per-point wall-clock budget in seconds (default 120)")
-    serve_parser.add_argument(
-        "--max-failures", type=int, default=None, metavar="N",
-        help="fail a job once more than N of its points have failed "
-             "(default: run every point, report failures)")
+    _add_budget_flags(serve_parser, "point", "fail a job")
     serve_parser.add_argument(
         "--lease-ttl", type=float, default=30.0, metavar="SECONDS",
         help="running-job lease duration; an expired lease means the "
@@ -1250,61 +1223,29 @@ def build_parser() -> argparse.ArgumentParser:
              "(results byte-identical to running it locally)")
     submit_sub = submit_parser.add_subparsers(dest="kind",
                                               required=True)
-    submit_sweep = submit_sub.add_parser(
-        "sweep", help="submit a rate-delay sweep grid")
-    submit_sweep.add_argument("--cca", required=True)
-    submit_sweep.add_argument("--rates", default="0.4,2,10,50")
-    submit_sweep.add_argument("--rm", type=float, default=50.0)
-    submit_sweep.add_argument("--duration", type=float, default=None)
-    submit_sweep.add_argument(
-        "--seed", type=int, default=0,
-        help="root seed; per-point scenario seeds derive from it")
-    submit_sweep.add_argument(
-        "--spec", default=None, metavar="FILE",
-        help="sweep a ScenarioSpec template instead of a fresh "
-             "single-flow scenario")
-    submit_matrix = submit_sub.add_parser(
-        "matrix", help="submit a competition matrix")
-    submit_matrix.add_argument("--ccas", required=True,
-                               metavar="NAME[,NAME...]")
-    submit_matrix.add_argument("--rate", type=float, default=10.0)
-    submit_matrix.add_argument("--rm", type=float, default=40.0)
-    submit_matrix.add_argument("--duration", type=float, default=30.0)
-    submit_matrix.add_argument("--seed", type=int, default=0)
-    submit_matrix.add_argument("--starve-threshold", type=float,
-                               default=50.0, metavar="S")
-    submit_matrix.add_argument(
-        "--topology", default=None, metavar="FILE",
-        help="compete over a TopologySpec JSON graph")
-    for sub_parser in (submit_sweep, submit_matrix):
-        sub_parser.add_argument(
-            "--url", default=DEFAULT_SERVICE_URL,
-            help="daemon base URL (default: $REPRO_SERVICE_URL or "
-                 "http://127.0.0.1:8642)")
-        sub_parser.add_argument(
-            "--timeout", type=float, default=600.0,
-            help="seconds to wait for completion (default 600)")
-        sub_parser.add_argument(
+    for kind, kind_help, add_experiment_args in (
+            ("sweep", "submit a rate-delay sweep grid", _add_sweep_args),
+            ("matrix", "submit a competition matrix", _add_matrix_args)):
+        kind_parser = submit_sub.add_parser(kind, help=kind_help)
+        add_experiment_args(kind_parser)
+        _add_client_flags(kind_parser, 600.0,
+                          "seconds to wait for completion")
+        kind_parser.add_argument(
             "--no-wait", action="store_true",
             help="just queue the job and print its id; fetch later "
                  "with 'repro jobs ID'")
-        sub_parser.add_argument(
+        kind_parser.add_argument(
             "--json", default=None, metavar="PATH",
             help="write the result document to PATH instead of stdout")
-        sub_parser.set_defaults(func=cmd_submit)
+        kind_parser.set_defaults(func=cmd_submit)
 
     jobs_parser = sub.add_parser(
         "jobs", help="list, inspect, or cancel sweep-service jobs")
     jobs_parser.add_argument(
         "job_id", nargs="?", default=None, metavar="JOB_ID",
         help="show one job's snapshot instead of the queue listing")
-    jobs_parser.add_argument(
-        "--url", default=DEFAULT_SERVICE_URL,
-        help="daemon base URL (default: $REPRO_SERVICE_URL or "
-             "http://127.0.0.1:8642)")
-    jobs_parser.add_argument(
-        "--timeout", type=float, default=30.0,
-        help="per-request timeout in seconds (default 30)")
+    _add_client_flags(jobs_parser, 30.0,
+                      "per-request timeout in seconds")
     jobs_parser.add_argument(
         "--state", default=None, metavar="STATE",
         choices=["queued", "running", "done", "failed", "cancelled",

@@ -55,7 +55,8 @@ DEFAULT_CCAS = ("copa", "bbr", "reno", "vegas")
 SINGLE_FLOW_RATE_MBPS = 48.0
 SINGLE_FLOW_RM_MS = 50.0
 
-#: Cold-sweep grid: 8 log-spaced points, the BENCH_sweep.json grid.
+#: Cold-sweep grid: 8 log-spaced points (the end-to-end sweep
+#: workloads live in bench/, see bench/README.md).
 SWEEP_GRID = log_rate_grid(0.5, 50.0, points=8)
 SWEEP_RM = units.ms(40)
 

@@ -9,13 +9,12 @@ a daemon restart. The moving parts:
   (defaults filled in, numbers coerced) happens at construction so two
   documents describing the same experiment serialize identically and
   therefore share one content-derived :func:`job_id`.
-* :func:`build_plan` — compiles a spec into a :class:`JobPlan`: the
-  exact ``(run_point, points)`` grid a local ``repro sweep`` /
-  ``repro matrix`` of the same parameters would execute (via the shared
-  builders in :mod:`repro.analysis.sweep` /
-  :mod:`repro.analysis.competition`), plus the assembler that folds the
-  outcome back into the result document. Byte-identity between a
-  submitted job and a local run is *by construction*, not by test luck.
+* :func:`build_plan` — hands the spec's params to the plan compiler
+  for its kind (:func:`repro.analysis.sweep.compile_sweep_plan` /
+  :func:`repro.analysis.competition.compile_matrix_plan`), the same
+  compiler a local ``repro sweep`` / ``repro matrix`` of the same
+  parameters goes through. Byte-identity between a submitted job and a
+  local run is *by construction*, not by test luck.
 * :class:`Job` — the mutable execution record: state machine
   (``queued → running → done|failed|cancelled``, plus ``dead`` when a
   job exhausts its lease-takeover attempt budget), per-point progress
@@ -35,9 +34,11 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
-from .. import units
+from ..analysis.competition import compile_matrix_plan
+from ..analysis.plan import JobPlan
+from ..analysis.sweep import compile_sweep_plan
 from ..errors import ConfigurationError, ServiceError, SpecValidationError
 from ..store import cache_key
 from ..store.fsio import FileIO, tail_sealed
@@ -196,84 +197,25 @@ def job_id(spec: JobSpec) -> str:
     return cache_key(JOB_TASK, spec.to_json())[:16]
 
 
-@dataclass
-class JobPlan:
-    """A compiled job: the grid to run and how to render its result."""
-
-    run_point: Callable[..., Any]
-    points: List[Tuple[str, Dict[str, Any]]]
-    #: ``assemble(outcome) -> result document`` (strict JSON).
-    assemble: Callable[[Any], Dict[str, Any]]
-    label: str = ""
-
-
 def build_plan(spec: JobSpec) -> JobPlan:
     """Compile a spec into the exact grid a local CLI run would execute.
 
-    Delegates to the shared grid builders
-    (:func:`repro.analysis.sweep.build_rate_delay_points`,
-    :func:`repro.analysis.competition.build_matrix_points`) and
-    assemblers, so a submitted job's cache keys and result document are
-    byte-identical to ``repro sweep`` / ``repro matrix`` of the same
-    parameters — the service adds a transport, never a new semantics.
+    Only dispatches on ``spec.kind``: the compilers live in
+    :mod:`repro.analysis`, take exactly that kind's normalized params
+    as keywords, and are the ones ``repro sweep`` / ``repro matrix``
+    use, so a submitted job's cache keys and result document are
+    byte-identical to a local run of the same parameters — the service
+    adds a transport, never a new semantics.
     """
+    compilers = {"sweep": compile_sweep_plan,
+                 "matrix": compile_matrix_plan}
+    if spec.kind not in compilers:
+        raise ServiceError(f"unknown job kind {spec.kind!r}")
     try:
-        if spec.kind == "sweep":
-            return _build_sweep_plan(spec.params)
-        if spec.kind == "matrix":
-            return _build_matrix_plan(spec.params)
-    except (ConfigurationError, SpecValidationError, KeyError) as exc:
+        return compilers[spec.kind](**spec.params)
+    except (ConfigurationError, SpecValidationError, KeyError,
+            TypeError) as exc:
         raise ServiceError(f"cannot compile {spec.kind} spec: {exc}")
-    raise ServiceError(f"unknown job kind {spec.kind!r}")
-
-
-def _build_sweep_plan(params: Dict[str, Any]) -> JobPlan:
-    from ..analysis.sweep import (assemble_rate_delay_curve,
-                                  build_rate_delay_points,
-                                  run_rate_delay_point)
-    from ..spec import ScenarioSpec
-    template = params.get("template")
-    template_spec = (None if template is None
-                     else ScenarioSpec.from_json(template))
-    rm = units.ms(params["rm_ms"])
-    label, points = build_rate_delay_points(
-        params["cca"], params["rates_mbps"], rm,
-        duration=params["duration"],
-        warmup_fraction=params["warmup_fraction"],
-        mss=params["mss"], seed=params["seed"], template=template_spec)
-
-    def assemble(outcome: Any) -> Dict[str, Any]:
-        curve = assemble_rate_delay_curve(label, rm, points, outcome)
-        return curve.to_json()
-
-    return JobPlan(run_point=run_rate_delay_point, points=points,
-                   assemble=assemble, label=label)
-
-
-def _build_matrix_plan(params: Dict[str, Any]) -> JobPlan:
-    from ..analysis.competition import (assemble_competition_matrix,
-                                        build_matrix_points,
-                                        run_competition_point)
-    from ..spec import TopologySpec
-    topology = params.get("topology")
-    topology_spec = (None if topology is None
-                     else TopologySpec.from_json(topology))
-    rate = units.mbps(params["rate_mbps"])
-    rm = units.ms(params["rm_ms"])
-    points = build_matrix_points(
-        params["ccas"], rate, rm, duration=params["duration"],
-        warmup_fraction=params["warmup_fraction"], mss=params["mss"],
-        seed=params["seed"], topology=topology_spec)
-
-    def assemble(outcome: Any) -> Dict[str, Any]:
-        matrix = assemble_competition_matrix(
-            params["ccas"], rate, rm, params["duration"], points,
-            outcome, starve_threshold=params["starve_threshold"])
-        return matrix.to_json()
-
-    return JobPlan(run_point=run_competition_point, points=points,
-                   assemble=assemble,
-                   label="+".join(params["ccas"]))
 
 
 @dataclass
@@ -387,7 +329,6 @@ class JobStore:
         <root>/<job id>/job.json        atomic state+progress snapshot
                         events.ndjson   append-only progress stream
                         result.json     rendered result document
-                        checkpoint.json harness checkpoint (mid-run)
 
     ``job.json`` writes are tempfile + ``os.replace`` (same durability
     rule as the result store, through the same injectable
@@ -417,9 +358,6 @@ class JobStore:
         if not jid or os.sep in jid or jid.startswith("."):
             raise ConfigurationError(f"malformed job id {jid!r}")
         return os.path.join(self.root, jid)
-
-    def checkpoint_path(self, jid: str) -> str:
-        return os.path.join(self.job_dir(jid), "checkpoint.json")
 
     def _job_path(self, jid: str) -> str:
         return os.path.join(self.job_dir(jid), "job.json")
@@ -522,20 +460,17 @@ class JobStore:
             return None
 
     def clear_run_state(self, jid: str) -> None:
-        """Drop the previous execution's checkpoint and event stream.
+        """Drop the previous execution's event stream.
 
-        Called when a terminal job is resubmitted: the fresh run must
-        go through the result store again (that is what makes a warm
-        resubmit report all-cached instead of silently reusing the old
-        checkpoint), and its event stream restarts from seq 0.
+        Called when a terminal job is resubmitted: the fresh run's
+        events restart from seq 0. (Its points flow through the result
+        store again, so a warm resubmit reports all-cached.)
         """
         with self._lock:
-            for path in (self.checkpoint_path(jid),
-                         self._events_path(jid)):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
+            try:
+                os.unlink(self._events_path(jid))
+            except OSError:
+                pass
             self._event_seq[jid] = 0
 
     def __repr__(self) -> str:

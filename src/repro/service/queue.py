@@ -18,15 +18,17 @@ Design points:
 * **Durability** — every state transition is persisted through
   :class:`~.jobs.JobStore` before it is visible; :meth:`start` reloads
   the directory and requeues anything that was queued or mid-run when
-  the previous daemon died (the harness checkpoint skips that job's
-  already-finished points).
+  the previous daemon died. A requeued job simply re-runs against the
+  store: the points it had finished are hits, only the point in flight
+  at the kill simulates again.
 * **Leases** — a running job carries ``(lease_owner, lease_expires)``
   stamps in ``job.json``, heartbeated forward every ``lease_ttl / 3``
   seconds by the executing daemon. A ``running`` job whose lease has
   lapsed is provably orphaned — its daemon was SIGKILLed or is hung
   past the lease — so startup and an idle-loop reaper *take it over*:
-  requeue it (the checkpoint resumes from the last finished point) or,
-  once ``max_attempts`` executions have already been charged, park it
+  requeue it (it re-runs against the store, so finished points are
+  not simulated twice) or, once ``max_attempts`` executions have
+  already been charged, park it
   in the ``dead`` dead-letter state for operator triage
   (``GET /jobs?state=dead``).
 * **Degraded mode** — storage faults (ENOSPC and friends) during a run
@@ -39,7 +41,7 @@ Design points:
   job is flagged degraded.
 * **Cancellation** — cooperative, via the harness ``stop_check``:
   queued jobs cancel immediately, running jobs stop at the next point
-  boundary with their checkpoint intact.
+  boundary with every finished point in the store.
 * **Fail-fast** — ``max_failures`` rides through to
   :class:`~repro.analysis.harness.ResilientSweep`; a tripped threshold
   fails the job with the harness's error message, and per-point crash
@@ -48,7 +50,6 @@ Design points:
 
 from __future__ import annotations
 
-import json
 import os
 import queue as queue_module
 import threading
@@ -57,23 +58,13 @@ import uuid
 from typing import Any, Dict, List, Optional
 
 from ..analysis.backends import SerialBackend, make_backend
-from ..analysis.harness import ResilientSweep, RunBudget
+from ..analysis.harness import RunBudget
+from ..analysis.plan import render_result, run_plan
 from ..errors import ConfigurationError, ServiceError, SweepAbortedError
 from ..store import ResultStore, point_cache_key
 from ..store.fsio import FileIO
 from .jobs import (CANCELLED, DEAD, DONE, FAILED, QUEUED, RUNNING,
                    TERMINAL, Job, JobSpec, JobStore, build_plan, job_id)
-
-
-def render_result(doc: Dict[str, Any]) -> str:
-    """The canonical result serialization.
-
-    Must match the CLI's ``--json`` output byte-for-byte
-    (``json.dump(doc, fh, indent=1, sort_keys=True); fh.write("\\n")``)
-    — the submit-wait-fetch contract is "same bytes as running it
-    locally", asserted in ``tests/test_service.py``.
-    """
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 class SweepService:
@@ -187,9 +178,9 @@ class SweepService:
 
         Active jobs coalesce: a spec already queued or running is
         returned as-is. Terminal jobs (done/failed/cancelled) are
-        re-executed under the same id — the previous run's checkpoint
-        and events are cleared so every point flows through the result
-        store again (warm store ⇒ all catalog hits, no simulations).
+        re-executed under the same id — the previous run's events are
+        cleared and every point flows through the result store again
+        (warm store ⇒ all catalog hits, no simulations).
         """
         build_plan(spec)  # surface bad specs at submit time
         jid = job_id(spec)
@@ -445,7 +436,10 @@ class SweepService:
     def _execute(self, job: Job, cancel: threading.Event) -> None:
         plan = build_plan(job.spec)
         with self._lock:
+            # Every execution counts from zero: a takeover re-run sees
+            # the points its predecessor finished as ``cached``.
             job.total = len(plan.points)
+            job.done = job.cached = job.failed = 0
             self._persist(job)
         self._event(job.id, {
             "event": "started", "total": job.total, "run": job.runs,
@@ -462,20 +456,18 @@ class SweepService:
         def stop_check() -> bool:
             return cancel.is_set() or self._stopping.is_set()
 
-        sweep = ResilientSweep(
-            plan.run_point, budget=self.budget,
-            checkpoint_path=self.job_store.checkpoint_path(job.id),
-            progress=progress, backend=backend, store=self.store,
-            crash_dir=os.path.join(self.job_store.job_dir(job.id),
-                                   "crashes"),
-            max_failures=self.max_failures, stop_check=stop_check)
         heartbeat_stop = threading.Event()
         heartbeat = threading.Thread(
             target=self._heartbeat, args=(job, heartbeat_stop),
             name=f"lease-heartbeat-{job.id[:8]}", daemon=True)
         heartbeat.start()
         try:
-            outcome = sweep.run(plan.points)
+            outcome, result = run_plan(
+                plan, budget=self.budget, backend=backend,
+                store=self.store, progress=progress,
+                crash_dir=os.path.join(self.job_store.job_dir(job.id),
+                                       "crashes"),
+                max_failures=self.max_failures, stop_check=stop_check)
         except SweepAbortedError as exc:
             self._finish(job, FAILED, error=str(exc))
             return
@@ -483,13 +475,7 @@ class SweepService:
             heartbeat_stop.set()
 
         with self._lock:
-            # Reconcile the incremental counters against the outcome
-            # (checkpoint-resumed points never fired a progress event,
-            # so they fold into ``done`` here).
             job.warm = warm
-            job.cached = outcome.hits
-            job.failed = len(outcome.failures)
-            job.done = len(outcome.completed) - outcome.hits
             if outcome.degraded:
                 job.degraded = True
 
@@ -498,14 +484,14 @@ class SweepService:
                 self._finish(job, CANCELLED)
             else:
                 # Service shutdown: back to the queue on disk so the
-                # next daemon resumes from the checkpoint.
+                # next daemon re-runs it against the store.
                 with self._lock:
                     job.state = QUEUED
                     job.clear_lease()
                     self._persist(job)
             return
 
-        text = render_result(plan.assemble(outcome))
+        text = render_result(result.to_json())
         self._write_result_with_retry(job, text)
         if warm:
             with self._lock:

@@ -242,9 +242,14 @@ def build_dumbbell(link: LinkConfig, flows: Sequence[FlowConfig],
     built components without scheduling events, so enabling it is
     bit-invisible to traces and summaries.
     """
-    return build_topology([TopologyLink("bottleneck", link)], flows,
+    return build_topology(dumbbell_links(link), flows,
                           sample_interval=sample_interval,
                           invariants=invariants)
+
+
+def dumbbell_links(link: LinkConfig) -> List[TopologyLink]:
+    """The dumbbell as the one-link topology it is."""
+    return [TopologyLink("bottleneck", link)]
 
 
 def build_topology(links: Sequence[TopologyLink],

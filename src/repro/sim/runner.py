@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .network import (FlowConfig, LinkConfig, Scenario, TopologyLink,
-                      build_dumbbell, build_topology)
+                      build_topology, dumbbell_links)
 
 
 @dataclass
@@ -156,17 +156,11 @@ def run_scenario_full(link: LinkConfig, flows: Sequence[FlowConfig],
     :class:`repro.errors.InvariantViolation` on the first violated
     conservation/causality/sanity invariant.
     """
-    if sample_interval is None:
-        # Sample finely enough to resolve the shortest RTT.
-        min_rm = min(flow.rm for flow in flows)
-        sample_interval = max(min_rm / 4, duration / 20000)
-    scenario = build_dumbbell(link, flows, sample_interval=sample_interval,
-                              invariants=invariants)
-    scenario.run(duration, max_events=max_events,
-                 wall_clock_budget=wall_clock_budget)
-    stats = summarize(scenario, duration, warmup)
-    return RunResult(scenario=scenario, stats=stats, duration=duration,
-                     warmup=warmup)
+    return run_topology_full(dumbbell_links(link), flows, duration,
+                             warmup, sample_interval,
+                             max_events=max_events,
+                             wall_clock_budget=wall_clock_budget,
+                             invariants=invariants)
 
 
 def run_topology_full(links: Sequence[TopologyLink],
@@ -179,10 +173,9 @@ def run_topology_full(links: Sequence[TopologyLink],
                       ) -> RunResult:
     """Build, run, and summarize a multi-bottleneck topology scenario.
 
-    The topology counterpart of :func:`run_scenario_full` — the same
-    default sampling policy, watchdog budgets, and invariant-sentinel
-    plumbing, over :func:`repro.sim.network.build_topology` instead of
-    the dumbbell builder.
+    The one build-run-summarize body: :func:`run_scenario_full` is this
+    function over the dumbbell's single link, so both share the default
+    sampling policy, watchdog budgets, and invariant-sentinel plumbing.
     """
     if sample_interval is None:
         # Sample finely enough to resolve the shortest RTT.

@@ -39,9 +39,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..ccas import registry
 from ..errors import ConfigurationError, SpecValidationError
 from ..sim.network import (FlowConfig, LinkConfig, Scenario,
-                           TopologyLink, build_dumbbell, build_topology)
-from ..sim.runner import (RunResult, run_scenario_full,
-                          run_topology_full)
+                           TopologyLink, build_topology, dumbbell_links)
+from ..sim.runner import RunResult, run_topology_full
 from .elements import ElementSpec, FaultScheduleSpec, _normalize
 from .seeds import derive_seed
 from .topology import TopologySpec
@@ -367,14 +366,15 @@ class ScenarioSpec:
                                            List[FlowConfig]]:
         """Materialize topology build configs (with callables).
 
-        Per-link fault seeds derive as ``derive_seed(seed, "link",
-        link_id, "faults")`` — keyed by stable link id, never position,
-        so inserting a hop upstream does not reshuffle another link's
+        A dumbbell scenario yields its one-link topology. Per-link
+        fault seeds derive as ``derive_seed(seed, "link", link_id,
+        "faults")`` — keyed by stable link id, never position, so
+        inserting a hop upstream does not reshuffle another link's
         impairment RNG.
         """
         if self.topology is None:
-            raise ConfigurationError(
-                "this scenario has no topology; use to_configs()")
+            link, flows = self.to_configs()
+            return dumbbell_links(link), flows
         links: List[TopologyLink] = []
         for lk in self.topology.links:
             faults = None
@@ -399,12 +399,8 @@ class ScenarioSpec:
             interval = self.sample_interval
         if interval is None:
             interval = 0.05
-        if self.topology is not None:
-            links, flows = self.to_topology_configs()
-            return build_topology(links, flows, sample_interval=interval,
-                                  invariants=invariants)
-        link, flows = self.to_configs()
-        return build_dumbbell(link, flows, sample_interval=interval,
+        links, flows = self.to_topology_configs()
+        return build_topology(links, flows, sample_interval=interval,
                               invariants=invariants)
 
     def run(self, duration: Optional[float] = None,
@@ -430,16 +426,9 @@ class ScenarioSpec:
             run_warmup = 0.0
         interval = (sample_interval if sample_interval is not None
                     else self.sample_interval)
-        if self.topology is not None:
-            links, flows = self.to_topology_configs()
-            return run_topology_full(
-                links, flows, duration=run_duration, warmup=run_warmup,
-                sample_interval=interval, max_events=max_events,
-                wall_clock_budget=wall_clock_budget,
-                invariants=invariants)
-        link, flows = self.to_configs()
-        return run_scenario_full(
-            link, flows, duration=run_duration, warmup=run_warmup,
+        links, flows = self.to_topology_configs()
+        return run_topology_full(
+            links, flows, duration=run_duration, warmup=run_warmup,
             sample_interval=interval, max_events=max_events,
             wall_clock_budget=wall_clock_budget, invariants=invariants)
 

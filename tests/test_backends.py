@@ -283,9 +283,16 @@ class TestSweepRateDelayBackends:
 
     def test_callable_with_parallel_backend_rejected(self):
         from repro.ccas import Vegas
+        # A closure cannot cross a process boundary...
         with pytest.raises(ConfigurationError, match="declarative"):
-            sweep_rate_delay(Vegas, self.GRID, RM, duration=2.0,
-                             budget=self.BUDGET, jobs=2)
+            sweep_rate_delay(lambda: Vegas(), self.GRID, RM,
+                             duration=2.0, budget=self.BUDGET, jobs=2)
+        # ...a registered class resolves to its name and can.
+        pooled = sweep_rate_delay(Vegas, self.GRID, RM, duration=2.0,
+                                  budget=self.BUDGET, jobs=2)
+        serial = sweep_rate_delay("vegas", self.GRID, RM, duration=2.0,
+                                  budget=self.BUDGET)
+        assert pooled.to_json() == serial.to_json()
 
     def test_backend_and_jobs_are_exclusive(self):
         with pytest.raises(ConfigurationError, match="not both"):

@@ -91,10 +91,17 @@ class TestColdWarmSweep:
 
     def test_live_factory_cannot_cache(self, tmp_path):
         from repro.ccas.vegas import Vegas
-        with pytest.raises(ConfigurationError):
+        store = ResultStore(str(tmp_path / "cache"))
+        # An unregistered closure has no stable identity to key on...
+        with pytest.raises(ConfigurationError, match="registry.register"):
             sweep_rate_delay(lambda: Vegas(), RATES, rm=0.04,
-                             duration=3.0, budget=BUDGET,
-                             store=ResultStore(str(tmp_path / "cache")))
+                             duration=3.0, budget=BUDGET, store=store)
+        # ...but a registered class is shorthand for its registry name
+        # and shares that name's cache entries.
+        cold = sweep_rate_delay(Vegas, RATES, rm=0.04, duration=3.0,
+                                budget=BUDGET, store=store, seed=3)
+        assert cold.cache["misses"] == len(RATES)
+        assert _sweep(store=store).cache["hits"] == len(RATES)
 
     def test_refresh_recomputes_everything(self, tmp_path):
         store = ResultStore(str(tmp_path / "cache"))
@@ -143,7 +150,6 @@ class TestCheckpointStoreUnification:
         for key, cache_key in data["completed"].items():
             assert store.contains(cache_key)
             assert store.get(cache_key) == outcome.completed[key]
-        assert data["inline"] == {}
 
     def test_resume_resolves_through_store(self, tmp_path):
         store = ResultStore(str(tmp_path / "cache"))
@@ -179,31 +185,25 @@ class TestCheckpointStoreUnification:
         assert outcome.misses == 1
         assert outcome.completed == baseline.completed
 
-    def test_v1_checkpoint_migrates_into_store(self, tmp_path):
+    def test_v1_checkpoint_with_store_is_ignored(self, tmp_path):
         store = ResultStore(str(tmp_path / "cache"))
         ckpt = str(tmp_path / "sweep.json")
         run_point, points = self._points()
-        # A pre-store sweep leaves a version-1 checkpoint behind.
-        legacy = ResilientSweep(run_point, budget=BUDGET,
-                                checkpoint_path=ckpt)
-        baseline = legacy.run(points)
+        # A store-less sweep leaves a version-1 checkpoint behind.
+        baseline = ResilientSweep(run_point, budget=BUDGET,
+                                  checkpoint_path=ckpt).run(points)
+        # One format per mode: read with a store attached it counts as
+        # no progress, the points re-run (deterministically) into the
+        # store, and the file is rewritten as a view over cache keys.
+        outcome = ResilientSweep(run_point, budget=BUDGET,
+                                 checkpoint_path=ckpt,
+                                 store=store).run(points)
+        assert outcome.resumed == 0
+        assert outcome.misses == len(points)
+        assert outcome.completed == baseline.completed
         with open(ckpt) as fh:
             assert json.load(fh)["version"] == \
-                ResilientSweep.CHECKPOINT_VERSION
-        assert store.stats().entries == 0
-        # Attaching a store migrates the inline results in: no re-runs,
-        # and the checkpoint is rewritten as a view over cache keys.
-        upgraded = ResilientSweep(run_point, budget=BUDGET,
-                                  checkpoint_path=ckpt, store=store)
-        outcome = upgraded.run(points)
-        assert outcome.resumed == len(points)
-        assert outcome.hits == outcome.misses == 0
-        assert outcome.completed == baseline.completed
-        assert store.stats().entries == len(points)
-        # Migration alone does not rewrite the file (nothing ran), but
-        # the store now serves a fresh cache-backed sweep entirely.
-        fresh = ResilientSweep(run_point, budget=BUDGET, store=store)
-        assert fresh.run(points).hits == len(points)
+                ResilientSweep.CHECKPOINT_STORE_VERSION
 
     def test_checkpoint_without_store_still_v1(self, tmp_path):
         ckpt = str(tmp_path / "sweep.json")

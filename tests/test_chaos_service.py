@@ -10,7 +10,7 @@ The acceptance criteria under test:
   fault-free local run — and retrying ``POST /jobs`` is safe because
   job ids are content-derived (at-least-once delivery coalesces);
 * a ``running`` job whose lease lapsed (its daemon was SIGKILLed) is
-  taken over on restart and completes from its checkpoint without
+  taken over on restart and re-runs against the store without
   re-simulating finished points; a job that burns ``max_attempts``
   executions goes ``dead``, not back in the queue;
 * storage faults degrade, never corrupt: ENOSPC turns into
@@ -429,6 +429,31 @@ class TestLeases:
         assert service.result_bytes(job.id) \
             == render_result(curve.to_json()).encode()
 
+    def test_takeover_reruns_against_the_store(self, tmp_path):
+        # In-process twin of TestDaemonSigkill: the dead daemon had
+        # finished (and stored) the first grid point when it vanished.
+        store = ResultStore(str(tmp_path / "cache"))
+        sweep_rate_delay("vegas", RATES[:1], units.ms(40.0),
+                         duration=3.0, seed=3, budget=BUDGET, store=store)
+        orphan = self._orphan(tmp_path)
+        service = _service(tmp_path)
+        service.start()
+        try:
+            job = _wait(service, orphan.id)
+        finally:
+            service.stop()
+        assert job.state == "done"
+        # The store is the only resume mechanism: the finished point is
+        # a hit, the rest simulate once, nothing else is left behind.
+        assert (job.cached, job.done) == (1, len(RATES) - 1)
+        assert "checkpoint.json" not in os.listdir(
+            service.job_store.job_dir(job.id))
+        assert store.catalog.counts() == {"miss": len(RATES), "hit": 1}
+        curve = sweep_rate_delay("vegas", RATES, units.ms(40.0),
+                                 duration=3.0, seed=3, budget=BUDGET)
+        assert service.result_bytes(job.id) \
+            == render_result(curve.to_json()).encode()
+
     def test_unexpired_lease_is_left_alone_at_startup(self, tmp_path):
         self._orphan(tmp_path, expires_delta=120.0)
         service = _service(tmp_path)
@@ -546,8 +571,8 @@ class TestDaemonSigkill:
     """The headline robustness property, end to end over the CLI.
 
     SIGKILL a daemon mid-sweep at a seeded point boundary; a restarted
-    daemon must take over the orphaned lease, resume from the harness
-    checkpoint (zero re-simulated points — the catalog can only show
+    daemon must take over the orphaned lease, re-run the job against
+    the store (zero re-simulated points — the catalog can only show
     one ``miss`` per grid point), and produce ``result.json`` bytes
     identical to ``repro sweep --json`` run locally.
     """
@@ -625,7 +650,7 @@ class TestDaemonSigkill:
             check=True, env=env, capture_output=True, timeout=300)
         with open(ref_path, "rb") as fh:
             assert raw == fh.read()
-        # Checkpoint resume, not re-execution: every grid point was
-        # simulated exactly once across both daemon lifetimes.
+        # Finished points are store hits, not re-executions: every grid
+        # point was simulated exactly once across both daemon lifetimes.
         store = ResultStore(str(tmp_path / "cache"))
         assert store.catalog.counts().get("miss", 0) == len(self.RATES)

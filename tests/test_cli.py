@@ -5,6 +5,9 @@ import os
 
 import pytest
 
+from repro import units
+from repro.analysis.competition import compile_matrix_plan
+from repro.analysis.sweep import compile_sweep_plan
 from repro.ccas import registry
 from repro.cli import (STARVE_SCENARIOS, build_parser, main,
                        parse_flow_spec)
@@ -325,6 +328,50 @@ class TestSweepMaxFailures:
                      "--max-failures", "2"])
         assert code == 0
         assert "delta_max" in capsys.readouterr().out
+
+
+class TestLocalAndSubmitAgree:
+    """A verb and its ``submit`` twin take the same experiment flags
+    and compile them to the same parameter document."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        from repro.spec import (CCASpec, parking_lot_topology,
+                                single_flow_scenario)
+        topology = tmp_path / "topo.json"
+        parking_lot_topology([units.mbps(10), units.mbps(8)]).save(
+            str(topology))
+        template = tmp_path / "template.json"
+        single_flow_scenario(CCASpec("copa"), rate=units.mbps(1),
+                             rm=units.ms(40)).save(str(template))
+        return {"TOPOLOGY": str(topology), "TEMPLATE": str(template)}
+
+    @pytest.mark.parametrize("kind,flags", [
+        ("sweep", ["--cca", "vegas", "--rates", "2,8", "--rm", "40",
+                   "--duration", "3", "--seed", "3"]),
+        ("sweep", ["--cca", "copa", "--spec", "TEMPLATE"]),
+        ("sweep", ["--cca", "copa", "--rates", "2,10",
+                   "--topology", "TOPOLOGY"]),
+        ("matrix", ["--ccas", "reno,vegas", "--rate", "8", "--rm", "40",
+                    "--duration", "4", "--seed", "7",
+                    "--starve-threshold", "20"]),
+        ("matrix", ["--ccas", "bbr,cubic", "--topology", "TOPOLOGY"]),
+    ])
+    def test_same_flags_same_params(self, files, kind, flags):
+        from repro.service import JobSpec, build_plan
+        flags = [files.get(flag, flag) for flag in flags]
+        parser = build_parser()
+        local = parser.parse_args([kind, *flags])
+        remote = parser.parse_args(["submit", kind, *flags])
+        params = local.params(local)
+        assert params == remote.params(remote)
+        # The document is already the normalized JobSpec vocabulary, so
+        # what the daemon compiles is what the local verb compiles.
+        spec = JobSpec.from_json({"kind": kind, **params})
+        assert {key: spec.params[key] for key in params} == params
+        compiler = {"sweep": compile_sweep_plan,
+                    "matrix": compile_matrix_plan}[kind]
+        assert build_plan(spec).points == compiler(**params).points
 
 
 class TestServiceCommands:

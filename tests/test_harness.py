@@ -5,9 +5,9 @@ import json
 import pytest
 
 from repro import units
+from repro.analysis.backends import execute_point
 from repro.analysis.harness import (RECOVERABLE, ResilientSweep, RunBudget,
-                                    RunFailure, describe_failures,
-                                    run_with_retry)
+                                    RunFailure, describe_failures)
 from repro.analysis.sweep import log_rate_grid, sweep_rate_delay
 from repro.ccas.vegas import Vegas
 from repro.errors import BudgetExceededError, SimulationError
@@ -96,59 +96,57 @@ class TestRunBudget:
 
 
 class TestRunWithRetry:
+    """The one retry loop, in :func:`execute_point`."""
+
     def test_succeeds_first_try(self):
         calls = []
-        result = run_with_retry(lambda budget: calls.append(budget) or 42,
-                                RunBudget(retries=3))
-        assert result == 42
+        outcome = execute_point(
+            lambda params, budget: calls.append(budget) or 42,
+            "k", {}, RunBudget(retries=3))
+        assert outcome.result == 42
         assert len(calls) == 1
 
     def test_retries_with_backed_off_budget(self):
         budgets = []
 
-        def flaky(budget):
+        def flaky(params, budget):
             budgets.append(budget)
             if len(budgets) < 3:
                 raise BudgetExceededError("too slow", kind="events",
                                           limit=1, value=1)
             return "ok"
 
-        result = run_with_retry(
-            flaky, RunBudget(max_events=100, retries=2, backoff=2.0))
-        assert result == "ok"
+        outcome = execute_point(
+            flaky, "k", {},
+            RunBudget(max_events=100, retries=2, backoff=2.0))
+        assert outcome.result == "ok"
         assert [b.max_events for b in budgets] == [100, 200, 400]
 
     def test_exhausted_retries_raise_last_error(self):
-        def always_fails(budget):
-            raise SimulationError("boom")
+        calls = []
 
-        with pytest.raises(SimulationError):
-            run_with_retry(always_fails, RunBudget(retries=1))
+        def always_fails(params, budget):
+            calls.append(1)
+            raise SimulationError(f"boom {len(calls)}")
 
-    def test_on_retry_hook_sees_attempt_and_error(self):
-        seen = []
-
-        def fails_once(budget):
-            if not seen:
-                raise SimulationError("first")
-            return "ok"
-
-        result = run_with_retry(fails_once, RunBudget(retries=1),
-                                on_retry=lambda a, e: seen.append((a, e)))
-        assert result == "ok"
-        assert seen[0][0] == 0
-        assert isinstance(seen[0][1], SimulationError)
+        failure = execute_point(always_fails, "k", {},
+                                RunBudget(retries=1)).failure
+        assert failure.reason == "SimulationError"
+        assert failure.message == "boom 2"
+        assert failure.attempts == len(calls) == 2
 
     def test_programming_errors_propagate_immediately(self):
         calls = []
 
-        def broken(budget):
+        def broken(params, budget):
             calls.append(1)
             raise TypeError("bug in experiment script")
 
-        with pytest.raises(TypeError):
-            run_with_retry(broken, RunBudget(retries=5))
-        assert len(calls) == 1
+        failure = execute_point(broken, "k", {},
+                                RunBudget(retries=5)).failure
+        assert failure.kind == "internal"
+        assert failure.reason == "TypeError"
+        assert failure.attempts == len(calls) == 1
 
 
 def scenario_point(params, budget):
@@ -351,11 +349,13 @@ class TestRecoverableSet:
         assert any(issubclass(ReproError, r) for r in RECOVERABLE)
 
     def test_overflow_is_recoverable(self):
-        def overflows(budget):
+        def overflows(params, budget):
             raise OverflowError("math range error")
 
-        with pytest.raises(OverflowError):
-            run_with_retry(overflows, RunBudget(retries=0))
+        failure = execute_point(overflows, "k", {},
+                                RunBudget(retries=0)).failure
+        assert failure.kind == "error"
+        assert failure.reason == "OverflowError"
 
 
 class TestMaxFailures:
