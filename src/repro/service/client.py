@@ -3,9 +3,12 @@
 :class:`ServiceClient` is the programmatic face of a running daemon —
 the CLI's ``repro submit`` / ``repro jobs`` verbs, the examples, and
 the service tests all speak through it. Pure stdlib
-(:mod:`urllib.request`), synchronous, one short-lived connection per
-call: the service is a lab tool on localhost, not a hyperscale RPC
-layer, and boring transport keeps it debuggable with ``curl``.
+(:mod:`urllib.request`), synchronous, one connection per call: the
+service is a lab tool on localhost, not a hyperscale RPC layer, and
+boring transport keeps it debuggable with ``curl``. Job completion is
+not polled for: :meth:`ServiceClient.wait` long-polls
+``GET /jobs/<id>?wait=S``, a connection the daemon holds open and
+answers the moment the job turns terminal.
 
 All failures — connection refused, non-2xx statuses, malformed bodies —
 surface as :class:`~repro.errors.ServiceError` with the HTTP status
@@ -49,6 +52,10 @@ from .jobs import TERMINAL, JobSpec
 #: Statuses worth retrying: the server (or something in front of it)
 #: failed, not the request.
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
+
+#: Seconds :meth:`ServiceClient.wait` asks the daemon to hold one
+#: long-poll — under the server's hold cap, so the answer is never early.
+LONG_POLL_S = 10.0
 
 
 def _parse_retry_after(headers: Any) -> Optional[float]:
@@ -202,8 +209,12 @@ class ServiceClient:
         path = "/jobs" if state is None else f"/jobs?state={state}"
         return self._request_json("GET", path).get("jobs", [])
 
-    def job(self, jid: str) -> Dict[str, Any]:
-        return self._request_json("GET", f"/jobs/{jid}")
+    def job(self, jid: str,
+            wait: Optional[float] = None) -> Dict[str, Any]:
+        """One job snapshot; ``wait=S`` long-polls — the daemon holds
+        the request until the job is terminal or S seconds pass."""
+        query = "" if wait is None else f"?wait={wait}"
+        return self._request_json("GET", f"/jobs/{jid}{query}")
 
     def cancel(self, jid: str) -> Dict[str, Any]:
         return self._request_json("DELETE", f"/jobs/{jid}")
@@ -228,24 +239,26 @@ class ServiceClient:
     # Conveniences
     # ------------------------------------------------------------------
 
-    def wait(self, jid: str, timeout: float = 600.0,
-             poll: float = 0.2, poll_cap: float = 2.0) -> Dict[str, Any]:
-        """Poll until the job reaches a terminal state.
+    def wait(self, jid: str, timeout: float = 600.0) -> Dict[str, Any]:
+        """Long-poll until the job reaches a terminal state.
 
-        The poll interval starts at ``poll`` (warm submissions still
-        return fast) and backs off geometrically to ``poll_cap`` so a
-        long sweep is not hammered with status requests. A 409's
-        ``Retry-After`` hint, when one bubbles up through the retry
-        layer, is already honored there.
+        Each request asks the daemon to hold it until the job finishes
+        (at most ``LONG_POLL_S``, and under half the socket timeout),
+        so the answer arrives with the ``done`` transition and nothing
+        sleeps on the way. Only a non-terminal answer that comes back
+        *sooner* than the hold asked for — daemon stopping, a proxy
+        that dropped ``wait`` — sleeps out the remainder before asking
+        again, so the loop cannot spin.
 
         Returns the final snapshot; raises :class:`ServiceError` when
         ``timeout`` elapses first (the job keeps running server-side).
         """
         deadline = time.monotonic() + timeout
-        interval = max(poll, 1e-3)
-        cap = max(poll_cap, interval)
         while True:
-            snapshot = self.job(jid)
+            asked = time.monotonic()
+            hold = min(LONG_POLL_S, self.timeout / 2,
+                       max(deadline - asked, 0.0))
+            snapshot = self.job(jid, wait=hold)
             if snapshot.get("state") in TERMINAL:
                 return snapshot
             now = time.monotonic()
@@ -253,11 +266,11 @@ class ServiceClient:
                 raise ServiceError(
                     f"job {jid} still {snapshot.get('state')} after "
                     f"{timeout:g}s")
-            self._sleep(min(interval, max(deadline - now, 0.0)))
-            interval = min(interval * 1.6, cap)
+            if now < asked + hold:
+                self._sleep(asked + hold - now)
 
-    def submit_and_wait(self, spec: JobSpec, timeout: float = 600.0,
-                        poll: float = 0.2) -> bytes:
+    def submit_and_wait(self, spec: JobSpec,
+                        timeout: float = 600.0) -> bytes:
         """Submit, wait for completion, fetch the result bytes.
 
         The one-call equivalent of a local ``repro sweep --json``:
@@ -265,7 +278,7 @@ class ServiceClient:
         otherwise returns bytes identical to the local run's file.
         """
         job = self.submit(spec)
-        snapshot = self.wait(job["id"], timeout=timeout, poll=poll)
+        snapshot = self.wait(job["id"], timeout=timeout)
         if snapshot["state"] != "done":
             raise ServiceError(
                 f"job {job['id']} ended {snapshot['state']}: "

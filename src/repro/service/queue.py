@@ -20,7 +20,8 @@ Design points:
   the directory and requeues anything that was queued or mid-run when
   the previous daemon died. A requeued job simply re-runs against the
   store: the points it had finished are hits, only the point in flight
-  at the kill simulates again.
+  at the kill simulates again. Per-point progress is not a transition:
+  it lives in memory and ``events.ndjson``, not in ``job.json``.
 * **Leases** — a running job carries ``(lease_owner, lease_expires)``
   stamps in ``job.json``, heartbeated forward every ``lease_ttl / 3``
   seconds by the executing daemon. A ``running`` job whose lease has
@@ -117,6 +118,9 @@ class SweepService:
         self.instance = f"{os.getpid()}.{uuid.uuid4().hex[:8]}"
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.RLock()
+        #: Notified when a job turns terminal or is requeued by a
+        #: takeover, and on :meth:`stop`; :meth:`wait_terminal` sleeps on it.
+        self._changed = threading.Condition(self._lock)
         self._queue: "queue_module.Queue[Optional[str]]" = \
             queue_module.Queue()
         self._cancel_events: Dict[str, threading.Event] = {}
@@ -130,6 +134,8 @@ class SweepService:
         self._warm_hits = 0
         self._takeovers = 0
         self._dead = 0
+        self._waits = 0
+        self._waits_expired = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -165,7 +171,8 @@ class SweepService:
             if dispatcher is None:
                 return
             self._dispatcher = None
-        self._stopping.set()
+            self._stopping.set()
+            self._changed.notify_all()  # blocked long-polls answer now
         self._queue.put(None)
         dispatcher.join(timeout=timeout)
 
@@ -229,6 +236,39 @@ class SweepService:
             return sorted(self._jobs.values(),
                           key=lambda job: (job.created, job.id))
 
+    def snapshot(self, jid: str) -> Optional[Dict[str, Any]]:
+        """One job's JSON snapshot, or None for an unknown id."""
+        return self.wait_terminal(jid, 0.0)
+
+    def snapshots(self, state: Optional[str] = None
+                  ) -> List[Dict[str, Any]]:
+        """Every job's snapshot (optionally one state), oldest first."""
+        with self._lock:
+            return [job.to_json() for job in self.list_jobs()
+                    if state is None or job.state == state]
+
+    def wait_terminal(self, jid: str,
+                      timeout: float) -> Optional[Dict[str, Any]]:
+        """The job's snapshot, once it is terminal (None = unknown id).
+
+        Blocks at most ``timeout`` seconds (0 = not at all) and returns
+        early when the service stops; the snapshot then shows whatever
+        state the job is in. Serialized under the lock, because the
+        dispatcher updates the live :class:`Job` field by field and a
+        reader outside it can see ``done`` beside ``finished: null``.
+        """
+        with self._changed:
+            job = self._jobs.get(jid)
+            if job is None:
+                return None
+            if timeout > 0:
+                self._waits += 1
+                if not self._changed.wait_for(
+                        lambda: (job.state in TERMINAL
+                                 or self._stopping.is_set()), timeout):
+                    self._waits_expired += 1
+            return job.to_json()
+
     def result_bytes(self, jid: str) -> Optional[bytes]:
         return self.job_store.read_result(jid)
 
@@ -251,6 +291,7 @@ class SweepService:
                 job.state = CANCELLED
                 job.finished = round(time.time(), 3)
                 self._persist(job)
+                self._changed.notify_all()
                 self._event(jid, {"event": "cancelled"})
                 return job
             event = self._cancel_events.get(jid)
@@ -275,6 +316,8 @@ class SweepService:
                 "takeovers": self._takeovers,
                 "dead": self._dead,
                 "degraded": degraded,
+                "waits": self._waits,
+                "waits_expired": self._waits_expired,
             }
         store_stats = self.store.stats()
         return {
@@ -397,6 +440,7 @@ class SweepService:
         job.state = QUEUED
         job.clear_lease()
         self._persist(job)
+        self._changed.notify_all()
         self._queue.put(job.id)
 
     def _heartbeat(self, job: Job, stop: threading.Event) -> None:
@@ -544,7 +588,6 @@ class SweepService:
                 job.failed += 1
             else:
                 return  # "run" marks dispatch, not completion
-            self._persist(job)
         event: Dict[str, Any] = {"event": "point", "key": key,
                                  "status": status}
         if degraded_point:
@@ -559,6 +602,7 @@ class SweepService:
             job.error = error
             job.clear_lease()
             self._persist(job)
+            self._changed.notify_all()
             if state == DONE:
                 self._completed += 1
         event: Dict[str, Any] = {"event": state}

@@ -10,6 +10,7 @@ Method       Path                            Meaning
 ``POST``     ``/jobs``                       submit a JobSpec document
 ``GET``      ``/jobs``                       list jobs (``?state=dead`` etc.)
 ``GET``      ``/jobs/<id>``                  one job snapshot
+``GET``      ``/jobs/<id>?wait=S``           same, held <= S s until terminal
 ``GET``      ``/jobs/<id>/result``           the result document (raw bytes)
 ``GET``      ``/jobs/<id>/events``           NDJSON progress (``?since=N``)
 ``DELETE``   ``/jobs/<id>``                  cancel
@@ -42,6 +43,7 @@ against a deterministic adversary (``repro serve --chaos SPEC.json``).
 from __future__ import annotations
 
 import json
+import math
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
@@ -60,6 +62,11 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 #: responses — short, because the condition usually clears at the next
 #: point boundary.
 RETRY_AFTER_S = 1.0
+
+#: Longest one ``GET /jobs/<id>?wait=S`` is held open, in seconds — below
+#: ServiceClient's default 30 s socket timeout, so a held request is
+#: answered (200, still non-terminal) before the client gives up on it.
+MAX_WAIT_S = 20.0
 
 
 class ServiceRequestHandler(BaseHTTPRequestHandler):
@@ -185,7 +192,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._send_error(503, f"job store write failed: {exc}",
                              retry_after=RETRY_AFTER_S)
             return
-        self._send_json(202, job.to_json())
+        self._send_json(202, self.service.snapshot(job.id))
 
     def do_GET(self) -> None:
         if self._chaos_intercept():
@@ -204,23 +211,22 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 self._send_error(
                     400, f"state must be one of {STATES}, got {state!r}")
                 return
-            jobs = self.service.list_jobs()
-            if state is not None:
-                jobs = [job for job in jobs if job.state == state]
-            self._send_json(200, {"jobs": [job.to_json()
-                                           for job in jobs]})
+            self._send_json(200, {"jobs": self.service.snapshots(state)})
             return
         parts = path.strip("/").split("/")
         if parts[0] != "jobs" or len(parts) not in (2, 3):
             self._send_error(404, f"no such route: GET {path}")
             return
         jid = parts[1]
-        job = self.service.get(jid)
+        hold = self._wait_seconds(query) if len(parts) == 2 else 0.0
+        if hold is None:
+            return
+        job = self.service.wait_terminal(jid, hold)
         if job is None:
             self._send_error(404, f"no such job: {jid}")
             return
         if len(parts) == 2:
-            self._send_json(200, job.to_json())
+            self._send_json(200, job)
         elif parts[2] == "result":
             self._send_result(jid, job)
         elif parts[2] == "events":
@@ -236,24 +242,36 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         if parts[0] != "jobs" or len(parts) != 2:
             self._send_error(404, f"no such route: DELETE {path}")
             return
-        job = self.service.cancel(parts[1])
-        if job is None:
+        if self.service.cancel(parts[1]) is None:
             self._send_error(404, f"no such job: {parts[1]}")
             return
-        self._send_json(200, job.to_json())
+        self._send_json(200, self.service.snapshot(parts[1]))
 
     # -- sub-resources -------------------------------------------------
 
-    def _send_result(self, jid: str, job: Any) -> None:
-        if job.state == FAILED:
-            self._send_error(409, f"job {jid} failed: {job.error}")
+    def _wait_seconds(self, query: Dict[str, Any]) -> Optional[float]:
+        """``?wait=S`` capped at MAX_WAIT_S (absent = 0); None = 400 sent."""
+        raw = query.get("wait", ["0"])[0]
+        try:
+            hold = float(raw)
+        except ValueError:
+            hold = math.nan
+        if not 0 <= hold < math.inf:  # NaN fails every comparison
+            self._send_error(
+                400, f"wait must be a finite number >= 0, got {raw!r}")
+            return None
+        return min(hold, MAX_WAIT_S)
+
+    def _send_result(self, jid: str, job: Dict[str, Any]) -> None:
+        if job["state"] == FAILED:
+            self._send_error(409, f"job {jid} failed: {job['error']}")
             return
-        if job.state != DONE:
+        if job["state"] != DONE:
             # Not ready yet: hint the polling cadence so raw HTTP
             # clients don't hammer the daemon (ServiceClient honors
             # Retry-After in its retry layer).
             self._send_error(409,
-                             f"job {jid} is {job.state}, not done",
+                             f"job {jid} is {job['state']}, not done",
                              retry_after=RETRY_AFTER_S)
             return
         body = self.service.result_bytes(jid)

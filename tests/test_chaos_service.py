@@ -288,20 +288,25 @@ class TestRetryingClient:
         assert err.value.status == 503
         assert calls["n"] == 3  # 1 try + 2 retries
 
-    def test_wait_poll_interval_backs_off_to_the_cap(self):
-        sleeps = []
-        client = ServiceClient("http://invalid.test",
+    def test_wait_sleeps_out_an_early_non_terminal_answer(self):
+        # The only pacing left in wait(): a non-terminal answer that
+        # arrives before the hold it asked for is followed by a sleep
+        # for the remainder — and a terminal one by none at all.
+        sleeps, holds = [], []
+        client = ServiceClient("http://invalid.test", timeout=30.0,
                                sleep=sleeps.append)
-        snapshots = iter([{"state": "queued"}] * 6
+        snapshots = iter([{"state": "queued"}] * 3
                          + [{"state": "done"}])
-        client.job = lambda jid: next(snapshots)
-        assert client.wait("j", timeout=600, poll=0.2,
-                           poll_cap=1.0)["state"] == "done"
-        assert len(sleeps) == 6
-        assert sleeps == sorted(sleeps)  # monotone geometric ramp
-        assert sleeps[0] == pytest.approx(0.2)
-        assert sleeps[-1] == pytest.approx(1.0)  # pinned at the cap
-        assert all(s <= 1.0 for s in sleeps)
+
+        def job(jid, wait=None):
+            holds.append(wait)
+            return next(snapshots)
+
+        client.job = job
+        assert client.wait("j", timeout=600)["state"] == "done"
+        assert holds == [10.0] * 4  # LONG_POLL_S, under timeout / 2
+        assert len(sleeps) == 3
+        assert all(9.0 < s <= 10.0 for s in sleeps)
 
 
 class TestServiceUnderChaos:
@@ -336,6 +341,37 @@ class TestServiceUnderChaos:
         assert raw == render_result(curve.to_json()).encode()
         # The adversary was real: faults actually fired.
         assert sum(policy.counts()["fired"].values()) > 0
+        assert service.stats()["counters"]["waits"] >= 1
+
+    def test_lost_long_polls_are_retried_to_the_same_bytes(self,
+                                                           tmp_path):
+        # Arm the adversary only after the submit, so every fault
+        # lands on the long-poll: the first is delayed then dropped,
+        # its retry is held until the job is done and then truncated,
+        # the third gets through. A long-poll is an idempotent GET.
+        policy = _policy(
+            http__delay={"rate": 1.0, "limit": 1, "delay_s": 0.01},
+            http__drop={"rate": 1.0, "limit": 1},
+            http__truncate={"rate": 1.0, "limit": 1})
+        service = _service(tmp_path)
+        server = serve_background(service)
+        client = ServiceClient(f"http://127.0.0.1:{server.port}",
+                               timeout=60.0, retries=4, backoff=0.01,
+                               backoff_cap=0.05, seed=1)
+        try:
+            jid = client.submit(_sweep_spec())["id"]
+            server.chaos = policy
+            snapshot = client.wait(jid, timeout=90)
+            server.chaos = None
+            raw = client.result_bytes(jid)
+        finally:
+            server.close()
+        assert snapshot["state"] == "done"
+        assert policy.counts()["fired"] == {
+            "http.delay": 1, "http.drop": 1, "http.truncate": 1}
+        curve = sweep_rate_delay("vegas", RATES, units.ms(40.0),
+                                 duration=3.0, seed=3, budget=BUDGET)
+        assert raw == render_result(curve.to_json()).encode()
 
     def test_lost_submit_response_coalesces_on_retry(self, tmp_path):
         # The daemon acts, the response is lost (truncated body), the

@@ -2,8 +2,12 @@
 
 The acceptance criteria under test:
 
-* the HTTP API round-trips jobs (submit → poll → result → events) with
+* the HTTP API round-trips jobs (submit → wait → result → events) with
   correct status codes on every error path;
+* ``wait`` is a long-poll the daemon answers at the terminal
+  transition — no client sleep on the success path, no spinning on a
+  server that ignores it — and snapshots are serialized under the
+  service lock, never torn;
 * a warm resubmission executes **zero** simulations — every point is a
   catalog ``hit`` served from the shared store, and the daemon never
   touches the worker pool (``warm`` flag);
@@ -15,6 +19,7 @@ The acceptance criteria under test:
 import contextlib
 import json
 import os
+import sys
 import threading
 import time
 
@@ -29,6 +34,7 @@ from repro.service import (Job, JobSpec, JobStore, ReproServer,
                            ServiceClient, SweepService, build_plan,
                            job_id, render_result, serve_background)
 from repro.store import ResultStore
+from repro.store.fsio import FileIO
 
 RATES = [2.0, 8.0]
 BUDGET = RunBudget(retries=0, wall_clock=120.0)
@@ -395,3 +401,263 @@ class TestStopCheck:
         outcome = sweep.run([(f"p{i}", {"i": i}) for i in range(3)])
         assert not outcome.stopped
         assert len(outcome.completed) == 3
+
+
+class _CountingClient(ServiceClient):
+    """Records every ``job()`` call and every sleep it would take."""
+
+    def __init__(self, base_url, **kwargs):
+        self.sleeps = []
+        self.job_calls = []
+        super().__init__(base_url, sleep=self.sleeps.append, **kwargs)
+
+    def job(self, jid, wait=None):
+        self.job_calls.append(wait)
+        return super().job(jid, wait=wait)
+
+
+def _until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+class TestLongPoll:
+    """``GET /jobs/<id>?wait=S``: completion is an event, not a guess."""
+
+    def test_warm_roundtrip_is_one_poll_and_no_sleep(self, served):
+        service, client = served
+        cold = client.submit_and_wait(_sweep_spec(), timeout=90)
+        counting = _CountingClient(client.base_url)
+        job = counting.submit(_sweep_spec())
+        snapshot = counting.wait(job["id"])
+        assert snapshot["state"] == "done" and snapshot["warm"]
+        assert counting.result_bytes(job["id"]) == cold
+        assert len(counting.job_calls) == 1
+        assert counting.sleeps == []
+        assert service.stats()["counters"]["waits"] >= 1
+
+    def test_cold_wait_returns_with_the_done_event(self, served):
+        _, client = served
+        counting = _CountingClient(client.base_url)
+        job = counting.submit(_sweep_spec())
+        snapshot = counting.wait(job["id"], timeout=90)
+        late = time.time() - snapshot["finished"]
+        assert snapshot["state"] == "done" and not snapshot["warm"]
+        # One request round trip after the transition, not a poll
+        # interval (the old ramp was up to 2 s late).
+        assert late < 0.5
+        assert len(counting.job_calls) == 1 and counting.sleeps == []
+
+    def test_cancel_wakes_a_waiter_on_a_queued_job(self, tmp_path):
+        with _http_only(tmp_path) as client:
+            jid = client.submit(_sweep_spec())["id"]
+            woken = []
+            waiter = threading.Thread(
+                target=lambda: woken.append(client.wait(jid, timeout=30)))
+            began = time.monotonic()
+            waiter.start()
+            _until(lambda: client.stats()["counters"]["waits"] == 1)
+            client.cancel(jid)
+            waiter.join(timeout=5)
+            assert not waiter.is_alive()
+            assert woken[0]["state"] == "cancelled"
+            assert woken[0]["finished"] is not None
+            assert time.monotonic() - began < 5  # not the 10 s hold
+
+    def test_stop_releases_blocked_waiters(self, tmp_path):
+        # A running job under another daemon's live lease: it will not
+        # turn terminal here, so only stop() can wake the waiter.
+        spec = _sweep_spec()
+        JobStore(str(tmp_path / "jobs")).save(Job(
+            id=job_id(spec), spec=spec, state="running",
+            created=round(time.time(), 3), lease_owner="other.daemon",
+            lease_expires=round(time.time() + 120, 3)))
+        service = _service(tmp_path)
+        service.start()
+        answered = []
+        waiter = threading.Thread(target=lambda: answered.append(
+            service.wait_terminal(job_id(spec), 30.0)))
+        waiter.start()
+        try:
+            _until(lambda: service.stats()["counters"]["waits"] == 1)
+        finally:
+            service.stop()
+        waiter.join(timeout=5)
+        assert not waiter.is_alive()
+        assert answered[0]["state"] == "running"
+        assert service.stats()["counters"]["waits_expired"] == 0
+
+    def test_hold_expiry_answers_200_and_wait_asks_again(self, tmp_path):
+        with _http_only(tmp_path) as client:
+            jid = client.submit(_sweep_spec())["id"]
+            # timeout=0.4 caps each hold at 0.2 s (half the socket
+            # timeout), so a 0.5 s wait() spans three long-polls.
+            counting = _CountingClient(client.base_url, timeout=0.4)
+            began = time.monotonic()
+            with pytest.raises(ServiceError) as err:
+                counting.wait(jid, timeout=0.5)
+            assert "still queued after 0.5s" in str(err.value)
+            assert 0.5 <= time.monotonic() - began < 3.0
+            assert counting.job_calls[:2] == [0.2, 0.2]
+            assert 3 <= len(counting.job_calls) <= 4
+            # The daemon held every request its full time: the no-spin
+            # guard had nothing to sleep out.
+            assert counting.sleeps == []
+            counters = client.stats()["counters"]
+            assert counters["waits_expired"] >= 3
+            assert client.job(jid)["state"] == "queued"
+
+    def test_wait_cannot_spin_on_a_server_that_ignores_wait(self):
+        from http.server import BaseHTTPRequestHandler, HTTPServer
+        requests = []
+
+        class IgnoresWait(BaseHTTPRequestHandler):
+            def do_GET(self):
+                requests.append(self.path)
+                body = b'{"state": "queued"}'
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        stub = HTTPServer(("127.0.0.1", 0), IgnoresWait)
+        thread = threading.Thread(target=stub.serve_forever,
+                                  kwargs={"poll_interval": 0.05},
+                                  daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(
+                f"http://127.0.0.1:{stub.server_address[1]}", timeout=0.4)
+            with pytest.raises(ServiceError):
+                client.wait("ab12", timeout=1.0)
+        finally:
+            stub.shutdown()
+            stub.server_close()
+        # Every answer is instant and non-terminal; the client sleeps
+        # out each 0.2 s hold, so one second buys ~5 requests, not 5000.
+        assert 2 <= len(requests) <= 8
+        assert all("?wait=" in path for path in requests)
+
+    @pytest.mark.parametrize("bad", ["abc", "nan", "-1", "inf", "-inf",
+                                     "1e999"])
+    def test_bad_wait_values_are_400(self, tmp_path, bad):
+        with _http_only(tmp_path) as client:
+            jid = client.submit(_sweep_spec())["id"]
+            with pytest.raises(ServiceError) as err:
+                client._request("GET", f"/jobs/{jid}?wait={bad}")
+            assert err.value.status == 400
+            assert client.stats()["counters"]["waits"] == 0
+
+    def test_wait_zero_and_unknown_jobs_do_not_block(self, tmp_path):
+        with _http_only(tmp_path) as client:
+            jid = client.submit(_sweep_spec())["id"]
+            began = time.monotonic()
+            assert client.job(jid, wait=0) == client.job(jid)
+            with pytest.raises(ServiceError) as err:
+                client.job("feedfacefeedface", wait=10)
+            assert err.value.status == 404
+            assert time.monotonic() - began < 2.0
+            counters = client.stats()["counters"]
+            assert (counters["waits"], counters["waits_expired"]) == (0, 0)
+            # The server's cap, not the caller, bounds a hold... and a
+            # terminal job answers at once whatever was asked.
+            client.cancel(jid)
+            assert client.job(jid, wait=1e6)["state"] == "cancelled"
+            assert time.monotonic() - began < 2.0
+
+
+class _RecordingFS(FileIO):
+    """A FileIO that records the name of every file it writes."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write_atomic(self, path, text, prefix=".tmp-"):
+        self.writes.append(os.path.basename(path))
+        super().write_atomic(path, text, prefix=prefix)
+
+
+class TestSnapshots:
+    def test_warm_job_rewrites_job_json_on_transitions_only(self,
+                                                            tmp_path):
+        fs = _RecordingFS()
+        service = _service(tmp_path, fs=fs)
+        sweep_rate_delay("vegas", RATES, units.ms(40.0), duration=3.0,
+                         seed=3, store=service.store, budget=BUDGET)
+        service.start()
+        try:
+            job = _wait(service, service.submit(_sweep_spec()).id)
+        finally:
+            service.stop()
+        assert job.warm
+        # queued, running, started-from-zero, done — and nothing per
+        # point (the parent rewrote it once more for every point).
+        assert fs.writes.count("job.json") <= 5
+        path = os.path.join(service.job_store.job_dir(job.id), "job.json")
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh) == service.snapshot(job.id)
+        assert service.snapshot(job.id)["progress"]["cached"] == len(RATES)
+
+    def test_snapshots_are_never_torn_under_load(self, served,
+                                                 monkeypatch):
+        """Hammer both snapshot routes while jobs run and re-run."""
+        service, client = served
+        real_to_json = Job.to_json
+
+        def slow_to_json(job):
+            # Widen the window between two field reads so a serializer
+            # running outside the service lock tears every time.
+            state = job.state
+            time.sleep(0.002)
+            return {**real_to_json(job), "state": state}
+
+        monkeypatch.setattr(Job, "to_json", slow_to_json)
+        jid = job_id(_sweep_spec())
+        stop = threading.Event()
+        torn, seen = [], []
+
+        def check(snap):
+            seen.append(snap["state"])
+            progress = snap["progress"]
+            finished = (progress["done"] + progress["cached"]
+                        + progress["failed"])
+            terminal = snap["state"] in ("done", "failed", "cancelled")
+            if (terminal != (snap["finished"] is not None)
+                    or finished > progress["total"]
+                    or (snap["state"] == "queued"
+                        and snap["started"] is not None)
+                    or (snap["state"] == "running")
+                    != (snap["lease"]["owner"] is not None)):
+                torn.append(snap)
+
+        def hammer():
+            reader = ServiceClient(client.base_url, timeout=60.0)
+            while not stop.is_set():
+                try:
+                    check(reader.job(jid))
+                except ServiceError:
+                    continue  # not submitted yet
+                for snap in reader.jobs():
+                    check(snap)
+
+        readers = [threading.Thread(target=hammer) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for reader in readers:
+                reader.start()
+            for _ in range(8):  # one cold run, then warm re-runs
+                client.submit_and_wait(_sweep_spec(), timeout=90)
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert torn == []
+        assert len(seen) > 50 and "done" in seen
