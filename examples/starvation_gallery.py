@@ -22,10 +22,22 @@ import argparse
 import time
 
 from repro.analysis.report import describe_run
-from repro.analysis.starvation import (allegro_asymmetric_loss,
-                                       bbr_rtt_starvation,
-                                       copa_two_flow_poisoned,
-                                       vivace_ack_aggregation)
+from repro.analysis.starvation import SCENARIOS
+
+#: (``repro starve`` name, heading, paper's numbers, ``--quick``
+#: overrides). At 24 Mbit/s a 1 ms error caps Copa's target right at
+#: the link rate, so the quick run deepens the poisoning to 5 ms to
+#: keep the paper's shape visible.
+GALLERY = [
+    ("copa", "5.1 Copa (min-RTT poisoning)", "8.8 vs 95 Mbit/s",
+     {"rate_mbps": 24, "poison_ms": 5.0, "duration": 20.0}),
+    ("bbr", "5.2 BBR (RTT 40 vs 80 ms)", "8.3 vs 107 Mbit/s",
+     {"rate_mbps": 24, "duration": 30.0}),
+    ("vivace", "5.3 Vivace (60 ms ACK aggregation)", "9.9 vs 99.4 Mbit/s",
+     {"rate_mbps": 24, "duration": 30.0}),
+    ("allegro", "5.4 Allegro (2% loss on one flow)", "10.3 vs 99.1 Mbit/s",
+     {"rate_mbps": 120, "duration": 40.0}),
+]
 
 
 def main():
@@ -34,37 +46,9 @@ def main():
                         help="scaled-down runs (seconds, not minutes)")
     args = parser.parse_args()
 
-    if args.quick:
-        experiments = [
-            # At 24 Mbit/s a 1 ms error caps Copa's target right at the
-            # link rate, so the quick run deepens the poisoning to 5 ms
-            # to keep the paper's shape visible.
-            ("5.1 Copa (min-RTT poisoning)", "8.8 vs 95 Mbit/s",
-             lambda: copa_two_flow_poisoned(rate_mbps=24, poison_ms=5.0,
-                                            duration=20.0)),
-            ("5.2 BBR (RTT 40 vs 80 ms)", "8.3 vs 107 Mbit/s",
-             lambda: bbr_rtt_starvation(rate_mbps=24, duration=30.0)),
-            ("5.3 Vivace (60 ms ACK aggregation)", "9.9 vs 99.4 Mbit/s",
-             lambda: vivace_ack_aggregation(rate_mbps=24, duration=30.0)),
-            ("5.4 Allegro (2% loss on one flow)", "10.3 vs 99.1 Mbit/s",
-             lambda: allegro_asymmetric_loss(rate_mbps=120,
-                                             duration=40.0)),
-        ]
-    else:
-        experiments = [
-            ("5.1 Copa (min-RTT poisoning)", "8.8 vs 95 Mbit/s",
-             lambda: copa_two_flow_poisoned(duration=30.0)),
-            ("5.2 BBR (RTT 40 vs 80 ms)", "8.3 vs 107 Mbit/s",
-             lambda: bbr_rtt_starvation(duration=60.0)),
-            ("5.3 Vivace (60 ms ACK aggregation)", "9.9 vs 99.4 Mbit/s",
-             lambda: vivace_ack_aggregation(duration=60.0)),
-            ("5.4 Allegro (2% loss on one flow)", "10.3 vs 99.1 Mbit/s",
-             lambda: allegro_asymmetric_loss(duration=90.0)),
-        ]
-
-    for title, paper, runner in experiments:
+    for name, title, paper, quick in GALLERY:
         start = time.time()
-        result = runner()
+        result = SCENARIOS[name](**(quick if args.quick else {}))
         elapsed = time.time() - start
         print(describe_run(title, result,
                            paper_numbers=f"{paper} (Mahimahi)"))

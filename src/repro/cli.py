@@ -31,8 +31,6 @@ Installed as the ``repro`` console script::
     repro jobs
     repro jobs JOB_ID --events
     repro jobs JOB_ID --cancel
-    repro bench --json BENCH_sim.json
-    repro bench --quick --compare BENCH_sim.json
     repro run --rate 48 --rm 40 --cca copa --profile
     repro sweep --cca copa --rates 2,10,50 --profile --profile-out p.pstats
 
@@ -83,17 +81,6 @@ from .spec import (CCASpec, ElementSpec, FaultScheduleSpec,
                    FaultWindowSpec, FlowSpec, LinkSpec, ScenarioSpec,
                    TopologySpec)
 from .store import ResultStore
-
-STARVE_SCENARIOS = {
-    "copa": lambda: starvation.copa_two_flow_poisoned(duration=30.0),
-    "bbr": lambda: starvation.bbr_rtt_starvation(duration=60.0),
-    "vivace": lambda: starvation.vivace_ack_aggregation(duration=60.0),
-    "allegro": lambda: starvation.allegro_asymmetric_loss(duration=90.0),
-    "fig7-reno": lambda: starvation.loss_based_delayed_acks(
-        "reno", duration=200.0),
-    "fig7-cubic": lambda: starvation.loss_based_delayed_acks(
-        "cubic", duration=200.0),
-}
 
 
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
@@ -422,7 +409,8 @@ def _specs_from_args(args: argparse.Namespace
 
 def _run_spec_point(params: Dict[str, Any], budget: RunBudget
                     ) -> Dict[str, str]:
-    """Worker body for ``repro run``: build, run, format the report.
+    """The report worker of ``repro run`` and ``repro starve``: build,
+    run, format the report.
 
     Module-level and spec-driven so ``--jobs N`` can ship scenarios to
     worker processes; the formatted report string comes back instead of
@@ -436,24 +424,47 @@ def _run_spec_point(params: Dict[str, Any], budget: RunBudget
     return {"report": describe_run(params["title"], result)}
 
 
-def _report_grid(args: argparse.Namespace, run_point: Any,
-                 points: List[Tuple[str, Dict[str, Any]]],
-                 budget: RunBudget) -> int:
-    """Run report-producing points (``repro run``/``repro starve``) and
-    print the reports in grid order.
+def _report_specs(args: argparse.Namespace,
+                  specs: List[Tuple[str, ScenarioSpec]], title: str,
+                  duration: Optional[float] = None,
+                  max_events: Optional[int] = None) -> int:
+    """Run named specs as report points and print the reports in order.
+
+    A point's params are the serialized spec, the window it runs for
+    (``duration``, else the spec's embedded one, else 30 s; warmup the
+    spec's, else a third) and its heading, ``title`` formatted with
+    ``name`` and ``duration`` — so the cache key covers the whole
+    scenario and a crash bundle replays on its own.
 
     Iterates ``backend.execute`` directly rather than through a
     :class:`~repro.analysis.harness.ResilientSweep`, whose signal trap
     would make Ctrl-C wait for the running scenario.
     """
+    points = []
+    for i, (name, spec) in enumerate(specs):
+        run_for = duration
+        if run_for is None:
+            run_for = spec.duration
+        if run_for is None:
+            run_for = 30.0
+        warmup = spec.warmup
+        if warmup is None:
+            warmup = run_for / 3
+        points.append((f"{i}:{name}", {
+            "scenario": spec.to_json(),
+            "duration": run_for,
+            "warmup": warmup,
+            "title": title.format(name=name, duration=run_for),
+        }))
     backend = make_backend(args.jobs, chunksize=args.chunksize)
     store = _cache_store(args)
     reports: Dict[str, str] = {}
     failures = []
     hits = misses = 0
-    for outcome in backend.execute(run_point, points, budget,
-                                   store=store, refresh=args.force,
-                                   crash_dir=args.crash_dir):
+    for outcome in backend.execute(
+            _run_spec_point, points,
+            RunBudget(max_events=max_events, wall_clock=None, retries=0),
+            store=store, refresh=args.force, crash_dir=args.crash_dir):
         if outcome.failure is not None:
             failures.append(outcome.failure)
         else:
@@ -480,25 +491,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         for _, spec in specs:
             print(spec.dumps())
         return 0
-    points = []
-    for i, (name, spec) in enumerate(specs):
-        duration = args.duration
-        if duration is None:
-            duration = spec.duration
-        if duration is None:
-            duration = 30.0
-        warmup = spec.warmup
-        if warmup is None:
-            warmup = duration / 3
-        points.append((f"{i}:{name}", {
-            "scenario": spec.to_json(),
-            "duration": duration,
-            "warmup": warmup,
-            "title": f"{name}, {duration:.0f} s",
-        }))
-    return _report_grid(args, _run_spec_point, points,
-                        RunBudget(max_events=args.max_events,
-                                  wall_clock=None, retries=0))
+    return _report_specs(args, specs, "{name}, {duration:.0f} s",
+                         duration=args.duration,
+                         max_events=args.max_events)
 
 
 def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
@@ -687,28 +682,12 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_starve_point(params: Dict[str, Any], budget: RunBudget
-                      ) -> Dict[str, str]:
-    """Worker body for ``repro starve``: scenarios are named, not
-    pickled — the worker looks the closure up in its own process."""
-    name = params["scenario"]
-    result = STARVE_SCENARIOS[name]()
-    return {"report": describe_run(f"Section 5 scenario: {name}",
-                                   result)}
-
-
 def cmd_starve(args: argparse.Namespace) -> int:
     _apply_invariants(args)
-    names = list(dict.fromkeys(args.scenario))
-    for name in names:
-        if name not in STARVE_SCENARIOS:
-            raise SystemExit(
-                f"unknown scenario {name!r}; choose from "
-                f"{', '.join(sorted(STARVE_SCENARIOS))}")
-    return _report_grid(
-        args, _run_starve_point,
-        [(name, {"scenario": name}) for name in names],
-        RunBudget(max_events=None, wall_clock=None, retries=0))
+    return _report_specs(
+        args, [(name, starvation.SCENARIOS[name].spec())
+               for name in dict.fromkeys(args.scenario)],
+        "Section 5 scenario: {name}")
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -995,34 +974,6 @@ def _jobs_report(args: argparse.Namespace, client) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the perf suite; optionally write and/or regression-check it."""
-    from .perf.bench import compare_suites, describe_suite, run_suite
-    doc = run_suite(quick=args.quick)
-    print(describe_suite(doc))
-    if args.json:
-        _write_json(args.json, doc)
-        print(f"wrote {args.json}")
-    if args.compare:
-        try:
-            with open(args.compare, encoding="utf-8") as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(
-                f"cannot read baseline {args.compare!r}: {exc}")
-        problems = compare_suites(doc, baseline,
-                                  tolerance=args.tolerance)
-        if problems:
-            print(f"{len(problems)} perf regression(s) vs "
-                  f"{args.compare}:")
-            for problem in problems:
-                print(f"  {problem}")
-            return 1
-        print(f"no perf regressions vs {args.compare} "
-              f"(tolerance {args.tolerance}x)")
-    return 0
-
-
 def cmd_theorem(args: argparse.Namespace) -> int:
     from .core.theorems import (construct_starvation,
                                 construct_strong_model_starvation,
@@ -1149,7 +1100,7 @@ def build_parser() -> argparse.ArgumentParser:
     starve_parser = sub.add_parser(
         "starve", help="run Section 5 starvation scenarios")
     starve_parser.add_argument("scenario", nargs="+",
-                               choices=sorted(STARVE_SCENARIOS))
+                               choices=sorted(starvation.SCENARIOS))
     _add_pool_flags(starve_parser, "scenarios")
     _add_cache_flags(starve_parser)
     _add_robustness_flags(starve_parser)
@@ -1340,24 +1291,6 @@ def build_parser() -> argparse.ArgumentParser:
     theorem_parser.add_argument("--s", type=float, default=10.0,
                                 help="target unfairness ratio")
     theorem_parser.set_defaults(func=cmd_theorem)
-
-    bench_parser = sub.add_parser(
-        "bench", help="run the simulator performance suite")
-    bench_parser.add_argument(
-        "--quick", action="store_true",
-        help="~10x smaller workloads (CI smoke mode); rate metrics stay "
-             "comparable to a full run")
-    bench_parser.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the suite document as JSON (e.g. BENCH_sim.json)")
-    bench_parser.add_argument(
-        "--compare", default=None, metavar="BASELINE",
-        help="exit 1 if any rate metric is more than --tolerance times "
-             "slower than this committed baseline JSON")
-    bench_parser.add_argument(
-        "--tolerance", type=float, default=2.5,
-        help="slowdown factor treated as a regression (default 2.5)")
-    bench_parser.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -1,11 +1,9 @@
-"""Performance subsystem: microbenchmarks, profiling, golden traces.
+"""Performance subsystem: profiling and golden traces.
 
-Three tools keep the simulator's hot path fast and honest:
+Two tools keep the simulator's hot path fast and honest (timing lives
+outside the package, in the repo benchmark: ``python3 bench/run.py``,
+see ``bench/README.md``):
 
-* :mod:`repro.perf.bench` — a fixed microbenchmark suite (engine event
-  throughput, per-CCA single-flow packet rates, sweep-point wall time)
-  behind the ``repro bench`` CLI command, emitting ``BENCH_sim.json``
-  and comparing against a committed baseline in CI.
 * :mod:`repro.perf.profiling` — a cProfile wrapper behind the
   ``--profile`` flag of ``repro run``/``repro sweep``.
 * :mod:`repro.perf.golden` — deterministic digest capture for the
@@ -13,7 +11,6 @@ Three tools keep the simulator's hot path fast and honest:
   optimization must reproduce the recorded digests bit for bit.
 """
 
-from .bench import compare_suites, run_suite
 from .profiling import maybe_profile
 
-__all__ = ["compare_suites", "maybe_profile", "run_suite"]
+__all__ = ["maybe_profile"]

@@ -6,7 +6,8 @@ admissible because they are *behavior-preserving*: the same floats, in
 the same order, through the same operations. This module makes that
 claim checkable. It runs a fixed battery of short scenarios spanning
 every registered CCA and every hot code path (delayed ACKs, bursts,
-ECN marking, jitter elements, fault injection, duplication) and hashes
+ECN marking, jitter elements, fault injection, duplication), plus the
+paper's seven Section 5 experiments at a tenth of their rate, and hashes
 
 * the raw recorder time series of every flow and the queue,
 * the :func:`repro.analysis.metrics.summarize_run` digest,
@@ -33,6 +34,7 @@ from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Optional
 
 from .. import units
+from ..analysis import starvation
 from ..analysis.metrics import summarize_run
 from ..analysis.sweep import run_rate_delay_point, sweep_rate_delay
 from ..ccas import registry
@@ -119,10 +121,12 @@ def run_digests(result: Any) -> Dict[str, str]:
     }
 
 
-def capture_run(spec: ScenarioSpec, duration: float,
-                warmup: float) -> Dict[str, str]:
-    """Digests of one scenario run: raw traces + summary."""
-    return run_digests(spec.run(duration=duration, warmup=warmup))
+def capture_run(spec: ScenarioSpec) -> Dict[str, str]:
+    """Digests of one scenario run: raw traces + summary. A spec with
+    no embedded duration runs the battery's 3 s with 1 s of warmup."""
+    if spec.duration is None:
+        spec = replace(spec, duration=3.0, warmup=1.0)
+    return run_digests(spec.run())
 
 
 def _single(cca: str, seed: int = 5, **flow_kwargs: Any) -> ScenarioSpec:
@@ -243,6 +247,26 @@ def golden_scenarios() -> Dict[str, ScenarioSpec]:
                FlowSpec(cca=CCASpec("reno"), rm=units.ms(40),
                         path=("b1",))),
         seed=5)
+
+    # The paper's Section 5 experiments as the starvation library
+    # builds them, at a tenth of the paper's link rate for 10 s
+    # (digests captured from the closure-built library they replaced).
+    tenth = {"rate_mbps": 12.0, "duration": 10.0}
+    scenarios.update({
+        "section5/copa_pair": starvation.copa_two_flow_poisoned.spec(
+            **tenth),
+        "section5/copa_single": starvation.copa_single_flow_poisoned.spec(
+            **tenth),
+        "section5/bbr_rtt": starvation.bbr_rtt_starvation.spec(**tenth),
+        "section5/vivace_agg": starvation.vivace_ack_aggregation.spec(
+            **tenth),
+        "section5/allegro_loss": starvation.allegro_asymmetric_loss.spec(
+            **tenth),
+        "section5/allegro_single":
+            starvation.allegro_single_flow_loss.spec(**tenth),
+        "section5/fig7_reno": starvation.loss_based_delayed_acks.spec(
+            "reno", rate_mbps=0.6, duration=10.0),
+    })
     return scenarios
 
 
@@ -275,7 +299,7 @@ def capture_all(progress: bool = False) -> Dict[str, Any]:
     for name, spec in sorted(golden_scenarios().items()):
         if progress:
             print(f"golden: {name}", file=sys.stderr)
-        runs[name] = capture_run(spec, duration=3.0, warmup=1.0)
+        runs[name] = capture_run(spec)
     if progress:
         print("golden: mini-sweep", file=sys.stderr)
     return {

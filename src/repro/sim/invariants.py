@@ -60,8 +60,9 @@ ENV_VAR = "REPRO_INVARIANTS"
 VALID_MODES = ("off", "warn", "strict")
 
 #: Executed events between full check batteries. Tuned so strict mode
-#: costs <10% on ``repro bench --quick`` (checks amortize to a few
-#: comparisons per event; the per-check trace scans are incremental).
+#: costs <10% of a run (checks amortize to a few comparisons per event;
+#: the per-check trace scans are incremental); the repo benchmark
+#: reports it as ``sim.invariants.strict_delta_cal_ms``.
 DEFAULT_CADENCE = 4096
 
 #: Recorder samples captured into ``InvariantViolation.details``.

@@ -2,16 +2,18 @@
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro import units
+from repro.analysis import starvation
 from repro.analysis.competition import compile_matrix_plan
+from repro.analysis.report import describe_run
 from repro.analysis.sweep import compile_sweep_plan
 from repro.ccas import registry
-from repro.cli import (STARVE_SCENARIOS, build_parser, main,
-                       parse_flow_spec)
-from repro.spec import FlowSpec, ScenarioSpec
+from repro.cli import build_parser, main, parse_flow_spec
+from repro.spec import ElementSpec, FlowSpec, ScenarioSpec
 
 
 class TestFlowSpecParsing:
@@ -234,7 +236,69 @@ class TestCommands:
 
     def test_starve_choices_cover_section5(self):
         assert {"copa", "bbr", "vivace", "allegro"} <= set(
-            STARVE_SCENARIOS)
+            starvation.SCENARIOS)
+
+
+#: A cheap stand-in for a Section 5 table entry: the Copa pair at a
+#: tenth of the paper's rate.
+QUICK_COPA = starvation.copa_two_flow_poisoned.fixed(rate_mbps=12.0)
+
+
+class TestStarveRunsSpecs:
+    """``repro starve NAME`` is ``repro run`` over the library's spec:
+    the point carries the scenario, not its name."""
+
+    def test_stdout_is_the_library_report(self, monkeypatch, capsys):
+        entry = QUICK_COPA.fixed(duration=3.0)
+        monkeypatch.setitem(starvation.SCENARIOS, "quick", entry)
+        assert main(["starve", "quick"]) == 0
+        assert capsys.readouterr().out == describe_run(
+            "Section 5 scenario: quick", entry()) + "\n"
+
+    def test_edited_scenario_misses_the_cache(self, tmp_path,
+                                              monkeypatch, capsys):
+        # The cache key covers the scenario: the same name with a new
+        # duration is a new experiment, not a hit on the old report.
+        cache = str(tmp_path / "cache")
+        reports = []
+        for duration in (3.0, 4.0, 4.0):
+            monkeypatch.setitem(starvation.SCENARIOS, "quick",
+                                QUICK_COPA.fixed(duration=duration))
+            assert main(["starve", "quick", "--cache-dir", cache]) == 0
+            reports.append(capsys.readouterr().out)
+        first, edited, again = reports
+        assert "cache: 0 hit(s), 1 miss(es)" in first
+        assert "cache: 0 hit(s), 1 miss(es)" in edited
+        assert "cache: 1 hit(s), 0 miss(es)" in again
+        assert first != edited == again.replace("1 hit(s), 0 miss(es)",
+                                                "0 hit(s), 1 miss(es)")
+
+    def test_crash_bundle_replays_without_the_table(self, tmp_path,
+                                                    monkeypatch, capsys):
+        def broken():
+            good = QUICK_COPA.spec(duration=3.0)
+            bad = replace(good.flows[0], ack_elements=(
+                ElementSpec("constant_jitter", {"eta": -1.0}),))
+            return replace(good, flows=(bad,))
+
+        monkeypatch.setitem(starvation.SCENARIOS, "broken",
+                            starvation.Experiment(broken))
+        crashes = tmp_path / "crashes"
+        assert main(["starve", "broken", "--crash-dir",
+                     str(crashes)]) == 1
+        assert "ConfigurationError" in capsys.readouterr().out
+        bundle, = crashes.glob("crash-*.json")
+        captured = json.loads(bundle.read_text())
+        assert captured["task"] == "repro.cli:_run_spec_point"
+        params = captured["params"]
+        assert ScenarioSpec.from_json(params["scenario"]) == broken()
+        assert (params["duration"], params["warmup"]) == (3.0, 1.0)
+        assert params["title"] == "Section 5 scenario: broken"
+        monkeypatch.delitem(starvation.SCENARIOS, "broken")
+        assert main(["replay", str(bundle)]) == 1
+        out = capsys.readouterr().out
+        assert "constant jitter must be >= 0" in out
+        assert "reproduces deterministically" in out
 
 
 class TestFuzzCommand:
