@@ -21,7 +21,8 @@
 from conftest import report
 from repro import units
 from repro.ccas import Copa, JitterAware, Vivace
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+import repro.sim
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links
 from repro.sim.jitter import (AckAggregationJitter, ConstantJitter,
                               ExemptFirstJitter, SquareWaveJitter)
 
@@ -30,8 +31,8 @@ RM = units.ms(40)
 
 def copa_window_ablation():
     def run(window):
-        return run_scenario_full(
-            LinkConfig(rate=units.mbps(48)),
+        return repro.sim.run(
+            dumbbell_links(LinkConfig(rate=units.mbps(48))),
             [FlowConfig(
                 cca_factory=lambda: Copa(min_rtt_window=window),
                 rm=RM, label="poisoned",
@@ -50,8 +51,8 @@ def algorithm1_decrease_ablation():
                                mu_minus=units.kbps(100),
                                decrease_mode=mode)
 
-        return run_scenario_full(
-            LinkConfig(rate=units.mbps(6), buffer_bdp=20.0),
+        return repro.sim.run(
+            dumbbell_links(LinkConfig(rate=units.mbps(6), buffer_bdp=20.0)),
             [FlowConfig(cca_factory=factory, rm=RM, label="jittered",
                         ack_elements=[
                             lambda sim, sink: SquareWaveJitter(
@@ -68,8 +69,8 @@ def algorithm1_decrease_ablation():
 
 def vivace_gradient_ablation():
     def run(b):
-        return run_scenario_full(
-            LinkConfig(rate=units.mbps(48), buffer_bdp=8.0),
+        return repro.sim.run(
+            dumbbell_links(LinkConfig(rate=units.mbps(48), buffer_bdp=8.0)),
             [FlowConfig(cca_factory=lambda: Vivace(b=b), rm=units.ms(60),
                         label="aggregated",
                         ack_elements=[

@@ -54,11 +54,12 @@ def test_fig7_cwnd_evolution(once):
     is repeatedly knocked down near the buffer-full episodes. Printed as
     a coarse time series."""
     from repro.ccas import NewReno
-    from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+    from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 
     def generate():
-        return run_scenario_full(
-            LinkConfig(rate=units.mbps(6), buffer_bytes=60 * 1500),
+        return run(
+            dumbbell_links(LinkConfig(rate=units.mbps(6),
+                                      buffer_bytes=60 * 1500)),
             [FlowConfig(cca_factory=NewReno, rm=units.ms(120),
                         label="delacks", ack_every=4,
                         ack_timeout=units.ms(200)),
@@ -91,11 +92,12 @@ def test_fig7_gso_bursts(once):
     that sends packets in bursts is more likely to lose packets." Same
     link as Figure 7; the bursty flow releases packets 8 at a time."""
     from repro.ccas import NewReno
-    from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+    from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 
     def generate():
-        return run_scenario_full(
-            LinkConfig(rate=units.mbps(6), buffer_bytes=60 * 1500),
+        return run(
+            dumbbell_links(LinkConfig(rate=units.mbps(6),
+                                      buffer_bytes=60 * 1500)),
             [FlowConfig(cca_factory=NewReno, rm=units.ms(120),
                         burst_size=8, label="bursty"),
              FlowConfig(cca_factory=NewReno, rm=units.ms(120),

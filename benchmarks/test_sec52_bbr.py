@@ -50,12 +50,13 @@ def test_sec52_bbr_quanta_ablation(once):
     the bench documents that the anchor is about the fixed point, not
     the transient, and asserts quanta never *hurts* fairness."""
     from repro.ccas.bbr import BBR
-    from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+    import repro.sim
+    from repro.sim import FlowConfig, LinkConfig, dumbbell_links
     from repro.sim.jitter import AckAggregationJitter
 
     def run(quanta):
-        return run_scenario_full(
-            LinkConfig(rate=units.mbps(48), buffer_bdp=8.0),
+        return repro.sim.run(
+            dumbbell_links(LinkConfig(rate=units.mbps(48), buffer_bdp=8.0)),
             [FlowConfig(cca_factory=lambda: BBR(seed=1,
                                                 quanta_packets=quanta),
                         rm=units.ms(40), label="early",

@@ -20,7 +20,7 @@ across link rates. The distinguishing signature:
 from conftest import report
 from repro import units
 from repro.ccas import DelayAimd, Vegas
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 from repro.sim.jitter import ConstantJitter, ExemptFirstJitter
 
 RM = units.ms(40)
@@ -28,8 +28,8 @@ RATES = [12.0, 48.0, 120.0]
 
 
 def poisoned_pair(factory, rate_mbps, duration=60.0):
-    return run_scenario_full(
-        LinkConfig(rate=units.mbps(rate_mbps), buffer_bdp=8.0),
+    return run(
+        dumbbell_links(LinkConfig(rate=units.mbps(rate_mbps), buffer_bdp=8.0)),
         [FlowConfig(cca_factory=factory, rm=RM, label="poisoned",
                     ack_elements=[lambda sim, sink: ExemptFirstJitter(
                         sim, sink, units.ms(10), exempt_seqs=[0])]),

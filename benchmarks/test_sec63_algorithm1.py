@@ -19,7 +19,7 @@ from repro.model.explorer import (JitterAwareFlow, NetParams,
                                   exhaustive_search, guided_search,
                                   underutilization_objective,
                                   unfairness_objective)
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 from repro.sim.jitter import ConstantJitter, ExemptFirstJitter
 
 RM = units.ms(40)
@@ -34,8 +34,9 @@ def make_jitteraware():
 
 def run_packet_comparison():
     def scenario(cca_factory, rate_mbps):
-        return run_scenario_full(
-            LinkConfig(rate=units.mbps(rate_mbps), buffer_bdp=20.0),
+        return run(
+            dumbbell_links(LinkConfig(rate=units.mbps(rate_mbps),
+                                      buffer_bdp=20.0)),
             [FlowConfig(cca_factory=cca_factory, rm=RM, label="poisoned",
                         ack_elements=[
                             lambda sim, sink: ExemptFirstJitter(

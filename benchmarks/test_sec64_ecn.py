@@ -13,7 +13,7 @@ from conftest import report
 from repro import units
 from repro.analysis.starvation import allegro_asymmetric_loss
 from repro.ccas.ecn import EcnAimd
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 from repro.sim.loss import RandomLossElement
 
 RM = units.ms(40)
@@ -22,9 +22,9 @@ RATE_MBPS = 120.0
 
 def run_ecn_pair():
     rate = units.mbps(RATE_MBPS)
-    return run_scenario_full(
-        LinkConfig(rate=rate, buffer_bdp=4.0,
-                   ecn_threshold_bytes=0.5 * rate * RM),
+    return run(
+        dumbbell_links(LinkConfig(rate=rate, buffer_bdp=4.0,
+                                  ecn_threshold_bytes=0.5 * rate * RM)),
         [FlowConfig(cca_factory=EcnAimd, rm=RM, label="lossy",
                     data_elements=[lambda sim, sink: RandomLossElement(
                         sim, sink, 0.02, seed=9)]),

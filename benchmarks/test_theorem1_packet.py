@@ -20,7 +20,8 @@ from repro import units
 from repro.ccas.windowtarget import WindowTarget
 from repro.core.theorems import construct_starvation
 from repro.model.cca import WindowTargetCCA
-from repro.sim import FlowConfig, LinkConfig, build_dumbbell
+from repro.sim import (FlowConfig, LinkConfig, build_topology,
+                       dumbbell_links)
 from repro.sim.jitter import FunctionJitter
 from repro.sim.packet import Packet
 from repro.sim.runner import summarize
@@ -57,8 +58,8 @@ def generate():
                        sim, sink, plan.eta_function(1),
                        bound=construction.jitter_bound)]),
     ]
-    scenario = build_dumbbell(LinkConfig(rate=plan.link_rate), flows,
-                              sample_interval=0.05)
+    scenario = build_topology(
+        dumbbell_links(LinkConfig(rate=plan.link_rate)), flows)
     # Pre-fill the queue to realize the construction's d*(0).
     prefill_packets = int(plan.initial_queue_delay * plan.link_rate
                           // 1500)

@@ -23,7 +23,7 @@ from repro import units
 from repro.analysis.report import describe_run
 from repro.analysis.starvation import allegro_asymmetric_loss
 from repro.ccas import EcnAimd
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 from repro.sim.loss import RandomLossElement
 
 RM = units.ms(40)
@@ -31,9 +31,9 @@ RATE = units.mbps(120)
 
 
 def ecn_scenario():
-    return run_scenario_full(
-        LinkConfig(rate=RATE, buffer_bdp=4.0,
-                   ecn_threshold_bytes=0.5 * RATE * RM),
+    return run(
+        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=4.0,
+                                  ecn_threshold_bytes=0.5 * RATE * RM)),
         [FlowConfig(cca_factory=EcnAimd, rm=RM, label="lossy (2%)",
                     data_elements=[lambda sim, sink: RandomLossElement(
                         sim, sink, 0.02, seed=9)]),

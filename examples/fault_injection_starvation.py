@@ -20,8 +20,8 @@ Run:  python examples/fault_injection_starvation.py
 from repro import units
 from repro.analysis.report import describe_run
 from repro.ccas import BBR
-from repro.sim import FaultSchedule, FlowConfig, LinkConfig, \
-    run_scenario_full
+from repro.sim import (FaultSchedule, FlowConfig, LinkConfig,
+                       dumbbell_links, run)
 
 LINK = LinkConfig(rate=units.mbps(48), buffer_bdp=4.0)
 RM = units.ms(40)
@@ -33,8 +33,8 @@ def scheduled_blackouts():
     faults = FaultSchedule(seed=1)
     for k in range(1, int(DURATION / 5)):
         faults.blackout(5.0 * k, 5.0 * k + 0.5)
-    return run_scenario_full(
-        LINK,
+    return run(
+        dumbbell_links(LINK),
         [FlowConfig(cca_factory=lambda: BBR(seed=1), rm=RM,
                     label="victim (blackouts)", fault_schedule=faults),
          FlowConfig(cca_factory=lambda: BBR(seed=2), rm=RM,
@@ -47,8 +47,8 @@ def bursty_loss():
     """2% mean Gilbert-Elliott loss (bursts of ~8 packets) on one flow."""
     faults = FaultSchedule(seed=3).gilbert_elliott(
         0.0, float("inf"), mean_loss=0.02, burst_packets=8.0)
-    return run_scenario_full(
-        LINK,
+    return run(
+        dumbbell_links(LINK),
         [FlowConfig(cca_factory=lambda: BBR(seed=1), rm=RM,
                     label="victim (2% GE loss)", fault_schedule=faults),
          FlowConfig(cca_factory=lambda: BBR(seed=2), rm=RM,

@@ -20,7 +20,7 @@ Run:  python examples/jitter_aware_demo.py
 from repro import units
 from repro.analysis.report import describe_run
 from repro.ccas import JitterAware, Vegas
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 from repro.sim.jitter import ConstantJitter, ExemptFirstJitter
 
 RM = units.ms(40)
@@ -28,8 +28,9 @@ D = units.ms(10)
 
 
 def run_pair(cca_factory, rate_mbps, duration=90.0):
-    return run_scenario_full(
-        LinkConfig(rate=units.mbps(rate_mbps), buffer_bdp=20.0),
+    return run(
+        dumbbell_links(LinkConfig(rate=units.mbps(rate_mbps),
+                                  buffer_bdp=20.0)),
         [FlowConfig(cca_factory=cca_factory, rm=RM, label="poisoned",
                     ack_elements=[lambda sim, sink: ExemptFirstJitter(
                         sim, sink, D, exempt_seqs=[0])]),

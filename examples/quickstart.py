@@ -20,7 +20,7 @@ Run:  python examples/quickstart.py
 from repro import units
 from repro.analysis.report import describe_run
 from repro.ccas import Vegas
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 from repro.spec import (CCASpec, ElementSpec, FlowSpec, LinkSpec,
                         ScenarioSpec)
 
@@ -30,8 +30,8 @@ JITTER = units.ms(10)
 
 def clean_path():
     # Build layer: hand the runner live configs directly.
-    return run_scenario_full(
-        LinkConfig(rate=units.mbps(48)),
+    return run(
+        dumbbell_links(LinkConfig(rate=units.mbps(48))),
         [FlowConfig(cca_factory=Vegas, rm=RM, label="flow-a"),
          FlowConfig(cca_factory=Vegas, rm=RM, label="flow-b")],
         duration=30.0, warmup=10.0)

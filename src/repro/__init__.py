@@ -17,12 +17,12 @@ Layout:
 Quickstart:
 
     >>> from repro import units
-    >>> from repro.sim import LinkConfig, FlowConfig, run_scenario
+    >>> from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
     >>> from repro.ccas import Vegas
-    >>> stats = run_scenario(
-    ...     LinkConfig(rate=units.mbps(12)),
+    >>> stats = run(
+    ...     dumbbell_links(LinkConfig(rate=units.mbps(12))),
     ...     [FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
-    ...     duration=5.0)
+    ...     duration=5.0).stats
 """
 
 from . import units

@@ -157,9 +157,6 @@ class SweepOutcome:
     def failed_keys(self) -> List[str]:
         return [f.key for f in self.failures]
 
-    def result_for(self, key: str) -> Optional[Any]:
-        return self.completed.get(key)
-
 
 class ResilientSweep:
     """Run a grid of experiments with watchdogs, retries, checkpoints.

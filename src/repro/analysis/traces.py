@@ -2,7 +2,7 @@
 
 Lets downstream users plot runs with their own tooling:
 
-    result = run_scenario_full(...)
+    result = spec.run()                   # or repro.sim.run(...)
     export_run_tsv(result, "out/")        # one TSV per flow + queue
     arrays = flow_arrays(result.scenario.flows[0].recorder)
 """

@@ -31,8 +31,7 @@ Installed as the ``repro`` console script::
     repro jobs
     repro jobs JOB_ID --events
     repro jobs JOB_ID --cancel
-    repro run --rate 48 --rm 40 --cca copa --profile
-    repro sweep --cca copa --rates 2,10,50 --profile --profile-out p.pstats
+    python -m cProfile -s cumulative -m repro.cli run --rate 48 --cca copa
 
 Flow-spec strings and ``--link-*`` flags are sugar over the declarative
 :mod:`repro.spec` layer: every invocation first assembles a
@@ -125,20 +124,6 @@ def _apply_invariants(args: argparse.Namespace) -> None:
     if mode:
         from .sim.invariants import ENV_VAR
         os.environ[ENV_VAR] = mode
-
-
-def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
-    """cProfile flags shared by run/sweep."""
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="profile the command under cProfile and print the top "
-             "functions to stderr when it finishes")
-    parser.add_argument(
-        "--profile-top", type=int, default=25, metavar="N",
-        help="how many profile rows to print (default 25)")
-    parser.add_argument(
-        "--profile-out", default=None, metavar="PATH",
-        help="also dump raw pstats data to PATH (for snakeviz etc.)")
 
 
 def _add_pool_flags(parser: argparse.ArgumentParser, unit: str) -> None:
@@ -1076,7 +1061,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort the run after this many engine events (watchdog)")
     _add_cache_flags(run_parser)
     _add_robustness_flags(run_parser)
-    _add_profile_flags(run_parser)
     run_parser.set_defaults(func=cmd_run)
 
     sweep_parser = sub.add_parser("sweep",
@@ -1087,7 +1071,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--retry-failures", action="store_true",
         help="re-run checkpointed failed points (e.g. after raising "
              "--max-events) instead of keeping their failure records")
-    _add_profile_flags(sweep_parser)
     sweep_parser.set_defaults(func=cmd_sweep)
 
     matrix_parser = sub.add_parser(
@@ -1297,11 +1280,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "profile", False):
-        from .perf.profiling import maybe_profile
-        with maybe_profile(True, top=args.profile_top,
-                           out=args.profile_out):
-            return args.func(args)
     return args.func(args)
 
 

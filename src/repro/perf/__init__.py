@@ -1,16 +1,10 @@
-"""Performance subsystem: profiling and golden traces.
+"""Performance subsystem: golden traces.
 
-Two tools keep the simulator's hot path fast and honest (timing lives
-outside the package, in the repo benchmark: ``python3 bench/run.py``,
-see ``bench/README.md``):
-
-* :mod:`repro.perf.profiling` — a cProfile wrapper behind the
-  ``--profile`` flag of ``repro run``/``repro sweep``.
-* :mod:`repro.perf.golden` — deterministic digest capture for the
-  golden-trace guard (``tests/test_golden_traces.py``): every hot-path
-  optimization must reproduce the recorded digests bit for bit.
+:mod:`repro.perf.golden` is the deterministic digest capture behind the
+golden-trace guard (``tests/test_golden_traces.py``): every hot-path
+optimization must reproduce the recorded digests bit for bit. Timing
+lives outside the package, in the repo benchmark (``python3
+bench/run.py``, see ``bench/README.md``); for a profile, run the CLI
+under the stdlib profiler: ``python -m cProfile -s cumulative
+[-o p.pstats] -m repro.cli run ...``.
 """
-
-from .profiling import maybe_profile
-
-__all__ = ["maybe_profile"]

@@ -258,10 +258,6 @@ class Job:
     degraded: bool = False
     error: Optional[str] = None
 
-    @property
-    def finished_points(self) -> int:
-        return self.done + self.cached + self.failed
-
     def to_json(self) -> Dict[str, Any]:
         return {
             "id": self.id,

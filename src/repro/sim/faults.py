@@ -372,7 +372,7 @@ class FaultSchedule:
              down_time: float, phase: float = 0.0) -> "FaultSchedule":
         """Periodic up/down flapping inside the window."""
         # Validate eagerly so callers fail at schedule construction,
-        # not later inside build_dumbbell.
+        # not later inside build_topology.
         _require(period > 0, f"period must be > 0, got {period}")
         _require(0 < down_time < period,
                  f"down_time must be in (0, period), got {down_time}")
@@ -449,12 +449,3 @@ class FaultSchedule:
         """Expose the whole schedule as a single ElementFactory, so it
         can slot into ``FlowConfig.data_elements``/``ack_elements``."""
         return self.build
-
-
-def total_faulted_drops(schedule: FaultSchedule) -> int:
-    """Sum every drop-like counter across a built schedule's elements."""
-    total = 0
-    for _, element in schedule.elements():
-        for attr in ("dropped", "corrupted"):
-            total += getattr(element, attr, 0)
-    return total

@@ -27,7 +27,7 @@ Hot-path design notes (see docs/PERFORMANCE.md):
   the common case when several ACKs arrive between sends.
 * Senders/receivers built with a shared :class:`~repro.sim.packet.
   PacketPool` recycle packet and ACK objects instead of allocating one
-  per event (``build_dumbbell`` wires one pool per scenario; hand-built
+  per event (``build_topology`` wires one pool per scenario; hand-built
   hosts default to plain allocation).
 """
 

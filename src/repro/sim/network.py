@@ -1,4 +1,4 @@
-"""Scenario description and topology assembly (dumbbell + graphs).
+"""Scenario description and topology assembly.
 
 A scenario is one or more bottleneck links plus a list of flows. Each
 flow has its own CCA, propagation delay, optional jitter elements on
@@ -6,13 +6,11 @@ the data and ACK paths, optional loss element, and receiver ACK policy
 — exactly the degrees of freedom the paper's Section 3 model and
 Section 5 experiments exercise.
 
-:func:`build_topology` is the general builder: an ordered list of
+:func:`build_topology` is the one builder: an ordered list of
 :class:`TopologyLink` (each a :class:`BottleneckQueue` plus optional
 propagation delay and fault chain) with per-flow paths as link-id
-sequences. :func:`build_dumbbell` is the legacy single-link entry point
-and delegates to it — a one-link topology is wired with exactly the
-same constructor/scheduling sequence, so dumbbell runs stay
-bit-identical to the pre-topology builder.
+sequences. The paper's dumbbell is the one-link case,
+``build_topology(dumbbell_links(LinkConfig(...)), flows)``.
 """
 
 from __future__ import annotations
@@ -156,32 +154,32 @@ class BuiltFlow:
 
 
 class Scenario:
-    """A built scenario (dumbbell or multi-bottleneck) ready to run.
+    """A built scenario ready to run.
 
     ``queues``/``queue_recorders`` hold every link's queue in topology
-    declaration order; ``queue``/``queue_recorder`` stay as aliases for
-    the first (the designated bottleneck), so all pre-topology call
-    sites keep working unchanged.
+    declaration order (``link_ids``); ``queue``/``queue_recorder`` are
+    the first — the designated bottleneck.
     """
 
-    def __init__(self, sim: Simulator, queue: BottleneckQueue,
-                 flows: List[BuiltFlow],
-                 queue_recorder: QueueRecorder,
-                 sentinel: Optional[InvariantSentinel] = None,
-                 queues: Optional[List[BottleneckQueue]] = None,
-                 queue_recorders: Optional[List[QueueRecorder]] = None,
-                 link_ids: Optional[List[str]] = None) -> None:
+    def __init__(self, sim: Simulator, flows: List[BuiltFlow],
+                 queues: List[BottleneckQueue],
+                 queue_recorders: List[QueueRecorder],
+                 link_ids: List[str],
+                 sentinel: Optional[InvariantSentinel] = None) -> None:
         self.sim = sim
-        self.queues = list(queues) if queues is not None else [queue]
-        self.queue_recorders = (list(queue_recorders)
-                                if queue_recorders is not None
-                                else [queue_recorder])
-        self.queue = self.queues[0]
         self.flows = flows
-        self.queue_recorder = self.queue_recorders[0]
-        self.link_ids = (list(link_ids) if link_ids is not None
-                         else ["bottleneck"])
+        self.queues = queues
+        self.queue_recorders = queue_recorders
+        self.link_ids = link_ids
         self.sentinel = sentinel
+
+    @property
+    def queue(self) -> BottleneckQueue:
+        return self.queues[0]
+
+    @property
+    def queue_recorder(self) -> QueueRecorder:
+        return self.queue_recorders[0]
 
     def run(self, duration: float, max_events: Optional[int] = None,
             wall_clock_budget: Optional[float] = None) -> None:
@@ -221,32 +219,6 @@ def _walk_elements(entry: object, stop: object) -> List[object]:
     return found
 
 
-def build_dumbbell(link: LinkConfig, flows: Sequence[FlowConfig],
-                   sample_interval: float = 0.05,
-                   invariants: Optional[str] = None) -> Scenario:
-    """Assemble the Section 3 topology: shared FIFO + per-flow paths.
-
-    Forward path per flow:
-        sender -> data_elements -> shared bottleneck -> delay(rm) -> receiver
-    Reverse path per flow:
-        receiver -> ack_elements -> sender
-
-    The full propagation RTT rm is applied on the forward path after the
-    bottleneck; ACKs return instantly unless ack_elements add delay. The
-    measured RTT is therefore queueing + transmission + rm + jitter,
-    matching the paper's decomposition.
-
-    ``invariants`` selects the runtime sentinel mode (``off`` | ``warn``
-    | ``strict``); ``None`` resolves from the ``REPRO_INVARIANTS``
-    environment variable (default ``warn``). The sentinel observes the
-    built components without scheduling events, so enabling it is
-    bit-invisible to traces and summaries.
-    """
-    return build_topology(dumbbell_links(link), flows,
-                          sample_interval=sample_interval,
-                          invariants=invariants)
-
-
 def dumbbell_links(link: LinkConfig) -> List[TopologyLink]:
     """The dumbbell as the one-link topology it is."""
     return [TopologyLink("bottleneck", link)]
@@ -256,7 +228,7 @@ def build_topology(links: Sequence[TopologyLink],
                    flows: Sequence[FlowConfig],
                    sample_interval: float = 0.05,
                    invariants: Optional[str] = None) -> Scenario:
-    """Assemble a multi-bottleneck topology: serial queues + flow paths.
+    """Assemble the Section 3 network: serial FIFO queues + flow paths.
 
     Forward path per flow (path = links L1 .. Ln)::
 
@@ -269,16 +241,22 @@ def build_topology(links: Sequence[TopologyLink],
         receiver -> ack_elements -> sender
 
     Each link's propagation ``delay`` applies after its queue; a flow's
-    own ``rm`` is applied once after the final queue, exactly like the
-    dumbbell, so a one-link topology with zero link delay wires the
-    *identical* object graph ``build_dumbbell`` always produced (no
-    extra elements, same constructor and scheduling order) and stays
-    bit-identical to it.
+    full propagation RTT ``rm`` is applied once after the final queue,
+    and ACKs return instantly unless ack_elements add delay. The
+    measured RTT is therefore queueing + transmission + rm + jitter,
+    matching the paper's decomposition. A one-link topology with zero
+    link delay (:func:`dumbbell_links`) adds no elements of its own.
 
     ``FlowConfig.path`` names the traversed link ids in order; ``None``
     routes the flow over every link in declaration order. The first
     declared link is the designated bottleneck exposed as
     ``scenario.queue``.
+
+    ``invariants`` selects the runtime sentinel mode (``off`` | ``warn``
+    | ``strict``); ``None`` resolves from the ``REPRO_INVARIANTS``
+    environment variable (default ``warn``). The sentinel observes the
+    built components without scheduling events, so enabling it is
+    bit-invisible to traces and summaries.
     """
     if not links:
         raise ConfigurationError("topology needs at least one link")
@@ -379,7 +357,6 @@ def build_topology(links: Sequence[TopologyLink],
                     sentinel.register_element(element)
         sentinel.register_pool(pool)
         sentinel.attach(sim)
-    return Scenario(sim, queues[link_ids[0]], built, queue_recorders[0],
-                    sentinel=sentinel,
-                    queues=[queues[link_id] for link_id in link_ids],
-                    queue_recorders=queue_recorders, link_ids=link_ids)
+    return Scenario(sim, built,
+                    [queues[link_id] for link_id in link_ids],
+                    queue_recorders, link_ids, sentinel=sentinel)

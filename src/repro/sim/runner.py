@@ -1,16 +1,17 @@
 """High-level scenario runner producing per-flow statistics.
 
-This is the main entry point for packet-level experiments:
+:func:`run` is the one build-run-summarize entry point for packet-level
+experiments (:meth:`repro.spec.ScenarioSpec.run` is this function over
+the spec's configs):
 
-    >>> from repro.sim.runner import run_scenario
-    >>> from repro.sim.network import LinkConfig, FlowConfig
+    >>> from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
     >>> from repro.ccas.vegas import Vegas
     >>> from repro import units
-    >>> stats = run_scenario(
-    ...     LinkConfig(rate=units.mbps(12)),
+    >>> result = run(
+    ...     dumbbell_links(LinkConfig(rate=units.mbps(12))),
     ...     [FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
     ...     duration=5.0)
-    >>> stats[0].throughput > 0
+    >>> result.stats[0].throughput > 0
     True
 """
 
@@ -20,8 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .network import (FlowConfig, LinkConfig, Scenario, TopologyLink,
-                      build_topology, dumbbell_links)
+from .network import FlowConfig, Scenario, TopologyLink, build_topology
 
 
 @dataclass
@@ -119,32 +119,13 @@ def summarize(scenario: Scenario, duration: float,
     return stats
 
 
-def run_scenario(link: LinkConfig, flows: Sequence[FlowConfig],
-                 duration: float, warmup: float = 0.0,
-                 sample_interval: Optional[float] = None,
-                 max_events: Optional[int] = None,
-                 wall_clock_budget: Optional[float] = None,
-                 invariants: Optional[str] = None
-                 ) -> List[FlowStats]:
-    """Build, run, and summarize a dumbbell scenario.
-
-    Returns one :class:`FlowStats` per flow; use :func:`run_scenario_full`
-    when the raw recorders are needed too.
-    """
-    return run_scenario_full(link, flows, duration, warmup,
-                             sample_interval, max_events=max_events,
-                             wall_clock_budget=wall_clock_budget,
-                             invariants=invariants).stats
-
-
-def run_scenario_full(link: LinkConfig, flows: Sequence[FlowConfig],
-                      duration: float, warmup: float = 0.0,
-                      sample_interval: Optional[float] = None,
-                      max_events: Optional[int] = None,
-                      wall_clock_budget: Optional[float] = None,
-                      invariants: Optional[str] = None
-                      ) -> RunResult:
-    """Like :func:`run_scenario` but returns recorders and the scenario.
+def run(links: Sequence[TopologyLink], flows: Sequence[FlowConfig],
+        duration: float, warmup: float = 0.0,
+        sample_interval: Optional[float] = None,
+        max_events: Optional[int] = None,
+        wall_clock_budget: Optional[float] = None,
+        invariants: Optional[str] = None) -> RunResult:
+    """Build, run, and summarize a scenario over ``links``.
 
     ``max_events``/``wall_clock_budget`` arm the engine watchdog: a
     divergent run raises :class:`repro.errors.BudgetExceededError`
@@ -155,27 +136,6 @@ def run_scenario_full(link: LinkConfig, flows: Sequence[FlowConfig],
     ``REPRO_INVARIANTS``) — strict mode raises
     :class:`repro.errors.InvariantViolation` on the first violated
     conservation/causality/sanity invariant.
-    """
-    return run_topology_full(dumbbell_links(link), flows, duration,
-                             warmup, sample_interval,
-                             max_events=max_events,
-                             wall_clock_budget=wall_clock_budget,
-                             invariants=invariants)
-
-
-def run_topology_full(links: Sequence[TopologyLink],
-                      flows: Sequence[FlowConfig],
-                      duration: float, warmup: float = 0.0,
-                      sample_interval: Optional[float] = None,
-                      max_events: Optional[int] = None,
-                      wall_clock_budget: Optional[float] = None,
-                      invariants: Optional[str] = None
-                      ) -> RunResult:
-    """Build, run, and summarize a multi-bottleneck topology scenario.
-
-    The one build-run-summarize body: :func:`run_scenario_full` is this
-    function over the dumbbell's single link, so both share the default
-    sampling policy, watchdog budgets, and invariant-sentinel plumbing.
     """
     if sample_interval is None:
         # Sample finely enough to resolve the shortest RTT.

@@ -59,6 +59,35 @@ ELEMENTS: Dict[str, ElementEntry] = {
 }
 
 
+def _check_number(name: str, value: Any, *, positive: bool = False,
+                  allow_none: bool = False) -> None:
+    """Reject NaN/Inf/non-numeric (and optionally non-positive) values.
+
+    Every ``FlowSpec``/``LinkSpec``/``TopoLinkSpec``/``ScenarioSpec``
+    field that feeds a rate, delay, buffer or duration goes through
+    here, so a malformed spec — hand-written JSON, a buggy generator, a
+    corrupted file — fails at construction with a typed
+    :class:`SpecValidationError` instead of building a simulation that
+    silently misbehaves mid-run. Note that naive ``value <= 0``
+    comparisons let NaN through (every comparison with NaN is False),
+    which is exactly the hole this closes.
+    """
+    if value is None:
+        if allow_none:
+            return
+        raise SpecValidationError(f"{name} must be a number, got None")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecValidationError(
+            f"{name} must be a number, got {value!r}")
+    if math.isnan(value) or math.isinf(value):
+        raise SpecValidationError(
+            f"{name} must be finite, got {value!r}")
+    if positive and value <= 0:
+        raise SpecValidationError(f"{name} must be > 0, got {value!r}")
+    elif not positive and value < 0:
+        raise SpecValidationError(f"{name} must be >= 0, got {value!r}")
+
+
 def _normalize(params: Dict[str, Any]) -> Dict[str, Any]:
     """JSON-normalize params (tuples -> lists, keys -> str) so a spec
     compares equal to its JSON round trip."""

@@ -32,48 +32,27 @@ fault schedule always overrides the derived one.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..ccas import registry
 from ..errors import ConfigurationError, SpecValidationError
+from ..sim import runner
+from ..sim.faults import FaultSchedule
 from ..sim.network import (FlowConfig, LinkConfig, Scenario,
                            TopologyLink, build_topology, dumbbell_links)
-from ..sim.runner import RunResult, run_topology_full
-from .elements import ElementSpec, FaultScheduleSpec, _normalize
+from .elements import (ElementSpec, FaultScheduleSpec, _check_number,
+                       _normalize)
 from .seeds import derive_seed
 from .topology import TopologySpec
 
 SPEC_VERSION = 1
 
 
-def _check_number(name: str, value: Any, *, positive: bool = False,
-                  allow_none: bool = False) -> None:
-    """Reject NaN/Inf/non-numeric (and optionally non-positive) values.
-
-    Every ``FlowSpec``/``LinkSpec``/``ScenarioSpec`` field that feeds a
-    rate, delay, or duration goes through here, so a malformed spec —
-    hand-written JSON, a buggy generator, a corrupted file — fails at
-    construction with a typed :class:`SpecValidationError` instead of
-    building a simulation that silently misbehaves mid-run. Note that
-    naive ``value <= 0`` comparisons let NaN through (every comparison
-    with NaN is False), which is exactly the hole this closes.
-    """
-    if value is None:
-        if allow_none:
-            return
-        raise SpecValidationError(f"{name} must be a number, got None")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecValidationError(
-            f"{name} must be a number, got {value!r}")
-    if math.isnan(value) or math.isinf(value):
-        raise SpecValidationError(
-            f"{name} must be finite, got {value!r}")
-    if positive and value <= 0:
-        raise SpecValidationError(f"{name} must be > 0, got {value!r}")
-    elif not positive and value < 0:
-        raise SpecValidationError(f"{name} must be >= 0, got {value!r}")
+def _first(*values: Optional[float]) -> Optional[float]:
+    """The first value that is not None: an explicit argument, then the
+    spec's embedded run value, then a default."""
+    return next((v for v in values if v is not None), None)
 
 
 @dataclass(frozen=True)
@@ -212,8 +191,10 @@ class LinkSpec:
 
     def __post_init__(self) -> None:
         _check_number("link rate", self.rate, positive=True)
-        _check_number("buffer_bytes", self.buffer_bytes, allow_none=True)
-        _check_number("buffer_bdp", self.buffer_bdp, allow_none=True)
+        _check_number("buffer_bytes", self.buffer_bytes, positive=True,
+                      allow_none=True)
+        _check_number("buffer_bdp", self.buffer_bdp, positive=True,
+                      allow_none=True)
         _check_number("ecn_threshold_bytes", self.ecn_threshold_bytes,
                       positive=True, allow_none=True)
         if self.buffer_bytes is not None and self.buffer_bdp is not None:
@@ -314,11 +295,35 @@ class ScenarioSpec:
     # Build layer
     # ------------------------------------------------------------------
 
-    def _flow_configs(self) -> List[FlowConfig]:
-        """Materialize per-flow build configs (seed tree is identical
-        for dumbbell and topology scenarios, so a flow's RNG streams do
-        not depend on what graph it runs over)."""
-        flow_configs: List[FlowConfig] = []
+    def to_configs(self) -> Tuple[List[TopologyLink], List[FlowConfig]]:
+        """Materialize the live build-layer configs (with callables).
+
+        A dumbbell scenario yields its one-link topology. A topology
+        link's fault seed is keyed by its stable id, never its position,
+        so inserting a hop upstream does not reshuffle another link's
+        impairment RNG; a flow's seeds do not depend on the graph it
+        runs over.
+        """
+        def faults(owner: Any, *seed_path: Any) -> Optional[FaultSchedule]:
+            if owner.faults is None or not owner.faults.windows:
+                return None
+            return owner.faults.build(derive_seed(self.seed, *seed_path))
+
+        def config(lk: Any, *seed_path: Any) -> LinkConfig:
+            return LinkConfig(
+                rate=lk.rate, buffer_bytes=lk.buffer_bytes,
+                buffer_bdp=lk.buffer_bdp,
+                ecn_threshold_bytes=lk.ecn_threshold_bytes,
+                fault_schedule=faults(lk, *seed_path))
+
+        if self.topology is None:
+            links = dumbbell_links(config(self.link, "link", "faults"))
+        else:
+            links = [TopologyLink(lk.id,
+                                  config(lk, "link", lk.id, "faults"),
+                                  lk.delay)
+                     for lk in self.topology.links]
+        flows: List[FlowConfig] = []
         for i, flow in enumerate(self.flows):
             cca_factory = flow.cca.make_factory(
                 seed=derive_seed(self.seed, "flow", i, "cca"))
@@ -330,85 +335,31 @@ class ScenarioSpec:
                 element.factory(derive_seed(self.seed, "flow", i,
                                             "ack", j))
                 for j, element in enumerate(flow.ack_elements))
-            faults = None
-            if flow.faults is not None and flow.faults.windows:
-                faults = flow.faults.build(
-                    derive_seed(self.seed, "flow", i, "faults"))
-            flow_configs.append(FlowConfig(
+            flows.append(FlowConfig(
                 cca_factory=cca_factory, rm=flow.rm,
                 start_time=flow.start_time, mss=flow.mss,
                 data_elements=data, ack_elements=ack,
                 ack_every=flow.ack_every, ack_timeout=flow.ack_timeout,
-                burst_size=flow.burst_size, fault_schedule=faults,
+                burst_size=flow.burst_size,
+                fault_schedule=faults(flow, "flow", i, "faults"),
                 label=flow.label or f"{flow.cca.name}#{i}",
                 path=(flow.path or None)))
-        return flow_configs
-
-    def to_configs(self) -> Tuple[LinkConfig, List[FlowConfig]]:
-        """Materialize the live build-layer configs (with callables)."""
-        if self.topology is not None:
-            raise ConfigurationError(
-                "this scenario carries a topology; use "
-                "to_topology_configs()")
-        flow_configs = self._flow_configs()
-        link_faults = None
-        if self.link.faults is not None and self.link.faults.windows:
-            link_faults = self.link.faults.build(
-                derive_seed(self.seed, "link", "faults"))
-        link_config = LinkConfig(
-            rate=self.link.rate, buffer_bytes=self.link.buffer_bytes,
-            buffer_bdp=self.link.buffer_bdp,
-            ecn_threshold_bytes=self.link.ecn_threshold_bytes,
-            fault_schedule=link_faults)
-        return link_config, flow_configs
-
-    def to_topology_configs(self) -> Tuple[List[TopologyLink],
-                                           List[FlowConfig]]:
-        """Materialize topology build configs (with callables).
-
-        A dumbbell scenario yields its one-link topology. Per-link
-        fault seeds derive as ``derive_seed(seed, "link", link_id,
-        "faults")`` — keyed by stable link id, never position, so
-        inserting a hop upstream does not reshuffle another link's
-        impairment RNG.
-        """
-        if self.topology is None:
-            link, flows = self.to_configs()
-            return dumbbell_links(link), flows
-        links: List[TopologyLink] = []
-        for lk in self.topology.links:
-            faults = None
-            if lk.faults is not None and lk.faults.windows:
-                faults = lk.faults.build(
-                    derive_seed(self.seed, "link", lk.id, "faults"))
-            links.append(TopologyLink(
-                link_id=lk.id,
-                config=LinkConfig(
-                    rate=lk.rate, buffer_bytes=lk.buffer_bytes,
-                    buffer_bdp=lk.buffer_bdp,
-                    ecn_threshold_bytes=lk.ecn_threshold_bytes,
-                    fault_schedule=faults),
-                delay=lk.delay))
-        return links, self._flow_configs()
+        return links, flows
 
     def build(self, sample_interval: Optional[float] = None,
               invariants: Optional[str] = None) -> Scenario:
         """Produce the live :class:`Scenario` (build layer output)."""
-        interval = sample_interval
-        if interval is None:
-            interval = self.sample_interval
-        if interval is None:
-            interval = 0.05
-        links, flows = self.to_topology_configs()
-        return build_topology(links, flows, sample_interval=interval,
-                              invariants=invariants)
+        return build_topology(
+            *self.to_configs(), invariants=invariants,
+            sample_interval=_first(sample_interval, self.sample_interval,
+                                   0.05))
 
     def run(self, duration: Optional[float] = None,
             warmup: Optional[float] = None,
             sample_interval: Optional[float] = None,
             max_events: Optional[int] = None,
             wall_clock_budget: Optional[float] = None,
-            invariants: Optional[str] = None) -> RunResult:
+            invariants: Optional[str] = None) -> runner.RunResult:
         """Build and run; arguments override the spec's embedded values.
 
         ``invariants`` selects the runtime sentinel mode for this run
@@ -417,20 +368,16 @@ class ScenarioSpec:
         ``"strict"`` explicitly so pool workers behave identically to
         in-process runs regardless of inherited environment.
         """
-        run_duration = duration if duration is not None else self.duration
-        if run_duration is None:
+        duration = _first(duration, self.duration)
+        if duration is None:
             raise ConfigurationError(
                 "no duration: pass run(duration=...) or set it on the spec")
-        run_warmup = warmup if warmup is not None else self.warmup
-        if run_warmup is None:
-            run_warmup = 0.0
-        interval = (sample_interval if sample_interval is not None
-                    else self.sample_interval)
-        links, flows = self.to_topology_configs()
-        return run_topology_full(
-            links, flows, duration=run_duration, warmup=run_warmup,
-            sample_interval=interval, max_events=max_events,
-            wall_clock_budget=wall_clock_budget, invariants=invariants)
+        return runner.run(
+            *self.to_configs(), duration=duration,
+            warmup=_first(warmup, self.warmup, 0.0),
+            sample_interval=_first(sample_interval, self.sample_interval),
+            max_events=max_events, wall_clock_budget=wall_clock_budget,
+            invariants=invariants)
 
     # ------------------------------------------------------------------
     # Serialization

@@ -25,31 +25,11 @@ Seed derivation adds one branch to the existing tree (root ``S``)::
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SpecValidationError
-from .elements import FaultScheduleSpec
-
-
-def _check_number(name: str, value: Any, *, positive: bool = False,
-                  allow_none: bool = False) -> None:
-    """Reject NaN/Inf/non-numeric values (shared with scenario specs)."""
-    if value is None:
-        if allow_none:
-            return
-        raise SpecValidationError(f"{name} must be a number, got None")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecValidationError(
-            f"{name} must be a number, got {value!r}")
-    if math.isnan(value) or math.isinf(value):
-        raise SpecValidationError(
-            f"{name} must be finite, got {value!r}")
-    if positive and value <= 0:
-        raise SpecValidationError(f"{name} must be > 0, got {value!r}")
-    elif not positive and value < 0:
-        raise SpecValidationError(f"{name} must be >= 0, got {value!r}")
+from .elements import FaultScheduleSpec, _check_number
 
 
 def _check_id(name: str, value: Any) -> None:
@@ -105,9 +85,9 @@ class TopoLinkSpec:
         _check_number(f"link {self.id!r} rate", self.rate, positive=True)
         _check_number(f"link {self.id!r} delay", self.delay)
         _check_number(f"link {self.id!r} buffer_bytes", self.buffer_bytes,
-                      allow_none=True)
+                      positive=True, allow_none=True)
         _check_number(f"link {self.id!r} buffer_bdp", self.buffer_bdp,
-                      allow_none=True)
+                      positive=True, allow_none=True)
         _check_number(f"link {self.id!r} ecn_threshold_bytes",
                       self.ecn_threshold_bytes, positive=True,
                       allow_none=True)

@@ -6,11 +6,21 @@ import pytest
 
 from repro import units
 from repro.sim.engine import Simulator
+from repro.spec import CCASpec, FlowSpec, LinkSpec, ScenarioSpec
 
 
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()
+
+
+@pytest.fixture(scope="module")
+def run():
+    """One finished Vegas run, shared by the recorder and trace tests."""
+    return ScenarioSpec(
+        link=LinkSpec(rate=units.mbps(12)),
+        flows=(FlowSpec(cca=CCASpec("vegas"), rm=units.ms(40), label="v"),),
+    ).run(duration=5.0, warmup=1.0)
 
 
 class SinkSpy:

@@ -13,7 +13,6 @@ from repro.analysis.report import (comparison_line, describe_run,
 from repro.analysis.sweep import (RateDelayCurve, RateDelayPoint,
                                   log_rate_grid, sweep_rate_delay)
 from repro.ccas.vegas import Vegas
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
 from repro.sim.runner import FlowStats
 
 
@@ -61,12 +60,8 @@ class TestReport:
         assert "paper 2.7x" in line
         assert "[OK]" in line
 
-    def test_describe_run_smoke(self):
-        result = run_scenario_full(
-            LinkConfig(rate=units.mbps(12)),
-            [FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
-            duration=3.0, warmup=1.0)
-        text = describe_run("vegas single", result,
+    def test_describe_run_smoke(self, run):
+        text = describe_run("vegas single", run,
                             paper_numbers="n/a")
         assert "vegas single" in text
         assert "utilization" in text
@@ -98,11 +93,7 @@ class TestSweep:
         assert curve.worst_utilization() > 0.8
         assert all(p.d_min >= units.ms(50) for p in curve.points)
 
-    def test_summarize_run_keys(self):
-        result = run_scenario_full(
-            LinkConfig(rate=units.mbps(12)),
-            [FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
-            duration=3.0, warmup=1.0)
-        digest = summarize_run(result)
+    def test_summarize_run_keys(self, run):
+        digest = summarize_run(run)
         assert set(digest) >= {"throughputs_mbps", "ratio",
                                "utilization", "losses"}

@@ -4,9 +4,9 @@
 import pytest
 
 from repro import units
+from repro.analysis.starvation import bbr_rtt_starvation
 from repro.ccas.bbr import BBR, PROBE_BW_GAINS
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
-from repro.sim.jitter import AckAggregationJitter
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 from repro.sim.packet import AckInfo
 
 RATE = units.mbps(12)
@@ -68,8 +68,8 @@ def test_min_rtt_stamp_refreshes_on_matching_sample():
 
 
 def test_startup_exits_to_drain_then_probe_bw():
-    result = run_scenario_full(
-        LinkConfig(rate=RATE, buffer_bdp=8.0),
+    result = run(
+        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=8.0)),
         [FlowConfig(cca_factory=lambda: BBR(seed=3), rm=RM)],
         duration=5.0, warmup=0.0)
     cca = result.scenario.flows[0].sender.cca
@@ -77,21 +77,21 @@ def test_startup_exits_to_drain_then_probe_bw():
     assert cca.mode in (BBR.PROBE_BW, BBR.PROBE_RTT)
 
 
-def test_single_flow_full_utilization():
-    result = run_scenario_full(
-        LinkConfig(rate=RATE, buffer_bdp=8.0),
+@pytest.fixture(scope="module")
+def single_flow():
+    return run(
+        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=8.0)),
         [FlowConfig(cca_factory=lambda: BBR(seed=3), rm=RM)],
         duration=15.0, warmup=7.0)
-    assert result.utilization() > 0.9
 
 
-def test_pacing_mode_delay_band():
+def test_single_flow_full_utilization(single_flow):
+    assert single_flow.utilization() > 0.9
+
+
+def test_pacing_mode_delay_band(single_flow):
     """Pacing-mode RTT stays within ~[Rm, 1.25 Rm] (Figure 3)."""
-    result = run_scenario_full(
-        LinkConfig(rate=RATE, buffer_bdp=8.0),
-        [FlowConfig(cca_factory=lambda: BBR(seed=3), rm=RM)],
-        duration=15.0, warmup=7.0)
-    stats = result.stats[0]
+    stats = single_flow.stats[0]
     assert stats.min_rtt < RM * 1.1
     assert stats.max_rtt < RM * 1.6  # 1.25 plus queue/quanta slack
 
@@ -133,15 +133,7 @@ def test_probe_rtt_shrinks_cwnd():
 
 def test_rtt_starvation_two_flows():
     """Scaled Section 5.2: the smaller-Rm flow loses badly."""
-    result = run_scenario_full(
-        LinkConfig(rate=units.mbps(48), buffer_bdp=8.0),
-        [FlowConfig(cca_factory=lambda: BBR(seed=1), rm=units.ms(40),
-                    ack_elements=[lambda sim, sink: AckAggregationJitter(
-                        sim, sink, units.ms(4))]),
-         FlowConfig(cca_factory=lambda: BBR(seed=2), rm=units.ms(80),
-                    ack_elements=[lambda sim, sink: AckAggregationJitter(
-                        sim, sink, units.ms(4))])],
-        duration=40.0, warmup=15.0)
+    result = bbr_rtt_starvation(rate_mbps=48.0, duration=40.0, warmup=15.0)
     tput_small_rm = result.stats[0].throughput
     tput_large_rm = result.stats[1].throughput
     assert tput_large_rm > 2.0 * tput_small_rm

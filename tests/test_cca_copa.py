@@ -5,7 +5,7 @@ import pytest
 
 from repro import units
 from repro.ccas.copa import Copa
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 from repro.sim.jitter import ExemptFirstJitter
 
 RATE = units.mbps(12)
@@ -13,8 +13,8 @@ RM = units.ms(40)
 
 
 def run_single(cca_factory, duration=15.0, rate=RATE, rm=RM, **kwargs):
-    return run_scenario_full(
-        LinkConfig(rate=rate),
+    return run(
+        dumbbell_links(LinkConfig(rate=rate)),
         [FlowConfig(cca_factory=cca_factory, rm=rm, **kwargs)],
         duration=duration, warmup=duration / 2)
 
@@ -33,8 +33,8 @@ def test_delay_stays_low():
 
 
 def test_two_flows_fair():
-    result = run_scenario_full(
-        LinkConfig(rate=RATE),
+    result = run(
+        dumbbell_links(LinkConfig(rate=RATE)),
         [FlowConfig(cca_factory=Copa, rm=RM),
          FlowConfig(cca_factory=Copa, rm=RM)],
         duration=20.0, warmup=10.0)

@@ -4,7 +4,7 @@ import pytest
 
 from repro import units
 from repro.ccas.delay_aimd import DelayAimd
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 from repro.sim.jitter import ConstantJitter, ExemptFirstJitter
 
 RM = units.ms(40)
@@ -16,15 +16,19 @@ def test_threshold_validation():
         DelayAimd(threshold=0.0)
 
 
-def test_single_flow_sawtooth_and_efficiency():
-    result = run_scenario_full(
-        LinkConfig(rate=RATE, buffer_bdp=8.0),
+@pytest.fixture(scope="module")
+def single_flow():
+    return run(
+        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=8.0)),
         [FlowConfig(cca_factory=lambda: DelayAimd(threshold=units.ms(30)),
                     rm=RM)],
         duration=20.0, warmup=10.0)
-    stats = result.stats[0]
-    assert result.utilization() > 0.9
-    cca = result.scenario.flows[0].sender.cca
+
+
+def test_single_flow_sawtooth_and_efficiency(single_flow):
+    stats = single_flow.stats[0]
+    assert single_flow.utilization() > 0.9
+    cca = single_flow.scenario.flows[0].sender.cca
     assert cca.backoffs > 3
     # Large oscillation BY DESIGN: delta comparable to the threshold —
     # this is what makes it NOT delay-convergent in the paper's sense.
@@ -32,19 +36,14 @@ def test_single_flow_sawtooth_and_efficiency():
     assert delta > 0.4 * units.ms(30)
 
 
-def test_delay_band_respects_threshold():
-    result = run_scenario_full(
-        LinkConfig(rate=RATE, buffer_bdp=8.0),
-        [FlowConfig(cca_factory=lambda: DelayAimd(threshold=units.ms(30)),
-                    rm=RM)],
-        duration=20.0, warmup=10.0)
+def test_delay_band_respects_threshold(single_flow):
     # Max RTT overshoots the threshold by at most ~1 in-flight window.
-    assert result.stats[0].max_rtt < RM + 2.5 * units.ms(30)
+    assert single_flow.stats[0].max_rtt < RM + 2.5 * units.ms(30)
 
 
 def test_two_clean_flows_fair():
-    result = run_scenario_full(
-        LinkConfig(rate=RATE, buffer_bdp=8.0),
+    result = run(
+        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=8.0)),
         [FlowConfig(cca_factory=lambda: DelayAimd(threshold=units.ms(30)),
                     rm=RM),
          FlowConfig(cca_factory=lambda: DelayAimd(threshold=units.ms(30)),
@@ -55,8 +54,8 @@ def test_two_clean_flows_fair():
 
 def poisoned_pair(rate_mbps, threshold_ms=30.0, duration=60.0):
     factory = lambda: DelayAimd(threshold=units.ms(threshold_ms))
-    return run_scenario_full(
-        LinkConfig(rate=units.mbps(rate_mbps), buffer_bdp=8.0),
+    return run(
+        dumbbell_links(LinkConfig(rate=units.mbps(rate_mbps), buffer_bdp=8.0)),
         [FlowConfig(cca_factory=factory, rm=RM, label="poisoned",
                     ack_elements=[lambda sim, sink: ExemptFirstJitter(
                         sim, sink, units.ms(10), exempt_seqs=[0])]),

@@ -4,7 +4,7 @@ import pytest
 
 from repro import units
 from repro.ccas.jitteraware import JitterAware
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 from repro.sim.jitter import ConstantJitter, SquareWaveJitter
 
 RM = units.ms(40)
@@ -48,22 +48,22 @@ def test_rates_factor_s_apart_map_to_delays_d_apart():
         2.0 * cca.target_rate(d2))
 
 
-def test_single_flow_utilizes_a_link_in_range():
+@pytest.fixture(scope="module")
+def single_flow():
     # mu+ = mu- * s^((rmax - D)/D) = 100k * 2^9 = ~51 Mbit/s in bytes...
     # use a 6 Mbit/s link, well within range.
-    result = run_scenario_full(
-        LinkConfig(rate=units.mbps(6), buffer_bdp=20.0),
+    return run(
+        dumbbell_links(LinkConfig(rate=units.mbps(6), buffer_bdp=20.0)),
         [FlowConfig(cca_factory=lambda: make(rm=RM), rm=RM)],
         duration=60.0, warmup=30.0)
-    assert result.utilization() > 0.7
 
 
-def test_keeps_delay_between_rm_plus_d_and_rmax():
-    result = run_scenario_full(
-        LinkConfig(rate=units.mbps(6), buffer_bdp=20.0),
-        [FlowConfig(cca_factory=lambda: make(rm=RM), rm=RM)],
-        duration=60.0, warmup=30.0)
-    stats = result.stats[0]
+def test_single_flow_utilizes_a_link_in_range(single_flow):
+    assert single_flow.utilization() > 0.7
+
+
+def test_keeps_delay_between_rm_plus_d_and_rmax(single_flow):
+    stats = single_flow.stats[0]
     # Equilibrium queueing delay must exceed D (Theorem 2's price of
     # efficiency) and stay below rmax.
     assert stats.mean_rtt > RM + 0.5 * D
@@ -74,8 +74,8 @@ def test_two_flows_with_asymmetric_jitter_stay_s_fair():
     """The headline Section 6.3 claim: jitter <= D cannot force the
     flows' inferred rates more than a factor s apart; empirically the
     throughput ratio stays well bounded (no starvation)."""
-    result = run_scenario_full(
-        LinkConfig(rate=units.mbps(6), buffer_bdp=20.0),
+    result = run(
+        dumbbell_links(LinkConfig(rate=units.mbps(6), buffer_bdp=20.0)),
         [FlowConfig(cca_factory=lambda: make(rm=RM), rm=RM,
                     label="jittered",
                     ack_elements=[lambda sim, sink: SquareWaveJitter(
@@ -95,8 +95,8 @@ def test_vegas_starves_under_same_jitter_budget_for_contrast():
     so the adversary uses the one-fast-packet trick of Section 5.1."""
     from repro.ccas.vegas import Vegas
     from repro.sim.jitter import ExemptFirstJitter
-    result = run_scenario_full(
-        LinkConfig(rate=units.mbps(48), buffer_bdp=20.0),
+    result = run(
+        dumbbell_links(LinkConfig(rate=units.mbps(48), buffer_bdp=20.0)),
         [FlowConfig(cca_factory=Vegas, rm=RM, label="poisoned",
                     ack_elements=[lambda sim, sink: ExemptFirstJitter(
                         sim, sink, D, exempt_seqs=[0])]),
@@ -110,8 +110,8 @@ def test_vegas_starves_under_same_jitter_budget_for_contrast():
 def test_jitteraware_bounded_under_min_rtt_poisoning():
     """Algorithm 1 under the exact adversary that starves Vegas above."""
     from repro.sim.jitter import ExemptFirstJitter
-    result = run_scenario_full(
-        LinkConfig(rate=units.mbps(6), buffer_bdp=20.0),
+    result = run(
+        dumbbell_links(LinkConfig(rate=units.mbps(6), buffer_bdp=20.0)),
         [FlowConfig(cca_factory=lambda: make(rm=None), rm=RM,
                     label="poisoned",
                     ack_elements=[lambda sim, sink: ExemptFirstJitter(

@@ -3,17 +3,18 @@
 import pytest
 
 from repro import units
+from repro.analysis.starvation import loss_based_delayed_acks
 from repro.ccas.cubic import Cubic
 from repro.ccas.reno import NewReno
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 
 RATE = units.mbps(6)
 RM = units.ms(60)
 
 
 def run_single(cca_factory, duration=20.0, buffer_bdp=1.0):
-    return run_scenario_full(
-        LinkConfig(rate=RATE, buffer_bdp=buffer_bdp),
+    return run(
+        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=buffer_bdp)),
         [FlowConfig(cca_factory=cca_factory, rm=RM)],
         duration=duration, warmup=duration / 2)
 
@@ -64,8 +65,8 @@ class TestNewReno:
         assert cca.cwnd == 1.0
 
     def test_slow_start_doubles_per_rtt(self):
-        result = run_scenario_full(
-            LinkConfig(rate=units.mbps(50), buffer_bdp=4.0),
+        result = run(
+            dumbbell_links(LinkConfig(rate=units.mbps(50), buffer_bdp=4.0)),
             [FlowConfig(cca_factory=lambda: NewReno(initial_cwnd=2),
                         rm=RM)],
             duration=1.0, warmup=0.0)
@@ -103,8 +104,8 @@ class TestCubic:
 
 
 def test_reno_vs_reno_is_fair():
-    result = run_scenario_full(
-        LinkConfig(rate=RATE, buffer_bdp=1.0),
+    result = run(
+        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=1.0)),
         [FlowConfig(cca_factory=NewReno, rm=RM),
          FlowConfig(cca_factory=NewReno, rm=RM)],
         duration=60.0, warmup=20.0)
@@ -113,13 +114,7 @@ def test_reno_vs_reno_is_fair():
 
 def test_delayed_acks_bias_but_do_not_starve():
     """Figure 7 shape at reduced scale: bounded unfairness."""
-    result = run_scenario_full(
-        LinkConfig(rate=RATE, buffer_bytes=60 * 1500),
-        [FlowConfig(cca_factory=NewReno, rm=units.ms(120), ack_every=4,
-                    ack_timeout=units.ms(200), label="delacks"),
-         FlowConfig(cca_factory=NewReno, rm=units.ms(120),
-                    label="perpkt")],
-        duration=100.0, warmup=30.0)
+    result = loss_based_delayed_acks(duration=100.0, warmup=30.0)
     ratio = result.throughput_ratio()
     assert 1.2 < ratio < 8.0           # biased...
     assert result.stats[0].throughput > 0.05 * RATE  # ...but not starved

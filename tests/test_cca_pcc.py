@@ -4,12 +4,13 @@
 import pytest
 
 from repro import units
+from repro.analysis.starvation import (allegro_asymmetric_loss,
+                                       allegro_single_flow_loss,
+                                       vivace_ack_aggregation)
 from repro.ccas.allegro import Allegro
 from repro.ccas.pcc_base import MonitorStats
 from repro.ccas.vivace import Vivace
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
-from repro.sim.jitter import AckAggregationJitter
-from repro.sim.loss import RandomLossElement
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 
 RATE = units.mbps(12)
 RM = units.ms(40)
@@ -102,8 +103,8 @@ class TestAllegroUtility:
 
 class TestVivaceIntegration:
     def test_converges_near_capacity_low_delay(self):
-        result = run_scenario_full(
-            LinkConfig(rate=RATE, buffer_bdp=8.0),
+        result = run(
+            dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=8.0)),
             [FlowConfig(cca_factory=Vivace, rm=RM)],
             duration=20.0, warmup=10.0)
         assert result.utilization() > 0.8
@@ -112,26 +113,16 @@ class TestVivaceIntegration:
 
     def test_ack_aggregation_starves_vivace(self):
         """Section 5.3 shape at reduced scale."""
-        result = run_scenario_full(
-            LinkConfig(rate=RATE, buffer_bdp=8.0),
-            [FlowConfig(cca_factory=Vivace, rm=RM, label="agg",
-                        ack_elements=[
-                            lambda sim, sink: AckAggregationJitter(
-                                sim, sink, units.ms(40))]),
-             FlowConfig(cca_factory=Vivace, rm=RM, label="clean")],
+        result = vivace_ack_aggregation(
+            rate_mbps=12.0, rm_ms=40.0, aggregation_ms=40.0,
             duration=40.0, warmup=15.0)
         assert result.stats[1].throughput > 3 * result.stats[0].throughput
 
 
 class TestAllegroIntegration:
     def test_single_flow_with_loss_fully_utilizes(self):
-        result = run_scenario_full(
-            LinkConfig(rate=RATE, buffer_bdp=1.0),
-            [FlowConfig(cca_factory=lambda: Allegro(seed=1), rm=RM,
-                        data_elements=[
-                            lambda sim, sink: RandomLossElement(
-                                sim, sink, 0.02, seed=5)])],
-            duration=40.0, warmup=20.0)
+        result = allegro_single_flow_loss(rate_mbps=12.0, seed=5,
+                                          warmup=20.0)
         assert result.utilization() > 0.7
 
     def test_asymmetric_loss_biases_heavily(self):
@@ -140,16 +131,7 @@ class TestAllegroIntegration:
         # dilute the effect and the divergence builds over tens of
         # seconds (with seed-dependent onset), so this test keeps the
         # paper's rate and duration and pins the seeds.
-        result = run_scenario_full(
-            LinkConfig(rate=units.mbps(120), buffer_bdp=1.0),
-            [FlowConfig(cca_factory=lambda: Allegro(seed=1), rm=RM,
-                        label="lossy",
-                        data_elements=[
-                            lambda sim, sink: RandomLossElement(
-                                sim, sink, 0.02, seed=11)]),
-             FlowConfig(cca_factory=lambda: Allegro(seed=2), rm=RM,
-                        label="clean")],
-            duration=60.0, warmup=30.0)
+        result = allegro_asymmetric_loss(warmup=30.0)
         assert result.stats[1].throughput > 2 * result.stats[0].throughput
 
 
@@ -163,8 +145,8 @@ def test_mi_accounting_attributes_by_send_time():
             recorded.append(stats)
             super().on_interval_done(stats)
 
-    result = run_scenario_full(
-        LinkConfig(rate=RATE, buffer_bdp=4.0),
+    result = run(
+        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=4.0)),
         [FlowConfig(cca_factory=Probe, rm=RM)],
         duration=5.0, warmup=0.0)
     assert recorded, "no monitor intervals completed"

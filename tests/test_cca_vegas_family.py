@@ -11,7 +11,7 @@ from repro import units
 from repro.ccas.fast import FastTCP
 from repro.ccas.ledbat import Ledbat
 from repro.ccas.vegas import Vegas
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 from repro.sim.jitter import ConstantJitter
 
 
@@ -20,8 +20,8 @@ RM = units.ms(40)
 
 
 def run_single(cca_factory, duration=12.0, rate=RATE, rm=RM, **kwargs):
-    return run_scenario_full(
-        LinkConfig(rate=rate, **kwargs.pop("link", {})),
+    return run(
+        dumbbell_links(LinkConfig(rate=rate, **kwargs.pop("link", {}))),
         [FlowConfig(cca_factory=cca_factory, rm=rm, **kwargs)],
         duration=duration, warmup=duration / 2)
 
@@ -53,8 +53,8 @@ class TestVegas:
         # a fixed point), and the later slow-start exiter additionally
         # inflates its base-RTT estimate. Bounded unfairness ~beta/alpha
         # is expected; starvation is not.
-        result = run_scenario_full(
-            LinkConfig(rate=RATE),
+        result = run(
+            dumbbell_links(LinkConfig(rate=RATE)),
             [FlowConfig(cca_factory=Vegas, rm=RM),
              FlowConfig(cca_factory=Vegas, rm=RM)],
             duration=20.0, warmup=10.0)

@@ -5,37 +5,37 @@ import pytest
 
 from repro import units
 from repro.ccas.verus import Verus
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 from repro.sim.jitter import ConstantJitter, ExemptFirstJitter
 
 RM = units.ms(40)
 RATE = units.mbps(12)
 
 
-def test_single_flow_fully_utilizes():
-    result = run_scenario_full(
-        LinkConfig(rate=RATE, buffer_bdp=8.0),
+@pytest.fixture(scope="module")
+def single_flow():
+    return run(
+        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=8.0)),
         [FlowConfig(cca_factory=Verus, rm=RM)],
         duration=20.0, warmup=10.0)
-    assert result.utilization() > 0.9
 
 
-def test_delay_converges_to_target_band():
+def test_single_flow_fully_utilizes(single_flow):
+    assert single_flow.utilization() > 0.9
+
+
+def test_delay_converges_to_target_band(single_flow):
     """Verus is delay-convergent: RTT settles inside
     [min_target, max_target] x min_rtt with a narrow band."""
-    result = run_scenario_full(
-        LinkConfig(rate=RATE, buffer_bdp=8.0),
-        [FlowConfig(cca_factory=Verus, rm=RM)],
-        duration=20.0, warmup=10.0)
-    stats = result.stats[0]
+    stats = single_flow.stats[0]
     assert stats.mean_rtt < 4.5 * RM
     assert stats.mean_rtt > 1.0 * RM
     assert (stats.max_rtt - stats.min_rtt) < 0.5 * RM
 
 
 def test_two_flows_share_fairly():
-    result = run_scenario_full(
-        LinkConfig(rate=RATE, buffer_bdp=8.0),
+    result = run(
+        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=8.0)),
         [FlowConfig(cca_factory=Verus, rm=RM),
          FlowConfig(cca_factory=Verus, rm=RM)],
         duration=30.0, warmup=15.0)
@@ -64,8 +64,8 @@ def test_min_rtt_poisoning_biases_verus():
     min-RTT poisoning (10 ms) that bites Vegas biases Verus too: the
     poisoned flow's delay target (a multiple of its min RTT) is
     deflated relative to its true path."""
-    result = run_scenario_full(
-        LinkConfig(rate=units.mbps(24), buffer_bdp=8.0),
+    result = run(
+        dumbbell_links(LinkConfig(rate=units.mbps(24), buffer_bdp=8.0)),
         [FlowConfig(cca_factory=Verus, rm=RM, label="poisoned",
                     ack_elements=[lambda sim, sink: ExemptFirstJitter(
                         sim, sink, units.ms(10), exempt_seqs=[0])]),

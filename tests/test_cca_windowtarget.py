@@ -4,7 +4,8 @@ import pytest
 
 from repro import units
 from repro.ccas.windowtarget import WindowTarget
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+import repro.sim
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links
 
 RM = 0.05
 RATE = units.mbps(24)
@@ -18,8 +19,8 @@ def test_parameter_validation():
 
 
 def test_converges_to_predicted_rtt():
-    result = run_scenario_full(
-        LinkConfig(rate=RATE),
+    result = repro.sim.run(
+        dumbbell_links(LinkConfig(rate=RATE)),
         [FlowConfig(cca_factory=lambda: WindowTarget(rm=RM), rm=RM)],
         duration=20.0, warmup=10.0)
     expected = RM + 0.04 + 6000.0 / RATE
@@ -32,8 +33,8 @@ def test_initial_window_preserves_convergence():
     the packet-level Theorem 1 replay depends on."""
     expected_rtt = RM + 0.04 + 6000.0 / RATE
     window = RATE * expected_rtt
-    result = run_scenario_full(
-        LinkConfig(rate=RATE),
+    result = repro.sim.run(
+        dumbbell_links(LinkConfig(rate=RATE)),
         [FlowConfig(cca_factory=lambda: WindowTarget(
             rm=RM, initial_window=window), rm=RM)],
         duration=4.0, warmup=1.0)
@@ -44,8 +45,8 @@ def test_initial_window_preserves_convergence():
 
 
 def test_two_flows_share_fairly():
-    result = run_scenario_full(
-        LinkConfig(rate=RATE),
+    result = repro.sim.run(
+        dumbbell_links(LinkConfig(rate=RATE)),
         [FlowConfig(cca_factory=lambda: WindowTarget(rm=RM), rm=RM),
          FlowConfig(cca_factory=lambda: WindowTarget(rm=RM), rm=RM)],
         duration=30.0, warmup=15.0)
@@ -54,8 +55,8 @@ def test_two_flows_share_fairly():
 
 def test_deterministic_runs():
     def run():
-        return run_scenario_full(
-            LinkConfig(rate=RATE),
+        return repro.sim.run(
+            dumbbell_links(LinkConfig(rate=RATE)),
             [FlowConfig(cca_factory=lambda: WindowTarget(rm=RM), rm=RM)],
             duration=5.0, warmup=1.0)
 

@@ -11,15 +11,15 @@ import pytest
 
 from repro import units
 from repro.ccas import BBR, Copa, Cubic, NewReno, Vegas
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 
 RATE = units.mbps(24)
 RM = units.ms(40)
 
 
 def compete(factory_a, factory_b, duration=40.0, buffer_bdp=2.0):
-    result = run_scenario_full(
-        LinkConfig(rate=RATE, buffer_bdp=buffer_bdp),
+    result = run(
+        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=buffer_bdp)),
         [FlowConfig(cca_factory=factory_a, rm=RM, label="a"),
          FlowConfig(cca_factory=factory_b, rm=RM, label="b")],
         duration=duration, warmup=duration * 0.4)

@@ -3,7 +3,7 @@
 
 from repro import units
 from repro.ccas.ecn import EcnAimd
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 from repro.sim.engine import Simulator
 from repro.sim.loss import RandomLossElement
 from repro.sim.packet import Packet
@@ -54,8 +54,8 @@ class TestEcnAimd:
                           ecn_threshold_bytes=threshold_bdp * RATE * RM)
 
     def test_single_flow_utilizes_and_bounds_queue(self):
-        result = run_scenario_full(
-            self.ecn_link(),
+        result = run(
+            dumbbell_links(self.ecn_link()),
             [FlowConfig(cca_factory=EcnAimd, rm=RM)],
             duration=20.0, warmup=10.0)
         assert result.utilization() > 0.85
@@ -64,8 +64,8 @@ class TestEcnAimd:
         assert result.stats[0].max_rtt < RM + 2.0 * RM
 
     def test_reacts_to_marks_not_losses(self):
-        result = run_scenario_full(
-            self.ecn_link(),
+        result = run(
+            dumbbell_links(self.ecn_link()),
             [FlowConfig(cca_factory=EcnAimd, rm=RM,
                         data_elements=[
                             lambda sim, sink: RandomLossElement(
@@ -79,8 +79,8 @@ class TestEcnAimd:
     def test_asymmetric_loss_does_not_starve(self):
         """The Section 6.4 conjecture: the same 2%-loss asymmetry that
         starves PCC Allegro leaves ECN-driven AIMD roughly fair."""
-        result = run_scenario_full(
-            self.ecn_link(),
+        result = run(
+            dumbbell_links(self.ecn_link()),
             [FlowConfig(cca_factory=EcnAimd, rm=RM, label="lossy",
                         data_elements=[
                             lambda sim, sink: RandomLossElement(
@@ -93,8 +93,9 @@ class TestEcnAimd:
     def test_heavy_loss_falls_back_to_aimd(self):
         """Above the tolerance (no-AQM path, buffer overflowing), the
         CCA must still cut like Reno for safety."""
-        result = run_scenario_full(
-            LinkConfig(rate=RATE, buffer_bdp=0.5),   # no ECN, tiny buffer
+        result = run(
+            # no ECN, tiny buffer
+            dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=0.5)),
             [FlowConfig(cca_factory=EcnAimd, rm=RM)],
             duration=20.0, warmup=10.0)
         # Survives (no collapse) and does not blow the queue forever.
@@ -102,8 +103,8 @@ class TestEcnAimd:
         assert result.stats[0].timeouts <= 2
 
     def test_two_clean_flows_fair(self):
-        result = run_scenario_full(
-            self.ecn_link(),
+        result = run(
+            dumbbell_links(self.ecn_link()),
             [FlowConfig(cca_factory=EcnAimd, rm=RM),
              FlowConfig(cca_factory=EcnAimd, rm=RM)],
             duration=40.0, warmup=15.0)

@@ -15,7 +15,7 @@ import pytest
 
 from repro import units
 from repro.ccas import BBR, Copa, FastTCP, Vegas
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 
 RATE = units.mbps(24)
 RM = units.ms(40)
@@ -25,9 +25,8 @@ MSS = 1500
 def run_n(cca_factory, n, duration=25.0, **link_kwargs):
     flows = [FlowConfig(cca_factory=cca_factory, rm=RM)
              for _ in range(n)]
-    return run_scenario_full(LinkConfig(rate=RATE, **link_kwargs),
-                             flows, duration=duration,
-                             warmup=duration * 0.6)
+    return run(dumbbell_links(LinkConfig(rate=RATE, **link_kwargs)),
+               flows, duration=duration, warmup=duration * 0.6)
 
 
 class TestVegasEquilibrium:
@@ -87,8 +86,8 @@ class TestBbrCwndLimitedEquilibrium:
             ack_elements=[lambda sim, sink: AckAggregationJitter(
                 sim, sink, units.ms(4))])
             for i in range(n)]
-        return run_scenario_full(
-            LinkConfig(rate=RATE, buffer_bdp=8.0), flows,
+        return run(
+            dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=8.0)), flows,
             duration=duration, warmup=duration * 0.5)
 
     def test_single_flow_stays_pacing_limited(self):
@@ -138,8 +137,8 @@ class TestIntroMotivation:
 
     def test_vegas_starves_against_reno(self):
         from repro.ccas import NewReno
-        result = run_scenario_full(
-            LinkConfig(rate=RATE, buffer_bdp=2.0),
+        result = run(
+            dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=2.0)),
             [FlowConfig(cca_factory=Vegas, rm=RM, label="vegas"),
              FlowConfig(cca_factory=NewReno, rm=RM, label="reno")],
             duration=40.0, warmup=15.0)
@@ -151,8 +150,8 @@ class TestIntroMotivation:
     def test_bbr_competes_with_reno(self):
         """BBR was designed to fix that; it holds a healthy share."""
         from repro.ccas import NewReno
-        result = run_scenario_full(
-            LinkConfig(rate=RATE, buffer_bdp=2.0),
+        result = run(
+            dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=2.0)),
             [FlowConfig(cca_factory=lambda: BBR(seed=1), rm=RM,
                         label="bbr"),
              FlowConfig(cca_factory=NewReno, rm=RM, label="reno")],

@@ -8,7 +8,8 @@ from repro import units
 from repro.ccas import BBR
 from repro.ccas.vegas import Vegas
 from repro.errors import ConfigurationError
-from repro.sim import FlowConfig, LinkConfig, run_scenario
+import repro.sim
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links
 from repro.sim.faults import (BlackoutElement, CorruptionElement,
                               DuplicateElement, FaultSchedule, FaultWindow,
                               GilbertElliottLossElement, LinkFlapElement,
@@ -84,11 +85,9 @@ class TestBlackout:
         assert element.dropped == 3
 
     def test_zero_deliveries_inside_window_end_to_end(self):
-        from repro.sim import run_scenario_full
-
         faults = FaultSchedule().blackout(2.0, 3.0)
-        result = run_scenario_full(
-            LinkConfig(rate=units.mbps(12)),
+        result = repro.sim.run(
+            dumbbell_links(LinkConfig(rate=units.mbps(12))),
             [FlowConfig(cca_factory=Vegas, rm=units.ms(40),
                         fault_schedule=faults)],
             duration=6.0)
@@ -238,11 +237,11 @@ class TestFaultSchedule:
             faults = (FaultSchedule(seed=11)
                       .gilbert_elliott(0.0, 10.0, mean_loss=0.05)
                       .duplicate(2.0, 8.0, prob=0.1))
-            stats = run_scenario(
-                LinkConfig(rate=units.mbps(12)),
+            stats = repro.sim.run(
+                dumbbell_links(LinkConfig(rate=units.mbps(12))),
                 [FlowConfig(cca_factory=Vegas, rm=units.ms(40),
                             fault_schedule=faults)],
-                duration=10.0, warmup=2.0)
+                duration=10.0, warmup=2.0).stats
             return stats[0]
 
         first, second = run(), run()
@@ -258,24 +257,24 @@ class TestFaultSchedule:
                       .reorder(9.0, 12.0, prob=0.05, extra_delay=0.005)
                       .duplicate(0.0, 15.0, prob=0.02)
                       .corrupt(0.0, 15.0, prob=0.01))
-            return run_scenario(
-                LinkConfig(rate=units.mbps(24)),
+            return repro.sim.run(
+                dumbbell_links(LinkConfig(rate=units.mbps(24))),
                 [FlowConfig(cca_factory=lambda: BBR(seed=1),
                             rm=units.ms(30), fault_schedule=faults),
                  FlowConfig(cca_factory=lambda: BBR(seed=2),
                             rm=units.ms(30))],
-                duration=15.0, warmup=5.0)
+                duration=15.0, warmup=5.0).stats
 
         assert run() == run()
 
     def test_shared_link_faults_hit_every_flow(self):
         link_faults = FaultSchedule().blackout(1.0, 2.0)
-        stats = run_scenario(
-            LinkConfig(rate=units.mbps(12),
-                       fault_schedule=link_faults),
+        stats = repro.sim.run(
+            dumbbell_links(LinkConfig(rate=units.mbps(12),
+                                      fault_schedule=link_faults)),
             [FlowConfig(cca_factory=Vegas, rm=units.ms(40)),
              FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
-            duration=5.0, warmup=2.5)
+            duration=5.0, warmup=2.5).stats
         blackout = link_faults.elements()[0][1]
         assert blackout.dropped > 0
         # Both flows keep running after the shared outage.

@@ -11,7 +11,7 @@ from repro.analysis.harness import (RECOVERABLE, ResilientSweep, RunBudget,
 from repro.analysis.sweep import log_rate_grid, sweep_rate_delay
 from repro.ccas.vegas import Vegas
 from repro.errors import BudgetExceededError, SimulationError
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 from repro.sim.engine import Simulator
 
 
@@ -66,8 +66,8 @@ class TestEngineWatchdog:
 
     def test_scenario_run_forwards_budgets(self):
         with pytest.raises(BudgetExceededError):
-            run_scenario_full(
-                LinkConfig(rate=units.mbps(12)),
+            run(
+                dumbbell_links(LinkConfig(rate=units.mbps(12))),
                 [FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
                 duration=5.0, max_events=50)
 
@@ -151,8 +151,8 @@ class TestRunWithRetry:
 
 def scenario_point(params, budget):
     """A real (tiny) packet-simulation grid point."""
-    result = run_scenario_full(
-        LinkConfig(rate=units.mbps(params["rate_mbps"])),
+    result = run(
+        dumbbell_links(LinkConfig(rate=units.mbps(params["rate_mbps"]))),
         [FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
         duration=2.0,
         max_events=budget.max_events,

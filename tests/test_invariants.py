@@ -14,7 +14,8 @@ import pytest
 
 from repro import units
 from repro.errors import InvariantViolation
-from repro.sim import LinkConfig, FlowConfig, run_scenario_full
+from repro.sim import (LinkConfig, FlowConfig, build_topology,
+                       dumbbell_links, run)
 from repro.sim.invariants import (DEFAULT_CADENCE, ENV_VAR,
                                   InvariantSentinel, InvariantWarning,
                                   override_mode, resolve_mode)
@@ -235,9 +236,9 @@ class TestScenarioIntegration:
 
     def run_flow(self, invariants):
         from repro.ccas import Vegas
-        return run_scenario_full(
-            self.LINK, [FlowConfig(cca_factory=Vegas,
-                                   rm=units.ms(40))],
+        return run(
+            dumbbell_links(self.LINK),
+            [FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
             duration=3.0, warmup=0.5, invariants=invariants)
 
     def test_clean_run_passes_strict(self):
@@ -263,8 +264,8 @@ class TestScenarioIntegration:
         from repro.ccas import Vegas
         # Enough events (> DEFAULT_CADENCE) to trigger mid-run checks
         # on top of the final end-of-run one.
-        result = run_scenario_full(
-            LinkConfig(rate=units.mbps(20)),
+        result = run(
+            dumbbell_links(LinkConfig(rate=units.mbps(20))),
             [FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
             duration=10.0, warmup=1.0, invariants="strict")
         sentinel = result.scenario.sentinel
@@ -279,9 +280,8 @@ class TestStrictCatchesInjectedCorruption:
         # check (the end-of-run one at minimum) must catch the
         # poisoned inflight accounting.
         from repro.ccas import Vegas
-        from repro.sim.network import build_dumbbell
-        scenario = build_dumbbell(
-            LinkConfig(rate=units.mbps(5)),
+        scenario = build_topology(
+            dumbbell_links(LinkConfig(rate=units.mbps(5))),
             [FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
             invariants="strict")
         for flow in scenario.flows:

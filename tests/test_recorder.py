@@ -10,18 +10,8 @@ import pytest
 from repro import units
 from repro.analysis.backends import execute_point
 from repro.analysis.harness import RunBudget
-from repro.ccas import Vegas
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
 from repro.spec import CCASpec, ScenarioSpec, single_flow_scenario
 from repro.store import ResultStore
-
-
-@pytest.fixture(scope="module")
-def run():
-    return run_scenario_full(
-        LinkConfig(rate=units.mbps(12)),
-        [FlowConfig(cca_factory=Vegas, rm=units.ms(40), label="v")],
-        duration=5.0, warmup=1.0)
 
 
 @pytest.fixture(scope="module")

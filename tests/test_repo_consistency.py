@@ -50,6 +50,13 @@ def test_public_cca_exports():
         assert name in ccas.__all__, name
 
 
+def test_sim_exports_one_builder_and_one_run():
+    """The legacy dumbbell builder and its two runners stay gone."""
+    import repro.sim as sim
+    assert [name for name in sim.__all__
+            if name.startswith(("build", "run"))] == ["build_topology", "run"]
+
+
 def test_delay_convergent_registry_matches_paper_list():
     """The paper's Section 2.2 list (Vegas, FAST, Sprout*, BBR,
     PCC Vivace, Copa, PCC Proteus*, Verus) intersected with what we

@@ -11,9 +11,8 @@ import pytest
 
 from repro import units
 from repro.ccas.vegas import Vegas
-from repro.sim.network import FlowConfig, LinkConfig
-from repro.sim.runner import (FlowStats, RunResult, run_scenario_full,
-                              summarize)
+from repro.sim.network import FlowConfig, LinkConfig, dumbbell_links
+from repro.sim.runner import FlowStats, RunResult, run, summarize
 
 RM = units.ms(40)
 
@@ -60,17 +59,15 @@ class TestThroughputRatio:
 
 class TestSummarizeWindows:
     def test_single_flow_share_is_one(self):
-        result = run_scenario_full(LinkConfig(rate=units.mbps(5)),
-                                   [vegas_flow()], duration=3.0,
-                                   warmup=1.0)
+        result = run(dumbbell_links(LinkConfig(rate=units.mbps(5))),
+                     [vegas_flow()], duration=3.0, warmup=1.0)
         assert result.stats[0].share == pytest.approx(1.0)
 
     def test_warmup_equal_to_duration_empty_window(self):
         # The whole run is "warmup": no bytes, no RTT samples, no
         # crash. Shares stay 0 (nothing delivered in the window).
-        result = run_scenario_full(LinkConfig(rate=units.mbps(5)),
-                                   [vegas_flow()], duration=3.0,
-                                   warmup=3.0)
+        result = run(dumbbell_links(LinkConfig(rate=units.mbps(5))),
+                     [vegas_flow()], duration=3.0, warmup=3.0)
         stat = result.stats[0]
         assert stat.throughput == 0.0
         assert math.isnan(stat.mean_rtt)
@@ -79,16 +76,15 @@ class TestSummarizeWindows:
         assert result.throughput_ratio() == 1.0
 
     def test_warmup_beyond_duration_empty_window(self):
-        result = run_scenario_full(LinkConfig(rate=units.mbps(5)),
-                                   [vegas_flow()], duration=2.0,
-                                   warmup=5.0)
+        result = run(dumbbell_links(LinkConfig(rate=units.mbps(5))),
+                     [vegas_flow()], duration=2.0, warmup=5.0)
         assert result.stats[0].throughput == 0.0
 
     def test_flow_starting_after_window_has_zero_throughput(self):
         # Flow 1 starts after the horizon: zero bytes, but flow 0's
         # share still normalizes over delivered traffic only.
-        result = run_scenario_full(
-            LinkConfig(rate=units.mbps(5)),
+        result = run(
+            dumbbell_links(LinkConfig(rate=units.mbps(5))),
             [vegas_flow(), vegas_flow(start_time=100.0)],
             duration=3.0, warmup=1.0)
         late = result.stats[1]
@@ -102,8 +98,8 @@ class TestSummarizeWindows:
         assert stat.rtt_range == (0.04, 0.06)
 
     def test_summarize_restricts_rtt_to_window(self):
-        result = run_scenario_full(LinkConfig(rate=units.mbps(5)),
-                                   [vegas_flow()], duration=4.0)
+        result = run(dumbbell_links(LinkConfig(rate=units.mbps(5))),
+                     [vegas_flow()], duration=4.0)
         scenario = result.scenario
         full = summarize(scenario, duration=4.0, warmup=0.0)[0]
         tail = summarize(scenario, duration=4.0, warmup=3.0)[0]

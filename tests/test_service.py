@@ -92,10 +92,14 @@ class TestJobSpec:
         {"kind": "matrix", "ccas": [], "rate_mbps": 10, "rm_ms": 40},
         {"kind": "matrix", "ccas": ["vegas", "vegas"], "rate_mbps": 10,
          "rm_ms": 40},
+        # A zero buffer must fail here, not per point at build.
+        {"kind": "sweep", "cca": "vegas", "rates_mbps": [1], "rm_ms": 40,
+         "template": {"link": {"rate": 1e6, "buffer_bytes": 0},
+                      "flows": [{"cca": {"name": "vegas"}, "rm": 0.04}]}},
     ])
     def test_bad_specs_are_rejected(self, doc):
         with pytest.raises(ServiceError):
-            JobSpec.from_json(doc)
+            build_plan(JobSpec.from_json(doc))
 
     def test_plan_matches_local_grid(self):
         from repro.analysis.sweep import build_rate_delay_points

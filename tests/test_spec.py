@@ -365,6 +365,7 @@ class TestSpecInputHardening:
 
     @pytest.mark.parametrize("field, value", [
         ("buffer_bytes", NAN), ("buffer_bytes", -1.0),
+        ("buffer_bytes", 0), ("buffer_bdp", 0.0),
         ("buffer_bdp", INF), ("ecn_threshold_bytes", 0.0),
     ])
     def test_link_optional_fields_rejected(self, field, value):

@@ -20,6 +20,7 @@ The load-bearing claims under test:
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -33,8 +34,8 @@ from repro.errors import (ConfigurationError, SpecValidationError)
 from repro.fuzz.generate import FuzzConfig, generate_spec
 from repro.fuzz.shrink import _candidates
 from repro.perf.golden import run_digests
-from repro.sim.network import TopologyLink
-from repro.sim.runner import FlowStats, RunResult, run_topology_full
+from repro.sim import LinkConfig, TopologyLink, build_topology, run
+from repro.sim.runner import FlowStats, RunResult, summarize
 from repro.spec import (CCASpec, FaultScheduleSpec, FaultWindowSpec,
                         FlowSpec, LinkSpec, NodeSpec, ScenarioSpec,
                         TopoLinkSpec, TopologySpec, derive_seed,
@@ -68,6 +69,14 @@ def parking_lot_scenario(seed=3):
                      path=("b1",)),
         ),
         seed=seed, duration=2.0, warmup=0.5)
+
+
+def dumbbell_scenario():
+    return ScenarioSpec(
+        link=LinkSpec(rate=units.mbps(10), buffer_bdp=4.0),
+        flows=(FlowSpec(cca=CCASpec("copa"), rm=RM),
+               FlowSpec(cca=CCASpec("reno"), rm=RM, start_time=0.3)),
+        seed=5, duration=2.0, warmup=0.5)
 
 
 class TestTopologySpec:
@@ -122,6 +131,12 @@ class TestTopologySpec:
     def test_bad_rate_rejected(self, rate):
         with pytest.raises(SpecValidationError):
             TopoLinkSpec(id="b0", src="n0", dst="n1", rate=rate)
+
+    @pytest.mark.parametrize("field", ["buffer_bytes", "buffer_bdp"])
+    def test_zero_buffer_rejected(self, field):
+        with pytest.raises(SpecValidationError):
+            TopoLinkSpec(id="b0", src="n0", dst="n1", rate=1e6,
+                         **{field: 0})
 
     def test_default_path_is_declaration_order(self):
         topo = parking_lot_topology([1e6, 2e6, 3e6])
@@ -198,10 +213,6 @@ class TestScenarioSpecTopology:
         assert spec.topology.link("b0").rate == units.mbps(4)
         assert spec.topology.link("b1").rate == units.mbps(8)
 
-    def test_to_configs_refuses_topology(self):
-        with pytest.raises(ConfigurationError):
-            parking_lot_scenario().to_configs()
-
     def test_per_link_fault_seeds_pinned(self):
         """Compatibility contract: per-link fault seeds key off the
         link *id*, on a branch disjoint from the legacy dumbbell's."""
@@ -222,7 +233,7 @@ class TestScenarioSpecTopology:
         spec = ScenarioSpec(
             topology=topo,
             flows=(FlowSpec(cca=CCASpec("reno"), rm=RM),), seed=7)
-        links, _flows = spec.to_topology_configs()
+        links, _flows = spec.to_configs()
         assert links[0].config.fault_schedule is None
         assert links[1].config.fault_schedule.seed \
             == derive_seed(7, "link", "b1", "faults")
@@ -233,20 +244,25 @@ class TestDumbbellEquivalence:
         """The dumbbell is the one-link special case of the graph
         builder: identical flows over a single equal link must produce
         bit-identical traces either way."""
-        flows = (
-            FlowSpec(cca=CCASpec("copa"), rm=RM),
-            FlowSpec(cca=CCASpec("reno"), rm=RM, start_time=0.3),
-        )
-        legacy = ScenarioSpec(
-            link=LinkSpec(rate=units.mbps(10), buffer_bdp=4.0),
-            flows=flows, seed=5)
-        graph = ScenarioSpec(
-            topology=shared_bottleneck_topology(units.mbps(10),
-                                                buffer_bdp=4.0),
-            flows=flows, seed=5)
-        a = run_digests(legacy.run(duration=2.0, warmup=0.5))
-        b = run_digests(graph.run(duration=2.0, warmup=0.5))
-        assert a == b
+        legacy = dumbbell_scenario()
+        graph = replace(legacy, link=None,
+                        topology=shared_bottleneck_topology(
+                            units.mbps(10), buffer_bdp=4.0))
+        assert run_digests(legacy.run()) == run_digests(graph.run())
+
+    @pytest.mark.parametrize("make", [dumbbell_scenario,
+                                      parking_lot_scenario])
+    def test_every_route_to_a_result_agrees(self, make):
+        """``spec.run()``, ``sim.run`` over its configs and the
+        hand-driven build / run / summarize are one computation."""
+        spec = replace(make(), sample_interval=0.01)
+        window = (spec.duration, spec.warmup)
+        built = build_topology(*spec.to_configs(), sample_interval=0.01)
+        built.run(spec.duration)
+        by_hand = RunResult(built, summarize(built, *window), *window)
+        assert run_digests(spec.run()) \
+            == run_digests(run(*spec.to_configs(), *window, 0.01)) \
+            == run_digests(by_hand)
 
 
 class TestParkingLotRuns:
@@ -268,16 +284,15 @@ class TestParkingLotRuns:
                 accounted += 1
             assert queue.arrived == accounted
 
-    def test_run_topology_full_builds_and_runs(self):
-        from repro.sim.network import LinkConfig
+    def test_sim_run_over_hand_built_links(self):
         links = [
             TopologyLink("b0", LinkConfig(rate=units.mbps(10))),
             TopologyLink("b1", LinkConfig(rate=units.mbps(8)),
                          delay=units.ms(5)),
         ]
-        spec_flows = parking_lot_scenario().to_topology_configs()[1]
-        result = run_topology_full(links, spec_flows, duration=1.5,
-                                   warmup=0.5, invariants="strict")
+        spec_flows = parking_lot_scenario().to_configs()[1]
+        result = run(links, spec_flows, duration=1.5, warmup=0.5,
+                     invariants="strict")
         assert result.scenario.link_ids == ["b0", "b1"]
 
     def test_serial_and_pool_runs_identical(self):

@@ -8,16 +8,6 @@ import pytest
 from repro import units
 from repro.analysis.traces import (export_run_tsv, flow_arrays,
                                    queue_arrays, write_tsv)
-from repro.ccas import Vegas
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
-
-
-@pytest.fixture(scope="module")
-def run():
-    return run_scenario_full(
-        LinkConfig(rate=units.mbps(12)),
-        [FlowConfig(cca_factory=Vegas, rm=units.ms(40), label="v")],
-        duration=5.0, warmup=1.0)
 
 
 def test_flow_arrays_shapes(run):

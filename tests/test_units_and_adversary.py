@@ -7,7 +7,8 @@ import pytest
 from repro import units
 from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.model import adversary
-from repro.sim import FlowConfig, LinkConfig, run_scenario_full
+from repro.sim import (FlowConfig, LinkConfig, build_topology,
+                       dumbbell_links, run)
 from repro.ccas.vegas import Vegas
 
 
@@ -98,31 +99,26 @@ class TestAdversary:
 
 
 class TestRecorderPlumbing:
-    def test_throughput_between_windows(self):
-        result = run_scenario_full(
-            LinkConfig(rate=units.mbps(12)),
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run(
+            dumbbell_links(LinkConfig(rate=units.mbps(12))),
             [FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
             duration=6.0, warmup=0.0)
+
+    def test_throughput_between_windows(self, result):
         recorder = result.scenario.flows[0].recorder
         early = recorder.throughput_between(0.0, 1.0)
         late = recorder.throughput_between(3.0, 6.0)
         assert late >= early          # converged > slow start window
         assert late == pytest.approx(units.mbps(12), rel=0.05)
 
-    def test_rtt_range_after(self):
-        result = run_scenario_full(
-            LinkConfig(rate=units.mbps(12)),
-            [FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
-            duration=6.0, warmup=0.0)
+    def test_rtt_range_after(self, result):
         recorder = result.scenario.flows[0].recorder
         lo, hi = recorder.rtt_range_after(3.0)
         assert units.ms(40) <= lo <= hi < units.ms(60)
 
-    def test_queue_recorder_tracks_backlog(self):
-        result = run_scenario_full(
-            LinkConfig(rate=units.mbps(12)),
-            [FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
-            duration=6.0, warmup=0.0)
+    def test_queue_recorder_tracks_backlog(self, result):
         qrec = result.scenario.queue_recorder
         assert qrec.max_backlog() > 0
         assert 0 < qrec.mean_backlog() <= qrec.max_backlog()
@@ -130,9 +126,9 @@ class TestRecorderPlumbing:
 
 class TestScenarioValidation:
     def test_empty_flow_list_rejected(self):
-        from repro.sim.network import build_dumbbell
         with pytest.raises(ConfigurationError):
-            build_dumbbell(LinkConfig(rate=units.mbps(12)), [])
+            build_topology(
+                dumbbell_links(LinkConfig(rate=units.mbps(12))), [])
 
     def test_both_buffer_specs_rejected(self):
         link = LinkConfig(rate=units.mbps(12), buffer_bytes=1000,
@@ -146,15 +142,14 @@ class TestScenarioValidation:
             2.0 * units.mbps(12) * 0.05)
 
     def test_nonpositive_rm_rejected(self):
-        from repro.sim.network import build_dumbbell
         with pytest.raises(ConfigurationError):
-            build_dumbbell(
-                LinkConfig(rate=units.mbps(12)),
+            build_topology(
+                dumbbell_links(LinkConfig(rate=units.mbps(12))),
                 [FlowConfig(cca_factory=Vegas, rm=0.0)])
 
     def test_flow_start_times_honored(self):
-        result = run_scenario_full(
-            LinkConfig(rate=units.mbps(12)),
+        result = run(
+            dumbbell_links(LinkConfig(rate=units.mbps(12))),
             [FlowConfig(cca_factory=Vegas, rm=units.ms(40)),
              FlowConfig(cca_factory=Vegas, rm=units.ms(40),
                         start_time=2.0)],
