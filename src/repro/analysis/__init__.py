@@ -13,7 +13,6 @@ from .report import (comparison_line, describe_run, flow_table,
                      format_table, rate_delay_ascii)
 from .sweep import (RateDelayCurve, RateDelayPoint, log_rate_grid,
                     sweep_rate_delay)
-from .traces import export_run_tsv, flow_arrays, queue_arrays, write_tsv
 
 __all__ = [
     "CompetitionMatrix", "PointOutcome", "ProcessPoolBackend",
@@ -24,7 +23,6 @@ __all__ = [
     "format_table", "load_bundle", "log_rate_grid", "loss_rate",
     "make_backend", "replay_bundle", "write_crash_bundle",
     "mean_rtt_ms", "queueing_delay_ms", "rate_delay_ascii",
-    "export_run_tsv", "flow_arrays", "queue_arrays",
     "summarize_run", "sweep_rate_delay", "throughputs_mbps",
-    "utilization", "write_tsv",
+    "utilization",
 ]

@@ -42,19 +42,19 @@ worker body, pool workers share the cache exactly like serial runs do.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import time
-from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
-                                CancelledError, ProcessPoolExecutor, wait)
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterable, Iterator, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
+                    Optional, Sequence, Tuple)
 
 from ..errors import ConfigurationError
 from ..store import ResultStore, point_cache_key, summarize_params, task_name
 from .harness import RECOVERABLE, RunBudget, RunFailure, _first_line
+
+if TYPE_CHECKING:  # the pool machinery is imported where a pool starts
+    from concurrent.futures import ProcessPoolExecutor
 
 #: ``run_point(params, budget) -> result`` — the unit of grid work.
 RunPoint = Callable[[Dict[str, Any], RunBudget], Any]
@@ -395,6 +395,12 @@ class ProcessPoolBackend:
                 store: Optional[ResultStore] = None,
                 refresh: bool = False,
                 crash_dir: Optional[str] = None) -> Iterator[PointOutcome]:
+        # Every process imports this module; only a pool run pays for these.
+        import multiprocessing
+        from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
+                                        CancelledError, ProcessPoolExecutor,
+                                        wait)
+
         points = list(points)
         if not points:
             return

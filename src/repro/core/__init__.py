@@ -1,5 +1,10 @@
 """The paper's primary contribution: delay-convergence, starvation theory.
 
+The package re-exports nothing: import the submodule you need
+(``from repro.core.fairness import jain_index``). The theory modules
+import numpy and :mod:`repro.model`; ``fairness`` and ``ratedelay`` do
+not, so the CLI start path can use the Jain index without loading them.
+
 Submodules:
     convergence — Definition 1 measurement/certification.
     fairness    — Definitions 2-4 (s-fairness, starvation, f-efficiency).
@@ -8,33 +13,3 @@ Submodules:
     theorems    — end-to-end constructors for Theorems 1, 2, 3.
     ratedelay   — rate-delay maps and the Section 6.3 figure of merit.
 """
-
-from .convergence import (ConvergedRange, ConvergenceCertificate,
-                          certify_delay_convergence, find_convergence_time,
-                          measure_cca_range, measure_converged_range)
-from .emulation import (EmulationPlan, build_emulation_plan, check_feasible,
-                        verify_shared_delay)
-from .fairness import (EfficiencyVerdict, SFairnessVerdict,
-                       check_f_efficiency, check_s_fairness, jain_index,
-                       starvation_evidence, throughput_ratio)
-from .pigeonhole import PigeonholePair, find_pigeonhole_pair
-from .ratedelay import (ExponentialMap, VegasFamilyMap,
-                        compare_figures_of_merit)
-from .theorems import (StarvationConstruction, StrongModelConstruction,
-                       UnderutilizationConstruction, construct_starvation,
-                       construct_strong_model_starvation,
-                       construct_underutilization)
-
-__all__ = [
-    "ConvergedRange", "ConvergenceCertificate", "EfficiencyVerdict",
-    "EmulationPlan", "ExponentialMap", "PigeonholePair",
-    "SFairnessVerdict", "StarvationConstruction",
-    "StrongModelConstruction", "UnderutilizationConstruction",
-    "VegasFamilyMap", "build_emulation_plan", "certify_delay_convergence",
-    "check_f_efficiency", "check_feasible", "check_s_fairness",
-    "compare_figures_of_merit", "construct_starvation",
-    "construct_strong_model_starvation", "construct_underutilization",
-    "find_convergence_time", "find_pigeonhole_pair", "jain_index",
-    "measure_cca_range", "measure_converged_range", "starvation_evidence",
-    "throughput_ratio", "verify_shared_delay",
-]

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # the CLI start path imports this module: no numpy here
+    import numpy as np
 
 
 def throughput_ratio(throughputs: Sequence[float]) -> float:
@@ -33,11 +34,22 @@ def throughput_ratio(throughputs: Sequence[float]) -> float:
 
 
 def jain_index(throughputs: Sequence[float]) -> float:
-    """Jain's fairness index: (sum x)^2 / (n * sum x^2), in (0, 1]."""
-    xs = np.asarray(list(throughputs), dtype=float)
-    if len(xs) == 0 or (xs == 0).all():
+    """Jain's fairness index: (sum x)^2 / (n * sum x^2), in (0, 1].
+
+    1.0 for no flows and for all-zero throughputs. Both sums accumulate
+    left to right in plain doubles, not through ``sum()`` (compensated
+    from Python 3.12) or ``math.fsum`` (exact): bit-identical to numpy's
+    ``xs.sum() ** 2 / (n * (xs ** 2).sum())`` up to 7 flows, within a
+    relative 2e-15 from 8 on, where numpy sums pairwise.
+    """
+    xs = [float(x) for x in throughputs]
+    total = squares = 0.0
+    for x in xs:
+        total += x
+        squares += x * x
+    if squares == 0.0:
         return 1.0
-    return float(xs.sum() ** 2 / (len(xs) * (xs ** 2).sum()))
+    return total ** 2 / (len(xs) * squares)
 
 
 @dataclass
@@ -67,6 +79,8 @@ def check_s_fairness(times: np.ndarray,
         cumulative_bytes: per-flow cumulative delivered bytes at ``times``.
         s: the fairness bound to test.
     """
+    import numpy as np
+
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     curves = [np.asarray(c, dtype=float) for c in cumulative_bytes]
@@ -112,6 +126,8 @@ def check_f_efficiency(times: np.ndarray, cumulative_bytes: np.ndarray,
     arbitrarily large times, the finite-horizon estimator reports the
     best fraction achieved after ``after``.
     """
+    import numpy as np
+
     if not 0 < f <= 1:
         raise ValueError(f"f must be in (0, 1], got {f}")
     mask = times > max(after, 0.0)

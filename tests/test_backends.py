@@ -6,6 +6,7 @@ checkpoints — just on more cores.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -39,6 +40,10 @@ def spec_point(params, budget):
     spec = ScenarioSpec.from_json(params["scenario"])
     result = spec.run(duration=params["duration"], warmup=0.5)
     return {"throughput": result.stats[0].throughput}
+
+
+def loaded_modules_point(params, budget):
+    return {name: name in sys.modules for name in params["names"]}
 
 
 def run_grid(backend, run_point, points, budget=None):
@@ -185,6 +190,17 @@ class TestProcessPoolBackend:
     def test_empty_grid(self):
         assert list(ProcessPoolBackend(jobs=2).execute(
             square_point, [], RunBudget())) == []
+
+    def test_workers_start_without_numpy(self):
+        # A spawned worker imports this module (so repro.analysis.sweep
+        # and repro.spec) to unpickle its task; that is the worker's
+        # start path and it must load no theory code.
+        names = ["numpy", "repro.core.convergence"]
+        points = [(f"p{i}", {"names": names}) for i in range(2)]
+        pooled = run_grid(ProcessPoolBackend(jobs=2),
+                          loaded_modules_point, points)
+        assert [pooled[key].result for key, _ in points] == \
+            [dict.fromkeys(names, False)] * 2
 
     def test_runs_scenario_specs(self):
         spec = single_flow_scenario(CCASpec("vegas"),

@@ -1,6 +1,7 @@
 """Tests for Definitions 2-4 (repro.core.fairness)."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -34,6 +35,39 @@ class TestJainIndex:
 
     def test_between_zero_and_one(self):
         assert 0 < jain_index([1.0, 2.0, 3.0]) <= 1.0
+
+    def test_empty_and_all_zero_are_fair(self):
+        assert jain_index([]) == 1.0
+        assert jain_index([0.0, 0.0]) == 1.0
+        assert jain_index([0, 0, 0]) == 1.0
+
+    @staticmethod
+    def numpy_jain(throughputs):
+        """The numpy expression ``jain_index`` was until it went plain."""
+        xs = np.asarray(list(throughputs), dtype=float)
+        if len(xs) == 0 or (xs == 0).all():
+            return 1.0
+        return float(xs.sum() ** 2 / (len(xs) * (xs ** 2).sum()))
+
+    def test_matches_numpy_reference(self):
+        # ``jain`` is in every matrix --json file and daemon result, so
+        # up to 7 flows (numpy's plain-accumulation range; no spec puts
+        # 8 in a cell) the plain-Python index must equal the numpy one
+        # bit for bit. From 8 on numpy sums pairwise and about half the
+        # cases differ in the last digits: worst 1.4e-15 relative over
+        # 400k cases of 8-16 flows, so the bound here is 2e-15.
+        rng = random.Random(20221)
+        for _ in range(4000):
+            n = rng.randint(1, 12)
+            scale = 10.0 ** rng.uniform(-3, 9)
+            xs = [rng.choice((0.0, rng.random() * scale,
+                              float(rng.randint(0, 1000))))
+                  for _ in range(n)]
+            got, want = jain_index(xs), self.numpy_jain(xs)
+            if n <= 7:
+                assert got == want, (xs, got, want)
+            else:
+                assert math.isclose(got, want, rel_tol=2e-15), (xs, got, want)
 
 
 class TestSFairness:
