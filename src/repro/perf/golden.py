@@ -1,8 +1,8 @@
 """Golden-trace determinism guard.
 
-The hot-path optimizations (event pooling, packet pooling, heap-entry
-tuples, batched ACK bookkeeping, array-backed recorders) are only
-admissible because they are *behavior-preserving*: the same floats, in
+The hot-path optimizations (heap-entry tuples, RTO deadline deferral,
+the immediate-ACK path, array-backed recorders) are only admissible
+because they are *behavior-preserving*: the same floats, in
 the same order, through the same operations. This module makes that
 claim checkable. It runs a fixed battery of short scenarios spanning
 every registered CCA and every hot code path (delayed ACKs, bursts,
@@ -176,8 +176,7 @@ def golden_scenarios() -> Dict[str, ScenarioSpec]:
     scenarios["ecn/ecn-aimd"] = replace(
         ecn, link=replace(ecn.link, ecn_threshold_bytes=30000.0))
 
-    # Fault injection: stochastic loss plus a blackout window
-    # (drop/duplicate paths interact with packet pooling).
+    # Fault injection: stochastic loss plus a blackout window.
     scenarios["faults/vegas"] = _single(
         "vegas",
         faults=FaultScheduleSpec(windows=(

@@ -1,6 +1,6 @@
 """Discrete-event simulation engine.
 
-A minimal, fast event loop built on :mod:`heapq`. Components schedule
+A minimal event loop built on :mod:`heapq`. Components schedule
 callbacks at absolute times; the :class:`Simulator` executes them in
 time order (ties broken by insertion order, so the simulation is fully
 deterministic).
@@ -10,25 +10,23 @@ other modules of :mod:`repro.sim`, which compose by passing each other
 packets through ``receive(packet, now)`` calls and scheduling future work
 through the simulator.
 
-Hot-path design notes (see docs/PERFORMANCE.md):
+Design notes (see docs/PERFORMANCE.md):
 
 * Heap entries are ``(time, seq, event)`` tuples, not Event objects.
   ``seq`` is unique, so tuple comparison never reaches the Event and
-  every sift comparison runs at C speed — the Python-level ``__lt__``
-  used to be the single most-called function of a long run.
-* Executed and cancelled events are recycled through a bounded free
-  list, so steady-state runs allocate almost no Event objects. The
-  contract for holding an Event reference: it is valid until the event
-  fires or is popped cancelled; components that keep timer handles must
-  drop them when the callback runs (all in-tree components do).
-* :meth:`run` pops and dispatches in one fused loop instead of the
-  ``peek_time()``/``step()`` pair, which traversed the heap root twice
-  per event, and the watchdog-free fast path carries no budget checks.
+  every sift comparison runs at C speed.
+* Every ``schedule`` call allocates one plain :class:`Event`, owned by
+  whoever holds the returned handle: ``cancel()`` on it can only ever
+  affect that one event, before or after it fired.
+* There is one dispatch loop, in :meth:`Simulator.run`. The watchdog
+  budgets and the invariant sentinel are ``is not None`` tests inside
+  it, and :meth:`Simulator.run_all` is ``run`` to an infinite horizon.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -41,30 +39,20 @@ from ..errors import BudgetExceededError, SimulationError
 #: takes real time but executes nothing, and must not starve the check.
 _WALL_CHECK_INTERVAL = 512
 
-#: Free-list bound: recycling is a steady-state optimization, not a
-#: cache of unbounded size after a cancellation storm.
-_POOL_MAX = 4096
-
 
 class Event:
     """A scheduled callback. Returned by :meth:`Simulator.schedule`.
 
     Events may be cancelled; cancelled events stay in the heap but are
     skipped when popped (lazy deletion), which keeps cancellation O(1).
-
-    An Event reference is valid until the callback fires (or the
-    cancelled event is popped); after that the engine may recycle the
-    object for a future ``schedule`` call. Holders of long-lived timer
-    handles must therefore clear them when the callback runs — which
-    every callback naturally does by rescheduling or nulling its handle.
+    Cancelling an event that already fired does nothing.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+    __slots__ = ("time", "callback", "args", "cancelled")
 
-    def __init__(self, time: float, seq: int,
-                 callback: Callable[..., None], args: tuple) -> None:
+    def __init__(self, time: float, callback: Callable[..., None],
+                 args: tuple) -> None:
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -72,11 +60,6 @@ class Event:
     def cancel(self) -> None:
         """Prevent this event's callback from running."""
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -91,12 +74,11 @@ class Simulator:
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq: int = 0
         self._events_processed: int = 0
-        self._pool: List[Event] = []
         #: Optional invariant sentinel (see repro.sim.invariants). When
-        #: attached and active, :meth:`run` takes the budgeted loop and
-        #: calls ``sentinel.check(self)`` every ``sentinel.cadence``
-        #: executed events plus once per ``run`` — the sentinel never
-        #: schedules events, so the event stream is unchanged.
+        #: attached and active, :meth:`run` calls ``sentinel.check(self)``
+        #: every ``sentinel.cadence`` executed events plus once per call
+        #: — the sentinel never schedules events, so the event stream is
+        #: unchanged.
         self.sentinel = None
 
     @property
@@ -104,49 +86,21 @@ class Simulator:
         """Number of (non-cancelled) events executed so far."""
         return self._events_processed
 
-    def _acquire(self, time: float, callback: Callable[..., None],
-                 args: tuple) -> Event:
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = self._seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            return event
-        return Event(time, self._seq, callback, args)
-
-    def _recycle(self, event: Event) -> None:
-        pool = self._pool
-        if len(pool) < _POOL_MAX:
-            event.callback = None  # type: ignore[assignment]
-            event.args = ()
-            pool.append(event)
-
     def schedule_at(self, time: float, callback: Callable[..., None],
                     *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute time ``time``.
 
-        ``time`` must not be in the past (it may equal ``now``).
+        ``time`` must not be in the past (it may equal ``now``) and must
+        not be NaN.
         """
         now = self.now
-        if time < now:
-            if time < now - 1e-12:
+        if not time >= now:
+            if not time >= now - 1e-12:
                 raise SimulationError(
                     f"cannot schedule event at t={time} before now={now}")
             time = now
         seq = self._seq
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, seq, callback, args)
+        event = Event(time, callback, args)
         heapq.heappush(self._heap, (time, seq, event))
         self._seq = seq + 1
         return event
@@ -154,60 +108,23 @@ class Simulator:
     def schedule(self, delay: float, callback: Callable[..., None],
                  *args: Any) -> Event:
         """Schedule ``callback(*args)`` after a relative ``delay`` >= 0."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not delay >= 0:
+            raise SimulationError(f"delay must be >= 0, got {delay}")
         time = self.now + delay
         seq = self._seq
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, seq, callback, args)
+        event = Event(time, callback, args)
         heapq.heappush(self._heap, (time, seq, event))
         self._seq = seq + 1
         return event
-
-    def peek_time(self) -> Optional[float]:
-        """Return the time of the next pending event, or None if empty."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if not entry[2].cancelled:
-                return entry[0]
-            heapq.heappop(heap)
-            self._recycle(entry[2])
-        return None
-
-    def step(self) -> bool:
-        """Execute the next pending event. Returns False when none remain."""
-        heap = self._heap
-        while heap:
-            _, _, event = heapq.heappop(heap)
-            if event.cancelled:
-                self._recycle(event)
-                continue
-            self.now = event.time
-            self._events_processed += 1
-            callback, args = event.callback, event.args
-            self._recycle(event)
-            if args:
-                callback(*args)
-            else:
-                callback()
-            return True
-        return False
 
     def run(self, until: float, max_events: Optional[int] = None,
             wall_clock_budget: Optional[float] = None) -> None:
         """Run events in order until the clock reaches ``until``.
 
         The clock is advanced to exactly ``until`` at the end even if the
-        event queue drains earlier, so periodic samplers see a full window.
+        event queue drains earlier, so periodic samplers see a full
+        window; an infinite ``until`` drains the queue and leaves the
+        clock at the last event.
 
         Watchdog budgets (both optional) guard against divergent runs:
 
@@ -222,58 +139,8 @@ class Simulator:
                 included, so a cancellation burst cannot defer the
                 check).
         """
-        sentinel = self.sentinel
-        if sentinel is not None and not sentinel.active:
-            sentinel = None
-        if max_events is None and wall_clock_budget is None \
-                and sentinel is None:
-            self._run_fast(until)
-        else:
-            self._run_budgeted(until, max_events, wall_clock_budget)
-        if self.now < until:
-            self.now = until
-        if sentinel is not None:
-            # Short runs (< cadence events) still get one full battery.
-            sentinel.check(self)
-
-    def _run_fast(self, until: float) -> None:
         heap = self._heap
         heappop = heapq.heappop
-        pool = self._pool
-        executed = self._events_processed
-        try:
-            while heap:
-                entry = heap[0]
-                event_time = entry[0]
-                if event_time > until:
-                    break
-                heappop(heap)
-                event = entry[2]
-                if event.cancelled:
-                    if len(pool) < _POOL_MAX:
-                        event.callback = None
-                        event.args = ()
-                        pool.append(event)
-                    continue
-                self.now = event_time
-                executed += 1
-                callback, args = event.callback, event.args
-                if len(pool) < _POOL_MAX:
-                    event.callback = None
-                    event.args = ()
-                    pool.append(event)
-                if args:
-                    callback(*args)
-                else:
-                    callback()
-        finally:
-            self._events_processed = executed
-
-    def _run_budgeted(self, until: float, max_events: Optional[int],
-                      wall_clock_budget: Optional[float]) -> None:
-        heap = self._heap
-        heappop = heapq.heappop
-        pool = self._pool
         events_at_entry = self._events_processed
         executed = events_at_entry
         wall_start = time.monotonic() if wall_clock_budget is not None \
@@ -304,23 +171,15 @@ class Simulator:
                             kind="wall_clock", limit=wall_clock_budget,
                             value=elapsed, sim_time=self.now)
             if event.cancelled:
-                if len(pool) < _POOL_MAX:
-                    event.callback = None
-                    event.args = ()
-                    pool.append(event)
                 continue
             self.now = event_time
             executed += 1
             self._events_processed = executed
-            callback, args = event.callback, event.args
-            if len(pool) < _POOL_MAX:
-                event.callback = None
-                event.args = ()
-                pool.append(event)
+            args = event.args
             if args:
-                callback(*args)
+                event.callback(*args)
             else:
-                callback()
+                event.callback()
             if sentinel is not None:
                 sentinel_countdown -= 1
                 if sentinel_countdown <= 0:
@@ -335,40 +194,14 @@ class Simulator:
                         f"{until}s); likely a livelocked component",
                         kind="events", limit=max_events,
                         value=within_call, sim_time=self.now)
+        if self.now < until < math.inf:
+            self.now = until
+        if sentinel is not None:
+            # Short runs (< cadence events) still get one full battery.
+            sentinel.check(self)
 
     def run_all(self, max_events: int = 50_000_000,
                 wall_clock_budget: Optional[float] = None) -> None:
-        """Run until the event queue is empty.
-
-        The same watchdogs as :meth:`run` apply: ``max_events`` bounds
-        the number of executed events and ``wall_clock_budget`` bounds
-        real seconds (checked every ``_WALL_CHECK_INTERVAL`` events).
-        Either limit aborts with a structured
-        :class:`BudgetExceededError` whose ``kind`` says which budget
-        fired.
-        """
-        wall_start = time.monotonic() if wall_clock_budget is not None \
-            else 0.0
-        sentinel = self.sentinel
-        if sentinel is not None and not sentinel.active:
-            sentinel = None
-        count = 0
-        while self.step():
-            count += 1
-            if sentinel is not None and count % sentinel.cadence == 0:
-                sentinel.check(self)
-            if count > max_events:
-                raise BudgetExceededError(
-                    f"exceeded {max_events} events; likely a runaway loop",
-                    kind="events", limit=max_events, value=count,
-                    sim_time=self.now)
-            if (wall_clock_budget is not None
-                    and count % _WALL_CHECK_INTERVAL == 0):
-                elapsed = time.monotonic() - wall_start
-                if elapsed > wall_clock_budget:
-                    raise BudgetExceededError(
-                        f"run_all exceeded wall-clock budget of "
-                        f"{wall_clock_budget:.1f}s after {elapsed:.1f}s "
-                        f"at t={self.now:.6f}s",
-                        kind="wall_clock", limit=wall_clock_budget,
-                        value=elapsed, sim_time=self.now)
+        """Run until the event queue is empty, under :meth:`run`'s
+        watchdogs; the clock stops at the last event."""
+        self.run(math.inf, max_events, wall_clock_budget)

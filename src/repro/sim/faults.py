@@ -251,12 +251,6 @@ class DuplicateElement:
         duplicate = (self.dup_prob > 0
                      and self._rng.random() < self.dup_prob)
         if duplicate:
-            # The same object is delivered twice, so it must never be
-            # recycled into a packet pool while the second copy is in
-            # flight. The flag is checked before the first delivery:
-            # downstream may consume (and try to release) the first
-            # copy synchronously.
-            packet.poolable = False
             self.duplicated += 1
         self.sink.receive(packet, now)
         if duplicate:

@@ -16,19 +16,18 @@ The receiver supports immediate ACKs, delayed ACKs (ACK every ``every``-th
 packet or after ``timeout``), which is the mechanism behind the paper's
 Figure 7 experiment.
 
-Hot-path design notes (see docs/PERFORMANCE.md):
+Design notes (see docs/PERFORMANCE.md):
 
 * The RTO backstop is deadline-deferred: instead of cancelling and
   rescheduling a timer on every ACK (which used to leave hundreds of
   lazily-deleted events in the heap at any moment), the sender tracks
   ``_rto_deadline`` and lets an already-scheduled timer wake up, notice
   the deadline moved, and re-arm itself. Firing times are identical.
-* The pacing timer is kept when re-armed for the same release time —
-  the common case when several ACKs arrive between sends.
-* Senders/receivers built with a shared :class:`~repro.sim.packet.
-  PacketPool` recycle packet and ACK objects instead of allocating one
-  per event (``build_topology`` wires one pool per scenario; hand-built
-  hosts default to plain allocation).
+* The pacing timer is always cancelled and rescheduled (see
+  :meth:`Sender._arm_pacing_timer` for why).
+* Every transmission is a plain ``Packet(...)`` and every
+  acknowledgment a plain ``Ack(...)``; a receiver that ACKs every
+  packet builds the ACK without the pending-list bookkeeping.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigurationError
 from .engine import Event, Simulator
-from .packet import Ack, AckInfo, Packet, PacketPool
+from .packet import Ack, AckInfo, Packet
 
 ACK_SIZE = 40
 
@@ -55,16 +54,13 @@ class Sender:
         start_time: when the flow starts sending.
         reorder_threshold: sequence gap (in packets) treated as loss.
         min_rto / rto_multiplier: retransmission-timeout backstop.
-        pool: optional shared packet/ACK free list; ``None`` (the
-            default) allocates plain objects.
     """
 
     def __init__(self, sim: Simulator, flow_id: int, cca,
                  mss: int = 1500, start_time: float = 0.0,
                  reorder_threshold: int = 3,
                  min_rto: float = 0.2, rto_multiplier: float = 3.0,
-                 burst_size: int = 1,
-                 pool: Optional[PacketPool] = None) -> None:
+                 burst_size: int = 1) -> None:
         if mss <= 0:
             raise ConfigurationError(f"mss must be > 0, got {mss}")
         if burst_size < 1:
@@ -81,7 +77,6 @@ class Sender:
         # GSO/offload-style batching (Section 5.4 discussion): hold
         # window permission until a full burst can be released at once.
         self.burst_size = burst_size
-        self.pool = pool
 
         self.path: Optional[object] = None  # first element of forward path
 
@@ -139,11 +134,6 @@ class Sender:
     # Sending
     # ------------------------------------------------------------------
 
-    def _current_rto(self) -> float:
-        if self.srtt is None:
-            return max(self.min_rto, 1.0)
-        return max(self.min_rto, self.rto_multiplier * self.srtt)
-
     def _arm_rto(self) -> None:
         """Move the RTO deadline; reuse a pending wakeup when possible.
 
@@ -179,9 +169,6 @@ class Sender:
                                                    self._on_rto_timer)
             return
         self._on_rto()
-
-    def _window_allows(self) -> bool:
-        return self.inflight_bytes + self.mss <= self.cca.cwnd_bytes
 
     def _burst_gate_open(self) -> bool:
         """With burst_size > 1, wait until a full burst fits the window
@@ -254,16 +241,8 @@ class Sender:
             is_retransmit = False
         now = self.sim.now
         mss = self.mss
-        pool = self.pool
-        if pool is not None:
-            packet = pool.acquire(self.flow_id, seq, mss, now,
-                                  self.delivered_bytes,
-                                  self.delivered_time, is_retransmit)
-        else:
-            packet = Packet(self.flow_id, seq, mss, now,
-                            delivered_at_send=self.delivered_bytes,
-                            delivered_time_at_send=self.delivered_time,
-                            is_retransmit=is_retransmit)
+        packet = Packet(self.flow_id, seq, mss, now, self.delivered_bytes,
+                        self.delivered_time, is_retransmit)
         self._unacked[seq] = (mss, now)
         heapq.heappush(self._unacked_heap, seq)
         self.inflight_bytes += mss
@@ -318,9 +297,6 @@ class Sender:
                        delivered_at_send=ack.delivered_at_send,
                        acked_seqs=acked_seqs,
                        ecn_marked=ack.ecn_marked_count)
-        pool = self.pool
-        if pool is not None:
-            pool.release_ack(ack)
         self.cca.on_ack(info)
         for hook in self.on_ack_hooks:
             hook(self, info)
@@ -424,21 +400,17 @@ class Receiver:
         ack_every: emit one ACK per ``ack_every`` received packets.
         ack_timeout: flush pending ACKs after this long (None = only flush
             by count). Standard delayed-ACK behavior uses e.g. 40 ms.
-        pool: optional shared packet/ACK free list; consumed data
-            packets are recycled into it and ACKs drawn from it.
     """
 
     def __init__(self, sim: Simulator, flow_id: int,
                  ack_every: int = 1,
-                 ack_timeout: Optional[float] = None,
-                 pool: Optional[PacketPool] = None) -> None:
+                 ack_timeout: Optional[float] = None) -> None:
         if ack_every < 1:
             raise ConfigurationError(f"ack_every must be >= 1, got {ack_every}")
         self.sim = sim
         self.flow_id = flow_id
         self.ack_every = ack_every
         self.ack_timeout = ack_timeout
-        self.pool = pool
         self.ack_path: Optional[object] = None
 
         self.received_packets = 0
@@ -465,19 +437,10 @@ class Receiver:
             ack_path = self.ack_path
             if ack_path is None:
                 return
-            pool = self.pool
-            if pool is not None:
-                ack = pool.acquire_ack(
-                    self.flow_id, (seq,), packet.size, seq,
-                    packet.sent_time, packet.delivered_at_send,
-                    packet.delivered_time_at_send, now,
-                    1 if packet.ecn_marked else 0)
-                pool.release(packet)
-            else:
-                ack = Ack(self.flow_id, (seq,), packet.size, seq,
-                          packet.sent_time, packet.delivered_at_send,
-                          packet.delivered_time_at_send, now,
-                          1 if packet.ecn_marked else 0)
+            ack = Ack(self.flow_id, (seq,), packet.size, seq,
+                      packet.sent_time, packet.delivered_at_send,
+                      packet.delivered_time_at_send, now,
+                      1 if packet.ecn_marked else 0)
             ack_path.receive(ack, now)
             return
         self._pending.append(packet)
@@ -504,24 +467,9 @@ class Receiver:
         acked_seqs = tuple(p.seq for p in pending)
         acked_bytes = sum(p.size for p in pending)
         ecn_count = sum(1 for p in pending if p.ecn_marked)
-        pool = self.pool
-        if pool is not None:
-            ack = pool.acquire_ack(
-                self.flow_id, acked_seqs, acked_bytes, newest.seq,
-                newest.sent_time, newest.delivered_at_send,
-                newest.delivered_time_at_send, now, ecn_count)
-            for p in pending:
-                pool.release(p)
-        else:
-            ack = Ack(flow_id=self.flow_id,
-                      acked_seqs=acked_seqs,
-                      acked_bytes=acked_bytes,
-                      rtt_sample_seq=newest.seq,
-                      rtt_sample_sent_time=newest.sent_time,
-                      delivered_at_send=newest.delivered_at_send,
-                      delivered_time_at_send=newest.delivered_time_at_send,
-                      recv_time=now,
-                      ecn_marked_count=ecn_count)
+        ack = Ack(self.flow_id, acked_seqs, acked_bytes, newest.seq,
+                  newest.sent_time, newest.delivered_at_send,
+                  newest.delivered_time_at_send, now, ecn_count)
         self._pending = []
         self.ack_path.receive(ack, now)
 

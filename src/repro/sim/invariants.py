@@ -7,9 +7,7 @@ The :class:`InvariantSentinel` mechanically checks three invariant
 families while a scenario runs:
 
 * **conservation** — every packet sent is dropped, delivered, or in
-  flight. Counters are pool-aware: object identity is meaningless once
-  packets are recycled through a :class:`~repro.sim.packet.PacketPool`,
-  so the checks compare monotone per-component counters (sender
+  flight. The checks compare monotone per-component counters (sender
   ``sent_packets``, receiver ``received_packets``, per-element
   ``dropped``/``corrupted``/``duplicated``, queue ``drops``) plus the
   exact per-sender identity ``sum(unacked sizes) == inflight_bytes``.
@@ -24,8 +22,8 @@ families while a scenario runs:
 
 Modes (``REPRO_INVARIANTS`` environment variable, or explicit):
 
-* ``off`` — sentinel never attaches; zero overhead, identical to the
-  pre-sentinel engine fast path.
+* ``off`` — sentinel never attaches; the run loop's one
+  ``sentinel is not None`` test per event is all that is left of it.
 * ``warn`` (default) — violations emit :class:`InvariantWarning` (once
   per check site) and are recorded on ``sentinel.violations``; the run
   continues.
@@ -144,7 +142,6 @@ class InvariantSentinel:
         self._senders: List[object] = []
         self._receivers: List[object] = []
         self._queues: List[object] = []
-        self._pools: List[object] = []
         self._elements: List[object] = []
         self._flow_recorders: List[object] = []
         self._queue_recorders: List[object] = []
@@ -181,11 +178,6 @@ class InvariantSentinel:
         if recorder is not None:
             self._queue_recorders.append(recorder)
             self._cursors[id(recorder)] = {}
-
-    def register_pool(self, pool) -> None:
-        if not self.active:
-            return
-        self._pools.append(pool)
 
     def register_element(self, element) -> None:
         """Register a path element that owns drop/duplicate counters."""
@@ -311,13 +303,10 @@ class InvariantSentinel:
                 f"> sent({sent_total}) + duplicated({duplicated_total}): "
                 f"packets appeared from nowhere", now)
 
-        # -- queues and pools ------------------------------------------
+        # -- queues ----------------------------------------------------
         for index, queue in enumerate(self._queues):
             for kind, site, message in queue.invariant_errors():
                 self._fail(kind, f"queue[{index}].{site}", message, now)
-        for index, pool in enumerate(self._pools):
-            for kind, site, message in pool.invariant_errors():
-                self._fail(kind, f"pool[{index}].{site}", message, now)
 
         # -- traces: incremental NaN/Inf + monotonicity scans ----------
         for index, recorder in enumerate(self._flow_recorders):

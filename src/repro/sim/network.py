@@ -23,7 +23,6 @@ from .engine import Simulator
 from .faults import FaultSchedule
 from .host import Receiver, Sender
 from .invariants import InvariantSentinel
-from .packet import PacketPool
 from .path import DelayElement, ElementFactory, chain
 from .queue import BottleneckQueue
 from .recorder import FlowRecorder, QueueRecorder
@@ -269,10 +268,6 @@ def build_topology(links: Sequence[TopologyLink],
     sim = Simulator()
     sentinel = InvariantSentinel(mode=invariants)
     first_rm = flows[0].rm
-    # One shared free list per scenario: packets cycle sender -> queues
-    # -> receiver -> (as ACKs) -> sender instead of being allocated per
-    # event (the simulation is single-threaded, so sharing is safe).
-    pool = PacketPool()
     queues: dict = {}
     # Per-link shared faults: one element chain seen by every flow that
     # crosses the link; ``entries`` maps link id -> chain entry point.
@@ -281,8 +276,7 @@ def build_topology(links: Sequence[TopologyLink],
         link = lk.config
         queue = BottleneckQueue(sim, link.rate,
                                 buffer_bytes=link.resolve_buffer(first_rm),
-                                ecn_threshold_bytes=link.ecn_threshold_bytes,
-                                pool=pool)
+                                ecn_threshold_bytes=link.ecn_threshold_bytes)
         entry: object = queue
         if link.fault_schedule is not None:
             entry = link.fault_schedule.build(sim, queue)
@@ -305,9 +299,9 @@ def build_topology(links: Sequence[TopologyLink],
         cca = config.cca_factory()
         sender = Sender(sim, flow_id, cca, mss=config.mss,
                         start_time=config.start_time,
-                        burst_size=config.burst_size, pool=pool)
+                        burst_size=config.burst_size)
         receiver = Receiver(sim, flow_id, ack_every=config.ack_every,
-                            ack_timeout=config.ack_timeout, pool=pool)
+                            ack_timeout=config.ack_timeout)
         # Reverse path: receiver -> ack elements -> sender.
         ack_entry = chain(sim, config.ack_elements, sender)
         receiver.attach_ack_path(ack_entry)
@@ -355,7 +349,6 @@ def build_topology(links: Sequence[TopologyLink],
                 if id(element) not in registered_elements:
                     registered_elements.add(id(element))
                     sentinel.register_element(element)
-        sentinel.register_pool(pool)
         sentinel.attach(sim)
     return Scenario(sim, built,
                     [queues[link_id] for link_id in link_ids],

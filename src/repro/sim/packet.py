@@ -1,7 +1,8 @@
 """Packet and ACK records passed between simulator components.
 
-Packets are mutable records with ``__slots__`` (the simulator creates one
-object per data packet, so allocation cost matters for long runs).
+Packets are mutable records with ``__slots__``; the sender allocates one
+plain :class:`Packet` per transmission and the receiver one plain
+:class:`Ack` per acknowledgment, and nothing is ever reused.
 
 Each data packet carries a snapshot of the sender's delivery counters at
 send time (``delivered_at_send`` / ``delivered_time_at_send``). On ACK the
@@ -16,18 +17,10 @@ from typing import Optional
 
 
 class Packet:
-    """A data packet traversing the forward path.
-
-    ``poolable`` marks a packet as owned by a :class:`PacketPool`:
-    the terminal consumer (the receiver, or the queue on a tail drop)
-    recycles it, and path elements that alias a packet — duplication
-    delivers one object twice — clear the flag so the object is never
-    reused while still in flight. Hand-built packets are never pooled.
-    """
+    """A data packet traversing the forward path."""
 
     __slots__ = ("flow_id", "seq", "size", "sent_time", "is_retransmit",
-                 "delivered_at_send", "delivered_time_at_send",
-                 "app_limited", "ecn_marked", "poolable")
+                 "delivered_at_send", "delivered_time_at_send", "ecn_marked")
 
     def __init__(self, flow_id: int, seq: int, size: int, sent_time: float,
                  delivered_at_send: float = 0.0,
@@ -40,9 +33,7 @@ class Packet:
         self.is_retransmit = is_retransmit
         self.delivered_at_send = delivered_at_send
         self.delivered_time_at_send = delivered_time_at_send
-        self.app_limited = False
         self.ecn_marked = False
-        self.poolable = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Packet(flow={self.flow_id}, seq={self.seq}, "
@@ -60,7 +51,7 @@ class Ack:
     __slots__ = ("flow_id", "acked_seqs", "acked_bytes",
                  "rtt_sample_seq", "rtt_sample_sent_time",
                  "delivered_at_send", "delivered_time_at_send",
-                 "recv_time", "ecn_marked_count", "poolable")
+                 "recv_time", "ecn_marked_count")
 
     def __init__(self, flow_id: int, acked_seqs: tuple,
                  acked_bytes: int, rtt_sample_seq: int,
@@ -78,7 +69,6 @@ class Ack:
         self.delivered_time_at_send = delivered_time_at_send
         self.recv_time = recv_time
         self.ecn_marked_count = ecn_marked_count
-        self.poolable = False
 
     @property
     def seq(self) -> int:
@@ -99,119 +89,6 @@ class Ack:
                 f"bytes={self.acked_bytes})")
 
 
-class PacketPool:
-    """Bounded free lists of :class:`Packet` and :class:`Ack` objects.
-
-    A long run creates one packet and one ACK per delivered MSS — with
-    pooling, the same few dozen objects cycle sender -> queue ->
-    receiver -> (as an ACK) -> sender. Ownership rules:
-
-    * only the pool sets ``poolable`` — hand-built objects never
-      recycle;
-    * :meth:`release` / :meth:`release_ack` are idempotent (the flag is
-      cleared on release, so double release is a no-op);
-    * an element that aliases a packet (delivers the same object more
-      than once) must clear ``poolable`` before the first delivery.
-    """
-
-    __slots__ = ("_packets", "_acks", "max_size")
-
-    def __init__(self, max_size: int = 1024) -> None:
-        self._packets: list = []
-        self._acks: list = []
-        self.max_size = max_size
-
-    def acquire(self, flow_id: int, seq: int, size: int,
-                sent_time: float, delivered_at_send: float = 0.0,
-                delivered_time_at_send: float = 0.0,
-                is_retransmit: bool = False) -> Packet:
-        free = self._packets
-        if free:
-            packet = free.pop()
-            packet.flow_id = flow_id
-            packet.seq = seq
-            packet.size = size
-            packet.sent_time = sent_time
-            packet.is_retransmit = is_retransmit
-            packet.delivered_at_send = delivered_at_send
-            packet.delivered_time_at_send = delivered_time_at_send
-            packet.app_limited = False
-            packet.ecn_marked = False
-        else:
-            packet = Packet(flow_id, seq, size, sent_time,
-                            delivered_at_send, delivered_time_at_send,
-                            is_retransmit)
-        packet.poolable = True
-        return packet
-
-    def release(self, packet: Packet) -> None:
-        if packet.poolable:
-            packet.poolable = False
-            if len(self._packets) < self.max_size:
-                self._packets.append(packet)
-
-    def acquire_ack(self, flow_id: int, acked_seqs: tuple,
-                    acked_bytes: int, rtt_sample_seq: int,
-                    rtt_sample_sent_time: float,
-                    delivered_at_send: float,
-                    delivered_time_at_send: float,
-                    recv_time: float, ecn_marked_count: int = 0) -> Ack:
-        free = self._acks
-        if free:
-            ack = free.pop()
-            ack.flow_id = flow_id
-            ack.acked_seqs = acked_seqs
-            ack.acked_bytes = acked_bytes
-            ack.rtt_sample_seq = rtt_sample_seq
-            ack.rtt_sample_sent_time = rtt_sample_sent_time
-            ack.delivered_at_send = delivered_at_send
-            ack.delivered_time_at_send = delivered_time_at_send
-            ack.recv_time = recv_time
-            ack.ecn_marked_count = ecn_marked_count
-        else:
-            ack = Ack(flow_id, acked_seqs, acked_bytes, rtt_sample_seq,
-                      rtt_sample_sent_time, delivered_at_send,
-                      delivered_time_at_send, recv_time,
-                      ecn_marked_count)
-        ack.poolable = True
-        return ack
-
-    def release_ack(self, ack: Ack) -> None:
-        if ack.poolable:
-            ack.poolable = False
-            if len(self._acks) < self.max_size:
-                self._acks.append(ack)
-
-    # ------------------------------------------------------------------
-    # Invariant sentinel hook (see repro.sim.invariants)
-    # ------------------------------------------------------------------
-
-    def invariant_errors(self):
-        """Yield (kind, site, message) for violated free-list invariants.
-
-        Every object on a free list must have been released exactly once
-        (``poolable`` cleared by :meth:`release`/:meth:`release_ack`); a
-        poolable object here means a double-release aliased the object —
-        the pool could hand the same packet to two owners.
-        """
-        errors = []
-        for name, free in (("packets", self._packets),
-                           ("acks", self._acks)):
-            if len(free) > self.max_size:
-                errors.append((
-                    "conservation", f"{name}_overflow",
-                    f"free list '{name}' holds {len(free)} objects, "
-                    f"bound is {self.max_size}"))
-            for obj in free:
-                if obj.poolable:
-                    errors.append((
-                        "conservation", f"{name}_aliased",
-                        f"free {name[:-1]} {obj!r} still marked poolable "
-                        f"(double release / aliasing)"))
-                    break
-        return errors
-
-
 class AckInfo:
     """Digest handed to a CCA on each ACK event.
 
@@ -222,18 +99,15 @@ class AckInfo:
         inflight_bytes: bytes in flight after processing the ACK.
         min_rtt: the connection's lifetime minimum RTT so far.
         now: current simulation time.
-        is_app_limited: delivery-rate sample taken while app-limited.
     """
 
     __slots__ = ("rtt", "acked_bytes", "delivery_rate", "inflight_bytes",
-                 "min_rtt", "now", "is_app_limited",
-                 "delivered_bytes", "delivered_at_send", "acked_seqs",
-                 "ecn_marked")
+                 "min_rtt", "now", "delivered_bytes", "delivered_at_send",
+                 "acked_seqs", "ecn_marked")
 
     def __init__(self, rtt: float, acked_bytes: int,
                  delivery_rate: Optional[float], inflight_bytes: int,
                  min_rtt: float, now: float,
-                 is_app_limited: bool = False,
                  delivered_bytes: float = 0.0,
                  delivered_at_send: float = 0.0,
                  acked_seqs: tuple = (),
@@ -244,7 +118,6 @@ class AckInfo:
         self.inflight_bytes = inflight_bytes
         self.min_rtt = min_rtt
         self.now = now
-        self.is_app_limited = is_app_limited
         self.delivered_bytes = delivered_bytes
         self.delivered_at_send = delivered_at_send
         self.acked_seqs = acked_seqs

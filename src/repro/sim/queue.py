@@ -15,7 +15,7 @@ from typing import Callable, Deque, Dict, Optional
 
 from ..errors import ConfigurationError
 from .engine import Simulator
-from .packet import Packet, PacketPool
+from .packet import Packet
 
 
 class BottleneckQueue:
@@ -37,8 +37,7 @@ class BottleneckQueue:
     def __init__(self, sim: Simulator, rate: float,
                  buffer_bytes: Optional[float] = None,
                  on_drop: Optional[Callable[[Packet, float], None]] = None,
-                 ecn_threshold_bytes: Optional[float] = None,
-                 pool: Optional[PacketPool] = None) -> None:
+                 ecn_threshold_bytes: Optional[float] = None) -> None:
         if rate <= 0:
             raise ConfigurationError(f"bottleneck rate must be > 0, got {rate}")
         if buffer_bytes is not None and buffer_bytes <= 0:
@@ -52,9 +51,6 @@ class BottleneckQueue:
         # an unambiguous congestion signal (unlike delay and loss).
         self.ecn_threshold_bytes = ecn_threshold_bytes
         self.ecn_marks = 0
-        # Recycle tail-dropped packets (only when nobody else observes
-        # them via on_drop).
-        self.pool = pool
         self._sinks: Dict[int, object] = {}
         self._queue: Deque[Packet] = deque()
         self._queued_bytes: float = 0.0
@@ -96,8 +92,6 @@ class BottleneckQueue:
             self.dropped_bytes += packet.size
             if self.on_drop is not None:
                 self.on_drop(packet, now)
-            elif self.pool is not None:
-                self.pool.release(packet)
             return
         self._queue.append(packet)
         self._queued_bytes += packet.size

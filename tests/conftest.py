@@ -14,6 +14,14 @@ def sim() -> Simulator:
     return Simulator()
 
 
+def livelock(sim: Simulator) -> None:
+    """Schedule a zero-delay self-rescheduling callback (never advances
+    the clock) — the canonical divergent run."""
+    def loop():
+        sim.schedule(0.0, loop)
+    sim.schedule(0.0, loop)
+
+
 @pytest.fixture(scope="module")
 def run():
     """One finished Vegas run, shared by the recorder and trace tests."""

@@ -183,6 +183,9 @@ class TestDuplicateAndCorruption:
             element.receive(pkt(i), 0.0)
         assert len(spy.packets) == 20
         assert element.duplicated == 10
+        # A duplicate is the same object delivered twice, not a copy.
+        assert all(a is b for a, b in zip(spy.packets[::2],
+                                          spy.packets[1::2]))
 
     def test_corruption_drops_and_counts(self, sim, spy):
         element = CorruptionElement(sim, spy, corrupt_prob=0.5, seed=9)

@@ -14,13 +14,7 @@ from repro.errors import BudgetExceededError, SimulationError
 from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 from repro.sim.engine import Simulator
 
-
-def livelock(sim):
-    """Schedule a zero-delay self-rescheduling callback (never advances
-    the clock) — the canonical divergent run."""
-    def loop():
-        sim.schedule(0.0, loop)
-    sim.schedule(0.0, loop)
+from .conftest import livelock
 
 
 class TestEngineWatchdog:
