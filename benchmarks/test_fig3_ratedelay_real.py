@@ -25,7 +25,7 @@ GRID = [0.4, 2.0, 10.0, 50.0]   # Mbit/s, log-ish spacing
 # Resilient-harness budget: one divergent CCA run is recorded on the
 # curve instead of hanging the whole panel. The limits are far above
 # anything a healthy run needs (~1.5M events at 50 Mbit/s x 20 s).
-BUDGET = RunBudget(max_events=30_000_000, wall_clock=300.0, retries=1)
+BUDGET = RunBudget(max_events=30_000_000, wall_clock=300.0)
 
 
 def run_sweeps():

@@ -64,7 +64,7 @@ def generate():
     # surfaces as a recorded failure, not a hung/aborted bench.
     sweep = ResilientSweep(run_point,
                            budget=RunBudget(max_events=10_000_000,
-                                            wall_clock=120.0, retries=1),
+                                            wall_clock=120.0),
                            backend=SerialBackend())
     outcome = sweep.run([(label, {"cca": name, "params": params})
                          for label, (name, params) in PANEL.items()])

@@ -15,8 +15,9 @@ the points execute:
   sweeps bit-identical to serial ones.
 
 Both backends funnel each point through :func:`execute_point`, which
-owns the retry/back-off and failure-wrapping semantics, so a divergent
-point degrades to a :class:`RunFailure` identically on every backend.
+runs it once under the caller's budget and owns the failure-wrapping
+semantics, so a divergent point degrades to a :class:`RunFailure`
+identically on every backend.
 Unexpected non-recoverable exceptions (programming errors) are wrapped
 as ``RunFailure(kind="internal")`` — with a crash bundle when a crash
 directory is configured — instead of aborting the sweep; only
@@ -35,8 +36,8 @@ degrade to in-process serial execution rather than being dropped.
 ``execute_point`` is also the single cache crossing: given a
 :class:`~repro.store.ResultStore` it looks the point's content address
 up *before* simulating and stores the result *after* — and only
-successful results are ever stored, so a retried-then-failed point
-cannot poison the store. Because the lookup/put happens inside the
+successful results are ever stored, so a failed point cannot poison
+the store. Because the lookup/put happens inside the
 worker body, pool workers share the cache exactly like serial runs do.
 """
 
@@ -91,13 +92,15 @@ def execute_point(run_point: RunPoint, key: str, params: Dict[str, Any],
                   refresh: bool = False,
                   backend_name: str = "serial",
                   crash_dir: Optional[str] = None) -> PointOutcome:
-    """Run one grid point with retries; wrap recoverable failures.
+    """Run one grid point, once; wrap its failure as a record.
 
     This is the single execution path shared by every backend (it is a
     module-level function precisely so process pools can pickle it).
-    ``run_point`` receives each attempt's (back-off scaled)
-    :class:`RunBudget` and should pass its limits into the run so the
-    engine watchdog can fire.
+    ``run_point`` receives the caller's :class:`RunBudget` and should
+    pass its limits into the run so the engine watchdog can fire. A
+    run is a pure function of its params, so a failure is recorded,
+    not re-run: ``repro replay BUNDLE --budget-scale X`` or a larger
+    ``--max-events`` gives a point more headroom.
 
     With a ``store``, the point's content address is looked up first —
     a hit skips the simulation entirely and is bit-identical to a live
@@ -135,7 +138,6 @@ def execute_point(run_point: RunPoint, key: str, params: Dict[str, Any],
                 return PointOutcome(key=key, params=params,
                                     result=cached, cached=True,
                                     cache_key=ckey)
-    attempts = 0
 
     def fail(exc: BaseException, kind: str) -> PointOutcome:
         elapsed = time.monotonic() - start
@@ -144,11 +146,11 @@ def execute_point(run_point: RunPoint, key: str, params: Dict[str, Any],
             from .diagnostics import write_crash_bundle
             bundle = write_crash_bundle(
                 crash_dir, key=key, params=params, exc=exc,
-                task=task_name(run_point), attempts=attempts,
-                elapsed=elapsed, budget=budget, backend=backend_name)
+                task=task_name(run_point), elapsed=elapsed,
+                budget=budget, backend=backend_name)
         failure = RunFailure(
             key=key, reason=type(exc).__name__,
-            message=_first_line(exc), attempts=attempts,
+            message=_first_line(exc), attempts=1,
             elapsed=elapsed, params=params, kind=kind, bundle=bundle)
         if store is not None and ckey is not None:
             try:
@@ -162,25 +164,17 @@ def execute_point(run_point: RunPoint, key: str, params: Dict[str, Any],
         return PointOutcome(key=key, params=params, failure=failure,
                             cache_key=ckey)
 
-    # The one retry loop: a recoverable failure is retried up to
-    # ``budget.retries`` times with both budgets multiplied by
-    # ``budget.backoff`` per attempt; the last failure is recorded.
-    while True:
-        attempts += 1
-        try:
-            result = run_point(params, budget.scaled(attempts - 1))
-            break
-        except RECOVERABLE as exc:
-            if attempts > budget.retries:
-                return fail(exc, "error")
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            # A programming error in the experiment script: degrade to
-            # a structured failure (with a bundle carrying the
-            # traceback) instead of killing the whole sweep from inside
-            # a worker. Never retried.
-            return fail(exc, "internal")
+    try:
+        result = run_point(params, budget)
+    except RECOVERABLE as exc:
+        return fail(exc, "error")
+    except (KeyboardInterrupt, SystemExit):
+        raise
+    except Exception as exc:
+        # A programming error in the experiment script: degrade to a
+        # structured failure (with a bundle carrying the traceback)
+        # instead of killing the whole sweep from inside a worker.
+        return fail(exc, "internal")
     if store is not None and ckey is not None:
         try:
             store.put(ckey, result, meta={"point": key},
@@ -223,34 +217,16 @@ class SerialBackend:
         return "SerialBackend()"
 
 
-def _execute_chunk(run_point: RunPoint, chunk: Sequence[Point],
-                   budget: RunBudget, store: Optional[ResultStore],
-                   refresh: bool,
-                   crash_dir: Optional[str] = None
-                   ) -> "list[PointOutcome]":
-    """Worker body for chunked submission.
+class _PointState:
+    """Book-keeping for one point submitted to the self-healing pool."""
 
-    The chunk's points run serially inside one pool task (each still
-    through :func:`execute_point`, so retry/cache/failure semantics are
-    untouched); one pickle round-trip then covers ``chunksize`` points
-    instead of one, which matters for sweeps of many short points.
-    """
-    return [execute_point(run_point, key, params, budget, store=store,
-                          refresh=refresh, backend_name="process-pool",
-                          crash_dir=crash_dir)
-            for key, params in chunk]
+    __slots__ = ("key", "params", "attempts", "first_submit")
 
-
-class _ChunkState:
-    """Book-keeping for one submitted chunk of the self-healing pool."""
-
-    __slots__ = ("points", "attempts", "first_submit", "started")
-
-    def __init__(self, points: Sequence[Point]) -> None:
-        self.points = list(points)
-        self.attempts = 0
-        self.first_submit: Optional[float] = None
-        self.started = False  # on_start already fired for these keys
+    def __init__(self, key: str, params: Dict[str, Any]) -> None:
+        self.key = key
+        self.params = params
+        self.attempts = 0  # submissions so far; on_start fires on the first
+        self.first_submit = 0.0
 
 
 class ProcessPoolBackend:
@@ -258,26 +234,21 @@ class ProcessPoolBackend:
 
     Args:
         jobs: worker count (default: the machine's CPU count).
-        chunksize: points submitted per pool task (default 1). Larger
-            chunks amortize pickle/IPC overhead for grids of many
-            short points; outcomes still arrive per point, so
-            checkpoints and curves are identical to ``chunksize=1``
-            (and to :class:`SerialBackend`).
-        point_timeout: parent-side wall seconds allowed per point (a
-            chunk gets ``point_timeout * len(chunk)``). This is the
-            backstop for hangs the in-worker engine watchdog cannot
-            reach (a callback blocked in C code, a deadlocked worker):
-            when no chunk completes within the current stall window the
-            hung workers are terminated and their chunks retried or
-            quarantined as ``RunFailure(kind="timeout")``. ``None``
-            (default) derives the window from ``budget.wall_clock``
-            across its retries plus slack — or disables stall detection
-            when the budget carries no wall limit.
-        max_point_attempts: submissions allowed per chunk before its
-            points are quarantined (default 3). A chunk's attempt count
-            rises each time it is implicated in a broken or stalled
-            pool; its *last* attempt runs in an isolated single-worker
-            pool, so an innocent chunk repeatedly co-pending with a
+        point_timeout: parent-side wall seconds allowed per point. This
+            is the backstop for hangs the in-worker engine watchdog
+            cannot reach (a callback blocked in C code, a deadlocked
+            worker): when no point completes within the stall window
+            the hung workers are terminated and their points
+            resubmitted or quarantined as
+            ``RunFailure(kind="timeout")``. ``None`` (default) derives
+            the window from ``budget.wall_clock`` plus slack — or
+            disables stall detection when the budget carries no wall
+            limit.
+        max_point_attempts: submissions allowed per point before it is
+            quarantined (default 3). A point's attempt count rises each
+            time it is implicated in a broken or stalled pool; its
+            *last* attempt runs in an isolated single-worker pool, so
+            an innocent point repeatedly co-pending with a
             worker-killer is exonerated before quarantine and only the
             true culprit is recorded as
             ``RunFailure(kind="worker_lost")``.
@@ -285,9 +256,9 @@ class ProcessPoolBackend:
     Self-healing: a worker death (``os._exit``, segfault, OOM kill)
     breaks the stdlib executor for good, so the backend terminates the
     carcass, respawns a fresh pool, and resubmits every unfinished
-    chunk — the sweep completes with per-point failure records instead
+    point — the sweep completes with per-point failure records instead
     of aborting. If a replacement pool cannot even be constructed, the
-    remaining chunks degrade to in-process serial execution (isolated
+    remaining points degrade to in-process serial execution (isolated
     suspects excluded — re-running a suspected worker-killer in the
     parent could take the whole sweep down with it; they are
     quarantined instead).
@@ -311,14 +282,10 @@ class ProcessPoolBackend:
     _STALL_SLACK = 30.0
 
     def __init__(self, jobs: Optional[int] = None,
-                 chunksize: int = 1,
                  point_timeout: Optional[float] = None,
                  max_point_attempts: int = 3) -> None:
         if jobs is not None and jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        if chunksize < 1:
-            raise ConfigurationError(
-                f"chunksize must be >= 1, got {chunksize}")
         if point_timeout is not None and point_timeout <= 0:
             raise ConfigurationError(
                 f"point_timeout must be > 0, got {point_timeout}")
@@ -327,7 +294,6 @@ class ProcessPoolBackend:
                 f"max_point_attempts must be >= 1, got "
                 f"{max_point_attempts}")
         self.jobs = jobs or os.cpu_count() or 1
-        self.chunksize = chunksize
         self.point_timeout = point_timeout
         self.max_point_attempts = max_point_attempts
         #: Telemetry for tests/logs: pools respawned, workers lost.
@@ -337,18 +303,13 @@ class ProcessPoolBackend:
     # Stall window
     # ------------------------------------------------------------------
 
-    def _stall_window(self, budget: RunBudget,
-                      chunk_len: int) -> Optional[float]:
-        """Wall seconds a chunk may run before it counts as hung."""
+    def _stall_window(self, budget: RunBudget) -> Optional[float]:
+        """Wall seconds a point may run before it counts as hung."""
         if self.point_timeout is not None:
-            return self.point_timeout * chunk_len
+            return self.point_timeout
         if budget.wall_clock is None:
             return None
-        # The worker retries internally with back-off, so its
-        # legitimate wall time is the sum of the scaled budgets.
-        per_point = sum(budget.wall_clock * budget.backoff ** attempt
-                        for attempt in range(budget.retries + 1))
-        return per_point * chunk_len + self._STALL_SLACK
+        return budget.wall_clock + self._STALL_SLACK
 
     # ------------------------------------------------------------------
     # Pool lifecycle helpers
@@ -372,22 +333,17 @@ class ProcessPoolBackend:
         except Exception:
             pass
 
-    def _quarantine(self, state: _ChunkState, kind: str,
-                    detail: str) -> "list[PointOutcome]":
-        reason = ("WorkerLost" if kind == "worker_lost"
-                  else "PointTimeout")
-        elapsed = 0.0
-        if state.first_submit is not None:
-            elapsed = time.monotonic() - state.first_submit
-        outcomes = []
-        for key, params in state.points:
-            outcomes.append(PointOutcome(
-                key=key, params=params,
-                failure=RunFailure(
-                    key=key, reason=reason, message=detail,
-                    attempts=state.attempts, elapsed=elapsed,
-                    params=params, kind=kind)))
-        return outcomes
+    @staticmethod
+    def _quarantine(state: _PointState, kind: str,
+                    detail: str) -> PointOutcome:
+        reason = "WorkerLost" if kind == "worker_lost" else "PointTimeout"
+        return PointOutcome(
+            key=state.key, params=state.params,
+            failure=RunFailure(
+                key=state.key, reason=reason, message=detail,
+                attempts=state.attempts,
+                elapsed=time.monotonic() - state.first_submit,
+                params=state.params, kind=kind))
 
     def execute(self, run_point: RunPoint, points: Sequence[Point],
                 budget: RunBudget,
@@ -406,16 +362,14 @@ class ProcessPoolBackend:
             return
         self._check_picklable(run_point, points)
         context = multiprocessing.get_context("spawn")
-        size = self.chunksize
-        queue: "list[_ChunkState]" = [
-            _ChunkState(points[i:i + size])
-            for i in range(0, len(points), size)]
+        stall = self._stall_window(budget)
+        queue = [_PointState(key, params) for key, params in points]
         pool: Optional[ProcessPoolExecutor] = None
         try:
             while queue:
-                # Last-chance chunks run alone in a single-worker pool
-                # for exact blame: a pool break with one chunk in
-                # flight can only be that chunk's doing.
+                # Last-chance points run alone in a single-worker pool
+                # for exact blame: a pool break with one point in
+                # flight can only be that point's doing.
                 isolated = [s for s in queue
                             if s.attempts >= self.max_point_attempts - 1]
                 batch = isolated[:1] if isolated else queue
@@ -431,46 +385,35 @@ class ProcessPoolBackend:
                     pool = None
                     for state in queue:
                         if state.attempts > 0:
-                            for outcome in self._quarantine(
-                                    state, "worker_lost",
-                                    "process pool could not be rebuilt; "
-                                    "suspect point not retried in-process"):
-                                yield outcome
+                            yield self._quarantine(
+                                state, "worker_lost",
+                                "process pool could not be rebuilt; "
+                                "suspect point not retried in-process")
                         else:
-                            for key, params in state.points:
-                                if on_start is not None \
-                                        and not state.started:
-                                    on_start(key)
-                                yield execute_point(
-                                    run_point, key, params, budget,
-                                    store=store, refresh=refresh,
-                                    backend_name="serial-degraded",
-                                    crash_dir=crash_dir)
+                            if on_start is not None:
+                                on_start(state.key)
+                            yield execute_point(
+                                run_point, state.key, state.params,
+                                budget, store=store, refresh=refresh,
+                                backend_name="serial-degraded",
+                                crash_dir=crash_dir)
                     return
                 queue = [s for s in queue if s not in batch]
-                future_map: Dict[Any, _ChunkState] = {}
-                stall: Optional[float] = None
+                future_map: Dict[Any, _PointState] = {}
                 for state in batch:
                     state.attempts += 1
-                    if state.first_submit is None:
+                    if state.attempts == 1:
                         state.first_submit = time.monotonic()
-                    if on_start is not None and not state.started:
-                        state.started = True
-                        for key, _ in state.points:
-                            on_start(key)
+                        if on_start is not None:
+                            on_start(state.key)
                     # The store travels to the worker (it is plain
                     # paths + a fingerprint), so lookups and puts
                     # happen where the simulation runs — all processes
                     # share one cache.
-                    future = pool.submit(
-                        _execute_chunk, run_point, state.points, budget,
-                        store, refresh, crash_dir)
-                    future_map[future] = state
-                    window = self._stall_window(budget,
-                                                len(state.points))
-                    if window is not None:
-                        stall = window if stall is None \
-                            else max(stall, window)
+                    future_map[pool.submit(
+                        execute_point, run_point, state.key,
+                        state.params, budget, store, refresh,
+                        "process-pool", crash_dir)] = state
                 pending = set(future_map)
                 broken = False
                 while pending and not broken:
@@ -479,17 +422,15 @@ class ProcessPoolBackend:
                     if not done:
                         # Nothing finished inside the stall window:
                         # the remaining workers are hung. Kill them
-                        # and retry/quarantine their chunks.
+                        # and resubmit/quarantine their points.
                         self.respawns += 1
                         for future in pending:
                             state = future_map[future]
                             if state.attempts >= self.max_point_attempts:
-                                for outcome in self._quarantine(
-                                        state, "timeout",
-                                        f"no progress within "
-                                        f"{stall:.1f}s stall window; "
-                                        f"worker terminated"):
-                                    yield outcome
+                                yield self._quarantine(
+                                    state, "timeout",
+                                    f"no progress within {stall:.1f}s "
+                                    f"stall window; worker terminated")
                             else:
                                 queue.append(state)
                         self._terminate_pool(pool)
@@ -502,7 +443,7 @@ class ProcessPoolBackend:
                     for future in done:
                         state = future_map[future]
                         try:
-                            outcomes = future.result()
+                            outcome = future.result()
                         except CancelledError:
                             queue.append(state)
                             continue
@@ -511,10 +452,9 @@ class ProcessPoolBackend:
                             # kill); the executor is unusable.
                             broken_states.append(state)
                             continue
-                        for outcome in outcomes:
-                            yield outcome
+                        yield outcome
                     if broken_states:
-                        # Requeue or quarantine every unfinished chunk
+                        # Requeue or quarantine every unfinished point
                         # and respawn the pool.
                         self.respawns += 1
                         casualties = broken_states + [
@@ -522,11 +462,10 @@ class ProcessPoolBackend:
                         for casualty in casualties:
                             if casualty.attempts \
                                     >= self.max_point_attempts:
-                                for outcome in self._quarantine(
-                                        casualty, "worker_lost",
-                                        "worker process died repeatedly "
-                                        "while running this point"):
-                                    yield outcome
+                                yield self._quarantine(
+                                    casualty, "worker_lost",
+                                    "worker process died repeatedly "
+                                    "while running this point")
                             else:
                                 queue.append(casualty)
                         self._terminate_pool(pool)
@@ -561,10 +500,9 @@ class ProcessPoolBackend:
         return f"ProcessPoolBackend(jobs={self.jobs})"
 
 
-def make_backend(jobs: Optional[int] = None, chunksize: int = 1,
+def make_backend(jobs: Optional[int] = None,
                  point_timeout: Optional[float] = None):
     """``--jobs N`` semantics: None/1 -> serial, N > 1 -> process pool."""
     if jobs is None or jobs <= 1:
         return SerialBackend()
-    return ProcessPoolBackend(jobs=jobs, chunksize=chunksize,
-                              point_timeout=point_timeout)
+    return ProcessPoolBackend(jobs=jobs, point_timeout=point_timeout)

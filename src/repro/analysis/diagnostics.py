@@ -20,7 +20,7 @@ bundle captures everything needed to re-run the exact point:
 Bundles are single JSON files written atomically (tempfile +
 ``os.replace``) under a crash directory (``crashes/`` by convention;
 the CLI's ``--crash-dir``). The file name is content-derived from
-``(key, reason)``, so a point that fails the same way on every retry
+``(key, reason)``, so a point that fails the same way on every run
 overwrites one bundle instead of accumulating copies.
 
 ``repro replay <bundle>`` (see :mod:`repro.cli`) re-runs the point
@@ -88,8 +88,7 @@ def find_seed(params: Any) -> Optional[int]:
 
 def write_crash_bundle(crash_dir: str, *, key: str,
                        params: Dict[str, Any], exc: BaseException,
-                       task: str = "", attempts: int = 1,
-                       elapsed: float = 0.0,
+                       task: str = "", elapsed: float = 0.0,
                        budget: Optional[RunBudget] = None,
                        backend: str = "serial") -> Optional[str]:
     """Persist one failure as a reproducible JSON bundle.
@@ -118,11 +117,8 @@ def write_crash_bundle(crash_dir: str, *, key: str,
             "budget": None if budget is None else {
                 "max_events": budget.max_events,
                 "wall_clock": budget.wall_clock,
-                "retries": budget.retries,
-                "backoff": budget.backoff,
             },
             "backend": backend,
-            "attempts": attempts,
             "elapsed": elapsed,
             "created_unix": time.time(),
             "python": sys.version.split()[0],
@@ -196,9 +192,7 @@ def budget_from_bundle(data: Dict[str, Any],
         max_events=None if max_events is None
         else max(1, int(max_events * scale)),
         wall_clock=None if wall_clock is None
-        else wall_clock * scale,
-        retries=recorded.get("retries", 0),
-        backoff=recorded.get("backoff", 1.0) or 1.0)
+        else wall_clock * scale)
 
 
 def replay_bundle(path: str, invariants: Optional[str] = None,

@@ -1,4 +1,4 @@
-"""Resilient experiment harness: watchdogs, retries, checkpointed sweeps.
+"""Resilient experiment harness: watchdogs and checkpointed sweeps.
 
 Every sweep in this repo used to run unsupervised: one divergent CCA run
 (livelocked event loop, runaway queue) aborted an entire grid with no
@@ -6,9 +6,7 @@ partial results. This module supplies the missing robustness layer:
 
 * :class:`RunBudget` — per-run event-count and wall-clock budgets,
   enforced by the engine watchdog (:class:`~repro.errors.
-  BudgetExceededError`), plus the retry/back-off policy that
-  :func:`~repro.analysis.backends.execute_point` (the one retry loop)
-  applies to a failing point.
+  BudgetExceededError`). A point runs once under the stated budget.
 * :class:`ResilientSweep` — grid execution with graceful degradation
   (a failed point becomes a structured :class:`RunFailure` instead of
   aborting the sweep) and JSON checkpointing so interrupted sweeps
@@ -41,36 +39,16 @@ class RunBudget:
     Args:
         max_events: engine events allowed per run (None = unlimited).
         wall_clock: real seconds allowed per run (None = unlimited).
-        retries: additional attempts after the first failure.
-        backoff: multiplier applied to both budgets on each retry, so a
-            run that merely needed more headroom gets it (a genuinely
-            livelocked run still fails, just a bit later).
     """
 
     max_events: Optional[int] = 20_000_000
     wall_clock: Optional[float] = 60.0
-    retries: int = 1
-    backoff: float = 2.0
 
     def __post_init__(self) -> None:
         if self.max_events is not None and self.max_events <= 0:
             raise ValueError(f"max_events must be > 0, got {self.max_events}")
         if self.wall_clock is not None and self.wall_clock <= 0:
             raise ValueError(f"wall_clock must be > 0, got {self.wall_clock}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff < 1.0:
-            raise ValueError(f"backoff must be >= 1, got {self.backoff}")
-
-    def scaled(self, attempt: int) -> "RunBudget":
-        """The budget for the given 0-based attempt (back-off applied)."""
-        factor = self.backoff ** attempt
-        return RunBudget(
-            max_events=None if self.max_events is None
-            else int(self.max_events * factor),
-            wall_clock=None if self.wall_clock is None
-            else self.wall_clock * factor,
-            retries=self.retries, backoff=self.backoff)
 
 
 @dataclass
@@ -98,8 +76,8 @@ class RunFailure:
     key: str
     reason: str                  # exception class name, e.g. "BudgetExceededError"
     message: str
-    attempts: int
-    elapsed: float               # wall-clock seconds spent across attempts
+    attempts: int                # pool submissions (worker_lost/timeout), else 1
+    elapsed: float               # wall-clock seconds spent on the point
     params: Dict[str, Any] = field(default_factory=dict)
     kind: str = "error"
     bundle: Optional[str] = None
@@ -121,9 +99,9 @@ class RunFailure:
                           bundle=data.get("bundle"))
 
 
-#: Exceptions a run may raise that the harness degrades gracefully on.
+#: Exceptions a run may raise that are recorded as ``kind="error"``.
 #: Anything else (e.g. a TypeError from a bad experiment script) is a
-#: programming error and propagates immediately.
+#: programming error, recorded as ``kind="internal"``.
 RECOVERABLE = (ReproError, ArithmeticError, MemoryError, RecursionError)
 
 
@@ -159,7 +137,7 @@ class SweepOutcome:
 
 
 class ResilientSweep:
-    """Run a grid of experiments with watchdogs, retries, checkpoints.
+    """Run a grid of experiments with watchdogs and checkpoints.
 
     Args:
         run_point: ``run_point(params, budget)`` executes one grid point

@@ -258,7 +258,7 @@ def sweep_rate_delay(cca_factory: CCALike,
         duration: per-point run length; default scales with the expected
             convergence time (see :func:`default_run_time`).
         warmup_fraction: fraction of the run discarded as transient.
-        budget: per-point watchdog/retry budget; a point that exceeds it
+        budget: per-point watchdog budget; a point that exceeds it
             lands in ``curve.failures`` instead of hanging the sweep.
         checkpoint_path: JSON checkpoint file; completed rates are
             skipped when the sweep is re-invoked after an interruption.

@@ -127,15 +127,11 @@ def _apply_invariants(args: argparse.Namespace) -> None:
 
 
 def _add_pool_flags(parser: argparse.ArgumentParser, unit: str) -> None:
-    """``--jobs``/``--chunksize``, shared by run/sweep/matrix/starve."""
+    """``--jobs``, shared by run/sweep/matrix/starve."""
     parser.add_argument(
         "--jobs", type=int, default=None,
         help=f"run {unit} in N worker processes (bit-identical to "
              f"serial)")
-    parser.add_argument(
-        "--chunksize", type=int, default=1,
-        help=f"{unit} per worker task with --jobs (default 1); larger "
-             f"chunks amortize IPC for many short {unit}")
 
 
 def _add_budget_flags(parser: argparse.ArgumentParser, unit: str,
@@ -441,14 +437,14 @@ def _report_specs(args: argparse.Namespace,
             "warmup": warmup,
             "title": title.format(name=name, duration=run_for),
         }))
-    backend = make_backend(args.jobs, chunksize=args.chunksize)
+    backend = make_backend(args.jobs)
     store = _cache_store(args)
     reports: Dict[str, str] = {}
     failures = []
     hits = misses = 0
     for outcome in backend.execute(
             _run_spec_point, points,
-            RunBudget(max_events=max_events, wall_clock=None, retries=0),
+            RunBudget(max_events=max_events, wall_clock=None),
             store=store, refresh=args.force, crash_dir=args.crash_dir):
         if outcome.failure is not None:
             failures.append(outcome.failure)
@@ -610,7 +606,7 @@ def _run_grid(args: argparse.Namespace, compiler: Any) -> Any:
             compiler(**args.params(args)),
             budget=RunBudget(max_events=args.max_events,
                              wall_clock=args.wall_clock),
-            backend=make_backend(args.jobs, chunksize=args.chunksize),
+            backend=make_backend(args.jobs),
             store=store, refresh=args.force, crash_dir=args.crash_dir,
             checkpoint_path=args.checkpoint,
             retry_failures_on_resume=getattr(args, "retry_failures",
@@ -715,8 +711,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     """Run a fuzz campaign: random scenarios through the oracle battery."""
     from .fuzz import FuzzConfig, describe_space, run_fuzz
     config = FuzzConfig(max_flows=args.max_flows)
-    budget = RunBudget(max_events=args.max_events, wall_clock=None,
-                       retries=0, backoff=1.0)
+    budget = RunBudget(max_events=args.max_events, wall_clock=None)
     progress = None
     if args.verbose:
         def progress(key: str, status: str) -> None:
@@ -727,7 +722,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         iterations=args.iterations, seed=args.seed,
         time_budget=args.time_budget, corpus_dir=args.corpus_dir,
         jobs=args.jobs, budget=budget, config=config,
-        shrink=not args.no_shrink,
         differential=not args.no_differential,
         crash_dir=args.crash_dir, progress=progress)
     print(report.describe())
@@ -1254,9 +1248,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument(
         "--max-flows", type=int, default=16,
         help="most flows a generated scenario may have (default 16)")
-    fuzz_parser.add_argument(
-        "--no-shrink", action="store_true",
-        help="file fresh findings unminimized (faster, bigger specs)")
     fuzz_parser.add_argument(
         "--no-differential", action="store_true",
         help="skip the serial-vs-pool battery identity cross-check")

@@ -44,8 +44,7 @@ from .shrink import reproduces, shrink_spec
 #: an in-engine wall watchdog fires nondeterministically under load,
 #: and fuzz output must be a pure function of (seed, iterations). Hang
 #: protection comes from the pool's parent-side stall watchdog.
-DEFAULT_BUDGET = RunBudget(max_events=2_000_000, wall_clock=None,
-                           retries=0, backoff=1.0)
+DEFAULT_BUDGET = RunBudget(max_events=2_000_000, wall_clock=None)
 
 #: Parent-side stall watchdog per point when running with --jobs.
 DEFAULT_POINT_TIMEOUT = 120.0
@@ -176,10 +175,8 @@ def run_fuzz(iterations: int = 50, seed: int = 1,
              jobs: Optional[int] = None,
              budget: Optional[RunBudget] = None,
              config: Optional[FuzzConfig] = None,
-             shrink: bool = True,
              differential: bool = True,
              crash_dir: Optional[str] = None,
-             max_shrink_runs: int = 200,
              progress: Optional[Callable[[str, str], None]] = None
              ) -> FuzzReport:
     """Run one fuzz campaign; see the module docstring for the phases.
@@ -199,18 +196,15 @@ def run_fuzz(iterations: int = 50, seed: int = 1,
         budget: per-iteration :class:`RunBudget`
             (default :data:`DEFAULT_BUDGET`).
         config: generator bounds (:class:`FuzzConfig`).
-        shrink: minimize fresh findings before filing them.
         differential: cross-check a sample on the alternate backend.
         crash_dir: capture a crash bundle per fresh reproducible
             finding, for ``repro replay``.
-        max_shrink_runs: battery-run cap per shrink.
         progress: ``progress(key, status)`` callback, harness-style.
     """
     start = time.monotonic()
     deadline = None if time_budget is None else start + time_budget
     budget = budget or DEFAULT_BUDGET
-    backend = make_backend(jobs, point_timeout=DEFAULT_POINT_TIMEOUT) \
-        if jobs and jobs > 1 else SerialBackend()
+    backend = make_backend(jobs, point_timeout=DEFAULT_POINT_TIMEOUT)
 
     specs = {f"fuzz-{i:04d}": (i, generate_spec(seed, i, config))
              for i in range(iterations)}
@@ -292,14 +286,10 @@ def run_fuzz(iterations: int = 50, seed: int = 1,
             item.reproducible = False
         if not item.reproducible:
             continue
-        minimized = spec
-        if shrink:
-            outcome = shrink_spec(spec, item.signature,
-                                  max_events=budget.max_events,
-                                  max_runs=max_shrink_runs)
-            minimized = outcome.spec
-            item.shrink_runs = outcome.runs
-        item.shrunk = minimized.to_json()
+        shrunk = shrink_spec(spec, item.signature,
+                             max_events=budget.max_events)
+        item.shrink_runs = shrunk.runs
+        item.shrunk = shrunk.spec.to_json()
         if corpus_dir:
             entry = CorpusEntry(
                 signature=item.signature,
@@ -310,7 +300,7 @@ def run_fuzz(iterations: int = 50, seed: int = 1,
                 origin={"root_seed": seed, "iteration": item.index})
             item.corpus_path = write_entry(corpus_dir, entry)
         if crash_dir:
-            params = dict(battery_params(minimized))
+            params = dict(battery_params(shrunk.spec))
             params["raise_on_finding"] = item.signature
             bundle_outcome = execute_point(
                 fuzz_battery_point, item.key, params, budget,

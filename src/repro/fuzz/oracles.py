@@ -25,7 +25,7 @@ maps to one corpus entry.
 :func:`fuzz_battery_point` is the module-level ``run_point`` worker —
 picklable, so the driver can fan iterations out over the self-healing
 :class:`~repro.analysis.backends.ProcessPoolBackend` and every finding
-still flows through the shared ``execute_point`` retry/crash-bundle
+still flows through the shared ``execute_point`` crash-bundle
 path. Passing ``params["raise_on_finding"]`` turns a matching finding
 into a raised :class:`OracleFailure`, which is how fuzz findings become
 crash bundles that ``repro replay`` reproduces exactly.

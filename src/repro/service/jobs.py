@@ -66,14 +66,48 @@ KINDS = ("sweep", "matrix")
 JOB_TASK = "repro.service:job"
 
 
+def _number(value: Any, name: str) -> float:
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ServiceError(f"{name} must be a number, got {value!r}")
+
+
 def _positive(value: Any, name: str) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ServiceError(f"{name} must be a number, got {value!r}")
-    if not number > 0 or number != number or number == float("inf"):
+    number = _number(value, name)
+    if not 0 < number < float("inf"):
         raise ServiceError(f"{name} must be finite and > 0, got {value!r}")
     return number
+
+
+def _integer(value: Any, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServiceError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _warmup_fraction(value: Any) -> float:
+    number = _number(value, "warmup_fraction")
+    if not 0 <= number < 1:
+        raise ServiceError(
+            f"warmup_fraction must be in [0, 1), got {value!r}")
+    return number
+
+
+def _array(value: Any, name: str) -> List[Any]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ServiceError(f"{name} must be a non-empty JSON array, "
+                           f"got {value!r}")
+    return list(value)
+
+
+def _object_or_none(value: Any, name: str) -> Optional[Dict[str, Any]]:
+    if value is not None and not isinstance(value, dict):
+        raise ServiceError(
+            f"{name} must be a JSON object or null, got {value!r}")
+    return value
 
 
 def _registered_cca(name: Any) -> str:
@@ -115,19 +149,17 @@ class JobSpec:
               duration: Optional[float] = None, seed: int = 0,
               warmup_fraction: float = 0.5, mss: int = 1500,
               template: Optional[Dict[str, Any]] = None) -> "JobSpec":
-        rates = list(rates_mbps or [])
-        if not rates:
-            raise ServiceError("sweep needs a non-empty rates_mbps grid")
         return JobSpec("sweep", {
             "cca": _registered_cca(cca),
-            "rates_mbps": [_positive(r, "rates_mbps[]") for r in rates],
+            "rates_mbps": [_positive(r, "rates_mbps[]")
+                           for r in _array(rates_mbps, "rates_mbps")],
             "rm_ms": _positive(rm_ms, "rm_ms"),
             "duration": None if duration is None
             else _positive(duration, "duration"),
-            "seed": int(seed),
-            "warmup_fraction": float(warmup_fraction),
-            "mss": int(mss),
-            "template": template,
+            "seed": _integer(seed, "seed"),
+            "warmup_fraction": _warmup_fraction(warmup_fraction),
+            "mss": _integer(mss, "mss"),
+            "template": _object_or_none(template, "template"),
         })
 
     @staticmethod
@@ -136,9 +168,7 @@ class JobSpec:
                warmup_fraction: float = 0.5, mss: int = 1500,
                starve_threshold: float = 50.0,
                topology: Optional[Dict[str, Any]] = None) -> "JobSpec":
-        names = [_registered_cca(name) for name in (ccas or [])]
-        if not names:
-            raise ServiceError("matrix needs a non-empty ccas list")
+        names = [_registered_cca(name) for name in _array(ccas, "ccas")]
         if len(set(names)) != len(names):
             raise ServiceError(f"duplicate CCA names: {names}")
         return JobSpec("matrix", {
@@ -146,11 +176,12 @@ class JobSpec:
             "rate_mbps": _positive(rate_mbps, "rate_mbps"),
             "rm_ms": _positive(rm_ms, "rm_ms"),
             "duration": _positive(duration, "duration"),
-            "seed": int(seed),
-            "warmup_fraction": float(warmup_fraction),
-            "mss": int(mss),
-            "starve_threshold": float(starve_threshold),
-            "topology": topology,
+            "seed": _integer(seed, "seed"),
+            "warmup_fraction": _warmup_fraction(warmup_fraction),
+            "mss": _integer(mss, "mss"),
+            "starve_threshold": _positive(starve_threshold,
+                                          "starve_threshold"),
+            "topology": _object_or_none(topology, "topology"),
         })
 
     @staticmethod
@@ -214,7 +245,7 @@ def build_plan(spec: JobSpec) -> JobPlan:
     try:
         return compilers[spec.kind](**spec.params)
     except (ConfigurationError, SpecValidationError, KeyError,
-            TypeError) as exc:
+            TypeError, AttributeError) as exc:
         raise ServiceError(f"cannot compile {spec.kind} spec: {exc}")
 
 

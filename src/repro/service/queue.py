@@ -78,7 +78,7 @@ class SweepService:
             resubmissions all-hits and results shareable with local
             ``repro sweep --cache-dir`` runs.
         jobs: worker processes per executing job (``None``/1 = serial).
-        budget: per-point watchdog/retry budget.
+        budget: per-point watchdog budget.
         max_failures: fail a job once more than this many points have
             failed (None = run every point regardless).
         lease_ttl: seconds a running job's lease stays valid without a

@@ -60,20 +60,19 @@ class TestExecutePoint:
 
     def test_recoverable_failure_becomes_runfailure(self):
         outcome = execute_point(flaky_point, "k", {"x": 1, "fail": True},
-                                RunBudget(retries=2))
+                                RunBudget())
         assert not outcome.ok
         assert outcome.failure.reason == "SimulationError"
-        assert outcome.failure.attempts == 3  # initial + 2 retries
+        assert outcome.failure.attempts == 1
         assert "boom" in outcome.failure.message
 
     def test_programming_errors_wrap_as_internal_failure(self):
         # A buggy experiment script must not abort the whole sweep: it
-        # degrades to RunFailure(kind="internal") with no retries
-        # (retrying a programming error cannot help).
+        # degrades to RunFailure(kind="internal").
         def bad(params, budget):
             raise TypeError("not recoverable")
 
-        outcome = execute_point(bad, "k", {}, RunBudget(retries=2))
+        outcome = execute_point(bad, "k", {}, RunBudget())
         assert not outcome.ok
         assert outcome.failure.kind == "internal"
         assert outcome.failure.reason == "TypeError"
@@ -115,14 +114,6 @@ class TestMakeBackend:
         with pytest.raises(ConfigurationError):
             ProcessPoolBackend(jobs=0)
 
-    def test_chunksize_passed_through(self):
-        pool = make_backend(4, chunksize=8)
-        assert pool.chunksize == 8
-
-    def test_zero_chunksize_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ProcessPoolBackend(jobs=2, chunksize=0)
-
 
 class TestSerialBackend:
     def test_yields_in_grid_order(self):
@@ -143,11 +134,12 @@ class TestProcessPoolBackend:
     def test_matches_serial(self):
         points = [(f"p{i}", {"x": i, "fail": i == 2})
                   for i in range(4)]
-        budget = RunBudget(retries=0)
+        budget = RunBudget()
+        started = []
         serial = run_grid(SerialBackend(), flaky_point, points, budget)
-        pooled = run_grid(ProcessPoolBackend(jobs=2), flaky_point,
-                          points, budget)
-        assert set(serial) == set(pooled)
+        pooled = {o.key: o for o in ProcessPoolBackend(jobs=2).execute(
+            flaky_point, points, budget, on_start=started.append)}
+        assert sorted(started) == sorted(serial) == sorted(pooled)
         for key in serial:
             assert serial[key].result == pooled[key].result
             if serial[key].failure is None:
@@ -157,30 +149,6 @@ class TestProcessPoolBackend:
                     serial[key].failure.reason
                 assert pooled[key].failure.message == \
                     serial[key].failure.message
-
-    def test_chunked_matches_serial(self):
-        points = [(f"p{i}", {"x": i, "fail": i == 2})
-                  for i in range(5)]
-        budget = RunBudget(retries=0)
-        serial = run_grid(SerialBackend(), flaky_point, points, budget)
-        chunked = run_grid(ProcessPoolBackend(jobs=2, chunksize=2),
-                           flaky_point, points, budget)
-        assert set(serial) == set(chunked)
-        for key in serial:
-            assert chunked[key].result == serial[key].result
-            if serial[key].failure is None:
-                assert chunked[key].failure is None
-            else:
-                assert chunked[key].failure.reason == \
-                    serial[key].failure.reason
-
-    def test_chunked_on_start_covers_every_point(self):
-        started = []
-        points = [(f"p{i}", {"x": i}) for i in range(5)]
-        list(ProcessPoolBackend(jobs=2, chunksize=3).execute(
-            square_point, points, RunBudget(),
-            on_start=started.append))
-        assert sorted(started) == [f"p{i}" for i in range(5)]
 
     def test_rejects_closures_with_clear_error(self):
         with pytest.raises(ConfigurationError, match="module-level"):
@@ -216,7 +184,7 @@ class TestResilientSweepWithBackends:
     POINTS = [(f"p{i}", {"x": i, "fail": i == 1}) for i in range(3)]
 
     def outcome_with(self, backend, checkpoint=None):
-        sweep = ResilientSweep(flaky_point, budget=RunBudget(retries=0),
+        sweep = ResilientSweep(flaky_point, budget=RunBudget(),
                                checkpoint_path=checkpoint,
                                backend=backend)
         return sweep.run(self.POINTS)
@@ -238,25 +206,9 @@ class TestResilientSweepWithBackends:
         assert resumed.resumed == 3
         assert resumed.completed == first.completed
 
-    def test_chunked_checkpoint_matches_serial(self, tmp_path):
-        serial_ck = str(tmp_path / "serial.json")
-        chunked_ck = str(tmp_path / "chunked.json")
-        serial = self.outcome_with(SerialBackend(), serial_ck)
-        chunked = self.outcome_with(
-            ProcessPoolBackend(jobs=2, chunksize=2), chunked_ck)
-        assert chunked.completed == serial.completed
-        assert [f.key for f in chunked.failures] == \
-            [f.key for f in serial.failures]
-        import json
-        with open(serial_ck) as fh:
-            want = json.load(fh)
-        with open(chunked_ck) as fh:
-            got = json.load(fh)
-        assert sorted(want["completed"]) == sorted(got["completed"])
-
     def test_progress_callback_fires_with_pool(self):
         events = []
-        sweep = ResilientSweep(flaky_point, budget=RunBudget(retries=0),
+        sweep = ResilientSweep(flaky_point, budget=RunBudget(),
                                progress=lambda k, s: events.append((k, s)),
                                backend=ProcessPoolBackend(jobs=2))
         sweep.run(self.POINTS)
@@ -276,14 +228,6 @@ class TestSweepRateDelayBackends:
         pooled = sweep_rate_delay("vegas", self.GRID, RM, duration=3.0,
                                   budget=self.BUDGET, seed=5, jobs=2)
         assert serial.to_json() == pooled.to_json()
-
-    def test_chunked_backend_bit_identical_to_serial(self):
-        serial = sweep_rate_delay("vegas", self.GRID, RM, duration=3.0,
-                                  budget=self.BUDGET, seed=5)
-        chunked = sweep_rate_delay(
-            "vegas", self.GRID, RM, duration=3.0, budget=self.BUDGET,
-            seed=5, backend=ProcessPoolBackend(jobs=2, chunksize=2))
-        assert serial.to_json() == chunked.to_json()
 
     def test_cca_spec_input(self):
         curve = sweep_rate_delay(CCASpec("vegas"), [2.0], RM,

@@ -18,7 +18,7 @@ from repro.errors import ConfigurationError
 from repro.store import ResultStore
 
 RATES = [2.0, 8.0]
-BUDGET = RunBudget(retries=0, wall_clock=120.0)
+BUDGET = RunBudget(wall_clock=120.0)
 
 
 def _sweep(store=None, backend=None, refresh=False, seed=3,

@@ -26,7 +26,7 @@ from repro.spec import CCASpec, single_flow_scenario
 RM = units.ms(40)
 
 #: Small budgets / short timeouts keep the chaos rounds fast.
-BUDGET = RunBudget(max_events=None, wall_clock=None, retries=0)
+BUDGET = RunBudget(max_events=None, wall_clock=None)
 
 
 # Module-level run points (picklable by qualified name).
@@ -235,7 +235,7 @@ class TestReplayDeterminism:
         spec = single_flow_scenario(CCASpec("vegas"),
                                     rate=units.mbps(5), rm=RM, seed=7)
         params = {"scenario": spec.to_json(), "duration": 5.0}
-        tight = RunBudget(max_events=200, wall_clock=30.0, retries=0)
+        tight = RunBudget(max_events=200, wall_clock=30.0)
         outcome = execute_point(sim_point, "tight", params, tight,
                                 crash_dir=crash_dir)
         failure = outcome.failure
@@ -252,12 +252,23 @@ class TestReplayDeterminism:
         assert healed.ok
         assert healed.result["throughput"] > 0
 
+        # The budget section is the two limits; a bundle written when
+        # budgets also carried a retry policy still replays, once.
+        with open(failure.bundle) as fh:
+            data = json.load(fh)
+        assert data["budget"] == {"max_events": 200, "wall_clock": 30.0}
+        data["budget"].update(retries=1, backoff=2.0)
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps(data))
+        replay = replay_bundle(str(older)).failure
+        assert (replay.message, replay.attempts) == (failure.message, 1)
+
     def test_strict_replay_of_clean_point_passes(self, tmp_path):
         crash_dir = str(tmp_path / "crashes")
         spec = single_flow_scenario(CCASpec("vegas"),
                                     rate=units.mbps(5), rm=RM, seed=7)
         params = {"scenario": spec.to_json(), "duration": 5.0}
-        tight = RunBudget(max_events=200, wall_clock=30.0, retries=0)
+        tight = RunBudget(max_events=200, wall_clock=30.0)
         outcome = execute_point(sim_point, "tight", params, tight,
                                 crash_dir=crash_dir)
         healed = replay_bundle(outcome.failure.bundle,

@@ -43,7 +43,7 @@ from repro.service import (ChaosPolicy, ChaosSite, FaultyFS, Job,
 from repro.store import ResultStore
 
 RATES = [2.0, 8.0]
-BUDGET = RunBudget(retries=0, wall_clock=120.0)
+BUDGET = RunBudget(wall_clock=120.0)
 
 
 def _sweep_spec(seed=3, rates=RATES):

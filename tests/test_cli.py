@@ -216,14 +216,23 @@ class TestCommands:
         base = ["sweep", "--cca", "vegas", "--rates", "2",
                 "--rm", "40", "--duration", "5",
                 "--checkpoint", checkpoint]
-        # Starve the budget so the point fails and is checkpointed.
+        # Starve the budget so the point fails and is checkpointed —
+        # under the budget that was typed, after one attempt.
         assert main(base + ["--max-events", "1000"]) == 1
-        capsys.readouterr()
+        assert "       1  run exceeded event budget of 1000 events" in \
+            capsys.readouterr().out
         # Without --retry-failures the failure record is kept.
         assert main(base) == 1
         capsys.readouterr()
         assert main(base + ["--retry-failures"]) == 0
         assert "delta_max" in capsys.readouterr().out
+
+    def test_pool_verbs_take_jobs_and_nothing_else(self, capsys):
+        for verb in ("run", "sweep", "matrix", "starve"):
+            with pytest.raises(SystemExit):
+                main([verb, "--help"])
+            out = capsys.readouterr().out
+            assert "--jobs" in out and "--chunk" not in out
 
     def test_theorem_2(self, capsys):
         code = main(["theorem", "2"])
@@ -358,7 +367,7 @@ class TestFuzzCommand:
         params = dict(battery_params(generate_spec(1, 0),
                                      determinism=False))
         params["raise_on_finding"] = "budget:events:engine"
-        tight = RunBudget(max_events=2_000, wall_clock=None, retries=0)
+        tight = RunBudget(max_events=2_000, wall_clock=None)
         outcome = execute_point(fuzz_battery_point, "fuzz-0000",
                                 params, tight, backend_name="fuzz",
                                 crash_dir=str(tmp_path))

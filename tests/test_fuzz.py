@@ -43,8 +43,8 @@ BALANCE_SIG = "invariant:conservation:scenario.packet_balance"
 #: a 2k-event budget, so this signature reproduces in worker processes.
 BUDGET_SIG = "budget:events:engine"
 
-BUDGET = RunBudget(max_events=2_000_000, wall_clock=None, retries=0)
-TIGHT = RunBudget(max_events=2_000, wall_clock=None, retries=0)
+BUDGET = RunBudget(max_events=2_000_000, wall_clock=None)
+TIGHT = RunBudget(max_events=2_000, wall_clock=None)
 
 #: Small bounds keep injected-bug campaigns fast.
 SMALL = FuzzConfig(max_flows=4, max_duration=2.0)

@@ -1,5 +1,6 @@
 """Tests for the resilient experiment harness and engine watchdog."""
 
+import dataclasses
 import json
 
 import pytest
@@ -10,7 +11,8 @@ from repro.analysis.harness import (RECOVERABLE, ResilientSweep, RunBudget,
                                     RunFailure, describe_failures)
 from repro.analysis.sweep import log_rate_grid, sweep_rate_delay
 from repro.ccas.vegas import Vegas
-from repro.errors import BudgetExceededError, SimulationError
+from repro.errors import (BudgetExceededError, ConfigurationError,
+                          SimulationError)
 from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 from repro.sim.engine import Simulator
 
@@ -72,49 +74,39 @@ class TestRunBudget:
             RunBudget(max_events=0)
         with pytest.raises(ValueError):
             RunBudget(wall_clock=-1.0)
-        with pytest.raises(ValueError):
-            RunBudget(retries=-1)
-        with pytest.raises(ValueError):
-            RunBudget(backoff=0.5)
-
-    def test_scaled_applies_backoff(self):
-        budget = RunBudget(max_events=1000, wall_clock=10.0, backoff=2.0)
-        assert budget.scaled(0).max_events == 1000
-        assert budget.scaled(2).max_events == 4000
-        assert budget.scaled(2).wall_clock == pytest.approx(40.0)
-
-    def test_scaled_keeps_none_unlimited(self):
-        budget = RunBudget(max_events=None, wall_clock=None)
-        assert budget.scaled(3).max_events is None
-        assert budget.scaled(3).wall_clock is None
+        # The two watchdog limits are the whole budget.
+        assert [f.name for f in dataclasses.fields(RunBudget)] == \
+            ["max_events", "wall_clock"]
 
 
 class TestRunWithRetry:
-    """The one retry loop, in :func:`execute_point`."""
+    """:func:`execute_point` calls the worker once, under the caller's
+    budget: a run is a pure function of its params, so a re-run would
+    recompute the same failure."""
 
     def test_succeeds_first_try(self):
         calls = []
         outcome = execute_point(
             lambda params, budget: calls.append(budget) or 42,
-            "k", {}, RunBudget(retries=3))
+            "k", {}, RunBudget())
         assert outcome.result == 42
         assert len(calls) == 1
 
-    def test_retries_with_backed_off_budget(self):
-        budgets = []
+    def test_failing_worker_runs_once_under_the_stated_budget(self):
+        for exc in (BudgetExceededError("too slow", kind="events",
+                                        limit=1, value=1),
+                    ConfigurationError("no budget can change this")):
+            budgets = []
 
-        def flaky(params, budget):
-            budgets.append(budget)
-            if len(budgets) < 3:
-                raise BudgetExceededError("too slow", kind="events",
-                                          limit=1, value=1)
-            return "ok"
+            def always_fails(params, budget):
+                budgets.append(budget)
+                raise exc
 
-        outcome = execute_point(
-            flaky, "k", {},
-            RunBudget(max_events=100, retries=2, backoff=2.0))
-        assert outcome.result == "ok"
-        assert [b.max_events for b in budgets] == [100, 200, 400]
+            failure = execute_point(always_fails, "k", {},
+                                    RunBudget(max_events=100)).failure
+            assert failure.reason == type(exc).__name__
+            assert failure.kind == "error" and failure.attempts == 1
+            assert [b.max_events for b in budgets] == [100]
 
     def test_exhausted_retries_raise_last_error(self):
         calls = []
@@ -123,11 +115,10 @@ class TestRunWithRetry:
             calls.append(1)
             raise SimulationError(f"boom {len(calls)}")
 
-        failure = execute_point(always_fails, "k", {},
-                                RunBudget(retries=1)).failure
+        failure = execute_point(always_fails, "k", {}, RunBudget()).failure
         assert failure.reason == "SimulationError"
-        assert failure.message == "boom 2"
-        assert failure.attempts == len(calls) == 2
+        assert failure.message == "boom 1"
+        assert failure.attempts == len(calls) == 1
 
     def test_programming_errors_propagate_immediately(self):
         calls = []
@@ -136,8 +127,7 @@ class TestRunWithRetry:
             calls.append(1)
             raise TypeError("bug in experiment script")
 
-        failure = execute_point(broken, "k", {},
-                                RunBudget(retries=5)).failure
+        failure = execute_point(broken, "k", {}, RunBudget()).failure
         assert failure.kind == "internal"
         assert failure.reason == "TypeError"
         assert failure.attempts == len(calls) == 1
@@ -178,7 +168,7 @@ class TestResilientSweep:
         grid = [("good-2", {"rate_mbps": 2.0}),
                 ("livelocked", {"livelock": True}),
                 ("good-10", {"rate_mbps": 10.0})]
-        budget = RunBudget(max_events=200_000, wall_clock=30.0, retries=1)
+        budget = RunBudget(max_events=200_000, wall_clock=30.0)
 
         sweep = ResilientSweep(dispatch_point, budget=budget,
                                checkpoint_path=checkpoint)
@@ -192,7 +182,8 @@ class TestResilientSweep:
         failure = outcome.failures[0]
         assert failure.key == "livelocked"
         assert failure.reason == "BudgetExceededError"
-        assert failure.attempts == 2          # retried once
+        assert failure.attempts == 1
+        assert "budget of 200000 events" in failure.message
         assert failure.params == {"livelock": True}
 
         # Partial results landed in the JSON checkpoint.
@@ -218,7 +209,7 @@ class TestResilientSweep:
     def test_interrupted_sweep_resumes_mid_grid(self, tmp_path):
         checkpoint = str(tmp_path / "sweep.json")
         full_grid = [(f"p{i}", {"rate_mbps": 2.0}) for i in range(4)]
-        budget = RunBudget(max_events=500_000, retries=0)
+        budget = RunBudget(max_events=500_000)
 
         # "Interrupted" after the first two points.
         ResilientSweep(scenario_point, budget=budget,
@@ -238,7 +229,7 @@ class TestResilientSweep:
 
     def test_retry_failures_on_resume(self, tmp_path):
         checkpoint = str(tmp_path / "sweep.json")
-        budget = RunBudget(max_events=10_000, retries=0)
+        budget = RunBudget(max_events=10_000)
         grid = [("flaky", {"livelock": True})]
         first = ResilientSweep(dispatch_point, budget=budget,
                                checkpoint_path=checkpoint).run(grid)
@@ -259,7 +250,7 @@ class TestResilientSweep:
         checkpoint = tmp_path / "sweep.json"
         checkpoint.write_text("{not json!")
         outcome = ResilientSweep(
-            scenario_point, budget=RunBudget(retries=0),
+            scenario_point, budget=RunBudget(),
             checkpoint_path=str(checkpoint)).run(
                 [("p0", {"rate_mbps": 2.0})])
         assert "p0" in outcome.completed
@@ -271,14 +262,14 @@ class TestResilientSweep:
 
     def test_no_checkpoint_path_runs_in_memory(self):
         outcome = ResilientSweep(
-            scenario_point, budget=RunBudget(retries=0)).run(
+            scenario_point, budget=RunBudget()).run(
                 [("p0", {"rate_mbps": 2.0})])
         assert "p0" in outcome.completed
 
     def test_progress_callback_sees_status(self):
         events = []
         ResilientSweep(dispatch_point,
-                       budget=RunBudget(max_events=10_000, retries=0),
+                       budget=RunBudget(max_events=10_000),
                        progress=lambda key, status:
                        events.append((key, status))).run(
                            [("bad", {"livelock": True})])
@@ -307,10 +298,12 @@ class TestSweepRateDelayResilience:
         # An absurdly small event budget fails every point...
         curve = sweep_rate_delay(
             Vegas, [2.0, 10.0], rm=units.ms(40), duration=3.0,
-            budget=RunBudget(max_events=20, retries=0))
+            budget=RunBudget(max_events=20))
         assert not curve.points
         assert len(curve.failures) == 2
-        assert all(f.reason == "BudgetExceededError"
+        # ...and each is recorded under the budget the caller stated.
+        assert all(f.reason == "BudgetExceededError" and f.attempts == 1
+                   and "budget of 20 events" in f.message
                    for f in curve.failures)
 
     def test_checkpoint_resume(self, tmp_path):
@@ -347,7 +340,7 @@ class TestRecoverableSet:
             raise OverflowError("math range error")
 
         failure = execute_point(overflows, "k", {},
-                                RunBudget(retries=0)).failure
+                                RunBudget()).failure
         assert failure.kind == "error"
         assert failure.reason == "OverflowError"
 
@@ -355,7 +348,7 @@ class TestRecoverableSet:
 class TestMaxFailures:
     """The fail-fast threshold: abort a sweep drowning in failures."""
 
-    BUDGET = RunBudget(max_events=50_000, wall_clock=30.0, retries=0)
+    BUDGET = RunBudget(max_events=50_000, wall_clock=30.0)
 
     def grid(self, *behaviors):
         return [(f"p{i}", {"rate_mbps": 2.0, **behavior})
@@ -429,6 +422,5 @@ class TestMaxFailures:
         with pytest.raises(SweepAbortedError):
             sweep_rate_delay(Vegas, [2.0, 10.0], rm=units.ms(40),
                              duration=5.0,
-                             budget=RunBudget(max_events=200,
-                                              retries=0),
+                             budget=RunBudget(max_events=200),
                              max_failures=0)

@@ -122,7 +122,7 @@ class TestTraceStoreRoundTrip:
         store = ResultStore(str(tmp_path / "cache"))
         params = {"scenario": _trace_spec().to_json(), "duration": 3.0,
                   "warmup": 1.0}
-        budget = RunBudget(retries=0)
+        budget = RunBudget()
         recorded = execute_point(trace_point, "t", params, budget,
                                  store=store)
         assert recorded.ok and not recorded.cached

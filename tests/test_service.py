@@ -37,7 +37,7 @@ from repro.store import ResultStore
 from repro.store.fsio import FileIO
 
 RATES = [2.0, 8.0]
-BUDGET = RunBudget(retries=0, wall_clock=120.0)
+BUDGET = RunBudget(wall_clock=120.0)
 
 
 def _service(tmp_path, **kwargs):
@@ -48,6 +48,11 @@ def _service(tmp_path, **kwargs):
 
 def _sweep_spec(seed=3, rates=RATES):
     return JobSpec.sweep("vegas", rates, 40.0, duration=3.0, seed=seed)
+
+
+SWEEP_DOC = {"kind": "sweep", "cca": "vegas", "rates_mbps": [1], "rm_ms": 40}
+MATRIX_DOC = {"kind": "matrix", "ccas": ["vegas"], "rate_mbps": 10,
+              "rm_ms": 40}
 
 
 @pytest.fixture
@@ -96,6 +101,24 @@ class TestJobSpec:
         {"kind": "sweep", "cca": "vegas", "rates_mbps": [1], "rm_ms": 40,
          "template": {"link": {"rate": 1e6, "buffer_bytes": 0},
                       "flows": [{"cca": {"name": "vegas"}, "rm": 0.04}]}},
+        # Wrong JSON types are rejected, never coerced or iterated...
+        {**SWEEP_DOC, "seed": "abc"},
+        {**SWEEP_DOC, "seed": 1.7},
+        {**SWEEP_DOC, "mss": "big"},
+        {**SWEEP_DOC, "duration": True},
+        {**SWEEP_DOC, "rates_mbps": "2"},
+        {**SWEEP_DOC, "template": 5},
+        {**SWEEP_DOC, "template": {"link": 5, "flows": []}},
+        {**MATRIX_DOC, "ccas": "vegas"},
+        {**MATRIX_DOC, "topology": 3},
+        # ...and fractions / thresholds are finite and in range.
+        {**SWEEP_DOC, "warmup_fraction": "x"},
+        {**SWEEP_DOC, "warmup_fraction": 5},
+        {**SWEEP_DOC, "warmup_fraction": -1},
+        {**SWEEP_DOC, "warmup_fraction": float("nan")},
+        {**MATRIX_DOC, "starve_threshold": "x"},
+        {**MATRIX_DOC, "starve_threshold": -1},
+        {**MATRIX_DOC, "starve_threshold": float("nan")},
     ])
     def test_bad_specs_are_rejected(self, doc):
         with pytest.raises(ServiceError):
@@ -273,7 +296,7 @@ class TestServiceExecution:
     def test_failed_job_reports_error(self, tmp_path):
         service = _service(
             tmp_path, max_failures=0,
-            budget=RunBudget(max_events=10, retries=0))
+            budget=RunBudget(max_events=10))
         service.start()
         try:
             job = _wait(service, service.submit(_sweep_spec()).id)
@@ -345,6 +368,15 @@ class TestHttpApi:
         with pytest.raises(ServiceError) as err:
             client.submit(JobSpec("sweep", {"cca": "vegas"}))
         assert err.value.status == 400
+
+    def test_malformed_spec_is_400_in_one_request(self, served):
+        # A wrong-typed field is the client's error, not a transport
+        # failure: one answer, nothing for the retry layer to sleep on.
+        client = _CountingClient(served[1].base_url)
+        with pytest.raises(ServiceError, match="seed") as err:
+            client.submit(JobSpec("sweep", {**SWEEP_DOC, "seed": "abc"}))
+        assert err.value.status == 400
+        assert client.sleeps == []
 
     def test_unready_result_is_409(self, tmp_path):
         with _http_only(tmp_path) as client:

@@ -20,8 +20,7 @@ import repro
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
-THEORY = ["numpy", "repro.model", "repro.core.convergence",
-          "repro.analysis.traces"]
+THEORY = ["numpy", "repro.model", "repro.core.convergence"]
 
 
 def loaded_after(statements, names):

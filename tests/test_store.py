@@ -378,7 +378,7 @@ class TestSummarizeParams:
 
 class TestExecutePointCaching:
     def test_miss_then_hit(self, store):
-        budget = RunBudget(retries=0)
+        budget = RunBudget()
         first = execute_point(cube_point, "p", {"x": 2}, budget,
                               store=store)
         assert first.ok and not first.cached
@@ -392,7 +392,7 @@ class TestExecutePointCaching:
         assert store.catalog.counts() == {"miss": 1, "hit": 1}
 
     def test_failures_never_poison_the_store(self, store):
-        budget = RunBudget(retries=2)
+        budget = RunBudget()
         outcome = execute_point(always_fails, "p", {"x": 1}, budget,
                                 store=store)
         assert not outcome.ok
@@ -406,7 +406,7 @@ class TestExecutePointCaching:
         assert not again.ok and not again.cached
 
     def test_refresh_recomputes_and_overwrites(self, store):
-        budget = RunBudget(retries=0)
+        budget = RunBudget()
         execute_point(cube_point, "p", {"x": 2}, budget, store=store)
         forced = execute_point(cube_point, "p", {"x": 2}, budget,
                                store=store, refresh=True)
@@ -415,15 +415,15 @@ class TestExecutePointCaching:
 
     def test_no_store_keeps_legacy_shape(self):
         outcome = execute_point(cube_point, "p", {"x": 2},
-                                RunBudget(retries=0))
+                                RunBudget())
         assert outcome.ok and not outcome.cached
         assert outcome.cache_key is None
 
     def test_budget_not_part_of_key(self, store):
         a = execute_point(cube_point, "p", {"x": 2},
-                          RunBudget(retries=0), store=store)
+                          RunBudget(), store=store)
         b = execute_point(cube_point, "p", {"x": 2},
-                          RunBudget(retries=3, max_events=1000),
+                          RunBudget(max_events=1000),
                           store=store)
         assert b.cached
         assert a.cache_key == b.cache_key
@@ -432,7 +432,7 @@ class TestExecutePointCaching:
 class TestBackendsShareTheStore:
     def test_serial_populates_pool_hits(self, store):
         points = [(f"p{i}", {"x": i}) for i in range(4)]
-        budget = RunBudget(retries=0)
+        budget = RunBudget()
         serial = list(SerialBackend().execute(cube_point, points, budget,
                                               store=store))
         assert all(not o.cached for o in serial)
@@ -444,7 +444,7 @@ class TestBackendsShareTheStore:
 
     def test_pool_populates_serial_hits(self, store):
         points = [(f"p{i}", {"x": i}) for i in range(4)]
-        budget = RunBudget(retries=0)
+        budget = RunBudget()
         pooled = list(ProcessPoolBackend(jobs=2).execute(
             cube_point, points, budget, store=store))
         assert all(not o.cached for o in pooled)

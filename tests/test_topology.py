@@ -302,7 +302,7 @@ class TestParkingLotRuns:
         spec = parking_lot_scenario()
         points = [("lot", {"scenario": spec.to_json(),
                            "duration": 2.0, "warmup": 0.5})]
-        budget = RunBudget(retries=0)
+        budget = RunBudget()
 
         def run_with(backend):
             sweep = ResilientSweep(run_competition_point,
