@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigurationError
 from .engine import Event, Simulator
@@ -84,9 +85,12 @@ class Sender:
         self.highest_acked = -1
         # seq -> (size, last_sent_time)
         self._unacked: Dict[int, Tuple[int, float]] = {}
-        # Min-heap of unacked seqs (lazy deletion) for O(log n) gap checks.
-        self._unacked_heap: List[int] = []
-        self._lost: List[int] = []      # seqs awaiting retransmission
+        # Loss scoreboard (see _detect_losses): the dup-ACK horizon has
+        # passed every seq below _judged; those of them still unacked
+        # wait in _parked, a min-heap of (sent_time, seq).
+        self._judged = 0
+        self._parked: List[Tuple[float, int]] = []
+        self._lost: Deque[int] = deque()    # seqs awaiting retransmission
         self._lost_set: Set[int] = set()
         self.inflight_bytes = 0
 
@@ -231,7 +235,7 @@ class Sender:
 
     def _send_one(self) -> None:
         if self._lost:
-            seq = self._lost.pop(0)
+            seq = self._lost.popleft()
             self._lost_set.discard(seq)
             is_retransmit = True
             self.retransmits += 1
@@ -244,7 +248,9 @@ class Sender:
         packet = Packet(self.flow_id, seq, mss, now, self.delivered_bytes,
                         self.delivered_time, is_retransmit)
         self._unacked[seq] = (mss, now)
-        heapq.heappush(self._unacked_heap, seq)
+        if seq < self._judged:
+            # The horizon is already past this retransmission.
+            heapq.heappush(self._parked, (now, seq))
         self.inflight_bytes += mss
         self.sent_packets += 1
         self.cca.on_send(now, seq, mss, is_retransmit)
@@ -314,31 +320,48 @@ class Sender:
         sequence numbers below the highest ACK and (b) was sent no later
         than the packet whose ACK we are processing — otherwise a fresh
         retransmission would be re-declared lost before it could arrive.
+        Losses are declared in ascending seq order: ``_lost`` order is
+        retransmission order and ``on_loss`` order is CCA state.
+
+        Each seq is looked up once, when the horizon passes it; one that
+        fails (b) then waits in ``_parked`` keyed by its send time, so an
+        ACK costs heap work only for the retransmissions it releases.
         """
-        heap = self._unacked_heap
         horizon = self.highest_acked - self.reorder_threshold
-        if horizon < 0 or not heap or heap[0] > horizon:
+        judged = self._judged
+        parked = self._parked
+        if judged > horizon and (not parked
+                                 or parked[0][0] > ack_sent_time):
             return
         unacked = self._unacked
-        deferred = []
-        while heap and heap[0] <= horizon:
-            seq = heapq.heappop(heap)
+        lost = []
+        while parked and parked[0][0] <= ack_sent_time:
+            sent, seq = heapq.heappop(parked)
             entry = unacked.get(seq)
+            if entry is not None and entry[1] == sent:
+                lost.append(seq)    # else stale: ACKed or sent again
+        lost.sort()
+        # Everything parked is below the cursor, so the seqs the horizon
+        # passes now all sort after the released ones.
+        while judged <= horizon:
+            entry = unacked.get(judged)
+            if entry is not None:
+                if entry[1] > ack_sent_time:
+                    heapq.heappush(parked, (entry[1], judged))
+                else:
+                    lost.append(judged)
+            judged += 1
+        self._judged = judged
+        for seq in lost:
+            entry = unacked.pop(seq, None)
             if entry is None:
-                continue  # stale heap entry (already ACKed)
-            size, sent = entry
-            if sent > ack_sent_time:
-                # A fresh retransmission: not evidence of loss yet.
-                deferred.append(seq)
-                continue
-            del unacked[seq]
+                continue  # parked twice at one send time (RTO tie)
+            size = entry[0]
             self.inflight_bytes -= size
             self._lost.append(seq)
             self._lost_set.add(seq)
             self.losses_detected += 1
             self.cca.on_loss(now, seq, size)
-        for seq in deferred:
-            heapq.heappush(heap, seq)
 
     def _on_rto(self) -> None:
         self._rto_timer = None
@@ -373,6 +396,20 @@ class Sender:
             errors.append((
                 "conservation", "inflight_negative",
                 f"inflight_bytes is negative: {self.inflight_bytes}"))
+        judged = self._judged
+        behind = [seq for seq in self._unacked if seq < judged]
+        if behind:
+            # The cursor never returns: without its _parked entry such a
+            # packet is never declared lost and the flow stalls to RTO.
+            parked = set(self._parked)
+            adrift = [seq for seq in behind
+                      if (self._unacked[seq][1], seq) not in parked]
+            if adrift:
+                errors.append((
+                    "conservation", "parked",
+                    f"{len(adrift)} unacked packet(s) below the loss "
+                    f"cursor {judged} (first: seq {adrift[0]}) are not "
+                    f"parked at their current send time"))
         if self.delivered_bytes > self.next_seq * self.mss + 1e-6:
             errors.append((
                 "conservation", "delivered",

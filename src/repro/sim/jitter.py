@@ -13,6 +13,7 @@ least the release time of the previously forwarded packet.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
@@ -116,14 +117,11 @@ class StepTraceJitter(JitterElement):
         if any(eta < 0 for _, eta in steps):
             raise ConfigurationError("jitter trace values must be >= 0")
         self.steps: List[Tuple[float, float]] = list(steps)
+        self._times = times
 
     def extra_delay(self, packet: Packet, now: float) -> float:
-        eta = 0.0
-        for time, value in self.steps:
-            if time > now:
-                break
-            eta = value
-        return eta
+        index = bisect_right(self._times, now)
+        return self.steps[index - 1][1] if index else 0.0
 
 
 class SquareWaveJitter(JitterElement):

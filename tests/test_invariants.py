@@ -292,3 +292,27 @@ class TestStrictCatchesInjectedCorruption:
             scenario.sim.run(5.0)
         assert excinfo.value.kind == "conservation"
         assert "inflight" in str(excinfo.value)
+
+    def test_lost_parking_entry_raises_mid_run(self):
+        # A retransmission in flight sits below the sender's loss
+        # cursor, known to loss detection only through its _parked
+        # entry. Drop the entries and the packet could never be declared
+        # lost again; the sentinel must say so.
+        from repro.ccas import NewReno
+        scenario = build_topology(
+            dumbbell_links(LinkConfig(rate=units.mbps(12),
+                                      buffer_bdp=4.0)),
+            [FlowConfig(cca_factory=NewReno, rm=units.ms(50))],
+            invariants="strict")
+        sender = scenario.flows[0].sender
+        sender.start()
+        horizon = 0.0
+        while not any(seq < sender._judged for seq in sender._unacked):
+            horizon += 0.05
+            assert horizon < 5.0, "slow start never overshot the buffer"
+            scenario.sim.run(horizon)
+        sender._parked.clear()
+        with pytest.raises(InvariantViolation) as excinfo:
+            scenario.sim.run(horizon + 1e-4)    # the end-of-run check
+        assert excinfo.value.kind == "conservation"
+        assert "parked" in str(excinfo.value)

@@ -1,5 +1,7 @@
 """Unit tests for the non-congestive delay (jitter) elements."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -66,6 +68,37 @@ def test_step_trace_jitter(sim, spy):
     sim.run_all()
     assert spy.times[0] == pytest.approx(0.5)
     assert spy.times[1] == pytest.approx(1.55)
+
+
+def test_step_trace_edges(sim, spy):
+    element = StepTraceJitter(
+        sim, spy, steps=[(1.0, 0.01), (2.0, 0.02), (2.0, 0.03)])
+    assert element.extra_delay(make_packet(), 0.5) == 0.0   # before any
+    assert element.extra_delay(make_packet(), 1.0) == 0.01  # at a step
+    assert element.extra_delay(make_packet(), 2.0) == 0.03  # last wins
+    assert element.extra_delay(make_packet(), 9.0) == 0.03
+    assert StepTraceJitter(sim, spy, steps=[]).extra_delay(
+        make_packet(), 1.0) == 0.0
+
+
+def test_step_trace_long_trace_matches_linear_walk(sim, spy):
+    rng = random.Random(5)
+    # Coarse times, so the trace is full of equal-time runs.
+    times = sorted(round(rng.uniform(0.0, 50.0), 2) for _ in range(5000))
+    steps = [(t, rng.uniform(0.0, 0.05)) for t in times]
+    element = StepTraceJitter(sim, spy, steps=steps)
+
+    def linear_walk(now):
+        eta = 0.0
+        for time, value in steps:
+            if time > now:
+                break
+            eta = value
+        return eta
+
+    probes = [rng.uniform(-1.0, 51.0) for _ in range(300)] + times[::97]
+    for now in probes:
+        assert element.extra_delay(make_packet(), now) == linear_walk(now)
 
 
 def test_step_trace_requires_sorted_steps(sim, spy):
