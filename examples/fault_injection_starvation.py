@@ -14,47 +14,51 @@ itself never discriminates between them.
 A second panel repeats the experiment with bursty Gilbert-Elliott loss
 at just 2% mean — same story, no scheduled outages needed.
 
+Both scenarios are plain :class:`~repro.spec.ScenarioSpec` data — an
+outage is a ``blackout`` element with a ``start``/``end`` window in the
+victim's ``data_elements`` — so ``spec.dumps()`` is a file ``repro run
+--spec`` replays.
+
 Run:  python examples/fault_injection_starvation.py
 """
 
 from repro import units
 from repro.analysis.report import describe_run
-from repro.ccas import BBR
-from repro.sim import (FaultSchedule, FlowConfig, LinkConfig,
-                       dumbbell_links, run)
+from repro.spec import (CCASpec, ElementSpec, FlowSpec, LinkSpec,
+                        ScenarioSpec)
 
-LINK = LinkConfig(rate=units.mbps(48), buffer_bdp=4.0)
+LINK = LinkSpec(rate=units.mbps(48), buffer_bdp=4.0)
 RM = units.ms(40)
 DURATION = 45.0
 
 
+def victim_vs_healthy(label, elements):
+    """Two BBR flows; only the victim's data path carries ``elements``."""
+    spec = ScenarioSpec(
+        link=LINK,
+        flows=(FlowSpec(cca=CCASpec("bbr", {"seed": 1}), rm=RM,
+                        label=label, data_elements=elements),
+               FlowSpec(cca=CCASpec("bbr", {"seed": 2}), rm=RM,
+                        label="healthy")))
+    return spec.run(duration=DURATION, warmup=10.0,
+                    max_events=50_000_000, wall_clock_budget=120.0)
+
+
 def scheduled_blackouts():
     """0.5 s outage every 5 s, only on the victim's path."""
-    faults = FaultSchedule(seed=1)
-    for k in range(1, int(DURATION / 5)):
-        faults.blackout(5.0 * k, 5.0 * k + 0.5)
-    return run(
-        dumbbell_links(LINK),
-        [FlowConfig(cca_factory=lambda: BBR(seed=1), rm=RM,
-                    label="victim (blackouts)", fault_schedule=faults),
-         FlowConfig(cca_factory=lambda: BBR(seed=2), rm=RM,
-                    label="healthy")],
-        duration=DURATION, warmup=10.0,
-        max_events=50_000_000, wall_clock_budget=120.0)
+    return victim_vs_healthy(
+        "victim (blackouts)",
+        tuple(ElementSpec("blackout", start=5.0 * k, end=5.0 * k + 0.5)
+              for k in range(1, int(DURATION / 5))))
 
 
 def bursty_loss():
     """2% mean Gilbert-Elliott loss (bursts of ~8 packets) on one flow."""
-    faults = FaultSchedule(seed=3).gilbert_elliott(
-        0.0, float("inf"), mean_loss=0.02, burst_packets=8.0)
-    return run(
-        dumbbell_links(LINK),
-        [FlowConfig(cca_factory=lambda: BBR(seed=1), rm=RM,
-                    label="victim (2% GE loss)", fault_schedule=faults),
-         FlowConfig(cca_factory=lambda: BBR(seed=2), rm=RM,
-                    label="healthy")],
-        duration=DURATION, warmup=10.0,
-        max_events=50_000_000, wall_clock_budget=120.0)
+    return victim_vs_healthy(
+        "victim (2% GE loss)",
+        (ElementSpec("gilbert_elliott",
+                     {"mean_loss": 0.02, "burst_packets": 8.0,
+                      "seed": 3000}),))
 
 
 def main():

@@ -8,7 +8,7 @@ from .diagnostics import (load_bundle, replay_bundle, write_crash_bundle)
 from .harness import (ResilientSweep, RunBudget, RunFailure, SweepOutcome,
                       describe_failures)
 from .metrics import (loss_rate, mean_rtt_ms, queueing_delay_ms,
-                      summarize_run, throughputs_mbps, utilization)
+                      throughputs_mbps, utilization)
 from .report import (comparison_line, describe_run, flow_table,
                      format_table, rate_delay_ascii)
 from .sweep import (RateDelayCurve, RateDelayPoint, log_rate_grid,
@@ -23,6 +23,5 @@ __all__ = [
     "format_table", "load_bundle", "log_rate_grid", "loss_rate",
     "make_backend", "replay_bundle", "write_crash_bundle",
     "mean_rtt_ms", "queueing_delay_ms", "rate_delay_ascii",
-    "summarize_run", "sweep_rate_delay", "throughputs_mbps",
-    "utilization",
+    "sweep_rate_delay", "throughputs_mbps", "utilization",
 ]

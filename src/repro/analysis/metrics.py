@@ -6,7 +6,7 @@ import math
 from typing import List, Sequence
 
 from .. import units
-from ..sim.runner import FlowStats, RunResult
+from ..sim.runner import FlowStats
 
 
 def utilization(stats: Sequence[FlowStats], link_rate: float) -> float:
@@ -36,23 +36,3 @@ def queueing_delay_ms(stats: FlowStats, rm: float) -> float:
     if math.isnan(stats.mean_rtt):
         return math.nan
     return max(stats.mean_rtt - rm, 0.0) * 1e3
-
-
-def summarize_run(result: RunResult) -> dict:
-    """A dictionary digest convenient for printing or asserting on."""
-    # Single pass over the per-flow stats; values match the individual
-    # helpers exactly.
-    rates: List[float] = []
-    losses: List[int] = []
-    rtts: List[float] = []
-    for s in result.stats:
-        rates.append(units.to_mbps(s.throughput))
-        losses.append(s.losses)
-        rtts.append(s.mean_rtt * 1e3)
-    return {
-        "throughputs_mbps": rates,
-        "ratio": result.throughput_ratio(),
-        "utilization": result.utilization(),
-        "losses": losses,
-        "mean_rtt_ms": rtts,
-    }

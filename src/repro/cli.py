@@ -76,9 +76,8 @@ from .analysis.report import describe_run, rate_delay_ascii
 from .analysis.sweep import compile_sweep_plan
 from .analysis import starvation
 from .ccas import registry
-from .spec import (CCASpec, ElementSpec, FaultScheduleSpec,
-                   FaultWindowSpec, FlowSpec, LinkSpec, ScenarioSpec,
-                   TopologySpec)
+from .spec import (CCASpec, ElementSpec, FlowSpec, LinkSpec,
+                   ScenarioSpec, TopologySpec)
 from .store import ResultStore
 
 
@@ -203,33 +202,40 @@ def _parse_window(text: str, what: str) -> tuple:
             f"{what} wants START-END in seconds, got {text!r}")
 
 
-def parse_flow_spec(spec: str, rm: float,
-                    fault_seed: Optional[int] = None) -> FlowSpec:
+def _element(kind: str, params: Optional[Dict[str, Any]] = None,
+             start: Optional[float] = None,
+             end: Optional[float] = None) -> ElementSpec:
+    """An :class:`ElementSpec` whose params are checked now, by a trial
+    construction, rather than when the scenario is built mid-run."""
+    spec = ElementSpec(kind, params or {}, start=start, end=end)
+    spec.factory()(None, None)
+    return spec
+
+
+def parse_flow_spec(spec: str, rm: float) -> FlowSpec:
     """Parse ``cca[:modifier[:modifier...]]`` into a declarative FlowSpec.
 
     ACK-path modifiers: ``poison`` (min-RTT poisoning, 1 ms),
     ``poisonN`` (N ms), ``jitterN`` (constant N ms), ``aggN`` (ACK
     aggregation, N ms), ``delackN`` (delayed ACKs of N packets).
 
-    Data-path fault modifiers (see :mod:`repro.sim.faults`):
+    Data-path modifiers (see :mod:`repro.sim.faults`):
     ``geP`` (Gilbert-Elliott bursty loss, mean rate P),
     ``blackoutA-B`` (outage from A to B seconds),
     ``flapP-D`` (flapping: every P seconds the link is down for D),
     ``reorderP`` (delay-swap reordering with probability P),
     ``dupP`` (duplication with probability P),
-    ``corruptP`` (corruption-drop with probability P).
+    ``corruptP`` (random loss with probability P).
 
-    ``fault_seed`` pins the flow's fault-schedule RNG explicitly
-    (``--fault-seed`` semantics); ``None`` derives it from the scenario
-    root seed.
+    Stochastic modifiers take their seed from the scenario root seed
+    and their position, like every other element.
     """
     name, _, rest = spec.partition(":")
     _require_cca(name)
     ack_elements: List[ElementSpec] = []
-    windows: List[FaultWindowSpec] = []
+    data_elements: List[ElementSpec] = []
     ack_every = 1
     ack_timeout: Optional[float] = None
-    horizon = float("inf")  # always-on faults use an unbounded window
     for modifier in (m for m in rest.split(":") if m):
         # ValueError (bad number) and ConfigurationError (bad window /
         # probability) become clean CLI errors, not tracebacks.
@@ -237,89 +243,69 @@ def parse_flow_spec(spec: str, rm: float,
         try:
             if modifier.startswith("poison"):
                 amount = units.ms(float(modifier[6:] or 1.0))
-                ack_elements.append(ElementSpec(
+                ack_elements.append(_element(
                     "exempt_first_jitter",
                     {"eta": amount, "exempt_seqs": [0]}))
             elif modifier.startswith("jitter"):
                 amount = units.ms(float(modifier[6:]))
-                ack_elements.append(ElementSpec(
+                ack_elements.append(_element(
                     "constant_jitter", {"eta": amount}))
             elif modifier.startswith("agg"):
                 amount = units.ms(float(modifier[3:]))
-                ack_elements.append(ElementSpec(
+                ack_elements.append(_element(
                     "ack_aggregation", {"period": amount}))
             elif modifier.startswith("delack"):
                 ack_every = int(modifier[6:])
                 ack_timeout = units.ms(200)
             elif modifier.startswith("ge"):
-                windows.append(FaultWindowSpec(
-                    "gilbert_elliott", 0.0, horizon,
-                    {"mean_loss": float(modifier[2:])}))
+                data_elements.append(_element(
+                    "gilbert_elliott", {"mean_loss": float(modifier[2:])}))
             elif modifier.startswith("blackout"):
                 start, end = _parse_window(modifier[8:], "blackout")
-                windows.append(FaultWindowSpec("blackout", start, end))
+                data_elements.append(_element("blackout", start=start,
+                                              end=end))
             elif modifier.startswith("flap"):
                 period, down = _parse_window(modifier[4:], "flap")
-                windows.append(FaultWindowSpec(
-                    "flap", 0.0, horizon,
-                    {"period": period, "down_time": down}))
+                data_elements.append(_element(
+                    "flap", {"period": period, "down_time": down}))
             elif modifier.startswith("reorder"):
-                windows.append(FaultWindowSpec(
-                    "reorder", 0.0, horizon,
-                    {"prob": float(modifier[7:]),
-                     "extra_delay": units.ms(10)}))
+                data_elements.append(_element(
+                    "reorder", {"reorder_prob": float(modifier[7:]),
+                                "extra_delay": units.ms(10)}))
             elif modifier.startswith("dup"):
-                windows.append(FaultWindowSpec(
-                    "duplicate", 0.0, horizon,
-                    {"prob": float(modifier[3:])}))
+                data_elements.append(_element(
+                    "duplicate", {"dup_prob": float(modifier[3:])}))
             elif modifier.startswith("corrupt"):
-                windows.append(FaultWindowSpec(
-                    "corrupt", 0.0, horizon,
-                    {"prob": float(modifier[7:])}))
+                data_elements.append(_element(
+                    "random_loss", {"loss_prob": float(modifier[7:])}))
             else:
                 raise SystemExit(f"unknown flow modifier {modifier!r}")
         except (ValueError, ConfigurationError) as exc:
             raise SystemExit(f"bad flow modifier {modifier!r}: {exc}")
-    faults = None
-    if windows:
-        faults = FaultScheduleSpec(windows=tuple(windows),
-                                   seed=fault_seed)
-        try:
-            faults.build(0)  # validate window params now, not mid-run
-        except ConfigurationError as exc:
-            raise SystemExit(f"bad flow spec {spec!r}: {exc}")
     return FlowSpec(cca=CCASpec(name), rm=rm,
+                    data_elements=tuple(data_elements),
                     ack_elements=tuple(ack_elements),
                     ack_every=ack_every, ack_timeout=ack_timeout,
-                    faults=faults, label=spec)
+                    label=spec)
 
 
-def parse_link_faults(args: argparse.Namespace
-                      ) -> Optional[FaultScheduleSpec]:
-    """Assemble the shared-bottleneck fault spec from CLI flags."""
-    windows: List[FaultWindowSpec] = []
-    horizon = float("inf")
-    for window in args.link_blackout or ():
-        start, end = _parse_window(window, "--link-blackout")
-        windows.append(FaultWindowSpec("blackout", start, end))
-    if args.link_flap:
-        period, down = _parse_window(args.link_flap, "--link-flap")
-        windows.append(FaultWindowSpec(
-            "flap", 0.0, horizon,
-            {"period": period, "down_time": down}))
-    if args.link_ge:
-        windows.append(FaultWindowSpec(
-            "gilbert_elliott", 0.0, horizon,
-            {"mean_loss": args.link_ge}))
-    if not windows:
-        return None
-    faults = FaultScheduleSpec(windows=tuple(windows),
-                               seed=args.fault_seed)
+def parse_link_faults(args: argparse.Namespace) -> Tuple[ElementSpec, ...]:
+    """The shared-bottleneck elements the ``--link-*`` flags ask for."""
+    elements: List[ElementSpec] = []
     try:
-        faults.build(0)
+        for window in args.link_blackout or ():
+            start, end = _parse_window(window, "--link-blackout")
+            elements.append(_element("blackout", start=start, end=end))
+        if args.link_flap:
+            period, down = _parse_window(args.link_flap, "--link-flap")
+            elements.append(_element(
+                "flap", {"period": period, "down_time": down}))
+        if args.link_ge:
+            elements.append(_element(
+                "gilbert_elliott", {"mean_loss": args.link_ge}))
     except ConfigurationError as exc:
         raise SystemExit(f"bad link fault flags: {exc}")
-    return faults
+    return tuple(elements)
 
 
 def _load_topology(path: str) -> TopologySpec:
@@ -341,13 +327,11 @@ def _specs_from_args(args: argparse.Namespace
         if args.link_blackout or args.link_flap or args.link_ge:
             raise SystemExit(
                 "--link-* fault flags target the single dumbbell "
-                "bottleneck; put per-link faults in the topology "
-                "spec file instead")
+                "bottleneck; list a link's impairments under its "
+                "'elements' in the topology file instead")
         topology = _load_topology(args.topology)
         rm = units.ms(args.rm)
-        flows = tuple(
-            parse_flow_spec(spec, rm, fault_seed=args.fault_seed + i)
-            for i, spec in enumerate(args.cca))
+        flows = tuple(parse_flow_spec(spec, rm) for spec in args.cca)
         try:
             spec = ScenarioSpec(
                 topology=topology, flows=flows,
@@ -376,13 +360,11 @@ def _specs_from_args(args: argparse.Namespace
             "run needs --rate, --rm and at least one --cca "
             "(or --spec FILE)")
     rm = units.ms(args.rm)
-    flows = tuple(
-        parse_flow_spec(spec, rm, fault_seed=args.fault_seed + i)
-        for i, spec in enumerate(args.cca))
+    flows = tuple(parse_flow_spec(spec, rm) for spec in args.cca)
     link = LinkSpec(rate=units.mbps(args.rate),
                     buffer_bdp=args.buffer_bdp if args.buffer_bdp
                     else None,
-                    faults=parse_link_faults(args))
+                    elements=parse_link_faults(args))
     spec = ScenarioSpec(link=link, flows=flows,
                         seed=args.seed if args.seed is not None else 0)
     return [(f"{args.rate} Mbit/s, Rm = {args.rm} ms", spec)]
@@ -1020,7 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run over a TopologySpec JSON graph instead of the "
              "single dumbbell bottleneck; --cca flows route over "
              "every link in declaration order (link rates and "
-             "per-link faults come from the file)")
+             "per-link elements come from the file)")
     run_parser.add_argument(
         "--dump-spec", action="store_true",
         help="print the assembled ScenarioSpec JSON and exit "
@@ -1047,9 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--link-ge", type=float, metavar="LOSS",
         help="Gilbert-Elliott bursty loss on the bottleneck, mean rate")
-    run_parser.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="seed for stochastic fault elements (default 0)")
     run_parser.add_argument(
         "--max-events", type=int, default=None,
         help="abort the run after this many engine events (watchdog)")

@@ -18,9 +18,9 @@ so specs serialize compactly and diff cleanly in corpus files.
 The sampled space deliberately matches where the paper's starvation
 results live: any registered CCA, 1-16 competing flows, mixed RTTs,
 staggered starts, ACK-path jitter regimes (constant, aggregation,
-first-packet-exempt poisoning, square wave), and scripted fault windows
-(blackouts, flapping, bursty loss, reordering, duplication,
-corruption) — in short durations so a campaign of hundreds of
+first-packet-exempt poisoning, square wave), and time-windowed
+impairments (blackouts, flapping, bursty and random loss, reordering,
+duplication) — in short durations so a campaign of hundreds of
 iterations stays cheap. A fraction of iterations
 (``FuzzConfig.topology_prob``) swap the dumbbell for a small
 parking-lot topology (2-3 serial bottlenecks, mixed long/single-hop
@@ -36,8 +36,7 @@ from typing import Iterator, Optional, Tuple
 
 from .. import units
 from ..ccas import registry
-from ..spec import (CCASpec, ElementSpec, FaultScheduleSpec,
-                    FaultWindowSpec, FlowSpec, LinkSpec, NodeSpec,
+from ..spec import (CCASpec, ElementSpec, FlowSpec, LinkSpec, NodeSpec,
                     ScenarioSpec, TopoLinkSpec, TopologySpec)
 from ..spec.seeds import derive_seed
 
@@ -48,7 +47,7 @@ class FuzzConfig:
 
     The defaults keep individual runs short (1-3 simulated seconds,
     single-digit Mbit/s) while still reaching every registered CCA and
-    every element/fault kind the catalog considers safe to randomize.
+    every element kind the catalog considers safe to randomize.
     """
 
     max_flows: int = 16
@@ -58,8 +57,9 @@ class FuzzConfig:
     max_rate_mbps: float = 20.0
     min_rm: float = 0.005
     max_rm: float = 0.1
-    #: Probability that a flow carries an ACK-path element / a fault
-    #: schedule, and that the link carries a fault schedule.
+    #: Probability that a flow carries an ACK-path element / a plain
+    #: data-path element / a windowed impairment, and that the link
+    #: carries a windowed impairment.
     ack_element_prob: float = 0.35
     data_element_prob: float = 0.15
     flow_fault_prob: float = 0.25
@@ -111,11 +111,10 @@ def _ack_element(rng: Random) -> ElementSpec:
         "duty": _round(rng.uniform(0.1, 0.9), 2)})
 
 
-def _fault_windows(rng: Random,
-                   duration: float) -> Tuple[FaultWindowSpec, ...]:
-    """One scripted impairment window, bounded within the run."""
+def _gated_element(rng: Random, duration: float) -> ElementSpec:
+    """One impairment confined to a window inside the run."""
     kind = rng.choice(["blackout", "flap", "gilbert_elliott", "reorder",
-                       "duplicate", "corrupt"])
+                       "duplicate", "random_loss"])
     start = _round(rng.uniform(0.0, duration * 0.6), 3)
     end = _round(min(duration,
                      start + rng.uniform(0.05, duration * 0.5)), 3)
@@ -125,22 +124,21 @@ def _fault_windows(rng: Random,
         # Long total outages starve every flow trivially; keep them
         # short relative to the run so recovery is part of the test.
         end = _round(min(end, start + 0.3), 3)
-        return (FaultWindowSpec(kind, start, end),)
-    if kind == "flap":
+        params = {}
+    elif kind == "flap":
         period = _round(rng.uniform(0.2, 1.0), 3)
-        down = _round(period * rng.uniform(0.1, 0.5), 4)
-        return (FaultWindowSpec(kind, start, end,
-                                {"period": period, "down_time": down}),)
-    if kind == "gilbert_elliott":
-        return (FaultWindowSpec(kind, start, end,
-                                {"mean_loss":
-                                 _round(rng.uniform(0.005, 0.1))}),)
-    if kind == "reorder":
-        return (FaultWindowSpec(kind, start, end, {
-            "prob": _round(rng.uniform(0.01, 0.2)),
-            "extra_delay": _round(rng.uniform(0.001, 0.02))}),)
-    prob = _round(rng.uniform(0.01, 0.1))
-    return (FaultWindowSpec(kind, start, end, {"prob": prob}),)
+        params = {"period": period,
+                  "down_time": _round(period * rng.uniform(0.1, 0.5), 4)}
+    elif kind == "gilbert_elliott":
+        params = {"mean_loss": _round(rng.uniform(0.005, 0.1))}
+    elif kind == "reorder":
+        params = {"reorder_prob": _round(rng.uniform(0.01, 0.2)),
+                  "extra_delay": _round(rng.uniform(0.001, 0.02))}
+    elif kind == "duplicate":
+        params = {"dup_prob": _round(rng.uniform(0.01, 0.1))}
+    else:
+        params = {"loss_prob": _round(rng.uniform(0.01, 0.1))}
+    return ElementSpec(kind, params, start=start, end=end)
 
 
 def _flow(rng: Random, config: FuzzConfig, duration: float,
@@ -163,22 +161,20 @@ def _flow(rng: Random, config: FuzzConfig, duration: float,
     if rng.random() < config.data_element_prob:
         data_elements = (ElementSpec(
             "constant_jitter", {"eta": _round(rng.uniform(0.0, 0.005))}),)
-    faults = None
     if rng.random() < config.flow_fault_prob:
-        faults = FaultScheduleSpec(windows=_fault_windows(rng, duration))
+        data_elements += (_gated_element(rng, duration),)
     return FlowSpec(cca=CCASpec(cca), rm=rm, start_time=start_time,
                     data_elements=data_elements,
                     ack_elements=ack_elements, ack_every=ack_every,
-                    ack_timeout=ack_timeout, burst_size=burst_size,
-                    faults=faults)
+                    ack_timeout=ack_timeout, burst_size=burst_size)
 
 
 def _topology(rng: Random, config: FuzzConfig, rate: float,
               buffer_bdp: Optional[float], ecn: Optional[float],
-              faults: Optional[FaultScheduleSpec]) -> TopologySpec:
+              elements: Tuple[ElementSpec, ...]) -> TopologySpec:
     """A small parking lot whose first link is the drawn bottleneck.
 
-    Link ``b0`` inherits the scenario's drawn rate/buffer/ECN/faults
+    Link ``b0`` inherits the scenario's drawn rate/buffer/ECN/elements
     (so the sampled space stays centered where the dumbbell campaign
     explores); the 1-2 extra serial links draw fresh rates and an
     occasional propagation delay.
@@ -186,7 +182,7 @@ def _topology(rng: Random, config: FuzzConfig, rate: float,
     n_links = rng.randint(2, max(2, config.max_topology_links))
     links = [TopoLinkSpec(id="b0", src="n0", dst="n1", rate=rate,
                           buffer_bdp=buffer_bdp,
-                          ecn_threshold_bytes=ecn, faults=faults)]
+                          ecn_threshold_bytes=ecn, elements=elements)]
     for i in range(1, n_links):
         extra_rate = units.mbps(_round(rng.uniform(
             config.min_rate_mbps, config.max_rate_mbps), 2))
@@ -244,19 +240,19 @@ def generate_spec(root_seed: int, index: int,
         # Around a fraction of a small-BDP queue so marking actually
         # happens at these rates.
         ecn = _round(rng.uniform(10_000.0, 60_000.0), 0)
-    faults = None
+    elements: Tuple[ElementSpec, ...] = ()
     if rng.random() < config.link_fault_prob:
-        faults = FaultScheduleSpec(windows=_fault_windows(rng, duration))
+        elements = (_gated_element(rng, duration),)
     seed = derive_seed(root_seed, "fuzz", index, "scenario")
     # Topology draws come after every dumbbell draw so the sampled
     # dumbbell parameters stay aligned across config variations.
     if rng.random() < config.topology_prob:
-        topology = _topology(rng, config, rate, buffer_bdp, ecn, faults)
+        topology = _topology(rng, config, rate, buffer_bdp, ecn, elements)
         return ScenarioSpec(
             topology=topology, flows=_route_flows(rng, flows, topology),
             seed=seed, duration=duration, warmup=warmup)
     link = LinkSpec(rate=rate, buffer_bdp=buffer_bdp,
-                    ecn_threshold_bytes=ecn, faults=faults)
+                    ecn_threshold_bytes=ecn, elements=elements)
     return ScenarioSpec(
         link=link, flows=flows, seed=seed,
         duration=duration, warmup=warmup)

@@ -13,7 +13,7 @@ oracles run per spec:
   (:mod:`repro.sim.invariants`); a conservation/causality/sanity
   violation, a budget blowout, or an unexpected exception is a finding.
 * **determinism** — the run repeats with identical golden trace and
-  summary digests (:func:`repro.perf.golden.run_digests`); divergence
+  summary digests (:func:`repro.sim.digests.run_digests`); divergence
   means hidden global state.
 
 Findings are deduplicated by :attr:`Finding.signature`:
@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional
 
 from ..errors import (BudgetExceededError, ConfigurationError,
                       InvariantViolation, ReproError, SimulationError)
-from ..perf.golden import run_digests
+from ..sim.digests import run_digests
 from ..spec import ScenarioSpec
 from ..store.keys import point_cache_key
 

@@ -1,7 +1,7 @@
 """Delta-debugging shrinker: minimize a failing spec, keep the bug.
 
-A raw fuzz finding is a 10-flow scenario with three fault windows and
-jitter on half the ACK paths — useless as a regression test and worse
+A raw fuzz finding is a 10-flow scenario with three gated impairments
+and jitter on half the ACK paths — useless as a regression test and worse
 as a debugging starting point. CCAC's experience (see PAPERS.md) is
 that adversarially-found counterexamples only become actionable once
 minimized, so this module applies greedy delta debugging: propose a
@@ -18,10 +18,9 @@ Transformations, largest reduction first:
   the first link's parameters), drop its trailing links, shorten
   explicit flow paths to their first hop,
 * halve the duration (down to a floor), zero the warmup,
-* drop fault schedules, individual fault windows, halve windows,
-* drop ACK/data path elements, reset ``start_time``/``ack_every``/
-  ``burst_size``/link extras to defaults,
-* round element and fault parameters to 3 decimals.
+* drop ACK/data path elements (all, then one at a time), reset
+  ``start_time``/``ack_every``/``burst_size``/link extras to defaults,
+* halve element windows, round element parameters to 3 decimals.
 
 Every candidate is validated by construction (the spec validators run
 in ``replace``), so an over-aggressive transformation is skipped, not
@@ -78,24 +77,6 @@ def _rounded_params(params: Dict[str, Any]) -> Dict[str, Any]:
 
 def _flow_candidates(flow: FlowSpec) -> Iterator[Tuple[str, FlowSpec]]:
     """Simpler variants of one flow (same order every call)."""
-    if flow.faults is not None:
-        yield "drop faults", replace(flow, faults=None)
-        windows = flow.faults.windows
-        if len(windows) > 1:
-            for i in range(len(windows)):
-                kept = windows[:i] + windows[i + 1:]
-                yield (f"drop fault window {i}",
-                       replace(flow, faults=replace(flow.faults,
-                                                    windows=kept)))
-        for i, window in enumerate(windows):
-            length = window.end - window.start
-            if length > 0.1 and window.end != float("inf"):
-                halved = replace(window,
-                                 end=round(window.start + length / 2, 3))
-                kept = windows[:i] + (halved,) + windows[i + 1:]
-                yield (f"halve fault window {i}",
-                       replace(flow, faults=replace(flow.faults,
-                                                    windows=kept)))
     if flow.ack_elements:
         yield "drop ack elements", replace(flow, ack_elements=())
     if flow.data_elements:
@@ -110,12 +91,21 @@ def _flow_candidates(flow: FlowSpec) -> Iterator[Tuple[str, FlowSpec]]:
     for elements_attr in ("ack_elements", "data_elements"):
         elements = getattr(flow, elements_attr)
         for i, element in enumerate(elements):
+            def swapped(*simpler: Any) -> FlowSpec:
+                kept = elements[:i] + simpler + elements[i + 1:]
+                return replace(flow, **{elements_attr: kept})
+
+            if len(elements) > 1:
+                yield f"drop {elements_attr}[{i}]", swapped()
+            if element.start is not None and element.end != float("inf") \
+                    and element.end - element.start > 0.1:
+                middle = round((element.start + element.end) / 2, 3)
+                yield (f"halve {elements_attr}[{i}] window",
+                       swapped(replace(element, end=middle)))
             rounded = _rounded_params(element.params)
             if rounded != element.params:
-                kept = (elements[:i] + (replace(element, params=rounded),)
-                        + elements[i + 1:])
                 yield (f"round {elements_attr}[{i}] params",
-                       replace(flow, **{elements_attr: kept}))
+                       swapped(replace(element, params=rounded)))
 
 
 def _candidates(spec: ScenarioSpec
@@ -169,7 +159,7 @@ def _candidates(spec: ScenarioSpec
                               buffer_bytes=first.buffer_bytes,
                               buffer_bdp=first.buffer_bdp,
                               ecn_threshold_bytes=first.ecn_threshold_bytes,
-                              faults=first.faults),
+                              elements=first.elements),
                 flows=tuple(replace(f, path=()) for f in spec.flows)))
         if len(spec.topology.links) > 1:
             # Flows whose explicit path names the dropped link make the
@@ -185,10 +175,10 @@ def _candidates(spec: ScenarioSpec
                 yield from attempt(f"flow {i}: first-hop path",
                                    lambda kept=kept:
                                    replace(spec, flows=kept))
-    if spec.link is not None and spec.link.faults is not None:
+    if spec.link is not None and spec.link.elements:
         yield from attempt(
-            "drop link faults",
-            lambda: replace(spec, link=replace(spec.link, faults=None)))
+            "drop link elements",
+            lambda: replace(spec, link=replace(spec.link, elements=())))
     if spec.link is not None \
             and spec.link.ecn_threshold_bytes is not None:
         yield from attempt(

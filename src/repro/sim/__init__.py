@@ -8,9 +8,9 @@ build-run-summarize function.
 """
 
 from .engine import Event, Simulator
-from .faults import (BlackoutElement, CorruptionElement, DuplicateElement,
-                     FaultSchedule, FaultWindow, GilbertElliottLossElement,
-                     LinkFlapElement, ReorderElement)
+from .faults import (BlackoutElement, DuplicateElement,
+                     GilbertElliottLossElement, LinkFlapElement,
+                     ReorderElement)
 from .host import Receiver, Sender
 from .invariants import (InvariantSentinel, InvariantWarning, override_mode,
                          resolve_mode)
@@ -22,10 +22,10 @@ from .runner import FlowStats, RunResult, run
 
 __all__ = [
     "Ack", "AckInfo", "BlackoutElement", "BottleneckQueue",
-    "CorruptionElement", "DuplicateElement", "Event", "FaultSchedule",
-    "FaultWindow", "FlowConfig", "FlowStats", "GilbertElliottLossElement",
-    "InvariantSentinel", "InvariantWarning", "LinkConfig", "LinkFlapElement",
-    "Packet", "Receiver", "ReorderElement", "RunResult", "Scenario",
-    "Sender", "Simulator", "TopologyLink", "build_topology",
-    "dumbbell_links", "override_mode", "resolve_mode", "run",
+    "DuplicateElement", "Event", "FlowConfig", "FlowStats",
+    "GilbertElliottLossElement", "InvariantSentinel", "InvariantWarning",
+    "LinkConfig", "LinkFlapElement", "Packet", "Receiver", "ReorderElement",
+    "RunResult", "Scenario", "Sender", "Simulator", "TopologyLink",
+    "build_topology", "dumbbell_links", "override_mode", "resolve_mode",
+    "run",
 ]

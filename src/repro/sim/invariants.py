@@ -9,7 +9,7 @@ families while a scenario runs:
 * **conservation** — every packet sent is dropped, delivered, or in
   flight. The checks compare monotone per-component counters (sender
   ``sent_packets``, receiver ``received_packets``, per-element
-  ``dropped``/``corrupted``/``duplicated``, queue ``drops``) plus the
+  ``dropped``/``duplicated``, queue ``drops``) plus the
   exact per-sender identity ``sum(unacked sizes) == inflight_bytes``.
 * **causality** — the simulation clock and every per-flow ACK sequence
   are monotone non-decreasing, and no recorded sample lies in the
@@ -292,7 +292,6 @@ class InvariantSentinel:
         duplicated_total = 0
         for element in self._elements:
             dropped_total += getattr(element, "dropped", 0)
-            dropped_total += getattr(element, "corrupted", 0)
             duplicated_total += getattr(element, "duplicated", 0)
         for queue in self._queues:
             dropped_total += queue.drops

@@ -8,7 +8,7 @@ Section 5 experiments exercise.
 
 :func:`build_topology` is the one builder: an ordered list of
 :class:`TopologyLink` (each a :class:`BottleneckQueue` plus optional
-propagation delay and fault chain) with per-flow paths as link-id
+propagation delay and element chain) with per-flow paths as link-id
 sequences. The paper's dumbbell is the one-link case,
 ``build_topology(dumbbell_links(LinkConfig(...)), flows)``.
 """
@@ -20,7 +20,6 @@ from typing import Callable, List, Optional, Sequence
 
 from ..errors import ConfigurationError
 from .engine import Simulator
-from .faults import FaultSchedule
 from .host import Receiver, Sender
 from .invariants import InvariantSentinel
 from .path import DelayElement, ElementFactory, chain
@@ -38,9 +37,9 @@ class LinkConfig:
         buffer_bdp: alternative capacity spec as a multiple of the BDP of
             the *first* flow (rate x rm); mutually exclusive with
             buffer_bytes.
-        fault_schedule: scripted impairments applied to *every* flow's
-            packets just before the shared queue (one shared element
-            chain, unlike per-flow ``FlowConfig.fault_schedule``).
+        elements: element factories chained in front of the queue —
+            one shared chain that *every* flow crossing the link meets
+            (unlike per-flow ``FlowConfig.data_elements``).
     """
 
     rate: float
@@ -48,7 +47,7 @@ class LinkConfig:
     buffer_bdp: Optional[float] = None
     #: DCTCP-style marking threshold (bytes of backlog); None = no ECN.
     ecn_threshold_bytes: Optional[float] = None
-    fault_schedule: Optional[FaultSchedule] = None
+    elements: Sequence[ElementFactory] = ()
 
     def __post_init__(self) -> None:
         if self.rate <= 0:
@@ -80,13 +79,10 @@ class FlowConfig:
         start_time: when the flow starts.
         mss: packet size in bytes.
         data_elements: element factories inserted between the sender and
-            the bottleneck (e.g. loss elements).
+            the bottleneck (e.g. loss elements, gated outages).
         ack_elements: element factories on the ACK return path (e.g.
             jitter / ACK aggregation).
         ack_every / ack_timeout: receiver delayed-ACK policy.
-        fault_schedule: scripted time-windowed impairments on this
-            flow's data path (after ``data_elements``, before the
-            bottleneck).
         label: display name for reports.
     """
 
@@ -100,7 +96,6 @@ class FlowConfig:
     ack_timeout: Optional[float] = None
     #: GSO-style batching: release packets in bursts of this many.
     burst_size: int = 1
-    fault_schedule: Optional[FaultSchedule] = None
     label: str = ""
     #: Ordered link ids this flow traverses (topology scenarios only);
     #: None = every link in declaration order (or the single dumbbell
@@ -198,9 +193,9 @@ def _walk_elements(entry: object, stop: object) -> List[object]:
     """Collect path elements from ``entry`` down to (excluding) ``stop``.
 
     Elements are duck-typed sinks linked by ``sink`` (plus
-    ``impaired``/``bypass`` for fault window gates); the walk surfaces
-    every element that owns drop/duplicate counters so the invariant
-    sentinel can include them in the packet-conservation balance.
+    ``impaired``/``bypass`` for window gates); the walk surfaces every
+    element that owns drop/duplicate counters so the invariant sentinel
+    can include them in the packet-conservation balance.
     """
     found: List[object] = []
     seen = set()
@@ -210,8 +205,7 @@ def _walk_elements(entry: object, stop: object) -> List[object]:
         if node is None or node is stop or id(node) in seen:
             continue
         seen.add(id(node))
-        if hasattr(node, "dropped") or hasattr(node, "corrupted") \
-                or hasattr(node, "duplicated"):
+        if hasattr(node, "dropped") or hasattr(node, "duplicated"):
             found.append(node)
         for attr in ("sink", "impaired", "bypass"):
             frontier.append(getattr(node, attr, None))
@@ -231,8 +225,8 @@ def build_topology(links: Sequence[TopologyLink],
 
     Forward path per flow (path = links L1 .. Ln)::
 
-        sender -> data_elements -> [L1 faults] -> L1 queue -> delay(L1)
-               -> [L2 faults] -> L2 queue -> delay(L2) -> ...
+        sender -> data_elements -> [L1 elements] -> L1 queue -> delay(L1)
+               -> [L2 elements] -> L2 queue -> delay(L2) -> ...
                -> Ln queue -> delay(Ln) -> delay(rm) -> receiver
 
     Reverse path per flow::
@@ -269,7 +263,7 @@ def build_topology(links: Sequence[TopologyLink],
     sentinel = InvariantSentinel(mode=invariants)
     first_rm = flows[0].rm
     queues: dict = {}
-    # Per-link shared faults: one element chain seen by every flow that
+    # Per-link shared elements: one chain seen by every flow that
     # crosses the link; ``entries`` maps link id -> chain entry point.
     entries: dict = {}
     for lk in links:
@@ -277,13 +271,10 @@ def build_topology(links: Sequence[TopologyLink],
         queue = BottleneckQueue(sim, link.rate,
                                 buffer_bytes=link.resolve_buffer(first_rm),
                                 ecn_threshold_bytes=link.ecn_threshold_bytes)
-        entry: object = queue
-        if link.fault_schedule is not None:
-            entry = link.fault_schedule.build(sim, queue)
         queues[lk.link_id] = queue
-        entries[lk.link_id] = entry
+        entries[lk.link_id] = chain(sim, link.elements, queue)
     built: List[BuiltFlow] = []
-    # Per-flow chains share the link fault elements; dedupe by identity
+    # Per-flow chains share the link's elements; dedupe by identity
     # so the conservation balance counts each drop source exactly once.
     registered_elements: set = set()
     for flow_id, config in enumerate(flows):
@@ -317,22 +308,17 @@ def build_topology(links: Sequence[TopologyLink],
             queues[link_id].register_sink(flow_id, sink)
             downstream = entries[link_id]
         # Forward path before the first queue:
-        #   data elements -> per-flow faults -> shared faults -> queue.
-        flow_terminal: object = downstream
-        if config.fault_schedule is not None:
-            flow_terminal = config.fault_schedule.build(sim, flow_terminal)
-        data_entry = chain(sim, config.data_elements, flow_terminal)
+        #   data elements -> the link's shared elements -> queue.
+        data_entry = chain(sim, config.data_elements, downstream)
         sender.attach_path(data_entry)
         recorder = FlowRecorder(sim, sender, receiver=receiver,
                                 sample_interval=sample_interval)
         built.append(BuiltFlow(flow_id, config, sender, receiver, recorder))
         if sentinel.active:
             sentinel.register_flow(sender, receiver, recorder)
+            # Data path only: what an ACK-path element drops or
+            # duplicates is an ACK, and the balance counts packets.
             for element in _walk_elements(data_entry, queues[path[0]]):
-                if id(element) not in registered_elements:
-                    registered_elements.add(id(element))
-                    sentinel.register_element(element)
-            for element in _walk_elements(ack_entry, sender):
                 if id(element) not in registered_elements:
                     registered_elements.add(id(element))
                     sentinel.register_element(element)
@@ -342,7 +328,7 @@ def build_topology(links: Sequence[TopologyLink],
     if sentinel.active:
         for link_id, recorder in zip(link_ids, queue_recorders):
             sentinel.register_queue(queues[link_id], recorder)
-            # Fault chains fronting downstream links sit between queues,
+            # Element chains fronting downstream links sit between queues,
             # out of reach of the per-flow data-path walks above.
             for element in _walk_elements(entries[link_id],
                                           queues[link_id]):

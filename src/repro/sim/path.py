@@ -4,7 +4,8 @@ A flow's forward path is ``sender -> [elements...] -> bottleneck ->
 delay(Rm) -> receiver`` and its reverse path is ``receiver -> [elements...]
 -> sender``. Elements are duck-typed sinks exposing
 ``receive(packet, now)``; :func:`chain` wires a list of element factories
-into such a pipeline.
+into such a pipeline, and :func:`gated` confines one factory's element
+to a time window.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Callable, Optional, Sequence
 
 from ..errors import ConfigurationError
 from .engine import Simulator
+from .faults import WindowGate
 
 
 class DelayElement:
@@ -73,3 +75,17 @@ def chain(sim: Simulator, factories: Optional[Sequence[ElementFactory]],
         for factory in reversed(list(factories)):
             entry = factory(sim, entry)
     return entry
+
+
+def gated(factory: ElementFactory, start: float,
+          end: float) -> ElementFactory:
+    """``factory``'s element, on the path only during ``[start, end)``.
+
+    Outside the window packets bypass the element and go straight to
+    its sink, so windows in one chain compose: a packet traverses every
+    impairment whose window is open.
+    """
+    def build(sim: Simulator, sink: object) -> object:
+        return WindowGate(sim, factory(sim, sink), sink, start, end)
+
+    return build

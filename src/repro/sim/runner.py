@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from .. import units
 from .network import FlowConfig, Scenario, TopologyLink, build_topology
 
 
@@ -83,6 +84,17 @@ class RunResult:
         """Aggregate delivered rate over the (first) bottleneck rate."""
         total = sum(self.throughputs)
         return total / self.scenario.queue.rate
+
+    def summary(self) -> dict:
+        """A dictionary digest convenient for printing or asserting on."""
+        return {
+            "throughputs_mbps": [units.to_mbps(s.throughput)
+                                 for s in self.stats],
+            "ratio": self.throughput_ratio(),
+            "utilization": self.utilization(),
+            "losses": [s.losses for s in self.stats],
+            "mean_rtt_ms": [s.mean_rtt * 1e3 for s in self.stats],
+        }
 
 
 def summarize(scenario: Scenario, duration: float,

@@ -20,8 +20,7 @@ single root ``seed`` deterministically derives every component RNG
 seed (see :mod:`repro.spec.seeds`).
 """
 
-from .elements import (ELEMENTS, FAULT_KINDS, ElementSpec,
-                       FaultScheduleSpec, FaultWindowSpec, element_kinds)
+from .elements import ELEMENTS, ElementSpec, element_kinds
 from .scenario import (SPEC_VERSION, CCASpec, FlowSpec, LinkSpec,
                        ScenarioSpec, single_flow_scenario)
 from .seeds import derive_seed
@@ -29,8 +28,7 @@ from .topology import (NodeSpec, TopoLinkSpec, TopologySpec,
                        parking_lot_topology, shared_bottleneck_topology)
 
 __all__ = [
-    "CCASpec", "ELEMENTS", "ElementSpec", "FAULT_KINDS",
-    "FaultScheduleSpec", "FaultWindowSpec", "FlowSpec", "LinkSpec",
+    "CCASpec", "ELEMENTS", "ElementSpec", "FlowSpec", "LinkSpec",
     "NodeSpec", "SPEC_VERSION", "ScenarioSpec", "TopoLinkSpec",
     "TopologySpec", "derive_seed", "element_kinds",
     "parking_lot_topology", "shared_bottleneck_topology",

@@ -1,19 +1,16 @@
-"""Declarative path-element and fault-schedule specifications.
+"""Declarative path-element specifications: one catalog, one shape.
 
 Scenario descriptions used to embed live ``ElementFactory`` lambdas
 (closures over a Simulator-to-be), which cannot be serialized or sent to
-a worker process. This module replaces them with pure data:
+a worker process. :class:`ElementSpec` replaces them with pure data —
+``(kind, params)`` naming one element from the catalog below, plus an
+optional ``[start, end)`` window during which the element is on the
+path at all. Everything between a sender and a queue (or a receiver and
+its sender) is spelled this way: jitter, loss, delay, outages, flapping,
+reordering, duplication. :meth:`ElementSpec.factory` turns a spec back
+into the ``(sim, sink) -> element`` callable the build layer expects.
 
-* :class:`ElementSpec` — ``(kind, params)`` naming one jitter/loss/delay
-  element from the catalog below; :meth:`ElementSpec.factory` turns it
-  back into the ``(sim, sink) -> element`` callable the build layer
-  expects.
-* :class:`FaultWindowSpec` / :class:`FaultScheduleSpec` — the
-  declarative mirror of :class:`repro.sim.faults.FaultSchedule`'s
-  fluent helpers; :meth:`FaultScheduleSpec.build` reconstructs the live
-  schedule.
-
-Both are JSON-round-trippable: params are normalized through JSON on
+Specs are JSON-round-trippable: params are normalized through JSON on
 construction, so a spec that travelled through ``json.dumps`` /
 ``json.loads`` compares equal to the original.
 """
@@ -23,39 +20,58 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError, SpecValidationError
-from ..sim.faults import FaultSchedule
+from ..sim.faults import (BlackoutElement, DuplicateElement,
+                          GilbertElliottLossElement, LinkFlapElement,
+                          ReorderElement)
 from ..sim.jitter import (AckAggregationJitter, ConstantJitter,
                           ExemptFirstJitter, NoJitter, SquareWaveJitter,
                           StepTraceJitter, TokenBucketJitter)
 from ..sim.loss import (PeriodicLossElement, RandomLossElement,
                         TargetedLossElement)
-from ..sim.path import DelayElement, ElementFactory
+from ..sim.path import DelayElement, ElementFactory, gated
 
 
 @dataclass(frozen=True)
 class ElementEntry:
-    """Catalog row: element class plus whether it takes a ``seed``."""
+    """Catalog row: the element's constructor, whether it takes a
+    ``seed``, and whether a ``start``/``end`` window may gate it.
 
-    cls: type
+    Kinds that hold packets and release them in order (the
+    ``JitterElement`` family and ``delay``) are not windowable: a gate
+    that closes while they hold packets lets later ones overtake those,
+    which breaks the paper's no-reordering model. ``reorder`` holds
+    packets too, but reordering is what it is for.
+    """
+
+    cls: Callable[..., object]
     seeded: bool = False
+    windowable: bool = True
 
 
 #: Every path element a spec may name. Keys are the JSON ``kind``.
 ELEMENTS: Dict[str, ElementEntry] = {
-    "delay": ElementEntry(DelayElement),
-    "no_jitter": ElementEntry(NoJitter),
-    "constant_jitter": ElementEntry(ConstantJitter),
-    "exempt_first_jitter": ElementEntry(ExemptFirstJitter),
-    "ack_aggregation": ElementEntry(AckAggregationJitter),
-    "square_wave_jitter": ElementEntry(SquareWaveJitter),
-    "step_trace_jitter": ElementEntry(StepTraceJitter),
-    "token_bucket": ElementEntry(TokenBucketJitter),
+    "delay": ElementEntry(DelayElement, windowable=False),
+    "no_jitter": ElementEntry(NoJitter, windowable=False),
+    "constant_jitter": ElementEntry(ConstantJitter, windowable=False),
+    "exempt_first_jitter": ElementEntry(ExemptFirstJitter,
+                                        windowable=False),
+    "ack_aggregation": ElementEntry(AckAggregationJitter,
+                                    windowable=False),
+    "square_wave_jitter": ElementEntry(SquareWaveJitter, windowable=False),
+    "step_trace_jitter": ElementEntry(StepTraceJitter, windowable=False),
+    "token_bucket": ElementEntry(TokenBucketJitter, windowable=False),
     "random_loss": ElementEntry(RandomLossElement, seeded=True),
     "periodic_loss": ElementEntry(PeriodicLossElement),
     "targeted_loss": ElementEntry(TargetedLossElement),
+    "gilbert_elliott": ElementEntry(
+        GilbertElliottLossElement.from_mean_loss, seeded=True),
+    "blackout": ElementEntry(BlackoutElement),
+    "flap": ElementEntry(LinkFlapElement),
+    "reorder": ElementEntry(ReorderElement, seeded=True),
+    "duplicate": ElementEntry(DuplicateElement, seeded=True),
 }
 
 
@@ -100,7 +116,8 @@ def _normalize(params: Dict[str, Any]) -> Dict[str, Any]:
 
 @dataclass(frozen=True)
 class ElementSpec:
-    """One declarative path element: a catalog ``kind`` plus kwargs.
+    """One declarative path element: a catalog ``kind`` plus kwargs,
+    optionally confined to the window ``[start, end)``.
 
     Examples::
 
@@ -108,20 +125,61 @@ class ElementSpec:
         ElementSpec("exempt_first_jitter", {"eta": 0.001,
                                             "exempt_seqs": [0]})
         ElementSpec("random_loss", {"loss_prob": 0.02})
+        ElementSpec("blackout", start=5.0, end=7.0)
+        ElementSpec("gilbert_elliott", {"mean_loss": 0.02}, start=10.0)
 
-    Seeded kinds (``random_loss``) receive a derived seed at build time
-    unless ``params`` pins ``"seed"`` explicitly.
+    No ``start``/``end`` means the element is always on the path; one
+    of them alone leaves the other at 0 / ``inf`` (Python's JSON
+    dialect round-trips infinities). Seeded kinds receive a derived
+    seed at build time unless ``params`` pins ``"seed"`` explicitly.
     """
 
     kind: str
     params: Dict[str, Any] = field(default_factory=dict)
+    start: Optional[float] = None
+    end: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ELEMENTS:
-            raise ConfigurationError(
+        if not isinstance(self.kind, str) or self.kind not in ELEMENTS:
+            raise SpecValidationError(
                 f"unknown element kind {self.kind!r}; known: "
                 f"{', '.join(sorted(ELEMENTS))}")
+        if not isinstance(self.params, dict):
+            raise SpecValidationError(
+                f"element {self.kind!r} params must be an object, got "
+                f"{self.params!r}")
         object.__setattr__(self, "params", _normalize(self.params))
+        if self.start is None and self.end is None:
+            return
+        if not ELEMENTS[self.kind].windowable:
+            raise SpecValidationError(
+                f"element {self.kind!r} holds packets in order and "
+                f"cannot take a start/end window")
+        try:
+            start = 0.0 if self.start is None else float(self.start)
+            end = math.inf if self.end is None else float(self.end)
+        except (TypeError, ValueError):
+            raise SpecValidationError(
+                f"element window start/end must be numbers, got "
+                f"{self.start!r}/{self.end!r}")
+        # A NaN endpoint makes the window silently never (or always)
+        # active — comparisons with NaN are all False — so reject it
+        # here rather than debugging a fault that "didn't happen".
+        # ``end = inf`` is the always-on horizon and stays legal; an
+        # infinite *start* can never activate.
+        if math.isnan(start) or math.isnan(end) or math.isinf(start):
+            raise SpecValidationError(
+                f"element window start/end must be finite (end may be "
+                f"inf), got [{start!r}, {end!r})")
+        if start < 0:
+            raise SpecValidationError(
+                f"element window start must be >= 0, got {start!r}")
+        if not start < end:
+            raise SpecValidationError(
+                f"element window needs start < end, got "
+                f"[{start!r}, {end!r})")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
     def factory(self, seed: Optional[int] = None) -> ElementFactory:
         """The ``(sim, sink) -> element`` callable for the build layer."""
@@ -137,123 +195,35 @@ class ElementSpec:
                 raise ConfigurationError(
                     f"bad params for element {self.kind!r}: {exc}")
 
-        return build
+        if self.start is None:
+            return build
+        return gated(build, self.start, self.end)
 
     def to_json(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "ElementSpec":
-        return cls(kind=data["kind"], params=dict(data.get("params", {})))
-
-
-#: Fault kinds map 1:1 onto :class:`FaultSchedule` fluent helpers.
-FAULT_KINDS: Tuple[str, ...] = ("blackout", "flap", "gilbert_elliott",
-                                "reorder", "duplicate", "corrupt")
-
-
-@dataclass(frozen=True)
-class FaultWindowSpec:
-    """One scripted impairment window: ``kind`` active in [start, end).
-
-    ``params`` are the keyword arguments of the matching
-    :class:`FaultSchedule` helper (e.g. ``{"mean_loss": 0.02}`` for
-    ``gilbert_elliott``, ``{"period": 2.0, "down_time": 0.25}`` for
-    ``flap``). ``start``/``end`` may be ``inf`` for always-on faults;
-    Python's JSON dialect round-trips infinities.
-    """
-
-    kind: str
-    start: float
-    end: float
-    params: Dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ConfigurationError(
-                f"unknown fault kind {self.kind!r}; known: "
-                f"{', '.join(FAULT_KINDS)}")
-        try:
-            start = float(self.start)
-            end = float(self.end)
-        except (TypeError, ValueError):
-            raise SpecValidationError(
-                f"fault window start/end must be numbers, got "
-                f"{self.start!r}/{self.end!r}")
-        # A NaN endpoint makes the window silently never (or always)
-        # active — comparisons with NaN are all False — so reject it
-        # here rather than debugging a fault that "didn't happen".
-        # ``end = inf`` is the documented always-on horizon and stays
-        # legal; an infinite *start* can never activate.
-        if math.isnan(start) or math.isnan(end) or math.isinf(start):
-            raise SpecValidationError(
-                f"fault window start/end must be finite (end may be "
-                f"inf), got [{start!r}, {end!r})")
-        if start < 0:
-            raise SpecValidationError(
-                f"fault window start must be >= 0, got {start!r}")
-        if end < start:
-            raise SpecValidationError(
-                f"fault window end ({end!r}) precedes its start "
-                f"({start!r})")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "params", _normalize(self.params))
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "start": self.start, "end": self.end,
-                "params": dict(self.params)}
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "FaultWindowSpec":
-        return cls(kind=data["kind"], start=data["start"],
-                   end=data["end"], params=dict(data.get("params", {})))
-
-
-@dataclass(frozen=True)
-class FaultScheduleSpec:
-    """Declarative mirror of :class:`repro.sim.faults.FaultSchedule`.
-
-    ``seed`` seeds the schedule's stochastic windows; ``None`` (the
-    default) means "derive from the scenario root seed at build time",
-    which is what keeps a :class:`~repro.spec.scenario.ScenarioSpec`
-    fully reproducible from its single root seed.
-    """
-
-    windows: Tuple[FaultWindowSpec, ...] = ()
-    seed: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "windows", tuple(self.windows))
-
-    def build(self, derived_seed: int = 0) -> FaultSchedule:
-        """Reconstruct the live schedule (explicit seed wins)."""
-        seed = self.seed if self.seed is not None else derived_seed
-        schedule = FaultSchedule(seed=seed)
-        for window in self.windows:
-            helper = getattr(schedule, window.kind)
-            try:
-                helper(window.start, window.end, **window.params)
-            except TypeError as exc:
-                raise ConfigurationError(
-                    f"bad params for fault {window.kind!r}: {exc}")
-        return schedule
-
-    def to_json(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "windows": [w.to_json() for w in self.windows]}
-        if self.seed is not None:
-            data["seed"] = self.seed
+        data: Dict[str, Any] = {"kind": self.kind,
+                                "params": dict(self.params)}
+        if self.start is not None:
+            data["start"] = self.start
+            data["end"] = self.end
         return data
 
     @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "FaultScheduleSpec":
-        return cls(windows=tuple(FaultWindowSpec.from_json(w)
-                                 for w in data.get("windows", [])),
-                   seed=data.get("seed"))
+    def from_json(cls, data: Any) -> "ElementSpec":
+        if not isinstance(data, dict) or "kind" not in data:
+            raise SpecValidationError(
+                f"an element is an object with a string 'kind', an "
+                f"object 'params' and optionally 'start'/'end'; got "
+                f"{data!r}")
+        return cls(kind=data["kind"], params=data.get("params", {}),
+                   start=data.get("start"), end=data.get("end"))
 
-    def __bool__(self) -> bool:
-        return bool(self.windows)
+
+def elements_from_json(data: Any, what: str) -> Tuple[ElementSpec, ...]:
+    """Parse the JSON list of elements named ``what`` (for errors)."""
+    if not isinstance(data, list):
+        raise SpecValidationError(
+            f"{what} must be a list of elements, got {data!r}")
+    return tuple(ElementSpec.from_json(e) for e in data)
 
 
 def element_kinds() -> List[str]:

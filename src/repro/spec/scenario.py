@@ -1,8 +1,8 @@
 """ScenarioSpec: the declarative, serializable scenario description.
 
 This is the canonical "what to run" layer. A :class:`ScenarioSpec` is
-pure data — CCAs by registry name, path elements and faults by catalog
-kind, one root ``seed`` — and round-trips losslessly through JSON. The
+pure data — CCAs by registry name, path elements by catalog kind, one
+root ``seed`` — and round-trips losslessly through JSON. The
 existing :mod:`repro.sim.network` configs (``FlowConfig``/``LinkConfig``
 with their live callables) become the *build* layer: they are produced
 on demand by :meth:`ScenarioSpec.to_configs`, in whatever process the
@@ -21,12 +21,16 @@ Seed derivation tree (root ``seed`` = S)::
     flow i's CCA          derive_seed(S, "flow", i, "cca")
     flow i data elem j    derive_seed(S, "flow", i, "data", j)
     flow i ack  elem j    derive_seed(S, "flow", i, "ack", j)
-    flow i fault windows  derive_seed(S, "flow", i, "faults")
-    link fault windows    derive_seed(S, "link", "faults")
-    topo link L faults    derive_seed(S, "link", L, "faults")
+    link elem j           derive_seed(S, "link", j)
+    topo link L elem j    derive_seed(S, "link", L, j)
 
-An explicit ``seed`` inside a CCA's params, an element's params, or a
-fault schedule always overrides the derived one.
+An explicit ``seed`` inside a CCA's or an element's params always
+overrides the derived one.
+
+Version 1 of the JSON format described time-windowed impairments in a
+second vocabulary (a ``faults`` schedule of windows per flow and per
+link). :func:`_upgrade_v1` rewrites such a document into this one on
+load; nothing writes version 1.
 """
 
 from __future__ import annotations
@@ -38,15 +42,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..ccas import registry
 from ..errors import ConfigurationError, SpecValidationError
 from ..sim import runner
-from ..sim.faults import FaultSchedule
 from ..sim.network import (FlowConfig, LinkConfig, Scenario,
                            TopologyLink, build_topology, dumbbell_links)
-from .elements import (ElementSpec, FaultScheduleSpec, _check_number,
-                       _normalize)
+from .elements import (ELEMENTS, ElementSpec, _check_number, _normalize,
+                       elements_from_json)
 from .seeds import derive_seed
 from .topology import TopologySpec
 
-SPEC_VERSION = 1
+SPEC_VERSION = 2
 
 
 def _first(*values: Optional[float]) -> Optional[float]:
@@ -100,7 +103,6 @@ class FlowSpec:
     ack_every: int = 1
     ack_timeout: Optional[float] = None
     burst_size: int = 1
-    faults: Optional[FaultScheduleSpec] = None
     label: str = ""
     #: Ordered link ids the flow traverses; only meaningful when the
     #: scenario carries a :class:`~repro.spec.topology.TopologySpec`.
@@ -151,29 +153,24 @@ class FlowSpec:
             "burst_size": self.burst_size,
             "label": self.label,
         }
-        if self.faults is not None:
-            data["faults"] = self.faults.to_json()
         if self.path:
             data["path"] = list(self.path)
         return data
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "FlowSpec":
-        faults = data.get("faults")
         return cls(
             cca=CCASpec.from_json(data["cca"]),
             rm=data["rm"],
             start_time=data.get("start_time", 0.0),
             mss=data.get("mss", 1500),
-            data_elements=tuple(ElementSpec.from_json(e)
-                                for e in data.get("data_elements", [])),
-            ack_elements=tuple(ElementSpec.from_json(e)
-                               for e in data.get("ack_elements", [])),
+            data_elements=elements_from_json(
+                data.get("data_elements", []), "flow data_elements"),
+            ack_elements=elements_from_json(
+                data.get("ack_elements", []), "flow ack_elements"),
             ack_every=data.get("ack_every", 1),
             ack_timeout=data.get("ack_timeout"),
             burst_size=data.get("burst_size", 1),
-            faults=(FaultScheduleSpec.from_json(faults)
-                    if faults is not None else None),
             label=data.get("label", ""),
             path=tuple(data.get("path", ())),
         )
@@ -187,9 +184,11 @@ class LinkSpec:
     buffer_bytes: Optional[float] = None
     buffer_bdp: Optional[float] = None
     ecn_threshold_bytes: Optional[float] = None
-    faults: Optional[FaultScheduleSpec] = None
+    #: Shared chain in front of the queue: every flow meets it.
+    elements: Tuple[ElementSpec, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "elements", tuple(self.elements))
         _check_number("link rate", self.rate, positive=True)
         _check_number("buffer_bytes", self.buffer_bytes, positive=True,
                       allow_none=True)
@@ -208,20 +207,19 @@ class LinkSpec:
             "buffer_bdp": self.buffer_bdp,
             "ecn_threshold_bytes": self.ecn_threshold_bytes,
         }
-        if self.faults is not None:
-            data["faults"] = self.faults.to_json()
+        if self.elements:
+            data["elements"] = [e.to_json() for e in self.elements]
         return data
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "LinkSpec":
-        faults = data.get("faults")
         return cls(
             rate=data["rate"],
             buffer_bytes=data.get("buffer_bytes"),
             buffer_bdp=data.get("buffer_bdp"),
             ecn_threshold_bytes=data.get("ecn_threshold_bytes"),
-            faults=(FaultScheduleSpec.from_json(faults)
-                    if faults is not None else None),
+            elements=elements_from_json(data.get("elements", []),
+                                        "link elements"),
         )
 
 
@@ -299,49 +297,43 @@ class ScenarioSpec:
         """Materialize the live build-layer configs (with callables).
 
         A dumbbell scenario yields its one-link topology. A topology
-        link's fault seed is keyed by its stable id, never its position,
-        so inserting a hop upstream does not reshuffle another link's
-        impairment RNG; a flow's seeds do not depend on the graph it
-        runs over.
+        link's element seeds are keyed by its stable id, never its
+        position, so inserting a hop upstream does not reshuffle another
+        link's impairment RNG; a flow's seeds do not depend on the graph
+        it runs over.
         """
-        def faults(owner: Any, *seed_path: Any) -> Optional[FaultSchedule]:
-            if owner.faults is None or not owner.faults.windows:
-                return None
-            return owner.faults.build(derive_seed(self.seed, *seed_path))
+        def factories(elements: Tuple[ElementSpec, ...],
+                      *seed_path: Any) -> tuple:
+            return tuple(
+                element.factory(derive_seed(self.seed, *seed_path, j))
+                for j, element in enumerate(elements))
 
         def config(lk: Any, *seed_path: Any) -> LinkConfig:
             return LinkConfig(
                 rate=lk.rate, buffer_bytes=lk.buffer_bytes,
                 buffer_bdp=lk.buffer_bdp,
                 ecn_threshold_bytes=lk.ecn_threshold_bytes,
-                fault_schedule=faults(lk, *seed_path))
+                elements=factories(lk.elements, *seed_path))
 
         if self.topology is None:
-            links = dumbbell_links(config(self.link, "link", "faults"))
+            links = dumbbell_links(config(self.link, "link"))
         else:
-            links = [TopologyLink(lk.id,
-                                  config(lk, "link", lk.id, "faults"),
+            links = [TopologyLink(lk.id, config(lk, "link", lk.id),
                                   lk.delay)
                      for lk in self.topology.links]
         flows: List[FlowConfig] = []
         for i, flow in enumerate(self.flows):
             cca_factory = flow.cca.make_factory(
                 seed=derive_seed(self.seed, "flow", i, "cca"))
-            data = tuple(
-                element.factory(derive_seed(self.seed, "flow", i,
-                                            "data", j))
-                for j, element in enumerate(flow.data_elements))
-            ack = tuple(
-                element.factory(derive_seed(self.seed, "flow", i,
-                                            "ack", j))
-                for j, element in enumerate(flow.ack_elements))
             flows.append(FlowConfig(
                 cca_factory=cca_factory, rm=flow.rm,
                 start_time=flow.start_time, mss=flow.mss,
-                data_elements=data, ack_elements=ack,
+                data_elements=factories(flow.data_elements,
+                                        "flow", i, "data"),
+                ack_elements=factories(flow.ack_elements,
+                                       "flow", i, "ack"),
                 ack_every=flow.ack_every, ack_timeout=flow.ack_timeout,
                 burst_size=flow.burst_size,
-                fault_schedule=faults(flow, "flow", i, "faults"),
                 label=flow.label or f"{flow.cca.name}#{i}",
                 path=(flow.path or None)))
         return links, flows
@@ -402,10 +394,12 @@ class ScenarioSpec:
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "ScenarioSpec":
         version = data.get("version", SPEC_VERSION)
-        if version != SPEC_VERSION:
+        if version == 1:
+            data = _upgrade_v1(data)
+        elif version != SPEC_VERSION:
             raise ConfigurationError(
                 f"unsupported scenario spec version {version!r} "
-                f"(this build reads version {SPEC_VERSION})")
+                f"(this build reads versions 1 and {SPEC_VERSION})")
         link = data.get("link")
         topology = data.get("topology")
         return cls(
@@ -460,6 +454,73 @@ class ScenarioSpec:
     def with_seed(self, seed: int) -> "ScenarioSpec":
         """A copy with a different root seed (replication studies)."""
         return replace(self, seed=seed)
+
+
+#: Version-1 fault kind -> (element kind, {version-1 helper parameter
+#: name: constructor parameter name}). ``corrupt`` was ``random_loss``
+#: under another counter name.
+_V1_FAULTS: Dict[str, Tuple[str, Dict[str, str]]] = {
+    "blackout": ("blackout", {}),
+    "flap": ("flap", {}),
+    "gilbert_elliott": ("gilbert_elliott", {}),
+    "reorder": ("reorder", {"prob": "reorder_prob"}),
+    "duplicate": ("duplicate", {"prob": "dup_prob"}),
+    "corrupt": ("random_loss", {"prob": "loss_prob"}),
+}
+
+
+def _upgrade_v1(data: Dict[str, Any]) -> Dict[str, Any]:
+    """Rewrite a version-1 scenario document as version 2.
+
+    Version 1 gave flows, the link and topology links a ``faults``
+    schedule: ``{"windows": [{kind, start, end, params}, ...], "seed"}``.
+    Window ``k`` becomes a gated element appended to the owner's
+    ``data_elements`` (flows) or ``elements`` (links) — the position the
+    schedule occupied on the path. A ``[0, inf)`` window becomes an
+    ungated element. So that a saved document keeps producing the run
+    it produced, each stochastic element's ``seed`` is pinned to the
+    value version 1 gave it: ``schedule_seed * 1000 + k``, where
+    ``schedule_seed`` is the schedule's own ``seed`` when it has one
+    (0 counts) and otherwise ``derive_seed(S, owner..., "faults")``.
+    """
+    root = data.get("seed", 0)
+
+    def upgraded(owner: Any, key: str, *seed_path: Any) -> Any:
+        if not isinstance(owner, dict) or "faults" not in owner:
+            return owner
+        owner = dict(owner)
+        faults = owner.pop("faults") or {}
+        schedule_seed = faults.get("seed")
+        if schedule_seed is None:
+            schedule_seed = derive_seed(root, *seed_path, "faults")
+        elements = list(owner.get(key, []))
+        for k, window in enumerate(faults.get("windows", [])):
+            if window.get("kind") not in _V1_FAULTS:
+                raise SpecValidationError(
+                    f"unknown version-1 fault kind {window.get('kind')!r}"
+                    f"; known: {', '.join(_V1_FAULTS)}")
+            kind, renamed = _V1_FAULTS[window["kind"]]
+            params = {renamed.get(name, name): value
+                      for name, value in window.get("params", {}).items()}
+            if ELEMENTS[kind].seeded:
+                params["seed"] = schedule_seed * 1000 + k
+            element = {"kind": kind, "params": params}
+            if (window["start"], window["end"]) != (0.0, float("inf")):
+                element.update(start=window["start"], end=window["end"])
+            elements.append(element)
+        owner[key] = elements
+        return owner
+
+    data = dict(data, version=SPEC_VERSION)
+    data["flows"] = [upgraded(flow, "data_elements", "flow", i)
+                     for i, flow in enumerate(data["flows"])]
+    if data.get("link") is not None:
+        data["link"] = upgraded(data["link"], "elements", "link")
+    if data.get("topology") is not None:
+        data["topology"] = dict(data["topology"], links=[
+            upgraded(lk, "elements", "link", lk.get("id"))
+            for lk in data["topology"].get("links", [])])
+    return data
 
 
 def single_flow_scenario(cca: CCASpec, rate: float, rm: float,

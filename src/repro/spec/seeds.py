@@ -1,19 +1,19 @@
 """Deterministic seed derivation for scenario specs and sweeps.
 
 Every stochastic component in the simulator (BBR probe phases, Allegro
-RCT order, fault/loss elements) takes an explicit integer seed. A
+RCT order, loss/reordering elements) takes an explicit integer seed. A
 :class:`~repro.spec.scenario.ScenarioSpec` carries one *root* seed and
 derives every component seed from it with :func:`derive_seed`, so:
 
 * two builds of the same spec are bit-identical,
-* two flows (or two fault windows) never share an RNG stream, and
+* two flows (or two path elements) never share an RNG stream, and
 * the derivation is stable across processes and platforms — it uses
   SHA-256 over the path, never Python's randomized ``hash()`` — which
   is what makes ``--jobs N`` sweeps bit-identical to serial runs.
 
 The *path* is a sequence of strings/ints naming the component's
 position in the scenario tree, e.g. ``("flow", 0, "cca")`` or
-``("link", "faults")``.
+``("link", "b1", 0)``.
 """
 
 from __future__ import annotations

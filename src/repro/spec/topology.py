@@ -16,10 +16,10 @@ is strictly additive.
 
 Seed derivation adds one branch to the existing tree (root ``S``)::
 
-    link L's fault windows   derive_seed(S, "link", L, "faults")
+    link L's element j   derive_seed(S, "link", L, j)
 
-(the legacy single-link path stays ``derive_seed(S, "link",
-"faults")``, so existing scenarios keep their exact RNG streams).
+keyed by the link's *id*, never its position in the declaration (the
+dumbbell's single link stays ``derive_seed(S, "link", j)``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SpecValidationError
-from .elements import FaultScheduleSpec, _check_number
+from .elements import ElementSpec, _check_number, elements_from_json
 
 
 def _check_id(name: str, value: Any) -> None:
@@ -73,9 +73,11 @@ class TopoLinkSpec:
     buffer_bytes: Optional[float] = None
     buffer_bdp: Optional[float] = None
     ecn_threshold_bytes: Optional[float] = None
-    faults: Optional[FaultScheduleSpec] = None
+    #: Shared chain in front of this link's queue.
+    elements: Tuple[ElementSpec, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "elements", tuple(self.elements))
         _check_id("link id", self.id)
         _check_id(f"link {self.id!r} src", self.src)
         _check_id(f"link {self.id!r} dst", self.dst)
@@ -107,13 +109,20 @@ class TopoLinkSpec:
             "buffer_bdp": self.buffer_bdp,
             "ecn_threshold_bytes": self.ecn_threshold_bytes,
         }
-        if self.faults is not None:
-            data["faults"] = self.faults.to_json()
+        if self.elements:
+            data["elements"] = [e.to_json() for e in self.elements]
         return data
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "TopoLinkSpec":
-        faults = data.get("faults")
+        if "faults" in data:
+            # Inside a version-1 scenario the upgrade has rewritten it;
+            # a standalone topology file has no version and no seed to
+            # upgrade with, and dropping the key would run unimpaired.
+            raise SpecValidationError(
+                f"link {data.get('id')!r} carries a version-1 'faults' "
+                f"schedule; list gated elements under 'elements' "
+                f"instead (docs/FAULTS.md)")
         return cls(
             id=data["id"],
             src=data["src"],
@@ -123,8 +132,8 @@ class TopoLinkSpec:
             buffer_bytes=data.get("buffer_bytes"),
             buffer_bdp=data.get("buffer_bdp"),
             ecn_threshold_bytes=data.get("ecn_threshold_bytes"),
-            faults=(FaultScheduleSpec.from_json(faults)
-                    if faults is not None else None),
+            elements=elements_from_json(data.get("elements", []),
+                                        "link elements"),
         )
 
 

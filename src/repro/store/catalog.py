@@ -8,8 +8,8 @@ lookup event:
 
     {"key": "ab12...", "event": "hit", "task": "...:run_rate_delay_point",
      "backend": "serial", "wall_s": 0.0012, "ts": 1722950000.0,
-     "summary": {"cca": "bbr", "rate_mbps": 2.0, "jitter": [],
-                 "faults": [], "flows": 1, "seed": 11}}
+     "summary": {"cca": "bbr", "rate_mbps": 2.0, "elements": [],
+                 "flows": 1, "seed": 11}}
 
 Events: ``hit`` (served from cache), ``miss`` (simulated and stored),
 ``fail`` (simulated, failed, *not* stored). Lines are appended under an
@@ -39,9 +39,10 @@ def summarize_params(params: Mapping[str, Any]) -> Dict[str, Any]:
 
     Sweep/run params carry a serialized
     :class:`~repro.spec.ScenarioSpec` under ``"scenario"``; from it we
-    lift the CCA names, bottleneck rate, jitter-element kinds, and
-    fault kinds. Anything unrecognized degrades to a minimal summary —
-    the catalog must never make an experiment fail.
+    lift the CCA names, bottleneck rate and the kinds of path element
+    (jitter, loss, outages...) on any flow or on the link. Anything
+    unrecognized degrades to a minimal summary — the catalog must never
+    make an experiment fail.
     """
     summary: Dict[str, Any] = {}
     scenario = params.get("scenario")
@@ -53,21 +54,16 @@ def summarize_params(params: Mapping[str, Any]) -> Dict[str, Any]:
     try:
         flows = scenario.get("flows", [])
         ccas = [f.get("cca", {}).get("name", "?") for f in flows]
-        jitter = sorted({e.get("kind", "?") for f in flows
-                         for e in (f.get("ack_elements", [])
-                                   + f.get("data_elements", []))})
-        faults = sorted({w.get("kind", "?") for f in flows
-                         for w in (f.get("faults") or {}).get("windows",
-                                                              [])})
-        link_faults = (scenario.get("link") or {}).get("faults") or {}
-        faults.extend(sorted({w.get("kind", "?")
-                              for w in link_faults.get("windows", [])}))
-        rate = (scenario.get("link") or {}).get("rate")
+        link = scenario.get("link") or {}
+        elements = link.get("elements", [])
+        for f in flows:
+            elements = (elements + f.get("ack_elements", [])
+                        + f.get("data_elements", []))
+        rate = link.get("rate")
         summary = {
             "cca": "+".join(ccas),
             "flows": len(flows),
-            "jitter": jitter,
-            "faults": faults,
+            "elements": sorted({e.get("kind", "?") for e in elements}),
             "seed": scenario.get("seed"),
         }
         if isinstance(rate, (int, float)):
@@ -156,9 +152,9 @@ class Catalog:
     def query(self, event: Optional[str] = None,
               cca: Optional[str] = None,
               rate_mbps: Optional[float] = None,
-              jitter: Optional[str] = None,
+              element: Optional[str] = None,
               task: Optional[str] = None) -> Iterator[Dict[str, Any]]:
-        """Filter entries by event / CCA substring / rate / jitter kind."""
+        """Filter entries by event / CCA substring / rate / element kind."""
         for entry in self.entries():
             summary = entry.get("summary") or {}
             if event is not None and entry.get("event") != event:
@@ -172,8 +168,8 @@ class Catalog:
                 if not (isinstance(got, (int, float))
                         and math.isclose(got, rate_mbps, rel_tol=1e-9)):
                     continue
-            if jitter is not None and jitter not in (summary.get("jitter")
-                                                     or []):
+            if element is not None \
+                    and element not in (summary.get("elements") or []):
                 continue
             yield entry
 

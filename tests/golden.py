@@ -1,4 +1,4 @@
-"""Golden-trace determinism guard.
+"""Golden-trace determinism guard: the scenario table and its capture.
 
 The hot-path optimizations (heap-entry tuples, RTO deadline deferral,
 the immediate-ACK path, array-backed recorders) are only admissible
@@ -6,44 +6,42 @@ because they are *behavior-preserving*: the same floats, in
 the same order, through the same operations. This module makes that
 claim checkable. It runs a fixed battery of short scenarios spanning
 every registered CCA and every hot code path (delayed ACKs, bursts,
-ECN marking, jitter elements, fault injection, duplication), plus the
+ECN marking, jitter elements, gated impairments, duplication), plus the
 paper's seven Section 5 experiments at a tenth of their rate, and hashes
 
 * the raw recorder time series of every flow and the queue,
-* the :func:`repro.analysis.metrics.summarize_run` digest,
+* the :meth:`repro.sim.runner.RunResult.summary` digest,
 * a mini rate-delay sweep's curve JSON, and
 * the content-address cache keys of the mini sweep's points
 
-into SHA-256 digests. ``tests/test_golden_traces.py`` asserts the
-digests match the committed file (captured on the pre-optimization
-code), so any optimization that perturbs a single bit of output — or a
+into SHA-256 digests (:mod:`repro.sim.digests`).
+``tests/test_golden_traces.py`` asserts the digests match the committed
+file, so any optimization that perturbs a single bit of output — or a
 single cache key — fails loudly.
 
-Regenerate after an *intentional* behavior change::
+Regenerate after an *intentional* behavior change, from the repo root::
 
-    PYTHONPATH=src python -m repro.perf.golden --write tests/golden_traces.json
+    PYTHONPATH=src python -m tests.golden --write tests/golden_traces.json
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import replace
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
-from .. import units
-from ..analysis import starvation
-from ..analysis.metrics import summarize_run
-from ..analysis.sweep import run_rate_delay_point, sweep_rate_delay
-from ..ccas import registry
-from ..spec import (CCASpec, ElementSpec, FaultScheduleSpec,
-                    FaultWindowSpec, FlowSpec, LinkSpec, NodeSpec,
-                    ScenarioSpec, TopoLinkSpec, TopologySpec,
-                    parking_lot_topology, single_flow_scenario)
-from ..spec.seeds import derive_seed
-from ..store.keys import point_cache_key
+from repro import units
+from repro.analysis import starvation
+from repro.analysis.sweep import run_rate_delay_point, sweep_rate_delay
+from repro.ccas import registry
+from repro.sim.digests import digest, run_digests
+from repro.spec import (CCASpec, ElementSpec, FlowSpec, LinkSpec, NodeSpec,
+                        ScenarioSpec, TopoLinkSpec, TopologySpec,
+                        parking_lot_topology, single_flow_scenario)
+from repro.spec.seeds import derive_seed
+from repro.store.keys import point_cache_key
 
 GOLDEN_SCHEMA_VERSION = 1
 
@@ -54,71 +52,6 @@ SWEEP_RATES = (2.0, 6.0, 12.0)
 SWEEP_RM = units.ms(40)
 SWEEP_DURATION = 4.0
 SWEEP_SEED = 3
-
-
-def _norm(value: Any) -> Any:
-    """Digest normalization: every number to float, None passes through.
-
-    Recorders may hold ints (byte counters) or ``None`` (pacing rate of
-    a cwnd-only CCA). Storage-format changes (list of Optional vs
-    ``array('d')`` with NaN) must not change the digest, so ``None``
-    normalizes to NaN before hashing.
-    """
-    if value is None:
-        return float("nan")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, (list, tuple)):
-        return [_norm(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _norm(v) for k, v in value.items()}
-    return value
-
-
-def digest(value: Any) -> str:
-    """SHA-256 over canonical (sorted-keys, NaN-normalized) JSON."""
-    text = json.dumps(_norm(value), sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _series(values: Iterable[Any]) -> List[float]:
-    return [float("nan") if v is None else float(v) for v in values]
-
-
-def run_digests(result: Any) -> Dict[str, str]:
-    """Trace and summary digests of a finished run.
-
-    Shared by the golden battery and the fuzz oracle's run-twice
-    determinism / backend-identity checks: two runs (or two backends)
-    given the same spec must produce identical digests.
-    """
-    traces: Dict[str, Any] = {}
-    for flow in result.scenario.flows:
-        rec = flow.recorder
-        traces[f"flow{flow.flow_id}"] = {
-            "rtt_times": _series(rec.rtt_times),
-            "rtt_values": _series(rec.rtt_values),
-            "sample_times": _series(rec.sample_times),
-            "cwnd_values": _series(rec.cwnd_values),
-            "pacing_values": _series(rec.pacing_values),
-            "delivered_values": _series(rec.delivered_values),
-            "received_values": _series(rec.received_values),
-        }
-    # First queue keeps the historical "queue" key so every dumbbell
-    # digest is byte-identical to pre-topology captures; extra
-    # bottlenecks (multi-hop scenarios only) digest as "queue1", ...
-    for i, qrec in enumerate(result.scenario.queue_recorders):
-        if qrec is None:
-            continue
-        traces["queue" if i == 0 else f"queue{i}"] = {
-            "sample_times": _series(qrec.sample_times),
-            "backlog_values": _series(qrec.backlog_values),
-        }
-    return {
-        "traces": digest(traces),
-        "summary": digest(summarize_run(result)),
-    }
 
 
 def capture_run(spec: ScenarioSpec) -> Dict[str, str]:
@@ -136,6 +69,12 @@ def _single(cca: str, seed: int = 5, **flow_kwargs: Any) -> ScenarioSpec:
         spec = replace(spec, flows=(replace(spec.flows[0],
                                             **flow_kwargs),))
     return spec
+
+
+def _v1_seed(*owner: Any) -> int:
+    """What a version-1 schedule on ``owner`` gave its first window
+    (``schedule_seed * 1000 + 0``) under the battery's root seed 5."""
+    return derive_seed(5, *owner, "faults") * 1000
 
 
 def golden_scenarios() -> Dict[str, ScenarioSpec]:
@@ -176,20 +115,25 @@ def golden_scenarios() -> Dict[str, ScenarioSpec]:
     scenarios["ecn/ecn-aimd"] = replace(
         ecn, link=replace(ecn.link, ecn_threshold_bytes=30000.0))
 
-    # Fault injection: stochastic loss plus a blackout window.
+    # Impairments: stochastic loss plus a gated blackout. These three
+    # entries were captured from version-1 specs, whose fault schedules
+    # seeded window k with ``schedule_seed * 1000 + k``; the pinned
+    # seeds are what the version-1 reader produces for
+    # tests/data/spec_v1/*.json (test_golden_traces proves it).
     scenarios["faults/vegas"] = _single(
         "vegas",
-        faults=FaultScheduleSpec(windows=(
-            FaultWindowSpec("gilbert_elliott", 0.0, float("inf"),
-                            {"mean_loss": 0.01}),
-            FaultWindowSpec("blackout", 1.2, 1.45),
-        )))
+        data_elements=(
+            ElementSpec("gilbert_elliott",
+                        {"mean_loss": 0.01,
+                         "seed": _v1_seed("flow", 0)}),
+            ElementSpec("blackout", start=1.2, end=1.45),
+        ))
     scenarios["faults/duplicate"] = _single(
         "reno",
-        faults=FaultScheduleSpec(windows=(
-            FaultWindowSpec("duplicate", 0.0, float("inf"),
-                            {"prob": 0.02}),
-        )))
+        data_elements=(
+            ElementSpec("duplicate", {"dup_prob": 0.02,
+                                      "seed": _v1_seed("flow", 0)}),
+        ))
 
     # The paper's Copa poisoning setup: first-packet-exempt jitter.
     scenarios["poison/copa"] = _single(
@@ -226,8 +170,8 @@ def golden_scenarios() -> Dict[str, ScenarioSpec]:
         flows=(FlowSpec(cca=CCASpec("bbr"), rm=units.ms(40)),),
         seed=5)
 
-    # A fault window scoped to the second link only — exercises the
-    # per-link fault seed branch derive_seed(S, "link", id, "faults").
+    # Bursty loss in front of the second link only (a link's shared
+    # element chain, met by both flows).
     scenarios["topo/fault_second_hop"] = ScenarioSpec(
         topology=TopologySpec(
             nodes=(NodeSpec("n0"), NodeSpec("n1"), NodeSpec("n2")),
@@ -236,11 +180,10 @@ def golden_scenarios() -> Dict[str, ScenarioSpec]:
                              rate=units.mbps(10)),
                 TopoLinkSpec(id="b1", src="n1", dst="n2",
                              rate=units.mbps(10),
-                             faults=FaultScheduleSpec(windows=(
-                                 FaultWindowSpec("gilbert_elliott", 0.0,
-                                                 float("inf"),
-                                                 {"mean_loss": 0.02}),
-                             ))),
+                             elements=(ElementSpec(
+                                 "gilbert_elliott",
+                                 {"mean_loss": 0.02,
+                                  "seed": _v1_seed("link", "b1")}),)),
             )),
         flows=(FlowSpec(cca=CCASpec("vegas"), rm=units.ms(40)),
                FlowSpec(cca=CCASpec("reno"), rm=units.ms(40),

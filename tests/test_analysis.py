@@ -5,8 +5,7 @@ import pytest
 
 from repro import units
 from repro.analysis.metrics import (loss_rate, queueing_delay_ms,
-                                    summarize_run, throughputs_mbps,
-                                    utilization)
+                                    throughputs_mbps, utilization)
 from repro.analysis.report import (comparison_line, describe_run,
                                    flow_table, format_table,
                                    rate_delay_ascii)
@@ -94,6 +93,6 @@ class TestSweep:
         assert all(p.d_min >= units.ms(50) for p in curve.points)
 
     def test_summarize_run_keys(self, run):
-        digest = summarize_run(run)
+        digest = run.summary()
         assert set(digest) >= {"throughputs_mbps", "ratio",
                                "utilization", "losses"}

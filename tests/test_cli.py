@@ -13,7 +13,8 @@ from repro.analysis.report import describe_run
 from repro.analysis.sweep import compile_sweep_plan
 from repro.ccas import registry
 from repro.cli import build_parser, main, parse_flow_spec
-from repro.spec import ElementSpec, FlowSpec, ScenarioSpec
+from repro.spec import (CCASpec, ElementSpec, FlowSpec, ScenarioSpec,
+                        single_flow_scenario)
 
 
 class TestFlowSpecParsing:
@@ -62,32 +63,31 @@ class TestFlowSpecParsing:
 
     def test_ge_fault_modifier(self):
         spec = parse_flow_spec("bbr:ge0.02", rm=0.04)
-        assert spec.faults is not None
-        assert len(spec.faults.windows) == 1
-        assert spec.faults.windows[0].kind == "gilbert_elliott"
+        assert spec.data_elements == (
+            ElementSpec("gilbert_elliott", {"mean_loss": 0.02}),)
 
     def test_blackout_fault_modifier(self):
         spec = parse_flow_spec("bbr:blackout5-7", rm=0.04)
-        window = spec.faults.windows[0]
-        assert (window.start, window.end) == (5.0, 7.0)
+        assert spec.data_elements == (
+            ElementSpec("blackout", start=5.0, end=7.0),)
 
     def test_flap_reorder_dup_corrupt_modifiers(self):
         spec = parse_flow_spec(
             "reno:flap2-0.5:reorder0.05:dup0.01:corrupt0.01", rm=0.04)
-        assert len(spec.faults.windows) == 4
+        assert [e.kind for e in spec.data_elements] == [
+            "flap", "reorder", "duplicate", "random_loss"]
+        assert all(e.start is None for e in spec.data_elements)
 
     def test_modifiers_stack_with_ack_modifiers(self):
         spec = parse_flow_spec("vegas:jitter5:blackout1-2", rm=0.04)
         assert len(spec.ack_elements) == 1
-        assert spec.faults is not None
+        assert len(spec.data_elements) == 1
 
-    def test_fault_seed_pins_schedule(self):
-        spec = parse_flow_spec("bbr:ge0.02", rm=0.04, fault_seed=9)
-        assert spec.faults.seed == 9
-        # Without an explicit fault seed, the schedule derives from the
-        # scenario root seed at build time.
-        spec = parse_flow_spec("bbr:ge0.02", rm=0.04)
-        assert spec.faults.seed is None
+    def test_stochastic_modifiers_carry_no_seed_of_their_own(self):
+        # The scenario root seed and the element's position decide it
+        # at build time, as for every other element.
+        spec = parse_flow_spec("bbr:ge0.02:dup0.1", rm=0.04)
+        assert all("seed" not in e.params for e in spec.data_elements)
 
     def test_parsed_spec_round_trips(self):
         spec = parse_flow_spec(
@@ -129,8 +129,7 @@ class TestCommands:
     def test_run_with_fault_flags(self, capsys):
         code = main(["run", "--rate", "12", "--rm", "40",
                      "--cca", "vegas:blackout1-2", "--cca", "vegas",
-                     "--duration", "4", "--link-ge", "0.01",
-                     "--fault-seed", "3"])
+                     "--duration", "4", "--link-ge", "0.01"])
         assert code == 0
         out = capsys.readouterr().out
         assert "vegas:blackout1-2" in out
@@ -141,6 +140,77 @@ class TestCommands:
                      "--link-blackout", "1-1.5",
                      "--link-flap", "2-0.25"])
         assert code == 0
+
+    def test_run_has_no_separate_fault_seed(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        options = capsys.readouterr().out
+        assert "--link-ge" in options and "--seed" in options
+        assert "fault-seed" not in options
+
+    @pytest.mark.parametrize("flags, stochastic", [
+        (["--cca", "reno:ge0.02", "--link-ge", "0.02"], 2),
+        (["--cca", "reno:ge0.02", "--cca", "reno:ge0.02"], 2),
+        (["--cca", "reno:dup0.1:ge0.02:corrupt0.01",
+          "--cca", "reno:reorder0.1", "--link-ge", "0.05"], 5),
+    ])
+    def test_no_two_stochastic_elements_share_a_seed(
+            self, flags, stochastic, capsys):
+        """The deleted per-run fault seed gave a flow's chain and the
+        link's chain (window k of any two schedules) one RNG stream."""
+        assert main(["run", "--rate", "12", "--rm", "40", "--dump-spec"]
+                    + flags) == 0
+        scenario = ScenarioSpec.loads(capsys.readouterr().out).build()
+        states = []
+        seen = set()
+        frontier = [flow.sender.path for flow in scenario.flows]
+        while frontier:
+            node = frontier.pop()
+            if node is None or id(node) in seen:
+                continue
+            seen.add(id(node))
+            if hasattr(node, "_rng"):
+                states.append(node._rng.getstate())
+            frontier += [getattr(node, attr, None)
+                         for attr in ("sink", "impaired", "bypass")]
+        assert len(states) == len(set(states)) == stochastic
+
+    def test_v2_dump_with_windows_round_trips_to_the_same_report(
+            self, tmp_path, capsys):
+        flags = ["run", "--rate", "12", "--rm", "40", "--duration", "3",
+                 "--cca", "bbr:ge0.02:blackout1-2", "--link-flap",
+                 "2-0.25"]
+        assert main(flags + ["--dump-spec"]) == 0
+        dumped = capsys.readouterr().out
+        assert json.loads(dumped)["version"] == 2
+        assert "faults" not in dumped and "fault" not in dumped
+        spec_path = tmp_path / "scenario.json"
+        spec_path.write_text(dumped)
+        assert main(flags) == 0
+        from_flags = capsys.readouterr().out.splitlines()[1:]
+        assert main(["run", "--spec", str(spec_path),
+                     "--duration", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == from_flags
+
+    def test_version_1_spec_file_runs(self, capsys):
+        fixture = os.path.join(os.path.dirname(__file__), "data",
+                               "spec_v1", "faults_vegas.json")
+        assert main(["run", "--spec", fixture, "--duration", "2"]) == 0
+        assert "vegas#0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("element", [
+        5, {"kind": "delay", "params": 5}, {"kind": ["x"]},
+        {"params": {}}, {"kind": "blackout", "start": 1.0, "end": 1.0}])
+    def test_malformed_element_in_spec_file_exits_cleanly(
+            self, element, tmp_path):
+        doc = single_flow_scenario(CCASpec("vegas"), rate=1.5e6,
+                                   rm=0.04).to_json()
+        doc["flows"][0]["data_elements"] = [element]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit, match="element") as excinfo:
+            main(["run", "--spec", str(path), "--duration", "2"])
+        assert "Traceback" not in str(excinfo.value)
 
     def test_run_needs_flags_or_spec(self):
         with pytest.raises(SystemExit):

@@ -1,6 +1,5 @@
-"""Tests for the fault-injection subsystem (repro.sim.faults)."""
-
-import math
+"""Tests for the impairment elements (repro.sim.faults) and the window
+gate that confines any element factory to a time window."""
 
 import pytest
 
@@ -10,15 +9,26 @@ from repro.ccas.vegas import Vegas
 from repro.errors import ConfigurationError
 import repro.sim
 from repro.sim import FlowConfig, LinkConfig, dumbbell_links
-from repro.sim.faults import (BlackoutElement, CorruptionElement,
-                              DuplicateElement, FaultSchedule, FaultWindow,
+from repro.sim.faults import (BlackoutElement, DuplicateElement,
                               GilbertElliottLossElement, LinkFlapElement,
                               ReorderElement, WindowGate)
+from repro.sim.loss import RandomLossElement
 from repro.sim.packet import Packet
+from repro.sim.path import chain, gated
 
 
 def pkt(seq, size=1500):
     return Packet(flow_id=0, seq=seq, size=size, sent_time=0.0)
+
+
+def make(cls, built, **kwargs):
+    """An element factory for ``cls`` that also appends what it builds
+    to ``built``, so a test can read the counters after the run."""
+    def factory(sim, sink):
+        element = cls(sim, sink, **kwargs)
+        built.append(element)
+        return element
+    return factory
 
 
 class TestGilbertElliott:
@@ -77,21 +87,31 @@ class TestGilbertElliott:
 
 class TestBlackout:
     def test_drops_only_inside_windows(self, sim, spy):
-        element = BlackoutElement(sim, spy, [(1.0, 2.0), (3.0, 4.0)])
+        built = []
+        entry = chain(sim, [gated(make(BlackoutElement, built), 1.0, 2.0),
+                            gated(make(BlackoutElement, built), 3.0, 4.0)],
+                      spy)
         for i, t in enumerate([0.5, 1.0, 1.5, 2.0, 2.5, 3.5, 4.5]):
-            element.receive(pkt(i), t)
-        delivered_times = spy.times
-        assert delivered_times == [0.5, 2.0, 2.5, 4.5]
-        assert element.dropped == 3
+            entry.receive(pkt(i), t)
+        assert spy.times == [0.5, 2.0, 2.5, 4.5]
+        # chain builds back to front: the [3, 4) outage comes first.
+        assert [e.dropped for e in built] == [1, 2]
+
+    def test_ungated_blackout_is_a_dead_link(self, sim, spy):
+        element = BlackoutElement(sim, spy)
+        for i in range(5):
+            element.receive(pkt(i), float(i))
+        assert spy.packets == [] and element.dropped == 5
 
     def test_zero_deliveries_inside_window_end_to_end(self):
-        faults = FaultSchedule().blackout(2.0, 3.0)
+        built = []
         result = repro.sim.run(
             dumbbell_links(LinkConfig(rate=units.mbps(12))),
             [FlowConfig(cca_factory=Vegas, rm=units.ms(40),
-                        fault_schedule=faults)],
+                        data_elements=[gated(make(BlackoutElement, built),
+                                             2.0, 3.0)])],
             duration=6.0)
-        assert faults.elements()[0][1].dropped > 0
+        assert built[0].dropped > 0
         # ACKs return instantly, so ACK times track delivery times.
         # Allow rm + queueing for in-flight packets that beat the
         # window's opening; after that the pipe must be silent until
@@ -101,14 +121,6 @@ class TestBlackout:
         assert silent == []
         assert any(t > 3.0 for t in ack_times)  # flow recovers
         assert result.stats[0].throughput > 0
-
-    def test_window_validation(self, sim, spy):
-        with pytest.raises(ConfigurationError):
-            BlackoutElement(sim, spy, [(2.0, 1.0)])
-        with pytest.raises(ConfigurationError):
-            BlackoutElement(sim, spy, [(3.0, 4.0), (1.0, 2.0)])
-        with pytest.raises(ConfigurationError):
-            BlackoutElement(sim, spy, [(1.0, 3.0), (2.0, 4.0)])
 
 
 class TestLinkFlap:
@@ -187,23 +199,14 @@ class TestDuplicateAndCorruption:
         assert all(a is b for a, b in zip(spy.packets[::2],
                                           spy.packets[1::2]))
 
-    def test_corruption_drops_and_counts(self, sim, spy):
-        element = CorruptionElement(sim, spy, corrupt_prob=0.5, seed=9)
-        for i in range(2000):
-            element.receive(pkt(i), 0.0)
-        assert element.corrupted + element.forwarded == 2000
-        assert element.corrupted == pytest.approx(1000, rel=0.15)
-
     def test_validation(self, sim, spy):
         with pytest.raises(ConfigurationError):
             DuplicateElement(sim, spy, dup_prob=-0.1)
-        with pytest.raises(ConfigurationError):
-            CorruptionElement(sim, spy, corrupt_prob=1.0)
 
 
 class TestWindowGate:
     def test_bypass_outside_window(self, sim, spy):
-        blackout = BlackoutElement(sim, spy, [(0.0, math.inf)])
+        blackout = BlackoutElement(sim, spy)
         gate = WindowGate(sim, blackout, spy, start=1.0, end=2.0)
         gate.receive(pkt(0), 0.5)   # bypass
         gate.receive(pkt(1), 1.5)   # impaired -> dropped
@@ -211,39 +214,48 @@ class TestWindowGate:
         assert [p.seq for p in spy.packets] == [0, 2]
         assert blackout.dropped == 1
 
+    def test_gated_wires_the_elements_sink_as_the_bypass(self, sim, spy):
+        built = []
+        gate = gated(make(RandomLossElement, built, loss_prob=0.0),
+                     1.0, 2.0)(sim, spy)
+        assert isinstance(gate, WindowGate)
+        assert gate.impaired is built[0]
+        assert gate.bypass is built[0].sink is spy
 
-class TestFaultSchedule:
-    def test_window_validation(self):
-        with pytest.raises(ConfigurationError):
-            FaultWindow(2.0, 1.0, lambda sim, sink: sink)
-        with pytest.raises(ConfigurationError):
-            FaultSchedule().blackout(-1.0, 1.0)
+
+class TestGatedChain:
+    """A list of gated factories through :func:`chain` is what a fault
+    schedule used to be."""
 
     def test_windows_compose_in_order(self, sim, spy):
-        schedule = (FaultSchedule(seed=5)
-                    .blackout(1.0, 2.0)
-                    .corrupt(0.0, 10.0, prob=0.5))
-        entry = schedule.build(sim, spy)
+        built = []
+        entry = chain(sim, [
+            gated(make(BlackoutElement, built), 1.0, 2.0),
+            gated(make(RandomLossElement, built, loss_prob=0.5, seed=5),
+                  0.0, 10.0)], spy)
         for i in range(100):
-            entry.receive(pkt(i), 0.5)    # corruption only
+            entry.receive(pkt(i), 0.5)    # random loss only
         for i in range(100, 120):
             entry.receive(pkt(i), 1.5)    # blackout swallows everything
-        elements = schedule.elements()
-        assert [type(e).__name__ for _, e in elements] == [
-            "BlackoutElement", "CorruptionElement"]
-        assert elements[0][1].dropped == 20
-        assert 0 < elements[1][1].corrupted < 100
+        # Built back to front: the loss element (last on the path) first.
+        loss, blackout = built
+        assert blackout.dropped == 20
+        assert 0 < loss.dropped < 100
         assert all(p.seq < 100 for p in spy.packets)
 
     def test_schedule_replays_identically(self):
         def run():
-            faults = (FaultSchedule(seed=11)
-                      .gilbert_elliott(0.0, 10.0, mean_loss=0.05)
-                      .duplicate(2.0, 8.0, prob=0.1))
+            elements = [
+                gated(lambda sim, sink:
+                      GilbertElliottLossElement.from_mean_loss(
+                          sim, sink, 0.05, seed=11000), 0.0, 10.0),
+                gated(lambda sim, sink:
+                      DuplicateElement(sim, sink, 0.1, seed=11001),
+                      2.0, 8.0)]
             stats = repro.sim.run(
                 dumbbell_links(LinkConfig(rate=units.mbps(12))),
                 [FlowConfig(cca_factory=Vegas, rm=units.ms(40),
-                            fault_schedule=faults)],
+                            data_elements=elements)],
                 duration=10.0, warmup=2.0).stats
             return stats[0]
 
@@ -253,17 +265,26 @@ class TestFaultSchedule:
     def test_two_runs_identical_with_bbr_and_all_faults(self):
         """Acceptance: deterministic replay across the full zoo."""
         def run():
-            faults = (FaultSchedule(seed=3)
-                      .gilbert_elliott(0.0, 15.0, mean_loss=0.02)
-                      .blackout(4.0, 4.5)
-                      .flap(6.0, 9.0, period=1.0, down_time=0.2)
-                      .reorder(9.0, 12.0, prob=0.05, extra_delay=0.005)
-                      .duplicate(0.0, 15.0, prob=0.02)
-                      .corrupt(0.0, 15.0, prob=0.01))
+            elements = [
+                gated(lambda sim, sink:
+                      GilbertElliottLossElement.from_mean_loss(
+                          sim, sink, 0.02, seed=3000), 0.0, 15.0),
+                gated(BlackoutElement, 4.0, 4.5),
+                gated(lambda sim, sink:
+                      LinkFlapElement(sim, sink, 1.0, 0.2), 6.0, 9.0),
+                gated(lambda sim, sink:
+                      ReorderElement(sim, sink, 0.05, 0.005, seed=3003),
+                      9.0, 12.0),
+                gated(lambda sim, sink:
+                      DuplicateElement(sim, sink, 0.02, seed=3004),
+                      0.0, 15.0),
+                gated(lambda sim, sink:
+                      RandomLossElement(sim, sink, 0.01, seed=3005),
+                      0.0, 15.0)]
             return repro.sim.run(
                 dumbbell_links(LinkConfig(rate=units.mbps(24))),
                 [FlowConfig(cca_factory=lambda: BBR(seed=1),
-                            rm=units.ms(30), fault_schedule=faults),
+                            rm=units.ms(30), data_elements=elements),
                  FlowConfig(cca_factory=lambda: BBR(seed=2),
                             rm=units.ms(30))],
                 duration=15.0, warmup=5.0).stats
@@ -271,14 +292,15 @@ class TestFaultSchedule:
         assert run() == run()
 
     def test_shared_link_faults_hit_every_flow(self):
-        link_faults = FaultSchedule().blackout(1.0, 2.0)
+        built = []
         stats = repro.sim.run(
-            dumbbell_links(LinkConfig(rate=units.mbps(12),
-                                      fault_schedule=link_faults)),
+            dumbbell_links(LinkConfig(
+                rate=units.mbps(12),
+                elements=[gated(make(BlackoutElement, built), 1.0, 2.0)])),
             [FlowConfig(cca_factory=Vegas, rm=units.ms(40)),
              FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
             duration=5.0, warmup=2.5).stats
-        blackout = link_faults.elements()[0][1]
+        blackout, = built  # one shared element, not one per flow
         assert blackout.dropped > 0
         # Both flows keep running after the shared outage.
         assert all(s.throughput > 0 for s in stats)

@@ -8,13 +8,17 @@ recorder rewrite are bit-invisible, not just statistically close.
 
 Regenerate the reference only for a deliberate semantic change::
 
-    PYTHONPATH=src python -m repro.perf.golden --write tests/golden_traces.json
+    PYTHONPATH=src python -m tests.golden --write tests/golden_traces.json
 """
 
 import json
 from pathlib import Path
 
-from repro.perf import golden
+import pytest
+
+from repro.spec import ScenarioSpec
+
+from . import golden
 
 GOLDEN_PATH = Path(__file__).parent / "golden_traces.json"
 
@@ -22,12 +26,27 @@ GOLDEN_PATH = Path(__file__).parent / "golden_traces.json"
 def test_golden_file_is_committed():
     assert GOLDEN_PATH.exists(), (
         "tests/golden_traces.json is missing; regenerate it with "
-        "python -m repro.perf.golden --write")
+        "python -m tests.golden --write")
 
 
 def test_golden_schema_version():
     reference = json.loads(GOLDEN_PATH.read_text())
     assert reference["schema"] == golden.GOLDEN_SCHEMA_VERSION
+
+
+@pytest.mark.parametrize("name", ["faults/vegas", "faults/duplicate",
+                                  "topo/fault_second_hop"])
+def test_version_1_fixture_loads_to_the_tables_entry(name):
+    """The three scenarios that carried version-1 fault schedules were
+    re-keyed by hand in ``golden.py``; their version-1 JSON, dumped at
+    the last commit that wrote version 1, must read back as exactly the
+    table's entry — pinned seeds included — so the digests below are
+    digests of the same scenarios as before."""
+    fixture = (Path(__file__).parent / "data" / "spec_v1"
+               / (name.replace("/", "_") + ".json"))
+    assert json.loads(fixture.read_text())["version"] == 1
+    assert ScenarioSpec.load(str(fixture)) \
+        == golden.golden_scenarios()[name]
 
 
 def test_traces_match_committed_golden():

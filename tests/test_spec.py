@@ -1,8 +1,9 @@
 """Tests for the declarative spec layer (repro.spec).
 
 Covers: deterministic seed derivation, per-kind JSON round trips for
-CCAs / elements / faults, ScenarioSpec round-trip losslessness, spec ==
-build equivalence, and the seed-override rules (explicit beats derived).
+CCAs / elements, element windows, the version-1 reader, ScenarioSpec
+round-trip losslessness, spec == build equivalence, and the
+seed-override rules (explicit beats derived).
 """
 
 import json
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 
 from repro import units
 from repro.ccas import registry
-from repro.errors import ConfigurationError
-from repro.spec import (CCASpec, ELEMENTS, ElementSpec, FAULT_KINDS,
-                        FaultScheduleSpec, FaultWindowSpec, FlowSpec,
+from repro.errors import ConfigurationError, SpecValidationError
+from repro.sim.digests import run_digests
+from repro.spec import (CCASpec, ELEMENTS, ElementSpec, FlowSpec,
                         LinkSpec, ScenarioSpec, derive_seed,
                         element_kinds, single_flow_scenario)
 
@@ -35,17 +36,47 @@ ELEMENT_PARAMS = {
     "random_loss": {"loss_prob": 0.02},
     "periodic_loss": {"period": 10},
     "targeted_loss": {"drop_seqs": [3, 5, 8]},
-}
-
-#: Valid params for every fault kind.
-FAULT_PARAMS = {
+    "gilbert_elliott": {"mean_loss": 0.02},
     "blackout": {},
     "flap": {"period": 2.0, "down_time": 0.25},
-    "gilbert_elliott": {"mean_loss": 0.02},
-    "reorder": {"prob": 0.05, "extra_delay": 0.01},
-    "duplicate": {"prob": 0.01},
-    "corrupt": {"prob": 0.01},
+    "reorder": {"reorder_prob": 0.05, "extra_delay": 0.01},
+    "duplicate": {"dup_prob": 0.01},
 }
+
+#: The six version-1 fault kinds with valid version-1 params (the
+#: names of the deleted schedule helpers' arguments), and the element
+#: each one is read as.
+V1_FAULTS = {
+    "blackout": ({}, ElementSpec("blackout", start=1.0, end=5.0)),
+    "flap": ({"period": 2.0, "down_time": 0.25},
+             ElementSpec("flap", {"period": 2.0, "down_time": 0.25},
+                         start=1.0, end=5.0)),
+    "gilbert_elliott": (
+        {"mean_loss": 0.02},
+        ElementSpec("gilbert_elliott", {"mean_loss": 0.02, "seed": 9000},
+                    start=1.0, end=5.0)),
+    "reorder": (
+        {"prob": 0.05, "extra_delay": 0.01},
+        ElementSpec("reorder", {"reorder_prob": 0.05, "extra_delay": 0.01,
+                                "seed": 9000}, start=1.0, end=5.0)),
+    "duplicate": ({"prob": 0.01},
+                  ElementSpec("duplicate", {"dup_prob": 0.01, "seed": 9000},
+                              start=1.0, end=5.0)),
+    "corrupt": ({"prob": 0.01},
+                ElementSpec("random_loss", {"loss_prob": 0.01, "seed": 9000},
+                            start=1.0, end=5.0)),
+}
+
+
+def v1_document(windows, seed=None, root_seed=7):
+    """A version-1 scenario document: one flow carrying ``windows``."""
+    faults = {"windows": windows}
+    if seed is not None:
+        faults["seed"] = seed
+    return {"version": 1, "seed": root_seed,
+            "link": {"rate": 1500000.0},
+            "flows": [{"cca": {"name": "vegas", "params": {}}, "rm": RM,
+                       "faults": faults}]}
 
 
 class TestDeriveSeed:
@@ -149,64 +180,127 @@ class TestElementSpec:
 
 
 class TestFaultSpecs:
-    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    """Element windows, and the version-1 ``faults`` reader."""
+
+    @pytest.mark.parametrize("kind", sorted(V1_FAULTS))
     def test_every_kind_round_trips_and_builds(self, kind):
-        window = FaultWindowSpec(kind, 1.0, 5.0, FAULT_PARAMS[kind])
-        schedule = FaultScheduleSpec(windows=(window,))
-        rt = FaultScheduleSpec.from_json(
-            json.loads(json.dumps(schedule.to_json())))
-        assert rt == schedule
-        live = rt.build(derived_seed=3)
-        assert len(live.windows) == 1
+        from repro.sim.engine import Simulator
+        from repro.sim.faults import WindowGate
+
+        params, expected = V1_FAULTS[kind]
+        spec = ScenarioSpec.from_json(v1_document(
+            [{"kind": kind, "start": 1.0, "end": 5.0, "params": params}],
+            seed=9))
+        element, = spec.flows[0].data_elements
+        assert element == expected
+        assert ElementSpec.from_json(
+            json.loads(json.dumps(element.to_json()))) == element
+        assert "faults" not in spec.dumps()
+        assert ScenarioSpec.loads(spec.dumps()) == spec
+        gate = element.factory(seed=3)(Simulator(), object())
+        assert isinstance(gate, WindowGate)
+        assert (gate.start, gate.end) == (1.0, 5.0)
 
     def test_infinite_horizon_round_trips(self):
-        window = FaultWindowSpec("flap", 0.0, float("inf"),
-                                 FAULT_PARAMS["flap"])
-        schedule = FaultScheduleSpec(windows=(window,))
-        rt = FaultScheduleSpec.from_json(
-            json.loads(json.dumps(schedule.to_json())))
-        assert rt.windows[0].end == float("inf")
-        assert rt == schedule
+        element = ElementSpec("flap", ELEMENT_PARAMS["flap"], start=2.0)
+        rt = ElementSpec.from_json(
+            json.loads(json.dumps(element.to_json())))
+        assert (rt.start, rt.end) == (2.0, float("inf"))
+        assert rt == element
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown fault"):
-            FaultWindowSpec("meteor_strike", 0.0, 1.0)
+        with pytest.raises(ConfigurationError, match="unknown element"):
+            ElementSpec("meteor_strike", start=0.0, end=1.0)
+        with pytest.raises(ConfigurationError,
+                           match="unknown version-1 fault"):
+            ScenarioSpec.from_json(v1_document(
+                [{"kind": "meteor_strike", "start": 0.0, "end": 1.0}]))
 
     def test_explicit_seed_beats_derived(self):
-        spec = FaultScheduleSpec(
-            windows=(FaultWindowSpec("gilbert_elliott", 0.0, 10.0,
-                                     FAULT_PARAMS["gilbert_elliott"]),),
-            seed=42)
-        assert spec.build(derived_seed=7).seed == 42
-        unpinned = FaultScheduleSpec(windows=spec.windows)
-        assert unpinned.build(derived_seed=7).seed == 7
+        import random
+
+        from repro.sim.engine import Simulator
+
+        def first_draw(element):
+            gate = element.factory(seed=7)(Simulator(), object())
+            return gate.impaired._rng.random()
+
+        pinned = ElementSpec("gilbert_elliott",
+                             {"mean_loss": 0.02, "seed": 42},
+                             start=0.0, end=10.0)
+        unpinned = ElementSpec("gilbert_elliott", {"mean_loss": 0.02},
+                               start=0.0, end=10.0)
+        assert first_draw(pinned) == random.Random(42).random()
+        assert first_draw(unpinned) == random.Random(7).random()
 
     def test_bad_params_named_in_error(self):
-        spec = FaultScheduleSpec(
-            windows=(FaultWindowSpec("flap", 0.0, 1.0,
-                                     {"wrong": 1.0}),))
-        with pytest.raises(ConfigurationError, match="flap"):
-            spec.build()
+        from repro.sim.engine import Simulator
 
-    def test_empty_schedule_is_falsy(self):
-        assert not FaultScheduleSpec()
-        assert FaultScheduleSpec(
-            windows=(FaultWindowSpec("blackout", 0.0, 1.0),))
+        spec = ElementSpec("flap", {"wrong": 1.0}, start=0.0, end=1.0)
+        with pytest.raises(ConfigurationError, match="flap"):
+            spec.factory()(Simulator(), object())
+
+    def test_empty_v1_schedule_upgrades_to_nothing(self):
+        spec = ScenarioSpec.from_json(v1_document([]))
+        assert spec.flows[0].data_elements == ()
+
+    @pytest.mark.parametrize("kind", sorted(
+        k for k, entry in ELEMENTS.items() if not entry.windowable))
+    def test_in_order_holding_kinds_refuse_a_window(self, kind):
+        # A gate closing over held packets would let later ones pass
+        # them: jitter kinds and delay are all-run or not at all.
+        with pytest.raises(SpecValidationError, match="in order"):
+            ElementSpec(kind, ELEMENT_PARAMS[kind], start=1.0, end=2.0)
+
+    def test_v1_always_on_window_is_ungated_and_counts_as_a_window(self):
+        # [0, inf) -> no gate; the seed index k still counts every
+        # window of the schedule, stochastic or not.
+        spec = ScenarioSpec.from_json(v1_document([
+            {"kind": "blackout", "start": 3.0, "end": 4.0, "params": {}},
+            {"kind": "duplicate", "start": 0.0, "end": float("inf"),
+             "params": {"prob": 0.1}}]))
+        blackout, duplicate = spec.flows[0].data_elements
+        schedule_seed = derive_seed(7, "flow", 0, "faults")
+        assert duplicate == ElementSpec(
+            "duplicate", {"dup_prob": 0.1,
+                          "seed": schedule_seed * 1000 + 1})
+        assert (duplicate.start, duplicate.end) == (None, None)
+
+    def test_v1_explicit_zero_schedule_seed_is_a_seed(self):
+        window = {"kind": "gilbert_elliott", "start": 0.0, "end": 9.0,
+                  "params": {"mean_loss": 0.02}}
+        spec = ScenarioSpec.from_json(v1_document([window, window],
+                                                  seed=0))
+        assert [e.params["seed"] for e in spec.flows[0].data_elements] \
+            == [0, 1]
+
+    def test_v1_windows_follow_the_plain_data_elements(self):
+        doc = v1_document([{"kind": "blackout", "start": 1.0, "end": 2.0}])
+        doc["flows"][0]["data_elements"] = [
+            {"kind": "random_loss", "params": {"loss_prob": 0.01}}]
+        doc["link"]["faults"] = {"windows": [
+            {"kind": "flap", "start": 0.0, "end": float("inf"),
+             "params": {"period": 2.0, "down_time": 0.25}}]}
+        spec = ScenarioSpec.from_json(doc)
+        assert [e.kind for e in spec.flows[0].data_elements] \
+            == ["random_loss", "blackout"]
+        assert spec.link.elements == (
+            ElementSpec("flap", {"period": 2.0, "down_time": 0.25}),)
 
 
 def two_flow_spec(seed=7):
     return ScenarioSpec(
         link=LinkSpec(rate=units.mbps(12), buffer_bdp=4.0,
-                      faults=FaultScheduleSpec(windows=(
-                          FaultWindowSpec("blackout", 2.0, 2.5),))),
+                      elements=(ElementSpec("blackout", start=2.0,
+                                            end=2.5),)),
         flows=(
             FlowSpec(cca=CCASpec("vegas"), rm=RM),
             FlowSpec(cca=CCASpec("bbr"), rm=RM,
                      ack_elements=(ElementSpec("constant_jitter",
                                                {"eta": 0.005}),),
-                     faults=FaultScheduleSpec(windows=(
-                         FaultWindowSpec("gilbert_elliott", 0.0, 10.0,
-                                         {"mean_loss": 0.02}),))),
+                     data_elements=(ElementSpec(
+                         "gilbert_elliott", {"mean_loss": 0.02},
+                         start=0.0, end=10.0),)),
         ),
         seed=seed)
 
@@ -256,6 +350,60 @@ class TestScenarioSpec:
             [s.throughput for s in replayed.stats]
         assert [s.mean_rtt for s in direct.stats] == \
             [s.mean_rtt for s in replayed.stats]
+
+    def test_gate_open_forever_runs_as_ungated(self):
+        def run(**window):
+            loss = ElementSpec("gilbert_elliott", {"mean_loss": 0.02},
+                               **window)
+            dup = ElementSpec("duplicate", {"dup_prob": 0.05}, **window)
+            spec = ScenarioSpec(
+                link=LinkSpec(rate=units.mbps(12), elements=(dup,)),
+                flows=(FlowSpec(cca=CCASpec("reno"), rm=RM,
+                                data_elements=(loss,)),),
+                seed=7)
+            return run_digests(spec.run(duration=3.0, warmup=1.0))
+
+        assert run(start=0.0, end=float("inf")) == run()
+
+    @pytest.mark.parametrize("element", [
+        ElementSpec("blackout", start=1.0, end=1.2),
+        ElementSpec("flap", {"period": 0.5, "down_time": 0.1},
+                    start=0.5, end=2.0),
+        ElementSpec("gilbert_elliott", {"mean_loss": 0.05},
+                    start=0.5, end=2.5),
+        ElementSpec("reorder", {"reorder_prob": 0.1, "extra_delay": 0.01},
+                    start=0.5, end=2.5),
+        ElementSpec("duplicate", {"dup_prob": 0.1}, start=0.5, end=2.5),
+    ], ids=lambda e: e.kind)
+    def test_window_on_the_ack_path_is_sentinel_clean(self, element):
+        spec = ScenarioSpec(
+            link=LinkSpec(rate=units.mbps(12), buffer_bdp=4.0),
+            flows=(FlowSpec(cca=CCASpec("reno"), rm=RM,
+                            ack_elements=(element,)),
+                   FlowSpec(cca=CCASpec("vegas"), rm=RM)),
+            seed=7)
+        result = spec.run(duration=3.0, invariants="strict")
+        assert all(s.throughput > 0 for s in result.stats)
+
+    @pytest.mark.parametrize("element", [
+        ElementSpec("random_loss", {"loss_prob": 0.05},
+                    start=0.5, end=2.0),
+        ElementSpec("periodic_loss", {"period": 20}, start=0.5, end=2.0),
+    ], ids=lambda e: e.kind)
+    def test_window_on_a_plain_loss_kind_is_sentinel_clean(self, element):
+        def losses(*elements):
+            spec = ScenarioSpec(   # unbounded buffer: no queue drops
+                link=LinkSpec(rate=units.mbps(12)),
+                flows=(FlowSpec(cca=CCASpec("reno"), rm=RM,
+                                data_elements=elements),),
+                seed=7)
+            return spec.run(duration=3.0,
+                            invariants="strict").stats[0].losses
+
+        # The window is real: a gate that opens after the run ends
+        # loses nothing, like no element at all.
+        late = ElementSpec(element.kind, element.params, start=5.0)
+        assert losses() == losses(late) == 0 < losses(element)
 
     def test_run_needs_duration(self):
         with pytest.raises(ConfigurationError, match="duration"):
@@ -391,14 +539,47 @@ class TestSpecInputHardening:
         (3.0, 1.0),
     ])
     def test_fault_window_endpoints_rejected(self, start, end):
-        from repro.errors import SpecValidationError
         with pytest.raises(SpecValidationError):
-            FaultWindowSpec(kind="blackout", start=start, end=end)
+            ElementSpec("blackout", start=start, end=end)
+
+    def test_empty_window_rejected_at_construction(self):
+        # start == end used to construct and then fail at build, as a
+        # one-row failure table in the middle of 'repro run --spec'.
+        with pytest.raises(SpecValidationError, match="start < end"):
+            ElementSpec("blackout", start=1.0, end=1.0)
+        data = two_flow_spec().to_json()
+        data["link"]["elements"][0].update(start=1.0, end=1.0)
+        with pytest.raises(SpecValidationError, match="start < end"):
+            ScenarioSpec.from_json(data)
 
     def test_fault_window_infinite_end_stays_legal(self):
-        window = FaultWindowSpec(kind="blackout", start=1.0,
-                                 end=float("inf"))
+        window = ElementSpec("blackout", start=1.0, end=float("inf"))
         assert window.end == float("inf")
+
+    @pytest.mark.parametrize("document", [
+        5,
+        {"kind": "delay", "params": 5},
+        {"kind": ["x"]},
+        {"params": {}},
+    ])
+    def test_malformed_element_document_rejected(self, document):
+        with pytest.raises(SpecValidationError):
+            ElementSpec.from_json(document)
+        for where in ("data_elements", "ack_elements"):
+            data = two_flow_spec().to_json()
+            data["flows"][0][where] = [document]
+            with pytest.raises(SpecValidationError):
+                ScenarioSpec.from_json(data)
+        data = two_flow_spec().to_json()
+        data["link"]["elements"] = [document]
+        with pytest.raises(SpecValidationError):
+            ScenarioSpec.from_json(data)
+
+    def test_element_list_must_be_a_list(self):
+        data = two_flow_spec().to_json()
+        data["link"]["elements"] = {"kind": "blackout"}
+        with pytest.raises(SpecValidationError, match="list"):
+            ScenarioSpec.from_json(data)
 
     def test_malformed_json_fails_at_from_json(self):
         # The same validators run on the from_json path, so a corrupted

@@ -330,14 +330,14 @@ class TestCatalog:
     def test_query_by_cca_rate_jitter(self, tmp_path):
         catalog = Catalog(str(tmp_path / "c.jsonl"))
         catalog.record("k1", "miss", summary={
-            "cca": "bbr", "rate_mbps": 2.0, "jitter": []})
+            "cca": "bbr", "rate_mbps": 2.0, "elements": []})
         catalog.record("k2", "hit", summary={
             "cca": "vegas+copa", "rate_mbps": 10.0,
-            "jitter": ["constant_jitter"]})
+            "elements": ["constant_jitter"]})
         assert [e["key"] for e in catalog.query(cca="vegas")] == ["k2"]
         assert [e["key"] for e in catalog.query(rate_mbps=2.0)] == ["k1"]
         assert [e["key"] for e in
-                catalog.query(jitter="constant_jitter")] == ["k2"]
+                catalog.query(element="constant_jitter")] == ["k2"]
         assert [e["key"] for e in catalog.query(event="hit")] == ["k2"]
         assert [e["key"] for e in catalog.query(cca="bbr",
                                                 event="hit")] == []
@@ -364,8 +364,8 @@ class TestSummarizeParams:
         flow = parse_flow_spec("copa:poison:ge0.02", rm=0.05)
         spec = ScenarioSpec(link=LinkSpec(rate=1e6), flows=(flow,))
         summary = summarize_params({"scenario": spec.to_json()})
-        assert summary["jitter"] == ["exempt_first_jitter"]
-        assert summary["faults"] == ["gilbert_elliott"]
+        assert summary["elements"] == ["exempt_first_jitter",
+                                       "gilbert_elliott"]
 
     def test_named_scenario_params(self):
         assert summarize_params({"scenario": "copa"}) == {"cca": "copa"}

@@ -6,8 +6,8 @@ The load-bearing claims under test:
   byte-for-byte, like every other spec.
 * A ``ScenarioSpec`` without a topology is the legacy dumbbell,
   unchanged — same JSON shape, same run digests as a one-link graph.
-* Per-link fault seeds derive from the *link id*
-  (``derive_seed(S, "link", id, "faults")``) so reordering links never
+* Per-link element seeds derive from the *link id*
+  (``derive_seed(S, "link", id, j)``) so reordering links never
   silently reshuffles RNG streams; the pinned literals below are a
   compatibility contract.
 * A parking lot (3 flows, 2 bottlenecks) runs clean under the strict
@@ -33,13 +33,12 @@ from repro.analysis.harness import ResilientSweep, RunBudget
 from repro.errors import (ConfigurationError, SpecValidationError)
 from repro.fuzz.generate import FuzzConfig, generate_spec
 from repro.fuzz.shrink import _candidates
-from repro.perf.golden import run_digests
 from repro.sim import LinkConfig, TopologyLink, build_topology, run
+from repro.sim.digests import run_digests
 from repro.sim.runner import FlowStats, RunResult, summarize
-from repro.spec import (CCASpec, FaultScheduleSpec, FaultWindowSpec,
-                        FlowSpec, LinkSpec, NodeSpec, ScenarioSpec,
-                        TopoLinkSpec, TopologySpec, derive_seed,
-                        parking_lot_topology,
+from repro.spec import (CCASpec, ElementSpec, FlowSpec, LinkSpec,
+                        NodeSpec, ScenarioSpec, TopoLinkSpec,
+                        TopologySpec, derive_seed, parking_lot_topology,
                         shared_bottleneck_topology)
 
 RM = units.ms(40)
@@ -83,9 +82,15 @@ class TestTopologySpec:
     def test_round_trip_lossless(self):
         topo = two_hop_topology(
             buffer_bdp=4.0,
-            faults=FaultScheduleSpec(windows=(
-                FaultWindowSpec("blackout", 0.5, 0.8),)))
+            elements=(ElementSpec("blackout", start=0.5, end=0.8),))
         assert TopologySpec.loads(topo.dumps()) == topo
+
+    def test_standalone_file_with_v1_faults_is_refused_not_ignored(self):
+        doc = two_hop_topology().to_json()
+        doc["links"][0]["faults"] = {"windows": [
+            {"kind": "blackout", "start": 0.5, "end": 0.8}]}
+        with pytest.raises(SpecValidationError, match="'elements'"):
+            TopologySpec.from_json(doc)
 
     def test_save_load(self, tmp_path):
         path = str(tmp_path / "topo.json")
@@ -214,29 +219,34 @@ class TestScenarioSpecTopology:
         assert spec.topology.link("b1").rate == units.mbps(8)
 
     def test_per_link_fault_seeds_pinned(self):
-        """Compatibility contract: per-link fault seeds key off the
-        link *id*, on a branch disjoint from the legacy dumbbell's."""
+        """Compatibility contract: a link's element seeds key off the
+        link *id* — never its position in the declaration — on a branch
+        disjoint from the dumbbell's. The ``"faults"`` literals are what
+        the version-1 reader pins saved documents to."""
+        import random
+
         assert derive_seed(7, "link", "b1", "faults") \
             == 7202726678156179036
         assert derive_seed(7, "link", "faults") == 7878886917356406187
+        assert derive_seed(7, "link", "b1", 0) == 6572992891788178884
+        assert derive_seed(7, "link", 0) == 5215593965581114956
 
-        faults = FaultScheduleSpec(windows=(
-            FaultWindowSpec("gilbert_elliott", 0.0, 1.0,
-                            {"mean_loss": 0.02}),))
-        topo = TopologySpec(
-            nodes=(NodeSpec("n0"), NodeSpec("n1"), NodeSpec("n2")),
-            links=(
-                TopoLinkSpec(id="b0", src="n0", dst="n1", rate=1e6),
-                TopoLinkSpec(id="b1", src="n1", dst="n2", rate=1e6,
-                             faults=faults),
-            ))
-        spec = ScenarioSpec(
-            topology=topo,
-            flows=(FlowSpec(cca=CCASpec("reno"), rm=RM),), seed=7)
-        links, _flows = spec.to_configs()
-        assert links[0].config.fault_schedule is None
-        assert links[1].config.fault_schedule.seed \
-            == derive_seed(7, "link", "b1", "faults")
+        b0 = TopoLinkSpec(id="b0", src="n0", dst="n1", rate=1e6)
+        b1 = TopoLinkSpec(id="b1", src="n1", dst="n2", rate=1e6,
+                          elements=(ElementSpec("gilbert_elliott",
+                                                {"mean_loss": 0.02}),))
+        nodes = (NodeSpec("n0"), NodeSpec("n1"), NodeSpec("n2"))
+        for declared in ((b0, b1), (b1, b0)):
+            spec = ScenarioSpec(
+                topology=TopologySpec(nodes=nodes, links=declared),
+                flows=(FlowSpec(cca=CCASpec("reno"), rm=RM,
+                                path=("b0", "b1")),), seed=7)
+            configs = {lk.link_id: lk.config
+                       for lk in spec.to_configs()[0]}
+            assert configs["b0"].elements == ()
+            element = configs["b1"].elements[0](None, None)
+            assert element._rng.random() == random.Random(
+                derive_seed(7, "link", "b1", 0)).random()
 
 
 class TestDumbbellEquivalence:
