@@ -103,15 +103,20 @@ class BBR(CCA):
         if sample is None or sample <= 0:
             return
         samples = self._bw_samples
-        if samples and samples[-1][0] == self.round_count:
+        round_count = self.round_count
+        # btl_bw is the max over samples: a sample can only raise it, and
+        # only the maximum leaving the window makes us look at the rest.
+        best = self.btl_bw if samples and self.btl_bw > sample else sample
+        if samples and samples[-1][0] == round_count:
             if sample > samples[-1][1]:
-                samples[-1] = (self.round_count, sample)
+                samples[-1] = (round_count, sample)
         else:
-            samples.append((self.round_count, sample))
-        horizon = self.round_count - BW_WINDOW_ROUNDS
-        while samples and samples[0][0] < horizon:
-            samples.popleft()
-        self.btl_bw = max(bw for _, bw in samples)
+            samples.append((round_count, sample))
+        horizon = round_count - BW_WINDOW_ROUNDS
+        expired = False
+        while samples[0][0] < horizon:
+            expired |= samples.popleft()[1] == best
+        self.btl_bw = max(bw for _, bw in samples) if expired else best
 
     def _update_min_rtt(self, info: AckInfo) -> None:
         # Monotonic deque: O(1) amortized sliding-window minimum.

@@ -103,7 +103,7 @@ class JitterAware(RateCCA):
             self.sender.kick()
         interval = (self._min_rtt if math.isfinite(self._min_rtt)
                     else 0.05)
-        self.sim.schedule(max(interval, 1e-3), self._tick)
+        self.sim.post(max(interval, 1e-3), self._tick)
 
     def on_ack(self, info: AckInfo) -> None:
         self.note_rtt(info.rtt)

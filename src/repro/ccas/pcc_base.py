@@ -140,7 +140,7 @@ class MonitorIntervalCCA(RateCCA):
         self.rate = rate
         self.clamp_rate()
         self._current = MonitorStats(self.rate, self.now, tag)
-        self.sim.schedule(self._mi_duration(), self._close_interval)
+        self.sim.post(self._mi_duration(), self._close_interval)
         self.sender.kick()
 
     def _close_interval(self) -> None:
@@ -151,7 +151,7 @@ class MonitorIntervalCCA(RateCCA):
         if (stats.sent_packets < self.min_mi_packets
                 and self._extensions < self.max_mi_extensions):
             self._extensions += 1
-            self.sim.schedule(self._mi_duration(), self._close_interval)
+            self.sim.post(self._mi_duration(), self._close_interval)
             return
         self._extensions = 0
         stats.end = self.now
@@ -161,7 +161,7 @@ class MonitorIntervalCCA(RateCCA):
             self._finalize_ready()
         else:
             grace = self.finalize_grace_rtts * (self._srtt or 0.1)
-            self.sim.schedule(grace, self._force_finalize, stats)
+            self.sim.post(grace, self._force_finalize, stats)
 
     def _force_finalize(self, stats: MonitorStats) -> None:
         """Backstop: treat still-unresolved packets as lost."""

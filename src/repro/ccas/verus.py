@@ -94,7 +94,7 @@ class Verus(WindowCCA):
     def _tick(self) -> None:
         self._update_window()
         self.sender.kick()
-        self.sim.schedule(self.epoch, self._tick)
+        self.sim.post(self.epoch, self._tick)
 
     def _update_window(self) -> None:
         if not math.isfinite(self.min_rtt) or self._epoch_max_rtt <= 0:

@@ -183,8 +183,7 @@ class ReorderElement:
         if self.reorder_prob > 0 and self._rng.random() < self.reorder_prob:
             self.reordered += 1
             release = now + self.extra_delay
-            self.sim.schedule_at(release, self.sink.receive, packet,
-                                 release)
+            self.sim.post_at(release, self.sink.receive, packet, release)
             return
         self.sink.receive(packet, now)
 

@@ -23,11 +23,14 @@ Design notes (see docs/PERFORMANCE.md):
   lazily-deleted events in the heap at any moment), the sender tracks
   ``_rto_deadline`` and lets an already-scheduled timer wake up, notice
   the deadline moved, and re-arm itself. Firing times are identical.
-* The pacing timer is always cancelled and rescheduled (see
-  :meth:`Sender._arm_pacing_timer` for why).
-* Every transmission is a plain ``Packet(...)`` and every
-  acknowledgment a plain ``Ack(...)``; a receiver that ACKs every
-  packet builds the ACK without the pending-list bookkeeping.
+* The sender owns one pacing :class:`~repro.sim.engine.Event` for its
+  whole life and re-aims it with :meth:`Simulator.rearm`, which fires
+  where cancel-and-reschedule would; re-aiming it at an unchanged
+  release time (every ACK to a paced sender) pushes nothing.
+* Every transmission is a plain ``Packet(...)``, every acknowledgment
+  a plain ``Ack(...)`` and every CCA digest an ``AckInfo(...)`` built
+  positionally; a receiver that ACKs every packet builds the ACK
+  without the pending-list bookkeeping.
 """
 
 from __future__ import annotations
@@ -105,7 +108,8 @@ class Sender:
         self.srtt: Optional[float] = None
         self.latest_rtt: Optional[float] = None
 
-        self._pacing_timer: Optional[Event] = None
+        # The sender's one pacing wakeup, re-aimed by _try_send.
+        self._pacing_timer = Event(self._try_send)
         self._rto_timer: Optional[Event] = None
         self._rto_deadline = 0.0
         self._next_send_time = 0.0
@@ -126,7 +130,7 @@ class Sender:
         if self._started:
             return
         self._started = True
-        self.sim.schedule_at(self.start_time, self._begin)
+        self.sim.post_at(self.start_time, self._begin)
 
     def _begin(self) -> None:
         self.cca.attach(self)
@@ -158,7 +162,7 @@ class Sender:
         self._rto_deadline = deadline
         timer = self._rto_timer
         if timer is not None:
-            if not timer.cancelled and timer.time <= deadline:
+            if timer.time <= deadline:
                 return
             timer.cancel()
         self._rto_timer = self.sim.schedule_at(deadline,
@@ -175,10 +179,9 @@ class Sender:
         self._on_rto()
 
     def _burst_gate_open(self) -> bool:
-        """With burst_size > 1, wait until a full burst fits the window
-        (an idle connection may always send what it has)."""
-        if self.burst_size <= 1:
-            return True
+        """With burst_size > 1 (the caller checks), wait until a full
+        burst fits the window (an idle connection may always send what
+        it has)."""
         if self.inflight_bytes == 0:
             return True
         headroom = self.cca.cwnd_bytes - self.inflight_bytes
@@ -188,7 +191,7 @@ class Sender:
         """Send as many packets as the window and pacer allow."""
         if self.path is None:
             raise ConfigurationError("sender has no forward path attached")
-        if not self._burst_gate_open():
+        if self.burst_size > 1 and not self._burst_gate_open():
             return
         cca = self.cca
         sim = self.sim
@@ -202,7 +205,7 @@ class Sender:
                 if rate <= 0:
                     return  # paced at zero: wait for the CCA to raise it
                 if sim.now + 1e-15 < self._next_send_time:
-                    self._arm_pacing_timer()
+                    sim.rearm(self._pacing_timer, self._next_send_time)
                     return
             self._send_one()
             if rate is not None:
@@ -210,23 +213,6 @@ class Sender:
                 if base < sim.now:
                     base = sim.now
                 self._next_send_time = base + mss / rate
-
-    def _arm_pacing_timer(self) -> None:
-        """Arm the pacing wakeup at ``_next_send_time``.
-
-        Always cancel-and-reschedule: keeping a live timer aimed at the
-        same release time would preserve its original (earlier) heap
-        sequence number and flip the execution order of exact
-        same-timestamp ties, perturbing golden traces.
-        """
-        if self._pacing_timer is not None:
-            self._pacing_timer.cancel()
-        self._pacing_timer = self.sim.schedule_at(self._next_send_time,
-                                                  self._on_pacing_timer)
-
-    def _on_pacing_timer(self) -> None:
-        self._pacing_timer = None
-        self._try_send()
 
     def kick(self) -> None:
         """Re-evaluate sending; CCAs call this after timer-driven changes."""
@@ -295,14 +281,10 @@ class Sender:
 
         self._detect_losses(now, ack.rtt_sample_sent_time)
 
-        info = AckInfo(rtt=rtt, acked_bytes=newly_acked,
-                       delivery_rate=delivery_rate,
-                       inflight_bytes=self.inflight_bytes,
-                       min_rtt=self.min_rtt, now=now,
-                       delivered_bytes=self.delivered_bytes,
-                       delivered_at_send=ack.delivered_at_send,
-                       acked_seqs=acked_seqs,
-                       ecn_marked=ack.ecn_marked_count)
+        info = AckInfo(rtt, newly_acked, delivery_rate, self.inflight_bytes,
+                       self.min_rtt, now, self.delivered_bytes,
+                       ack.delivered_at_send, acked_seqs,
+                       ack.ecn_marked_count)
         self.cca.on_ack(info)
         for hook in self.on_ack_hooks:
             hook(self, info)

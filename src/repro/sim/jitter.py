@@ -43,9 +43,10 @@ class JitterElement:
 
     def receive(self, packet: Packet, now: float) -> None:
         eta = self.extra_delay(packet, now)
-        if eta < 0:
+        if not eta >= 0:
             raise ConfigurationError(
-                f"jitter element produced negative delay {eta}")
+                f"{type(self).__name__} produced delay {eta!r}; an extra "
+                f"delay must be >= 0")
         release = now + eta
         if release < self._last_release:
             release = self._last_release
@@ -54,7 +55,7 @@ class JitterElement:
             self.max_applied = applied
         self._last_release = release
         self.forwarded += 1
-        self.sim.schedule_at(release, self.sink.receive, packet, release)
+        self.sim.post_at(release, self.sink.receive, packet, release)
 
 
 class NoJitter(JitterElement):
@@ -69,7 +70,7 @@ class ConstantJitter(JitterElement):
 
     def __init__(self, sim: Simulator, sink: object, eta: float) -> None:
         super().__init__(sim, sink)
-        if eta < 0:
+        if not eta >= 0:
             raise ConfigurationError(f"constant jitter must be >= 0, got {eta}")
         self.eta = eta
 

@@ -36,7 +36,7 @@ class DelayElement:
         else:
             sim = self.sim
             release = sim.now + delay
-            sim.schedule_at(release, self.sink.receive, packet, release)
+            sim.post_at(release, self.sink.receive, packet, release)
 
 
 class TapElement:

@@ -104,7 +104,7 @@ class BottleneckQueue:
         self._in_service = packet
         self._busy = True
         transmission_time = packet.size / self.rate
-        self.sim.schedule(transmission_time, self._finish_service)
+        self.sim.post(transmission_time, self._finish_service)
 
     def _finish_service(self) -> None:
         packet = self._in_service
@@ -128,7 +128,7 @@ class BottleneckQueue:
             nxt = queue.popleft()
             self._queued_bytes -= nxt.size
             self._in_service = nxt
-            self.sim.schedule(nxt.size / self.rate, self._finish_service)
+            self.sim.post(nxt.size / self.rate, self._finish_service)
         else:
             self._busy = False
 

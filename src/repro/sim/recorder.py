@@ -52,7 +52,7 @@ class FlowRecorder:
         self.received_values = array("d")
 
         sender.on_ack_hooks.append(self._on_ack)
-        sim.schedule(sample_interval, self._sample)
+        sim.post(sample_interval, self._sample)
 
     def _on_ack(self, sender: Sender, info: AckInfo) -> None:
         self.rtt_times.append(info.now)
@@ -68,7 +68,7 @@ class FlowRecorder:
         self.delivered_values.append(sender.delivered_bytes)
         if self.receiver is not None:
             self.received_values.append(self.receiver.received_bytes)
-        self.sim.schedule(self.sample_interval, self._sample)
+        self.sim.post(self.sample_interval, self._sample)
 
     def throughput_between(self, t0: float, t1: float) -> float:
         """Average delivered rate (bytes/s) over the window [t0, t1].
@@ -227,12 +227,12 @@ class QueueRecorder:
         self.sample_interval = sample_interval
         self.sample_times = array("d")
         self.backlog_values = array("d")
-        sim.schedule(sample_interval, self._sample)
+        sim.post(sample_interval, self._sample)
 
     def _sample(self) -> None:
         self.sample_times.append(self.sim.now)
         self.backlog_values.append(self.queue.backlog_bytes)
-        self.sim.schedule(self.sample_interval, self._sample)
+        self.sim.post(self.sample_interval, self._sample)
 
     # ------------------------------------------------------------------
     # Invariant sentinel hook (see repro.sim.invariants)

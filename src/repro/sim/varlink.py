@@ -175,7 +175,7 @@ class VariableRateQueue:
         self._in_service = packet
         self._busy = True
         rate_now = self.schedule.rate_at(self.sim.now)
-        self.sim.schedule(packet.size / rate_now, self._finish_service)
+        self.sim.post(packet.size / rate_now, self._finish_service)
 
     def _finish_service(self) -> None:
         packet = self._in_service

@@ -1,11 +1,12 @@
 """Tests for BBR: filters, mode machine, equilibria (Section 5.2)."""
 
+import random
 
 import pytest
 
 from repro import units
 from repro.analysis.starvation import bbr_rtt_starvation
-from repro.ccas.bbr import BBR, PROBE_BW_GAINS
+from repro.ccas.bbr import BBR, BW_WINDOW_ROUNDS, PROBE_BW_GAINS
 from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 from repro.sim.packet import AckInfo
 
@@ -45,6 +46,44 @@ def test_bandwidth_filter_expires_old_rounds():
     bbr.round_count = 20  # far beyond the 10-round window
     bbr._update_bw(make_info(1.0, 0.04, rate_sample=1e6))
     assert bbr.btl_bw == pytest.approx(1e6)
+
+
+def test_bandwidth_filter_matches_brute_force_max():
+    """The incrementally kept max equals a max over the window, exactly."""
+    drops = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        bbr = BBR()
+        bbr.sender = FakeSender()
+        levels = [rng.uniform(1e5, 2e6) for _ in range(4)]
+        history = []        # every (round, sample) since the last clear
+        for step in range(500):
+            now = step * 0.01
+            roll = rng.random()
+            if roll < 0.01:
+                bbr.on_timeout(now)
+                history = []
+                assert bbr.btl_bw == 0.0
+                continue
+            if roll < 0.25:
+                bbr.round_count += rng.choice((1, 1, 1, 2, 4, 12))
+            if rng.random() < 0.05:
+                sample = rng.choice((None, 0.0, -1.0))   # ignored
+            elif rng.random() < 0.5:
+                sample = rng.choice(levels)             # equal maxima
+            else:
+                sample = rng.uniform(1e5, 2e6) * (1.0 - step / 1000)
+            before = bbr.btl_bw
+            bbr._update_bw(make_info(now, 0.04, rate_sample=sample))
+            if sample is None or sample <= 0:
+                assert bbr.btl_bw == before
+                continue
+            history.append((bbr.round_count, sample))
+            horizon = bbr.round_count - BW_WINDOW_ROUNDS
+            expected = max(bw for r, bw in history if r >= horizon)
+            assert bbr.btl_bw == expected, f"seed {seed}, step {step}"
+            drops += expected < before
+    assert drops > 500      # the maximum left the window that often
 
 
 def test_min_rtt_window_and_probe_trigger():

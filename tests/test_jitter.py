@@ -32,8 +32,18 @@ def test_constant_jitter_delays_everything(sim, spy):
 
 
 def test_negative_constant_jitter_rejected(sim, spy):
-    with pytest.raises(ConfigurationError):
-        ConstantJitter(sim, spy, eta=-0.001)
+    for eta in (-0.001, float("nan")):
+        with pytest.raises(ConfigurationError):
+            ConstantJitter(sim, spy, eta=eta)
+
+
+def test_nan_delay_fails_at_the_element(sim, spy):
+    # NaN passes an `eta < 0` test; it must not reach the engine as a
+    # release time ("cannot schedule event at t=nan").
+    element = FunctionJitter(sim, spy, fn=lambda t: float("nan"))
+    with pytest.raises(ConfigurationError, match="FunctionJitter"):
+        element.receive(make_packet(), 1.0)
+    assert element.forwarded == 0 and not spy.items
 
 
 def test_no_reordering_invariant(sim, spy):
