@@ -20,65 +20,58 @@
 
 from conftest import report
 from repro import units
-from repro.ccas import Copa, JitterAware, Vivace
-import repro.sim
-from repro.sim import FlowConfig, LinkConfig, dumbbell_links
-from repro.sim.jitter import (AckAggregationJitter, ConstantJitter,
-                              ExemptFirstJitter, SquareWaveJitter)
+from repro.spec import (CCASpec, ElementSpec, FlowSpec, LinkSpec,
+                        ScenarioSpec)
 
 RM = units.ms(40)
 
 
 def copa_window_ablation():
     def run(window):
-        return repro.sim.run(
-            dumbbell_links(LinkConfig(rate=units.mbps(48))),
-            [FlowConfig(
-                cca_factory=lambda: Copa(min_rtt_window=window),
+        return ScenarioSpec(
+            link=LinkSpec(rate=units.mbps(48)),
+            flows=(FlowSpec(
+                cca=CCASpec("copa", {"min_rtt_window": window}),
                 rm=RM, label="poisoned",
-                ack_elements=[lambda sim, sink: ExemptFirstJitter(
-                    sim, sink, units.ms(5), exempt_seqs=[0])])],
-            duration=60.0, warmup=40.0)  # measure the late window only
+                ack_elements=(ElementSpec(
+                    "exempt_first_jitter",
+                    {"eta": units.ms(5), "exempt_seqs": [0]}),)),),
+        ).run(duration=60.0, warmup=40.0)  # measure the late window only
 
     return run(float("inf")), run(10.0)
 
 
 def algorithm1_decrease_ablation():
     def run(mode):
-        def factory():
-            return JitterAware(jitter_bound=units.ms(10), s=2.0,
-                               rmax=units.ms(100),
-                               mu_minus=units.kbps(100),
-                               decrease_mode=mode)
-
-        return repro.sim.run(
-            dumbbell_links(LinkConfig(rate=units.mbps(6), buffer_bdp=20.0)),
-            [FlowConfig(cca_factory=factory, rm=RM, label="jittered",
-                        ack_elements=[
-                            lambda sim, sink: SquareWaveJitter(
-                                sim, sink, high=units.ms(10),
-                                period=0.7)]),
-             FlowConfig(cca_factory=factory, rm=RM, label="clean",
-                        ack_elements=[
-                            lambda sim, sink: ConstantJitter(
-                                sim, sink, units.ms(5))])],
-            duration=120.0, warmup=60.0)
+        cca = CCASpec("jitter-aware", {
+            "jitter_bound": units.ms(10), "s": 2.0, "rmax": units.ms(100),
+            "mu_minus": units.kbps(100), "decrease_mode": mode})
+        return ScenarioSpec(
+            link=LinkSpec(rate=units.mbps(6), buffer_bdp=20.0),
+            flows=(FlowSpec(cca=cca, rm=RM, label="jittered",
+                            ack_elements=(ElementSpec(
+                                "square_wave_jitter",
+                                {"high": units.ms(10), "period": 0.7}),)),
+                   FlowSpec(cca=cca, rm=RM, label="clean",
+                            ack_elements=(ElementSpec(
+                                "constant_jitter",
+                                {"eta": units.ms(5)}),))),
+        ).run(duration=120.0, warmup=60.0)
 
     return run("multiplicative"), run("additive")
 
 
 def vivace_gradient_ablation():
     def run(b):
-        return repro.sim.run(
-            dumbbell_links(LinkConfig(rate=units.mbps(48), buffer_bdp=8.0)),
-            [FlowConfig(cca_factory=lambda: Vivace(b=b), rm=units.ms(60),
-                        label="aggregated",
-                        ack_elements=[
-                            lambda sim, sink: AckAggregationJitter(
-                                sim, sink, units.ms(60))]),
-             FlowConfig(cca_factory=lambda: Vivace(b=b),
-                        rm=units.ms(60), label="normal")],
-            duration=60.0, warmup=25.0)
+        cca = CCASpec("vivace", {"b": b})
+        return ScenarioSpec(
+            link=LinkSpec(rate=units.mbps(48), buffer_bdp=8.0),
+            flows=(FlowSpec(cca=cca, rm=units.ms(60), label="aggregated",
+                            ack_elements=(ElementSpec(
+                                "ack_aggregation",
+                                {"period": units.ms(60)}),)),
+                   FlowSpec(cca=cca, rm=units.ms(60), label="normal")),
+        ).run(duration=60.0, warmup=25.0)
 
     return run(900.0), run(0.0)
 

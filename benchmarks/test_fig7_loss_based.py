@@ -10,6 +10,17 @@ CCAs' large oscillations keep leaking rate information (Section 6.2).
 from conftest import report
 from repro import units
 from repro.analysis.starvation import loss_based_delayed_acks
+from repro.spec import CCASpec, FlowSpec, LinkSpec, ScenarioSpec
+
+RENO = CCASpec("reno")
+
+
+def figure7_link(*flows):
+    """Two flows for 200 s on the figure's 6 Mbit/s, 60-packet link."""
+    return ScenarioSpec(
+        link=LinkSpec(rate=units.mbps(6), buffer_bytes=60 * 1500),
+        flows=flows,
+    ).run(duration=200.0, warmup=40.0)
 
 
 def generate():
@@ -53,19 +64,11 @@ def test_fig7_cwnd_evolution(once):
     The per-packet-ACK flow rides a tall sawtooth; the delayed-ACK flow
     is repeatedly knocked down near the buffer-full episodes. Printed as
     a coarse time series."""
-    from repro.ccas import NewReno
-    from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
-
     def generate():
-        return run(
-            dumbbell_links(LinkConfig(rate=units.mbps(6),
-                                      buffer_bytes=60 * 1500)),
-            [FlowConfig(cca_factory=NewReno, rm=units.ms(120),
-                        label="delacks", ack_every=4,
-                        ack_timeout=units.ms(200)),
-             FlowConfig(cca_factory=NewReno, rm=units.ms(120),
-                        label="perpkt")],
-            duration=200.0, warmup=40.0)
+        return figure7_link(
+            FlowSpec(cca=RENO, rm=units.ms(120), label="delacks",
+                     ack_every=4, ack_timeout=units.ms(200)),
+            FlowSpec(cca=RENO, rm=units.ms(120), label="perpkt"))
 
     result = once(generate)
     lines = ["time(s)   cwnd[delacks]   cwnd[perpkt]  (packets)"]
@@ -91,18 +94,11 @@ def test_fig7_gso_bursts(once):
     well-paced while the other sends packets in bursts ... the flow
     that sends packets in bursts is more likely to lose packets." Same
     link as Figure 7; the bursty flow releases packets 8 at a time."""
-    from repro.ccas import NewReno
-    from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
-
     def generate():
-        return run(
-            dumbbell_links(LinkConfig(rate=units.mbps(6),
-                                      buffer_bytes=60 * 1500)),
-            [FlowConfig(cca_factory=NewReno, rm=units.ms(120),
-                        burst_size=8, label="bursty"),
-             FlowConfig(cca_factory=NewReno, rm=units.ms(120),
-                        label="paced")],
-            duration=200.0, warmup=40.0)
+        return figure7_link(
+            FlowSpec(cca=RENO, rm=units.ms(120), burst_size=8,
+                     label="bursty"),
+            FlowSpec(cca=RENO, rm=units.ms(120), label="paced"))
 
     result = once(generate)
     bursty = units.to_mbps(result.stats[0].throughput)

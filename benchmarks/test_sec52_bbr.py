@@ -49,27 +49,21 @@ def test_sec52_bbr_quanta_ablation(once):
     equal-RTT scenario removing quanta degrades fairness only mildly —
     the bench documents that the anchor is about the fixed point, not
     the transient, and asserts quanta never *hurts* fairness."""
-    from repro.ccas.bbr import BBR
-    import repro.sim
-    from repro.sim import FlowConfig, LinkConfig, dumbbell_links
-    from repro.sim.jitter import AckAggregationJitter
+    from repro.spec import (CCASpec, ElementSpec, FlowSpec, LinkSpec,
+                            ScenarioSpec)
 
     def run(quanta):
-        return repro.sim.run(
-            dumbbell_links(LinkConfig(rate=units.mbps(48), buffer_bdp=8.0)),
-            [FlowConfig(cca_factory=lambda: BBR(seed=1,
-                                                quanta_packets=quanta),
-                        rm=units.ms(40), label="early",
-                        ack_elements=[
-                            lambda sim, sink: AckAggregationJitter(
-                                sim, sink, units.ms(4))]),
-             FlowConfig(cca_factory=lambda: BBR(seed=2,
-                                                quanta_packets=quanta),
-                        rm=units.ms(40), label="late", start_time=5.0,
-                        ack_elements=[
-                            lambda sim, sink: AckAggregationJitter(
-                                sim, sink, units.ms(4))])],
-            duration=45.0, warmup=20.0)
+        def flow(seed, label, start_time=0.0):
+            return FlowSpec(
+                cca=CCASpec("bbr", {"seed": seed, "quanta_packets": quanta}),
+                rm=units.ms(40), label=label, start_time=start_time,
+                ack_elements=(ElementSpec("ack_aggregation",
+                                          {"period": units.ms(4)}),))
+
+        return ScenarioSpec(
+            link=LinkSpec(rate=units.mbps(48), buffer_bdp=8.0),
+            flows=(flow(1, "early"), flow(2, "late", start_time=5.0)),
+        ).run(duration=45.0, warmup=20.0)
 
     def generate():
         return run(0.0), run(3.0)

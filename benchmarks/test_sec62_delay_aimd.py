@@ -19,32 +19,32 @@ across link rates. The distinguishing signature:
 
 from conftest import report
 from repro import units
-from repro.ccas import DelayAimd, Vegas
-from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
-from repro.sim.jitter import ConstantJitter, ExemptFirstJitter
+from repro.spec import (CCASpec, ElementSpec, FlowSpec, LinkSpec,
+                        ScenarioSpec)
 
 RM = units.ms(40)
 RATES = [12.0, 48.0, 120.0]
 
 
-def poisoned_pair(factory, rate_mbps, duration=60.0):
-    return run(
-        dumbbell_links(LinkConfig(rate=units.mbps(rate_mbps), buffer_bdp=8.0)),
-        [FlowConfig(cca_factory=factory, rm=RM, label="poisoned",
-                    ack_elements=[lambda sim, sink: ExemptFirstJitter(
-                        sim, sink, units.ms(10), exempt_seqs=[0])]),
-         FlowConfig(cca_factory=factory, rm=RM, label="clean",
-                    ack_elements=[lambda sim, sink: ConstantJitter(
-                        sim, sink, units.ms(10))])],
-        duration=duration, warmup=duration / 2)
+def poisoned_pair(cca, rate_mbps, duration=60.0):
+    return ScenarioSpec(
+        link=LinkSpec(rate=units.mbps(rate_mbps), buffer_bdp=8.0),
+        flows=(FlowSpec(cca=cca, rm=RM, label="poisoned",
+                        ack_elements=(ElementSpec(
+                            "exempt_first_jitter",
+                            {"eta": units.ms(10), "exempt_seqs": [0]}),)),
+               FlowSpec(cca=cca, rm=RM, label="clean",
+                        ack_elements=(ElementSpec(
+                            "constant_jitter", {"eta": units.ms(10)}),))),
+    ).run(duration=duration, warmup=duration / 2)
 
 
 def generate():
     rows = []
     for rate in RATES:
         delay_aimd = poisoned_pair(
-            lambda: DelayAimd(threshold=units.ms(30)), rate)
-        vegas = poisoned_pair(Vegas, rate)
+            CCASpec("delay-aimd", {"threshold": units.ms(30)}), rate)
+        vegas = poisoned_pair(CCASpec("vegas"), rate)
         rows.append((rate, delay_aimd, vegas))
     return rows
 

@@ -13,42 +13,38 @@ Two experiments:
 
 from conftest import report
 from repro import units
-from repro.ccas.jitteraware import JitterAware
-from repro.ccas.vegas import Vegas
 from repro.model.explorer import (JitterAwareFlow, NetParams,
                                   exhaustive_search, guided_search,
                                   underutilization_objective,
                                   unfairness_objective)
-from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
-from repro.sim.jitter import ConstantJitter, ExemptFirstJitter
+from repro.spec import (CCASpec, ElementSpec, FlowSpec, LinkSpec,
+                        ScenarioSpec)
 
 RM = units.ms(40)
 D = units.ms(10)
 S = 2.0
 
 
-def make_jitteraware():
-    return JitterAware(jitter_bound=D, s=S, rmax=units.ms(100),
-                       mu_minus=units.kbps(100))
+JITTER_AWARE = CCASpec("jitter-aware", {
+    "jitter_bound": D, "s": S, "rmax": units.ms(100),
+    "mu_minus": units.kbps(100)})
 
 
 def run_packet_comparison():
-    def scenario(cca_factory, rate_mbps):
-        return run(
-            dumbbell_links(LinkConfig(rate=units.mbps(rate_mbps),
-                                      buffer_bdp=20.0)),
-            [FlowConfig(cca_factory=cca_factory, rm=RM, label="poisoned",
-                        ack_elements=[
-                            lambda sim, sink: ExemptFirstJitter(
-                                sim, sink, D, exempt_seqs=[0])]),
-             FlowConfig(cca_factory=cca_factory, rm=RM, label="clean",
-                        ack_elements=[
-                            lambda sim, sink: ConstantJitter(
-                                sim, sink, D)])],
-            duration=90.0, warmup=40.0)
+    def scenario(cca, rate_mbps):
+        return ScenarioSpec(
+            link=LinkSpec(rate=units.mbps(rate_mbps), buffer_bdp=20.0),
+            flows=(FlowSpec(cca=cca, rm=RM, label="poisoned",
+                            ack_elements=(ElementSpec(
+                                "exempt_first_jitter",
+                                {"eta": D, "exempt_seqs": [0]}),)),
+                   FlowSpec(cca=cca, rm=RM, label="clean",
+                            ack_elements=(ElementSpec(
+                                "constant_jitter", {"eta": D}),))),
+        ).run(duration=90.0, warmup=40.0)
 
-    vegas = scenario(Vegas, 48.0)
-    jitter_aware = scenario(make_jitteraware, 6.0)
+    vegas = scenario(CCASpec("vegas"), 48.0)
+    jitter_aware = scenario(JITTER_AWARE, 6.0)
     return vegas, jitter_aware
 
 

@@ -12,9 +12,8 @@ starvation. This bench tests the conjecture head to head:
 from conftest import report
 from repro import units
 from repro.analysis.starvation import allegro_asymmetric_loss
-from repro.ccas.ecn import EcnAimd
-from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
-from repro.sim.loss import RandomLossElement
+from repro.spec import (CCASpec, ElementSpec, FlowSpec, LinkSpec,
+                        ScenarioSpec)
 
 RM = units.ms(40)
 RATE_MBPS = 120.0
@@ -22,14 +21,15 @@ RATE_MBPS = 120.0
 
 def run_ecn_pair():
     rate = units.mbps(RATE_MBPS)
-    return run(
-        dumbbell_links(LinkConfig(rate=rate, buffer_bdp=4.0,
-                                  ecn_threshold_bytes=0.5 * rate * RM)),
-        [FlowConfig(cca_factory=EcnAimd, rm=RM, label="lossy",
-                    data_elements=[lambda sim, sink: RandomLossElement(
-                        sim, sink, 0.02, seed=9)]),
-         FlowConfig(cca_factory=EcnAimd, rm=RM, label="clean")],
-        duration=60.0, warmup=25.0)
+    return ScenarioSpec(
+        link=LinkSpec(rate=rate, buffer_bdp=4.0,
+                      ecn_threshold_bytes=0.5 * rate * RM),
+        flows=(FlowSpec(cca=CCASpec("ecn-aimd"), rm=RM, label="lossy",
+                        data_elements=(ElementSpec(
+                            "random_loss",
+                            {"loss_prob": 0.02, "seed": 9}),)),
+               FlowSpec(cca=CCASpec("ecn-aimd"), rm=RM, label="clean")),
+    ).run(duration=60.0, warmup=25.0)
 
 
 def generate():

@@ -6,25 +6,26 @@ simulator:
 
 1. build the Case 1 construction on the fluid model (pigeonhole pair,
    Equation 5 d*(t), per-flow jitter schedules eta_i(t));
-2. assemble a dumbbell at rate C1 + C2, pre-fill the FIFO with dummy
-   packets to realize d*(0), give each flow the converged window of its
-   single-flow run, and play eta_i(t) through FunctionJitter elements
-   on the ACK paths;
+2. spell the two-flow run as a ``ScenarioSpec``: a dumbbell at rate
+   C1 + C2, each ``window-target`` flow started at the converged window
+   of its single-flow run, and eta_i(t) played on its ACK path by the
+   ``step_trace_jitter`` element the fluid run played; then pre-fill
+   the built FIFO with dummy packets to realize d*(0);
 3. measure throughputs: two identical, deterministic, delay-convergent
    window CCAs share one link at ~the engineered ratio, every packet's
    extra delay within the D = 20 ms jitter budget.
 """
 
+import pytest
+
 from conftest import report
 from repro import units
-from repro.ccas.windowtarget import WindowTarget
+from repro.core.emulation import step_trace
 from repro.core.theorems import construct_starvation
 from repro.model.cca import WindowTargetCCA
-from repro.sim import (FlowConfig, LinkConfig, build_topology,
-                       dumbbell_links)
-from repro.sim.jitter import FunctionJitter
 from repro.sim.packet import Packet
 from repro.sim.runner import summarize
+from repro.spec import CCASpec, FlowSpec, LinkSpec, ScenarioSpec
 
 RM = 0.05
 S = 10.0
@@ -41,25 +42,19 @@ def generate():
     plan = construction.plan
     bar1 = construction.traj1.shifted(construction.pair.c1.t_converged)
     bar2 = construction.traj2.shifted(construction.pair.c2.t_converged)
-    w1 = float(bar1.rates[0] * bar1.delays[0])
-    w2 = float(bar2.rates[0] * bar2.delays[0])
 
-    flows = [
-        FlowConfig(cca_factory=lambda: WindowTarget(
-                       rm=RM, pedestal=0.04, initial_window=w1),
-                   rm=RM, label="victim",
-                   ack_elements=[lambda sim, sink: FunctionJitter(
-                       sim, sink, plan.eta_function(0),
-                       bound=construction.jitter_bound)]),
-        FlowConfig(cca_factory=lambda: WindowTarget(
-                       rm=RM, pedestal=0.04, initial_window=w2),
-                   rm=RM, label="winner",
-                   ack_elements=[lambda sim, sink: FunctionJitter(
-                       sim, sink, plan.eta_function(1),
-                       bound=construction.jitter_bound)]),
-    ]
-    scenario = build_topology(
-        dumbbell_links(LinkConfig(rate=plan.link_rate)), flows)
+    def flow(label, bar, etas):
+        window = float(bar.rates[0] * bar.delays[0])
+        return FlowSpec(
+            cca=CCASpec("window-target", {"rm": RM, "pedestal": 0.04,
+                                          "initial_window": window}),
+            rm=RM, label=label,
+            ack_elements=(step_trace(plan.times, etas),))
+
+    spec = ScenarioSpec(link=LinkSpec(rate=plan.link_rate),
+                        flows=(flow("victim", bar1, plan.eta1),
+                               flow("winner", bar2, plan.eta2)))
+    scenario = spec.build()
     # Pre-fill the queue to realize the construction's d*(0).
     prefill_packets = int(plan.initial_queue_delay * plan.link_rate
                           // 1500)
@@ -97,6 +92,3 @@ def test_theorem1_packet_level(once):
         units.to_mbps(construction.pair.c1.link_rate), rel=0.3)
     assert winner == pytest.approx(
         units.to_mbps(construction.pair.c2.link_rate), rel=0.3)
-
-
-import pytest  # noqa: E402  (used in assertions above)

@@ -22,23 +22,24 @@ Run:  python examples/ecn_signaling.py
 from repro import units
 from repro.analysis.report import describe_run
 from repro.analysis.starvation import allegro_asymmetric_loss
-from repro.ccas import EcnAimd
-from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
-from repro.sim.loss import RandomLossElement
+from repro.spec import (CCASpec, ElementSpec, FlowSpec, LinkSpec,
+                        ScenarioSpec)
 
 RM = units.ms(40)
 RATE = units.mbps(120)
 
 
 def ecn_scenario():
-    return run(
-        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=4.0,
-                                  ecn_threshold_bytes=0.5 * RATE * RM)),
-        [FlowConfig(cca_factory=EcnAimd, rm=RM, label="lossy (2%)",
-                    data_elements=[lambda sim, sink: RandomLossElement(
-                        sim, sink, 0.02, seed=9)]),
-         FlowConfig(cca_factory=EcnAimd, rm=RM, label="clean")],
-        duration=60.0, warmup=25.0)
+    return ScenarioSpec(
+        link=LinkSpec(rate=RATE, buffer_bdp=4.0,
+                      ecn_threshold_bytes=0.5 * RATE * RM),
+        flows=(FlowSpec(cca=CCASpec("ecn-aimd"), rm=RM,
+                        label="lossy (2%)",
+                        data_elements=(ElementSpec(
+                            "random_loss",
+                            {"loss_prob": 0.02, "seed": 9}),)),
+               FlowSpec(cca=CCASpec("ecn-aimd"), rm=RM, label="clean")),
+    ).run(duration=60.0, warmup=25.0)
 
 
 def main():

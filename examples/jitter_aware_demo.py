@@ -19,39 +19,39 @@ Run:  python examples/jitter_aware_demo.py
 
 from repro import units
 from repro.analysis.report import describe_run
-from repro.ccas import JitterAware, Vegas
-from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
-from repro.sim.jitter import ConstantJitter, ExemptFirstJitter
+from repro.spec import (CCASpec, ElementSpec, FlowSpec, LinkSpec,
+                        ScenarioSpec)
 
 RM = units.ms(40)
 D = units.ms(10)
 
 
-def run_pair(cca_factory, rate_mbps, duration=90.0):
-    return run(
-        dumbbell_links(LinkConfig(rate=units.mbps(rate_mbps),
-                                  buffer_bdp=20.0)),
-        [FlowConfig(cca_factory=cca_factory, rm=RM, label="poisoned",
-                    ack_elements=[lambda sim, sink: ExemptFirstJitter(
-                        sim, sink, D, exempt_seqs=[0])]),
-         FlowConfig(cca_factory=cca_factory, rm=RM, label="clean",
-                    ack_elements=[lambda sim, sink: ConstantJitter(
-                        sim, sink, D)])],
-        duration=duration, warmup=duration / 2)
+def run_pair(cca, rate_mbps, duration=90.0):
+    return ScenarioSpec(
+        link=LinkSpec(rate=units.mbps(rate_mbps), buffer_bdp=20.0),
+        flows=(FlowSpec(cca=cca, rm=RM, label="poisoned",
+                        ack_elements=(ElementSpec(
+                            "exempt_first_jitter",
+                            {"eta": D, "exempt_seqs": [0]}),)),
+               FlowSpec(cca=cca, rm=RM, label="clean",
+                        ack_elements=(ElementSpec(
+                            "constant_jitter", {"eta": D}),))),
+    ).run(duration=duration, warmup=duration / 2)
 
 
 def main():
     print(f"Adversary: min-RTT poisoning within a jitter budget of "
           f"D = {D * 1e3:.0f} ms.\n")
 
-    vegas = run_pair(Vegas, rate_mbps=48)
+    vegas = run_pair(CCASpec("vegas"), rate_mbps=48)
     print(describe_run("Vegas under the adversary", vegas,
                        paper_numbers="delta_max ~ 0 -> Theorem 1 bites"))
     print()
 
     jitter_aware = run_pair(
-        lambda: JitterAware(jitter_bound=D, s=2.0, rmax=units.ms(100),
-                            mu_minus=units.kbps(100)),
+        CCASpec("jitter-aware", {"jitter_bound": D, "s": 2.0,
+                                 "rmax": units.ms(100),
+                                 "mu_minus": units.kbps(100)}),
         rate_mbps=6)
     print(describe_run(
         "Algorithm 1 under the same adversary", jitter_aware,

@@ -3,10 +3,9 @@
 
 Demonstrates the library's core loop in ~40 lines:
 
-1. describe a dumbbell scenario — either with the low-level build
-   configs (``LinkConfig``/``FlowConfig``, live callables) or with the
-   declarative :mod:`repro.spec` layer (pure data, JSON-serializable,
-   what the CLI's ``--spec`` files contain),
+1. describe a dumbbell scenario with the declarative :mod:`repro.spec`
+   layer (pure data, JSON-serializable, what the CLI's ``--spec`` files
+   contain),
 2. run it in the packet-level simulator,
 3. read per-flow statistics.
 
@@ -19,8 +18,6 @@ Run:  python examples/quickstart.py
 
 from repro import units
 from repro.analysis.report import describe_run
-from repro.ccas import Vegas
-from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 from repro.spec import (CCASpec, ElementSpec, FlowSpec, LinkSpec,
                         ScenarioSpec)
 
@@ -29,18 +26,17 @@ JITTER = units.ms(10)
 
 
 def clean_path():
-    # Build layer: hand the runner live configs directly.
-    return run(
-        dumbbell_links(LinkConfig(rate=units.mbps(48))),
-        [FlowConfig(cca_factory=Vegas, rm=RM, label="flow-a"),
-         FlowConfig(cca_factory=Vegas, rm=RM, label="flow-b")],
-        duration=30.0, warmup=10.0)
+    return ScenarioSpec(
+        link=LinkSpec(rate=units.mbps(48)),
+        flows=(FlowSpec(cca=CCASpec("vegas"), rm=RM, label="flow-a"),
+               FlowSpec(cca=CCASpec("vegas"), rm=RM, label="flow-b")),
+    ).run(duration=30.0, warmup=10.0)
 
 
 def jittery_path():
-    # Spec layer: the same scenario as pure data. `spec.dumps()` gives
-    # a JSON file `repro run --spec` replays; one root seed derives
-    # every component RNG, so it reproduces bit-for-bit anywhere.
+    # A scenario is pure data: `spec.dumps()` gives a JSON file
+    # `repro run --spec` replays; one root seed derives every component
+    # RNG, so it reproduces bit-for-bit anywhere.
     spec = ScenarioSpec(
         link=LinkSpec(rate=units.mbps(48)),
         flows=(

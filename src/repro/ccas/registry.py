@@ -11,7 +11,8 @@ Registered names (see the table at the bottom of the module):
 ``vegas``, ``fast``, ``copa``, ``bbr``, ``vivace``, ``allegro``,
 ``reno``, ``cubic``, ``ledbat``, ``jitter-aware`` (the paper's
 Algorithm 1), plus the extension CCAs ``delay-aimd``, ``ecn-aimd``,
-``verus``.
+``verus`` and ``window-target`` (the packet twin of the fluid CCA the
+theorem constructions run).
 
 Seeding: entries whose constructor accepts a ``seed`` argument are
 flagged ``seeded``; :func:`create` injects a caller-provided seed into
@@ -41,6 +42,7 @@ from .reno import NewReno
 from .vegas import Vegas
 from .verus import Verus
 from .vivace import Vivace
+from .windowtarget import WindowTarget
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ def create(name: str, params: Optional[Dict[str, Any]] = None,
         kwargs["seed"] = seed
     try:
         return reg.factory(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad params for CCA {name!r}: {exc}")
 
 
@@ -128,3 +130,5 @@ register("jitter-aware", JitterAware,
 register("delay-aimd", DelayAimd, doc="Section 6.2 AIMD-on-delay")
 register("ecn-aimd", EcnAimd, doc="Section 6.4 ECN-signal AIMD")
 register("verus", Verus, doc="Verus (delay-profile)")
+register("window-target", WindowTarget,
+         doc="standing-queue window target (Theorem 1 packet replay)")

@@ -12,17 +12,30 @@ exactly its single-flow rate. The shared delay follows Equation 5:
 and the per-flow jitter is ``eta_i(t) = bar_di(t) - d*(t)``, feasible
 (0 <= eta <= D) exactly when D >= 2*(delta_max + eps) and both delay
 trajectories stay within a common interval of width delta_max + eps.
+
+Every construction replays a recorded delay trajectory as a
+non-congestive delay; :func:`step_trace` spells such a replay as the
+``step_trace_jitter`` element both simulators play.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from ..errors import ConfigurationError, EmulationInfeasibleError
 from ..model.fluid import Trajectory
+from ..spec.elements import ElementSpec
+
+
+def step_trace(times: np.ndarray, etas: np.ndarray) -> ElementSpec:
+    """The ``step_trace_jitter`` spec holding ``etas[i]`` from
+    ``times[i]`` on, clipped at 0 (a grid's rounding may dip below)."""
+    values = np.maximum(np.asarray(etas, dtype=float), 0.0)
+    return ElementSpec("step_trace_jitter", {
+        "steps": list(zip(np.asarray(times, dtype=float).tolist(),
+                          values.tolist()))})
 
 
 @dataclass
@@ -50,22 +63,6 @@ class EmulationPlan:
     c2: float
     rm: float
     slack: float
-
-    def eta_function(self, flow: int) -> Callable[[float], float]:
-        """Continuous-time eta_i(t) by step interpolation of the grid."""
-        etas = self.eta1 if flow == 0 else self.eta2
-        times = self.times
-        dt = times[1] - times[0] if len(times) > 1 else 1.0
-
-        def eta(t: float) -> float:
-            index = int(t / dt)
-            if index < 0:
-                index = 0
-            if index >= len(etas):
-                index = len(etas) - 1
-            return float(etas[index])
-
-        return eta
 
     @property
     def max_eta(self) -> float:

@@ -25,7 +25,7 @@ from ..errors import ConvergenceError, EmulationInfeasibleError
 from ..model.fluid import (Trajectory, TwoFlowResult, run_ideal_path,
                            run_shared_queue)
 from .convergence import ConvergedRange, measure_converged_range
-from .emulation import EmulationPlan, build_emulation_plan
+from .emulation import EmulationPlan, build_emulation_plan, step_trace
 from .pigeonhole import PigeonholePair, find_pigeonhole_pair
 
 
@@ -159,7 +159,8 @@ def construct_starvation(cca_factory: Callable[[float], object],
     two_flow = run_shared_queue(
         [cca1, cca2], link_rate=link_rate, rm=rm,
         duration=horizon,
-        etas=[plan.eta_function(0), plan.eta_function(1)],
+        etas=[step_trace(plan.times, plan.eta1),
+              step_trace(plan.times, plan.eta2)],
         initial_queue_delay=initial_queue_delay, dt=dt)
     return StarvationConstruction(pair=pair, plan=plan, traj1=traj1,
                                   traj2=traj2, two_flow=two_flow,
@@ -208,15 +209,9 @@ def construct_underutilization(cca_factory: Callable[[], object],
             f"D={jitter_bound:.6f}; Theorem 2's premise fails",
             required_delay=worst)
     big_rate = small_rate * big_rate_factor
-    delays = trajectory.delays
-    dt_grid = trajectory.dt
-
-    def eta(t: float) -> float:
-        index = min(int(t / dt_grid), len(delays) - 1)
-        return max(0.0, float(delays[index]) - rm)
-
-    emulated = run_ideal_path(cca_factory(), big_rate, rm, duration, dt,
-                              jitter=eta)
+    emulated = run_ideal_path(
+        cca_factory(), big_rate, rm, duration, dt,
+        jitter=step_trace(trajectory.times, trajectory.delays - rm))
     utilization = emulated.throughput(duration / 2) / big_rate
     return UnderutilizationConstruction(
         small_rate=small_rate, big_rate=big_rate, trajectory=trajectory,
@@ -266,14 +261,8 @@ def construct_strong_model_starvation(cca_factory: Callable[[], object],
     current_delays = first.delays.copy()
     for step in range(max_steps):
         next_queueing = np.maximum(current_delays - rm - jitter_bound, 0.0)
-        dt_grid = first.dt
-
-        def eta(t: float, table=next_queueing) -> float:
-            index = min(int(t / dt_grid), len(table) - 1)
-            return float(table[index])
-
         trace = run_ideal_path(cca_factory(), fast_rate, rm, duration, dt,
-                               jitter=eta)
+                               jitter=step_trace(first.times, next_queueing))
         traces.append(trace)
         t_half = duration / 2
         previous = traces[-2].throughput(t_half)

@@ -12,6 +12,12 @@ those dynamics exactly (forward Euler on a fixed grid):
       d*'(t) = (r1(t) + r2(t) - C) / C,
   and flow i observes d*(t) + eta_i(t).
 
+A non-congestive delay eta(t) is an :class:`~repro.spec.ElementSpec`,
+the same data the packet simulator puts on a path, and it is played back
+by the same code: the catalog element is built without a simulator and
+asked for its ``extra_delay`` at each grid time. Only kinds whose delay
+is a function of time alone qualify (:data:`FLUID_KINDS`).
+
 A *fluid CCA* is a deterministic map from observed-delay history to a
 sending rate, exposed as ``step(t, dt, observed_rtt) -> rate`` (see
 :mod:`repro.model.cca`). Determinism is what lets the Theorem 1
@@ -27,6 +33,22 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..spec.elements import ElementSpec
+
+#: Element kinds whose delay depends on time alone, so a fluid run (which
+#: has no packets) can evaluate them.
+FLUID_KINDS = ("no_jitter", "constant_jitter", "step_trace_jitter")
+
+
+def eta_schedule(spec: ElementSpec) -> Callable[[float], float]:
+    """eta(t) of a time-only element spec, by the packet element's code."""
+    if spec.kind not in FLUID_KINDS:
+        raise ConfigurationError(
+            f"the fluid model cannot play element {spec.kind!r}: its "
+            f"delay is not a function of time alone (fluid kinds: "
+            f"{', '.join(FLUID_KINDS)})")
+    element = spec.factory()(None, None)
+    return lambda t: element.extra_delay(None, t)
 
 
 @dataclass
@@ -81,8 +103,7 @@ class Trajectory:
 
 def run_ideal_path(cca, link_rate: float, rm: float, duration: float,
                    dt: float = 1e-3,
-                   jitter: Optional[Callable[[float], float]] = None
-                   ) -> Trajectory:
+                   jitter: Optional[ElementSpec] = None) -> Trajectory:
     """Run a fluid CCA on an ideal path (optionally with added jitter).
 
     Args:
@@ -91,7 +112,8 @@ def run_ideal_path(cca, link_rate: float, rm: float, duration: float,
         rm: propagation RTT, seconds.
         duration: run length, seconds.
         dt: integration step.
-        jitter: optional eta(t) added to the *observed* delay (the
+        jitter: optional eta(t), an element spec of one of
+            :data:`FLUID_KINDS`, added to the *observed* delay (the
             network model's non-congestive element); the queue itself is
             unaffected.
 
@@ -99,6 +121,7 @@ def run_ideal_path(cca, link_rate: float, rm: float, duration: float,
     """
     if link_rate <= 0 or rm <= 0 or duration <= 0 or dt <= 0:
         raise ConfigurationError("link_rate, rm, duration, dt must be > 0")
+    eta = eta_schedule(jitter) if jitter is not None else None
     steps = int(round(duration / dt))
     times = np.arange(steps) * dt
     delays = np.empty(steps)
@@ -107,8 +130,7 @@ def run_ideal_path(cca, link_rate: float, rm: float, duration: float,
     rate = cca.initial_rate()
     for i in range(steps):
         t = times[i]
-        eta = jitter(t) if jitter is not None else 0.0
-        observed = rm + queue_delay + eta
+        observed = rm + queue_delay + (eta(t) if eta is not None else 0.0)
         delays[i] = observed
         rates[i] = rate
         # Queue evolution over [t, t+dt).
@@ -147,17 +169,19 @@ class TwoFlowResult:
 
 def run_shared_queue(ccas: Sequence, link_rate: float, rm: float,
                      duration: float,
-                     etas: Sequence[Callable[[float], float]],
+                     etas: Sequence[ElementSpec],
                      initial_queue_delay: float = 0.0,
                      dt: float = 1e-3) -> TwoFlowResult:
     """Run several fluid CCAs over one shared FIFO queue.
 
-    Each flow i observes ``rm + queue_delay(t) + etas[i](t)``. The
+    Each flow i observes ``rm + queue_delay(t) + eta_i(t)``, where
+    ``etas[i]`` is an element spec of one of :data:`FLUID_KINDS`. The
     adversary (Theorem 1) is a particular choice of the eta schedules and
     the initial queue delay.
     """
     if len(ccas) != len(etas):
         raise ConfigurationError("need one eta schedule per CCA")
+    schedules = [eta_schedule(spec) for spec in etas]
     steps = int(round(duration / dt))
     times = np.arange(steps) * dt
     n = len(ccas)
@@ -172,7 +196,7 @@ def run_shared_queue(ccas: Sequence, link_rate: float, rm: float,
         shared[i] = rm + queue_delay
         total_rate = 0.0
         for k in range(n):
-            eta = etas[k](t)
+            eta = schedules[k](t)
             eta_series[k][i] = eta
             obs = rm + queue_delay + eta
             observed[k][i] = obs

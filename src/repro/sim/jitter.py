@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from .engine import Simulator
@@ -78,35 +78,14 @@ class ConstantJitter(JitterElement):
         return self.eta
 
 
-class FunctionJitter(JitterElement):
-    """Delays packets by ``fn(now)``, clamped to ``[0, bound]``.
-
-    This is the general trace-playback element used by the Theorem 1
-    adversary: the constructed eta(t) schedule is supplied as a function
-    of time.
-    """
-
-    def __init__(self, sim: Simulator, sink: object,
-                 fn: Callable[[float], float],
-                 bound: Optional[float] = None) -> None:
-        super().__init__(sim, sink)
-        self.fn = fn
-        self.bound = bound
-
-    def extra_delay(self, packet: Packet, now: float) -> float:
-        eta = self.fn(now)
-        if eta < 0:
-            eta = 0.0
-        if self.bound is not None and eta > self.bound:
-            eta = self.bound
-        return eta
-
-
 class StepTraceJitter(JitterElement):
     """Piecewise-constant jitter from a list of ``(time, eta)`` steps.
 
     ``steps`` must be sorted by time; eta for ``now`` is the value of the
-    last step at or before ``now`` (0 before the first step).
+    last step at or before ``now`` (0 before the first step). This is the
+    trace-playback element: the theorem constructions replay recorded
+    delay trajectories through it, in the fluid model and in packets
+    (:func:`repro.core.emulation.step_trace`).
     """
 
     def __init__(self, sim: Simulator, sink: object,

@@ -6,6 +6,7 @@ import pytest
 
 from repro import units
 from repro.sim.engine import Simulator
+from repro.sim.jitter import JitterElement
 from repro.spec import CCASpec, FlowSpec, LinkSpec, ScenarioSpec
 
 
@@ -52,6 +53,19 @@ class SinkSpy:
 @pytest.fixture
 def spy() -> SinkSpy:
     return SinkSpy()
+
+
+class ScriptedJitter(JitterElement):
+    """Delays the k-th packet by the k-th value: exercises what the
+    ``JitterElement`` base class alone guarantees (the ``>= 0`` check,
+    the no-reordering clamp)."""
+
+    def __init__(self, sim, sink, values) -> None:
+        super().__init__(sim, sink)
+        self.values = iter(values)
+
+    def extra_delay(self, packet, now):
+        return next(self.values)
 
 
 def mbps(x: float) -> float:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.emulation import (EmulationPlan, build_emulation_plan,
-                                  check_feasible)
+                                  check_feasible, step_trace)
 from repro.errors import (ConfigurationError, EmulationInfeasibleError)
-from repro.model.fluid import Trajectory
+from repro.model.fluid import Trajectory, eta_schedule
+from repro.spec import ElementSpec
 
 RM = 0.05
 
@@ -82,18 +83,30 @@ def test_mismatched_grids_rejected():
         build_emulation_plan(traj1, traj2, 0.0, 0.0, 0.001, 0.001, 0.004)
 
 
-def test_eta_function_step_interpolation():
+def test_step_trace_step_interpolation():
     plan = EmulationPlan(
         times=np.array([0.0, 0.1, 0.2]),
         d_star=np.array([RM, RM, RM]),
         eta1=np.array([0.01, 0.02, 0.03]),
         eta2=np.zeros(3), initial_queue_delay=0.0, link_rate=1e6,
         c1=5e5, c2=5e5, rm=RM, slack=0.001)
-    eta = plan.eta_function(0)
-    assert eta(0.05) == pytest.approx(0.01)
-    assert eta(0.15) == pytest.approx(0.02)
-    assert eta(99.0) == pytest.approx(0.03)   # clamps to last value
-    assert eta(-1.0) == pytest.approx(0.01)   # clamps to first value
+    spec = step_trace(plan.times, plan.eta1)
+    assert spec == ElementSpec.from_json(spec.to_json())
+    eta = eta_schedule(spec)
+    assert eta(0.0) == 0.01
+    assert eta(0.05) == 0.01
+    assert eta(0.1) == 0.02                   # a grid time reads its own
+    assert eta(0.15) == 0.02
+    assert eta(99.0) == 0.03                  # holds the last value
+
+
+def test_step_trace_clips_at_zero():
+    """Rounding can put an eta a hair below 0 inside check_feasible's
+    tolerance; the replay plays 0 there instead of refusing the trace."""
+    eta = eta_schedule(step_trace(np.array([0.0, 1.0]),
+                                  np.array([-1e-12, 0.02])))
+    assert eta(0.5) == 0.0
+    assert eta(1.0) == 0.02
 
 
 def test_check_feasible_reports_offending_time():

@@ -6,6 +6,7 @@ under-utilization) actually materializes.
 """
 
 
+import numpy as np
 import pytest
 
 from repro.core.emulation import verify_shared_delay
@@ -139,6 +140,18 @@ class TestTheorem2:
             results.append(con.utilization)
         assert results[0] == pytest.approx(0.1, rel=0.15)
         assert results[1] == pytest.approx(0.01, rel=0.15)
+
+    def test_emulated_run_replays_the_small_link_exactly(self):
+        """Theorem 2's premise, executed: a deterministic CCA that sees
+        the same delays sends the same way. The fast link's emulated run
+        reproduces the small link's trajectory float for float."""
+        con = construct_underutilization(
+            lambda: WindowTargetCCA(alpha=6000.0, rm=0.05, pedestal=0.04,
+                                    initial=0.6e6),
+            small_rate=1.2e6, rm=0.05, jitter_bound=0.05,
+            big_rate_factor=100, duration=25)
+        assert np.array_equal(con.emulated.delays, con.trajectory.delays)
+        assert np.array_equal(con.emulated.rates, con.trajectory.rates)
 
     def test_premise_violation_detected(self):
         """A CCA whose queueing exceeds D does not satisfy Theorem 2."""

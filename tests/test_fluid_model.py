@@ -10,9 +10,15 @@ from repro.errors import ConfigurationError
 from repro.model.cca import (FluidAimd, FluidJitterAware, OscillatingCCA,
                              TargetRateCCA, WindowTargetCCA)
 from repro.model.fluid import run_ideal_path, run_shared_queue
+from repro.spec import ElementSpec
 
 RM = 0.05
 C = units.mbps(12)
+NO_JITTER = ElementSpec("no_jitter")
+
+
+def constant(eta):
+    return ElementSpec("constant_jitter", {"eta": eta})
 
 
 class ConstantRateCCA:
@@ -51,10 +57,23 @@ class TestQueueDynamics:
         assert (traj.delays >= RM - 1e-12).all()
 
     def test_jitter_added_to_observation_only(self):
-        jitter = lambda t: 0.01
         traj = run_ideal_path(ConstantRateCCA(C / 2), C, RM, 1.0,
-                              jitter=jitter)
+                              jitter=constant(0.01))
         assert np.allclose(traj.delays, RM + 0.01)
+
+    @pytest.mark.parametrize("spec", [
+        ElementSpec("exempt_first_jitter", {"eta": 0.01,
+                                            "exempt_seqs": [0]}),
+        ElementSpec("token_bucket", {"rate": 1e6, "burst": 3000.0}),
+    ], ids=lambda spec: spec.kind)
+    def test_packet_dependent_jitter_rejected(self, spec):
+        """A fluid run has no packets: a kind whose delay depends on
+        them is refused by name, in both entry points."""
+        with pytest.raises(ConfigurationError, match=spec.kind):
+            run_ideal_path(ConstantRateCCA(C / 2), C, RM, 1.0, jitter=spec)
+        with pytest.raises(ConfigurationError, match=spec.kind):
+            run_shared_queue([ConstantRateCCA(C / 2)], C, RM, 1.0,
+                             etas=[spec])
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -180,7 +199,7 @@ class TestSharedQueue:
         result = run_shared_queue(
             [ConstantRateCCA(C), ConstantRateCCA(C)],
             link_rate=1.5 * C, rm=RM, duration=1.0,
-            etas=[lambda t: 0.0, lambda t: 0.0])
+            etas=[NO_JITTER, NO_JITTER])
         # arrival 2C on 1.5C: dq/dt = 0.5C/1.5C = 1/3.
         assert result.shared_delay[-1] == pytest.approx(RM + 1 / 3.0,
                                                         rel=0.02)
@@ -189,14 +208,14 @@ class TestSharedQueue:
         result = run_shared_queue(
             [ConstantRateCCA(C / 4), ConstantRateCCA(C / 4)],
             link_rate=C, rm=RM, duration=1.0,
-            etas=[lambda t: 0.00, lambda t: 0.02])
+            etas=[NO_JITTER, constant(0.02)])
         assert np.allclose(result.observed_delays[0], RM)
         assert np.allclose(result.observed_delays[1], RM + 0.02)
 
     def test_initial_queue_delay_respected(self):
         result = run_shared_queue(
             [ConstantRateCCA(C)], link_rate=C, rm=RM, duration=1.0,
-            etas=[lambda t: 0.0], initial_queue_delay=0.1)
+            etas=[NO_JITTER], initial_queue_delay=0.1)
         # arrival == drain: queue stays at its initial level.
         assert np.allclose(result.shared_delay, RM + 0.1)
 
@@ -208,5 +227,5 @@ class TestSharedQueue:
         result = run_shared_queue(
             [ConstantRateCCA(C / 4), ConstantRateCCA(C / 2)],
             link_rate=C, rm=RM, duration=1.0,
-            etas=[lambda t: 0.0, lambda t: 0.0])
+            etas=[NO_JITTER, NO_JITTER])
         assert result.throughput_ratio() == pytest.approx(2.0)

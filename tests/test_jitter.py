@@ -6,10 +6,12 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.jitter import (AckAggregationJitter, ConstantJitter,
-                              ExemptFirstJitter, FunctionJitter, NoJitter,
+                              ExemptFirstJitter, NoJitter,
                               SquareWaveJitter, StepTraceJitter,
                               TokenBucketJitter)
 from repro.sim.packet import Packet
+
+from .conftest import ScriptedJitter
 
 
 def make_packet(seq=0, size=1500):
@@ -40,35 +42,20 @@ def test_negative_constant_jitter_rejected(sim, spy):
 def test_nan_delay_fails_at_the_element(sim, spy):
     # NaN passes an `eta < 0` test; it must not reach the engine as a
     # release time ("cannot schedule event at t=nan").
-    element = FunctionJitter(sim, spy, fn=lambda t: float("nan"))
-    with pytest.raises(ConfigurationError, match="FunctionJitter"):
+    element = ScriptedJitter(sim, spy, [float("nan")])
+    with pytest.raises(ConfigurationError, match="ScriptedJitter"):
         element.receive(make_packet(), 1.0)
     assert element.forwarded == 0 and not spy.items
 
 
 def test_no_reordering_invariant(sim, spy):
     """A decreasing jitter schedule must not reorder packets."""
-    values = iter([0.100, 0.001])
-    element = FunctionJitter(sim, spy, fn=lambda t: next(values))
+    element = ScriptedJitter(sim, spy, [0.100, 0.001])
     element.receive(make_packet(seq=0), 0.0)
     sim.schedule(0.01, element.receive, make_packet(seq=1), 0.01)
     sim.run_all()
     assert [p.seq for p in spy.packets] == [0, 1]
     assert spy.times[1] >= spy.times[0]
-
-
-def test_function_jitter_clamps_to_bound(sim, spy):
-    element = FunctionJitter(sim, spy, fn=lambda t: 10.0, bound=0.02)
-    element.receive(make_packet(), 0.0)
-    sim.run_all()
-    assert spy.times == [pytest.approx(0.02)]
-
-
-def test_function_jitter_clamps_negative_to_zero(sim, spy):
-    element = FunctionJitter(sim, spy, fn=lambda t: -5.0)
-    element.receive(make_packet(), 1.0)
-    sim.run_all()
-    assert spy.times == [pytest.approx(1.0)]
 
 
 def test_step_trace_jitter(sim, spy):

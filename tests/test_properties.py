@@ -17,9 +17,10 @@ from repro.core.fairness import jain_index, throughput_ratio
 from repro.core.ratedelay import ExponentialMap, VegasFamilyMap
 from repro.model.fluid import Trajectory
 from repro.sim.engine import Simulator
-from repro.sim.jitter import FunctionJitter
 from repro.sim.packet import Packet
 from repro.sim.queue import BottleneckQueue
+
+from .conftest import ScriptedJitter
 
 RM = 0.05
 
@@ -81,9 +82,7 @@ def test_droptail_never_exceeds_buffer(sizes, buffer_packets):
 def test_jitter_never_reorders_and_respects_bound(etas, gap):
     sim = Simulator()
     sink = Collector()
-    schedule = iter(etas)
-    element = FunctionJitter(sim, sink, fn=lambda t: next(schedule),
-                             bound=0.1)
+    element = ScriptedJitter(sim, sink, etas)
     for i in range(len(etas)):
         sim.schedule_at(i * gap, element.receive, Packet(0, i, 1500, 0.0),
                         i * gap)
@@ -225,6 +224,7 @@ def test_explorer_rollouts_deterministic_per_seed(seed):
 @settings(max_examples=40, deadline=None)
 def test_fluid_queue_delay_never_below_rm(rate_fracs, rm):
     from repro.model.fluid import run_shared_queue
+    from repro.spec import ElementSpec
 
     class Fixed:
         def __init__(self, rate):
@@ -240,7 +240,8 @@ def test_fluid_queue_delay_never_below_rm(rate_fracs, rm):
     ccas = [Fixed(frac * link / len(rate_fracs))
             for frac in rate_fracs]
     result = run_shared_queue(ccas, link_rate=link, rm=rm, duration=1.0,
-                              etas=[lambda t: 0.0] * len(ccas), dt=1e-3)
+                              etas=[ElementSpec("no_jitter")] * len(ccas),
+                              dt=1e-3)
     assert (result.shared_delay >= rm - 1e-12).all()
     # Queue growth never exceeds (total arrival - drain) integrated.
     total = sum(c.rate for c in ccas)

@@ -143,6 +143,17 @@ class TestCCASpec:
         factory = CCASpec("vegas").make_factory(seed=1)
         assert factory() is not factory()
 
+    @pytest.mark.parametrize("name, params", [
+        ("copa", {"delta": 0}),
+        ("window-target", {"alpha": -1.0}),
+    ])
+    def test_bad_param_value_is_a_configuration_error(self, name, params):
+        """Constructors reject bad values with ValueError; a spec turns
+        that into a configuration error naming the CCA, not a failed
+        run."""
+        with pytest.raises(ConfigurationError, match=name):
+            CCASpec(name, params).create()
+
 
 class TestElementSpec:
     def test_catalog_params_table_is_complete(self):

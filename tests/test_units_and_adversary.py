@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from repro import units
+from repro.core.emulation import step_trace
 from repro.errors import ConfigurationError, ReproError, SimulationError
-from repro.model import adversary
+from repro.model.fluid import eta_schedule
 from repro.sim import (FlowConfig, LinkConfig, build_topology,
                        dumbbell_links, run)
 from repro.ccas.vegas import Vegas
+from repro.spec import ElementSpec
 
 
 class TestUnits:
@@ -41,61 +43,38 @@ class TestErrors:
 
 
 class TestAdversary:
+    """Adversary schedules eta(t) are element specs; the fluid model
+    plays them with the packet element's own code."""
+
     def test_constant(self):
-        eta = adversary.constant(0.01)
+        eta = eta_schedule(ElementSpec("constant_jitter", {"eta": 0.01}))
         assert eta(0.0) == 0.01
         assert eta(100.0) == 0.01
 
     def test_zero(self):
-        assert adversary.zero()(5.0) == 0.0
+        assert eta_schedule(ElementSpec("no_jitter"))(5.0) == 0.0
 
     def test_negative_constant_rejected(self):
         with pytest.raises(ConfigurationError):
-            adversary.constant(-0.01)
-
-    def test_square_wave(self):
-        eta = adversary.square_wave(high=0.02, period=1.0, duty=0.25)
-        assert eta(0.1) == 0.02
-        assert eta(0.5) == 0.0
-        assert eta(1.1) == 0.02   # periodic
-
-    def test_sawtooth_ramps(self):
-        eta = adversary.sawtooth(high=0.1, period=1.0)
-        assert eta(0.0) == pytest.approx(0.0)
-        assert eta(0.5) == pytest.approx(0.05)
-        assert eta(1.5) == pytest.approx(0.05)
+            eta_schedule(ElementSpec("constant_jitter", {"eta": -0.01}))
 
     def test_step_at(self):
-        eta = adversary.step_at(2.0, 0.03)
+        eta = eta_schedule(step_trace(np.array([2.0]), np.array([0.03])))
         assert eta(1.9) == 0.0
         assert eta(2.1) == 0.03
 
     def test_from_table_step_interpolation(self):
         times = np.array([0.0, 0.1, 0.2])
         values = np.array([0.0, 0.01, 0.02])
-        eta = adversary.from_table(times, values)
+        eta = eta_schedule(step_trace(times, values))
         assert eta(0.05) == pytest.approx(0.0)
         assert eta(0.15) == pytest.approx(0.01)
         assert eta(5.00) == pytest.approx(0.02)
 
-    def test_from_table_clamps_to_bound(self):
-        eta = adversary.from_table(np.array([0.0]), np.array([5.0]),
-                                   bound=0.01)
-        assert eta(0.0) == 0.01
-
     def test_from_table_validation(self):
         with pytest.raises(ConfigurationError):
-            adversary.from_table(np.array([0.0]), np.array([]))
-
-    def test_pick_worst_phase(self):
-        def evaluate(eta):
-            return eta(0.0)   # minimize the t=0 value
-
-        phase, score = adversary.pick_worst_phase(
-            lambda p: adversary.square_wave(0.02, 1.0, 0.5, phase=p),
-            phases=[0.0, 0.6], evaluate=evaluate)
-        assert phase == 0.6
-        assert score == 0.0
+            eta_schedule(ElementSpec("step_trace_jitter",
+                                     {"steps": [[1.0, 0.1], [0.5, 0.2]]}))
 
 
 class TestRecorderPlumbing:
