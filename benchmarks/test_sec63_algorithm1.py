@@ -5,16 +5,19 @@ Two experiments:
 1. Packet-level: Algorithm 1 vs Vegas under the same jitter budget D.
    The adversary (min-RTT poisoning + asymmetric jitter) starves Vegas;
    Algorithm 1's exponential map keeps the ratio within ~one s-band.
-2. CCAC-substitute verification: exhaustive search over all discretized
-   adversary traces (short horizon) plus guided search (long horizon)
-   finds no s-fairness or efficiency violation for Algorithm 1 —
-   mirroring the paper's "CCAC was unable to produce such traces".
+2. CCAC-substitute verification on the fluid Algorithm 1: holding the
+   adversary at (D, 0) moves the shares (the jitter reaches the CCA),
+   yet exhaustive search over all discretized adversary traces (short
+   horizon) plus guided search (long horizon) finds no s-fairness or
+   efficiency violation — mirroring the paper's "CCAC was unable to
+   produce such traces".
 """
 
 from conftest import report
 from repro import units
-from repro.model.explorer import (JitterAwareFlow, NetParams,
-                                  exhaustive_search, guided_search,
+from repro.model.cca import FluidJitterAware
+from repro.model.explorer import (NetParams, TraceStep, exhaustive_search,
+                                  guided_search, simulate_trace,
                                   underutilization_objective,
                                   unfairness_objective)
 from repro.spec import (CCASpec, ElementSpec, FlowSpec, LinkSpec,
@@ -49,11 +52,15 @@ def run_packet_comparison():
 
 
 def run_explorer_verification():
-    net = NetParams(link_rate=1.5e6, rm=0.05, jitter_bound=0.02,
-                    buffer_bytes=60 * 1500)
-    flows = [JitterAwareFlow(jitter_bound=0.02, rm=0.05, s=S, rmax=0.2,
-                             mu_minus=12500.0, initial_rate=0.75e6)
+    # An unbounded buffer keeps Algorithm 1's map in charge: its band at
+    # this rate (~80 ms of queueing) is more than a 60-packet buffer
+    # holds, and there overflow, not jitter, sets every trajectory.
+    net = NetParams(link_rate=1.5e6, rm=0.05, jitter_bound=0.02)
+    flows = [FluidJitterAware(jitter_bound=0.02, rm=0.05, s=S, rmax=0.2,
+                              mu_minus=12500.0, initial=0.75e6)
              for _ in range(2)]
+    held = simulate_trace(
+        flows, net, [TraceStep((0.02, 0.0), (False, False))] * 400)
     short = exhaustive_search(flows, net, horizon=6,
                               objective=unfairness_objective)
     long_fair = guided_search(flows, net, horizon=60,
@@ -62,7 +69,7 @@ def run_explorer_verification():
     long_util = guided_search(flows, net, horizon=60,
                               objective=underutilization_objective(net),
                               rollouts=60, seed=12)
-    return short, long_fair, long_util
+    return held, short, long_fair, long_util
 
 
 def test_sec63_algorithm1_vs_vegas(once):
@@ -85,8 +92,10 @@ def test_sec63_algorithm1_vs_vegas(once):
 
 
 def test_sec63_algorithm1_explorer_verification(once):
-    short, long_fair, long_util = once(run_explorer_verification)
+    held, short, long_fair, long_util = once(run_explorer_verification)
     lines = [
+        f"adversary held at (D, 0) for 400 steps: ratio "
+        f"{held.throughput_ratio():.2f} (the jitter reaches the CCA)",
         f"exhaustive search (horizon 6, {short.traces_evaluated} "
         f"traces): worst ratio {short.best_objective:.2f}",
         f"guided search (horizon 60): worst ratio "
@@ -97,7 +106,8 @@ def test_sec63_algorithm1_explorer_verification(once):
     ]
     report("Section 6.3: adversarial verification of Algorithm 1", lines)
 
+    assert held.throughput_ratio() > 1.5         # not a vacuous setup
     assert short.exhaustive
     assert short.best_objective < S * 2          # transient headroom
-    assert long_fair.best_objective < S * 2.5
+    assert long_fair.best_objective < S
     assert long_util.best_objective < 0.5

@@ -4,15 +4,18 @@ A fluid CCA is a deterministic map from observed-delay history to a
 sending rate:
 
 * ``initial_rate() -> float`` — the rate before any feedback;
-* ``step(t, dt, observed_rtt) -> float`` — the rate for the next dt.
+* ``step(t, dt, observed_rtt) -> float`` — the rate for the next dt;
+* ``on_loss(t)`` — a loss was signalled at time t (the packet
+  ``CCA.on_loss`` vocabulary; no-op by default). Only the adversarial
+  search (:mod:`repro.model.explorer`) signals loss: the fluid
+  integrators have no buffer to overflow;
+* ``clone_state() -> FluidCCA`` — an independent copy of the internal
+  state, which is how the search branches.
 
 Determinism is essential: Theorem 1 replays a CCA's single-flow delay
 trajectory inside a two-flow network and relies on the CCA producing the
-identical rate trajectory. Every class here also implements
-``clone_state()`` so the two-flow construction can start a flow from the
-exact converged internal state of a single-flow run (the paper's "we
-initialize the internal state of the two flows to the states ... at
-times T1 and T2").
+identical rate trajectory, and the search replays a prefix of adversary
+choices expecting the same rates every time.
 """
 
 from __future__ import annotations
@@ -34,9 +37,16 @@ class FluidCCA:
     def step(self, t: float, dt: float, observed_rtt: float) -> float:
         raise NotImplementedError
 
+    def on_loss(self, t: float) -> None:
+        """A loss was signalled at time ``t``; the default ignores it."""
+
     def clone_state(self) -> "FluidCCA":
-        """Deep copy preserving internal state (for Theorem 1 replays)."""
-        return copy.deepcopy(self)
+        """An independent copy of the internal state.
+
+        A shallow copy: every fluid CCA's state is scalars. A subclass
+        that keeps a mutable container must override this.
+        """
+        return copy.copy(self)
 
 
 class TargetRateCCA(FluidCCA):
@@ -111,16 +121,6 @@ class TargetRateCCA(FluidCCA):
         desired = min(max(desired, self.rate / bound), self.rate * bound)
         self.rate = desired
         return self.rate
-
-
-class FluidVegas(TargetRateCCA):
-    """Alias with Vegas-flavoured defaults (alpha = 4 packets)."""
-
-    def __init__(self, alpha_packets: float = 4.0, rm: float = 0.05,
-                 gain: float = 2.0,
-                 initial: float = units.mbps(1.0)) -> None:
-        super().__init__(alpha=alpha_packets * units.MSS, rm=rm,
-                         gain=gain, initial=initial)
 
 
 class OscillatingCCA(FluidCCA):
@@ -243,9 +243,11 @@ class FluidAimd(FluidCCA):
 
     Increases rate additively and halves when the observed queueing delay
     exceeds ``threshold`` (a stand-in for a droptail loss at a full
-    buffer). Its equilibrium delay oscillates over the whole buffer, so
-    delta(C) is large — the paper's Section 6.2 argument for why AIMD
-    resists small jitter.
+    buffer) or when a loss is signalled, at most once per round trip.
+    ``threshold=math.inf`` leaves signalled loss as the only backoff:
+    the overflow-only AIMD of the Appendix C search. Its equilibrium
+    delay oscillates over the whole buffer, so delta(C) is large — the
+    paper's Section 6.2 argument for why AIMD resists small jitter.
     """
 
     def __init__(self, rm: float = 0.05, threshold: float = 0.05,
@@ -272,6 +274,11 @@ class FluidAimd(FluidCCA):
             self.rate += self.increase * dt / max(observed_rtt, 1e-3)
         return self.rate
 
+    def on_loss(self, t: float) -> None:
+        if t >= self._backoff_until:
+            self.rate *= self.md_factor
+            self._backoff_until = t + self.rm
+
 
 class FluidJitterAware(FluidCCA):
     """Fluid version of the paper's Algorithm 1 (Section 6.3).
@@ -282,7 +289,9 @@ class FluidJitterAware(FluidCCA):
 
     The update runs once per ``rm`` of fluid time (the paper: "the
     following is run every Rm ... change the rate by the same amount
-    every RTT").
+    every RTT"). Like the packet :class:`repro.ccas.jitteraware.JitterAware`
+    it also decreases multiplicatively on a signalled loss, and no
+    decrease takes the rate below ``mu_minus * md_factor``.
     """
 
     def __init__(self, jitter_bound: float, s: float = 2.0,
@@ -317,6 +326,10 @@ class FluidJitterAware(FluidCCA):
         self._next_update = t + self.rm
         if self.rate < self.target(observed_rtt):
             self.rate += self.additive_step
-        else:
-            self.rate *= self.md_factor
+        else:   # above the map: the same decrease a loss gets
+            self.on_loss(t)
         return self.rate
+
+    def on_loss(self, t: float) -> None:
+        self.rate = max(self.rate * self.md_factor,
+                        self.mu_minus * self.md_factor)

@@ -10,12 +10,21 @@ Appendix C) for two jobs:
 z3 is not available in this environment, so this module reimplements
 both jobs over a discretized version of the Section 3 model:
 
-* time advances in steps of one Rm;
+* the flows are fluid CCAs (:mod:`repro.model.cca`), driven through
+  ``initial_rate`` / ``step`` / ``on_loss``; the search branches with
+  ``clone_state()`` and never touches the CCAs it is given;
+* time advances in steps of one Rm, in the fluid integrators' order:
+  every flow sends ``rate * Rm`` bytes into one droptail queue that
+  serves ``C * Rm`` a step, then observes ``Rm + queueing delay +
+  jitter`` and steps its CCA. A flow that had bytes dropped by overflow
+  (or, with loss injection, that the adversary chose) gets ``on_loss``
+  first;
 * the adversary chooses, per flow and per step, a jitter value from
   ``{0, D}`` (the extreme points — the model's delay set is an interval,
   and the CCAs here react monotonically to delay, so extremes maximize
   harm) and optionally a non-congestive loss;
-* job 1 runs guided random rollouts plus a greedy one-step lookahead;
+* job 1 runs guided random rollouts whose greedy steps score each
+  adversary choice held to the horizon;
 * job 2 runs exhaustive enumeration over all adversary choices up to a
   small horizon. Unlike CCAC's relaxed SMT encoding this is exact over
   the discretized adversary; like CCAC it says nothing beyond the
@@ -30,89 +39,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..core import fairness
 from ..errors import ConfigurationError
-
-
-class DiscreteFlow:
-    """Interface for a flow controller in the discretized model.
-
-    Implementations must be deterministic and cloneable so the search
-    can branch. ``advance`` receives the delay the flow observed for the
-    packets of the previous step and whether it saw loss, and returns
-    the bytes it will send during the next step.
-    """
-
-    def clone(self) -> "DiscreteFlow":
-        raise NotImplementedError
-
-    def advance(self, observed_delay: float, lost: bool) -> float:
-        raise NotImplementedError
-
-
-class AimdFlow(DiscreteFlow):
-    """Window AIMD (NewReno abstraction) for the Appendix C experiments.
-
-    cwnd grows by one packet per step (~RTT) and halves on loss. The
-    send amount per step is the window (ACK clocking at steady state).
-    """
-
-    def __init__(self, mss: float = 1500.0, initial_packets: float = 10.0,
-                 md_factor: float = 0.5) -> None:
-        self.mss = mss
-        self.cwnd = initial_packets * mss
-        self.md_factor = md_factor
-
-    def clone(self) -> "AimdFlow":
-        copy = AimdFlow(mss=self.mss, md_factor=self.md_factor)
-        copy.cwnd = self.cwnd
-        return copy
-
-    def advance(self, observed_delay: float, lost: bool) -> float:
-        if lost:
-            self.cwnd = max(self.cwnd * self.md_factor, self.mss)
-        else:
-            self.cwnd += self.mss
-        return self.cwnd
-
-
-class JitterAwareFlow(DiscreteFlow):
-    """Discrete version of the paper's Algorithm 1 (Section 6.3)."""
-
-    def __init__(self, jitter_bound: float, rm: float, s: float = 2.0,
-                 rmax: float = 0.2, mu_minus: float = 12500.0,
-                 additive_step: Optional[float] = None,
-                 md_factor: float = 0.9,
-                 initial_rate: Optional[float] = None) -> None:
-        self.jitter_bound = jitter_bound
-        self.rm = rm
-        self.s = s
-        self.rmax = rmax
-        self.mu_minus = mu_minus
-        self.additive_step = (additive_step if additive_step is not None
-                              else mu_minus / 2)
-        self.md_factor = md_factor
-        self.rate = initial_rate if initial_rate is not None else mu_minus
-
-    def clone(self) -> "JitterAwareFlow":
-        copy = JitterAwareFlow(
-            jitter_bound=self.jitter_bound, rm=self.rm, s=self.s,
-            rmax=self.rmax, mu_minus=self.mu_minus,
-            additive_step=self.additive_step, md_factor=self.md_factor)
-        copy.rate = self.rate
-        return copy
-
-    def target_rate(self, observed_delay: float) -> float:
-        queueing = max(0.0, observed_delay - self.rm)
-        exponent = (self.rmax - queueing) / self.jitter_bound
-        return self.mu_minus * self.s ** exponent
-
-    def advance(self, observed_delay: float, lost: bool) -> float:
-        if lost or self.rate >= self.target_rate(observed_delay):
-            self.rate *= self.md_factor
-        else:
-            self.rate += self.additive_step
-        self.rate = max(self.rate, self.mu_minus * self.md_factor)
-        return self.rate * self.rm   # bytes per step of length rm
+from .cca import FluidCCA
 
 
 @dataclass
@@ -126,7 +55,9 @@ class NetParams:
     allow_loss_injection: bool = False
 
     def __post_init__(self) -> None:
-        if self.link_rate <= 0 or self.rm <= 0 or self.jitter_bound < 0:
+        # Written so that NaN fails every check.
+        if (not self.link_rate > 0 or not self.rm > 0
+                or not self.jitter_bound >= 0):
             raise ConfigurationError("invalid network parameters")
 
 
@@ -148,11 +79,7 @@ class TraceResult:
     objective: float
 
     def throughput_ratio(self) -> float:
-        lo = min(self.delivered)
-        hi = max(self.delivered)
-        if lo <= 0:
-            return math.inf if hi > 0 else 1.0
-        return hi / lo
+        return fairness.throughput_ratio(self.delivered)
 
     def utilization(self, link_rate: float, rm: float) -> float:
         total_capacity = link_rate * rm * len(self.steps)
@@ -161,39 +88,36 @@ class TraceResult:
         return sum(self.delivered) / total_capacity
 
 
-def simulate_trace(flows: Sequence[DiscreteFlow], net: NetParams,
+def simulate_trace(ccas: Sequence[FluidCCA], net: NetParams,
                    steps: Sequence[TraceStep]) -> TraceResult:
-    """Deterministically run a trace of adversary choices."""
-    states = [flow.clone() for flow in flows]
-    n = len(states)
+    """Deterministically run a trace of adversary choices on clones of
+    ``ccas``."""
+    states = [cca.clone_state() for cca in ccas]
+    rates = [state.initial_rate() for state in states]
     queue = 0.0
-    delivered = [0.0] * n
+    delivered = [0.0] * len(states)
     queue_history: List[float] = []
-    # Initial observation: empty path.
-    observed = [net.rm] * n
-    lost = [False] * n
     capacity = net.link_rate * net.rm
+    t = 0.0
     for step in steps:
-        sends = [max(states[i].advance(observed[i], lost[i]), 0.0)
-                 for i in range(n)]
+        sends = [max(rate, 0.0) * net.rm for rate in rates]
         arrivals = sum(sends)
-        room = (net.buffer_bytes - queue if math.isfinite(net.buffer_bytes)
-                else math.inf)
-        overflow = max(0.0, arrivals - room) if math.isfinite(room) else 0.0
-        accepted_fraction = 1.0 if arrivals <= 0 else (
-            max(0.0, arrivals - overflow) / arrivals)
-        queue += arrivals * accepted_fraction
+        overflow = max(0.0, arrivals - (net.buffer_bytes - queue))
+        queue += arrivals - overflow
         served = min(queue, capacity)
         queue -= served
-        queue_delay = queue / net.link_rate
-        for i in range(n):
+        queue_history.append(queue)
+        # Accumulated, not k * rm: a CCA that updates once per rm sets
+        # its next update to t + rm and must find it reached exactly.
+        t += net.rm
+        observed = net.rm + queue / net.link_rate
+        for i, state in enumerate(states):
             share = sends[i] / arrivals if arrivals > 0 else 0.0
             delivered[i] += served * share
-            dropped = overflow * share > 0.0
-            injected = step.losses[i] if net.allow_loss_injection else False
-            lost[i] = dropped or injected
-            observed[i] = net.rm + queue_delay + step.jitters[i]
-        queue_history.append(queue)
+            if overflow * share > 0.0 or (net.allow_loss_injection
+                                          and step.losses[i]):
+                state.on_loss(t)
+            rates[i] = state.step(t, net.rm, observed + step.jitters[i])
     return TraceResult(steps=list(steps), delivered=delivered,
                        queue_history=queue_history, objective=0.0)
 
@@ -231,20 +155,25 @@ class SearchReport:
         return self.best.objective
 
 
-def _adversary_choices(n_flows: int, net: NetParams
-                       ) -> List[Tuple[Tuple[float, ...],
-                                       Tuple[bool, ...]]]:
-    jitter_options = list(itertools.product((0.0, net.jitter_bound),
-                                            repeat=n_flows))
+def _adversary_choices(n_flows: int, net: NetParams) -> List[TraceStep]:
+    jitter_options = itertools.product((0.0, net.jitter_bound),
+                                       repeat=n_flows)
     if net.allow_loss_injection:
         loss_options = list(itertools.product((False, True),
                                               repeat=n_flows))
     else:
-        loss_options = [tuple([False] * n_flows)]
-    return [(j, l) for j in jitter_options for l in loss_options]
+        loss_options = [(False,) * n_flows]
+    return [TraceStep(j, l) for j in jitter_options for l in loss_options]
 
 
-def exhaustive_search(flows: Sequence[DiscreteFlow], net: NetParams,
+def _score(ccas: Sequence[FluidCCA], net: NetParams, objective: Objective,
+           steps: Sequence[TraceStep]) -> TraceResult:
+    result = simulate_trace(ccas, net, steps)
+    result.objective = objective(result)
+    return result
+
+
+def exhaustive_search(ccas: Sequence[FluidCCA], net: NetParams,
                       horizon: int, objective: Objective,
                       max_traces: int = 2_000_000) -> SearchReport:
     """Enumerate every adversary trace up to ``horizon`` steps.
@@ -253,60 +182,56 @@ def exhaustive_search(flows: Sequence[DiscreteFlow], net: NetParams,
     best objective is below a threshold, no discretized adversary of
     this length can do better (exactly — no relaxation).
     """
-    choices = _adversary_choices(len(flows), net)
+    choices = _adversary_choices(len(ccas), net)
     total = len(choices) ** horizon
     if total > max_traces:
         raise ConfigurationError(
             f"{total} traces exceed the max_traces budget {max_traces}; "
             "reduce the horizon or use guided_search")
-    best: Optional[TraceResult] = None
-    count = 0
-    for combo in itertools.product(choices, repeat=horizon):
-        steps = [TraceStep(jitters=j, losses=l) for j, l in combo]
-        result = simulate_trace(flows, net, steps)
-        result.objective = objective(result)
-        count += 1
-        if best is None or result.objective > best.objective:
-            best = result
-    assert best is not None
-    return SearchReport(best=best, traces_evaluated=count,
+    best = max((_score(ccas, net, objective, combo)
+                for combo in itertools.product(choices, repeat=horizon)),
+               key=lambda result: result.objective)
+    return SearchReport(best=best, traces_evaluated=total,
                         exhaustive=True, horizon=horizon)
 
 
-def guided_search(flows: Sequence[DiscreteFlow], net: NetParams,
+def guided_search(ccas: Sequence[FluidCCA], net: NetParams,
                   horizon: int, objective: Objective,
                   rollouts: int = 200, seed: int = 0,
                   greedy_fraction: float = 0.5) -> SearchReport:
     """Randomized rollouts with epsilon-greedy per-step choice.
 
     The "find bad behavior" job: each rollout builds a trace step by
-    step; with probability ``greedy_fraction`` the step is chosen by
-    one-step lookahead on the objective, otherwise uniformly at random.
+    step. With probability ``greedy_fraction`` the step takes the choice
+    that scores best when *held* from that step to the horizon, otherwise
+    a uniformly random one. Holding matters: a CCA's response to a delay
+    lags it by several steps, which a one-step prefix never sees, and a
+    constant jitter is exactly Theorem 1's adversary. Every trace scored
+    along the way competes for the reported best.
     """
-    choices = _adversary_choices(len(flows), net)
+    choices = _adversary_choices(len(ccas), net)
     rng = random.Random(seed)
     best: Optional[TraceResult] = None
     evaluated = 0
-    for _ in range(rollouts):
-        steps: List[TraceStep] = []
-        for _ in range(horizon):
-            if rng.random() < greedy_fraction and steps:
-                scored = []
-                for jitters, losses in choices:
-                    candidate = steps + [TraceStep(jitters, losses)]
-                    result = simulate_trace(flows, net, candidate)
-                    scored.append((objective(result), jitters, losses))
-                    evaluated += 1
-                scored.sort(key=lambda item: item[0], reverse=True)
-                _, jitters, losses = scored[0]
-            else:
-                jitters, losses = rng.choice(choices)
-            steps.append(TraceStep(jitters=jitters, losses=losses))
-        result = simulate_trace(flows, net, steps)
-        result.objective = objective(result)
+
+    def run(steps: List[TraceStep]) -> float:
+        nonlocal best, evaluated
+        result = _score(ccas, net, objective, steps)
         evaluated += 1
         if best is None or result.objective > best.objective:
             best = result
+        return result.objective
+
+    for _ in range(rollouts):
+        steps: List[TraceStep] = []
+        for k in range(horizon):
+            if rng.random() < greedy_fraction:
+                held = horizon - k
+                steps.append(max(choices,
+                                 key=lambda c: run(steps + [c] * held)))
+            else:
+                steps.append(rng.choice(choices))
+        run(steps)
     assert best is not None
     return SearchReport(best=best, traces_evaluated=evaluated,
                         exhaustive=False, horizon=horizon)

@@ -32,6 +32,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from ..core import fairness
 from ..errors import ConfigurationError
 from ..spec.elements import ElementSpec
 
@@ -161,10 +162,7 @@ class TwoFlowResult:
         return [float(r[mask].mean()) for r in self.rates]
 
     def throughput_ratio(self, t0: float = 0.0) -> float:
-        rates = sorted(self.throughputs(t0))
-        if rates[0] <= 0:
-            return math.inf
-        return rates[-1] / rates[0]
+        return fairness.throughput_ratio(self.throughputs(t0))
 
 
 def run_shared_queue(ccas: Sequence, link_rate: float, rm: float,

@@ -175,6 +175,14 @@ class TestFluidAimd:
         assert tail.max() - tail.min() > 0.005
         assert traj.throughput(10.0) > 0.5 * C
 
+    def test_loss_backs_off_at_most_once_per_rm(self):
+        cca = FluidAimd(rm=RM, threshold=math.inf, initial=C)
+        cca.on_loss(1.0)
+        cca.on_loss(1.0 + RM / 2)
+        assert cca.rate == C / 2
+        cca.on_loss(1.0 + RM)
+        assert cca.rate == C / 4
+
 
 class TestFluidJitterAware:
     def test_updates_once_per_rm(self):
@@ -192,6 +200,26 @@ class TestFluidJitterAware:
         small_c = units.mbps(2)
         traj = run_ideal_path(cca, small_c, RM, 60.0)
         assert traj.throughput(40.0) > 0.6 * small_c
+
+    def test_loss_decreases_down_to_the_packet_floor(self):
+        # ccas/jitteraware.py: MD on loss, never below mu_minus * b.
+        cca = FluidJitterAware(jitter_bound=0.01, rm=RM,
+                               mu_minus=units.kbps(100), initial=C)
+        cca.on_loss(0.0)
+        assert cca.rate == pytest.approx(0.9 * C)
+        for _ in range(200):
+            cca.on_loss(0.0)
+        assert cca.rate == pytest.approx(0.9 * units.kbps(100))
+
+
+class TestFluidCCAInterface:
+    def test_loss_is_ignored_by_default_and_clones_are_independent(self):
+        cca = OscillatingCCA(rm=RM, initial=C)
+        cca.on_loss(0.0)
+        assert cca.rate == C
+        clone = cca.clone_state()
+        clone.step(0.0, RM, RM)
+        assert clone.rate != C and cca.rate == C
 
 
 class TestSharedQueue:
@@ -229,3 +257,9 @@ class TestSharedQueue:
             link_rate=C, rm=RM, duration=1.0,
             etas=[NO_JITTER, NO_JITTER])
         assert result.throughput_ratio() == pytest.approx(2.0)
+        # No flow sent anything: 1.0, as core.fairness and RunResult say.
+        idle = run_shared_queue(
+            [ConstantRateCCA(0.0), ConstantRateCCA(0.0)],
+            link_rate=C, rm=RM, duration=1.0,
+            etas=[NO_JITTER, NO_JITTER])
+        assert idle.throughput_ratio() == 1.0

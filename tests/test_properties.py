@@ -7,6 +7,8 @@ inverses.
 """
 
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -202,11 +204,12 @@ def test_emulation_feasible_whenever_premises_hold(data, c1, ratio,
 @given(st.integers(min_value=0, max_value=2 ** 16))
 @settings(max_examples=20, deadline=None)
 def test_explorer_rollouts_deterministic_per_seed(seed):
-    from repro.model.explorer import (AimdFlow, NetParams, guided_search,
+    from repro.model.cca import FluidAimd
+    from repro.model.explorer import (NetParams, guided_search,
                                       unfairness_objective)
     net = NetParams(link_rate=1.5e6, rm=0.05, jitter_bound=0.02,
                     buffer_bytes=30 * 1500)
-    flows = [AimdFlow(), AimdFlow()]
+    flows = [FluidAimd(threshold=math.inf), FluidAimd(threshold=math.inf)]
     r1 = guided_search(flows, net, 8, unfairness_objective, rollouts=5,
                        seed=seed)
     r2 = guided_search(flows, net, 8, unfairness_objective, rollouts=5,
@@ -254,8 +257,8 @@ def test_fluid_queue_delay_never_below_rm(rate_fracs, rm):
 @settings(max_examples=40, deadline=None)
 def test_explorer_delivery_never_exceeds_capacity(seed, steps):
     import random as _random
-    from repro.model.explorer import (AimdFlow, NetParams, TraceStep,
-                                      simulate_trace)
+    from repro.model.cca import FluidAimd
+    from repro.model.explorer import NetParams, TraceStep, simulate_trace
     rng = _random.Random(seed)
     net = NetParams(link_rate=1.5e6, rm=0.05, jitter_bound=0.02,
                     buffer_bytes=40 * 1500)
@@ -263,7 +266,8 @@ def test_explorer_delivery_never_exceeds_capacity(seed, steps):
                                 rng.choice([0.0, 0.02])),
                        losses=(False, False))
              for _ in range(steps)]
-    result = simulate_trace([AimdFlow(), AimdFlow()], net, trace)
+    result = simulate_trace([FluidAimd(threshold=math.inf),
+                             FluidAimd(threshold=math.inf)], net, trace)
     capacity = net.link_rate * net.rm * steps
     assert sum(result.delivered) <= capacity + 1e-6
     assert all(d >= 0 for d in result.delivered)
