@@ -17,12 +17,11 @@ Layout:
 Quickstart:
 
     >>> from repro import units
-    >>> from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
-    >>> from repro.ccas import Vegas
-    >>> stats = run(
-    ...     dumbbell_links(LinkConfig(rate=units.mbps(12))),
-    ...     [FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
-    ...     duration=5.0).stats
+    >>> from repro.spec import CCASpec, FlowSpec, LinkSpec, ScenarioSpec
+    >>> stats = ScenarioSpec(
+    ...     link=LinkSpec(rate=units.mbps(12)),
+    ...     flows=(FlowSpec(cca=CCASpec("vegas"), rm=units.ms(40)),),
+    ... ).run(duration=5.0).stats
 """
 
 from . import units

@@ -311,7 +311,7 @@ def parse_link_faults(args: argparse.Namespace) -> Tuple[ElementSpec, ...]:
 def _load_topology(path: str) -> TopologySpec:
     try:
         return TopologySpec.load(path)
-    except (ConfigurationError, KeyError) as exc:
+    except ConfigurationError as exc:
         raise SystemExit(f"bad topology spec {path!r}: {exc}")
 
 

@@ -39,7 +39,7 @@ from typing import Any, Dict, Iterator, List, Optional
 from ..analysis.competition import compile_matrix_plan
 from ..analysis.plan import JobPlan
 from ..analysis.sweep import compile_sweep_plan
-from ..errors import ConfigurationError, ServiceError, SpecValidationError
+from ..errors import ConfigurationError, ServiceError
 from ..store import cache_key
 from ..store.fsio import FileIO, tail_sealed
 
@@ -244,8 +244,7 @@ def build_plan(spec: JobSpec) -> JobPlan:
         raise ServiceError(f"unknown job kind {spec.kind!r}")
     try:
         return compilers[spec.kind](**spec.params)
-    except (ConfigurationError, SpecValidationError, KeyError,
-            TypeError, AttributeError) as exc:
+    except ConfigurationError as exc:  # SpecValidationError included
         raise ServiceError(f"cannot compile {spec.kind} spec: {exc}")
 
 

@@ -3,8 +3,9 @@
 Implements the paper's Section 3 network model: shared FIFO queues
 drained at a constant rate, per-flow propagation delay, and per-flow
 bounded non-congestive jitter elements that never reorder.
-:func:`build_topology` is the one builder and :func:`run` the one
-build-run-summarize function.
+:func:`build_topology` is the one builder; it wires a
+:class:`repro.spec.ScenarioSpec`'s links and flows, and
+``ScenarioSpec.run`` is the one build-run-summarize call.
 """
 
 from .engine import Event, Simulator
@@ -14,18 +15,15 @@ from .faults import (BlackoutElement, DuplicateElement,
 from .host import Receiver, Sender
 from .invariants import (InvariantSentinel, InvariantWarning, override_mode,
                          resolve_mode)
-from .network import (FlowConfig, LinkConfig, Scenario, TopologyLink,
-                      build_topology, dumbbell_links)
+from .network import Scenario, build_topology
 from .packet import Ack, AckInfo, Packet
 from .queue import BottleneckQueue
-from .runner import FlowStats, RunResult, run
+from .runner import FlowStats, RunResult
 
 __all__ = [
     "Ack", "AckInfo", "BlackoutElement", "BottleneckQueue",
-    "DuplicateElement", "Event", "FlowConfig", "FlowStats",
-    "GilbertElliottLossElement", "InvariantSentinel", "InvariantWarning",
-    "LinkConfig", "LinkFlapElement", "Packet", "Receiver", "ReorderElement",
-    "RunResult", "Scenario", "Sender", "Simulator", "TopologyLink",
-    "build_topology", "dumbbell_links", "override_mode", "resolve_mode",
-    "run",
+    "DuplicateElement", "Event", "FlowStats", "GilbertElliottLossElement",
+    "InvariantSentinel", "InvariantWarning", "LinkFlapElement", "Packet",
+    "Receiver", "ReorderElement", "RunResult", "Scenario", "Sender",
+    "Simulator", "build_topology", "override_mode", "resolve_mode",
 ]

@@ -1,147 +1,36 @@
-"""Scenario description and topology assembly.
+"""Topology assembly: the live network a scenario spec describes.
 
 A scenario is one or more bottleneck links plus a list of flows. Each
-flow has its own CCA, propagation delay, optional jitter elements on
-the data and ACK paths, optional loss element, and receiver ACK policy
-— exactly the degrees of freedom the paper's Section 3 model and
-Section 5 experiments exercise.
-
-:func:`build_topology` is the one builder: an ordered list of
-:class:`TopologyLink` (each a :class:`BottleneckQueue` plus optional
-propagation delay and element chain) with per-flow paths as link-id
-sequences. The paper's dumbbell is the one-link case,
-``build_topology(dumbbell_links(LinkConfig(...)), flows)``.
+flow has its own CCA, propagation delay, optional elements on the data
+and ACK paths, and receiver ACK policy — exactly the degrees of freedom
+the paper's Section 3 model and Section 5 experiments exercise. The
+description is :class:`repro.spec.ScenarioSpec`; :func:`build_topology`
+is the one builder, wiring the spec's links and flows into queues,
+element chains, hosts and recorders.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Union
 
-from ..errors import ConfigurationError
 from .engine import Simulator
 from .host import Receiver, Sender
 from .invariants import InvariantSentinel
-from .path import DelayElement, ElementFactory, chain
+from .path import DelayElement, chain
 from .queue import BottleneckQueue
 from .recorder import FlowRecorder, QueueRecorder
 
-
-@dataclass
-class LinkConfig:
-    """The shared bottleneck.
-
-    Args:
-        rate: drain rate in bytes/s.
-        buffer_bytes: droptail capacity (None = effectively unbounded).
-        buffer_bdp: alternative capacity spec as a multiple of the BDP of
-            the *first* flow (rate x rm); mutually exclusive with
-            buffer_bytes.
-        elements: element factories chained in front of the queue —
-            one shared chain that *every* flow crossing the link meets
-            (unlike per-flow ``FlowConfig.data_elements``).
-    """
-
-    rate: float
-    buffer_bytes: Optional[float] = None
-    buffer_bdp: Optional[float] = None
-    #: DCTCP-style marking threshold (bytes of backlog); None = no ECN.
-    ecn_threshold_bytes: Optional[float] = None
-    elements: Sequence[ElementFactory] = ()
-
-    def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ConfigurationError(
-                f"link rate must be > 0 bytes/s, got {self.rate}")
-        if self.buffer_bytes is not None and self.buffer_bytes <= 0:
-            raise ConfigurationError(
-                f"buffer_bytes must be > 0, got {self.buffer_bytes}")
-        if self.buffer_bdp is not None and self.buffer_bdp <= 0:
-            raise ConfigurationError(
-                f"buffer_bdp must be > 0, got {self.buffer_bdp}")
-
-    def resolve_buffer(self, rm: float) -> Optional[float]:
-        if self.buffer_bytes is not None and self.buffer_bdp is not None:
-            raise ConfigurationError(
-                "specify buffer_bytes or buffer_bdp, not both")
-        if self.buffer_bdp is not None:
-            return self.buffer_bdp * self.rate * rm
-        return self.buffer_bytes
-
-
-@dataclass
-class FlowConfig:
-    """One flow in the scenario.
-
-    Args:
-        cca_factory: zero-argument callable producing a fresh CCA.
-        rm: minimum propagation RTT for this flow, seconds.
-        start_time: when the flow starts.
-        mss: packet size in bytes.
-        data_elements: element factories inserted between the sender and
-            the bottleneck (e.g. loss elements, gated outages).
-        ack_elements: element factories on the ACK return path (e.g.
-            jitter / ACK aggregation).
-        ack_every / ack_timeout: receiver delayed-ACK policy.
-        label: display name for reports.
-    """
-
-    cca_factory: Callable[[], object]
-    rm: float
-    start_time: float = 0.0
-    mss: int = 1500
-    data_elements: Sequence[ElementFactory] = field(default_factory=tuple)
-    ack_elements: Sequence[ElementFactory] = field(default_factory=tuple)
-    ack_every: int = 1
-    ack_timeout: Optional[float] = None
-    #: GSO-style batching: release packets in bursts of this many.
-    burst_size: int = 1
-    label: str = ""
-    #: Ordered link ids this flow traverses (topology scenarios only);
-    #: None = every link in declaration order (or the single dumbbell
-    #: bottleneck).
-    path: Optional[Sequence[str]] = None
-
-    def __post_init__(self) -> None:
-        if self.rm <= 0:
-            raise ConfigurationError(f"rm must be > 0, got {self.rm}")
-        if self.mss <= 0:
-            raise ConfigurationError(f"mss must be > 0, got {self.mss}")
-        if self.start_time < 0:
-            raise ConfigurationError(
-                f"start_time must be >= 0, got {self.start_time}")
-
-
-@dataclass
-class TopologyLink:
-    """One directed link of a topology: a queue config plus delay.
-
-    ``delay`` is the link's propagation delay, applied after its queue
-    on the forward path (the flow's own ``rm`` is still applied once,
-    after the last queue, exactly like the dumbbell).
-    """
-
-    link_id: str
-    config: LinkConfig
-    delay: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.link_id, str) or not self.link_id:
-            raise ConfigurationError(
-                f"topology link needs a non-empty id, got "
-                f"{self.link_id!r}")
-        if self.delay < 0:
-            raise ConfigurationError(
-                f"link delay must be >= 0, got {self.delay}")
+if TYPE_CHECKING:
+    from ..spec import FlowSpec, LinkSpec, TopoLinkSpec
 
 
 class BuiltFlow:
     """The live objects for one flow of a built scenario."""
 
-    def __init__(self, flow_id: int, config: FlowConfig, sender: Sender,
+    def __init__(self, flow_id: int, label: str, sender: Sender,
                  receiver: Receiver, recorder: FlowRecorder) -> None:
         self.flow_id = flow_id
-        self.config = config
+        self.label = label
         self.sender = sender
         self.receiver = receiver
         self.recorder = recorder
@@ -212,16 +101,18 @@ def _walk_elements(entry: object, stop: object) -> List[object]:
     return found
 
 
-def dumbbell_links(link: LinkConfig) -> List[TopologyLink]:
-    """The dumbbell as the one-link topology it is."""
-    return [TopologyLink("bottleneck", link)]
-
-
-def build_topology(links: Sequence[TopologyLink],
-                   flows: Sequence[FlowConfig],
+def build_topology(links: Union[LinkSpec, Sequence[TopoLinkSpec]],
+                   flows: Sequence[FlowSpec],
                    sample_interval: float = 0.05,
-                   invariants: Optional[str] = None) -> Scenario:
+                   invariants: Optional[str] = None,
+                   seed: int = 0) -> Scenario:
     """Assemble the Section 3 network: serial FIFO queues + flow paths.
+
+    ``links`` is ``ScenarioSpec.link`` — the paper's dumbbell, one link
+    with id ``"bottleneck"`` and no delay of its own — or
+    ``TopologySpec.links``; ``flows`` is ``ScenarioSpec.flows``. The
+    spec classes have already validated both (at least one link and one
+    flow, unique link ids, every path known, connected and repeat-free).
 
     Forward path per flow (path = links L1 .. Ln)::
 
@@ -237,13 +128,17 @@ def build_topology(links: Sequence[TopologyLink],
     full propagation RTT ``rm`` is applied once after the final queue,
     and ACKs return instantly unless ack_elements add delay. The
     measured RTT is therefore queueing + transmission + rm + jitter,
-    matching the paper's decomposition. A one-link topology with zero
-    link delay (:func:`dumbbell_links`) adds no elements of its own.
+    matching the paper's decomposition.
 
-    ``FlowConfig.path`` names the traversed link ids in order; ``None``
-    routes the flow over every link in declaration order. The first
-    declared link is the designated bottleneck exposed as
-    ``scenario.queue``.
+    An empty ``FlowSpec.path`` routes the flow over every link in
+    declaration order. The first declared link is the designated
+    bottleneck exposed as ``scenario.queue``; ``buffer_bdp`` is a
+    multiple of its rate times the first flow's ``rm``.
+
+    ``seed`` is the scenario's root seed. Every CCA and element seed
+    derives from it by position (the tree in :mod:`repro.spec.scenario`)
+    unless the component's params pin one; a flow without a label is
+    ``"{cca}#{i}"``.
 
     ``invariants`` selects the runtime sentinel mode (``off`` | ``warn``
     | ``strict``); ``None`` resolves from the ``REPRO_INVARIANTS``
@@ -251,69 +146,71 @@ def build_topology(links: Sequence[TopologyLink],
     built components without scheduling events, so enabling it is
     bit-invisible to traces and summaries.
     """
-    if not links:
-        raise ConfigurationError("topology needs at least one link")
-    if not flows:
-        raise ConfigurationError("scenario needs at least one flow")
-    link_ids = [lk.link_id for lk in links]
-    if len(set(link_ids)) != len(link_ids):
-        raise ConfigurationError(
-            f"duplicate topology link ids: {link_ids}")
+    from ..spec.seeds import derive_seed  # spec.scenario imports sim
+
+    def elements(specs: Sequence[Any], *seed_path: Any) -> List[Any]:
+        return [spec.factory(derive_seed(seed, *seed_path, j))
+                for j, spec in enumerate(specs)]
+
+    if isinstance(links, (list, tuple)):
+        hops = [(lk.id, lk, lk.delay, ("link", lk.id)) for lk in links]
+    else:
+        hops = [("bottleneck", links, 0.0, ("link",))]
+    link_ids = [hop[0] for hop in hops]
     sim = Simulator()
     sentinel = InvariantSentinel(mode=invariants)
     first_rm = flows[0].rm
     queues: dict = {}
+    delays: dict = {}
     # Per-link shared elements: one chain seen by every flow that
     # crosses the link; ``entries`` maps link id -> chain entry point.
     entries: dict = {}
-    for lk in links:
-        link = lk.config
-        queue = BottleneckQueue(sim, link.rate,
-                                buffer_bytes=link.resolve_buffer(first_rm),
-                                ecn_threshold_bytes=link.ecn_threshold_bytes)
-        queues[lk.link_id] = queue
-        entries[lk.link_id] = chain(sim, link.elements, queue)
+    for link_id, lk, delay, seed_path in hops:
+        buffer_bytes = lk.buffer_bytes
+        if lk.buffer_bdp is not None:
+            buffer_bytes = lk.buffer_bdp * lk.rate * first_rm
+        queue = BottleneckQueue(sim, lk.rate, buffer_bytes=buffer_bytes,
+                                ecn_threshold_bytes=lk.ecn_threshold_bytes)
+        queues[link_id] = queue
+        delays[link_id] = delay
+        entries[link_id] = chain(sim, elements(lk.elements, *seed_path),
+                                 queue)
     built: List[BuiltFlow] = []
     # Per-flow chains share the link's elements; dedupe by identity
     # so the conservation balance counts each drop source exactly once.
     registered_elements: set = set()
-    for flow_id, config in enumerate(flows):
-        path = list(config.path) if config.path else list(link_ids)
-        for link_id in path:
-            if link_id not in queues:
-                raise ConfigurationError(
-                    f"flow {flow_id} path names unknown link "
-                    f"{link_id!r} (known: {link_ids})")
-        if len(set(path)) != len(path):
-            raise ConfigurationError(
-                f"flow {flow_id} path repeats a link: {path}")
-        cca = config.cca_factory()
-        sender = Sender(sim, flow_id, cca, mss=config.mss,
-                        start_time=config.start_time,
-                        burst_size=config.burst_size)
-        receiver = Receiver(sim, flow_id, ack_every=config.ack_every,
-                            ack_timeout=config.ack_timeout)
+    for flow_id, flow in enumerate(flows):
+        path = flow.path or link_ids
+        cca = flow.cca.create(derive_seed(seed, "flow", flow_id, "cca"))
+        sender = Sender(sim, flow_id, cca, mss=flow.mss,
+                        start_time=flow.start_time,
+                        burst_size=flow.burst_size)
+        receiver = Receiver(sim, flow_id, ack_every=flow.ack_every,
+                            ack_timeout=flow.ack_timeout)
         # Reverse path: receiver -> ack elements -> sender.
-        ack_entry = chain(sim, config.ack_elements, sender)
+        ack_entry = chain(
+            sim, elements(flow.ack_elements, "flow", flow_id, "ack"), sender)
         receiver.attach_ack_path(ack_entry)
         # Forward path, wired back-to-front: after the last queue comes
         # delay(rm) -> receiver; each hop's queue routes this flow to
         # the next hop's entry (through the hop's own delay, if any).
-        downstream: object = DelayElement(sim, receiver, config.rm)
+        downstream: object = DelayElement(sim, receiver, flow.rm)
         for link_id in reversed(path):
-            lk = links[link_ids.index(link_id)]
             sink: object = downstream
-            if lk.delay > 0:
-                sink = DelayElement(sim, downstream, lk.delay)
+            if delays[link_id] > 0:
+                sink = DelayElement(sim, downstream, delays[link_id])
             queues[link_id].register_sink(flow_id, sink)
             downstream = entries[link_id]
         # Forward path before the first queue:
         #   data elements -> the link's shared elements -> queue.
-        data_entry = chain(sim, config.data_elements, downstream)
+        data_entry = chain(
+            sim, elements(flow.data_elements, "flow", flow_id, "data"),
+            downstream)
         sender.attach_path(data_entry)
         recorder = FlowRecorder(sim, sender, receiver=receiver,
                                 sample_interval=sample_interval)
-        built.append(BuiltFlow(flow_id, config, sender, receiver, recorder))
+        label = flow.label or f"{flow.cca.name}#{flow_id}"
+        built.append(BuiltFlow(flow_id, label, sender, receiver, recorder))
         if sentinel.active:
             sentinel.register_flow(sender, receiver, recorder)
             # Data path only: what an ACK-path element drops or

@@ -1,16 +1,15 @@
-"""High-level scenario runner producing per-flow statistics.
+"""Per-flow statistics of a finished run.
 
-:func:`run` is the one build-run-summarize entry point for packet-level
-experiments (:meth:`repro.spec.ScenarioSpec.run` is this function over
-the spec's configs):
+:meth:`repro.spec.ScenarioSpec.run` is the one build-run-summarize call
+for packet-level experiments; it builds through this module's
+``build_topology`` and returns a :class:`RunResult`:
 
-    >>> from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
-    >>> from repro.ccas.vegas import Vegas
     >>> from repro import units
-    >>> result = run(
-    ...     dumbbell_links(LinkConfig(rate=units.mbps(12))),
-    ...     [FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
-    ...     duration=5.0)
+    >>> from repro.spec import CCASpec, FlowSpec, LinkSpec, ScenarioSpec
+    >>> result = ScenarioSpec(
+    ...     link=LinkSpec(rate=units.mbps(12)),
+    ...     flows=(FlowSpec(cca=CCASpec("vegas"), rm=units.ms(40)),),
+    ... ).run(duration=5.0)
     >>> result.stats[0].throughput > 0
     True
 """
@@ -19,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from .. import units
-from .network import FlowConfig, Scenario, TopologyLink, build_topology
+from .network import Scenario, build_topology  # noqa: F401 (ScenarioSpec.run)
 
 
 @dataclass
@@ -107,14 +106,14 @@ def summarize(scenario: Scenario, duration: float,
         mean_rtt, min_rtt, max_rtt = flow.recorder.rtt_window_stats(
             warmup, duration)
         # Goodput over the same [warmup, duration] window as throughput;
-        # recorders without receiver samples (hand-built scenarios) fall
-        # back to the whole-run average.
+        # a run shorter than one sample interval has no receiver samples
+        # and falls back to the whole-run average.
         goodput = flow.recorder.goodput_between(warmup, duration)
         if not flow.recorder.received_values:
             goodput = flow.receiver.received_bytes / duration
         stats.append(FlowStats(
             flow_id=flow.flow_id,
-            label=flow.config.label or f"flow{flow.flow_id}",
+            label=flow.label,
             throughput=throughput,
             goodput=goodput,
             mean_rtt=mean_rtt,
@@ -129,35 +128,3 @@ def summarize(scenario: Scenario, duration: float,
         for stat in stats:
             stat.share = stat.throughput / total
     return stats
-
-
-def run(links: Sequence[TopologyLink], flows: Sequence[FlowConfig],
-        duration: float, warmup: float = 0.0,
-        sample_interval: Optional[float] = None,
-        max_events: Optional[int] = None,
-        wall_clock_budget: Optional[float] = None,
-        invariants: Optional[str] = None) -> RunResult:
-    """Build, run, and summarize a scenario over ``links``.
-
-    ``max_events``/``wall_clock_budget`` arm the engine watchdog: a
-    divergent run raises :class:`repro.errors.BudgetExceededError`
-    instead of spinning forever (see
-    :class:`repro.analysis.harness.ResilientSweep` for how sweeps turn
-    that into a recorded failure). ``invariants`` selects the runtime
-    sentinel mode (``off``/``warn``/``strict``; ``None`` = resolve from
-    ``REPRO_INVARIANTS``) — strict mode raises
-    :class:`repro.errors.InvariantViolation` on the first violated
-    conservation/causality/sanity invariant.
-    """
-    if sample_interval is None:
-        # Sample finely enough to resolve the shortest RTT.
-        min_rm = min(flow.rm for flow in flows)
-        sample_interval = max(min_rm / 4, duration / 20000)
-    scenario = build_topology(links, flows,
-                              sample_interval=sample_interval,
-                              invariants=invariants)
-    scenario.run(duration, max_events=max_events,
-                 wall_clock_budget=wall_clock_budget)
-    stats = summarize(scenario, duration, warmup)
-    return RunResult(scenario=scenario, stats=stats, duration=duration,
-                     warmup=warmup)

@@ -8,7 +8,7 @@ optional ``[start, end)`` window during which the element is on the
 path at all. Everything between a sender and a queue (or a receiver and
 its sender) is spelled this way: jitter, loss, delay, outages, flapping,
 reordering, duplication. :meth:`ElementSpec.factory` turns a spec back
-into the ``(sim, sink) -> element`` callable the build layer expects.
+into the ``(sim, sink) -> element`` callable the builder chains.
 
 Specs are JSON-round-trippable: params are normalized through JSON on
 construction, so a spec that travelled through ``json.dumps`` /
@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import ConfigurationError, SpecValidationError
 from ..sim.faults import (BlackoutElement, DuplicateElement,
@@ -182,7 +182,7 @@ class ElementSpec:
         object.__setattr__(self, "end", end)
 
     def factory(self, seed: Optional[int] = None) -> ElementFactory:
-        """The ``(sim, sink) -> element`` callable for the build layer."""
+        """The ``(sim, sink) -> element`` callable the builder chains."""
         reg = ELEMENTS[self.kind]
         kwargs = dict(self.params)
         if reg.seeded and seed is not None and "seed" not in kwargs:
@@ -209,21 +209,34 @@ class ElementSpec:
 
     @classmethod
     def from_json(cls, data: Any) -> "ElementSpec":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise SpecValidationError(
-                f"an element is an object with a string 'kind', an "
-                f"object 'params' and optionally 'start'/'end'; got "
-                f"{data!r}")
+        data = json_object(data, "an element", "kind")
         return cls(kind=data["kind"], params=data.get("params", {}),
                    start=data.get("start"), end=data.get("end"))
 
 
-def elements_from_json(data: Any, what: str) -> Tuple[ElementSpec, ...]:
-    """Parse the JSON list of elements named ``what`` (for errors)."""
+def json_object(data: Any, what: str, *required: str) -> Dict[str, Any]:
+    """``data`` if it is a JSON object holding every ``required`` key.
+
+    Every ``from_json`` in :mod:`repro.spec` reads its document through
+    this and :func:`json_list`, so a malformed nested document — a list
+    where an object belongs, a missing key — fails with a typed
+    :class:`SpecValidationError` naming ``what``, never with the
+    ``AttributeError`` / ``KeyError`` / ``TypeError`` of a blind lookup.
+    """
+    if not isinstance(data, dict):
+        raise SpecValidationError(f"{what} must be an object, got {data!r}")
+    for key in required:
+        if key not in data:
+            raise SpecValidationError(f"{what} needs a {key!r} key: {data!r}")
+    return data
+
+
+def json_list(data: Any, what: str,
+              parse: Callable[[Any], Any] = lambda item: item) -> tuple:
+    """The JSON list ``data`` (named ``what``), each item ``parse``-d."""
     if not isinstance(data, list):
-        raise SpecValidationError(
-            f"{what} must be a list of elements, got {data!r}")
-    return tuple(ElementSpec.from_json(e) for e in data)
+        raise SpecValidationError(f"{what} must be a list, got {data!r}")
+    return tuple(parse(item) for item in data)
 
 
 def element_kinds() -> List[str]:

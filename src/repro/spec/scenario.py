@@ -1,22 +1,21 @@
 """ScenarioSpec: the declarative, serializable scenario description.
 
-This is the canonical "what to run" layer. A :class:`ScenarioSpec` is
-pure data — CCAs by registry name, path elements by catalog kind, one
-root ``seed`` — and round-trips losslessly through JSON. The
-existing :mod:`repro.sim.network` configs (``FlowConfig``/``LinkConfig``
-with their live callables) become the *build* layer: they are produced
-on demand by :meth:`ScenarioSpec.to_configs`, in whatever process the
+This is the one description of a packet run. A :class:`ScenarioSpec`
+is pure data — CCAs by registry name, path elements by catalog kind, one
+root ``seed`` — and round-trips losslessly through JSON. The simulator
+builds from it directly: :meth:`ScenarioSpec.build` hands ``link`` (or
+``topology.links``), ``flows`` and ``seed`` to
+:func:`repro.sim.network.build_topology`, in whatever process the
 scenario actually runs.
 
-Why this split matters (see docs/ARCHITECTURE.md): live callables can't
-cross a process boundary, so sweeps were welded to serial execution.
 A spec pickles trivially (it's dicts and floats all the way down), which
 is what lets :class:`repro.analysis.backends.ProcessPoolBackend` fan
 grid points out across cores while keeping results bit-identical to a
 serial run — every RNG seed is derived from the root seed and the
-component's position, never from execution order.
+component's position, never from execution order (see
+docs/ARCHITECTURE.md).
 
-Seed derivation tree (root ``seed`` = S)::
+Seed derivation tree (root ``seed`` = S), applied by the builder::
 
     flow i's CCA          derive_seed(S, "flow", i, "cca")
     flow i data elem j    derive_seed(S, "flow", i, "data", j)
@@ -37,15 +36,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..ccas import registry
 from ..errors import ConfigurationError, SpecValidationError
 from ..sim import runner
-from ..sim.network import (FlowConfig, LinkConfig, Scenario,
-                           TopologyLink, build_topology, dumbbell_links)
+from ..sim.network import Scenario, build_topology
 from .elements import (ELEMENTS, ElementSpec, _check_number, _normalize,
-                       elements_from_json)
+                       json_list, json_object)
 from .seeds import derive_seed
 from .topology import TopologySpec
 
@@ -56,6 +54,12 @@ def _first(*values: Optional[float]) -> Optional[float]:
     """The first value that is not None: an explicit argument, then the
     spec's embedded run value, then a default."""
     return next((v for v in values if v is not None), None)
+
+
+def _check_seed(name: str, value: Any) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecValidationError(f"{name} must be an int, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -70,14 +74,15 @@ class CCASpec:
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise SpecValidationError(
+                f"CCA name must be a string, got {self.name!r}")
         registry.entry(self.name)  # fail fast on unknown names
+        if not isinstance(self.params, dict):
+            raise SpecValidationError(
+                f"CCA {self.name!r} params must be an object, got "
+                f"{self.params!r}")
         object.__setattr__(self, "params", _normalize(self.params))
-
-    def make_factory(self, seed: Optional[int] = None
-                     ) -> Callable[[], object]:
-        """A zero-argument factory as ``FlowConfig.cca_factory`` wants."""
-        name, params = self.name, dict(self.params)
-        return lambda: registry.create(name, params, seed=seed)
 
     def create(self, seed: Optional[int] = None) -> object:
         return registry.create(self.name, dict(self.params), seed=seed)
@@ -86,13 +91,14 @@ class CCASpec:
         return {"name": self.name, "params": dict(self.params)}
 
     @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "CCASpec":
-        return cls(name=data["name"], params=dict(data.get("params", {})))
+    def from_json(cls, data: Any) -> "CCASpec":
+        data = json_object(data, "a CCA", "name")
+        return cls(name=data["name"], params=data.get("params", {}))
 
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """One flow, declaratively (mirror of the build layer's FlowConfig)."""
+    """One flow: its CCA, ``rm``, path elements and receiver policy."""
 
     cca: CCASpec
     rm: float
@@ -158,27 +164,31 @@ class FlowSpec:
         return data
 
     @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "FlowSpec":
+    def from_json(cls, data: Any) -> "FlowSpec":
+        data = json_object(data, "a flow", "cca", "rm")
         return cls(
             cca=CCASpec.from_json(data["cca"]),
             rm=data["rm"],
             start_time=data.get("start_time", 0.0),
             mss=data.get("mss", 1500),
-            data_elements=elements_from_json(
-                data.get("data_elements", []), "flow data_elements"),
-            ack_elements=elements_from_json(
-                data.get("ack_elements", []), "flow ack_elements"),
+            data_elements=json_list(data.get("data_elements", []),
+                                    "flow data_elements",
+                                    ElementSpec.from_json),
+            ack_elements=json_list(data.get("ack_elements", []),
+                                   "flow ack_elements",
+                                   ElementSpec.from_json),
             ack_every=data.get("ack_every", 1),
             ack_timeout=data.get("ack_timeout"),
             burst_size=data.get("burst_size", 1),
             label=data.get("label", ""),
-            path=tuple(data.get("path", ())),
+            path=json_list(data.get("path", []), "flow path"),
         )
 
 
 @dataclass(frozen=True)
 class LinkSpec:
-    """The shared bottleneck, declaratively (mirror of LinkConfig)."""
+    """The dumbbell's shared bottleneck (``buffer_bdp`` is a multiple of
+    ``rate`` times the first flow's ``rm``)."""
 
     rate: float
     buffer_bytes: Optional[float] = None
@@ -212,14 +222,15 @@ class LinkSpec:
         return data
 
     @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "LinkSpec":
+    def from_json(cls, data: Any) -> "LinkSpec":
+        data = json_object(data, "the link", "rate")
         return cls(
             rate=data["rate"],
             buffer_bytes=data.get("buffer_bytes"),
             buffer_bdp=data.get("buffer_bdp"),
             ecn_threshold_bytes=data.get("ecn_threshold_bytes"),
-            elements=elements_from_json(data.get("elements", []),
-                                        "link elements"),
+            elements=json_list(data.get("elements", []), "link elements",
+                               ElementSpec.from_json),
         )
 
 
@@ -249,9 +260,7 @@ class ScenarioSpec:
         object.__setattr__(self, "flows", tuple(self.flows))
         if not self.flows:
             raise ConfigurationError("scenario needs at least one flow")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise SpecValidationError(
-                f"seed must be an int, got {self.seed!r}")
+        _check_seed("seed", self.seed)
         _check_number("duration", self.duration, positive=True,
                       allow_none=True)
         _check_number("warmup", self.warmup, allow_none=True)
@@ -290,61 +299,17 @@ class ScenarioSpec:
         return self.topology.links[0].rate
 
     # ------------------------------------------------------------------
-    # Build layer
+    # Build and run
     # ------------------------------------------------------------------
-
-    def to_configs(self) -> Tuple[List[TopologyLink], List[FlowConfig]]:
-        """Materialize the live build-layer configs (with callables).
-
-        A dumbbell scenario yields its one-link topology. A topology
-        link's element seeds are keyed by its stable id, never its
-        position, so inserting a hop upstream does not reshuffle another
-        link's impairment RNG; a flow's seeds do not depend on the graph
-        it runs over.
-        """
-        def factories(elements: Tuple[ElementSpec, ...],
-                      *seed_path: Any) -> tuple:
-            return tuple(
-                element.factory(derive_seed(self.seed, *seed_path, j))
-                for j, element in enumerate(elements))
-
-        def config(lk: Any, *seed_path: Any) -> LinkConfig:
-            return LinkConfig(
-                rate=lk.rate, buffer_bytes=lk.buffer_bytes,
-                buffer_bdp=lk.buffer_bdp,
-                ecn_threshold_bytes=lk.ecn_threshold_bytes,
-                elements=factories(lk.elements, *seed_path))
-
-        if self.topology is None:
-            links = dumbbell_links(config(self.link, "link"))
-        else:
-            links = [TopologyLink(lk.id, config(lk, "link", lk.id),
-                                  lk.delay)
-                     for lk in self.topology.links]
-        flows: List[FlowConfig] = []
-        for i, flow in enumerate(self.flows):
-            cca_factory = flow.cca.make_factory(
-                seed=derive_seed(self.seed, "flow", i, "cca"))
-            flows.append(FlowConfig(
-                cca_factory=cca_factory, rm=flow.rm,
-                start_time=flow.start_time, mss=flow.mss,
-                data_elements=factories(flow.data_elements,
-                                        "flow", i, "data"),
-                ack_elements=factories(flow.ack_elements,
-                                       "flow", i, "ack"),
-                ack_every=flow.ack_every, ack_timeout=flow.ack_timeout,
-                burst_size=flow.burst_size,
-                label=flow.label or f"{flow.cca.name}#{i}",
-                path=(flow.path or None)))
-        return links, flows
 
     def build(self, sample_interval: Optional[float] = None,
               invariants: Optional[str] = None) -> Scenario:
-        """Produce the live :class:`Scenario` (build layer output)."""
+        """The live :class:`Scenario`, ready to run."""
         return build_topology(
-            *self.to_configs(), invariants=invariants,
+            self.link or self.topology.links, self.flows,
             sample_interval=_first(sample_interval, self.sample_interval,
-                                   0.05))
+                                   0.05),
+            invariants=invariants, seed=self.seed)
 
     def run(self, duration: Optional[float] = None,
             warmup: Optional[float] = None,
@@ -352,11 +317,16 @@ class ScenarioSpec:
             max_events: Optional[int] = None,
             wall_clock_budget: Optional[float] = None,
             invariants: Optional[str] = None) -> runner.RunResult:
-        """Build and run; arguments override the spec's embedded values.
+        """Build, run and summarize; arguments override the spec's
+        embedded values.
 
-        ``invariants`` selects the runtime sentinel mode for this run
-        (``off``/``warn``/``strict``; ``None`` resolves from the
-        environment as usual) — the fuzz oracle battery passes
+        Without a ``sample_interval`` the recorders sample finely enough
+        to resolve the shortest ``rm``. ``max_events`` /
+        ``wall_clock_budget`` arm the engine watchdog: a divergent run
+        raises :class:`repro.errors.BudgetExceededError` instead of
+        spinning forever. ``invariants`` selects the runtime sentinel
+        mode (``off``/``warn``/``strict``; ``None`` resolves from
+        ``REPRO_INVARIANTS``) — the fuzz oracle battery passes
         ``"strict"`` explicitly so pool workers behave identically to
         in-process runs regardless of inherited environment.
         """
@@ -364,12 +334,21 @@ class ScenarioSpec:
         if duration is None:
             raise ConfigurationError(
                 "no duration: pass run(duration=...) or set it on the spec")
-        return runner.run(
-            *self.to_configs(), duration=duration,
-            warmup=_first(warmup, self.warmup, 0.0),
-            sample_interval=_first(sample_interval, self.sample_interval),
-            max_events=max_events, wall_clock_budget=wall_clock_budget,
-            invariants=invariants)
+        warmup = _first(warmup, self.warmup, 0.0)
+        sample_interval = _first(sample_interval, self.sample_interval)
+        if sample_interval is None:
+            min_rm = min(flow.rm for flow in self.flows)
+            sample_interval = max(min_rm / 4, duration / 20000)
+        scenario = runner.build_topology(
+            self.link or self.topology.links, self.flows,
+            sample_interval=sample_interval, invariants=invariants,
+            seed=self.seed)
+        scenario.run(duration, max_events=max_events,
+                     wall_clock_budget=wall_clock_budget)
+        return runner.RunResult(
+            scenario=scenario,
+            stats=runner.summarize(scenario, duration, warmup),
+            duration=duration, warmup=warmup)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -392,7 +371,8 @@ class ScenarioSpec:
         return data
 
     @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "ScenarioSpec":
+    def from_json(cls, data: Any) -> "ScenarioSpec":
+        data = json_object(data, "a scenario spec", "flows")
         version = data.get("version", SPEC_VERSION)
         if version == 1:
             data = _upgrade_v1(data)
@@ -404,7 +384,7 @@ class ScenarioSpec:
         topology = data.get("topology")
         return cls(
             link=LinkSpec.from_json(link) if link is not None else None,
-            flows=tuple(FlowSpec.from_json(f) for f in data["flows"]),
+            flows=json_list(data["flows"], "flows", FlowSpec.from_json),
             seed=data.get("seed", 0),
             duration=data.get("duration"),
             warmup=data.get("warmup"),
@@ -430,7 +410,7 @@ class ScenarioSpec:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return cls.loads(fh.read())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigurationError(
                 f"cannot read scenario spec {path!r}: {exc}")
 
@@ -483,25 +463,30 @@ def _upgrade_v1(data: Dict[str, Any]) -> Dict[str, Any]:
     ``schedule_seed`` is the schedule's own ``seed`` when it has one
     (0 counts) and otherwise ``derive_seed(S, owner..., "faults")``.
     """
-    root = data.get("seed", 0)
+    root = _check_seed("seed", data.get("seed", 0))
 
     def upgraded(owner: Any, key: str, *seed_path: Any) -> Any:
         if not isinstance(owner, dict) or "faults" not in owner:
             return owner
         owner = dict(owner)
-        faults = owner.pop("faults") or {}
+        faults = json_object(owner.pop("faults") or {}, "a faults schedule")
         schedule_seed = faults.get("seed")
         if schedule_seed is None:
             schedule_seed = derive_seed(root, *seed_path, "faults")
-        elements = list(owner.get(key, []))
-        for k, window in enumerate(faults.get("windows", [])):
-            if window.get("kind") not in _V1_FAULTS:
+        _check_seed("a faults schedule seed", schedule_seed)
+        elements = list(json_list(owner.get(key, []), key))
+        windows = json_list(faults.get("windows", []), "fault windows")
+        for k, window in enumerate(windows):
+            json_object(window, "a fault window", "kind", "start", "end")
+            if not isinstance(window["kind"], str) \
+                    or window["kind"] not in _V1_FAULTS:
                 raise SpecValidationError(
-                    f"unknown version-1 fault kind {window.get('kind')!r}"
+                    f"unknown version-1 fault kind {window['kind']!r}"
                     f"; known: {', '.join(_V1_FAULTS)}")
             kind, renamed = _V1_FAULTS[window["kind"]]
-            params = {renamed.get(name, name): value
-                      for name, value in window.get("params", {}).items()}
+            params = {renamed.get(name, name): value for name, value in
+                      json_object(window.get("params", {}),
+                                  "fault params").items()}
             if ELEMENTS[kind].seeded:
                 params["seed"] = schedule_seed * 1000 + k
             element = {"kind": kind, "params": params}
@@ -512,14 +497,17 @@ def _upgrade_v1(data: Dict[str, Any]) -> Dict[str, Any]:
         return owner
 
     data = dict(data, version=SPEC_VERSION)
-    data["flows"] = [upgraded(flow, "data_elements", "flow", i)
-                     for i, flow in enumerate(data["flows"])]
+    data["flows"] = [upgraded(flow, "data_elements", "flow", i) for i, flow
+                     in enumerate(json_list(data["flows"], "flows"))]
     if data.get("link") is not None:
         data["link"] = upgraded(data["link"], "elements", "link")
     if data.get("topology") is not None:
-        data["topology"] = dict(data["topology"], links=[
-            upgraded(lk, "elements", "link", lk.get("id"))
-            for lk in data["topology"].get("links", [])])
+        topology = json_object(data["topology"], "the topology")
+        data["topology"] = dict(topology, links=[
+            upgraded(json_object(lk, "a topology link"), "elements", "link",
+                     lk.get("id"))
+            for lk in json_list(topology.get("links", []),
+                                "topology links")])
     return data
 
 

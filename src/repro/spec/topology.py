@@ -9,10 +9,11 @@ plus optional propagation delay), and per-flow paths as ordered link-id
 lists (``FlowSpec.path``).
 
 Like the rest of :mod:`repro.spec`, everything here is JSON-round-trip
-data with :class:`SpecValidationError` hardening; the live build lives
-in :func:`repro.sim.network.build_topology`. A ``ScenarioSpec`` without
-a topology still builds the legacy dumbbell byte-identically — topology
-is strictly additive.
+data with :class:`SpecValidationError` hardening. The validation is the
+only validation: :func:`repro.sim.network.build_topology` wires
+``TopologySpec.links`` as given and checks no ids or paths again. A
+``ScenarioSpec`` without a topology still builds the dumbbell
+byte-identically — topology is strictly additive.
 
 Seed derivation adds one branch to the existing tree (root ``S``)::
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SpecValidationError
-from .elements import ElementSpec, _check_number, elements_from_json
+from .elements import ElementSpec, _check_number, json_list, json_object
 
 
 def _check_id(name: str, value: Any) -> None:
@@ -51,8 +52,8 @@ class NodeSpec:
         return {"id": self.id}
 
     @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "NodeSpec":
-        return cls(id=data["id"])
+    def from_json(cls, data: Any) -> "NodeSpec":
+        return cls(id=json_object(data, "a topology node", "id")["id"])
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,9 @@ class TopoLinkSpec:
         return data
 
     @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "TopoLinkSpec":
+    def from_json(cls, data: Any) -> "TopoLinkSpec":
+        data = json_object(data, "a topology link", "id", "src", "dst",
+                           "rate")
         if "faults" in data:
             # Inside a version-1 scenario the upgrade has rewritten it;
             # a standalone topology file has no version and no seed to
@@ -132,8 +135,8 @@ class TopoLinkSpec:
             buffer_bytes=data.get("buffer_bytes"),
             buffer_bdp=data.get("buffer_bdp"),
             ecn_threshold_bytes=data.get("ecn_threshold_bytes"),
-            elements=elements_from_json(data.get("elements", []),
-                                        "link elements"),
+            elements=json_list(data.get("elements", []), "link elements",
+                               ElementSpec.from_json),
         )
 
 
@@ -221,12 +224,13 @@ class TopologySpec:
         }
 
     @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "TopologySpec":
+    def from_json(cls, data: Any) -> "TopologySpec":
+        data = json_object(data, "a topology")
         return cls(
-            nodes=tuple(NodeSpec.from_json(n)
-                        for n in data.get("nodes", [])),
-            links=tuple(TopoLinkSpec.from_json(lk)
-                        for lk in data.get("links", [])),
+            nodes=json_list(data.get("nodes", []), "topology nodes",
+                            NodeSpec.from_json),
+            links=json_list(data.get("links", []), "topology links",
+                            TopoLinkSpec.from_json),
         )
 
     def dumps(self, indent: Optional[int] = 1) -> str:
@@ -246,7 +250,7 @@ class TopologySpec:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return cls.loads(fh.read())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigurationError(
                 f"cannot read topology spec {path!r}: {exc}")
 

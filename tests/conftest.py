@@ -23,6 +23,18 @@ def livelock(sim: Simulator) -> None:
     sim.schedule(0.0, loop)
 
 
+def flow(cca, rm, params=None, **kwargs) -> FlowSpec:
+    """A flow of the registered CCA ``cca`` built with ``params``."""
+    return FlowSpec(cca=CCASpec(cca, params or {}), rm=rm, **kwargs)
+
+
+def run_dumbbell(flows, rate, duration, warmup=0.0, seed=0, **link):
+    """Run ``flows`` over one bottleneck of ``rate`` bytes/s; ``link``
+    holds the other :class:`LinkSpec` fields."""
+    return ScenarioSpec(link=LinkSpec(rate=rate, **link), flows=flows,
+                        seed=seed).run(duration=duration, warmup=warmup)
+
+
 @pytest.fixture(scope="module")
 def run():
     """One finished Vegas run, shared by the recorder and trace tests."""

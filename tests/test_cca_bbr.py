@@ -7,8 +7,9 @@ import pytest
 from repro import units
 from repro.analysis.starvation import bbr_rtt_starvation
 from repro.ccas.bbr import BBR, BW_WINDOW_ROUNDS, PROBE_BW_GAINS
-from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 from repro.sim.packet import AckInfo
+
+from .conftest import flow, run_dumbbell
 
 RATE = units.mbps(12)
 RM = units.ms(40)
@@ -107,10 +108,8 @@ def test_min_rtt_stamp_refreshes_on_matching_sample():
 
 
 def test_startup_exits_to_drain_then_probe_bw():
-    result = run(
-        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=8.0)),
-        [FlowConfig(cca_factory=lambda: BBR(seed=3), rm=RM)],
-        duration=5.0, warmup=0.0)
+    result = run_dumbbell([flow("bbr", RM, {"seed": 3})], RATE,
+                          duration=5.0, buffer_bdp=8.0)
     cca = result.scenario.flows[0].sender.cca
     assert cca.filled_pipe
     assert cca.mode in (BBR.PROBE_BW, BBR.PROBE_RTT)
@@ -118,10 +117,8 @@ def test_startup_exits_to_drain_then_probe_bw():
 
 @pytest.fixture(scope="module")
 def single_flow():
-    return run(
-        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=8.0)),
-        [FlowConfig(cca_factory=lambda: BBR(seed=3), rm=RM)],
-        duration=15.0, warmup=7.0)
+    return run_dumbbell([flow("bbr", RM, {"seed": 3})], RATE,
+                        duration=15.0, warmup=7.0, buffer_bdp=8.0)
 
 
 def test_single_flow_full_utilization(single_flow):

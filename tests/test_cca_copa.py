@@ -5,27 +5,29 @@ import pytest
 
 from repro import units
 from repro.ccas.copa import Copa
-from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
-from repro.sim.jitter import ExemptFirstJitter
+from repro.spec import ElementSpec
+
+from .conftest import flow, run_dumbbell
 
 RATE = units.mbps(12)
 RM = units.ms(40)
+#: Every ACK but the first carries +1 ms: Copa's min-RTT is poisoned.
+POISON = ElementSpec("exempt_first_jitter",
+                     {"eta": units.ms(1), "exempt_seqs": [0]})
 
 
-def run_single(cca_factory, duration=15.0, rate=RATE, rm=RM, **kwargs):
-    return run(
-        dumbbell_links(LinkConfig(rate=rate)),
-        [FlowConfig(cca_factory=cca_factory, rm=rm, **kwargs)],
-        duration=duration, warmup=duration / 2)
+def run_single(params=None, duration=15.0, **kwargs):
+    return run_dumbbell([flow("copa", RM, params, **kwargs)], RATE,
+                        duration, duration / 2)
 
 
 def test_full_utilization_on_ideal_path():
-    result = run_single(Copa)
+    result = run_single()
     assert result.utilization() > 0.9
 
 
 def test_delay_stays_low():
-    result = run_single(Copa)
+    result = run_single()
     stats = result.stats[0]
     # Copa keeps ~2/delta packets queued; allow generous slack for its
     # velocity oscillations.
@@ -33,11 +35,8 @@ def test_delay_stays_low():
 
 
 def test_two_flows_fair():
-    result = run(
-        dumbbell_links(LinkConfig(rate=RATE)),
-        [FlowConfig(cca_factory=Copa, rm=RM),
-         FlowConfig(cca_factory=Copa, rm=RM)],
-        duration=20.0, warmup=10.0)
+    result = run_dumbbell([flow("copa", RM), flow("copa", RM)], RATE,
+                          duration=20.0, warmup=10.0)
     assert result.throughput_ratio() < 1.6
 
 
@@ -54,11 +53,8 @@ def test_min_rtt_poisoning_collapses_throughput():
     perceived queueing delay dq >= 1 ms forever and its target rate
     1/(delta*dq) caps well below the link rate.
     """
-    poisoned = run_single(
-        Copa,
-        ack_elements=[lambda sim, sink: ExemptFirstJitter(
-            sim, sink, units.ms(1), exempt_seqs=[0])])
-    clean = run_single(Copa)
+    poisoned = run_single(ack_elements=[POISON])
+    clean = run_single()
     # Target cap: 1/(0.5 * 1ms) = 2000 pkt/s = 24 Mbit/s on a fast link;
     # at 12 Mbit/s the cap is above C, so scale the attack instead: the
     # poisoned flow must stay under the cap, the clean flow near C.
@@ -68,10 +64,7 @@ def test_min_rtt_poisoning_collapses_throughput():
 
 
 def test_min_rtt_oracle_defeats_poisoning():
-    result = run_single(
-        lambda: Copa(base_rtt=RM),
-        ack_elements=[lambda sim, sink: ExemptFirstJitter(
-            sim, sink, units.ms(1), exempt_seqs=[0])])
+    result = run_single({"base_rtt": RM}, ack_elements=[POISON])
     # With an Rm oracle, the perceived standing queue includes the real
     # 1 ms jitter, costing some throughput but no order-of-magnitude
     # collapse at this link rate (target 2000 pkt/s = 24 Mbit/s > C).

@@ -4,11 +4,17 @@ import pytest
 
 from repro import units
 from repro.ccas.delay_aimd import DelayAimd
-from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
-from repro.sim.jitter import ConstantJitter, ExemptFirstJitter
+from repro.spec import ElementSpec
+
+from .conftest import flow, run_dumbbell
 
 RM = units.ms(40)
 RATE = units.mbps(12)
+
+
+def delay_aimd(threshold_ms=30.0, **kwargs):
+    return flow("delay-aimd", RM, {"threshold": units.ms(threshold_ms)},
+                **kwargs)
 
 
 def test_threshold_validation():
@@ -18,11 +24,8 @@ def test_threshold_validation():
 
 @pytest.fixture(scope="module")
 def single_flow():
-    return run(
-        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=8.0)),
-        [FlowConfig(cca_factory=lambda: DelayAimd(threshold=units.ms(30)),
-                    rm=RM)],
-        duration=20.0, warmup=10.0)
+    return run_dumbbell([delay_aimd()], RATE, duration=20.0, warmup=10.0,
+                        buffer_bdp=8.0)
 
 
 def test_single_flow_sawtooth_and_efficiency(single_flow):
@@ -42,27 +45,19 @@ def test_delay_band_respects_threshold(single_flow):
 
 
 def test_two_clean_flows_fair():
-    result = run(
-        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=8.0)),
-        [FlowConfig(cca_factory=lambda: DelayAimd(threshold=units.ms(30)),
-                    rm=RM),
-         FlowConfig(cca_factory=lambda: DelayAimd(threshold=units.ms(30)),
-                    rm=RM)],
-        duration=40.0, warmup=15.0)
+    result = run_dumbbell([delay_aimd(), delay_aimd()], RATE,
+                          duration=40.0, warmup=15.0, buffer_bdp=8.0)
     assert result.throughput_ratio() < 2.0
 
 
 def poisoned_pair(rate_mbps, threshold_ms=30.0, duration=60.0):
-    factory = lambda: DelayAimd(threshold=units.ms(threshold_ms))
-    return run(
-        dumbbell_links(LinkConfig(rate=units.mbps(rate_mbps), buffer_bdp=8.0)),
-        [FlowConfig(cca_factory=factory, rm=RM, label="poisoned",
-                    ack_elements=[lambda sim, sink: ExemptFirstJitter(
-                        sim, sink, units.ms(10), exempt_seqs=[0])]),
-         FlowConfig(cca_factory=factory, rm=RM, label="clean",
-                    ack_elements=[lambda sim, sink: ConstantJitter(
-                        sim, sink, units.ms(10))])],
-        duration=duration, warmup=duration / 2)
+    poison = ElementSpec("exempt_first_jitter",
+                         {"eta": units.ms(10), "exempt_seqs": [0]})
+    constant = ElementSpec("constant_jitter", {"eta": units.ms(10)})
+    return run_dumbbell(
+        [delay_aimd(threshold_ms, label="poisoned", ack_elements=[poison]),
+         delay_aimd(threshold_ms, label="clean", ack_elements=[constant])],
+        units.mbps(rate_mbps), duration, duration / 2, buffer_bdp=8.0)
 
 
 def test_poisoned_flow_throughput_scales_with_capacity():

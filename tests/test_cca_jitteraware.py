@@ -4,18 +4,27 @@ import pytest
 
 from repro import units
 from repro.ccas.jitteraware import JitterAware
-from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
-from repro.sim.jitter import ConstantJitter, SquareWaveJitter
+from repro.spec import ElementSpec
+
+from .conftest import flow, run_dumbbell
 
 RM = units.ms(40)
 D = units.ms(10)
+PARAMS = dict(jitter_bound=D, s=2.0, rmax=units.ms(100),
+              mu_minus=units.kbps(100))
+#: Min-RTT poisoning: every ACK but the first carries +D...
+POISON = ElementSpec("exempt_first_jitter", {"eta": D, "exempt_seqs": [0]})
+#: ...against a flow that sees +D on every ACK.
+CONSTANT = ElementSpec("constant_jitter", {"eta": D})
 
 
-def make(rate=units.kbps(100), **kwargs):
-    defaults = dict(jitter_bound=D, s=2.0, rmax=units.ms(100),
-                    mu_minus=rate)
-    defaults.update(kwargs)
-    return JitterAware(**defaults)
+def make(**kwargs):
+    return JitterAware(**{**PARAMS, **kwargs})
+
+
+def algorithm1(rm, **kwargs):
+    """An Algorithm 1 flow; ``rm`` is its Rm oracle (None = estimate)."""
+    return flow("jitter-aware", RM, {**PARAMS, "rm": rm}, **kwargs)
 
 
 def test_parameter_validation():
@@ -52,10 +61,8 @@ def test_rates_factor_s_apart_map_to_delays_d_apart():
 def single_flow():
     # mu+ = mu- * s^((rmax - D)/D) = 100k * 2^9 = ~51 Mbit/s in bytes...
     # use a 6 Mbit/s link, well within range.
-    return run(
-        dumbbell_links(LinkConfig(rate=units.mbps(6), buffer_bdp=20.0)),
-        [FlowConfig(cca_factory=lambda: make(rm=RM), rm=RM)],
-        duration=60.0, warmup=30.0)
+    return run_dumbbell([algorithm1(RM)], units.mbps(6), duration=60.0,
+                        warmup=30.0, buffer_bdp=20.0)
 
 
 def test_single_flow_utilizes_a_link_in_range(single_flow):
@@ -74,15 +81,11 @@ def test_two_flows_with_asymmetric_jitter_stay_s_fair():
     """The headline Section 6.3 claim: jitter <= D cannot force the
     flows' inferred rates more than a factor s apart; empirically the
     throughput ratio stays well bounded (no starvation)."""
-    result = run(
-        dumbbell_links(LinkConfig(rate=units.mbps(6), buffer_bdp=20.0)),
-        [FlowConfig(cca_factory=lambda: make(rm=RM), rm=RM,
-                    label="jittered",
-                    ack_elements=[lambda sim, sink: SquareWaveJitter(
-                        sim, sink, high=D, period=0.7)]),
-         FlowConfig(cca_factory=lambda: make(rm=RM), rm=RM,
-                    label="clean")],
-        duration=90.0, warmup=40.0)
+    square = ElementSpec("square_wave_jitter", {"high": D, "period": 0.7})
+    result = run_dumbbell(
+        [algorithm1(RM, label="jittered", ack_elements=[square]),
+         algorithm1(RM, label="clean")],
+        units.mbps(6), duration=90.0, warmup=40.0, buffer_bdp=20.0)
     assert result.throughput_ratio() < 4.0   # bounded; Vegas would starve
     assert result.utilization() > 0.6
 
@@ -93,34 +96,19 @@ def test_vegas_starves_under_same_jitter_budget_for_contrast():
     exponential map bounds the damage to one s-band. Constant jitter
     alone would NOT hurt Vegas — its min-RTT filter self-calibrates —
     so the adversary uses the one-fast-packet trick of Section 5.1."""
-    from repro.ccas.vegas import Vegas
-    from repro.sim.jitter import ExemptFirstJitter
-    result = run(
-        dumbbell_links(LinkConfig(rate=units.mbps(48), buffer_bdp=20.0)),
-        [FlowConfig(cca_factory=Vegas, rm=RM, label="poisoned",
-                    ack_elements=[lambda sim, sink: ExemptFirstJitter(
-                        sim, sink, D, exempt_seqs=[0])]),
-         FlowConfig(cca_factory=Vegas, rm=RM, label="clean",
-                    ack_elements=[lambda sim, sink: ConstantJitter(
-                        sim, sink, D)])],
-        duration=60.0, warmup=25.0)
+    result = run_dumbbell(
+        [flow("vegas", RM, label="poisoned", ack_elements=[POISON]),
+         flow("vegas", RM, label="clean", ack_elements=[CONSTANT])],
+        units.mbps(48), duration=60.0, warmup=25.0, buffer_bdp=20.0)
     assert result.throughput_ratio() > 5.0
 
 
 def test_jitteraware_bounded_under_min_rtt_poisoning():
     """Algorithm 1 under the exact adversary that starves Vegas above."""
-    from repro.sim.jitter import ExemptFirstJitter
-    result = run(
-        dumbbell_links(LinkConfig(rate=units.mbps(6), buffer_bdp=20.0)),
-        [FlowConfig(cca_factory=lambda: make(rm=None), rm=RM,
-                    label="poisoned",
-                    ack_elements=[lambda sim, sink: ExemptFirstJitter(
-                        sim, sink, D, exempt_seqs=[0])]),
-         FlowConfig(cca_factory=lambda: make(rm=None), rm=RM,
-                    label="clean",
-                    ack_elements=[lambda sim, sink: ConstantJitter(
-                        sim, sink, D)])],
-        duration=90.0, warmup=40.0)
+    result = run_dumbbell(
+        [algorithm1(None, label="poisoned", ack_elements=[POISON]),
+         algorithm1(None, label="clean", ack_elements=[CONSTANT])],
+        units.mbps(6), duration=90.0, warmup=40.0, buffer_bdp=20.0)
     # A D-sized min-RTT error shifts the map by at most one s-band.
     assert result.throughput_ratio() < 4.0
 

@@ -6,36 +6,37 @@ from repro import units
 from repro.analysis.starvation import loss_based_delayed_acks
 from repro.ccas.cubic import Cubic
 from repro.ccas.reno import NewReno
-from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
+
+from .conftest import flow, run_dumbbell
 
 RATE = units.mbps(6)
 RM = units.ms(60)
 
 
-def run_single(cca_factory, duration=20.0, buffer_bdp=1.0):
-    return run(
-        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=buffer_bdp)),
-        [FlowConfig(cca_factory=cca_factory, rm=RM)],
-        duration=duration, warmup=duration / 2)
+def run_single(cca, duration=20.0):
+    return run_dumbbell([flow(cca, RM)], RATE, duration, duration / 2,
+                        buffer_bdp=1.0)
+
+
+@pytest.fixture(scope="module")
+def reno():
+    return run_single("reno")
 
 
 class TestNewReno:
-    def test_high_utilization_with_bdp_buffer(self):
-        result = run_single(NewReno)
-        assert result.utilization() > 0.8
+    def test_high_utilization_with_bdp_buffer(self, reno):
+        assert reno.utilization() > 0.8
 
-    def test_sawtooth_fills_buffer(self):
+    def test_sawtooth_fills_buffer(self, reno):
         """Reno's delay oscillates over the whole buffer — it is NOT
         delay-convergent (delta comparable to the buffer delay)."""
-        result = run_single(NewReno)
-        stats = result.stats[0]
+        stats = reno.stats[0]
         delta = stats.max_rtt - stats.min_rtt
         buffer_delay = RM  # 1 BDP of buffer = Rm of extra delay
         assert delta > 0.3 * buffer_delay
 
-    def test_experiences_loss_and_recovers(self):
-        result = run_single(NewReno)
-        stats = result.stats[0]
+    def test_experiences_loss_and_recovers(self, reno):
+        stats = reno.stats[0]
         assert stats.losses > 0
         assert stats.timeouts == 0  # fast retransmit should suffice
 
@@ -65,11 +66,8 @@ class TestNewReno:
         assert cca.cwnd == 1.0
 
     def test_slow_start_doubles_per_rtt(self):
-        result = run(
-            dumbbell_links(LinkConfig(rate=units.mbps(50), buffer_bdp=4.0)),
-            [FlowConfig(cca_factory=lambda: NewReno(initial_cwnd=2),
-                        rm=RM)],
-            duration=1.0, warmup=0.0)
+        result = run_dumbbell([flow("reno", RM, {"initial_cwnd": 2})],
+                              units.mbps(50), duration=1.0, buffer_bdp=4.0)
         cca = result.scenario.flows[0].sender.cca
         # ~16 RTTs in 1 s: window must have grown far beyond linear.
         assert cca.cwnd > 50
@@ -77,7 +75,7 @@ class TestNewReno:
 
 class TestCubic:
     def test_high_utilization_with_bdp_buffer(self):
-        result = run_single(Cubic)
+        result = run_single("cubic")
         assert result.utilization() > 0.8
 
     def test_beta_reduction_on_loss(self):
@@ -104,11 +102,8 @@ class TestCubic:
 
 
 def test_reno_vs_reno_is_fair():
-    result = run(
-        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=1.0)),
-        [FlowConfig(cca_factory=NewReno, rm=RM),
-         FlowConfig(cca_factory=NewReno, rm=RM)],
-        duration=60.0, warmup=20.0)
+    result = run_dumbbell([flow("reno", RM), flow("reno", RM)], RATE,
+                          duration=60.0, warmup=20.0, buffer_bdp=1.0)
     assert result.throughput_ratio() < 2.0
 
 

@@ -9,8 +9,10 @@ from repro.analysis.starvation import (allegro_asymmetric_loss,
                                        vivace_ack_aggregation)
 from repro.ccas.allegro import Allegro
 from repro.ccas.pcc_base import MonitorStats
+from repro.ccas import registry
 from repro.ccas.vivace import Vivace
-from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
+
+from .conftest import flow, run_dumbbell
 
 RATE = units.mbps(12)
 RM = units.ms(40)
@@ -103,10 +105,8 @@ class TestAllegroUtility:
 
 class TestVivaceIntegration:
     def test_converges_near_capacity_low_delay(self):
-        result = run(
-            dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=8.0)),
-            [FlowConfig(cca_factory=Vivace, rm=RM)],
-            duration=20.0, warmup=10.0)
+        result = run_dumbbell([flow("vivace", RM)], RATE, duration=20.0,
+                              warmup=10.0, buffer_bdp=8.0)
         assert result.utilization() > 0.8
         # Vivace holds delay near Rm (Figure 3: [Rm, 1.05 Rm]).
         assert result.stats[0].mean_rtt < RM * 1.4
@@ -135,7 +135,7 @@ class TestAllegroIntegration:
         assert result.stats[1].throughput > 2 * result.stats[0].throughput
 
 
-def test_mi_accounting_attributes_by_send_time():
+def test_mi_accounting_attributes_by_send_time(monkeypatch):
     """Packets sent in MI k must be charged to MI k even when their
     ACKs/losses arrive during MI k+1."""
     recorded = []
@@ -145,10 +145,9 @@ def test_mi_accounting_attributes_by_send_time():
             recorded.append(stats)
             super().on_interval_done(stats)
 
-    result = run(
-        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=4.0)),
-        [FlowConfig(cca_factory=Probe, rm=RM)],
-        duration=5.0, warmup=0.0)
+    monkeypatch.setitem(registry._REGISTRY, "probe",
+                        registry.CCAEntry("probe", Probe, seeded=False))
+    run_dumbbell([flow("probe", RM)], RATE, duration=5.0, buffer_bdp=4.0)
     assert recorded, "no monitor intervals completed"
     for stats in recorded:
         assert stats.pending == 0

@@ -11,39 +11,40 @@ from repro import units
 from repro.ccas.fast import FastTCP
 from repro.ccas.ledbat import Ledbat
 from repro.ccas.vegas import Vegas
-from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
-from repro.sim.jitter import ConstantJitter
+from repro.spec import ElementSpec
 
+from .conftest import flow, run_dumbbell
 
 RATE = units.mbps(12)
 RM = units.ms(40)
 
 
-def run_single(cca_factory, duration=12.0, rate=RATE, rm=RM, **kwargs):
-    return run(
-        dumbbell_links(LinkConfig(rate=rate, **kwargs.pop("link", {}))),
-        [FlowConfig(cca_factory=cca_factory, rm=rm, **kwargs)],
-        duration=duration, warmup=duration / 2)
+def run_single(cca, params=None, duration=12.0, buffer_bdp=None,
+               **kwargs):
+    return run_dumbbell([flow(cca, RM, params, **kwargs)], RATE, duration,
+                        duration / 2, buffer_bdp=buffer_bdp)
+
+
+@pytest.fixture(scope="module")
+def vegas():
+    return run_single("vegas")
 
 
 class TestVegas:
-    def test_full_utilization_on_ideal_path(self):
-        result = run_single(Vegas)
-        assert result.utilization() > 0.95
+    def test_full_utilization_on_ideal_path(self, vegas):
+        assert vegas.utilization() > 0.95
 
-    def test_equilibrium_rtt_matches_alpha_over_c(self):
+    def test_equilibrium_rtt_matches_alpha_over_c(self, vegas):
         # alpha..beta packets queued: RTT in Rm + [2, 4+1]*mss/C plus
         # the packet's own transmission time.
-        result = run_single(Vegas)
-        stats = result.stats[0]
+        stats = vegas.stats[0]
         per_packet = 1500 / RATE
         low = RM + 2 * per_packet
         high = RM + 6 * per_packet
         assert low <= stats.mean_rtt <= high
 
-    def test_delay_oscillation_is_tiny(self):
-        result = run_single(Vegas)
-        stats = result.stats[0]
+    def test_delay_oscillation_is_tiny(self, vegas):
+        stats = vegas.stats[0]
         delta = stats.max_rtt - stats.min_rtt
         assert delta < 5 * 1500 / RATE
 
@@ -53,11 +54,8 @@ class TestVegas:
         # a fixed point), and the later slow-start exiter additionally
         # inflates its base-RTT estimate. Bounded unfairness ~beta/alpha
         # is expected; starvation is not.
-        result = run(
-            dumbbell_links(LinkConfig(rate=RATE)),
-            [FlowConfig(cca_factory=Vegas, rm=RM),
-             FlowConfig(cca_factory=Vegas, rm=RM)],
-            duration=20.0, warmup=10.0)
+        result = run_dumbbell([flow("vegas", RM), flow("vegas", RM)], RATE,
+                              duration=20.0, warmup=10.0)
         assert result.throughput_ratio() < 3.0
         assert min(res.throughput for res in result.stats) > 0.1 * RATE
 
@@ -69,12 +67,12 @@ class TestVegas:
         # With an oracle Rm, a constant-jitter path just looks congested
         # -> Vegas backs off but does not collapse below the implied rate.
         result = run_single(
-            lambda: Vegas(base_rtt=RM),
-            ack_elements=[lambda sim, sink: ConstantJitter(
-                sim, sink, units.ms(1))])
+            "vegas", {"base_rtt": RM},
+            ack_elements=[ElementSpec("constant_jitter",
+                                      {"eta": units.ms(1)})])
         assert result.stats[0].throughput > 0
 
-    def test_min_rtt_poisoning_causes_underutilization(self):
+    def test_min_rtt_poisoning_causes_underutilization(self, vegas):
         """Section 5.1: Vegas underestimating Rm starves even alone.
 
         Constant jitter alone is harmless (the min-RTT filter absorbs
@@ -82,23 +80,21 @@ class TestVegas:
         other packet's floor, which pins the rate near
         alpha * mss / 20ms regardless of the link rate.
         """
-        from repro.sim.jitter import ExemptFirstJitter
-        clean = run_single(Vegas)
         poisoned = run_single(
-            Vegas,
-            ack_elements=[lambda sim, sink: ExemptFirstJitter(
-                sim, sink, units.ms(20), exempt_seqs=[0])])
+            "vegas", ack_elements=[ElementSpec(
+                "exempt_first_jitter",
+                {"eta": units.ms(20), "exempt_seqs": [0]})])
         assert (poisoned.stats[0].throughput
-                < 0.5 * clean.stats[0].throughput)
+                < 0.5 * vegas.stats[0].throughput)
 
 
 class TestFast:
     def test_full_utilization_on_ideal_path(self):
-        result = run_single(FastTCP)
+        result = run_single("fast")
         assert result.utilization() > 0.95
 
     def test_equilibrium_queue_near_alpha(self):
-        result = run_single(lambda: FastTCP(alpha=4.0))
+        result = run_single("fast", {"alpha": 4.0})
         stats = result.stats[0]
         queue_packets = (stats.mean_rtt - RM) * RATE / 1500
         assert 2.0 < queue_packets < 7.0
@@ -111,19 +107,19 @@ class TestFast:
 
     def test_converges_faster_with_larger_gamma(self):
         # gamma = 1 jumps straight to the fixed point estimate.
-        result = run_single(lambda: FastTCP(gamma=1.0), duration=8.0)
+        result = run_single("fast", {"gamma": 1.0}, duration=8.0)
         assert result.utilization() > 0.9
 
 
 class TestLedbat:
     def test_converges_to_target_delay(self):
-        result = run_single(lambda: Ledbat(target=0.04), duration=20.0)
+        result = run_single("ledbat", {"target": 0.04}, duration=20.0)
         stats = result.stats[0]
         queueing = stats.mean_rtt - RM
         assert queueing == pytest.approx(0.04, rel=0.35)
 
     def test_full_utilization(self):
-        result = run_single(lambda: Ledbat(target=0.04), duration=20.0)
+        result = run_single("ledbat", {"target": 0.04}, duration=20.0)
         assert result.utilization() > 0.9
 
     def test_target_validation(self):
@@ -133,6 +129,6 @@ class TestLedbat:
     def test_is_delay_convergent_not_buffer_filling(self):
         # With a 100 ms target and a large buffer, LEDBAT must not fill
         # the buffer the way a loss-based CCA would.
-        result = run_single(lambda: Ledbat(target=0.02), duration=20.0,
-                            link={"buffer_bdp": 20.0})
+        result = run_single("ledbat", {"target": 0.02}, duration=20.0,
+                            buffer_bdp=20.0)
         assert result.stats[0].max_rtt < RM + 0.1

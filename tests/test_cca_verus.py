@@ -5,8 +5,9 @@ import pytest
 
 from repro import units
 from repro.ccas.verus import Verus
-from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
-from repro.sim.jitter import ConstantJitter, ExemptFirstJitter
+from repro.spec import ElementSpec
+
+from .conftest import flow, run_dumbbell
 
 RM = units.ms(40)
 RATE = units.mbps(12)
@@ -14,10 +15,8 @@ RATE = units.mbps(12)
 
 @pytest.fixture(scope="module")
 def single_flow():
-    return run(
-        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=8.0)),
-        [FlowConfig(cca_factory=Verus, rm=RM)],
-        duration=20.0, warmup=10.0)
+    return run_dumbbell([flow("verus", RM)], RATE, duration=20.0,
+                        warmup=10.0, buffer_bdp=8.0)
 
 
 def test_single_flow_fully_utilizes(single_flow):
@@ -34,11 +33,8 @@ def test_delay_converges_to_target_band(single_flow):
 
 
 def test_two_flows_share_fairly():
-    result = run(
-        dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=8.0)),
-        [FlowConfig(cca_factory=Verus, rm=RM),
-         FlowConfig(cca_factory=Verus, rm=RM)],
-        duration=30.0, warmup=15.0)
+    result = run_dumbbell([flow("verus", RM), flow("verus", RM)], RATE,
+                          duration=30.0, warmup=15.0, buffer_bdp=8.0)
     assert result.throughput_ratio() < 2.0
 
 
@@ -64,13 +60,11 @@ def test_min_rtt_poisoning_biases_verus():
     min-RTT poisoning (10 ms) that bites Vegas biases Verus too: the
     poisoned flow's delay target (a multiple of its min RTT) is
     deflated relative to its true path."""
-    result = run(
-        dumbbell_links(LinkConfig(rate=units.mbps(24), buffer_bdp=8.0)),
-        [FlowConfig(cca_factory=Verus, rm=RM, label="poisoned",
-                    ack_elements=[lambda sim, sink: ExemptFirstJitter(
-                        sim, sink, units.ms(10), exempt_seqs=[0])]),
-         FlowConfig(cca_factory=Verus, rm=RM, label="clean",
-                    ack_elements=[lambda sim, sink: ConstantJitter(
-                        sim, sink, units.ms(10))])],
-        duration=40.0, warmup=20.0)
+    poison = ElementSpec("exempt_first_jitter",
+                         {"eta": units.ms(10), "exempt_seqs": [0]})
+    constant = ElementSpec("constant_jitter", {"eta": units.ms(10)})
+    result = run_dumbbell(
+        [flow("verus", RM, label="poisoned", ack_elements=[poison]),
+         flow("verus", RM, label="clean", ack_elements=[constant])],
+        units.mbps(24), duration=40.0, warmup=20.0, buffer_bdp=8.0)
     assert result.stats[1].throughput > 1.3 * result.stats[0].throughput

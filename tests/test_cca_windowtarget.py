@@ -4,11 +4,15 @@ import pytest
 
 from repro import units
 from repro.ccas.windowtarget import WindowTarget
-import repro.sim
-from repro.sim import FlowConfig, LinkConfig, dumbbell_links
+
+from .conftest import flow, run_dumbbell
 
 RM = 0.05
 RATE = units.mbps(24)
+
+
+def window_target(**params):
+    return flow("window-target", RM, {"rm": RM, **params})
 
 
 def test_parameter_validation():
@@ -19,10 +23,8 @@ def test_parameter_validation():
 
 
 def test_converges_to_predicted_rtt():
-    result = repro.sim.run(
-        dumbbell_links(LinkConfig(rate=RATE)),
-        [FlowConfig(cca_factory=lambda: WindowTarget(rm=RM), rm=RM)],
-        duration=20.0, warmup=10.0)
+    result = run_dumbbell([window_target()], RATE, duration=20.0,
+                          warmup=10.0)
     expected = RM + 0.04 + 6000.0 / RATE
     assert result.stats[0].mean_rtt == pytest.approx(expected, rel=0.05)
     assert result.utilization() > 0.95
@@ -33,11 +35,8 @@ def test_initial_window_preserves_convergence():
     the packet-level Theorem 1 replay depends on."""
     expected_rtt = RM + 0.04 + 6000.0 / RATE
     window = RATE * expected_rtt
-    result = repro.sim.run(
-        dumbbell_links(LinkConfig(rate=RATE)),
-        [FlowConfig(cca_factory=lambda: WindowTarget(
-            rm=RM, initial_window=window), rm=RM)],
-        duration=4.0, warmup=1.0)
+    result = run_dumbbell([window_target(initial_window=window)], RATE,
+                          duration=4.0, warmup=1.0)
     # Converged from the first second: tight RTT band.
     stats = result.stats[0]
     assert stats.max_rtt - stats.min_rtt < 0.01
@@ -45,20 +44,15 @@ def test_initial_window_preserves_convergence():
 
 
 def test_two_flows_share_fairly():
-    result = repro.sim.run(
-        dumbbell_links(LinkConfig(rate=RATE)),
-        [FlowConfig(cca_factory=lambda: WindowTarget(rm=RM), rm=RM),
-         FlowConfig(cca_factory=lambda: WindowTarget(rm=RM), rm=RM)],
-        duration=30.0, warmup=15.0)
+    result = run_dumbbell([window_target(), window_target()], RATE,
+                          duration=30.0, warmup=15.0)
     assert result.throughput_ratio() < 1.5
 
 
 def test_deterministic_runs():
     def run():
-        return repro.sim.run(
-            dumbbell_links(LinkConfig(rate=RATE)),
-            [FlowConfig(cca_factory=lambda: WindowTarget(rm=RM), rm=RM)],
-            duration=5.0, warmup=1.0)
+        return run_dumbbell([window_target()], RATE, duration=5.0,
+                            warmup=1.0)
 
     a = run()
     b = run()

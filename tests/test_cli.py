@@ -212,6 +212,36 @@ class TestCommands:
             main(["run", "--spec", str(path), "--duration", "2"])
         assert "Traceback" not in str(excinfo.value)
 
+    @pytest.mark.parametrize("flag, mangle", [
+        ("--spec", lambda doc: [1, 2]),
+        ("--spec", lambda doc: {**doc, "link": 5}),
+        ("--spec", lambda doc: {**doc, "flows": [{**doc["flows"][0],
+                                                  "cca": "vegas"}]}),
+        ("--spec", None),
+        ("--topology", lambda doc: {"links": 5}),
+        ("--topology", None),
+    ], ids=["spec-not-an-object", "link-not-an-object",
+            "cca-not-an-object", "spec-not-utf8", "links-not-a-list",
+            "topology-not-utf8"])
+    def test_malformed_or_undecodable_file_exits_in_one_line(
+            self, flag, mangle, tmp_path):
+        """``None`` writes bytes that are not UTF-8 at all."""
+        doc = single_flow_scenario(CCASpec("vegas"), rate=1.5e6,
+                                   rm=0.04).to_json()
+        path = tmp_path / "bad.json"
+        if mangle is None:
+            path.write_bytes(bytes(range(256)))
+        else:
+            path.write_text(json.dumps(mangle(doc)))
+        argv = ["run", flag, str(path), "--duration", "2"]
+        if flag == "--topology":
+            argv += ["--rm", "40", "--cca", "vegas"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value)
+        assert message and "\n" not in message
+        assert "Traceback" not in message
+
     def test_run_needs_flags_or_spec(self):
         with pytest.raises(SystemExit):
             main(["run", "--rate", "12", "--rm", "40"])

@@ -14,19 +14,20 @@ measured equilibrium against the formulas.
 import pytest
 
 from repro import units
-from repro.ccas import BBR, Copa, FastTCP, Vegas
-from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
+from repro.spec import ElementSpec
+
+from .conftest import flow, run_dumbbell
 
 RATE = units.mbps(24)
 RM = units.ms(40)
 MSS = 1500
+VEGAS = {"alpha": 2.0, "beta": 4.0}
+ORACLE = {**VEGAS, "base_rtt": RM}
 
 
-def run_n(cca_factory, n, duration=25.0, **link_kwargs):
-    flows = [FlowConfig(cca_factory=cca_factory, rm=RM)
-             for _ in range(n)]
-    return run(dumbbell_links(LinkConfig(rate=RATE, **link_kwargs)),
-               flows, duration=duration, warmup=duration * 0.6)
+def run_n(cca, params, n, duration=25.0):
+    return run_dumbbell([flow(cca, RM, params) for _ in range(n)], RATE,
+                        duration, duration * 0.6)
 
 
 class TestVegasEquilibrium:
@@ -39,15 +40,15 @@ class TestVegasEquilibrium:
     def test_rtt_scales_with_flow_count(self, n):
         # alpha..beta = 2..4 packets per flow -> total queue in
         # [2n, (4+1)n] packets (+1 per flow for in-flight rounding).
-        result = run_n(lambda: Vegas(alpha=2.0, beta=4.0, base_rtt=RM), n)
+        result = run_n("vegas", ORACLE, n)
         mean_rtt = sum(s.mean_rtt for s in result.stats) / n
         queue_packets = (mean_rtt - RM) * RATE / MSS
         assert 1.5 * n <= queue_packets <= 6.0 * n
         assert result.utilization() > 0.9
 
     def test_two_vs_four_flows_double_the_queue(self):
-        r2 = run_n(lambda: Vegas(alpha=2.0, beta=4.0, base_rtt=RM), 2)
-        r4 = run_n(lambda: Vegas(alpha=2.0, beta=4.0, base_rtt=RM), 4)
+        r2 = run_n("vegas", ORACLE, 2)
+        r4 = run_n("vegas", ORACLE, 4)
         q2 = (sum(s.mean_rtt for s in r2.stats) / 2) - RM
         q4 = (sum(s.mean_rtt for s in r4.stats) / 4) - RM
         assert q4 == pytest.approx(2 * q2, rel=0.5)
@@ -56,8 +57,8 @@ class TestVegasEquilibrium:
         """Without the oracle, 4 flows keep substantially MORE than
         4*alpha queued — the base-RTT inflation the paper's Section 5.1
         points at ("underestimate ... overestimate" asymmetries)."""
-        oracle = run_n(lambda: Vegas(alpha=2.0, beta=4.0, base_rtt=RM), 4)
-        estimated = run_n(lambda: Vegas(alpha=2.0, beta=4.0), 4)
+        oracle = run_n("vegas", ORACLE, 4)
+        estimated = run_n("vegas", VEGAS, 4)
         q_oracle = (sum(s.mean_rtt for s in oracle.stats) / 4) - RM
         q_estimated = (sum(s.mean_rtt for s in estimated.stats) / 4) - RM
         assert q_estimated > 1.5 * q_oracle
@@ -66,7 +67,7 @@ class TestVegasEquilibrium:
 class TestFastEquilibrium:
     @pytest.mark.parametrize("n", [1, 2])
     def test_queue_is_n_alpha_packets(self, n):
-        result = run_n(lambda: FastTCP(alpha=4.0), n)
+        result = run_n("fast", {"alpha": 4.0}, n)
         mean_rtt = sum(s.mean_rtt for s in result.stats) / n
         queue_packets = (mean_rtt - RM) * RATE / MSS
         assert queue_packets == pytest.approx(4.0 * n, rel=0.6)
@@ -79,16 +80,11 @@ class TestBbrCwndLimitedEquilibrium:
     describes."""
 
     def run_bbr(self, n, duration=40.0):
-        from repro.sim.jitter import AckAggregationJitter
-        flows = [FlowConfig(
-            cca_factory=lambda seed=i: BBR(seed=seed + 1),
-            rm=RM,
-            ack_elements=[lambda sim, sink: AckAggregationJitter(
-                sim, sink, units.ms(4))])
-            for i in range(n)]
-        return run(
-            dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=8.0)), flows,
-            duration=duration, warmup=duration * 0.5)
+        aggregation = ElementSpec("ack_aggregation", {"period": units.ms(4)})
+        flows = [flow("bbr", RM, {"seed": i + 1}, ack_elements=[aggregation])
+                 for i in range(n)]
+        return run_dumbbell(flows, RATE, duration, duration * 0.5,
+                            buffer_bdp=8.0)
 
     def test_single_flow_stays_pacing_limited(self):
         """A lone flow's max filter cannot overestimate much (its own
@@ -115,7 +111,7 @@ class TestBbrCwndLimitedEquilibrium:
 class TestCopaEquilibrium:
     @pytest.mark.parametrize("n", [1, 2])
     def test_queue_scales_with_1_over_delta(self, n):
-        result = run_n(lambda: Copa(delta=0.5), n, duration=30.0)
+        result = run_n("copa", {"delta": 0.5}, n, duration=30.0)
         mean_rtt = sum(s.mean_rtt for s in result.stats) / n
         queue_packets = (mean_rtt - RM) * RATE / MSS
         # ~2/delta + oscillation per flow.
@@ -123,8 +119,8 @@ class TestCopaEquilibrium:
         assert result.utilization() > 0.85
 
     def test_smaller_delta_keeps_more_queue(self):
-        gentle = run_n(lambda: Copa(delta=0.25), 1, duration=30.0)
-        aggressive = run_n(lambda: Copa(delta=1.0), 1, duration=30.0)
+        gentle = run_n("copa", {"delta": 0.25}, 1, duration=30.0)
+        aggressive = run_n("copa", {"delta": 1.0}, 1, duration=30.0)
         q_gentle = gentle.stats[0].mean_rtt - RM
         q_aggr = aggressive.stats[0].mean_rtt - RM
         assert q_gentle > q_aggr
@@ -136,12 +132,8 @@ class TestIntroMotivation:
     Vegas/FAST. Verify the classic phenomenon in our simulator."""
 
     def test_vegas_starves_against_reno(self):
-        from repro.ccas import NewReno
-        result = run(
-            dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=2.0)),
-            [FlowConfig(cca_factory=Vegas, rm=RM, label="vegas"),
-             FlowConfig(cca_factory=NewReno, rm=RM, label="reno")],
-            duration=40.0, warmup=15.0)
+        result = run_dumbbell([flow("vegas", RM), flow("reno", RM)], RATE,
+                              duration=40.0, warmup=15.0, buffer_bdp=2.0)
         vegas_share = result.stats[0].throughput
         reno_share = result.stats[1].throughput
         # Reno fills the buffer; Vegas sees the delay and yields.
@@ -149,12 +141,8 @@ class TestIntroMotivation:
 
     def test_bbr_competes_with_reno(self):
         """BBR was designed to fix that; it holds a healthy share."""
-        from repro.ccas import NewReno
-        result = run(
-            dumbbell_links(LinkConfig(rate=RATE, buffer_bdp=2.0)),
-            [FlowConfig(cca_factory=lambda: BBR(seed=1), rm=RM,
-                        label="bbr"),
-             FlowConfig(cca_factory=NewReno, rm=RM, label="reno")],
-            duration=40.0, warmup=15.0)
+        result = run_dumbbell(
+            [flow("bbr", RM, {"seed": 1}), flow("reno", RM)], RATE,
+            duration=40.0, warmup=15.0, buffer_bdp=2.0)
         bbr_share = result.stats[0].throughput / RATE
         assert bbr_share > 0.2

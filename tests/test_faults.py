@@ -4,17 +4,16 @@ gate that confines any element factory to a time window."""
 import pytest
 
 from repro import units
-from repro.ccas import BBR
-from repro.ccas.vegas import Vegas
 from repro.errors import ConfigurationError
-import repro.sim
-from repro.sim import FlowConfig, LinkConfig, dumbbell_links
 from repro.sim.faults import (BlackoutElement, DuplicateElement,
                               GilbertElliottLossElement, LinkFlapElement,
                               ReorderElement, WindowGate)
 from repro.sim.loss import RandomLossElement
 from repro.sim.packet import Packet
 from repro.sim.path import chain, gated
+from repro.spec import ElementSpec
+
+from .conftest import flow, run_dumbbell
 
 
 def pkt(seq, size=1500):
@@ -104,14 +103,11 @@ class TestBlackout:
         assert spy.packets == [] and element.dropped == 5
 
     def test_zero_deliveries_inside_window_end_to_end(self):
-        built = []
-        result = repro.sim.run(
-            dumbbell_links(LinkConfig(rate=units.mbps(12))),
-            [FlowConfig(cca_factory=Vegas, rm=units.ms(40),
-                        data_elements=[gated(make(BlackoutElement, built),
-                                             2.0, 3.0)])],
-            duration=6.0)
-        assert built[0].dropped > 0
+        blackout = ElementSpec("blackout", start=2.0, end=3.0)
+        result = run_dumbbell(
+            [flow("vegas", units.ms(40), data_elements=[blackout])],
+            units.mbps(12), duration=6.0)
+        assert result.scenario.flows[0].sender.path.impaired.dropped > 0
         # ACKs return instantly, so ACK times track delivery times.
         # Allow rm + queueing for in-flight packets that beat the
         # window's opening; after that the pipe must be silent until
@@ -246,18 +242,13 @@ class TestGatedChain:
     def test_schedule_replays_identically(self):
         def run():
             elements = [
-                gated(lambda sim, sink:
-                      GilbertElliottLossElement.from_mean_loss(
-                          sim, sink, 0.05, seed=11000), 0.0, 10.0),
-                gated(lambda sim, sink:
-                      DuplicateElement(sim, sink, 0.1, seed=11001),
-                      2.0, 8.0)]
-            stats = repro.sim.run(
-                dumbbell_links(LinkConfig(rate=units.mbps(12))),
-                [FlowConfig(cca_factory=Vegas, rm=units.ms(40),
-                            data_elements=elements)],
-                duration=10.0, warmup=2.0).stats
-            return stats[0]
+                ElementSpec("gilbert_elliott",
+                            {"mean_loss": 0.05, "seed": 11000}, 0.0, 10.0),
+                ElementSpec("duplicate", {"dup_prob": 0.1, "seed": 11001},
+                            2.0, 8.0)]
+            return run_dumbbell(
+                [flow("vegas", units.ms(40), data_elements=elements)],
+                units.mbps(12), duration=10.0, warmup=2.0).stats[0]
 
         first, second = run(), run()
         assert first == second  # FlowStats is a dataclass: full equality
@@ -266,69 +257,33 @@ class TestGatedChain:
         """Acceptance: deterministic replay across the full zoo."""
         def run():
             elements = [
-                gated(lambda sim, sink:
-                      GilbertElliottLossElement.from_mean_loss(
-                          sim, sink, 0.02, seed=3000), 0.0, 15.0),
-                gated(BlackoutElement, 4.0, 4.5),
-                gated(lambda sim, sink:
-                      LinkFlapElement(sim, sink, 1.0, 0.2), 6.0, 9.0),
-                gated(lambda sim, sink:
-                      ReorderElement(sim, sink, 0.05, 0.005, seed=3003),
-                      9.0, 12.0),
-                gated(lambda sim, sink:
-                      DuplicateElement(sim, sink, 0.02, seed=3004),
-                      0.0, 15.0),
-                gated(lambda sim, sink:
-                      RandomLossElement(sim, sink, 0.01, seed=3005),
-                      0.0, 15.0)]
-            return repro.sim.run(
-                dumbbell_links(LinkConfig(rate=units.mbps(24))),
-                [FlowConfig(cca_factory=lambda: BBR(seed=1),
-                            rm=units.ms(30), data_elements=elements),
-                 FlowConfig(cca_factory=lambda: BBR(seed=2),
-                            rm=units.ms(30))],
-                duration=15.0, warmup=5.0).stats
+                ElementSpec("gilbert_elliott",
+                            {"mean_loss": 0.02, "seed": 3000}, 0.0, 15.0),
+                ElementSpec("blackout", start=4.0, end=4.5),
+                ElementSpec("flap", {"period": 1.0, "down_time": 0.2},
+                            6.0, 9.0),
+                ElementSpec("reorder", {"reorder_prob": 0.05,
+                                        "extra_delay": 0.005, "seed": 3003},
+                            9.0, 12.0),
+                ElementSpec("duplicate", {"dup_prob": 0.02, "seed": 3004},
+                            0.0, 15.0),
+                ElementSpec("random_loss", {"loss_prob": 0.01, "seed": 3005},
+                            0.0, 15.0)]
+            return run_dumbbell(
+                [flow("bbr", units.ms(30), {"seed": 1},
+                      data_elements=elements),
+                 flow("bbr", units.ms(30), {"seed": 2})],
+                units.mbps(24), duration=15.0, warmup=5.0).stats
 
         assert run() == run()
 
     def test_shared_link_faults_hit_every_flow(self):
-        built = []
-        stats = repro.sim.run(
-            dumbbell_links(LinkConfig(
-                rate=units.mbps(12),
-                elements=[gated(make(BlackoutElement, built), 1.0, 2.0)])),
-            [FlowConfig(cca_factory=Vegas, rm=units.ms(40)),
-             FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
-            duration=5.0, warmup=2.5).stats
-        blackout, = built  # one shared element, not one per flow
-        assert blackout.dropped > 0
+        result = run_dumbbell(
+            [flow("vegas", units.ms(40)), flow("vegas", units.ms(40))],
+            units.mbps(12), duration=5.0, warmup=2.5,
+            elements=[ElementSpec("blackout", start=1.0, end=2.0)])
+        first, second = (f.sender.path for f in result.scenario.flows)
+        assert first is second  # one shared element, not one per flow
+        assert first.impaired.dropped > 0
         # Both flows keep running after the shared outage.
-        assert all(s.throughput > 0 for s in stats)
-
-
-class TestConfigValidation:
-    def test_link_rate_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            LinkConfig(rate=0.0)
-        with pytest.raises(ConfigurationError):
-            LinkConfig(rate=-1.0)
-
-    def test_link_buffer_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            LinkConfig(rate=1e6, buffer_bytes=0.0)
-        with pytest.raises(ConfigurationError):
-            LinkConfig(rate=1e6, buffer_bdp=-2.0)
-
-    def test_flow_rm_and_mss_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            FlowConfig(cca_factory=Vegas, rm=0.0)
-        with pytest.raises(ConfigurationError):
-            FlowConfig(cca_factory=Vegas, rm=-0.04)
-        with pytest.raises(ConfigurationError):
-            FlowConfig(cca_factory=Vegas, rm=0.04, mss=0)
-        with pytest.raises(ConfigurationError):
-            FlowConfig(cca_factory=Vegas, rm=0.04, start_time=-1.0)
-
-    def test_valid_configs_still_construct(self):
-        LinkConfig(rate=1e6, buffer_bdp=4.0)
-        FlowConfig(cca_factory=Vegas, rm=0.04, mss=1200)
+        assert all(s.throughput > 0 for s in result.stats)

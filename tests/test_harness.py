@@ -10,11 +10,10 @@ from repro.analysis.backends import execute_point
 from repro.analysis.harness import (RECOVERABLE, ResilientSweep, RunBudget,
                                     RunFailure, describe_failures)
 from repro.analysis.sweep import log_rate_grid, sweep_rate_delay
-from repro.ccas.vegas import Vegas
 from repro.errors import (BudgetExceededError, ConfigurationError,
                           SimulationError)
-from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
 from repro.sim.engine import Simulator
+from repro.spec import CCASpec, single_flow_scenario
 
 from .conftest import livelock
 
@@ -61,11 +60,10 @@ class TestEngineWatchdog:
         assert sim.events_processed == 120
 
     def test_scenario_run_forwards_budgets(self):
+        spec = single_flow_scenario(CCASpec("vegas"), rate=units.mbps(12),
+                                    rm=units.ms(40))
         with pytest.raises(BudgetExceededError):
-            run(
-                dumbbell_links(LinkConfig(rate=units.mbps(12))),
-                [FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
-                duration=5.0, max_events=50)
+            spec.run(duration=5.0, max_events=50)
 
 
 class TestRunBudget:
@@ -135,12 +133,11 @@ class TestRunWithRetry:
 
 def scenario_point(params, budget):
     """A real (tiny) packet-simulation grid point."""
-    result = run(
-        dumbbell_links(LinkConfig(rate=units.mbps(params["rate_mbps"]))),
-        [FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
-        duration=2.0,
-        max_events=budget.max_events,
-        wall_clock_budget=budget.wall_clock)
+    result = single_flow_scenario(
+        CCASpec("vegas"), rate=units.mbps(params["rate_mbps"]),
+        rm=units.ms(40),
+    ).run(duration=2.0, max_events=budget.max_events,
+          wall_clock_budget=budget.wall_clock)
     return {"throughput": result.stats[0].throughput}
 
 
@@ -297,7 +294,7 @@ class TestSweepRateDelayResilience:
     def test_failures_recorded_on_curve(self):
         # An absurdly small event budget fails every point...
         curve = sweep_rate_delay(
-            Vegas, [2.0, 10.0], rm=units.ms(40), duration=3.0,
+            "vegas", [2.0, 10.0], rm=units.ms(40), duration=3.0,
             budget=RunBudget(max_events=20))
         assert not curve.points
         assert len(curve.failures) == 2
@@ -310,11 +307,11 @@ class TestSweepRateDelayResilience:
         checkpoint = str(tmp_path / "curve.json")
         kwargs = dict(rm=units.ms(40), duration=3.0,
                       checkpoint_path=checkpoint)
-        first = sweep_rate_delay(Vegas, [2.0], **kwargs)
+        first = sweep_rate_delay("vegas", [2.0], **kwargs)
         assert len(first.points) == 1
         # Extending the grid only runs the new point; the old one is
         # loaded from the checkpoint with identical values.
-        second = sweep_rate_delay(Vegas, [2.0, 10.0], **kwargs)
+        second = sweep_rate_delay("vegas", [2.0, 10.0], **kwargs)
         assert len(second.points) == 2
         assert second.points[0] == first.points[0]
 
@@ -420,7 +417,7 @@ class TestMaxFailures:
     def test_sweep_rate_delay_forwards_max_failures(self):
         from repro.errors import SweepAbortedError
         with pytest.raises(SweepAbortedError):
-            sweep_rate_delay(Vegas, [2.0, 10.0], rm=units.ms(40),
+            sweep_rate_delay("vegas", [2.0, 10.0], rm=units.ms(40),
                              duration=5.0,
                              budget=RunBudget(max_events=200),
                              max_failures=0)

@@ -13,7 +13,7 @@ from repro.sim.host import Receiver, Sender
 from repro.sim.path import DelayElement
 from repro.sim.queue import BottleneckQueue
 
-from .conftest import SinkSpy
+from .conftest import SinkSpy, flow, run_dumbbell
 
 
 class FixedWindowCCA(CCA):
@@ -399,13 +399,10 @@ def test_loss_recovery_heap_work_is_bounded(monkeypatch):
     # Slow start overshoots a 4-BDP buffer, so several hundred
     # retransmissions are outstanding at once. Heap work may grow with
     # what is retransmitted, never with ACKs x outstanding.
-    from repro.ccas import NewReno
-    from repro.sim import FlowConfig, LinkConfig, dumbbell_links, run
     counter = CountingHeapq()
     monkeypatch.setattr("repro.sim.host.heapq", counter)
-    result = run(
-        dumbbell_links(LinkConfig(rate=units.mbps(24), buffer_bdp=4.0)),
-        [FlowConfig(cca_factory=NewReno, rm=units.ms(50))], duration=4.0)
+    result = run_dumbbell([flow("reno", units.ms(50))], units.mbps(24),
+                          duration=4.0, buffer_bdp=4.0)
     sender = result.scenario.flows[0].sender
     assert sender.retransmits > 500
     assert counter.operations <= 2 * sender.sent_packets

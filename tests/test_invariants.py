@@ -14,11 +14,12 @@ import pytest
 
 from repro import units
 from repro.errors import InvariantViolation
-from repro.sim import (LinkConfig, FlowConfig, build_topology,
-                       dumbbell_links, run)
 from repro.sim.invariants import (DEFAULT_CADENCE, ENV_VAR,
                                   InvariantSentinel, InvariantWarning,
                                   override_mode, resolve_mode)
+from repro.spec import LinkSpec, ScenarioSpec
+
+from .conftest import flow
 
 
 class FakeSim:
@@ -231,15 +232,15 @@ class TestWarnMode:
         assert sites == {"sender[0].cwnd", "sender[0].pacing"}
 
 
-class TestScenarioIntegration:
-    LINK = LinkConfig(rate=units.mbps(5))
+def one_flow(cca, rate_mbps, rm_ms, **link):
+    return ScenarioSpec(link=LinkSpec(rate=units.mbps(rate_mbps), **link),
+                        flows=(flow(cca, units.ms(rm_ms)),))
 
+
+class TestScenarioIntegration:
     def run_flow(self, invariants):
-        from repro.ccas import Vegas
-        return run(
-            dumbbell_links(self.LINK),
-            [FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
-            duration=3.0, warmup=0.5, invariants=invariants)
+        return one_flow("vegas", 5, 40).run(duration=3.0, warmup=0.5,
+                                            invariants=invariants)
 
     def test_clean_run_passes_strict(self):
         result = self.run_flow("strict")
@@ -261,13 +262,10 @@ class TestScenarioIntegration:
         assert stats_strict.mean_rtt == stats_off.mean_rtt
 
     def test_cadence_scales_check_count(self):
-        from repro.ccas import Vegas
         # Enough events (> DEFAULT_CADENCE) to trigger mid-run checks
         # on top of the final end-of-run one.
-        result = run(
-            dumbbell_links(LinkConfig(rate=units.mbps(20))),
-            [FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
-            duration=10.0, warmup=1.0, invariants="strict")
+        result = one_flow("vegas", 20, 40).run(duration=10.0, warmup=1.0,
+                                               invariants="strict")
         sentinel = result.scenario.sentinel
         assert sentinel.cadence == DEFAULT_CADENCE
         assert sentinel.checks_run >= 2
@@ -279,13 +277,8 @@ class TestStrictCatchesInjectedCorruption:
         # Sabotage a live scenario between engine slices: the next
         # check (the end-of-run one at minimum) must catch the
         # poisoned inflight accounting.
-        from repro.ccas import Vegas
-        scenario = build_topology(
-            dumbbell_links(LinkConfig(rate=units.mbps(5))),
-            [FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
-            invariants="strict")
-        for flow in scenario.flows:
-            flow.sender.start()
+        scenario = one_flow("vegas", 5, 40).build(invariants="strict")
+        scenario.flows[0].sender.start()
         scenario.sim.run(1.0)
         scenario.flows[0].sender.inflight_bytes += 7777
         with pytest.raises(InvariantViolation) as excinfo:
@@ -298,11 +291,7 @@ class TestStrictCatchesInjectedCorruption:
         # cursor, known to loss detection only through its _parked
         # entry. Drop the entries and the packet could never be declared
         # lost again; the sentinel must say so.
-        from repro.ccas import NewReno
-        scenario = build_topology(
-            dumbbell_links(LinkConfig(rate=units.mbps(12),
-                                      buffer_bdp=4.0)),
-            [FlowConfig(cca_factory=NewReno, rm=units.ms(50))],
+        scenario = one_flow("reno", 12, 50, buffer_bdp=4.0).build(
             invariants="strict")
         sender = scenario.flows[0].sender
         sender.start()

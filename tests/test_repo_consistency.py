@@ -51,10 +51,51 @@ def test_public_cca_exports():
 
 
 def test_sim_exports_one_builder_and_one_run():
-    """The legacy dumbbell builder and its two runners stay gone."""
+    """``build_topology`` is the one builder and ``ScenarioSpec.run``
+    the one run: the simulator exports no second scenario vocabulary
+    (the spec classes are the only one) and no ``sim.run``."""
     import repro.sim as sim
-    assert [name for name in sim.__all__
-            if name.startswith(("build", "run"))] == ["build_topology", "run"]
+    assert sorted(sim.__all__) == [
+        "Ack", "AckInfo", "BlackoutElement", "BottleneckQueue",
+        "DuplicateElement", "Event", "FlowStats",
+        "GilbertElliottLossElement", "InvariantSentinel",
+        "InvariantWarning", "LinkFlapElement", "Packet", "Receiver",
+        "ReorderElement", "RunResult", "Scenario", "Sender", "Simulator",
+        "build_topology", "override_mode", "resolve_mode"]
+    assert not hasattr(sim, "run")
+
+
+def test_spec_run_builds_through_the_rebindable_seam(monkeypatch):
+    """The benchmark's coarse-recorder probe rebinds ``build_topology``
+    on ``network`` and ``runner`` with this wrapper, and its tracer
+    wraps the name on ``network``, ``runner`` and ``spec.scenario``. If
+    ``ScenarioSpec.run`` stopped building through ``runner``, the probe
+    would measure nothing without failing."""
+    from repro import units
+    from repro.sim import network, runner
+    from repro.spec import CCASpec, FlowSpec, LinkSpec, ScenarioSpec
+    from repro.spec import scenario
+
+    for module in (network, runner, scenario):
+        assert callable(vars(module)["build_topology"]), module.__name__
+    spec = ScenarioSpec(link=LinkSpec(rate=units.mbps(12)),
+                        flows=(FlowSpec(cca=CCASpec("vegas"),
+                                        rm=units.ms(40)),),
+                        sample_interval=0.01)
+
+    def samples():
+        return len(spec.run(duration=2.0).scenario.flows[0]
+                   .recorder.sample_times)
+
+    original = network.build_topology
+
+    def build(links, flows, sample_interval=0.05, **kwargs):
+        return original(links, flows,
+                        sample_interval=sample_interval * 10, **kwargs)
+
+    fine = samples()
+    monkeypatch.setattr(runner, "build_topology", build)
+    assert samples() < fine
 
 
 def test_delay_convergent_registry_matches_paper_list():

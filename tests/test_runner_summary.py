@@ -10,15 +10,18 @@ import math
 import pytest
 
 from repro import units
-from repro.ccas.vegas import Vegas
-from repro.sim.network import FlowConfig, LinkConfig, dumbbell_links
-from repro.sim.runner import FlowStats, RunResult, run, summarize
+from repro.sim.runner import FlowStats, RunResult, summarize
+from repro.spec import CCASpec, FlowSpec, LinkSpec, ScenarioSpec
 
 RM = units.ms(40)
 
 
-def vegas_flow(**kwargs):
-    return FlowConfig(cca_factory=Vegas, rm=RM, **kwargs)
+def run_vegas(*start_times, **run_kwargs):
+    """Vegas flows (one per start time, default one at 0) on 5 Mbit/s."""
+    flows = [FlowSpec(cca=CCASpec("vegas"), rm=RM, start_time=start)
+             for start in start_times or (0.0,)]
+    return ScenarioSpec(link=LinkSpec(rate=units.mbps(5)),
+                        flows=flows).run(**run_kwargs)
 
 
 def make_stats(**overrides):
@@ -59,15 +62,13 @@ class TestThroughputRatio:
 
 class TestSummarizeWindows:
     def test_single_flow_share_is_one(self):
-        result = run(dumbbell_links(LinkConfig(rate=units.mbps(5))),
-                     [vegas_flow()], duration=3.0, warmup=1.0)
+        result = run_vegas(duration=3.0, warmup=1.0)
         assert result.stats[0].share == pytest.approx(1.0)
 
     def test_warmup_equal_to_duration_empty_window(self):
         # The whole run is "warmup": no bytes, no RTT samples, no
         # crash. Shares stay 0 (nothing delivered in the window).
-        result = run(dumbbell_links(LinkConfig(rate=units.mbps(5))),
-                     [vegas_flow()], duration=3.0, warmup=3.0)
+        result = run_vegas(duration=3.0, warmup=3.0)
         stat = result.stats[0]
         assert stat.throughput == 0.0
         assert math.isnan(stat.mean_rtt)
@@ -76,17 +77,13 @@ class TestSummarizeWindows:
         assert result.throughput_ratio() == 1.0
 
     def test_warmup_beyond_duration_empty_window(self):
-        result = run(dumbbell_links(LinkConfig(rate=units.mbps(5))),
-                     [vegas_flow()], duration=2.0, warmup=5.0)
+        result = run_vegas(duration=2.0, warmup=5.0)
         assert result.stats[0].throughput == 0.0
 
     def test_flow_starting_after_window_has_zero_throughput(self):
         # Flow 1 starts after the horizon: zero bytes, but flow 0's
         # share still normalizes over delivered traffic only.
-        result = run(
-            dumbbell_links(LinkConfig(rate=units.mbps(5))),
-            [vegas_flow(), vegas_flow(start_time=100.0)],
-            duration=3.0, warmup=1.0)
+        result = run_vegas(0.0, 100.0, duration=3.0, warmup=1.0)
         late = result.stats[1]
         assert late.throughput == 0.0
         assert result.stats[0].share == pytest.approx(1.0)
@@ -98,8 +95,7 @@ class TestSummarizeWindows:
         assert stat.rtt_range == (0.04, 0.06)
 
     def test_summarize_restricts_rtt_to_window(self):
-        result = run(dumbbell_links(LinkConfig(rate=units.mbps(5))),
-                     [vegas_flow()], duration=4.0)
+        result = run_vegas(duration=4.0)
         scenario = result.scenario
         full = summarize(scenario, duration=4.0, warmup=0.0)[0]
         tail = summarize(scenario, duration=4.0, warmup=3.0)[0]

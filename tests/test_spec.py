@@ -17,8 +17,9 @@ from repro.ccas import registry
 from repro.errors import ConfigurationError, SpecValidationError
 from repro.sim.digests import run_digests
 from repro.spec import (CCASpec, ELEMENTS, ElementSpec, FlowSpec,
-                        LinkSpec, ScenarioSpec, derive_seed,
-                        element_kinds, single_flow_scenario)
+                        LinkSpec, ScenarioSpec, TopologySpec, derive_seed,
+                        element_kinds, parking_lot_topology,
+                        single_flow_scenario)
 
 RM = units.ms(40)
 
@@ -139,10 +140,6 @@ class TestCCASpec:
         reference = CCASpec("bbr", {"seed": 3}).create()
         assert pinned._rng.random() == reference._rng.random()
 
-    def test_factory_is_reusable(self):
-        factory = CCASpec("vegas").make_factory(seed=1)
-        assert factory() is not factory()
-
     @pytest.mark.parametrize("name, params", [
         ("copa", {"delta": 0}),
         ("window-target", {"alpha": -1.0}),
@@ -251,6 +248,18 @@ class TestFaultSpecs:
         with pytest.raises(ConfigurationError, match="flap"):
             spec.factory()(Simulator(), object())
 
+    @pytest.mark.parametrize("faults", [
+        5, {"windows": 5}, {"windows": [5]},
+        {"windows": [{"kind": "blackout", "start": 1.0}]},
+        {"windows": [{"kind": ["blackout"], "start": 1.0, "end": 2.0}]},
+        {"windows": [], "seed": "x"},
+    ])
+    def test_malformed_v1_schedule_rejected(self, faults):
+        doc = v1_document([])
+        doc["flows"][0]["faults"] = faults
+        with pytest.raises(SpecValidationError):
+            ScenarioSpec.from_json(doc)
+
     def test_empty_v1_schedule_upgrades_to_nothing(self):
         spec = ScenarioSpec.from_json(v1_document([]))
         assert spec.flows[0].data_elements == ()
@@ -342,9 +351,8 @@ class TestScenarioSpec:
             ScenarioSpec.load("/nonexistent/spec.json")
 
     def test_default_labels_name_the_cca(self):
-        _, flows = two_flow_spec().to_configs()
-        assert flows[0].label == "vegas#0"
-        assert flows[1].label == "bbr#1"
+        flows = two_flow_spec().build().flows
+        assert [flow.label for flow in flows] == ["vegas#0", "bbr#1"]
 
     def test_same_seed_same_run(self):
         a = two_flow_spec(seed=3).run(duration=3.0, warmup=1.0)
@@ -441,8 +449,7 @@ class TestScenarioSpec:
                 flows=(FlowSpec(cca=CCASpec("bbr", {"seed": 3}),
                                 rm=RM),),
                 seed=root_seed)
-            _, flows = spec.to_configs()
-            return flows[0].cca_factory()._rng.random()
+            return spec.build().flows[0].sender.cca._rng.random()
 
         assert bbr_phase(0) == bbr_phase(123)
 
@@ -585,6 +592,55 @@ class TestSpecInputHardening:
         data["link"]["elements"] = [document]
         with pytest.raises(SpecValidationError):
             ScenarioSpec.from_json(data)
+
+    @pytest.mark.parametrize("topology, where, value", [
+        # A document that is not an object...
+        (False, (), [1, 2]),
+        (False, ("link",), 5),
+        (False, ("flows", 0), 5),
+        (False, ("flows", 0, "cca"), "vegas"),
+        (False, ("flows", 0, "cca", "name"), [1]),
+        (False, ("flows", 0, "cca", "params"), [1]),
+        (True, ("topology",), 5),
+        (True, ("topology", "nodes", 0), "n0"),
+        (True, ("topology", "links", 0), 5),
+        # ...a list that is not a list...
+        (False, ("flows",), 5),
+        (True, ("flows", 0, "path"), 5),
+        (True, ("topology", "nodes"), 5),
+        (True, ("topology", "links"), 5),
+        # ...and a missing required key.
+        (False, ("flows",), None),
+        (False, ("link", "rate"), None),
+        (False, ("flows", 0, "rm"), None),
+        (False, ("flows", 0, "cca", "name"), None),
+        (True, ("topology", "nodes", 0, "id"), None),
+        (True, ("topology", "links", 0, "id"), None),
+    ])
+    def test_malformed_nested_document_rejected(self, topology, where,
+                                                value):
+        """Every ``from_json`` fails typed; ``None`` deletes the key."""
+        spec = two_flow_spec()
+        if topology:
+            spec = ScenarioSpec(
+                topology=parking_lot_topology([units.mbps(10)]),
+                flows=spec.flows)
+        data = spec.to_json()
+        if not where:
+            data = value
+        else:
+            owner = data
+            for key in where[:-1]:
+                owner = owner[key]
+            if value is None:
+                del owner[where[-1]]
+            else:
+                owner[where[-1]] = value
+        with pytest.raises(SpecValidationError):
+            ScenarioSpec.from_json(data)
+        if where[:1] == ("topology",):
+            with pytest.raises(SpecValidationError):
+                TopologySpec.from_json(data["topology"])
 
     def test_element_list_must_be_a_list(self):
         data = two_flow_spec().to_json()

@@ -33,7 +33,6 @@ from repro.analysis.harness import ResilientSweep, RunBudget
 from repro.errors import (ConfigurationError, SpecValidationError)
 from repro.fuzz.generate import FuzzConfig, generate_spec
 from repro.fuzz.shrink import _candidates
-from repro.sim import LinkConfig, TopologyLink, build_topology, run
 from repro.sim.digests import run_digests
 from repro.sim.runner import FlowStats, RunResult, summarize
 from repro.spec import (CCASpec, ElementSpec, FlowSpec, LinkSpec,
@@ -240,11 +239,8 @@ class TestScenarioSpecTopology:
             spec = ScenarioSpec(
                 topology=TopologySpec(nodes=nodes, links=declared),
                 flows=(FlowSpec(cca=CCASpec("reno"), rm=RM,
-                                path=("b0", "b1")),), seed=7)
-            configs = {lk.link_id: lk.config
-                       for lk in spec.to_configs()[0]}
-            assert configs["b0"].elements == ()
-            element = configs["b1"].elements[0](None, None)
+                                path=("b1",)),), seed=7)
+            element = spec.build().flows[0].sender.path
             assert element._rng.random() == random.Random(
                 derive_seed(7, "link", "b1", 0)).random()
 
@@ -263,16 +259,14 @@ class TestDumbbellEquivalence:
     @pytest.mark.parametrize("make", [dumbbell_scenario,
                                       parking_lot_scenario])
     def test_every_route_to_a_result_agrees(self, make):
-        """``spec.run()``, ``sim.run`` over its configs and the
-        hand-driven build / run / summarize are one computation."""
+        """``spec.run()`` and the hand-driven ``spec.build()`` / run /
+        summarize are one computation."""
         spec = replace(make(), sample_interval=0.01)
         window = (spec.duration, spec.warmup)
-        built = build_topology(*spec.to_configs(), sample_interval=0.01)
+        built = spec.build()
         built.run(spec.duration)
         by_hand = RunResult(built, summarize(built, *window), *window)
-        assert run_digests(spec.run()) \
-            == run_digests(run(*spec.to_configs(), *window, 0.01)) \
-            == run_digests(by_hand)
+        assert run_digests(spec.run()) == run_digests(by_hand)
 
 
 class TestParkingLotRuns:
@@ -293,17 +287,6 @@ class TestParkingLotRuns:
             if queue._in_service is not None:
                 accounted += 1
             assert queue.arrived == accounted
-
-    def test_sim_run_over_hand_built_links(self):
-        links = [
-            TopologyLink("b0", LinkConfig(rate=units.mbps(10))),
-            TopologyLink("b1", LinkConfig(rate=units.mbps(8)),
-                         delay=units.ms(5)),
-        ]
-        spec_flows = parking_lot_scenario().to_configs()[1]
-        result = run(links, spec_flows, duration=1.5, warmup=0.5,
-                     invariants="strict")
-        assert result.scenario.link_ids == ["b0", "b1"]
 
     def test_serial_and_pool_runs_identical(self):
         """The acceptance bar: the same parking-lot point through a

@@ -8,10 +8,9 @@ from repro import units
 from repro.core.emulation import step_trace
 from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.model.fluid import eta_schedule
-from repro.sim import (FlowConfig, LinkConfig, build_topology,
-                       dumbbell_links, run)
-from repro.ccas.vegas import Vegas
-from repro.spec import ElementSpec
+from repro.spec import CCASpec, ElementSpec, FlowSpec, LinkSpec, ScenarioSpec
+
+from .conftest import flow, run_dumbbell
 
 
 class TestUnits:
@@ -80,10 +79,8 @@ class TestAdversary:
 class TestRecorderPlumbing:
     @pytest.fixture(scope="class")
     def result(self):
-        return run(
-            dumbbell_links(LinkConfig(rate=units.mbps(12))),
-            [FlowConfig(cca_factory=Vegas, rm=units.ms(40))],
-            duration=6.0, warmup=0.0)
+        return run_dumbbell([flow("vegas", units.ms(40))], units.mbps(12),
+                            duration=6.0)
 
     def test_throughput_between_windows(self, result):
         recorder = result.scenario.flows[0].recorder
@@ -106,33 +103,28 @@ class TestRecorderPlumbing:
 class TestScenarioValidation:
     def test_empty_flow_list_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_topology(
-                dumbbell_links(LinkConfig(rate=units.mbps(12))), [])
+            ScenarioSpec(link=LinkSpec(rate=units.mbps(12)), flows=())
 
     def test_both_buffer_specs_rejected(self):
-        link = LinkConfig(rate=units.mbps(12), buffer_bytes=1000,
-                          buffer_bdp=1.0)
         with pytest.raises(ConfigurationError):
-            link.resolve_buffer(0.05)
+            LinkSpec(rate=units.mbps(12), buffer_bytes=1000, buffer_bdp=1.0)
 
     def test_buffer_bdp_resolution(self):
-        link = LinkConfig(rate=units.mbps(12), buffer_bdp=2.0)
-        assert link.resolve_buffer(0.05) == pytest.approx(
+        spec = ScenarioSpec(link=LinkSpec(rate=units.mbps(12),
+                                          buffer_bdp=2.0),
+                            flows=(flow("vegas", 0.05), flow("vegas", 0.2)))
+        assert spec.build().queue.buffer_bytes == pytest.approx(
             2.0 * units.mbps(12) * 0.05)
 
     def test_nonpositive_rm_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_topology(
-                dumbbell_links(LinkConfig(rate=units.mbps(12))),
-                [FlowConfig(cca_factory=Vegas, rm=0.0)])
+            FlowSpec(cca=CCASpec("vegas"), rm=0.0)
 
     def test_flow_start_times_honored(self):
-        result = run(
-            dumbbell_links(LinkConfig(rate=units.mbps(12))),
-            [FlowConfig(cca_factory=Vegas, rm=units.ms(40)),
-             FlowConfig(cca_factory=Vegas, rm=units.ms(40),
-                        start_time=2.0)],
-            duration=4.0, warmup=0.0)
+        result = run_dumbbell(
+            [flow("vegas", units.ms(40)),
+             flow("vegas", units.ms(40), start_time=2.0)],
+            units.mbps(12), duration=4.0)
         late_sender = result.scenario.flows[1].sender
         first_rtt_time = result.scenario.flows[1].recorder.rtt_times[0]
         assert first_rtt_time > 2.0
