@@ -1,11 +1,16 @@
 """Congestion control algorithm (CCA) interface for the packet simulator.
 
-A CCA controls the sender through two knobs, read before every
+A CCA controls the sender through two outputs, read before every
 transmission:
 
 * ``cwnd_bytes`` — the window limit on bytes in flight (may be ``inf``
   for purely rate-based schemes);
 * ``pacing_rate`` — bytes/s pacing (``None`` = ACK-clocked, no pacing).
+
+An output is a property or a plain attribute. BBR and every
+:class:`RateCCA` keep attributes, recomputed by one pure ``outputs()``
+and published at the end of every state change; the invariant sentinel
+reports a published pair that differs from ``outputs()``.
 
 The sender pushes events into the CCA: ``on_ack`` with an
 :class:`~repro.sim.packet.AckInfo` digest (RTT sample, delivery-rate
@@ -17,7 +22,7 @@ access to the sender (and through it, the simulator clock for timers).
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..sim.packet import AckInfo
 
@@ -25,9 +30,13 @@ from ..sim.packet import AckInfo
 class CCA:
     """Base class with sensible no-op defaults.
 
-    Subclasses typically override ``on_ack`` and the two properties.
-    ``self.sender`` is available after :meth:`attach`.
+    Subclasses typically override ``on_ack`` and the two outputs,
+    which default to an unlimited window and no pacing. ``self.sender``
+    is available after :meth:`attach`.
     """
+
+    cwnd_bytes: float = math.inf
+    pacing_rate: Optional[float] = None
 
     def __init__(self) -> None:
         self.sender = None
@@ -75,16 +84,6 @@ class CCA:
     def on_timeout(self, now: float) -> None:
         """The retransmission timeout fired."""
 
-    # -- control outputs --------------------------------------------------
-
-    @property
-    def cwnd_bytes(self) -> float:
-        return math.inf
-
-    @property
-    def pacing_rate(self) -> Optional[float]:
-        return None
-
 
 class WindowCCA(CCA):
     """Helper base for window-based CCAs keeping cwnd in packets.
@@ -114,31 +113,38 @@ class RateCCA(CCA):
     Maintains ``self.rate`` in bytes/s used as the pacing rate; the
     window is a loose cap of ``cwnd_multiplier`` x rate x latest RTT so a
     rate-based sender cannot dump unbounded inflight when the network
-    stalls.
+    stalls. Setting ``rate`` and :meth:`note_rtt` publish both outputs.
     """
 
     def __init__(self, initial_rate: float, min_rate: float = 1500.0,
                  cwnd_multiplier: float = 50.0) -> None:
         super().__init__()
-        self.rate = initial_rate
         self.min_rate = min_rate
         self.cwnd_multiplier = cwnd_multiplier
         self._latest_rtt: Optional[float] = None
+        self.rate = initial_rate
+
+    @property
+    def rate(self) -> float:
+        return self._rate
+
+    @rate.setter
+    def rate(self, value: float) -> None:
+        self._rate = value
+        self.cwnd_bytes, self.pacing_rate = self.outputs()
 
     def note_rtt(self, rtt: float) -> None:
         self._latest_rtt = rtt
+        self.cwnd_bytes, self.pacing_rate = self.outputs()
 
     def clamp_rate(self) -> None:
         if self.rate < self.min_rate:
             self.rate = self.min_rate
 
-    @property
-    def pacing_rate(self) -> Optional[float]:
-        return self.rate
-
-    @property
-    def cwnd_bytes(self) -> float:
+    def outputs(self) -> Tuple[float, Optional[float]]:
+        """``(cwnd_bytes, pacing_rate)`` from the rate and latest RTT."""
+        rate = self._rate
         if self._latest_rtt is None:
-            return math.inf
-        return max(4 * 1500.0,
-                   self.cwnd_multiplier * self.rate * self._latest_rtt)
+            return math.inf, rate
+        return (max(4 * 1500.0,
+                    self.cwnd_multiplier * rate * self._latest_rtt), rate)

@@ -88,6 +88,11 @@ class BBR(CCA):
 
         self._probe_rtt_done_time: Optional[float] = None
         self._min_rtt_stamp = 0.0
+        self.cwnd_bytes, self.pacing_rate = self.outputs()
+
+    def on_start(self) -> None:
+        # Attached: the window is now in the sender's mss.
+        self.cwnd_bytes, self.pacing_rate = self.outputs()
 
     # ------------------------------------------------------------------
     # Filters
@@ -178,6 +183,7 @@ class BBR(CCA):
         if self.mode == BBR.PROBE_BW:
             self._advance_cycle(now)
         self._maybe_probe_rtt(now, info)
+        self.cwnd_bytes, self.pacing_rate = self.outputs()
 
     def _enter_probe_bw(self, now: float) -> None:
         self.mode = BBR.PROBE_BW
@@ -214,25 +220,21 @@ class BBR(CCA):
         self.pacing_gain = STARTUP_GAIN
         self._full_bw = 0.0
         self._full_bw_rounds = 0
+        self.cwnd_bytes, self.pacing_rate = self.outputs()
 
     # ------------------------------------------------------------------
     # Control outputs
     # ------------------------------------------------------------------
 
-    @property
-    def pacing_rate(self) -> Optional[float]:
-        if self.btl_bw <= 0:
-            # No estimate yet: pace at a default of 10 packets per RTT
-            # guess (effectively unpaced early startup).
-            return None
-        return self.pacing_gain * self.btl_bw
-
-    @property
-    def cwnd_bytes(self) -> float:
-        mss = self.mss if self.sender else 1500
+    def outputs(self) -> Tuple[float, Optional[float]]:
+        """``(cwnd_bytes, pacing_rate)`` from the filters and the mode."""
+        btl_bw = self.btl_bw
+        # No estimate yet: unpaced (ACK-clocked) early startup.
+        pacing = None if btl_bw <= 0 else self.pacing_gain * btl_bw
+        mss = self.sender.mss if self.sender else 1500
         if self.mode == BBR.PROBE_RTT:
-            return PROBE_RTT_CWND_PACKETS * mss
-        bdp = self._bdp_bytes(self._cwnd_gain_now)
-        if not math.isfinite(bdp):
-            return 10 * mss  # startup default before first estimate
-        return bdp + self.quanta_packets * mss
+            return PROBE_RTT_CWND_PACKETS * mss, pacing
+        bdp = self._cwnd_gain_now * btl_bw * self.min_rtt_est
+        if btl_bw <= 0 or not math.isfinite(bdp):
+            return 10 * mss, pacing  # startup default before an estimate
+        return bdp + self.quanta_packets * mss, pacing

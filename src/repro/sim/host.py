@@ -37,8 +37,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigurationError
 from .engine import Event, Simulator
@@ -58,6 +59,10 @@ class Sender:
         start_time: when the flow starts sending.
         reorder_threshold: sequence gap (in packets) treated as loss.
         min_rto / rto_multiplier: retransmission-timeout backstop.
+        burst_size: packets released together; with more than one, the
+            sender holds window permission until a whole burst fits.
+
+    ``rtt_times`` / ``rtt_values`` log one RTT sample per ACK processed.
     """
 
     def __init__(self, sim: Simulator, flow_id: int, cca,
@@ -107,6 +112,8 @@ class Sender:
         self.min_rtt = math.inf
         self.srtt: Optional[float] = None
         self.latest_rtt: Optional[float] = None
+        self.rtt_times = array("d")
+        self.rtt_values = array("d")
 
         # The sender's one pacing wakeup, re-aimed by _try_send.
         self._pacing_timer = Event(self._try_send)
@@ -114,8 +121,6 @@ class Sender:
         self._rto_deadline = 0.0
         self._next_send_time = 0.0
         self._started = False
-
-        self.on_ack_hooks: List[Callable[["Sender", AckInfo], None]] = []
 
     # ------------------------------------------------------------------
     # Wiring
@@ -133,6 +138,8 @@ class Sender:
         self.sim.post_at(self.start_time, self._begin)
 
     def _begin(self) -> None:
+        if self.path is None:
+            raise ConfigurationError("sender has no forward path attached")
         self.cca.attach(self)
         self._next_send_time = self.sim.now
         self._try_send()
@@ -189,8 +196,6 @@ class Sender:
 
     def _try_send(self) -> None:
         """Send as many packets as the window and pacer allow."""
-        if self.path is None:
-            raise ConfigurationError("sender has no forward path attached")
         if self.burst_size > 1 and not self._burst_gate_open():
             return
         cca = self.cca
@@ -253,6 +258,8 @@ class Sender:
             self.min_rtt = rtt
         srtt = self.srtt
         self.srtt = rtt if srtt is None else 0.875 * srtt + 0.125 * rtt
+        self.rtt_times.append(now)
+        self.rtt_values.append(rtt)
 
         unacked = self._unacked
         highest = self.highest_acked
@@ -286,8 +293,6 @@ class Sender:
                        ack.delivered_at_send, acked_seqs,
                        ack.ecn_marked_count)
         self.cca.on_ack(info)
-        for hook in self.on_ack_hooks:
-            hook(self, info)
         self._arm_rto()
         self._try_send()
 

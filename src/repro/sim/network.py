@@ -18,7 +18,7 @@ from .host import Receiver, Sender
 from .invariants import InvariantSentinel
 from .path import DelayElement, chain
 from .queue import BottleneckQueue
-from .recorder import FlowRecorder, QueueRecorder
+from .recorder import FlowRecorder, QueueRecorder, Sampler
 
 if TYPE_CHECKING:
     from ..spec import FlowSpec, LinkSpec, TopoLinkSpec
@@ -191,23 +191,26 @@ def build_topology(links: Union[LinkSpec, Sequence[TopoLinkSpec]],
         ack_entry = chain(
             sim, elements(flow.ack_elements, "flow", flow_id, "ack"), sender)
         receiver.attach_ack_path(ack_entry)
-        # Forward path, wired back-to-front: after the last queue comes
-        # delay(rm) -> receiver; each hop's queue routes this flow to
-        # the next hop's entry (through the hop's own delay, if any).
-        downstream: object = DelayElement(sim, receiver, flow.rm)
+        # Forward path, wired back-to-front: the last queue routes this
+        # flow to the receiver rm later; each hop's queue routes it to
+        # the next hop's entry. A queue posts its link's delay itself,
+        # so rm behind a delayed link is a DelayElement.
+        downstream: object = receiver
+        delay = flow.rm
         for link_id in reversed(path):
-            sink: object = downstream
             if delays[link_id] > 0:
-                sink = DelayElement(sim, downstream, delays[link_id])
-            queues[link_id].register_sink(flow_id, sink)
-            downstream = entries[link_id]
+                if delay > 0:
+                    downstream = DelayElement(sim, downstream, delay)
+                delay = delays[link_id]
+            queues[link_id].register_sink(flow_id, downstream, delay)
+            downstream, delay = entries[link_id], 0.0
         # Forward path before the first queue:
         #   data elements -> the link's shared elements -> queue.
         data_entry = chain(
             sim, elements(flow.data_elements, "flow", flow_id, "data"),
             downstream)
         sender.attach_path(data_entry)
-        recorder = FlowRecorder(sim, sender, receiver=receiver,
+        recorder = FlowRecorder(sender, receiver=receiver,
                                 sample_interval=sample_interval)
         label = flow.label or f"{flow.cca.name}#{flow_id}"
         built.append(BuiltFlow(flow_id, label, sender, receiver, recorder))
@@ -219,9 +222,11 @@ def build_topology(links: Union[LinkSpec, Sequence[TopoLinkSpec]],
                 if id(element) not in registered_elements:
                     registered_elements.add(id(element))
                     sentinel.register_element(element)
-    queue_recorders = [QueueRecorder(sim, queues[link_id],
+    queue_recorders = [QueueRecorder(queues[link_id],
                                      sample_interval=sample_interval)
                        for link_id in link_ids]
+    Sampler(sim, sample_interval,
+            [flow.recorder for flow in built] + queue_recorders)
     if sentinel.active:
         for link_id, recorder in zip(link_ids, queue_recorders):
             sentinel.register_queue(queues[link_id], recorder)

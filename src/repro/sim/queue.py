@@ -11,7 +11,7 @@ assumes).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
 from .engine import Simulator
@@ -31,7 +31,7 @@ class BottleneckQueue:
 
     Downstream routing: each flow registers a sink via
     :meth:`register_sink`; dequeued packets are forwarded to the sink for
-    ``packet.flow_id``.
+    ``packet.flow_id``, after the link's propagation delay if it has one.
     """
 
     def __init__(self, sim: Simulator, rate: float,
@@ -51,7 +51,7 @@ class BottleneckQueue:
         # an unambiguous congestion signal (unlike delay and loss).
         self.ecn_threshold_bytes = ecn_threshold_bytes
         self.ecn_marks = 0
-        self._sinks: Dict[int, object] = {}
+        self._sinks: Dict[int, Tuple[Callable, float]] = {}
         self._queue: Deque[Packet] = deque()
         self._queued_bytes: float = 0.0
         self._busy = False
@@ -62,9 +62,14 @@ class BottleneckQueue:
         self.forwarded: int = 0
         self.forwarded_bytes: float = 0.0
 
-    def register_sink(self, flow_id: int, sink: object) -> None:
-        """Route dequeued packets of ``flow_id`` to ``sink.receive``."""
-        self._sinks[flow_id] = sink
+    def register_sink(self, flow_id: int, sink: object,
+                      delay: float = 0.0) -> None:
+        """Route dequeued packets of ``flow_id`` to ``sink.receive``,
+        ``delay`` seconds after they leave (as a ``DelayElement`` would,
+        with one frame less per packet)."""
+        if delay < 0:
+            raise ConfigurationError(f"delay must be >= 0, got {delay}")
+        self._sinks[flow_id] = (sink.receive, delay)
 
     @property
     def queued_bytes(self) -> float:
@@ -117,9 +122,14 @@ class BottleneckQueue:
             self.ecn_marks += 1
         self.forwarded += 1
         self.forwarded_bytes += size
-        sink = self._sinks.get(packet.flow_id)
-        if sink is not None:
-            sink.receive(packet, self.sim.now)
+        route = self._sinks.get(packet.flow_id)
+        if route is not None:
+            receive, delay = route
+            if delay == 0:
+                receive(packet, self.sim.now)
+            else:
+                release = self.sim.now + delay
+                self.sim.post_at(release, receive, packet, release)
         # Inline the next _start_service: this dequeue-forward-rearm
         # sequence runs once per packet and the extra call was visible
         # in profiles.

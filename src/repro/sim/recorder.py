@@ -1,7 +1,8 @@
 """Time-series recording for flows and queues.
 
-Recorders attach to senders (via the ``on_ack_hooks`` list) and to the
-simulator clock (periodic sampling) and accumulate compact
+A flow recorder reads its sender's per-ACK RTT log (``Sender.rtt_times``
+/ ``rtt_values``); one :class:`Sampler` event per interval samples
+every recorder of a scenario. Everything is kept in compact
 ``array('d')`` buffers (8 bytes per sample instead of a boxed float
 per entry), so downstream analysis can turn them into numpy arrays
 zero-copy when needed. The buffers behave like read-only sequences of
@@ -14,11 +15,10 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from .engine import Simulator
 from .host import Receiver, Sender
-from .packet import AckInfo
 from .queue import BottleneckQueue
 
 _NAN = float("nan")
@@ -28,47 +28,38 @@ class FlowRecorder:
     """Records per-ACK RTT samples and periodic cwnd/rate/delivery samples.
 
     Attributes populated during the run:
-        rtt_times / rtt_values: one entry per ACK processed.
+        rtt_times / rtt_values: one entry per ACK processed (the
+            sender's own log).
         sample_times / cwnd_values / pacing_values / delivered_values /
             received_values: one entry per ``sample_interval``
             (``received_values`` stays empty without a receiver;
             ``pacing_values`` holds NaN where the CCA is unpaced).
     """
 
-    def __init__(self, sim: Simulator, sender: Sender,
-                 sample_interval: float = 0.05,
+    def __init__(self, sender: Sender, sample_interval: float = 0.05,
                  receiver: Receiver = None) -> None:
-        self.sim = sim
         self.sender = sender
         self.receiver = receiver
         self.sample_interval = sample_interval
 
-        self.rtt_times = array("d")
-        self.rtt_values = array("d")
+        self.rtt_times = sender.rtt_times
+        self.rtt_values = sender.rtt_values
         self.sample_times = array("d")
         self.cwnd_values = array("d")
         self.pacing_values = array("d")
         self.delivered_values = array("d")
         self.received_values = array("d")
 
-        sender.on_ack_hooks.append(self._on_ack)
-        sim.post(sample_interval, self._sample)
-
-    def _on_ack(self, sender: Sender, info: AckInfo) -> None:
-        self.rtt_times.append(info.now)
-        self.rtt_values.append(info.rtt)
-
-    def _sample(self) -> None:
+    def sample(self, now: float) -> None:
         sender = self.sender
         cca = sender.cca
-        self.sample_times.append(self.sim.now)
+        self.sample_times.append(now)
         self.cwnd_values.append(cca.cwnd_bytes)
         pacing = cca.pacing_rate
         self.pacing_values.append(_NAN if pacing is None else pacing)
         self.delivered_values.append(sender.delivered_bytes)
         if self.receiver is not None:
             self.received_values.append(self.receiver.received_bytes)
-        self.sim.post(self.sample_interval, self._sample)
 
     def throughput_between(self, t0: float, t1: float) -> float:
         """Average delivered rate (bytes/s) over the window [t0, t1].
@@ -94,18 +85,10 @@ class FlowRecorder:
         return max(0.0, (d1 - d0) / (t1 - t0))
 
     def _value_at(self, values, t: float) -> float:
-        # Binary search over sorted sample times.
-        times = self.sample_times
-        lo, hi = 0, min(len(times), len(values))
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if times[mid] <= t:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == 0:
-            return 0.0
-        return values[lo - 1]
+        # The last sample at or before t; sample times are sorted.
+        index = bisect_right(self.sample_times, t, 0,
+                             min(len(self.sample_times), len(values)))
+        return values[index - 1] if index else 0.0
 
     def rtt_window_stats(self, t0: float, t1: float
                          ) -> Tuple[float, float, float]:
@@ -220,19 +203,16 @@ class FlowRecorder:
 class QueueRecorder:
     """Periodically samples bottleneck backlog (bytes) and delay."""
 
-    def __init__(self, sim: Simulator, queue: BottleneckQueue,
+    def __init__(self, queue: BottleneckQueue,
                  sample_interval: float = 0.05) -> None:
-        self.sim = sim
         self.queue = queue
         self.sample_interval = sample_interval
         self.sample_times = array("d")
         self.backlog_values = array("d")
-        sim.post(sample_interval, self._sample)
 
-    def _sample(self) -> None:
-        self.sample_times.append(self.sim.now)
+    def sample(self, now: float) -> None:
+        self.sample_times.append(now)
         self.backlog_values.append(self.queue.backlog_bytes)
-        self.sim.post(self.sample_interval, self._sample)
 
     # ------------------------------------------------------------------
     # Invariant sentinel hook (see repro.sim.invariants)
@@ -272,3 +252,23 @@ class QueueRecorder:
         if not self.backlog_values:
             return 0.0
         return sum(self.backlog_values) / len(self.backlog_values)
+
+
+class Sampler:
+    """Samples every recorder of a scenario, in order, from one event
+    per ``interval`` (one self-posting event per recorder would fire
+    back to back in that same order)."""
+
+    def __init__(self, sim: Simulator, interval: float,
+                 recorders: Sequence[object]) -> None:
+        self.sim = sim
+        self.interval = interval
+        self.recorders = list(recorders)
+        sim.post(interval, self.tick)
+
+    def tick(self) -> None:
+        sim = self.sim
+        now = sim.now
+        for recorder in self.recorders:
+            recorder.sample(now)
+        sim.post(self.interval, self.tick)

@@ -162,8 +162,8 @@ def golden_scenarios() -> Dict[str, ScenarioSpec]:
         ),
         seed=5)
 
-    # Per-link propagation delay on the second hop (the DelayElement
-    # inserted between queue and flow sink).
+    # Per-link propagation delay on the second hop (posted by that
+    # queue, with the flow's rm behind it as a DelayElement).
     scenarios["topo/two_hop_delay"] = ScenarioSpec(
         topology=parking_lot_topology([units.mbps(12), units.mbps(12)],
                                       delays=[0.0, units.ms(10)]),

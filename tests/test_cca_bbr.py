@@ -142,28 +142,34 @@ def test_probe_bw_gain_cycle_composition():
 
 def test_cwnd_cap_includes_quanta():
     bbr = BBR(quanta_packets=3.0, cwnd_gain=2.0)
-    bbr.sender = FakeSender()
     bbr.btl_bw = 1e6
     bbr.min_rtt_est = 0.04
     bbr._cwnd_gain_now = 2.0
+    bbr.attach(FakeSender())    # publishes the outputs
     expected = 2.0 * 1e6 * 0.04 + 3 * 1500
     assert bbr.cwnd_bytes == pytest.approx(expected)
+    assert (bbr.cwnd_bytes, bbr.pacing_rate) == bbr.outputs()
 
 
 def test_zero_quanta_removes_fixed_point_anchor():
     """Section 5.2: without +quanta, any cwnd split is an equilibrium."""
     bbr = BBR(quanta_packets=0.0)
-    bbr.sender = FakeSender()
     bbr.btl_bw = 1e6
     bbr.min_rtt_est = 0.04
     bbr._cwnd_gain_now = 2.0
+    bbr.attach(FakeSender())
     assert bbr.cwnd_bytes == pytest.approx(2.0 * 1e6 * 0.04)
 
 
 def test_probe_rtt_shrinks_cwnd():
     bbr = BBR()
-    bbr.sender = FakeSender()
-    bbr.mode = BBR.PROBE_RTT
+    bbr.attach(FakeSender())
+    bbr.on_ack(make_info(0.0, 0.04))    # min-RTT 40 ms, stamped at t = 0
+    bbr.filled_pipe = True
+    # 11 s on, the estimate is stale: this ACK enters PROBE_RTT and
+    # publishes the 4-packet window.
+    bbr.on_ack(make_info(11.0, 0.08, inflight=30000))
+    assert bbr.mode == BBR.PROBE_RTT
     assert bbr.cwnd_bytes == 4 * 1500
 
 

@@ -62,13 +62,17 @@ class TestFlowRecorder:
         assert nan_lo != nan_lo and nan_hi != nan_hi
 
     def test_goodput_without_receiver_is_zero(self):
-        from repro.sim.engine import Simulator
+        from array import array
+
         from repro.sim.recorder import FlowRecorder
 
         class _StubSender:
-            on_ack_hooks = []
+            rtt_times = array("d")      # the sender's own RTT log
+            rtt_values = array("d")
 
-        rec = FlowRecorder(Simulator(), _StubSender())
+        sender = _StubSender()
+        rec = FlowRecorder(sender)
+        assert rec.rtt_times is sender.rtt_times
         assert rec.goodput_between(0.0, 1.0) == 0.0
 
 
@@ -80,13 +84,12 @@ class TestQueueRecorder:
         assert rec.max_backlog() >= rec.mean_backlog() >= 0.0
 
     def test_empty_recorder_defaults(self):
-        from repro.sim.engine import Simulator
         from repro.sim.recorder import QueueRecorder
 
         class _StubQueue:
             backlog_bytes = 0.0
 
-        rec = QueueRecorder(Simulator(), _StubQueue())
+        rec = QueueRecorder(_StubQueue())
         assert rec.max_backlog() == 0.0
         assert rec.mean_backlog() == 0.0
 
