@@ -11,7 +11,7 @@ runs the whole loop in one process (daemon on an ephemeral port):
 2. byte-identity — the fetched document equals a local
    ``sweep_rate_delay`` run of the same parameters, byte for byte;
 3. warm resubmit — the same spec again: zero simulations, every point
-   a catalog hit, the worker pool never touched;
+   a catalog hit read before dispatch, the worker pool never started;
 4. shared store — a *local* sweep against the same cache directory is
    served from the points the daemon computed.
 
@@ -62,7 +62,7 @@ def main():
     print("3. warm resubmit ...")
     warm_raw = client.submit_and_wait(spec, timeout=60)
     warm = client.job(job["id"])
-    assert warm["warm"], "expected the warm short-circuit"
+    assert warm["warm"], "expected every point to be a store hit"
     assert warm["progress"]["cached"] == len(RATES)
     assert warm_raw == raw
     counts = client.stats()["store"]["events"]

@@ -33,12 +33,10 @@ the in-worker budgets cannot reach, recording ``kind="timeout"``; and
 if a replacement pool cannot even be built, the remaining points
 degrade to in-process serial execution rather than being dropped.
 
-``execute_point`` is also the single cache crossing: given a
-:class:`~repro.store.ResultStore` it looks the point's content address
-up *before* simulating and stores the result *after* — and only
-successful results are ever stored, so a failed point cannot poison
-the store. Because the lookup/put happens inside the
-worker body, pool workers share the cache exactly like serial runs do.
+The runner reads the store once, before dispatch
+(:func:`cached_outcomes`), so a backend only sees misses; inside the
+worker body ``execute_point`` puts each *successful* result, so pool
+workers share the cache like serial runs and a failure never poisons it.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ import pickle
 import time
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
-                    Optional, Sequence, Tuple)
+                    List, Optional, Sequence, Tuple)
 
 from ..errors import ConfigurationError
 from ..store import ResultStore, point_cache_key, summarize_params, task_name
@@ -89,7 +87,6 @@ class PointOutcome:
 def execute_point(run_point: RunPoint, key: str, params: Dict[str, Any],
                   budget: RunBudget,
                   store: Optional[ResultStore] = None,
-                  refresh: bool = False,
                   backend_name: str = "serial",
                   crash_dir: Optional[str] = None) -> PointOutcome:
     """Run one grid point, once; wrap its failure as a record.
@@ -102,13 +99,9 @@ def execute_point(run_point: RunPoint, key: str, params: Dict[str, Any],
     not re-run: ``repro replay BUNDLE --budget-scale X`` or a larger
     ``--max-events`` gives a point more headroom.
 
-    With a ``store``, the point's content address is looked up first —
-    a hit skips the simulation entirely and is bit-identical to a live
-    run by the cache-key contract (:mod:`repro.store.keys`). On a miss
-    the point runs; only a *successful* result is put back, so
-    failures never poison the store (they are recorded as ``fail``
-    catalog events instead). ``refresh`` forces recomputation and
-    overwrites the entry (``--force``).
+    With a ``store``, a *successful* result is put under the point's
+    content address (no lookup: the runner did that before dispatch);
+    failures are recorded as ``fail`` catalog events instead.
 
     Failure semantics: recoverable exceptions (budget blowouts,
     simulation errors, invariant violations) become
@@ -120,24 +113,8 @@ def execute_point(run_point: RunPoint, key: str, params: Dict[str, Any],
     whose path is attached to the failure record.
     """
     start = time.monotonic()
-    ckey: Optional[str] = None
-    if store is not None:
-        ckey = point_cache_key(run_point, params,
-                               fingerprint=store.fingerprint)
-        if not refresh:
-            found, cached = store.fetch(ckey)
-            if found:
-                try:
-                    store.catalog.record(
-                        ckey, "hit", task=task_name(run_point),
-                        backend=backend_name,
-                        wall_s=time.monotonic() - start,
-                        summary=summarize_params(params))
-                except OSError:
-                    pass  # catalog is advisory; the hit still serves
-                return PointOutcome(key=key, params=params,
-                                    result=cached, cached=True,
-                                    cache_key=ckey)
+    ckey = None if store is None else point_cache_key(
+        run_point, params, fingerprint=store.fingerprint)
 
     def fail(exc: BaseException, kind: str) -> PointOutcome:
         elapsed = time.monotonic() - start
@@ -194,6 +171,36 @@ def execute_point(run_point: RunPoint, key: str, params: Dict[str, Any],
                         cache_key=ckey)
 
 
+def cached_outcomes(run_point: RunPoint, points: Sequence[Point],
+                    store: ResultStore
+                    ) -> Tuple[List[PointOutcome], List[Point]]:
+    """One fetch per point, before dispatch: ``(hit outcomes, misses)``.
+
+    A hit is bit-identical to a live run by the cache-key contract
+    (:mod:`repro.store.keys`); only misses reach a backend.
+    """
+    task = task_name(run_point)
+    hits: List[PointOutcome] = []
+    misses: List[Point] = []
+    for key, params in points:
+        start = time.monotonic()
+        ckey = point_cache_key(run_point, params,
+                               fingerprint=store.fingerprint)
+        found, result = store.fetch(ckey)
+        if not found:
+            misses.append((key, params))
+            continue
+        try:
+            store.catalog.record(ckey, "hit", task=task, backend="store",
+                                 wall_s=time.monotonic() - start,
+                                 summary=summarize_params(params))
+        except OSError:
+            pass  # catalog is advisory; the hit still serves
+        hits.append(PointOutcome(key=key, params=params, result=result,
+                                 cached=True, cache_key=ckey))
+    return hits, misses
+
+
 class SerialBackend:
     """Run points in-process, in grid order. Always available."""
 
@@ -203,14 +210,12 @@ class SerialBackend:
                 budget: RunBudget,
                 on_start: Optional[Callable[[str], None]] = None,
                 store: Optional[ResultStore] = None,
-                refresh: bool = False,
                 crash_dir: Optional[str] = None) -> Iterator[PointOutcome]:
         for key, params in points:
             if on_start is not None:
                 on_start(key)
             yield execute_point(run_point, key, params, budget,
-                                store=store, refresh=refresh,
-                                backend_name="serial",
+                                store=store, backend_name="serial",
                                 crash_dir=crash_dir)
 
     def __repr__(self) -> str:
@@ -349,17 +354,16 @@ class ProcessPoolBackend:
                 budget: RunBudget,
                 on_start: Optional[Callable[[str], None]] = None,
                 store: Optional[ResultStore] = None,
-                refresh: bool = False,
                 crash_dir: Optional[str] = None) -> Iterator[PointOutcome]:
+        points = list(points)
+        if not points:
+            return
         # Every process imports this module; only a pool run pays for these.
         import multiprocessing
         from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                         CancelledError, ProcessPoolExecutor,
                                         wait)
 
-        points = list(points)
-        if not points:
-            return
         self._check_picklable(run_point, points)
         context = multiprocessing.get_context("spawn")
         stall = self._stall_window(budget)
@@ -394,7 +398,7 @@ class ProcessPoolBackend:
                                 on_start(state.key)
                             yield execute_point(
                                 run_point, state.key, state.params,
-                                budget, store=store, refresh=refresh,
+                                budget, store=store,
                                 backend_name="serial-degraded",
                                 crash_dir=crash_dir)
                     return
@@ -407,13 +411,12 @@ class ProcessPoolBackend:
                         if on_start is not None:
                             on_start(state.key)
                     # The store travels to the worker (it is plain
-                    # paths + a fingerprint), so lookups and puts
-                    # happen where the simulation runs — all processes
-                    # share one cache.
+                    # paths + a fingerprint): the put happens where the
+                    # simulation runs.
                     future_map[pool.submit(
                         execute_point, run_point, state.key,
-                        state.params, budget, store, refresh,
-                        "process-pool", crash_dir)] = state
+                        state.params, budget, store, "process-pool",
+                        crash_dir)] = state
                 pending = set(future_map)
                 broken = False
                 while pending and not broken:

@@ -10,7 +10,8 @@ partial results. This module supplies the missing robustness layer:
 * :class:`ResilientSweep` — grid execution with graceful degradation
   (a failed point becomes a structured :class:`RunFailure` instead of
   aborting the sweep) and JSON checkpointing so interrupted sweeps
-  resume from the last completed point.
+  resume from the last completed point. Its ``run`` is the one caller
+  of a backend: every grid, report and fuzz campaign goes through it.
 
 The harness is deliberately generic: a "grid point" is any
 JSON-serializable key plus a run callable returning a
@@ -24,8 +25,10 @@ import json
 import signal
 import threading
 import traceback
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple)
 
 from ..errors import ReproError, SweepAbortedError
@@ -166,9 +169,9 @@ class ResilientSweep:
             :class:`RunFailure` record carries its path; None (default)
             disables capture.
         store: a :class:`~repro.store.ResultStore` for content-addressed
-            result caching. Every point is looked up before it is
-            simulated and stored after (successes only), so re-running
-            a sweep with a warm store executes zero simulations. With a
+            result caching. Every point is looked up before dispatch
+            and a miss stored after it runs (successes only), so a
+            warm re-run executes zero simulations. With a
             store, the checkpoint stops persisting results of its own:
             it records each completed point's *cache key* and becomes a
             view over the store. A checkpoint entry whose store object
@@ -176,7 +179,7 @@ class ResilientSweep:
             checkpoint written in the other mode (inline results read
             with a store attached, or cache keys read without one) —
             it is ignored like a corrupt file.
-        refresh: recompute every point even when cached, overwriting
+        refresh: skip the lookup and recompute every point, overwriting
             store entries (the CLI's ``--force``).
         max_failures: fail-fast threshold — the number of failed points
             tolerated before the sweep aborts with a
@@ -322,11 +325,12 @@ class ResilientSweep:
         The handler only sets a flag; the run loop notices it after the
         in-flight point lands and its checkpoint is flushed, then
         re-raises, so an interrupted sweep always resumes cleanly from
-        a consistent checkpoint. Outside the main thread (or where
-        signals are unavailable) this is a transparent no-op.
+        a consistent checkpoint. Without a checkpoint to flush, outside
+        the main thread or where signals are unavailable, it is a no-op.
         """
         self._interrupted = None
-        if threading.current_thread() is not threading.main_thread():
+        if (self.checkpoint_path is None or threading.current_thread()
+                is not threading.main_thread()):
             yield
             return
         previous = {}
@@ -352,12 +356,13 @@ class ResilientSweep:
             ) -> SweepOutcome:
         """Execute every grid point, degrading gracefully on failures.
 
-        Points already present in the checkpoint are skipped; the rest
-        are handed to the execution backend (serially by default, or a
-        process pool). The checkpoint is rewritten after every finished
-        point regardless of backend, so an interrupted parallel sweep
-        resumes exactly like a serial one. SIGINT/SIGTERM are trapped
-        for the duration of the run: the in-flight point finishes, the
+        Points already present in the checkpoint are skipped; with a
+        store the rest are looked up before dispatch, and only misses
+        go to the execution backend (serially by default, or a process
+        pool). The checkpoint is rewritten after every finished point,
+        hit or run, so an interrupted parallel sweep resumes exactly
+        like a serial one. With a checkpoint, SIGINT/SIGTERM are
+        trapped for the run: the in-flight point finishes, the
         checkpoint is flushed, and only then does the signal re-raise
         (KeyboardInterrupt / SystemExit).
         """
@@ -371,15 +376,19 @@ class ResilientSweep:
         pending = [(key, params) for key, params in points
                    if key not in completed and key not in failed_keys]
         resumed = len(points) - len(pending)
-        hits = misses = degraded = 0
+        counts: Counter = Counter()
         stopped = False
         self._check_failure_threshold(failures)
+        served: List[Any] = []
+        if self.store is not None and not self.refresh:
+            from .backends import cached_outcomes  # backends imports us
+            served, pending = cached_outcomes(self.run_point, pending,
+                                              self.store)
         with self._trap_signals():
-            for outcome in self.backend.execute(
+            for outcome in chain(served, self.backend.execute(
                     self.run_point, pending, self.budget,
                     on_start=lambda key: self._note(key, "run"),
-                    store=self.store, refresh=self.refresh,
-                    crash_dir=self.crash_dir):
+                    store=self.store, crash_dir=self.crash_dir)):
                 if outcome.failure is not None:
                     failures.append(outcome.failure)
                     failed_keys.add(outcome.key)
@@ -389,36 +398,29 @@ class ResilientSweep:
                     completed[outcome.key] = outcome.result
                     if outcome.cache_key is not None:
                         refs[outcome.key] = outcome.cache_key
-                    if outcome.cached:
-                        hits += 1
-                        self._note(outcome.key, "cached")
-                    elif outcome.degraded:
-                        misses += 1
-                        degraded += 1
-                        self._note(outcome.key, "degraded")
-                    else:
-                        misses += 1
-                        self._note(outcome.key, "ok")
+                    status = ("cached" if outcome.cached else
+                              "degraded" if outcome.degraded else "ok")
+                    counts[status] += 1
+                    self._note(outcome.key, status)
                 self._write_checkpoint(completed, failures, refs)
                 # Fail-fast after the flush: everything that finished
-                # survives for a resume with a fixed setup. Raising
-                # here closes the backend generator, which tears down
-                # any pool workers.
+                # survives for a resume with a fixed setup. Raising or
+                # leaving the loop closes the backend generator, which
+                # tears down any pool workers.
                 self._check_failure_threshold(failures)
                 if self.stop_check is not None and self.stop_check():
                     stopped = True
                 if stopped or self._interrupted is not None:
-                    # Exiting the loop closes the backend generator,
-                    # which tears down any pool workers.
                     break
         if self._interrupted is not None:
             signum, self._interrupted = self._interrupted, None
             if signum == signal.SIGTERM:
                 raise SystemExit(128 + signum)
             raise KeyboardInterrupt
-        return SweepOutcome(completed=completed, failures=failures,
-                            resumed=resumed, hits=hits, misses=misses,
-                            degraded=degraded, stopped=stopped)
+        return SweepOutcome(
+            completed=completed, failures=failures, resumed=resumed,
+            hits=counts["cached"], misses=counts["ok"] + counts["degraded"],
+            degraded=counts["degraded"], stopped=stopped)
 
     def _check_failure_threshold(self,
                                  failures: List[RunFailure]) -> None:

@@ -63,15 +63,15 @@ import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import units
 from .errors import (ConfigurationError, SpecValidationError,
                      SweepAbortedError)
-from .analysis.backends import make_backend
 from .analysis.competition import compile_matrix_plan
 from .analysis.harness import RunBudget, describe_failures
-from .analysis.plan import render_result, run_plan
+from .analysis.plan import JobPlan, render_result, run_plan
 from .analysis.report import describe_run, rate_delay_ascii
 from .analysis.sweep import compile_sweep_plan
 from .analysis import starvation
@@ -399,50 +399,36 @@ def _report_specs(args: argparse.Namespace,
     ``name`` and ``duration`` — so the cache key covers the whole
     scenario and a crash bundle replays on its own.
 
-    Iterates ``backend.execute`` directly rather than through a
-    :class:`~repro.analysis.harness.ResilientSweep`, whose signal trap
-    would make Ctrl-C wait for the running scenario.
+    Run as a plan; no checkpoint, so no signal trap delays Ctrl-C.
     """
     points = []
     for i, (name, spec) in enumerate(specs):
-        run_for = duration
-        if run_for is None:
-            run_for = spec.duration
-        if run_for is None:
-            run_for = 30.0
-        warmup = spec.warmup
-        if warmup is None:
-            warmup = run_for / 3
+        run_for = next(d for d in (duration, spec.duration, 30.0)
+                       if d is not None)
         points.append((f"{i}:{name}", {
             "scenario": spec.to_json(),
             "duration": run_for,
-            "warmup": warmup,
+            "warmup": run_for / 3 if spec.warmup is None else spec.warmup,
             "title": title.format(name=name, duration=run_for),
         }))
-    backend = make_backend(args.jobs)
+
+    def assemble(outcome: Any) -> SimpleNamespace:  # run_plan adds .cache
+        return SimpleNamespace(texts=[
+            outcome.completed[key]["report"] for key, _ in points
+            if key in outcome.completed])
+
     store = _cache_store(args)
-    reports: Dict[str, str] = {}
-    failures = []
-    hits = misses = 0
-    for outcome in backend.execute(
-            _run_spec_point, points,
-            RunBudget(max_events=max_events, wall_clock=None),
-            store=store, refresh=args.force, crash_dir=args.crash_dir):
-        if outcome.failure is not None:
-            failures.append(outcome.failure)
-        else:
-            reports[outcome.key] = outcome.result["report"]
-            if outcome.cached:
-                hits += 1
-            else:
-                misses += 1
-    for key, _ in points:
-        if key in reports:
-            print(reports[key])
-    _print_cache_line(store, hits, misses)
-    if failures:
-        print(f"{len(failures)} scenario(s) failed:")
-        print(describe_failures(failures))
+    outcome, reports = run_plan(
+        JobPlan(_run_spec_point, points, assemble),
+        budget=RunBudget(max_events=max_events, wall_clock=None),
+        jobs=args.jobs, store=store, refresh=args.force,
+        crash_dir=args.crash_dir)
+    for text in reports.texts:
+        print(text)
+    _print_cache_line(store, outcome.hits, outcome.misses)
+    if outcome.failures:
+        print(f"{len(outcome.failures)} scenario(s) failed:")
+        print(describe_failures(outcome.failures))
         return 1
     return 0
 
@@ -584,11 +570,11 @@ def _run_grid(args: argparse.Namespace, compiler: Any) -> Any:
     when ``--max-failures`` aborted the grid."""
     store = _cache_store(args)
     try:
-        _, result = run_plan(
+        outcome, result = run_plan(
             compiler(**args.params(args)),
             budget=RunBudget(max_events=args.max_events,
                              wall_clock=args.wall_clock),
-            backend=make_backend(args.jobs),
+            jobs=args.jobs,
             store=store, refresh=args.force, crash_dir=args.crash_dir,
             checkpoint_path=args.checkpoint,
             retry_failures_on_resume=getattr(args, "retry_failures",
@@ -603,9 +589,7 @@ def _run_grid(args: argparse.Namespace, compiler: Any) -> Any:
         raise SystemExit(str(exc))
     if args.json:
         _write_json(args.json, result.to_json())
-    if result.cache is not None:
-        _print_cache_line(store, result.cache["hits"],
-                          result.cache["misses"])
+    _print_cache_line(store, outcome.hits, outcome.misses)
     return result
 
 

@@ -5,11 +5,9 @@ One :func:`run_fuzz` call is one campaign:
 1. Generate ``iterations`` specs from the root seed
    (:mod:`repro.fuzz.generate`).
 2. Execute each through the oracle battery worker
-   (:func:`repro.fuzz.oracles.fuzz_battery_point`) on an execution
-   backend — the same self-healing
-   :class:`~repro.analysis.backends.ProcessPoolBackend` sweeps use, so
-   a worker-killing bug is itself captured as a finding instead of
-   aborting the campaign.
+   (:func:`repro.fuzz.oracles.fuzz_battery_point`) as a plan on the
+   runner and self-healing pool sweeps use, so a worker-killing bug is
+   itself captured as a finding instead of aborting the campaign.
 3. Optionally cross-check a sample of iterations on the *other*
    backend (serial vs pool) and flag any divergence in the battery's
    output — the differential oracle.
@@ -35,6 +33,7 @@ from typing import Any, Callable, Dict, List, Optional
 from ..analysis.backends import (ProcessPoolBackend, SerialBackend,
                                  execute_point, make_backend)
 from ..analysis.harness import RunBudget
+from ..analysis.plan import JobPlan, run_plan
 from .corpus import CorpusEntry, known_signatures, write_entry
 from .generate import FuzzConfig, generate_spec
 from .oracles import Finding, battery_params, fuzz_battery_point
@@ -149,21 +148,22 @@ def _differential_findings(primary_backend: Any,
     """
     findings: List[Finding] = []
     backend = _alternate_backend(primary_backend)
-    points = [(key, points_by_key[key]) for key in sample_keys]
-    for outcome in backend.execute(fuzz_battery_point, points, budget):
-        primary = results.get(outcome.key)
-        if outcome.failure is not None:
+    sample = [(key, points_by_key[key]) for key in sample_keys]
+    outcome, _ = run_plan(JobPlan(fuzz_battery_point, sample,
+                                  lambda outcome: outcome),
+                          budget=budget, backend=backend)
+    failed = {failure.key: failure for failure in outcome.failures}
+    for key in sample_keys:
+        if key in failed:
             findings.append(Finding(
                 "differential", "backend_divergence", "backend",
-                f"{outcome.key} failed on {type(backend).__name__} "
+                f"{key} failed on {type(backend).__name__} "
                 f"but not on {type(primary_backend).__name__}: "
-                f"{outcome.failure.reason}: "
-                f"{outcome.failure.message}"))
-            continue
-        if primary is not None and outcome.result != primary:
+                f"{failed[key].reason}: {failed[key].message}"))
+        elif outcome.completed[key] != results[key]:
             findings.append(Finding(
                 "differential", "backend_divergence", "backend",
-                f"{outcome.key}: battery output differs between "
+                f"{key}: battery output differs between "
                 f"{type(primary_backend).__name__} and "
                 f"{type(backend).__name__}"))
     return findings
@@ -216,31 +216,26 @@ def run_fuzz(iterations: int = 50, seed: int = 1,
         if progress is not None:
             progress(key, status)
 
-    # Phase 2: execute the battery everywhere.
-    results: Dict[str, Dict[str, Any]] = {}
-    raw: Dict[str, List[Finding]] = {}
-    executed = 0
-    for outcome in backend.execute(fuzz_battery_point, points, budget,
-                                   on_start=lambda k: note(k, "run")):
-        executed += 1
-        if outcome.failure is not None:
-            # The iteration died outside the battery's own classifiers
-            # (worker killed, parent-side timeout, internal error):
-            # the harness itself is the oracle that caught it.
-            raw[outcome.key] = [Finding(
-                "harness", outcome.failure.kind,
-                outcome.failure.reason, outcome.failure.message)]
-            note(outcome.key, f"failed: {outcome.failure.reason}")
-        else:
-            results[outcome.key] = outcome.result
-            found = [Finding.from_json(f)
-                     for f in outcome.result["findings"]]
-            raw[outcome.key] = found
-            note(outcome.key,
-                 f"{len(found)} finding(s)" if found else "clean")
-        if deadline is not None and time.monotonic() > deadline:
-            note(outcome.key, "time budget exhausted")
-            break
+    # Phase 2: execute the battery everywhere; the time budget is the
+    # runner's stop_check.
+    outcome, _ = run_plan(
+        JobPlan(fuzz_battery_point, points, lambda outcome: outcome),
+        budget=budget, backend=backend, progress=progress,
+        stop_check=lambda: (deadline is not None
+                            and time.monotonic() > deadline))
+    if outcome.stopped:
+        note("campaign", "time budget exhausted")
+    results: Dict[str, Dict[str, Any]] = outcome.completed
+    raw: Dict[str, List[Finding]] = {
+        key: [Finding.from_json(f) for f in result["findings"]]
+        for key, result in results.items()}
+    for failure in outcome.failures:
+        # The iteration died outside the battery's own classifiers
+        # (worker killed, parent-side timeout, internal error): the
+        # harness itself is the oracle that caught it.
+        raw[failure.key] = [Finding("harness", failure.kind,
+                                    failure.reason, failure.message)]
+    executed = len(raw)
 
     # Phase 3: differential serial-vs-pool identity on a small sample —
     # iterations with findings first (divergence correlates with the

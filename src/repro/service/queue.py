@@ -14,7 +14,7 @@ Design points:
 * **Coalescing** — job ids are content-derived, so resubmitting an
   active spec returns the in-flight job instead of queueing a
   duplicate. Resubmitting a *terminal* spec re-executes it; with a warm
-  store that run short-circuits to the store without touching the pool.
+  store every point is a hit read before dispatch, so no pool starts.
 * **Durability** — every state transition is persisted through
   :class:`~.jobs.JobStore` before it is visible; :meth:`start` reloads
   the directory and requeues anything that was queued or mid-run when
@@ -58,11 +58,11 @@ import time
 import uuid
 from typing import Any, Dict, List, Optional
 
-from ..analysis.backends import SerialBackend, make_backend
 from ..analysis.harness import RunBudget
 from ..analysis.plan import render_result, run_plan
 from ..errors import ConfigurationError, ServiceError, SweepAbortedError
-from ..store import ResultStore, point_cache_key
+from ..store import ResultStore
+from ..store import point_cache_key  # noqa: F401 (bench/layers.py wraps it)
 from ..store.fsio import FileIO
 from .jobs import (CANCELLED, DEAD, DONE, FAILED, QUEUED, RUNNING,
                    TERMINAL, Job, JobSpec, JobStore, build_plan, job_id)
@@ -489,11 +489,6 @@ class SweepService:
             "event": "started", "total": job.total, "run": job.runs,
             "attempt": job.attempts, "lease": self.instance})
 
-        warm = self._fully_cached(plan)
-        # A fully-cached job never needs the process pool: serve it
-        # straight from the store on a throwaway serial backend.
-        backend = SerialBackend() if warm else make_backend(self.jobs)
-
         def progress(key: str, status: str) -> None:
             self._note_progress(job, key, status)
 
@@ -507,7 +502,7 @@ class SweepService:
         heartbeat.start()
         try:
             outcome, result = run_plan(
-                plan, budget=self.budget, backend=backend,
+                plan, budget=self.budget, jobs=self.jobs,
                 store=self.store, progress=progress,
                 crash_dir=os.path.join(self.job_store.job_dir(job.id),
                                        "crashes"),
@@ -518,6 +513,7 @@ class SweepService:
         finally:
             heartbeat_stop.set()
 
+        warm = outcome.hits == len(plan.points)  # no pool started
         with self._lock:
             job.warm = warm
             if outcome.degraded:
@@ -562,14 +558,6 @@ class SweepService:
                         f"cannot persist result for job {job.id}: "
                         f"{exc}") from exc
                 time.sleep(0.05 * (2.0 ** attempt))
-
-    def _fully_cached(self, plan: Any) -> bool:
-        """True when every grid point is already in the result store."""
-        return all(
-            point_cache_key(plan.run_point, params,
-                            fingerprint=self.store.fingerprint)
-            in self.store
-            for _, params in plan.points)
 
     def _note_progress(self, job: Job, key: str, status: str) -> None:
         degraded_point = False

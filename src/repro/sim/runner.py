@@ -16,11 +16,11 @@ for packet-level experiments; it builds through this module's
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 from .. import units
+from ..core import fairness
 from .network import Scenario, build_topology  # noqa: F401 (ScenarioSpec.run)
 
 
@@ -63,21 +63,9 @@ class RunResult:
         return [s.throughput for s in self.stats]
 
     def throughput_ratio(self) -> float:
-        """Faster flow's throughput over the slower flow's (>= 1).
-
-        Starved competitions get documented sentinels instead of a
-        division by zero: ``math.inf`` when the slowest flow moved no
-        bytes while another did (total starvation, the worst outcome a
-        competition matrix can report), and ``1.0`` when *no* flow
-        moved bytes or there is only one flow — matching
-        :func:`repro.core.fairness.throughput_ratio`.
-        """
-        rates = sorted(self.throughputs)
-        if len(rates) < 2:
-            return 1.0
-        if rates[0] <= 0:
-            return math.inf if rates[-1] > 0 else 1.0
-        return rates[-1] / rates[0]
+        """Faster flow's throughput over the slower's (>= 1; ``inf`` for
+        total starvation), by :func:`repro.core.fairness.throughput_ratio`."""
+        return fairness.throughput_ratio(self.throughputs)
 
     def utilization(self) -> float:
         """Aggregate delivered rate over the (first) bottleneck rate."""

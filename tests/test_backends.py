@@ -6,6 +6,7 @@ checkpoints — just on more cores.
 """
 
 import json
+import os
 import sys
 
 import pytest
@@ -93,6 +94,21 @@ class TestExecutePoint:
         assert bundle["reason"] == "TypeError"
         assert bundle["params"] == {"x": 1}
         assert "Traceback" in bundle["traceback"]
+        # Written atomically: no tempfile is left beside the bundle.
+        assert sorted(p.name for p in (tmp_path / "crashes").iterdir()) \
+            == [os.path.basename(outcome.failure.bundle)]
+
+    def test_unwritable_crash_dir_records_failure_without_bundle(
+            self, tmp_path):
+        def bad(params, budget):
+            raise TypeError("not recoverable")
+
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("a file where the crash directory should be")
+        outcome = execute_point(bad, "k", {"x": 1}, RunBudget(),
+                                crash_dir=str(blocker))
+        assert outcome.failure.kind == "internal"
+        assert outcome.failure.bundle is None
 
     def test_keyboard_interrupt_stays_fatal(self):
         def interrupted(params, budget):

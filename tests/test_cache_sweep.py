@@ -59,6 +59,29 @@ class TestColdWarmSweep:
                                           "hit": len(RATES)}
         assert _doc(warm) == _doc(cold)
 
+    def test_fully_warm_pool_sweep_builds_no_pool(self, tmp_path,
+                                                  monkeypatch):
+        """The store is read before dispatch: a fully warm grid hands
+        the pool no points, so no executor (and no worker) exists."""
+        import concurrent.futures
+        store = ResultStore(str(tmp_path / "cache"))
+        cold = _sweep(store=store)
+        built = []
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                raise OSError("no pool expected on a warm sweep")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            NoPool)
+        warm = sweep_rate_delay("vegas", RATES, rm=0.04, duration=3.0,
+                                budget=BUDGET, seed=3, jobs=2, store=store)
+        assert built == []
+        assert warm.cache == {"hits": len(RATES), "misses": 0,
+                              "resumed": 0}
+        assert _doc(warm) == _doc(cold)
+
     def test_backends_share_one_cache(self, tmp_path):
         store = ResultStore(str(tmp_path / "cache"))
         cold = _sweep(store=store, backend=SerialBackend())

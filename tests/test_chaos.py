@@ -225,6 +225,20 @@ class TestSignalFlush:
         assert set(resumed.completed) == {"p0", "p1", "p2"}
         assert resumed.resumed >= 1
 
+    def test_no_checkpoint_leaves_sigint_untouched(self):
+        """The trap exists to flush a checkpoint: without one, Ctrl-C
+        must reach the running point at once."""
+        before = signal.getsignal(signal.SIGINT)
+        seen = []
+
+        def progress(key, status):
+            seen.append(signal.getsignal(signal.SIGINT))
+
+        ResilientSweep(chaos_point, budget=BUDGET, backend=SerialBackend(),
+                       progress=progress).run(grid({}, {}))
+        assert seen and all(handler is before for handler in seen)
+        assert signal.getsignal(signal.SIGINT) is before
+
 
 class TestReplayDeterminism:
     def test_bundle_replay_reproduces_sim_failure(self, tmp_path):

@@ -8,8 +8,7 @@ a fresh live run of the same spec produces.
 import pytest
 
 from repro import units
-from repro.analysis.backends import execute_point
-from repro.analysis.harness import RunBudget
+from repro.analysis.harness import ResilientSweep
 from repro.spec import CCASpec, ScenarioSpec, single_flow_scenario
 from repro.store import ResultStore
 
@@ -125,20 +124,20 @@ class TestTraceStoreRoundTrip:
         store = ResultStore(str(tmp_path / "cache"))
         params = {"scenario": _trace_spec().to_json(), "duration": 3.0,
                   "warmup": 1.0}
-        budget = RunBudget()
-        recorded = execute_point(trace_point, "t", params, budget,
-                                 store=store)
-        assert recorded.ok and not recorded.cached
-        fetched = execute_point(trace_point, "t", params, budget,
-                                store=store)
-        assert fetched.cached
+        recorded = ResilientSweep(trace_point, store=store).run(
+            [("t", params)])
+        assert recorded.misses == 1
+        fetched = ResilientSweep(trace_point, store=store).run(
+            [("t", params)])
+        assert fetched.hits == 1
         # The store's JSON round-trip must be exact, not approximate.
-        assert fetched.result == recorded.result
+        assert fetched.completed == recorded.completed
+        cached = fetched.completed["t"]
         # And a fresh live run of the same seeded spec agrees exactly —
         # the cache is indistinguishable from simulating.
         live = _live_trace(params)
-        assert fetched.result["rtt_values"] == list(live.rtt_values)
-        assert fetched.result["sample_times"] == list(live.sample_times)
-        assert fetched.result["cwnd_values"] == list(live.cwnd_values)
-        assert fetched.result["delivered_values"] == \
+        assert cached["rtt_values"] == list(live.rtt_values)
+        assert cached["sample_times"] == list(live.sample_times)
+        assert cached["cwnd_values"] == list(live.cwnd_values)
+        assert cached["delivered_values"] == \
             list(live.delivered_values)

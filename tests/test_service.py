@@ -9,8 +9,8 @@ The acceptance criteria under test:
   server that ignores it — and snapshots are serialized under the
   service lock, never torn;
 * a warm resubmission executes **zero** simulations — every point is a
-  catalog ``hit`` served from the shared store, and the daemon never
-  touches the worker pool (``warm`` flag);
+  catalog ``hit`` read from the shared store before dispatch, so no
+  worker pool starts (``warm`` flag) and each entry is read once;
 * a killed daemon resumes its queue from the job directory alone;
 * a submitted job's result bytes are identical to running the same
   experiment locally, under the serial and process-pool backends alike.
@@ -243,6 +243,35 @@ class TestServiceExecution:
             service.stop()
         assert service.result_bytes(warm.id) \
             == service.result_bytes(cold.id)
+
+    def test_warm_job_reads_each_entry_once(self, tmp_path, monkeypatch):
+        """One pre-dispatch read per point: a warm job derives each
+        cache key once and fetches each entry once."""
+        from repro.analysis import backends
+        from repro.service import queue
+        service = _service(tmp_path)
+        service.start()
+        try:
+            _wait(service, service.submit(_sweep_spec()).id)
+            calls = {"key": 0, "fetch": 0}
+            derive, fetch = backends.point_cache_key, ResultStore.fetch
+
+            def counted_key(*args, **kwargs):
+                calls["key"] += 1
+                return derive(*args, **kwargs)
+
+            def counted_fetch(self, key):
+                calls["fetch"] += 1
+                return fetch(self, key)
+
+            for module in (backends, queue):
+                monkeypatch.setattr(module, "point_cache_key", counted_key)
+            monkeypatch.setattr(ResultStore, "fetch", counted_fetch)
+            warm = _wait(service, service.submit(_sweep_spec()).id)
+        finally:
+            service.stop()
+        assert warm.warm and warm.cached == len(RATES)
+        assert calls == {"key": len(RATES), "fetch": len(RATES)}
 
     def test_local_sweep_warms_the_service(self, tmp_path):
         """The store is shared: a local --cache-dir run pre-warms jobs."""

@@ -5,8 +5,8 @@ import os
 import pytest
 
 from repro.analysis.backends import (ProcessPoolBackend, SerialBackend,
-                                     execute_point)
-from repro.analysis.harness import RunBudget
+                                     cached_outcomes, execute_point)
+from repro.analysis.harness import ResilientSweep, RunBudget
 from repro.errors import ConfigurationError, SimulationError
 from repro.store import (Catalog, ResultStore, cache_key, canonical_json,
                          code_fingerprint, point_cache_key,
@@ -376,41 +376,40 @@ class TestSummarizeParams:
         assert summarize_params({"scenario": {"flows": 3}}) == {}
 
 
+def _run(run_point, store, points=(("p", {"x": 2}),), **kwargs):
+    return ResilientSweep(run_point, store=store, **kwargs).run(
+        list(points))
+
+
 class TestExecutePointCaching:
+    """The runner reads the store before dispatch; execute_point puts."""
+
     def test_miss_then_hit(self, store):
-        budget = RunBudget()
-        first = execute_point(cube_point, "p", {"x": 2}, budget,
-                              store=store)
-        assert first.ok and not first.cached
-        assert first.result == {"value": 8}
-        assert store.get(first.cache_key) == {"value": 8}
-        second = execute_point(cube_point, "p", {"x": 2}, budget,
-                               store=store)
-        assert second.cached
-        assert second.result == first.result
-        assert second.cache_key == first.cache_key
+        first = _run(cube_point, store)
+        assert (first.hits, first.misses) == (0, 1)
+        assert first.completed == {"p": {"value": 8}}
+        key = point_cache_key(cube_point, {"x": 2},
+                              fingerprint=store.fingerprint)
+        assert store.get(key) == {"value": 8}
+        second = _run(cube_point, store)
+        assert (second.hits, second.misses) == (1, 0)
+        assert second.completed == first.completed
         assert store.catalog.counts() == {"miss": 1, "hit": 1}
+        assert {e["key"] for e in store.catalog.entries()} == {key}
 
     def test_failures_never_poison_the_store(self, store):
-        budget = RunBudget()
-        outcome = execute_point(always_fails, "p", {"x": 1}, budget,
-                                store=store)
-        assert not outcome.ok
-        assert outcome.cache_key is not None
-        assert not store.contains(outcome.cache_key)
+        outcome = _run(always_fails, store)
+        assert outcome.failed_keys == ["p"]
         assert store.stats().entries == 0
         assert store.catalog.counts() == {"fail": 1}
         # And the failure is not served from cache next time either.
-        again = execute_point(always_fails, "p", {"x": 1}, budget,
-                              store=store)
-        assert not again.ok and not again.cached
+        again = _run(always_fails, store)
+        assert again.failed_keys == ["p"] and again.hits == 0
 
     def test_refresh_recomputes_and_overwrites(self, store):
-        budget = RunBudget()
-        execute_point(cube_point, "p", {"x": 2}, budget, store=store)
-        forced = execute_point(cube_point, "p", {"x": 2}, budget,
-                               store=store, refresh=True)
-        assert forced.ok and not forced.cached
+        _run(cube_point, store)
+        forced = _run(cube_point, store, refresh=True)
+        assert (forced.hits, forced.misses) == (0, 1)
         assert store.catalog.counts() == {"miss": 2}
 
     def test_no_store_keeps_legacy_shape(self):
@@ -420,41 +419,76 @@ class TestExecutePointCaching:
         assert outcome.cache_key is None
 
     def test_budget_not_part_of_key(self, store):
-        a = execute_point(cube_point, "p", {"x": 2},
-                          RunBudget(), store=store)
-        b = execute_point(cube_point, "p", {"x": 2},
-                          RunBudget(max_events=1000),
-                          store=store)
-        assert b.cached
-        assert a.cache_key == b.cache_key
+        _run(cube_point, store)
+        again = _run(cube_point, store, budget=RunBudget(max_events=1000))
+        assert again.hits == 1
+        assert len({e["key"] for e in store.catalog.entries()}) == 1
+
+    def test_execute_point_puts_without_looking_up(self, store):
+        """A warm entry does not stop execute_point: it runs and puts."""
+        first = execute_point(cube_point, "p", {"x": 2}, RunBudget(),
+                              store=store)
+        second = execute_point(cube_point, "p", {"x": 2}, RunBudget(),
+                               store=store)
+        assert not first.cached and not second.cached
+        assert second.cache_key == first.cache_key
+        assert store.catalog.counts() == {"miss": 2}
+
+    def test_cached_outcomes_splits_hits_from_misses(self, store):
+        points = [(f"p{i}", {"x": i}) for i in range(4)]
+        _run(cube_point, store, points[:2])
+        hits, misses = cached_outcomes(cube_point, points, store)
+        assert [(o.key, o.result, o.cached) for o in hits] == [
+            ("p0", {"value": 0}, True), ("p1", {"value": 1}, True)]
+        assert misses == points[2:]
 
 
 class TestBackendsShareTheStore:
     def test_serial_populates_pool_hits(self, store):
         points = [(f"p{i}", {"x": i}) for i in range(4)]
-        budget = RunBudget()
-        serial = list(SerialBackend().execute(cube_point, points, budget,
-                                              store=store))
-        assert all(not o.cached for o in serial)
-        pooled = list(ProcessPoolBackend(jobs=2).execute(
-            cube_point, points, budget, store=store))
-        assert all(o.cached for o in pooled)
-        assert {o.key: o.result for o in pooled} == \
-            {o.key: o.result for o in serial}
+        serial = _run(cube_point, store, points)
+        assert serial.misses == 4
+        pooled = _run(cube_point, store, points,
+                      backend=ProcessPoolBackend(jobs=2))
+        assert pooled.hits == 4
+        assert pooled.completed == serial.completed
 
     def test_pool_populates_serial_hits(self, store):
         points = [(f"p{i}", {"x": i}) for i in range(4)]
-        budget = RunBudget()
-        pooled = list(ProcessPoolBackend(jobs=2).execute(
-            cube_point, points, budget, store=store))
-        assert all(not o.cached for o in pooled)
-        serial = list(SerialBackend().execute(cube_point, points, budget,
-                                              store=store))
-        assert all(o.cached for o in serial)
+        pooled = _run(cube_point, store, points,
+                      backend=ProcessPoolBackend(jobs=2))
+        assert pooled.misses == 4
+        serial = _run(cube_point, store, points, backend=SerialBackend())
+        assert serial.hits == 4
         counts = store.catalog.counts()
         assert counts == {"miss": 4, "hit": 4}
-        backends = {e["backend"] for e in store.catalog.entries()}
-        assert backends == {"process-pool", "serial"}
+        # Misses are put by the pool workers; hits are read before
+        # dispatch and never reach a backend.
+        backends = {(e["event"], e["backend"])
+                    for e in store.catalog.entries()}
+        assert backends == {("miss", "process-pool"), ("hit", "store")}
+
+    def test_half_warm_pool_is_handed_only_the_misses(self, store):
+        points = [(f"p{i}", {"x": i}) for i in range(4)]
+        _run(cube_point, store, points[:2])
+        backend = RecordingPool(jobs=2)
+        outcome = _run(cube_point, store, points, backend=backend)
+        assert backend.handed == [["p2", "p3"]]
+        assert (outcome.hits, outcome.misses) == (2, 2)
+        assert outcome.completed == {f"p{i}": {"value": i ** 3}
+                                     for i in range(4)}
+
+
+class RecordingPool(ProcessPoolBackend):
+    """A real pool that remembers which points it was handed."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.handed = []
+
+    def execute(self, run_point, points, budget, **kwargs):
+        self.handed.append([key for key, _ in points])
+        return super().execute(run_point, points, budget, **kwargs)
 
 
 class TestGcRetentionPolicy:
