@@ -779,6 +779,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the sweep-service daemon in the foreground."""
+    from .errors import ServiceError
     from .service import (ChaosPolicy, FaultyFS, ReproServer,
                           SweepService)
     _apply_invariants(args)
@@ -798,11 +799,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
         args.job_dir, store, jobs=args.jobs,
         budget=RunBudget(max_events=args.max_events,
                          wall_clock=args.wall_clock),
-        max_failures=args.max_failures,
-        lease_ttl=args.lease_ttl, max_attempts=args.max_attempts,
+        max_failures=args.max_failures, max_attempts=args.max_attempts,
         fs=fs)
-    server = ReproServer((args.host, args.port), service,
-                         verbose=args.verbose, chaos=chaos)
+    try:
+        service.start()  # lock the job directory before binding a port
+    except ServiceError as exc:
+        raise SystemExit(str(exc))
+    try:
+        server = ReproServer((args.host, args.port), service,
+                             verbose=args.verbose, chaos=chaos)
+    except OSError:  # the port is taken
+        service.stop()
+        raise
     print(f"sweep service listening on "
           f"http://{args.host}:{server.port}")
     print(f"  jobs:  {service.job_store.root}")
@@ -1078,7 +1086,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--job-dir", required=True, metavar="DIR",
         help="durable per-job state; a restarted daemon resumes the "
-             "queue found here")
+             "queue found here (one daemon per directory)")
     serve_parser.add_argument(
         "--host", default="127.0.0.1",
         help="bind address (default 127.0.0.1)")
@@ -1090,13 +1098,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes per executing job (default: serial)")
     _add_budget_flags(serve_parser, "point", "fail a job")
     serve_parser.add_argument(
-        "--lease-ttl", type=float, default=30.0, metavar="SECONDS",
-        help="running-job lease duration; an expired lease means the "
-             "worker died and the job is taken over (default 30)")
-    serve_parser.add_argument(
         "--max-attempts", type=int, default=3, metavar="N",
-        help="executions a job may start before its next lease "
-             "expiry dead-letters it (default 3)")
+        help="executions a job may start before a restart that finds "
+             "it orphaned dead-letters it (default 3)")
     serve_parser.add_argument(
         "--chaos", default=None, metavar="SPEC.json",
         help="arm deterministic fault injection from a ChaosPolicy "

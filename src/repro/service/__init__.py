@@ -5,8 +5,9 @@ in front of it. One long-lived :class:`SweepService` process owns a
 worker pool and a durable job queue; any number of clients submit
 declarative :class:`JobSpec` documents (a rate-delay sweep grid or a
 competition matrix) over a tiny HTTP/JSON API and fetch results that
-are **byte-identical** to running the same experiment locally — warm
-submissions short-circuit to the store without simulating anything.
+are **byte-identical** to running the same experiment locally. A warm
+submission simulates nothing: every point is a store hit, read before
+dispatch.
 
 Layering (strictly one-way):
 
@@ -15,7 +16,8 @@ Layering (strictly one-way):
 * :mod:`repro.service.queue` — :class:`SweepService`: the dispatcher
   draining the queue through :class:`~repro.analysis.harness.
   ResilientSweep` onto the shared store, with coalescing, cooperative
-  cancellation, and restart resume.
+  cancellation, and restart resume. One service holds a job directory
+  at a time, under an ``flock`` on the directory itself.
 * :mod:`repro.service.server` — :class:`ReproServer`, a
   ``ThreadingHTTPServer`` translating HTTP to service calls.
 * :mod:`repro.service.client` — :class:`ServiceClient`, the urllib
@@ -25,9 +27,9 @@ The control plane is chaos-hardened: :mod:`repro.service.chaos`
 provides a deterministic, seeded :class:`ChaosPolicy` injecting faults
 at named HTTP and filesystem sites (plus :class:`FaultyFS`, the
 write-path shim), and every layer is built to survive it — retrying
-client, job leases with expired-lease takeover and a ``dead``
-dead-letter state, ENOSPC degrade-to-no-cache, and store self-repair
-(``repro cache verify --repair``).
+client, startup takeover of the jobs a killed daemon left ``running``
+with a ``dead`` dead-letter state, ENOSPC degrade-to-no-cache, and
+store self-repair (``repro cache verify --repair``).
 
 From the CLI: ``repro serve --job-dir DIR --cache-dir DIR`` starts a
 daemon (add ``--chaos SPEC.json`` to arm fault injection);

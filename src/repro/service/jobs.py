@@ -17,9 +17,8 @@ a daemon restart. The moving parts:
   local run is *by construction*, not by test luck.
 * :class:`Job` — the mutable execution record: state machine
   (``queued → running → done|failed|cancelled``, plus ``dead`` when a
-  job exhausts its lease-takeover attempt budget), per-point progress
-  counters (done / cached / failed), lease stamps, timestamps, error
-  text.
+  job exhausts its takeover attempt budget), per-point progress
+  counters (done / cached / failed), timestamps, error text.
 * :class:`JobStore` — one directory per job with atomic JSON
   persistence (``job.json``), an append-only NDJSON progress log
   (``events.ndjson``) and the rendered result document
@@ -49,8 +48,8 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
-#: Dead-letter: the job's lease expired ``max_attempts`` times — every
-#: daemon that picked it up died (or hung past the lease) mid-run.
+#: Dead-letter: ``max_attempts`` daemons picked the job up and every one
+#: died mid-run, so each next daemon found it ``running`` at startup.
 #: Listed via ``GET /jobs?state=dead`` for operator triage; a resubmit
 #: resets the attempt budget and tries again.
 DEAD = "dead"
@@ -270,18 +269,11 @@ class Job:
     runs: int = 0
     #: Executions charged against the current submission's attempt
     #: budget (unlike ``runs``, reset by :meth:`reset_run`); when a
-    #: lease-expiry takeover would exceed the service's
-    #: ``max_attempts``, the job goes ``dead`` instead of requeueing.
+    #: startup takeover would exceed the service's ``max_attempts``,
+    #: the job goes ``dead`` instead of requeueing.
     attempts: int = 0
-    #: The lease: which daemon instance is executing this job, and the
-    #: wall-clock time its claim expires. The executor heartbeats
-    #: ``lease_expires`` forward in ``job.json``; a ``running`` job
-    #: whose lease has lapsed is provably orphaned (its daemon was
-    #: SIGKILLed or hung) and is safe to take over.
-    lease_owner: Optional[str] = None
-    lease_expires: Optional[float] = None
-    #: True when the last execution was fully served from the store
-    #: without touching the worker pool (the warm short-circuit).
+    #: True when every point of the last execution was a store hit,
+    #: read before dispatch, so no point simulated.
     warm: bool = False
     #: True when the execution hit storage faults and degraded to
     #: no-cache mode (results correct, some points not persisted).
@@ -300,8 +292,6 @@ class Job:
                          "cached": self.cached, "failed": self.failed},
             "runs": self.runs,
             "attempts": self.attempts,
-            "lease": {"owner": self.lease_owner,
-                      "expires": self.lease_expires},
             "warm": self.warm,
             "degraded": self.degraded,
             "error": self.error,
@@ -313,7 +303,6 @@ class Job:
         state = data.get("state")
         if state not in STATES:
             raise ConfigurationError(f"bad job state {state!r}")
-        lease = data.get("lease") or {}
         return Job(
             id=data["id"], spec=JobSpec.from_json(data["spec"]),
             state=state, created=data.get("created", 0.0),
@@ -324,15 +313,9 @@ class Job:
             failed=int(progress.get("failed", 0)),
             runs=int(data.get("runs", 0)),
             attempts=int(data.get("attempts", 0)),
-            lease_owner=lease.get("owner"),
-            lease_expires=lease.get("expires"),
             warm=bool(data.get("warm", False)),
             degraded=bool(data.get("degraded", False)),
             error=data.get("error"))
-
-    def clear_lease(self) -> None:
-        self.lease_owner = None
-        self.lease_expires = None
 
     def reset_run(self) -> None:
         """Back to the queue for a fresh execution (resubmit/requeue)."""
@@ -341,7 +324,6 @@ class Job:
         self.finished = None
         self.total = self.done = self.cached = self.failed = 0
         self.attempts = 0
-        self.clear_lease()
         self.warm = False
         self.degraded = False
         self.error = None

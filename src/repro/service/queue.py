@@ -16,22 +16,18 @@ Design points:
   duplicate. Resubmitting a *terminal* spec re-executes it; with a warm
   store every point is a hit read before dispatch, so no pool starts.
 * **Durability** — every state transition is persisted through
-  :class:`~.jobs.JobStore` before it is visible; :meth:`start` reloads
-  the directory and requeues anything that was queued or mid-run when
-  the previous daemon died. A requeued job simply re-runs against the
-  store: the points it had finished are hits, only the point in flight
-  at the kill simulates again. Per-point progress is not a transition:
-  it lives in memory and ``events.ndjson``, not in ``job.json``.
-* **Leases** — a running job carries ``(lease_owner, lease_expires)``
-  stamps in ``job.json``, heartbeated forward every ``lease_ttl / 3``
-  seconds by the executing daemon. A ``running`` job whose lease has
-  lapsed is provably orphaned — its daemon was SIGKILLed or is hung
-  past the lease — so startup and an idle-loop reaper *take it over*:
-  requeue it (it re-runs against the store, so finished points are
-  not simulated twice) or, once ``max_attempts`` executions have
-  already been charged, park it
-  in the ``dead`` dead-letter state for operator triage
-  (``GET /jobs?state=dead``).
+  :class:`~.jobs.JobStore` before it is visible, and ``job.json`` is
+  written on transitions only: per-point progress lives in memory and
+  ``events.ndjson``.
+* **One daemon per job directory** — :meth:`start` takes a
+  non-blocking ``flock`` on the directory itself, held until the
+  dispatcher exits and dropped by the OS if the process dies; a second
+  service there raises :class:`~repro.errors.ServiceError`. So a job
+  found ``running`` at startup is orphaned, and is *taken over*:
+  requeued to re-run against the store (its finished points are hits,
+  only the point in flight at the kill simulates again) or, once
+  ``max_attempts`` executions are charged, parked ``dead`` for operator
+  triage (``GET /jobs?state=dead``).
 * **Degraded mode** — storage faults (ENOSPC and friends) during a run
   skip the cache ``put`` but keep the computed result
   (:func:`~repro.analysis.backends.execute_point` degrades per point);
@@ -55,7 +51,6 @@ import os
 import queue as queue_module
 import threading
 import time
-import uuid
 from typing import Any, Dict, List, Optional
 
 from ..analysis.harness import RunBudget
@@ -64,6 +59,7 @@ from ..errors import ConfigurationError, ServiceError, SweepAbortedError
 from ..store import ResultStore
 from ..store import point_cache_key  # noqa: F401 (bench/layers.py wraps it)
 from ..store.fsio import FileIO
+from ..store.locks import try_lock
 from .jobs import (CANCELLED, DEAD, DONE, FAILED, QUEUED, RUNNING,
                    TERMINAL, Job, JobSpec, JobStore, build_plan, job_id)
 
@@ -81,13 +77,8 @@ class SweepService:
         budget: per-point watchdog budget.
         max_failures: fail a job once more than this many points have
             failed (None = run every point regardless).
-        lease_ttl: seconds a running job's lease stays valid without a
-            heartbeat. Must comfortably exceed the heartbeat period it
-            implies (``lease_ttl / 3``) plus scheduling noise; small
-            values make takeover tests fast, production wants tens of
-            seconds.
         max_attempts: executions charged to one submission before a
-            lease-expiry takeover declares the job ``dead`` instead of
+            startup takeover declares the job ``dead`` instead of
             requeueing it (a job that kills every daemon that touches
             it must not poison-pill the queue forever).
         fs: filesystem seam for job persistence (chaos tests inject a
@@ -98,12 +89,8 @@ class SweepService:
                  jobs: Optional[int] = None,
                  budget: Optional[RunBudget] = None,
                  max_failures: Optional[int] = None,
-                 lease_ttl: float = 30.0,
                  max_attempts: int = 3,
                  fs: Optional[FileIO] = None) -> None:
-        if not lease_ttl > 0:
-            raise ConfigurationError(
-                f"lease_ttl must be > 0, got {lease_ttl!r}")
         if int(max_attempts) < 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {max_attempts!r}")
@@ -112,14 +99,11 @@ class SweepService:
         self.jobs = jobs
         self.budget = budget
         self.max_failures = max_failures
-        self.lease_ttl = float(lease_ttl)
         self.max_attempts = int(max_attempts)
-        #: This daemon's lease identity (unique per process + instance).
-        self.instance = f"{os.getpid()}.{uuid.uuid4().hex[:8]}"
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.RLock()
-        #: Notified when a job turns terminal or is requeued by a
-        #: takeover, and on :meth:`stop`; :meth:`wait_terminal` sleeps on it.
+        #: Notified when a job turns terminal and on :meth:`stop`;
+        #: :meth:`wait_terminal` sleeps on it.
         self._changed = threading.Condition(self._lock)
         self._queue: "queue_module.Queue[Optional[str]]" = \
             queue_module.Queue()
@@ -142,30 +126,32 @@ class SweepService:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Load persisted jobs, requeue unfinished ones, start draining."""
+        """Lock the job directory (:class:`ServiceError` if another
+        service holds it), requeue unfinished jobs, start draining."""
         with self._lock:
             if self._dispatcher is not None:
                 raise ServiceError("service already started")
+            root = self.job_store.root
+            try:
+                held = try_lock(root)
+            except BlockingIOError:
+                raise ServiceError(
+                    f"job directory {root} is in use by another daemon")
             self._stopping.clear()
             for job in self.job_store.load_all():
                 self._jobs[job.id] = job
-                if job.state == RUNNING:
-                    # A running job from a previous daemon: take it
-                    # over only when its lease has provably lapsed.
-                    # An unexpired lease may belong to a live daemon
-                    # sharing this job directory — the idle reaper
-                    # claims it if the heartbeats stop.
-                    if self._lease_expired(job):
-                        self._takeover(job)
+                if job.state == RUNNING:  # its daemon is gone
+                    self._takeover(job)
                 if job.state == QUEUED:
                     self._queue.put(job.id)
             self._dispatcher = threading.Thread(
-                target=self._drain, name="sweep-service-dispatcher",
-                daemon=True)
+                target=self._drain, args=(held,),
+                name="sweep-service-dispatcher", daemon=True)
             self._dispatcher.start()
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Stop draining; a mid-run job goes back to queued on disk."""
+        """Stop draining; a mid-run job goes back to queued on disk, and
+        the job directory is unlocked once the dispatcher exits."""
         with self._lock:
             dispatcher = self._dispatcher
             if dispatcher is None:
@@ -322,7 +308,6 @@ class SweepService:
         store_stats = self.store.stats()
         return {
             "uptime_s": round(time.time() - self._started, 3),
-            "instance": self.instance,
             "jobs": states,
             "counters": counters,
             "store": {
@@ -355,7 +340,6 @@ class SweepService:
             "queue_depth": queue_depth,
             "running": running,
             "store_writable": store_writable,
-            "instance": self.instance,
             "uptime_s": round(time.time() - self._started, 3),
         }
 
@@ -363,96 +347,54 @@ class SweepService:
     # Execution
     # ------------------------------------------------------------------
 
-    def _drain(self) -> None:
-        reap_every = min(1.0, max(self.lease_ttl / 4.0, 0.05))
-        while not self._stopping.is_set():
-            self._reap_expired_leases()
-            try:
-                jid = self._queue.get(timeout=reap_every)
-            except queue_module.Empty:
-                continue  # idle tick: loop back to the reaper
-            if jid is None or self._stopping.is_set():
-                break
-            with self._lock:
-                job = self._jobs.get(jid)
-                if job is None or job.state != QUEUED:
-                    continue  # cancelled while queued, or stale entry
-                job.state = RUNNING
-                job.started = round(time.time(), 3)
-                job.runs += 1
-                job.attempts += 1
-                job.lease_owner = self.instance
-                job.lease_expires = round(time.time() + self.lease_ttl, 3)
-                self._persist(job)
-                cancel = threading.Event()
-                self._cancel_events[jid] = cancel
-            try:
-                self._execute(job, cancel)
-            except BaseException as exc:  # noqa: BLE001 - keep draining
-                self._finish(job, FAILED,
-                             error=f"{type(exc).__name__}: {exc}")
-            finally:
+    def _drain(self, held: Optional[int]) -> None:
+        try:
+            for jid in iter(self._queue.get, None):
+                if self._stopping.is_set():
+                    break
                 with self._lock:
-                    self._cancel_events.pop(jid, None)
-
-    # ------------------------------------------------------------------
-    # Leases
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _lease_expired(job: Job) -> bool:
-        """True when a running job's claim has provably lapsed.
-
-        A missing lease (pre-lease history, or a snapshot torn between
-        state and stamp) counts as expired — the job is running with no
-        live claim either way.
-        """
-        return (job.lease_expires is None
-                or time.time() >= job.lease_expires)
-
-    def _reap_expired_leases(self) -> None:
-        """Take over any running job whose lease heartbeats stopped."""
-        with self._lock:
-            for job in list(self._jobs.values()):
-                if (job.state == RUNNING
-                        and job.id not in self._cancel_events
-                        and self._lease_expired(job)):
-                    self._takeover(job)
+                    job = self._jobs.get(jid)
+                    if job is None or job.state != QUEUED:
+                        continue  # cancelled while queued, or stale entry
+                    job.state = RUNNING
+                    job.started = round(time.time(), 3)
+                    job.runs += 1
+                    job.attempts += 1
+                    self._persist(job)
+                    cancel = threading.Event()
+                    self._cancel_events[jid] = cancel
+                try:
+                    self._execute(job, cancel)
+                except BaseException as exc:  # noqa: BLE001 - keep draining
+                    self._finish(job, FAILED,
+                                 error=f"{type(exc).__name__}: {exc}")
+                finally:
+                    with self._lock:
+                        self._cancel_events.pop(jid, None)
+        finally:
+            if held is not None:
+                os.close(held)  # unlock the job directory
 
     def _takeover(self, job: Job) -> None:
         """Claim an orphaned running job: requeue it, or dead-letter it.
 
         Caller holds the lock. ``attempts`` already counts the
-        execution whose lease lapsed, so a job that has burned its
+        execution whose daemon died, so a job that has burned its
         whole budget goes ``dead`` — an operator can inspect it via
         the dead-letter listing and resubmit to grant a fresh budget.
         """
         self._takeovers += 1
-        self._event(job.id, {
-            "event": "takeover", "from": job.lease_owner,
-            "by": self.instance, "attempts": job.attempts})
+        self._event(job.id, {"event": "takeover",
+                             "attempts": job.attempts})
         if job.attempts >= self.max_attempts:
             self._dead += 1
             self._finish(job, DEAD, error=(
-                f"lease expired after {job.attempts} attempt(s); "
+                f"orphaned after {job.attempts} attempt(s); "
                 f"giving up (max_attempts={self.max_attempts})"))
             return
         job.state = QUEUED
-        job.clear_lease()
         self._persist(job)
-        self._changed.notify_all()
         self._queue.put(job.id)
-
-    def _heartbeat(self, job: Job, stop: threading.Event) -> None:
-        """Refresh the job's lease until execution ends."""
-        period = self.lease_ttl / 3.0
-        while not stop.wait(period):
-            with self._lock:
-                if job.state != RUNNING:
-                    return
-                job.lease_expires = round(time.time() + self.lease_ttl,
-                                          3)
-                self._persist(job)
 
     # ------------------------------------------------------------------
     # Best-effort persistence (the disk may be lying — see chaos tests)
@@ -487,7 +429,7 @@ class SweepService:
             self._persist(job)
         self._event(job.id, {
             "event": "started", "total": job.total, "run": job.runs,
-            "attempt": job.attempts, "lease": self.instance})
+            "attempt": job.attempts})
 
         def progress(key: str, status: str) -> None:
             self._note_progress(job, key, status)
@@ -495,11 +437,6 @@ class SweepService:
         def stop_check() -> bool:
             return cancel.is_set() or self._stopping.is_set()
 
-        heartbeat_stop = threading.Event()
-        heartbeat = threading.Thread(
-            target=self._heartbeat, args=(job, heartbeat_stop),
-            name=f"lease-heartbeat-{job.id[:8]}", daemon=True)
-        heartbeat.start()
         try:
             outcome, result = run_plan(
                 plan, budget=self.budget, jobs=self.jobs,
@@ -510,8 +447,6 @@ class SweepService:
         except SweepAbortedError as exc:
             self._finish(job, FAILED, error=str(exc))
             return
-        finally:
-            heartbeat_stop.set()
 
         warm = outcome.hits == len(plan.points)  # no pool started
         with self._lock:
@@ -527,7 +462,6 @@ class SweepService:
                 # next daemon re-runs it against the store.
                 with self._lock:
                     job.state = QUEUED
-                    job.clear_lease()
                     self._persist(job)
             return
 
@@ -588,7 +522,6 @@ class SweepService:
             job.state = state
             job.finished = round(time.time(), 3)
             job.error = error
-            job.clear_lease()
             self._persist(job)
             self._changed.notify_all()
             if state == DONE:

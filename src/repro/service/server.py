@@ -297,8 +297,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 class ReproServer(ThreadingHTTPServer):
     """The sweep-service HTTP daemon.
 
-    Owns a :class:`~.queue.SweepService`; :meth:`serve` starts both and
-    blocks until :meth:`shutdown`. Tests typically run
+    Owns a :class:`~.queue.SweepService`, which the caller starts
+    first so that a refused job directory never binds a port;
+    :meth:`serve` blocks until :meth:`shutdown`. Tests typically run
     ``serve_background()`` on port 0 instead.
     """
 
@@ -320,8 +321,7 @@ class ReproServer(ThreadingHTTPServer):
         return self.server_address[1]
 
     def serve(self) -> None:
-        """Run the service and the HTTP loop until shutdown."""
-        self.service.start()
+        """Run the HTTP loop until shutdown, then stop the service."""
         try:
             self.serve_forever(poll_interval=0.2)
         finally:
@@ -344,8 +344,8 @@ def serve_background(service: SweepService, host: str = "127.0.0.1",
     the foreground instead.
     """
     import threading
-    server = ReproServer((host, port), service, chaos=chaos)
     service.start()
+    server = ReproServer((host, port), service, chaos=chaos)
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.2},
                               name="sweep-service-http", daemon=True)

@@ -9,13 +9,13 @@ without ``fcntl`` the lock degrades to the in-process lock alone (the
 atomic-rename object layout remains correct across processes, only
 catalog lines from *separate* processes may interleave).
 
-``flock`` alone is not enough once the sweep *service* exists: its
-``ThreadingHTTPServer`` handlers and dispatcher share one process, and
-POSIX advisory locks are per-(process, file) — a second thread taking
-the same flock succeeds immediately, so two in-process writers could
-interleave catalog appends. Each path therefore also gets a process-
-local :class:`threading.Lock`, taken *before* the flock: threads
-serialize on the former, processes on the latter.
+An ``flock`` belongs to an open file description, not a process: two
+``os.open`` calls on one path conflict even within one process. The
+sweep *service*'s HTTP handlers and dispatcher are threads of one
+process, and each path also gets a process-local
+:class:`threading.Lock`, taken *before* the flock: threads serialize on
+the former, processes on the latter. :func:`try_lock` holds a
+service's job directory for the daemon's lifetime.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Optional
 
 try:
     import fcntl
@@ -48,10 +48,10 @@ def advisory_lock(path: str) -> Iterator[None]:
     """Hold an exclusive advisory lock on ``path`` (created if absent).
 
     Mutual exclusion is two-level: a process-local ``threading.Lock``
-    (because ``flock`` does not exclude threads of the same process)
-    and then the POSIX ``flock`` itself (for pool workers and unrelated
-    processes). Blocks until both are granted. Reentrant use within one
-    thread is *not* supported — keep critical sections small and flat.
+    (for threads of this process) and then the POSIX ``flock`` itself
+    (for pool workers and unrelated processes). Blocks until both are
+    granted. Reentrant use within one thread is *not* supported — keep
+    critical sections small and flat.
     """
     path = os.path.abspath(path)
     with _thread_lock(path):
@@ -70,3 +70,21 @@ def advisory_lock(path: str) -> Iterator[None]:
                     fcntl.flock(fd, fcntl.LOCK_UN)
         finally:
             os.close(fd)
+
+
+def try_lock(path: str) -> Optional[int]:
+    """Exclusively ``flock`` ``path`` itself (a directory works), or
+    raise :class:`BlockingIOError` at once if another open file holds it.
+
+    Returns the descriptor: closing it, or the process dying, unlocks.
+    Without ``fcntl`` nothing is locked and the result is None.
+    """
+    if fcntl is None:  # pragma: no cover - non-POSIX fallback
+        return None
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError:
+        os.close(fd)
+        raise
+    return fd

@@ -9,10 +9,11 @@ The acceptance criteria under test:
   5xx, truncated bodies) and still fetches result bytes identical to a
   fault-free local run — and retrying ``POST /jobs`` is safe because
   job ids are content-derived (at-least-once delivery coalesces);
-* a ``running`` job whose lease lapsed (its daemon was SIGKILLed) is
-  taken over on restart and re-runs against the store without
-  re-simulating finished points; a job that burns ``max_attempts``
-  executions goes ``dead``, not back in the queue;
+* one daemon holds a job directory at a time, so a ``running`` job
+  found at startup is orphaned (its daemon was SIGKILLed): it is taken
+  over and re-runs against the store without re-simulating finished
+  points; a job that burns ``max_attempts`` executions goes ``dead``,
+  not back in the queue;
 * storage faults degrade, never corrupt: ENOSPC turns into
   degrade-to-no-cache (job done, ``degraded: true``, store empty),
   torn/bit-flipped store objects read as misses, and
@@ -435,14 +436,12 @@ class TestServiceUnderChaos:
 
 
 class TestLeases:
-    def _orphan(self, tmp_path, attempts=1, expires_delta=-5.0):
-        """Persist a running job whose daemon has provably vanished."""
+    def _orphan(self, tmp_path, attempts=1):
+        """Persist a running job whose daemon has vanished."""
         spec = _sweep_spec()
         job = Job(id=job_id(spec), spec=spec, state="running",
                   created=round(time.time(), 3), total=len(RATES),
-                  runs=attempts, attempts=attempts,
-                  lease_owner="dead-daemon.feedface",
-                  lease_expires=round(time.time() + expires_delta, 3))
+                  runs=attempts, attempts=attempts)
         JobStore(str(tmp_path / "jobs")).save(job)
         return job
 
@@ -454,7 +453,6 @@ class TestLeases:
             job = _wait(service, job_id(_sweep_spec()))
             assert job.state == "done"
             assert job.attempts == 2  # orphaned run + the takeover run
-            assert job.lease_owner is None  # terminal jobs hold no lease
         finally:
             service.stop()
         assert service.stats()["counters"]["takeovers"] == 1
@@ -490,18 +488,27 @@ class TestLeases:
         assert service.result_bytes(job.id) \
             == render_result(curve.to_json()).encode()
 
-    def test_unexpired_lease_is_left_alone_at_startup(self, tmp_path):
-        self._orphan(tmp_path, expires_delta=120.0)
+    def test_live_looking_lease_is_taken_over_at_startup(self, tmp_path):
+        # A job.json written before the job directory was locked: its
+        # lease stamp still looks live, but no daemon can hold the
+        # directory's lock beside this one, so the job is orphaned.
+        snapshot = self._orphan(tmp_path).to_json()
+        snapshot["lease"] = {"owner": "dead-daemon.feedface",
+                             "expires": round(time.time() + 120, 3)}
+        jobs = JobStore(str(tmp_path / "jobs"))
+        with open(os.path.join(jobs.job_dir(snapshot["id"]), "job.json"),
+                  "w", encoding="utf-8") as fh:
+            json.dump(snapshot, fh)
         service = _service(tmp_path)
         service.start()
         try:
-            time.sleep(0.3)  # past several reaper ticks
-            job = service.get(job_id(_sweep_spec()))
-            assert job.state == "running"
-            assert job.lease_owner == "dead-daemon.feedface"
+            job = _wait(service, snapshot["id"])
         finally:
             service.stop()
-        assert service.stats()["counters"]["takeovers"] == 0
+        assert job.state == "done"
+        assert job.attempts == 2
+        assert "lease" not in service.snapshot(job.id)
+        assert service.stats()["counters"]["takeovers"] == 1
 
     def test_exhausted_attempts_dead_letter_the_job(self, tmp_path):
         self._orphan(tmp_path, attempts=2)
@@ -524,23 +531,6 @@ class TestLeases:
             assert _wait(service2, resubmitted.id).state == "done"
         finally:
             service2.stop()
-
-    def test_idle_reaper_claims_a_lease_that_lapses_live(self, tmp_path):
-        service = _service(tmp_path, lease_ttl=0.4)
-        # Plant the orphan *after* construction so startup never sees
-        # it: only the idle-loop reaper can claim it.
-        service.start()
-        try:
-            time.sleep(0.1)
-            orphan = self._orphan(tmp_path, expires_delta=0.2)
-            loaded = service.job_store.load(orphan.id)
-            with service._lock:
-                service._jobs[orphan.id] = loaded
-            job = _wait(service, orphan.id)
-            assert job.state == "done"
-        finally:
-            service.stop()
-        assert service.stats()["counters"]["takeovers"] == 1
 
 
 class TestDegradedService:
@@ -602,15 +592,98 @@ class TestTornEventSeal:
             assert fh.read().endswith("\n")
 
 
+def _repo_env():
+    """The environment a ``repro`` subprocess imports this tree under."""
+    repo_src = os.path.join(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))), "src")
+    return {**os.environ,
+            "PYTHONPATH": repo_src + os.pathsep
+            + os.environ.get("PYTHONPATH", "")}
+
+
+def _spawn_daemon(tmp_path, env, *flags):
+    """Start ``repro serve`` over ``tmp_path``; returns it and a client."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve",
+         "--job-dir", str(tmp_path / "jobs"),
+         "--cache-dir", str(tmp_path / "cache"),
+         "--port", "0", *flags],
+        stdout=subprocess.PIPE, text=True, env=env)
+    port = None
+    for _ in range(20):
+        line = proc.stdout.readline()
+        if "listening on" in line:
+            port = int(line.rsplit(":", 1)[1])
+            break
+    assert port, "daemon never printed its port"
+    return proc, ServiceClient(f"http://127.0.0.1:{port}",
+                               timeout=30.0, retries=6,
+                               backoff=0.05, seed=1)
+
+
+def _children(pid):
+    """The pids whose parent is ``pid`` (read from Linux ``/proc``)."""
+    found = []
+    for name in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{name}/stat", encoding="utf-8") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # not a process, or it just exited
+        if int(fields[1]) == pid:
+            found.append(int(name))
+    return found
+
+
+class TestOneDaemonPerJobDir:
+    def test_second_service_on_a_held_job_dir_is_refused(self, tmp_path):
+        first = _service(tmp_path)
+        first.start()
+        try:
+            with pytest.raises(ServiceError, match="in use"):
+                _service(tmp_path).start()
+            # The lock is on the directory itself: no lock file.
+            assert os.listdir(first.job_store.root) == []
+        finally:
+            first.stop()
+        second = _service(tmp_path)
+        second.start()
+        second.stop()
+
+    def test_second_serve_exits_before_binding(self, tmp_path):
+        env = _repo_env()
+        proc, client = _spawn_daemon(tmp_path, env)
+        try:
+            began = time.monotonic()
+            refused = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "serve",
+                 "--job-dir", str(tmp_path / "jobs"),
+                 "--cache-dir", str(tmp_path / "cache2"), "--port", "0"],
+                env=env, capture_output=True, text=True, timeout=30)
+            assert refused.returncode != 0
+            assert time.monotonic() - began < 10
+            assert "listening on" not in refused.stdout
+            lines = refused.stderr.splitlines()
+            assert len(lines) == 1
+            assert str(tmp_path / "jobs") in lines[0]
+            assert client.healthz()
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+
+
 @pytest.mark.slow
 class TestDaemonSigkill:
     """The headline robustness property, end to end over the CLI.
 
     SIGKILL a daemon mid-sweep at a seeded point boundary; a restarted
-    daemon must take over the orphaned lease, re-run the job against
+    daemon must take the job directory over, re-run the job against
     the store (zero re-simulated points — the catalog can only show
     one ``miss`` per grid point), and produce ``result.json`` bytes
-    identical to ``repro sweep --json`` run locally.
+    identical to ``repro sweep --json`` run locally. The second case
+    runs with a worker pool: its spawned workers must not keep the
+    killed daemon's lock on the job directory.
     """
 
     #: Heavy enough that each point takes seconds of wall clock — the
@@ -618,35 +691,14 @@ class TestDaemonSigkill:
     RATES = [20.0, 35.0, 50.0]
     DURATION = 60.0
 
-    def _spawn(self, tmp_path, env):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve",
-             "--job-dir", str(tmp_path / "jobs"),
-             "--cache-dir", str(tmp_path / "cache"),
-             "--port", "0", "--lease-ttl", "2"],
-            stdout=subprocess.PIPE, text=True, env=env)
-        port = None
-        for _ in range(20):
-            line = proc.stdout.readline()
-            if "listening on" in line:
-                port = int(line.rsplit(":", 1)[1])
-                break
-        assert port, "daemon never printed its port"
-        return proc, ServiceClient(f"http://127.0.0.1:{port}",
-                                   timeout=30.0, retries=6,
-                                   backoff=0.05, seed=1)
-
     @pytest.mark.parametrize("kill_after_points", [1, 2])
     def test_sigkill_restart_resumes_from_checkpoint(
             self, tmp_path, kill_after_points):
-        repo_src = os.path.join(os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__))), "src")
-        env = {**os.environ,
-               "PYTHONPATH": repo_src + os.pathsep
-               + os.environ.get("PYTHONPATH", "")}
+        env = _repo_env()
+        flags = ("--jobs", "2") if kill_after_points == 2 else ()
         spec = JobSpec.sweep("vegas", self.RATES, 40.0,
                              duration=self.DURATION, seed=3)
-        proc, client = self._spawn(tmp_path, env)
+        proc, client = _spawn_daemon(tmp_path, env, *flags)
         try:
             jid = client.submit(spec)["id"]
             deadline = time.monotonic() + 90
@@ -659,11 +711,23 @@ class TestDaemonSigkill:
             else:
                 raise AssertionError("daemon never reported progress")
         finally:
+            # Pool workers outlive a SIGKILLed daemon and would finish
+            # their point, a second ``miss``. Frozen, they still hold
+            # every descriptor they have, so the restart below proves
+            # none of them keeps the job directory's lock.
+            orphans = _children(proc.pid)
+            for pid in orphans:
+                os.kill(pid, signal.SIGSTOP)
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=10)
             proc.stdout.close()
 
-        proc2, client2 = self._spawn(tmp_path, env)
+        try:
+            proc2, client2 = _spawn_daemon(tmp_path, env, *flags)
+        finally:
+            for pid in orphans:
+                os.kill(pid, signal.SIGKILL)
+        assert orphans or not flags, "the pool's workers were not found"
         try:
             snapshot = client2.wait(jid, timeout=120)
             assert snapshot["state"] == "done"

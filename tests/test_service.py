@@ -33,6 +33,7 @@ from repro.errors import ServiceError
 from repro.service import (Job, JobSpec, JobStore, ReproServer,
                            ServiceClient, SweepService, build_plan,
                            job_id, render_result, serve_background)
+from repro.service import queue as service_queue
 from repro.store import ResultStore
 from repro.store.fsio import FileIO
 
@@ -532,15 +533,15 @@ class TestLongPoll:
             assert time.monotonic() - began < 5  # not the 10 s hold
 
     def test_stop_releases_blocked_waiters(self, tmp_path):
-        # A running job under another daemon's live lease: it will not
-        # turn terminal here, so only stop() can wake the waiter.
+        # A running job planted after start(): no dispatcher runs it, so
+        # it never turns terminal and only stop() can wake the waiter.
         spec = _sweep_spec()
-        JobStore(str(tmp_path / "jobs")).save(Job(
-            id=job_id(spec), spec=spec, state="running",
-            created=round(time.time(), 3), lease_owner="other.daemon",
-            lease_expires=round(time.time() + 120, 3)))
         service = _service(tmp_path)
         service.start()
+        with service._lock:
+            service._jobs[job_id(spec)] = Job(
+                id=job_id(spec), spec=spec, state="running",
+                created=round(time.time(), 3))
         answered = []
         waiter = threading.Thread(target=lambda: answered.append(
             service.wait_terminal(job_id(spec), 30.0)))
@@ -668,6 +669,29 @@ class TestSnapshots:
             assert json.load(fh) == service.snapshot(job.id)
         assert service.snapshot(job.id)["progress"]["cached"] == len(RATES)
 
+    def test_running_job_has_no_heartbeat_thread(self, tmp_path,
+                                                 monkeypatch):
+        threads = []
+        real_run_plan = service_queue.run_plan
+
+        def spying_run_plan(*args, **kwargs):
+            threads.extend(t.name for t in threading.enumerate())
+            return real_run_plan(*args, **kwargs)
+
+        monkeypatch.setattr(service_queue, "run_plan", spying_run_plan)
+        fs = _RecordingFS()
+        service = _service(tmp_path, fs=fs)
+        service.start()
+        try:
+            job = _wait(service, service.submit(_sweep_spec()).id)
+        finally:
+            service.stop()
+        assert job.state == "done" and not job.warm
+        assert "sweep-service-dispatcher" in threads
+        assert not [name for name in threads if "heartbeat" in name]
+        # queued, running, started-from-zero, done: transitions only.
+        assert fs.writes.count("job.json") == 4
+
     def test_snapshots_are_never_torn_under_load(self, served,
                                                  monkeypatch):
         """Hammer both snapshot routes while jobs run and re-run."""
@@ -696,8 +720,8 @@ class TestSnapshots:
                     or finished > progress["total"]
                     or (snap["state"] == "queued"
                         and snap["started"] is not None)
-                    or (snap["state"] == "running")
-                    != (snap["lease"]["owner"] is not None)):
+                    or (snap["state"] == "running"
+                        and snap["started"] is None)):
                 torn.append(snap)
 
         def hammer():
