@@ -1,22 +1,25 @@
 """Congestion control algorithm (CCA) interface for the packet simulator.
 
-A CCA controls the sender through two outputs, read before every
-transmission:
+A CCA acts on the sender through two outputs, read on every pass of its
+send loop:
 
 * ``cwnd_bytes`` — the window limit on bytes in flight (may be ``inf``
   for purely rate-based schemes);
 * ``pacing_rate`` — bytes/s pacing (``None`` = ACK-clocked, no pacing).
 
-An output is a property or a plain attribute. BBR and every
-:class:`RateCCA` keep attributes, recomputed by one pure ``outputs()``
-and published at the end of every state change; the invariant sentinel
-reports a published pair that differs from ``outputs()``.
+Both are plain attributes. Every CCA recomputes them with one pure
+``outputs()`` and publishes the pair at the end of every state change;
+the invariant sentinel reports a published pair that differs from
+``outputs()``. :class:`WindowCCA` publishes in :meth:`~WindowCCA.clamp_cwnd`,
+the one place that floors its window, and :class:`RateCCA` in its
+``rate`` setter and :meth:`~RateCCA.note_rtt`.
 
 The sender pushes events into the CCA: ``on_ack`` with an
 :class:`~repro.sim.packet.AckInfo` digest (RTT sample, delivery-rate
 sample, bytes acked), ``on_loss`` per lost packet, and ``on_timeout`` on
-an RTO. ``attach`` is called once when the flow starts and gives the CCA
-access to the sender (and through it, the simulator clock for timers).
+an RTO. ``attach`` is called once when the flow starts, publishes the
+outputs in the sender's ``mss`` and gives the CCA access to the sender
+(and through it, the simulator clock for timers).
 """
 
 from __future__ import annotations
@@ -27,16 +30,22 @@ from typing import Optional, Tuple
 from ..sim.packet import AckInfo
 
 
+#: Initial congestion window, packets (RFC 6928 style).
+INITIAL_CWND = 10.0
+
+
 class CCA:
     """Base class with sensible no-op defaults.
 
-    Subclasses typically override ``on_ack`` and the two outputs,
-    which default to an unlimited window and no pacing. ``self.sender``
-    is available after :meth:`attach`.
+    Subclasses typically override ``on_ack`` and ``outputs``, which
+    defaults to an unlimited window and no pacing. ``self.sender`` is
+    available after :meth:`attach`; ``self.mss`` is the sender's from
+    then on.
     """
 
     cwnd_bytes: float = math.inf
     pacing_rate: Optional[float] = None
+    mss: int = 1500
 
     def __init__(self) -> None:
         self.sender = None
@@ -46,20 +55,22 @@ class CCA:
     def attach(self, sender) -> None:
         """Called by the sender when the flow starts."""
         self.sender = sender
+        self.mss = sender.mss
+        self.cwnd_bytes, self.pacing_rate = self.outputs()
         self.on_start()
 
     def on_start(self) -> None:
         """Hook for CCAs that need timers; runs once at flow start."""
+
+    def outputs(self) -> Tuple[float, Optional[float]]:
+        """``(cwnd_bytes, pacing_rate)`` recomputed from the state."""
+        return math.inf, None
 
     # -- convenience accessors ------------------------------------------
 
     @property
     def sim(self):
         return self.sender.sim
-
-    @property
-    def mss(self) -> int:
-        return self.sender.mss
 
     @property
     def now(self) -> float:
@@ -72,11 +83,7 @@ class CCA:
 
     def on_send(self, now: float, seq: int, size: int,
                 is_retransmit: bool) -> None:
-        """A packet was handed to the network (PCC monitors use this).
-
-        Must not change ``cwnd_bytes`` or ``pacing_rate``: the sender
-        caches both across a same-instant send burst.
-        """
+        """A packet was handed to the network (PCC monitors use this)."""
 
     def on_loss(self, now: float, seq: int, lost_bytes: int) -> None:
         """A packet was declared lost by gap detection."""
@@ -88,8 +95,12 @@ class CCA:
 class WindowCCA(CCA):
     """Helper base for window-based CCAs keeping cwnd in packets.
 
-    Maintains ``self.cwnd`` in packets (float); ``cwnd_bytes`` converts
-    using the mss. A floor of ``min_cwnd`` packets is enforced.
+    Maintains ``self.cwnd`` in packets (float). Every handler that moves
+    it ends in :meth:`clamp_cwnd`, which floors it at ``min_cwnd``
+    packets and publishes ``cwnd_bytes``. ``ssthresh`` starts at
+    infinity; :meth:`cut_once` is the once-per-recovery-episode
+    multiplicative decrease and the default :meth:`on_timeout` resets
+    the window to ``min_cwnd``.
     """
 
     def __init__(self, initial_cwnd: float = 4.0,
@@ -97,14 +108,34 @@ class WindowCCA(CCA):
         super().__init__()
         self.cwnd = initial_cwnd
         self.min_cwnd = min_cwnd
+        self.ssthresh = math.inf
+        self._recovery_until = -1  # highest seq outstanding at last cut
+        self.cwnd_bytes = initial_cwnd * self.mss
+
+    def outputs(self) -> Tuple[float, Optional[float]]:
+        return self.cwnd * self.mss, None
 
     def clamp_cwnd(self) -> None:
+        """Floor the window at ``min_cwnd`` and publish it."""
         if self.cwnd < self.min_cwnd:
             self.cwnd = self.min_cwnd
+        self.cwnd_bytes = self.cwnd * self.mss
 
-    @property
-    def cwnd_bytes(self) -> float:
-        return self.cwnd * self.mss if self.sender else self.cwnd * 1500
+    def cut_once(self, seq: int, factor: float) -> bool:
+        """Multiply the window by ``factor`` unless ``seq`` was already
+        outstanding at the last cut (one cut per recovery episode);
+        ``ssthresh`` follows the cut window. Returns whether it cut."""
+        if seq <= self._recovery_until:
+            return False
+        self._recovery_until = self.sender.next_seq - 1
+        self.cwnd *= factor
+        self.clamp_cwnd()
+        self.ssthresh = self.cwnd
+        return True
+
+    def on_timeout(self, now: float) -> None:
+        self.cwnd = self.min_cwnd
+        self.clamp_cwnd()
 
 
 class RateCCA(CCA):

@@ -90,10 +90,6 @@ class BBR(CCA):
         self._min_rtt_stamp = 0.0
         self.cwnd_bytes, self.pacing_rate = self.outputs()
 
-    def on_start(self) -> None:
-        # Attached: the window is now in the sender's mss.
-        self.cwnd_bytes, self.pacing_rate = self.outputs()
-
     # ------------------------------------------------------------------
     # Filters
     # ------------------------------------------------------------------
@@ -231,7 +227,7 @@ class BBR(CCA):
         btl_bw = self.btl_bw
         # No estimate yet: unpaced (ACK-clocked) early startup.
         pacing = None if btl_bw <= 0 else self.pacing_gain * btl_bw
-        mss = self.sender.mss if self.sender else 1500
+        mss = self.mss
         if self.mode == BBR.PROBE_RTT:
             return PROBE_RTT_CWND_PACKETS * mss, pacing
         bdp = self._cwnd_gain_now * btl_bw * self.min_rtt_est

@@ -20,8 +20,7 @@ from collections import deque
 from typing import Deque, Optional, Tuple
 
 from ..sim.packet import AckInfo
-from .base import WindowCCA
-from .constants import INITIAL_CWND
+from .base import INITIAL_CWND, WindowCCA
 
 
 class Copa(WindowCCA):
@@ -136,6 +135,7 @@ class Copa(WindowCCA):
         if self._slow_start:
             if current_rate < target_rate:
                 self.cwnd = cwnd + info.acked_bytes / self.mss
+                self.clamp_cwnd()
                 return
             self._slow_start = False
 
@@ -178,6 +178,6 @@ class Copa(WindowCCA):
         self.clamp_cwnd()
 
     def on_timeout(self, now: float) -> None:
-        self.cwnd = 2.0
+        super().on_timeout(now)
         self.velocity = 1.0
         self._slow_start = True

@@ -14,8 +14,7 @@ yields queue room.
 from __future__ import annotations
 
 from ..sim.packet import AckInfo
-from .base import WindowCCA
-from .constants import INITIAL_CWND, SSTHRESH_INF
+from .base import INITIAL_CWND, WindowCCA
 
 CUBE_SCALE = 0.4      # the "C" constant, packets/s^3
 BETA = 0.7            # multiplicative decrease target
@@ -37,25 +36,20 @@ class Cubic(WindowCCA):
         self.cube_scale = cube_scale
         self.beta = beta
         self.fast_convergence = fast_convergence
-        self.ssthresh = SSTHRESH_INF
         self.w_max = 0.0
         self._epoch_start: float = None
         self._k = 0.0
-        self._recovery_until = -1
-
-    @property
-    def in_slow_start(self) -> bool:
-        return self.cwnd < self.ssthresh
 
     def _cubic_window(self, elapsed: float) -> float:
         return (self.cube_scale * (elapsed - self._k) ** 3 + self.w_max)
 
     def on_ack(self, info: AckInfo) -> None:
         acked_packets = info.acked_bytes / self.mss
-        if self.in_slow_start:
+        if self.cwnd < self.ssthresh:
             self.cwnd += acked_packets
             if self.cwnd >= self.ssthresh:
                 self.cwnd = self.ssthresh
+            self.clamp_cwnd()
             return
         if self._epoch_start is None:
             self._epoch_start = info.now
@@ -73,21 +67,18 @@ class Cubic(WindowCCA):
         self.clamp_cwnd()
 
     def on_loss(self, now: float, seq: int, lost_bytes: int) -> None:
-        if seq <= self._recovery_until:
+        cwnd = self.cwnd
+        if not self.cut_once(seq, self.beta):
             return
-        self._recovery_until = self.sender.next_seq - 1
-        if self.fast_convergence and self.cwnd < self.w_max:
-            self.w_max = self.cwnd * (2 - self.beta) / 2
+        if self.fast_convergence and cwnd < self.w_max:
+            self.w_max = cwnd * (2 - self.beta) / 2
         else:
-            self.w_max = self.cwnd
-        self.cwnd *= self.beta
-        self.clamp_cwnd()
-        self.ssthresh = self.cwnd
+            self.w_max = cwnd
         self._epoch_start = None
 
     def on_timeout(self, now: float) -> None:
         self.ssthresh = max(self.cwnd * self.beta, 2.0)
         self.w_max = self.cwnd
-        self.cwnd = 2.0
+        super().on_timeout(now)
         self._epoch_start = None
         self._recovery_until = self.sender.next_seq - 1

@@ -31,8 +31,7 @@ import math
 from typing import Optional
 
 from ..sim.packet import AckInfo
-from .base import WindowCCA
-from .constants import INITIAL_CWND, SSTHRESH_INF
+from .base import INITIAL_CWND, WindowCCA
 
 
 class DelayAimd(WindowCCA):
@@ -56,13 +55,7 @@ class DelayAimd(WindowCCA):
         self.md_factor = md_factor
         self.base_rtt_oracle = base_rtt
         self.base_rtt = base_rtt if base_rtt is not None else math.inf
-        self.ssthresh = SSTHRESH_INF
-        self._recovery_until = -1
         self.backoffs = 0
-
-    @property
-    def in_slow_start(self) -> bool:
-        return self.cwnd < self.ssthresh
 
     def on_ack(self, info: AckInfo) -> None:
         if self.base_rtt_oracle is None and info.rtt < self.base_rtt:
@@ -71,34 +64,22 @@ class DelayAimd(WindowCCA):
             return
         queueing = info.rtt - self.base_rtt
         if queueing > self.threshold:
-            self._backoff()
+            # One cut per window in flight.
+            if self.cut_once(self.sender.highest_acked, self.md_factor):
+                self.backoffs += 1
             return
         acked_packets = info.acked_bytes / self.mss
-        if self.in_slow_start:
+        if self.cwnd < self.ssthresh:
             self.cwnd += acked_packets
         else:
             self.cwnd += acked_packets / self.cwnd
-
-    def _backoff(self) -> None:
-        newest = self.sender.highest_acked
-        if newest <= self._recovery_until:
-            return  # one cut per window in flight
-        self._recovery_until = self.sender.next_seq - 1
-        self.cwnd *= self.md_factor
         self.clamp_cwnd()
-        self.ssthresh = self.cwnd
-        self.backoffs += 1
 
     def on_loss(self, now: float, seq: int, lost_bytes: int) -> None:
         # Short buffers: fall back to loss-driven AIMD.
-        if seq <= self._recovery_until:
-            return
-        self._recovery_until = self.sender.next_seq - 1
-        self.cwnd *= self.md_factor
-        self.clamp_cwnd()
-        self.ssthresh = self.cwnd
+        self.cut_once(seq, self.md_factor)
 
     def on_timeout(self, now: float) -> None:
         self.ssthresh = max(self.cwnd * self.md_factor, 2.0)
-        self.cwnd = 2.0
+        super().on_timeout(now)
         self._recovery_until = self.sender.next_seq - 1

@@ -18,8 +18,7 @@ react to (queue-threshold marks) is identical for both.
 from __future__ import annotations
 
 from ..sim.packet import AckInfo
-from .base import WindowCCA
-from .constants import INITIAL_CWND, SSTHRESH_INF
+from .base import INITIAL_CWND, WindowCCA
 
 
 class EcnAimd(WindowCCA):
@@ -41,23 +40,9 @@ class EcnAimd(WindowCCA):
         super().__init__(initial_cwnd=initial_cwnd, min_cwnd=2.0)
         self.md_factor = md_factor
         self.loss_tolerance = loss_tolerance
-        self.ssthresh = SSTHRESH_INF
-        self._recovery_until = -1
         self._window_losses = 0
         self._window_start_seq = 0
         self.ecn_responses = 0
-
-    @property
-    def in_slow_start(self) -> bool:
-        return self.cwnd < self.ssthresh
-
-    def _maybe_cut(self, seq_now: int) -> None:
-        if seq_now <= self._recovery_until:
-            return
-        self._recovery_until = self.sender.next_seq - 1
-        self.cwnd *= self.md_factor
-        self.clamp_cwnd()
-        self.ssthresh = self.cwnd
 
     def on_ack(self, info: AckInfo) -> None:
         acked_packets = info.acked_bytes / self.mss
@@ -65,14 +50,15 @@ class EcnAimd(WindowCCA):
             # Exit slow start and cut once per window on marks.
             self.ssthresh = min(self.ssthresh, self.cwnd)
             self.ecn_responses += 1
-            self._maybe_cut(max(info.acked_seqs, default=0))
+            self.cut_once(max(info.acked_seqs, default=0), self.md_factor)
             return
-        if self.in_slow_start:
+        if self.cwnd < self.ssthresh:
             self.cwnd += acked_packets
             if self.cwnd >= self.ssthresh:
                 self.cwnd = self.ssthresh
         else:
             self.cwnd += acked_packets / self.cwnd
+        self.clamp_cwnd()
         # Reset the per-round loss counter once per window of seqs.
         if self.sender.highest_acked >= self._window_start_seq:
             self._window_start_seq = self.sender.next_seq
@@ -84,9 +70,9 @@ class EcnAimd(WindowCCA):
         if self._window_losses > tolerated:
             # Persistent heavy loss: the path is not protecting us with
             # ECN; behave like Reno for safety.
-            self._maybe_cut(seq)
+            self.cut_once(seq, self.md_factor)
 
     def on_timeout(self, now: float) -> None:
         self.ssthresh = max(self.cwnd * self.md_factor, 2.0)
-        self.cwnd = 2.0
+        super().on_timeout(now)
         self._recovery_until = self.sender.next_seq - 1

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 
 from ..sim.packet import AckInfo
-from .base import WindowCCA
-from .constants import INITIAL_CWND
+from .base import INITIAL_CWND, WindowCCA
 
 
 class FastTCP(WindowCCA):
@@ -62,6 +61,3 @@ class FastTCP(WindowCCA):
     def on_loss(self, now: float, seq: int, lost_bytes: int) -> None:
         self.cwnd *= 0.5
         self.clamp_cwnd()
-
-    def on_timeout(self, now: float) -> None:
-        self.cwnd = 2.0

@@ -15,8 +15,7 @@ from collections import deque
 from typing import Deque, Tuple
 
 from ..sim.packet import AckInfo
-from .base import WindowCCA
-from .constants import INITIAL_CWND
+from .base import INITIAL_CWND, WindowCCA
 
 
 class Ledbat(WindowCCA):
@@ -61,6 +60,3 @@ class Ledbat(WindowCCA):
     def on_loss(self, now: float, seq: int, lost_bytes: int) -> None:
         self.cwnd *= 0.5
         self.clamp_cwnd()
-
-    def on_timeout(self, now: float) -> None:
-        self.cwnd = 2.0

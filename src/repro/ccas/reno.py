@@ -10,8 +10,7 @@ by a bounded factor).
 from __future__ import annotations
 
 from ..sim.packet import AckInfo
-from .base import WindowCCA
-from .constants import INITIAL_CWND, SSTHRESH_INF
+from .base import INITIAL_CWND, WindowCCA
 
 
 class NewReno(WindowCCA):
@@ -26,31 +25,21 @@ class NewReno(WindowCCA):
                  md_factor: float = 0.5) -> None:
         super().__init__(initial_cwnd=initial_cwnd, min_cwnd=1.0)
         self.md_factor = md_factor
-        self.ssthresh = SSTHRESH_INF
-        self._recovery_until = -1  # highest seq outstanding at last cut
-
-    @property
-    def in_slow_start(self) -> bool:
-        return self.cwnd < self.ssthresh
 
     def on_ack(self, info: AckInfo) -> None:
         acked_packets = info.acked_bytes / self.mss
-        if self.in_slow_start:
+        if self.cwnd < self.ssthresh:
             self.cwnd += acked_packets
             if self.cwnd >= self.ssthresh:
                 self.cwnd = self.ssthresh
         else:
             self.cwnd += acked_packets / self.cwnd
+        self.clamp_cwnd()
 
     def on_loss(self, now: float, seq: int, lost_bytes: int) -> None:
-        if seq <= self._recovery_until:
-            return  # still in the same recovery episode
-        self._recovery_until = self.sender.next_seq - 1
-        self.cwnd *= self.md_factor
-        self.clamp_cwnd()
-        self.ssthresh = self.cwnd
+        self.cut_once(seq, self.md_factor)
 
     def on_timeout(self, now: float) -> None:
         self.ssthresh = max(self.cwnd * self.md_factor, 2.0)
-        self.cwnd = 1.0
+        super().on_timeout(now)
         self._recovery_until = self.sender.next_seq - 1

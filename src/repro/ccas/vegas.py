@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 
 from ..sim.packet import AckInfo
-from .base import WindowCCA
-from .constants import INITIAL_CWND, SSTHRESH_INF
+from .base import INITIAL_CWND, WindowCCA
 
 
 class Vegas(WindowCCA):
@@ -42,7 +41,6 @@ class Vegas(WindowCCA):
         self.beta = beta
         self.base_rtt_oracle = base_rtt
         self.base_rtt = base_rtt if base_rtt is not None else math.inf
-        self.ssthresh = SSTHRESH_INF
         self._epoch_end_seq = 0
         self._in_slow_start = True
 
@@ -60,6 +58,7 @@ class Vegas(WindowCCA):
                 self._in_slow_start = False
             else:
                 self.cwnd += info.acked_bytes / self.mss
+                self.clamp_cwnd()
                 return
 
         # Per-RTT adjustment: act once per window of sequence numbers.
@@ -81,5 +80,5 @@ class Vegas(WindowCCA):
 
     def on_timeout(self, now: float) -> None:
         self.ssthresh = max(self.cwnd * 0.5, 2.0)
-        self.cwnd = 2.0
+        super().on_timeout(now)
         self._in_slow_start = True

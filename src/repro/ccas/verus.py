@@ -27,8 +27,7 @@ import math
 from typing import Dict, Optional
 
 from ..sim.packet import AckInfo
-from .base import WindowCCA
-from .constants import INITIAL_CWND
+from .base import INITIAL_CWND, WindowCCA
 
 
 class Verus(WindowCCA):
@@ -108,6 +107,7 @@ class Verus(WindowCCA):
                 self._in_slow_start = False
             else:
                 self.cwnd *= 1.05
+                self.clamp_cwnd()
                 return
 
         # AIMD on the delay target, tracking the delay trend.
@@ -143,5 +143,5 @@ class Verus(WindowCCA):
         self._in_slow_start = False
 
     def on_timeout(self, now: float) -> None:
-        self.cwnd = 2.0
+        super().on_timeout(now)
         self._in_slow_start = True

@@ -16,7 +16,7 @@ window.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..sim.packet import AckInfo
 from .base import CCA
@@ -49,40 +49,36 @@ class WindowTarget(CCA):
         self._min_rtt = rm if rm is not None else math.inf
         self._last_ack_time: Optional[float] = None
         self._latest_rtt: Optional[float] = None
+        self.cwnd_bytes, self.pacing_rate = self.outputs()
 
     def on_ack(self, info: AckInfo) -> None:
         if self.rm_oracle is None and info.rtt < self._min_rtt:
             self._min_rtt = info.rtt
         self._latest_rtt = info.rtt
-        if not math.isfinite(self._min_rtt):
-            return
-        dt = 0.0
-        if self._last_ack_time is not None:
-            dt = max(info.now - self._last_ack_time, 0.0)
-        self._last_ack_time = info.now
-        if dt <= 0:
-            return
-        queueing = max(info.rtt - self._min_rtt, 1e-9)
-        rate = self.window / info.rtt
-        target = self.pedestal + self.alpha / max(rate, 1.0)
-        drive = math.log(target / queueing)
-        drive = min(max(drive, -1.0), 1.0)
-        self.window *= math.exp(self.kappa * drive * min(dt, 0.1))
-        self.window = max(self.window, 2 * 1500.0)
+        if math.isfinite(self._min_rtt):
+            last = self._last_ack_time
+            self._last_ack_time = info.now
+            if last is not None and info.now > last:
+                dt = info.now - last
+                queueing = max(info.rtt - self._min_rtt, 1e-9)
+                rate = self.window / info.rtt
+                target = self.pedestal + self.alpha / max(rate, 1.0)
+                drive = math.log(target / queueing)
+                drive = min(max(drive, -1.0), 1.0)
+                self.window *= math.exp(self.kappa * drive * min(dt, 0.1))
+                self.window = max(self.window, 2 * 1500.0)
+        self.cwnd_bytes, self.pacing_rate = self.outputs()
 
     def on_loss(self, now: float, seq: int, lost_bytes: int) -> None:
         self.window = max(self.window * 0.7, 2 * 1500.0)
+        self.cwnd_bytes, self.pacing_rate = self.outputs()
 
     def on_timeout(self, now: float) -> None:
         self.window = max(self.window * 0.5, 2 * 1500.0)
+        self.cwnd_bytes, self.pacing_rate = self.outputs()
 
-    @property
-    def cwnd_bytes(self) -> float:
-        return self.window
-
-    @property
-    def pacing_rate(self) -> Optional[float]:
+    def outputs(self) -> Tuple[float, Optional[float]]:
         if self._latest_rtt is None:
-            return None
+            return self.window, None
         # Pace at the self-clocked rate to keep the queue smooth.
-        return self.window / self._latest_rtt
+        return self.window, self.window / self._latest_rtt

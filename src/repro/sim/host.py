@@ -201,11 +201,8 @@ class Sender:
         cca = self.cca
         sim = self.sim
         mss = self.mss
-        # cwnd/pacing are hoisted out of the loop: on_send must not move
-        # them (see CCA.on_send), and nothing else runs between sends.
-        cwnd = cca.cwnd_bytes
-        rate = cca.pacing_rate
-        while self.inflight_bytes + mss <= cwnd:
+        while self.inflight_bytes + mss <= cca.cwnd_bytes:
+            rate = cca.pacing_rate
             if rate is not None:
                 if rate <= 0:
                     return  # paced at zero: wait for the CCA to raise it

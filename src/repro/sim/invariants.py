@@ -18,9 +18,9 @@ families while a scenario runs:
   encoding for purely rate-based CCAs), pacing rate is non-negative and
   finite, queue occupancy stays within the configured capacity, and no
   NaN/Inf leaks into the recorded traces (``pacing_values`` NaN is the
-  documented "unpaced" encoding and is allowed). A CCA that publishes
-  its outputs (``outputs()``, see :mod:`repro.ccas.base`) must hold
-  exactly what ``outputs()`` recomputes from its state (NaN-safe).
+  documented "unpaced" encoding and is allowed). Every CCA's published
+  outputs must be exactly what its ``outputs()`` recomputes from its
+  state (NaN-safe; see :mod:`repro.ccas.base`).
 
 Modes (``REPRO_INVARIANTS`` environment variable, or explicit):
 
@@ -272,14 +272,12 @@ class InvariantSentinel:
                 self._fail("sanity", f"sender[{index}].pacing",
                            f"pacing_rate must be >= 0 and finite, "
                            f"got {pacing!r}", now)
-            outputs = getattr(cca, "outputs", None)
-            if outputs is not None:
-                fresh = outputs()
-                if not all(a == b or (a != a and b != b)
-                           for a, b in zip((cwnd, pacing), fresh)):
-                    self._fail("sanity", f"sender[{index}].stale_outputs",
-                               f"published {(cwnd, pacing)!r}, state gives "
-                               f"{fresh!r}", now)
+            fresh = cca.outputs()
+            if not all(a == b or (a != a and b != b)
+                       for a, b in zip((cwnd, pacing), fresh)):
+                self._fail("sanity", f"sender[{index}].stale_outputs",
+                           f"published {(cwnd, pacing)!r}, state gives "
+                           f"{fresh!r}", now)
             acked = sender.highest_acked
             if acked < self._last_highest_acked[index]:
                 self._fail("causality", f"sender[{index}].highest_acked",

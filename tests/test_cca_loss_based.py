@@ -1,10 +1,14 @@
-"""Tests for NewReno and Cubic (the non-delay-convergent baselines)."""
+"""Tests for NewReno and Cubic (the non-delay-convergent baselines),
+and for the cut and reset every ``WindowCCA`` shares."""
 
 import pytest
 
 from repro import units
 from repro.analysis.starvation import loss_based_delayed_acks
+from repro.ccas import registry
+from repro.ccas.base import WindowCCA
 from repro.ccas.cubic import Cubic
+from repro.ccas.delay_aimd import DelayAimd
 from repro.ccas.reno import NewReno
 
 from .conftest import flow, run_dumbbell
@@ -40,8 +44,9 @@ class TestNewReno:
         assert stats.losses > 0
         assert stats.timeouts == 0  # fast retransmit should suffice
 
-    def test_halves_once_per_window(self):
-        cca = NewReno(initial_cwnd=64.0)
+    @pytest.mark.parametrize("cls", [NewReno, DelayAimd])
+    def test_halves_once_per_window(self, cls):
+        cca = cls(initial_cwnd=64.0)
 
         class FakeSender:
             next_seq = 1000
@@ -54,16 +59,8 @@ class TestNewReno:
         assert cca.cwnd == after_first
         cca.on_loss(1.0, 2000, 1500)  # next window
         assert cca.cwnd == pytest.approx(after_first * 0.5)
-
-    def test_timeout_resets_to_one(self):
-        cca = NewReno(initial_cwnd=64.0)
-
-        class FakeSender:
-            next_seq = 10
-
-        cca.sender = FakeSender()
-        cca.on_timeout(0.0)
-        assert cca.cwnd == 1.0
+        assert cca.ssthresh == cca.cwnd
+        assert cca.cwnd_bytes == cca.cwnd * 1500
 
     def test_slow_start_doubles_per_rtt(self):
         result = run_dumbbell([flow("reno", RM, {"initial_cwnd": 2})],
@@ -99,6 +96,23 @@ class TestCubic:
         beyond = cca._cubic_window(cca._k + 5.0)
         assert near_plateau == pytest.approx(cca.w_max)
         assert beyond > cca.w_max + 40
+
+
+WINDOW_CCAS = [name for name in registry.names()
+               if issubclass(registry.entry(name).factory, WindowCCA)]
+
+
+@pytest.mark.parametrize("name", WINDOW_CCAS)
+def test_timeout_resets_window_to_min_cwnd(name):
+    cca = registry.create(name, {"initial_cwnd": 64.0})
+
+    class FakeSender:
+        next_seq = 10
+
+    cca.sender = FakeSender()
+    cca.on_timeout(0.0)
+    assert cca.cwnd == cca.min_cwnd
+    assert cca.cwnd_bytes == cca.min_cwnd * cca.mss
 
 
 def test_reno_vs_reno_is_fair():

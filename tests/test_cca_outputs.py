@@ -1,13 +1,14 @@
 """Published CCA outputs never go stale.
 
-BBR and the ``RateCCA`` family (Vivace, Allegro, Algorithm 1) keep
-``cwnd_bytes`` / ``pacing_rate`` as attributes, published from one pure
-``outputs()`` at the end of every state change (``repro.ccas.base``).
-A state change that skipped the publish would silently change what the
-sender does, so the invariant sentinel compares the published pair with
-``outputs()``. Here every registered CCA runs under a strict sentinel
-that checks after every event; a deliberately skipped publish is the
-control that the check can fail.
+Every CCA keeps ``cwnd_bytes`` / ``pacing_rate`` as attributes,
+published from one pure ``outputs()`` at the end of every state change
+(``repro.ccas.base``): a ``WindowCCA`` in ``clamp_cwnd``, a ``RateCCA``
+in its ``rate`` setter and ``note_rtt``, BBR and ``WindowTarget`` at the
+end of each handler. A state change that skipped the publish would
+silently change what the sender does, so the invariant sentinel compares
+the published pair with ``outputs()``. Here every registered CCA runs
+under a strict sentinel that checks after every event; a deliberately
+skipped publish is the control that the check can fail.
 """
 
 import math
@@ -22,8 +23,6 @@ from repro.sim.invariants import InvariantSentinel
 from repro.spec import ElementSpec, LinkSpec, ScenarioSpec
 
 from .conftest import flow
-
-PUBLISHING = {"bbr", "vivace", "allegro", "jitter-aware"}
 
 
 def lossy_outage(name):
@@ -47,7 +46,8 @@ def test_outputs_are_fresh_after_every_event(name):
     assert sentinel.violations == []
     assert sentinel.checks_run > scenario.sim.events_processed > 900
     assert sender.timeouts >= 1
-    assert hasattr(sender.cca, "outputs") == (name in PUBLISHING)
+    cca = sender.cca
+    assert (cca.cwnd_bytes, cca.pacing_rate) == cca.outputs()
 
 
 @pytest.mark.parametrize("name, corrupt", [
@@ -55,6 +55,8 @@ def test_outputs_are_fresh_after_every_event(name):
     ("vivace", lambda cca: setattr(cca, "_latest_rtt",
                                    cca._latest_rtt * 2)),
     ("jitter-aware", lambda cca: setattr(cca, "_rate", cca.rate * 2)),
+    ("reno", lambda cca: setattr(cca, "cwnd", cca.cwnd + 1.0)),
+    ("window-target", lambda cca: setattr(cca, "window", cca.window * 2)),
 ])
 def test_a_skipped_publish_is_caught(name, corrupt):
     scenario = lossy_outage(name).build(invariants="strict")

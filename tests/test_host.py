@@ -17,12 +17,11 @@ from .conftest import SinkSpy, flow, run_dumbbell
 
 
 class FixedWindowCCA(CCA):
-    """Test CCA: constant window, optional pacing, records events."""
+    """Test CCA: a window and pacing set by hand, records events."""
 
     def __init__(self, cwnd_packets=4, pacing=None):
         super().__init__()
-        self.cwnd_packets = cwnd_packets
-        self.pacing = pacing
+        self.set_outputs(cwnd_packets, pacing)
         self.acks = []
         self.losses = []
         self.timeouts = 0
@@ -40,13 +39,13 @@ class FixedWindowCCA(CCA):
     def on_send(self, now, seq, size, is_retransmit):
         self.sends.append((now, seq, is_retransmit))
 
-    @property
-    def cwnd_bytes(self):
-        return self.cwnd_packets * (self.mss if self.sender else 1500)
+    def set_outputs(self, cwnd_packets, pacing=None):
+        self.cwnd_packets = cwnd_packets
+        self.pacing = pacing
+        self.cwnd_bytes, self.pacing_rate = self.outputs()
 
-    @property
-    def pacing_rate(self):
-        return self.pacing
+    def outputs(self):
+        return self.cwnd_packets * self.mss, self.pacing
 
 
 def build_loop(sim, cca, rate=units.mbps(12), rm=0.04, mss=1500,
@@ -186,6 +185,25 @@ def test_goodput_counts_unique_bytes_once(sim):
     assert receiver.received_bytes == len(receiver._seen) * 1500
 
 
+class ShrinkOnSend(FixedWindowCCA):
+    """Publishes a one-packet window from inside ``on_send``."""
+
+    def on_send(self, now, seq, size, is_retransmit):
+        super().on_send(now, seq, size, is_retransmit)
+        self.set_outputs(1)
+
+
+def test_send_loop_rereads_outputs_after_every_send(sim):
+    # The sender asks the CCA again on every pass of its send loop: a
+    # window published by on_send stops a same-instant burst at once.
+    cca = ShrinkOnSend(cwnd_packets=10)
+    sender, receiver, _ = build_loop(sim, cca)
+    sender.start()
+    sim.run(0.01)  # before any ACK returns
+    assert sender.sent_packets == 1
+    assert sender.inflight_bytes == 1500
+
+
 def test_zero_pacing_rate_pauses_sending(sim):
     cca = FixedWindowCCA(cwnd_packets=10, pacing=0.0)
     sender, receiver, _ = build_loop(sim, cca)
@@ -200,7 +218,7 @@ def test_kick_resumes_after_rate_increase(sim):
     sender.start()
 
     def raise_rate():
-        cca.pacing = units.mbps(1)
+        cca.set_outputs(10, units.mbps(1))
         sender.kick()
 
     sim.schedule(0.5, raise_rate)
@@ -335,7 +353,7 @@ def drive_random_ack_schedule(seed, steps=120):
             sender._on_rto()
             model.on_rto()
         elif roll < 0.08:
-            cca.cwnd_packets = rng.randint(4, 40)
+            cca.set_outputs(rng.randint(4, 40))
             sender.kick()
         elif packets and (not acks or roll < 0.54):
             packet = packets.pop(pick(packets, 0.15))

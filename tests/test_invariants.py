@@ -33,6 +33,9 @@ class FakeCCA:
         self.cwnd_bytes = cwnd
         self.pacing_rate = pacing
 
+    def outputs(self):
+        return self.cwnd_bytes, self.pacing_rate
+
 
 class FakeSender:
     def __init__(self, sent=10, cwnd=30000.0, pacing=None,
