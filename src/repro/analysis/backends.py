@@ -234,6 +234,20 @@ class _PointState:
         self.first_submit = 0.0
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Pool-worker initializer: exit once the process ``parent`` is gone,
+    rather than finish a point a successor may re-run and then block on
+    the dead parent's call queue forever."""
+    import threading
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.25)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 class ProcessPoolBackend:
     """Fan points out over a self-healing, spawn-based process pool.
 
@@ -379,8 +393,10 @@ class ProcessPoolBackend:
                 batch = isolated[:1] if isolated else queue
                 workers = 1 if isolated else min(self.jobs, len(batch))
                 try:
-                    pool = ProcessPoolExecutor(max_workers=workers,
-                                               mp_context=context)
+                    pool = ProcessPoolExecutor(
+                        max_workers=workers, mp_context=context,
+                        initializer=_exit_with_parent,
+                        initargs=(os.getpid(),))
                 except Exception:
                     # Can't build a pool at all (fd/process exhaustion):
                     # degrade to in-process serial execution, skipping

@@ -35,8 +35,9 @@ from ..core.fairness import jain_index, throughput_ratio
 from ..errors import ConfigurationError
 from ..spec import (CCASpec, FlowSpec, LinkSpec, ScenarioSpec,
                     TopologySpec, derive_seed)
+from ..spec.elements import _check_number
 from .harness import RunBudget, RunFailure
-from .plan import JobPlan, run_plan
+from .plan import JobPlan, check_window, run_plan
 from .report import format_table
 
 
@@ -189,19 +190,21 @@ def build_matrix_points(ccas: Sequence[str], rate: float, rm: float,
     names = list(ccas)
     if len(names) < 1:
         raise ConfigurationError("competition matrix needs >= 1 CCA")
+    specs = [CCASpec(name) for name in names]
     if len(set(names)) != len(names):
         raise ConfigurationError(f"duplicate CCA names: {names}")
+    check_window(duration, warmup_fraction)
     base_topology = None
     if topology is not None:
         base_topology = topology.with_link_rate(topology.links[0].id,
                                                 rate)
     warmup = duration * warmup_fraction
     points = []
-    for i, a in enumerate(names):
-        for b in names[i:]:
+    for i, (a, cca_a) in enumerate(zip(names, specs)):
+        for b, cca_b in zip(names[i:], specs[i:]):
             flows = (
-                FlowSpec(cca=CCASpec(a), rm=rm, mss=mss, label=f"{a}#0"),
-                FlowSpec(cca=CCASpec(b), rm=rm, mss=mss, label=f"{b}#1"),
+                FlowSpec(cca=cca_a, rm=rm, mss=mss, label=f"{a}#0"),
+                FlowSpec(cca=cca_b, rm=rm, mss=mss, label=f"{b}#1"),
             )
             if base_topology is not None:
                 spec = ScenarioSpec(topology=base_topology, flows=flows,
@@ -225,6 +228,7 @@ def competition_plan(ccas: Sequence[str], rate: float, rm: float,
                      starve_threshold: float = 50.0,
                      topology: Optional[TopologySpec] = None) -> JobPlan:
     """Pair the grid, its worker and its matrix assembler (SI units)."""
+    _check_number("starve_threshold", starve_threshold, positive=True)
     names = list(ccas)
     points = build_matrix_points(names, rate, rm, duration=duration,
                                  warmup_fraction=warmup_fraction,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
+from ..spec.elements import _check_number
 from ..store import ResultStore
 from .backends import Point, RunPoint, make_backend
 from .harness import ResilientSweep, RunBudget, SweepOutcome
@@ -35,6 +36,17 @@ class JobPlan:
     #: ``failures`` and a ``cache`` attribute for :func:`run_plan` to
     #: fill). Grid order comes from ``points``, never completion order.
     assemble: Callable[[SweepOutcome], Any]
+
+
+def check_window(duration: Optional[float],
+                 warmup_fraction: float) -> None:
+    """The run window every grid point shares: ``duration`` None (a
+    per-point default) or finite and > 0, ``warmup_fraction`` in
+    ``[0, 1)``."""
+    _check_number("duration", duration, positive=True, allow_none=True)
+    if not 0 <= warmup_fraction < 1:
+        raise ConfigurationError(
+            f"warmup_fraction must be in [0, 1), got {warmup_fraction!r}")
 
 
 def run_plan(plan: JobPlan, budget: Optional[RunBudget] = None,

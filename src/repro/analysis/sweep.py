@@ -35,8 +35,9 @@ from .. import units
 from ..ccas import registry
 from ..errors import ConfigurationError
 from ..spec import CCASpec, ScenarioSpec, derive_seed, single_flow_scenario
+from ..spec.elements import _check_number
 from .harness import RunBudget, RunFailure
-from .plan import JobPlan, run_plan
+from .plan import JobPlan, check_window, run_plan
 
 #: What callers may sweep: a registry name, a CCASpec, or a class /
 #: factory registered in :mod:`repro.ccas.registry`.
@@ -155,13 +156,18 @@ def build_rate_delay_points(cca: Optional[CCALike],
     service) can probe cache keys or run the identical grid themselves.
     Per-point seeds derive from ``(seed, "sweep", key)``, never from
     execution order, which is what makes any two executions of the same
-    grid byte-identical.
+    grid byte-identical. Every rate must be finite and > 0 and name
+    its own ``{:g}mbps`` point.
     """
+    check_window(duration, warmup_fraction)
     spec = None if template is not None else _as_cca_spec(cca)
     points: List[Tuple[str, Dict[str, Any]]] = []
-    for rate_mbps in link_rates_mbps:
-        key = f"{float(rate_mbps):g}mbps"
-        rate = units.mbps(float(rate_mbps))
+    for rate_mbps in map(float, link_rates_mbps):
+        _check_number("sweep rate", rate_mbps, positive=True)
+        key = f"{rate_mbps:g}mbps"
+        if any(key == seen for seen, _ in points):
+            raise ConfigurationError(f"sweep rates repeat the point {key}")
+        rate = units.mbps(rate_mbps)
         run_time = duration
         if run_time is None:
             run_time = default_run_time(rate, rm, mss)

@@ -87,10 +87,6 @@ def entry(name: str) -> CCAEntry:
             f"unknown CCA {name!r}; registered: {', '.join(names())}")
 
 
-def is_registered(name: str) -> bool:
-    return name in _REGISTRY
-
-
 def names() -> List[str]:
     """All registered CCA names, sorted."""
     return sorted(_REGISTRY)

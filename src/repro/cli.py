@@ -67,15 +67,13 @@ from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import units
-from .errors import (ConfigurationError, SpecValidationError,
-                     SweepAbortedError)
+from .errors import ConfigurationError, ReproError, SweepAbortedError
 from .analysis.competition import compile_matrix_plan
 from .analysis.harness import RunBudget, describe_failures
 from .analysis.plan import JobPlan, render_result, run_plan
 from .analysis.report import describe_run, rate_delay_ascii
 from .analysis.sweep import compile_sweep_plan
 from .analysis import starvation
-from .ccas import registry
 from .spec import (CCASpec, ElementSpec, FlowSpec, LinkSpec,
                    ScenarioSpec, TopologySpec)
 from .store import ResultStore
@@ -169,14 +167,6 @@ def _write_json(path: str, doc: Dict[str, Any]) -> None:
         fh.write(render_result(doc))
 
 
-def _require_cca(name: str) -> str:
-    if not registry.is_registered(name):
-        raise SystemExit(
-            f"unknown CCA {name!r}; choose from "
-            f"{', '.join(registry.names())}")
-    return name
-
-
 def _cache_store(args: argparse.Namespace) -> Optional[ResultStore]:
     """The ResultStore the flags ask for, or None."""
     if args.no_cache or not args.cache_dir:
@@ -202,16 +192,6 @@ def _parse_window(text: str, what: str) -> tuple:
             f"{what} wants START-END in seconds, got {text!r}")
 
 
-def _element(kind: str, params: Optional[Dict[str, Any]] = None,
-             start: Optional[float] = None,
-             end: Optional[float] = None) -> ElementSpec:
-    """An :class:`ElementSpec` whose params are checked now, by a trial
-    construction, rather than when the scenario is built mid-run."""
-    spec = ElementSpec(kind, params or {}, start=start, end=end)
-    spec.factory()(None, None)
-    return spec
-
-
 def parse_flow_spec(spec: str, rm: float) -> FlowSpec:
     """Parse ``cca[:modifier[:modifier...]]`` into a declarative FlowSpec.
 
@@ -231,58 +211,58 @@ def parse_flow_spec(spec: str, rm: float) -> FlowSpec:
     and their position, like every other element.
     """
     name, _, rest = spec.partition(":")
-    _require_cca(name)
+    cca = CCASpec(name)
     ack_elements: List[ElementSpec] = []
     data_elements: List[ElementSpec] = []
     ack_every = 1
     ack_timeout: Optional[float] = None
     for modifier in (m for m in rest.split(":") if m):
         # ValueError (bad number) and ConfigurationError (bad window /
-        # probability) become clean CLI errors, not tracebacks.
-        # SystemExit from _parse_window passes through untouched.
+        # param) gain the modifier's name. SystemExit from
+        # _parse_window passes through untouched.
         try:
             if modifier.startswith("poison"):
                 amount = units.ms(float(modifier[6:] or 1.0))
-                ack_elements.append(_element(
+                ack_elements.append(ElementSpec(
                     "exempt_first_jitter",
                     {"eta": amount, "exempt_seqs": [0]}))
             elif modifier.startswith("jitter"):
                 amount = units.ms(float(modifier[6:]))
-                ack_elements.append(_element(
+                ack_elements.append(ElementSpec(
                     "constant_jitter", {"eta": amount}))
             elif modifier.startswith("agg"):
                 amount = units.ms(float(modifier[3:]))
-                ack_elements.append(_element(
+                ack_elements.append(ElementSpec(
                     "ack_aggregation", {"period": amount}))
             elif modifier.startswith("delack"):
                 ack_every = int(modifier[6:])
                 ack_timeout = units.ms(200)
             elif modifier.startswith("ge"):
-                data_elements.append(_element(
+                data_elements.append(ElementSpec(
                     "gilbert_elliott", {"mean_loss": float(modifier[2:])}))
             elif modifier.startswith("blackout"):
                 start, end = _parse_window(modifier[8:], "blackout")
-                data_elements.append(_element("blackout", start=start,
-                                              end=end))
+                data_elements.append(ElementSpec("blackout", start=start,
+                                                 end=end))
             elif modifier.startswith("flap"):
                 period, down = _parse_window(modifier[4:], "flap")
-                data_elements.append(_element(
+                data_elements.append(ElementSpec(
                     "flap", {"period": period, "down_time": down}))
             elif modifier.startswith("reorder"):
-                data_elements.append(_element(
+                data_elements.append(ElementSpec(
                     "reorder", {"reorder_prob": float(modifier[7:]),
                                 "extra_delay": units.ms(10)}))
             elif modifier.startswith("dup"):
-                data_elements.append(_element(
+                data_elements.append(ElementSpec(
                     "duplicate", {"dup_prob": float(modifier[3:])}))
             elif modifier.startswith("corrupt"):
-                data_elements.append(_element(
+                data_elements.append(ElementSpec(
                     "random_loss", {"loss_prob": float(modifier[7:])}))
             else:
                 raise SystemExit(f"unknown flow modifier {modifier!r}")
         except (ValueError, ConfigurationError) as exc:
             raise SystemExit(f"bad flow modifier {modifier!r}: {exc}")
-    return FlowSpec(cca=CCASpec(name), rm=rm,
+    return FlowSpec(cca=cca, rm=rm,
                     data_elements=tuple(data_elements),
                     ack_elements=tuple(ack_elements),
                     ack_every=ack_every, ack_timeout=ack_timeout,
@@ -292,19 +272,16 @@ def parse_flow_spec(spec: str, rm: float) -> FlowSpec:
 def parse_link_faults(args: argparse.Namespace) -> Tuple[ElementSpec, ...]:
     """The shared-bottleneck elements the ``--link-*`` flags ask for."""
     elements: List[ElementSpec] = []
-    try:
-        for window in args.link_blackout or ():
-            start, end = _parse_window(window, "--link-blackout")
-            elements.append(_element("blackout", start=start, end=end))
-        if args.link_flap:
-            period, down = _parse_window(args.link_flap, "--link-flap")
-            elements.append(_element(
-                "flap", {"period": period, "down_time": down}))
-        if args.link_ge:
-            elements.append(_element(
-                "gilbert_elliott", {"mean_loss": args.link_ge}))
-    except ConfigurationError as exc:
-        raise SystemExit(f"bad link fault flags: {exc}")
+    for window in args.link_blackout or ():
+        start, end = _parse_window(window, "--link-blackout")
+        elements.append(ElementSpec("blackout", start=start, end=end))
+    if args.link_flap:
+        period, down = _parse_window(args.link_flap, "--link-flap")
+        elements.append(ElementSpec(
+            "flap", {"period": period, "down_time": down}))
+    if args.link_ge:
+        elements.append(ElementSpec(
+            "gilbert_elliott", {"mean_loss": args.link_ge}))
     return tuple(elements)
 
 
@@ -332,12 +309,8 @@ def _specs_from_args(args: argparse.Namespace
         topology = _load_topology(args.topology)
         rm = units.ms(args.rm)
         flows = tuple(parse_flow_spec(spec, rm) for spec in args.cca)
-        try:
-            spec = ScenarioSpec(
-                topology=topology, flows=flows,
-                seed=args.seed if args.seed is not None else 0)
-        except (ConfigurationError, SpecValidationError) as exc:
-            raise SystemExit(str(exc))
+        spec = ScenarioSpec(topology=topology, flows=flows,
+                            seed=args.seed if args.seed is not None else 0)
         title = (f"topology {args.topology} "
                  f"({len(topology.links)} link(s)), Rm = {args.rm} ms")
         return [(title, spec)]
@@ -347,10 +320,7 @@ def _specs_from_args(args: argparse.Namespace
                              "not both")
         specs = []
         for path in args.spec:
-            try:
-                spec = ScenarioSpec.load(path)
-            except ConfigurationError as exc:
-                raise SystemExit(str(exc))
+            spec = ScenarioSpec.load(path)
             if args.seed is not None:
                 spec = spec.with_seed(args.seed)
             specs.append((path, spec))
@@ -470,7 +440,6 @@ def _sweep_params(args: argparse.Namespace) -> Dict[str, Any]:
     """The sweep parameter document the flags describe — what
     ``compile_sweep_plan`` compiles locally and ``repro submit`` sends
     as a JobSpec."""
-    cca = _require_cca(args.cca)
     template = None
     if args.topology:
         if args.spec:
@@ -479,14 +448,12 @@ def _sweep_params(args: argparse.Namespace) -> Dict[str, Any]:
         # point replaces the first (designated bottleneck) link's rate.
         template = ScenarioSpec(
             topology=_load_topology(args.topology),
-            flows=(FlowSpec(cca=CCASpec(cca), rm=units.ms(args.rm)),))
+            flows=(FlowSpec(cca=CCASpec(args.cca),
+                            rm=units.ms(args.rm)),))
     elif args.spec:
-        try:
-            template = ScenarioSpec.load(args.spec)
-        except ConfigurationError as exc:
-            raise SystemExit(str(exc))
+        template = ScenarioSpec.load(args.spec)
     return {
-        "cca": cca,
+        "cca": args.cca,
         "rates_mbps": [float(x) for x in args.rates.split(",")],
         "rm_ms": args.rm,
         "duration": args.duration,
@@ -530,10 +497,8 @@ def _add_matrix_args(parser: argparse.ArgumentParser) -> None:
 def _matrix_params(args: argparse.Namespace) -> Dict[str, Any]:
     """The matrix parameter document the flags describe (see
     :func:`_sweep_params`)."""
-    names = [_require_cca(name.strip()) for name in args.ccas.split(",")
+    names = [name.strip() for name in args.ccas.split(",")
              if name.strip()]
-    if not names:
-        raise SystemExit("matrix needs --ccas NAME[,NAME...]")
     topology = None
     if args.topology:
         topology = _load_topology(args.topology).to_json()
@@ -585,8 +550,6 @@ def _run_grid(args: argparse.Namespace, compiler: Any) -> Any:
               f"{args.max_failures}):")
         print(describe_failures(exc.failures))
         return None
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc))
     if args.json:
         _write_json(args.json, result.to_json())
     _print_cache_line(store, outcome.hits, outcome.misses)
@@ -655,11 +618,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(f"  sentinel mode: {mode}")
     if args.budget_scale != 1.0:
         print(f"  budgets scaled x{args.budget_scale:g}")
-    try:
-        outcome = replay_bundle(args.bundle, invariants=mode,
-                                budget_scale=args.budget_scale)
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc))
+    outcome = replay_bundle(args.bundle, invariants=mode,
+                            budget_scale=args.budget_scale)
     if outcome.ok:
         print("replay PASSED: the failure did not reproduce "
               "(fixed code, larger budget, or a non-strict mode)")
@@ -751,35 +711,33 @@ def cmd_cache(args: argparse.Namespace) -> int:
               f"{report.kept} good entr"
               f"{'y' if report.kept == 1 else 'ies'} kept")
         return 0
-    if args.action == "verify":
-        report = store.verify(repair=args.repair)
-        print(f"checked {report.checked} entr"
-              f"{'y' if report.checked == 1 else 'ies'}: "
-              f"{report.ok} ok, {len(report.corrupt)} corrupt, "
-              f"{len(report.temp)} orphaned temp file(s)")
-        for path in report.corrupt:
-            print(f"  corrupt: {path}")
-        for path in report.temp:
-            print(f"  temp:    {path}")
-        if report.repaired:
-            for path in report.quarantined:
-                print(f"  quarantined -> {path}")
-            print(f"quarantined {len(report.quarantined)} file(s) "
-                  f"under {store.quarantine_dir}; catalog sealed, "
-                  f"last-use index rebuilt")
-            # A repaired store is clean by construction; re-verify so
-            # the exit code reflects what the *next* reader will see.
-            return 0 if store.verify().clean else 1
-        if not report.clean:
-            print("run `repro cache verify --repair` to quarantine")
-            return 1
-        return 0
-    raise SystemExit(f"unknown cache action {args.action!r}")
+    # verify (argparse's choices leave nothing else)
+    report = store.verify(repair=args.repair)
+    print(f"checked {report.checked} entr"
+          f"{'y' if report.checked == 1 else 'ies'}: "
+          f"{report.ok} ok, {len(report.corrupt)} corrupt, "
+          f"{len(report.temp)} orphaned temp file(s)")
+    for path in report.corrupt:
+        print(f"  corrupt: {path}")
+    for path in report.temp:
+        print(f"  temp:    {path}")
+    if report.repaired:
+        for path in report.quarantined:
+            print(f"  quarantined -> {path}")
+        print(f"quarantined {len(report.quarantined)} file(s) "
+              f"under {store.quarantine_dir}; catalog sealed, "
+              f"last-use index rebuilt")
+        # A repaired store is clean by construction; re-verify so
+        # the exit code reflects what the *next* reader will see.
+        return 0 if store.verify().clean else 1
+    if not report.clean:
+        print("run `repro cache verify --repair` to quarantine")
+        return 1
+    return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the sweep-service daemon in the foreground."""
-    from .errors import ServiceError
     from .service import (ChaosPolicy, FaultyFS, ReproServer,
                           SweepService)
     _apply_invariants(args)
@@ -801,10 +759,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                          wall_clock=args.wall_clock),
         max_failures=args.max_failures, max_attempts=args.max_attempts,
         fs=fs)
-    try:
-        service.start()  # lock the job directory before binding a port
-    except ServiceError as exc:
-        raise SystemExit(str(exc))
+    service.start()  # lock the job directory before binding a port
     try:
         server = ReproServer((args.host, args.port), service,
                              verbose=args.verbose, chaos=chaos)
@@ -849,21 +804,9 @@ def _print_job_line(job: Dict[str, Any]) -> None:
 
 def cmd_submit(args: argparse.Namespace) -> int:
     """Submit an experiment to a running sweep-service daemon."""
-    from .errors import ServiceError
     from .service import JobSpec, ServiceClient
     client = ServiceClient(args.url, timeout=args.timeout)
-    try:
-        spec = JobSpec.from_json({"kind": args.kind,
-                                  **args.params(args)})
-    except (ConfigurationError, ServiceError) as exc:
-        raise SystemExit(str(exc))
-    try:
-        return _submit_and_report(args, client, spec)
-    except ServiceError as exc:
-        raise SystemExit(f"service error: {exc}")
-
-
-def _submit_and_report(args: argparse.Namespace, client, spec) -> int:
+    spec = JobSpec.from_json({"kind": args.kind, **args.params(args)})
     job = client.submit(spec)
     print(f"submitted job {job['id']} ({job['state']}) to {args.url}")
     if args.no_wait:
@@ -886,16 +829,8 @@ def _submit_and_report(args: argparse.Namespace, client, spec) -> int:
 
 def cmd_jobs(args: argparse.Namespace) -> int:
     """Inspect (or cancel) jobs on a running daemon."""
-    from .errors import ServiceError
     from .service import ServiceClient
     client = ServiceClient(args.url, timeout=args.timeout)
-    try:
-        return _jobs_report(args, client)
-    except ServiceError as exc:
-        raise SystemExit(f"service error: {exc}")
-
-
-def _jobs_report(args: argparse.Namespace, client) -> int:
     if args.job_id is None:
         if args.cancel or args.events:
             raise SystemExit("--cancel/--events want a JOB_ID")
@@ -958,7 +893,7 @@ def cmd_theorem(args: argparse.Namespace) -> int:
         print(f"Theorem 2: utilization {con.utilization:.4f} on a "
               f"{units.to_mbps(con.big_rate):.0f} Mbit/s link "
               f"({con.starved_factor:.0f}x capacity wasted)")
-    elif args.number == 3:
+    else:  # argparse's choices leave only 3
         con = construct_strong_model_starvation(
             lambda: WindowTargetCCA(alpha=6000.0, rm=rm, pedestal=0.04,
                                     initial=0.6e6),
@@ -966,8 +901,6 @@ def cmd_theorem(args: argparse.Namespace) -> int:
         print(f"Theorem 3: D = {con.jitter_bound * 1e3:.1f} ms, "
               f"{len(con.traces)} traces, consecutive ratio "
               f"{con.ratio:.1f} >= s = {args.s}")
-    else:
-        raise SystemExit("theorem number must be 1, 2, or 3")
     return 0
 
 
@@ -1236,9 +1169,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one verb. A :class:`~repro.errors.ReproError` that escapes it
+    (a bad input, an unreachable daemon) exits 1 with one line naming
+    the verb, never a traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}")
 
 
 if __name__ == "__main__":

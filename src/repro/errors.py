@@ -52,8 +52,9 @@ class ServiceError(ReproError):
     """A sweep-service request failed (HTTP error or bad job spec).
 
     Raised by :class:`repro.service.client.ServiceClient` when the
-    daemon answers with a non-2xx status, and by the job-spec
-    validators when a submitted document names an unknown kind or CCA.
+    daemon answers with a non-2xx status, and by
+    :mod:`repro.service.jobs` when a submitted document is malformed
+    or its values do not compile.
 
     Attributes:
         status: the HTTP status code (0 when the failure happened

@@ -11,7 +11,7 @@ dispatch.
 
 Layering (strictly one-way):
 
-* :mod:`repro.service.jobs` — the durable job model: validated specs,
+* :mod:`repro.service.jobs` — the durable job model: normalized specs,
   content-derived job ids, atomic per-job persistence, compiled plans.
 * :mod:`repro.service.queue` — :class:`SweepService`: the dispatcher
   draining the queue through :class:`~repro.analysis.harness.

@@ -5,16 +5,17 @@ sweep grid or a competition matrix — expressed as pure data so it can
 cross an HTTP boundary, be hashed to a stable id, and be replayed after
 a daemon restart. The moving parts:
 
-* :class:`JobSpec` — the validated, normalized request. Normalization
-  (defaults filled in, numbers coerced) happens at construction so two
-  documents describing the same experiment serialize identically and
-  therefore share one content-derived :func:`job_id`.
+* :class:`JobSpec` — the normalized request. Normalization (JSON shape
+  checked, defaults filled in, numbers coerced) happens at construction
+  so two documents describing the same experiment serialize identically
+  and therefore share one content-derived :func:`job_id`.
 * :func:`build_plan` — hands the spec's params to the plan compiler
   for its kind (:func:`repro.analysis.sweep.compile_sweep_plan` /
   :func:`repro.analysis.competition.compile_matrix_plan`), the same
   compiler a local ``repro sweep`` / ``repro matrix`` of the same
-  parameters goes through. Byte-identity between a submitted job and a
-  local run is *by construction*, not by test luck.
+  parameters goes through, and the one that checks their values.
+  Byte-identity between a submitted job and a local run is *by
+  construction*, not by test luck.
 * :class:`Job` — the mutable execution record: state machine
   (``queued → running → done|failed|cancelled``, plus ``dead`` when a
   job exhausts its takeover attempt budget), per-point progress
@@ -74,25 +75,10 @@ def _number(value: Any, name: str) -> float:
     raise ServiceError(f"{name} must be a number, got {value!r}")
 
 
-def _positive(value: Any, name: str) -> float:
-    number = _number(value, name)
-    if not 0 < number < float("inf"):
-        raise ServiceError(f"{name} must be finite and > 0, got {value!r}")
-    return number
-
-
 def _integer(value: Any, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ServiceError(f"{name} must be an integer, got {value!r}")
     return value
-
-
-def _warmup_fraction(value: Any) -> float:
-    number = _number(value, "warmup_fraction")
-    if not 0 <= number < 1:
-        raise ServiceError(
-            f"warmup_fraction must be in [0, 1), got {value!r}")
-    return number
 
 
 def _array(value: Any, name: str) -> List[Any]:
@@ -109,18 +95,10 @@ def _object_or_none(value: Any, name: str) -> Optional[Dict[str, Any]]:
     return value
 
 
-def _registered_cca(name: Any) -> str:
-    from ..ccas import registry
-    if not isinstance(name, str) or not registry.is_registered(name):
-        raise ServiceError(
-            f"unknown CCA {name!r}; choose from "
-            f"{', '.join(registry.names())}")
-    return name
-
-
 @dataclass(frozen=True)
 class JobSpec:
-    """A validated, normalized service request.
+    """A normalized service request (values are checked by
+    :func:`build_plan`, which submit runs before it accepts a job).
 
     ``kind`` selects the grid family; ``params`` is the normalized
     parameter document (every default filled in explicitly, so the
@@ -149,14 +127,14 @@ class JobSpec:
               warmup_fraction: float = 0.5, mss: int = 1500,
               template: Optional[Dict[str, Any]] = None) -> "JobSpec":
         return JobSpec("sweep", {
-            "cca": _registered_cca(cca),
-            "rates_mbps": [_positive(r, "rates_mbps[]")
+            "cca": cca,
+            "rates_mbps": [_number(r, "rates_mbps[]")
                            for r in _array(rates_mbps, "rates_mbps")],
-            "rm_ms": _positive(rm_ms, "rm_ms"),
+            "rm_ms": _number(rm_ms, "rm_ms"),
             "duration": None if duration is None
-            else _positive(duration, "duration"),
+            else _number(duration, "duration"),
             "seed": _integer(seed, "seed"),
-            "warmup_fraction": _warmup_fraction(warmup_fraction),
+            "warmup_fraction": _number(warmup_fraction, "warmup_fraction"),
             "mss": _integer(mss, "mss"),
             "template": _object_or_none(template, "template"),
         })
@@ -167,25 +145,22 @@ class JobSpec:
                warmup_fraction: float = 0.5, mss: int = 1500,
                starve_threshold: float = 50.0,
                topology: Optional[Dict[str, Any]] = None) -> "JobSpec":
-        names = [_registered_cca(name) for name in _array(ccas, "ccas")]
-        if len(set(names)) != len(names):
-            raise ServiceError(f"duplicate CCA names: {names}")
         return JobSpec("matrix", {
-            "ccas": names,
-            "rate_mbps": _positive(rate_mbps, "rate_mbps"),
-            "rm_ms": _positive(rm_ms, "rm_ms"),
-            "duration": _positive(duration, "duration"),
+            "ccas": _array(ccas, "ccas"),
+            "rate_mbps": _number(rate_mbps, "rate_mbps"),
+            "rm_ms": _number(rm_ms, "rm_ms"),
+            "duration": _number(duration, "duration"),
             "seed": _integer(seed, "seed"),
-            "warmup_fraction": _warmup_fraction(warmup_fraction),
+            "warmup_fraction": _number(warmup_fraction, "warmup_fraction"),
             "mss": _integer(mss, "mss"),
-            "starve_threshold": _positive(starve_threshold,
-                                          "starve_threshold"),
+            "starve_threshold": _number(starve_threshold,
+                                        "starve_threshold"),
             "topology": _object_or_none(topology, "topology"),
         })
 
     @staticmethod
     def from_json(data: Any) -> "JobSpec":
-        """Validate a client-submitted document into a JobSpec."""
+        """Normalize a client-submitted document into a JobSpec."""
         if not isinstance(data, dict):
             raise ServiceError(
                 f"job spec must be a JSON object, got {type(data).__name__}")
@@ -239,8 +214,6 @@ def build_plan(spec: JobSpec) -> JobPlan:
     """
     compilers = {"sweep": compile_sweep_plan,
                  "matrix": compile_matrix_plan}
-    if spec.kind not in compilers:
-        raise ServiceError(f"unknown job kind {spec.kind!r}")
     try:
         return compilers[spec.kind](**spec.params)
     except ConfigurationError as exc:  # SpecValidationError included

@@ -147,8 +147,10 @@ class InvariantSentinel:
         self._elements: List[object] = []
         self._flow_recorders: List[object] = []
         self._queue_recorders: List[object] = []
-        #: Per-recorder scan cursors (index of first unscanned sample).
-        self._cursors: Dict[int, Dict[str, int]] = {}
+        #: Scan cursors (index of first unscanned sample) by recorder
+        #: registration index, so a deep-copied scenario can check.
+        self._flow_cursors: List[Dict[str, int]] = []
+        self._queue_cursors: List[Dict[str, int]] = []
         self._last_now = 0.0
         self._last_highest_acked: List[int] = []
         self._warned_sites: set = set()
@@ -171,7 +173,7 @@ class InvariantSentinel:
             self._receivers.append(receiver)
         if recorder is not None:
             self._flow_recorders.append(recorder)
-            self._cursors[id(recorder)] = {}
+            self._flow_cursors.append({})
 
     def register_queue(self, queue, recorder=None) -> None:
         if not self.active:
@@ -179,7 +181,7 @@ class InvariantSentinel:
         self._queues.append(queue)
         if recorder is not None:
             self._queue_recorders.append(recorder)
-            self._cursors[id(recorder)] = {}
+            self._queue_cursors.append({})
 
     def register_element(self, element) -> None:
         """Register a path element that owns drop/duplicate counters."""
@@ -316,13 +318,13 @@ class InvariantSentinel:
                 self._fail(kind, f"queue[{index}].{site}", message, now)
 
         # -- traces: incremental NaN/Inf + monotonicity scans ----------
-        for index, recorder in enumerate(self._flow_recorders):
-            cursors = self._cursors[id(recorder)]
+        for index, (recorder, cursors) in enumerate(
+                zip(self._flow_recorders, self._flow_cursors)):
             for kind, site, message in recorder.scan_invariants(
                     cursors, now):
                 self._fail(kind, f"trace[{index}].{site}", message, now)
-        for index, recorder in enumerate(self._queue_recorders):
-            cursors = self._cursors[id(recorder)]
+        for index, (recorder, cursors) in enumerate(
+                zip(self._queue_recorders, self._queue_cursors)):
             for kind, site, message in recorder.scan_invariants(
                     cursors, now):
                 self._fail(kind, f"queue_trace[{index}].{site}", message,

@@ -149,6 +149,14 @@ class ElementSpec:
                 f"element {self.kind!r} params must be an object, got "
                 f"{self.params!r}")
         object.__setattr__(self, "params", _normalize(self.params))
+        # A trial construction: the element's constructor validates its
+        # params, so a bad one fails here, where the spec is written,
+        # not in the middle of a run.
+        try:
+            ELEMENTS[self.kind].cls(None, None, **self.params)
+        except (TypeError, ValueError, ConfigurationError) as exc:
+            raise SpecValidationError(
+                f"bad params for element {self.kind!r}: {exc}")
         if self.start is None and self.end is None:
             return
         if not ELEMENTS[self.kind].windowable:
@@ -189,11 +197,7 @@ class ElementSpec:
             kwargs["seed"] = seed
 
         def build(sim: object, sink: object) -> object:
-            try:
-                return reg.cls(sim, sink, **kwargs)
-            except TypeError as exc:
-                raise ConfigurationError(
-                    f"bad params for element {self.kind!r}: {exc}")
+            return reg.cls(sim, sink, **kwargs)
 
         if self.start is None:
             return build

@@ -635,6 +635,15 @@ def _children(pid):
     return found
 
 
+def _running(pid):
+    """Whether ``pid`` is a live process (not gone, not a zombie)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (OSError, IndexError):
+        return False
+
+
 class TestOneDaemonPerJobDir:
     def test_second_service_on_a_held_job_dir_is_refused(self, tmp_path):
         first = _service(tmp_path)
@@ -683,7 +692,8 @@ class TestDaemonSigkill:
     one ``miss`` per grid point), and produce ``result.json`` bytes
     identical to ``repro sweep --json`` run locally. The second case
     runs with a worker pool: its spawned workers must not keep the
-    killed daemon's lock on the job directory.
+    killed daemon's lock on the job directory, and must exit once the
+    daemon is gone.
     """
 
     #: Heavy enough that each point takes seconds of wall clock — the
@@ -711,22 +721,15 @@ class TestDaemonSigkill:
             else:
                 raise AssertionError("daemon never reported progress")
         finally:
-            # Pool workers outlive a SIGKILLed daemon and would finish
-            # their point, a second ``miss``. Frozen, they still hold
-            # every descriptor they have, so the restart below proves
-            # none of them keeps the job directory's lock.
+            # Pool workers watch their parent and exit once it is gone,
+            # so none finishes its point a second time (a second
+            # ``miss``) or blocks on the dead daemon's queue forever.
             orphans = _children(proc.pid)
-            for pid in orphans:
-                os.kill(pid, signal.SIGSTOP)
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=10)
             proc.stdout.close()
 
-        try:
-            proc2, client2 = _spawn_daemon(tmp_path, env, *flags)
-        finally:
-            for pid in orphans:
-                os.kill(pid, signal.SIGKILL)
+        proc2, client2 = _spawn_daemon(tmp_path, env, *flags)
         assert orphans or not flags, "the pool's workers were not found"
         try:
             snapshot = client2.wait(jid, timeout=120)
@@ -738,6 +741,10 @@ class TestDaemonSigkill:
             proc2.terminate()
             proc2.wait(timeout=10)
             proc2.stdout.close()
+        deadline = time.monotonic() + 10
+        while any(map(_running, orphans)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in orphans if _running(pid)]
 
         ref_path = str(tmp_path / "ref.json")
         subprocess.run(

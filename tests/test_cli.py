@@ -13,6 +13,7 @@ from repro.analysis.report import describe_run
 from repro.analysis.sweep import compile_sweep_plan
 from repro.ccas import registry
 from repro.cli import build_parser, main, parse_flow_spec
+from repro.errors import ConfigurationError
 from repro.spec import (CCASpec, ElementSpec, FlowSpec, ScenarioSpec,
                         single_flow_scenario)
 
@@ -54,8 +55,11 @@ class TestFlowSpecParsing:
         assert spec.ack_timeout is not None
 
     def test_unknown_cca_exits(self):
-        with pytest.raises(SystemExit):
+        # CCASpec owns the name check; main() reports it in one line.
+        with pytest.raises(ConfigurationError, match="unknown CCA"):
             parse_flow_spec("nope", rm=0.04)
+        with pytest.raises(SystemExit, match="^repro run: unknown CCA"):
+            main(["run", "--rate", "12", "--rm", "40", "--cca", "nope"])
 
     def test_unknown_modifier_exits(self):
         with pytest.raises(SystemExit):
@@ -385,9 +389,10 @@ class TestStarveRunsSpecs:
     def test_crash_bundle_replays_without_the_table(self, tmp_path,
                                                     monkeypatch, capsys):
         def broken():
+            # Element params are checked when the spec is written; a CCA
+            # param is still checked when the scenario is built.
             good = QUICK_COPA.spec(duration=3.0)
-            bad = replace(good.flows[0], ack_elements=(
-                ElementSpec("constant_jitter", {"eta": -1.0}),))
+            bad = replace(good.flows[0], cca=CCASpec("vegas", {"bogus": 1}))
             return replace(good, flows=(bad,))
 
         monkeypatch.setitem(starvation.SCENARIOS, "broken",
@@ -406,7 +411,7 @@ class TestStarveRunsSpecs:
         monkeypatch.delitem(starvation.SCENARIOS, "broken")
         assert main(["replay", str(bundle)]) == 1
         out = capsys.readouterr().out
-        assert "constant jitter must be >= 0" in out
+        assert "unexpected keyword argument 'bogus'" in out
         assert "reproduces deterministically" in out
 
 

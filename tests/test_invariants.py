@@ -7,6 +7,7 @@ staying invariant-clean in strict mode — is covered here with short
 runs and in tests/test_golden_traces.py for the whole golden battery.
 """
 
+import copy
 import math
 import warnings
 
@@ -17,7 +18,9 @@ from repro.errors import InvariantViolation
 from repro.sim.invariants import (DEFAULT_CADENCE, ENV_VAR,
                                   InvariantSentinel, InvariantWarning,
                                   override_mode, resolve_mode)
-from repro.spec import LinkSpec, ScenarioSpec
+from repro.sim.digests import run_digests
+from repro.sim.runner import RunResult, summarize
+from repro.spec import ElementSpec, LinkSpec, ScenarioSpec
 
 from .conftest import flow
 
@@ -273,6 +276,39 @@ class TestScenarioIntegration:
         assert sentinel.cadence == DEFAULT_CADENCE
         assert sentinel.checks_run >= 2
         assert sentinel.violations == []
+
+
+class TestCopiedScenario:
+    """A built scenario deep-copied mid-run goes on under its own
+    sentinel: the copy and the original both finish like a run that was
+    never copied."""
+
+    SPEC = ScenarioSpec(
+        link=LinkSpec(rate=units.mbps(12)),
+        flows=(flow("vegas", units.ms(40)),
+               flow("vegas", units.ms(40), ack_elements=(
+                   ElementSpec("constant_jitter", {"eta": units.ms(5)}),))))
+
+    @staticmethod
+    def digests(scenario, duration=8.0, warmup=2.0):
+        return run_digests(RunResult(
+            scenario=scenario, stats=summarize(scenario, duration, warmup),
+            duration=duration, warmup=warmup))
+
+    def test_copy_and_original_match_an_uninterrupted_run(self):
+        whole = self.SPEC.build(invariants="strict")
+        whole.run(8.0)
+        original = self.SPEC.build(invariants="strict")
+        original.run(4.0)
+        checks_at_copy = original.sentinel.checks_run
+        branch = copy.deepcopy(original)
+        branch.run(8.0)
+        original.run(8.0)
+        assert self.digests(branch) == self.digests(whole)
+        assert self.digests(original) == self.digests(whole)
+        assert branch.sentinel is not original.sentinel
+        assert branch.sentinel.checks_run > checks_at_copy
+        assert branch.sentinel.violations == []
 
 
 class TestStrictCatchesInjectedCorruption:

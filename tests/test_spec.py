@@ -171,12 +171,11 @@ class TestElementSpec:
         with pytest.raises(ConfigurationError, match="unknown element"):
             ElementSpec("warp_drive")
 
-    def test_bad_params_fail_at_build_with_kind_named(self):
-        from repro.sim.engine import Simulator
-
-        spec = ElementSpec("constant_jitter", {"etaa": 0.005})
+    def test_bad_params_fail_at_construction_with_kind_named(self):
         with pytest.raises(ConfigurationError, match="constant_jitter"):
-            spec.factory()(Simulator(), object())
+            ElementSpec("constant_jitter", {"etaa": 0.005})
+        with pytest.raises(ConfigurationError, match="random_loss"):
+            ElementSpec("random_loss", {"loss_prob": 2.0})
 
     def test_non_json_params_rejected(self):
         with pytest.raises(ConfigurationError, match="JSON"):
@@ -242,11 +241,8 @@ class TestFaultSpecs:
         assert first_draw(unpinned) == random.Random(7).random()
 
     def test_bad_params_named_in_error(self):
-        from repro.sim.engine import Simulator
-
-        spec = ElementSpec("flap", {"wrong": 1.0}, start=0.0, end=1.0)
         with pytest.raises(ConfigurationError, match="flap"):
-            spec.factory()(Simulator(), object())
+            ElementSpec("flap", {"wrong": 1.0}, start=0.0, end=1.0)
 
     @pytest.mark.parametrize("faults", [
         5, {"windows": 5}, {"windows": [5]},
