@@ -12,6 +12,7 @@ Heavy experiments run exactly once per session via
 
 from __future__ import annotations
 
+import math
 import sys
 
 import pytest
@@ -32,6 +33,18 @@ def report(title: str, lines) -> None:
     for line in lines:
         print(line)
     sys.stdout.flush()
+
+
+def definition2(verdict) -> str:
+    """One report line for a run's Definition 2 verdict
+    (:meth:`repro.sim.runner.RunResult.fairness`)."""
+    def at(t):
+        return "-" if math.isnan(t) else f"{t:.2f} s"
+
+    return (f"Definition 2 at s = {verdict.s:g}: "
+            f"violated_from {at(verdict.violated_from)}, "
+            f"satisfied_from {at(verdict.satisfied_from)} "
+            f"(final ratio {verdict.final_ratio:.2f})")
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ packets. Paper result: throughput ratios of 2.7x (Reno) and 3.2x
 CCAs' large oscillations keep leaking rate information (Section 6.2).
 """
 
-from conftest import report
+from conftest import definition2, report
 from repro import units
 from repro.analysis.starvation import loss_based_delayed_acks
 from repro.spec import CCASpec, FlowSpec, LinkSpec, ScenarioSpec
@@ -40,6 +40,8 @@ def test_fig7_reno_cubic_delayed_acks(once):
         lines.append(f"{name:5s}: delayed-ACK {delack:.2f} vs per-packet "
                      f"{perpkt:.2f} Mbit/s -> ratio {ratio:.2f} "
                      f"(paper {paper}x)")
+        for s in (1.5, 12):
+            lines.append(f"{name:5s}: " + definition2(result.fairness(s)))
     report("Figure 7: delayed ACKs bias loss-based CCAs", lines)
 
     for result in (reno, cubic):
@@ -47,8 +49,10 @@ def test_fig7_reno_cubic_delayed_acks(once):
         # Biased against the delayed-ACK flow...
         assert result.stats[1].throughput > result.stats[0].throughput
         assert ratio > 1.5
+        assert not result.fairness(1.5).is_s_fair
         # ...but bounded: no starvation (both flows keep > 5% of C).
         assert ratio < 12.0
+        assert result.fairness(12).is_s_fair
         for stats in result.stats:
             assert stats.throughput > 0.05 * units.mbps(6)
         # High aggregate utilization throughout.

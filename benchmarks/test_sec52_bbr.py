@@ -9,7 +9,7 @@ We add a 4 ms ACK-aggregation element per flow as the jitter source
 jitter may be necessary to break BBR").
 """
 
-from conftest import report
+from conftest import definition2, report
 from repro import units
 from repro.analysis.starvation import bbr_rtt_starvation
 
@@ -22,17 +22,20 @@ def test_sec52_bbr_rtt_starvation(once):
     result = once(generate)
     rm40 = units.to_mbps(result.stats[0].throughput)
     rm80 = units.to_mbps(result.stats[1].throughput)
+    starved = result.fairness(5)
     lines = [
         f"Rm=40ms flow: {rm40:6.1f} Mbit/s   (paper:   8.3)",
         f"Rm=80ms flow: {rm80:6.1f} Mbit/s   (paper: 107.0)",
         f"ratio: {rm80 / max(rm40, 1e-9):.1f}   (paper ~12.9)",
         f"utilization: {result.utilization():.1%}",
+        definition2(starved),
     ]
     report("Section 5.2: BBR starvation (cwnd-limited mode)", lines)
 
     # Shape: the smaller-Rm flow starves by an order of magnitude while
     # the link stays nearly fully utilized.
     assert rm80 > 5.0 * rm40
+    assert not starved.is_s_fair
     assert rm40 < 20.0
     assert rm80 > 80.0
     assert result.utilization() > 0.85

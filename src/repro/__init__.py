@@ -10,8 +10,8 @@ Layout:
                      substitute): FIFO bottleneck, jitter, loss, hosts.
     repro.ccas     — packet-level CCAs: Vegas, FAST, Copa, BBR, PCC
                      Vivace/Allegro, NewReno, Cubic, LEDBAT, Algorithm 1.
-    repro.analysis — metrics, Figure 3 sweeps, the Section 5 scenario
-                     library, ASCII reporting.
+    repro.analysis — Figure 3 sweeps, the Section 5 scenario library,
+                     competition matrices, ASCII reporting.
     repro.units    — Mbit/s / ms / bytes conversions.
 
 Quickstart:

@@ -111,9 +111,8 @@ class CompetitionMatrix:
         return not math.isnan(ratio) and ratio >= self.starve_threshold
 
     def starved_pairs(self) -> List[str]:
-        return [key for key, cell in sorted(self.cells.items())
-                if throughput_ratio(cell["throughputs"])
-                >= self.starve_threshold]
+        return [key for key in sorted(self.cells)
+                if self.starved(*key.split("|"))]
 
     def to_json(self) -> Dict[str, Any]:
         """Strict-JSON document (``inf`` ratios become the string
@@ -124,7 +123,7 @@ class CompetitionMatrix:
             cells[key] = dict(cell)
             cells[key]["ratio"] = "inf" if math.isinf(ratio) else ratio
             cells[key]["jain"] = jain_index(cell["throughputs"])
-            cells[key]["starved"] = bool(ratio >= self.starve_threshold)
+            cells[key]["starved"] = self.starved(*key.split("|"))
         return {
             "ccas": list(self.ccas),
             "rate": self.rate,

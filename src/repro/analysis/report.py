@@ -7,7 +7,7 @@ eyeball whether the *shape* reproduces (who wins, by what factor).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .. import units
 from ..sim.runner import FlowStats, RunResult
@@ -46,16 +46,14 @@ def flow_table(stats: Sequence[FlowStats]) -> str:
         rows)
 
 
-def comparison_line(experiment: str, paper: str, measured: str,
-                    verdict: Optional[str] = None) -> str:
-    """One paper-vs-measured line for EXPERIMENTS.md-style output."""
-    suffix = f"  [{verdict}]" if verdict else ""
-    return f"{experiment}: paper {paper} | measured {measured}{suffix}"
+#: The s levels at which :func:`describe_run` reads Definition 2.
+FAIRNESS_LEVELS = (2, 5, 10, 50, 100)
 
 
-def describe_run(title: str, result: RunResult,
-                 paper_numbers: str = "") -> str:
-    """A multi-line run report: title, flow table, ratio, utilization."""
+def describe_run(title: str, result: RunResult, paper_numbers: str = "",
+                 levels: Sequence[float] = FAIRNESS_LEVELS) -> str:
+    """A multi-line run report: title, flow table, ratio, utilization,
+    and Definition 2 at each s in ``levels``."""
     lines = [title]
     if paper_numbers:
         lines.append(f"  paper: {paper_numbers}")
@@ -64,6 +62,15 @@ def describe_run(title: str, result: RunResult,
     ratio_text = "inf" if math.isinf(ratio) else f"{ratio:.2f}"
     lines.append(f"  throughput ratio: {ratio_text}   "
                  f"utilization: {result.utilization():.1%}")
+    verdicts = []
+    for s in levels:
+        verdict = result.fairness(s)
+        if verdict.is_s_fair:
+            verdicts.append(f"s={s} fair from {verdict.satisfied_from:.2f} s")
+        else:
+            verdicts.append(
+                f"s={s} starved from {verdict.violated_from:.2f} s")
+    lines.append("  Definition 2: " + "; ".join(verdicts))
     return "\n".join(lines)
 
 

@@ -309,16 +309,3 @@ def sweep_rate_delay(cca_factory: CCALike,
         retry_failures_on_resume=retry_failures, refresh=refresh,
         crash_dir=crash_dir, max_failures=max_failures)
     return curve
-
-
-def log_rate_grid(lo_mbps: float = 0.1, hi_mbps: float = 100.0,
-                  points: int = 7) -> List[float]:
-    """A log-spaced link-rate grid like Figure 3's x axis."""
-    if lo_mbps <= 0 or hi_mbps <= lo_mbps or points < 2:
-        raise ValueError("invalid grid parameters")
-    step = (hi_mbps / lo_mbps) ** (1.0 / (points - 1))
-    grid = [min(lo_mbps * step ** i, hi_mbps) for i in range(points)]
-    # Floating-point step accumulation can land the last point a hair
-    # off hi_mbps on either side; pin it exactly.
-    grid[-1] = hi_mbps
-    return grid

@@ -71,7 +71,7 @@ from .errors import ConfigurationError, ReproError, SweepAbortedError
 from .analysis.competition import compile_matrix_plan
 from .analysis.harness import RunBudget, describe_failures
 from .analysis.plan import JobPlan, render_result, run_plan
-from .analysis.report import describe_run, rate_delay_ascii
+from .analysis.report import FAIRNESS_LEVELS, describe_run, rate_delay_ascii
 from .analysis.sweep import compile_sweep_plan
 from .analysis import starvation
 from .spec import (CCASpec, ElementSpec, FlowSpec, LinkSpec,
@@ -354,7 +354,8 @@ def _run_spec_point(params: Dict[str, Any], budget: RunBudget
                       warmup=params["warmup"],
                       max_events=budget.max_events,
                       wall_clock_budget=budget.wall_clock)
-    return {"report": describe_run(params["title"], result)}
+    return {"report": describe_run(params["title"], result,
+                                   levels=params["levels"])}
 
 
 def _report_specs(args: argparse.Namespace,
@@ -365,9 +366,10 @@ def _report_specs(args: argparse.Namespace,
 
     A point's params are the serialized spec, the window it runs for
     (``duration``, else the spec's embedded one, else 30 s; warmup the
-    spec's, else a third) and its heading, ``title`` formatted with
-    ``name`` and ``duration`` — so the cache key covers the whole
-    scenario and a crash bundle replays on its own.
+    spec's, else a third), its heading, ``title`` formatted with
+    ``name`` and ``duration``, and the s levels of its Definition 2
+    line — so the cache key covers everything the report says and a
+    crash bundle replays on its own.
 
     Run as a plan; no checkpoint, so no signal trap delays Ctrl-C.
     """
@@ -380,6 +382,7 @@ def _report_specs(args: argparse.Namespace,
             "duration": run_for,
             "warmup": run_for / 3 if spec.warmup is None else spec.warmup,
             "title": title.format(name=name, duration=run_for),
+            "levels": list(FAIRNESS_LEVELS),
         }))
 
     def assemble(outcome: Any) -> SimpleNamespace:  # run_plan adds .cache

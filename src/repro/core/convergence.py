@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List
 
 import numpy as np
 
@@ -125,30 +125,3 @@ class ConvergenceCertificate:
         if not applicable:
             return math.nan
         return max(applicable)
-
-
-def certify_delay_convergence(cca_factory: Callable[[], object],
-                              link_rates: Sequence[float], rm: float,
-                              lam: Optional[float] = None,
-                              duration: float = 30.0,
-                              dt: float = 1e-3,
-                              d_max_bound: Optional[float] = None,
-                              delta_bound: Optional[float] = None
-                              ) -> ConvergenceCertificate:
-    """Measure converged ranges across ``link_rates`` and certify.
-
-    When the bounds are not given they are inferred with 10% headroom
-    from the measurements themselves, so the certificate records the
-    empirical (d_max_bound, delta_bound, lambda) witness for Definition 1.
-    """
-    ranges = [measure_cca_range(cca_factory, rate, rm, duration, dt)
-              for rate in link_rates]
-    lam_value = lam if lam is not None else min(link_rates) * 0.99
-    applicable = [r for r in ranges if r.link_rate > lam_value]
-    if d_max_bound is None:
-        d_max_bound = max(r.d_max for r in applicable) * 1.1
-    if delta_bound is None:
-        delta_bound = max(max(r.delta for r in applicable) * 1.1, 1e-6)
-    return ConvergenceCertificate(ranges=ranges, lam=lam_value,
-                                  d_max_bound=d_max_bound,
-                                  delta_bound=delta_bound)

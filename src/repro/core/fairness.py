@@ -7,19 +7,19 @@
 * *f-efficiency* (Definition 4): on an ideal path of rate C the CCA's
   delivered bytes reach f*C*t' for arbitrarily large t'.
 
-Empirical runs are finite, so this module provides finite-horizon
-estimators of these properties plus standard fairness metrics (Jain's
-index) used in reports.
+Empirical runs are finite. :func:`check_s_fairness` reads Definition 2
+over recorded samples, and :meth:`repro.sim.runner.RunResult.fairness`
+applies it over a run's measurement window. Definition 4 needs no
+estimator of its own: over that window it is
+:meth:`~repro.sim.runner.RunResult.utilization` (docs/THEORY.md).
+Jain's index is the reports' second fairness number.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:  # the CLI start path imports this module: no numpy here
-    import numpy as np
+from typing import Sequence
 
 
 def throughput_ratio(throughputs: Sequence[float]) -> float:
@@ -54,14 +54,17 @@ def jain_index(throughputs: Sequence[float]) -> float:
 
 @dataclass
 class SFairnessVerdict:
-    """Finite-horizon s-fairness check over a throughput-ratio series.
+    """Definition 2 read over a finite series of samples.
 
-    ``is_s_fair`` holds when, from some sample onward, the running
-    cumulative throughput ratio stays below s.
+    ``satisfied_from`` is the earliest sample time after which the
+    running throughput ratio stays below ``s``; ``violated_from`` the
+    earliest after which it stays at or above ``s``. The last sample
+    decides which one is finite; with no samples both are nan.
     """
 
     s: float
-    satisfied_from: float   # nan when never satisfied in the horizon
+    satisfied_from: float
+    violated_from: float
     final_ratio: float
 
     @property
@@ -69,90 +72,38 @@ class SFairnessVerdict:
         return not math.isnan(self.satisfied_from)
 
 
-def check_s_fairness(times: np.ndarray,
-                     cumulative_bytes: Sequence[np.ndarray],
-                     s: float) -> SFairnessVerdict:
+def check_s_fairness(times: Sequence[float],
+                     cumulative_bytes: Sequence[Sequence[float]],
+                     s: float, origin: float = 0.0) -> SFairnessVerdict:
     """Check Definition 2 over recorded cumulative-delivery curves.
 
     Args:
-        times: shared sample grid (seconds, increasing, > 0 tail).
-        cumulative_bytes: per-flow cumulative delivered bytes at ``times``.
+        times: shared sample grid (seconds, increasing).
+        cumulative_bytes: per flow, the bytes delivered since ``origin``
+            at each of ``times``.
         s: the fairness bound to test.
+        origin: where throughput time starts: a flow's throughput at t
+            is its bytes over ``t - origin``. Samples at or before
+            ``origin`` are skipped.
     """
-    import numpy as np
-
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    curves = [np.asarray(c, dtype=float) for c in cumulative_bytes]
-    valid = times > 0
-    ratios = np.empty(valid.sum())
-    ts = times[valid]
-    stacked = np.vstack([c[valid] / ts for c in curves])
-    hi = stacked.max(axis=0)
-    lo = stacked.min(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(lo > 0, hi / lo, math.inf)
-    final = float(ratios[-1]) if len(ratios) else math.inf
-    below = ratios < s
-    # satisfied_from = earliest time from which all later samples hold.
-    if not below.any() or not below[-1]:
-        return SFairnessVerdict(s=s, satisfied_from=math.nan,
-                                final_ratio=final)
-    above = np.nonzero(~below)[0]
-    start_idx = (above[-1] + 1) if len(above) else 0
-    return SFairnessVerdict(s=s, satisfied_from=float(ts[start_idx]),
+    sample_times, below = [], []
+    final = math.inf
+    for k, t in enumerate(times):
+        span = t - origin
+        if span > 0:
+            final = throughput_ratio([c[k] / span for c in cumulative_bytes])
+            sample_times.append(float(t))
+            below.append(final < s)
+    # The earliest sample from which every later one is on the last
+    # sample's side of s.
+    start = len(below)
+    while start and below[start - 1] == below[-1]:
+        start -= 1
+    since = sample_times[start] if below else math.nan
+    fair = bool(below) and below[-1]
+    return SFairnessVerdict(s=s,
+                            satisfied_from=since if fair else math.nan,
+                            violated_from=math.nan if fair else since,
                             final_ratio=final)
-
-
-@dataclass
-class EfficiencyVerdict:
-    """Finite-horizon f-efficiency estimate (Definition 4)."""
-
-    f: float
-    best_fraction: float     # max over t' of delivered(t') / (C * t')
-    achieved_at: float
-
-    @property
-    def is_f_efficient(self) -> bool:
-        return self.best_fraction >= self.f
-
-
-def check_f_efficiency(times: np.ndarray, cumulative_bytes: np.ndarray,
-                       link_rate: float, f: float,
-                       after: float = 0.0) -> EfficiencyVerdict:
-    """Estimate Definition 4: does delivered(t')/ (C t') reach f?
-
-    Because the definition only needs the fraction to reach f at
-    arbitrarily large times, the finite-horizon estimator reports the
-    best fraction achieved after ``after``.
-    """
-    import numpy as np
-
-    if not 0 < f <= 1:
-        raise ValueError(f"f must be in (0, 1], got {f}")
-    mask = times > max(after, 0.0)
-    ts = times[mask]
-    delivered = np.asarray(cumulative_bytes, dtype=float)[mask]
-    if len(ts) == 0:
-        return EfficiencyVerdict(f=f, best_fraction=0.0,
-                                 achieved_at=math.nan)
-    fractions = delivered / (link_rate * ts)
-    best = int(np.argmax(fractions))
-    return EfficiencyVerdict(f=f, best_fraction=float(fractions[best]),
-                             achieved_at=float(ts[best]))
-
-
-def starvation_evidence(ratio_series: Sequence[float],
-                        thresholds: Sequence[float] = (2, 5, 10, 50, 100)
-                        ) -> dict:
-    """Summarize how many fairness thresholds a run's final ratio exceeds.
-
-    True starvation (unbounded ratio) cannot be established by a finite
-    run; this helper reports which candidate s values the observed ratio
-    already violates, which is how the paper's empirical sections argue.
-    """
-    final = ratio_series[-1] if len(ratio_series) else 1.0
-    return {
-        "final_ratio": final,
-        "violated_s": [s for s in thresholds if final >= s],
-    }

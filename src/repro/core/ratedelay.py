@@ -10,9 +10,8 @@ sending rate. The paper analyzes two families:
   ``mu(d) = mu_minus * s ** ((Rmax - d) / D)``,
   whose range is O(s ** (Rmax / D)) — exponentially larger.
 
-This module provides both maps, their closed-form equilibrium delay
-curves (used to draw Figure 3 analytically next to the measured sweeps),
-and the mu+/mu- figure-of-merit calculations.
+This module provides both maps and the mu+/mu- figure-of-merit
+calculations.
 """
 
 from __future__ import annotations
@@ -115,42 +114,3 @@ def compare_figures_of_merit(jitter_bound: float, s: float, r_max: float,
         "exponential_closed_form":
             s ** ((r_max - rm - jitter_bound) / jitter_bound),
     }
-
-
-def bbr_cwnd_limited_delay(link_rate: float, rm: float, n_flows: int = 1,
-                           quanta_packets: float = 3.0,
-                           mss: int = units.MSS) -> float:
-    """BBR cwnd-limited equilibrium RTT: 2*Rm + n*alpha/C (Section 5.2)."""
-    return 2 * rm + n_flows * quanta_packets * mss / link_rate
-
-
-def vegas_equilibrium_delay(link_rate: float, rm: float, n_flows: int = 1,
-                            alpha_packets: float = 4.0,
-                            mss: int = units.MSS) -> float:
-    """Vegas/FAST equilibrium RTT: Rm + n*alpha/C."""
-    return rm + n_flows * alpha_packets * mss / link_rate
-
-
-def copa_delay_range(link_rate: float, rm: float, delta: float = 0.5,
-                     mss: int = units.MSS) -> tuple:
-    """Copa's equilibrium delay range: oscillates ~4 packets wide.
-
-    Copa targets 1/(delta*dq), i.e. dq* = 1/(delta*C) in packet units;
-    with its velocity oscillation the queue swings by roughly 4 packets
-    (paper: delta(C) = 4*alpha/C with alpha the packet size).
-    """
-    dq_star = mss / (delta * link_rate)
-    half_swing = 2 * mss / link_rate
-    lo = rm + max(dq_star - half_swing, 0.0)
-    hi = rm + dq_star + half_swing
-    return (lo, hi)
-
-
-def bbr_pacing_delay_range(rm: float) -> tuple:
-    """BBR pacing-mode delay range: [Rm, 1.25*Rm] (delta = Rm/4)."""
-    return (rm, 1.25 * rm)
-
-
-def vivace_delay_range(rm: float) -> tuple:
-    """PCC Vivace's range: [Rm, 1.05*Rm] (delta = Rm/20)."""
-    return (rm, 1.05 * rm)

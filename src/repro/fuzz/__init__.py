@@ -15,7 +15,7 @@ from .corpus import (CORPUS_VERSION, CorpusEntry, check_entry,
                      write_entry)
 from .driver import (DEFAULT_BUDGET, FuzzFinding, FuzzReport, run_fuzz)
 from .generate import (DEFAULT_CONFIG, FuzzConfig, describe_space,
-                       generate_spec, generate_specs)
+                       generate_spec)
 from .oracles import (BatteryResult, Finding, OracleFailure,
                       battery_params, fuzz_battery_point,
                       normalize_component, run_battery)
@@ -26,7 +26,7 @@ __all__ = [
     "DEFAULT_CONFIG", "Finding", "FuzzConfig", "FuzzFinding",
     "FuzzReport", "OracleFailure", "ShrinkResult", "battery_params",
     "check_entry", "describe_space", "fuzz_battery_point",
-    "generate_spec", "generate_specs", "known_signatures",
+    "generate_spec", "known_signatures",
     "load_corpus", "load_entry", "normalize_component", "reproduces",
     "run_battery", "run_fuzz", "shrink_spec", "write_entry",
 ]

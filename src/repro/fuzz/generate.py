@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from random import Random
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from .. import units
 from ..ccas import registry
@@ -256,14 +256,6 @@ def generate_spec(root_seed: int, index: int,
     return ScenarioSpec(
         link=link, flows=flows, seed=seed,
         duration=duration, warmup=warmup)
-
-
-def generate_specs(root_seed: int, count: int,
-                   config: Optional[FuzzConfig] = None
-                   ) -> Iterator[Tuple[int, ScenarioSpec]]:
-    """``(index, spec)`` pairs for iterations ``0..count-1``."""
-    for index in range(count):
-        yield index, generate_spec(root_seed, index, config)
 
 
 def describe_space(config: Optional[FuzzConfig] = None) -> str:

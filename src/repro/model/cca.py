@@ -49,80 +49,6 @@ class FluidCCA:
         return copy.copy(self)
 
 
-class TargetRateCCA(FluidCCA):
-    """The hypothetical delay-convergent CCA of Figures 1, 2, 5, 6.
-
-    A first-order tracker of a decreasing rate-delay map:
-
-        r'(t) = k * (mu(d) - r)
-
-    with the Vegas-family map mu(d) = alpha / (d - rm_estimate). On an
-    ideal path it converges (exponentially) to r = C, d = Rm + alpha/C —
-    a delay-convergent CCA with delta(C) -> 0, d_max(C) = Rm + alpha/C.
-
-    Args:
-        alpha: target queue, in bytes (e.g. 4 packets = 6000).
-        rm: the CCA's estimate of the propagation delay. The theory runs
-            give the CCA oracular Rm (the paper's proofs allow this; see
-            Section 5.2 "our proof works even if the CCA has oracular
-            knowledge of Rm").
-        gain: tracking gain k (1/seconds).
-        initial: initial rate, bytes/s.
-    """
-
-    def __init__(self, alpha: float = 6000.0, rm: float = 0.05,
-                 gain: float = 2.0, pedestal: float = 0.0,
-                 rate_adaptive_gain: bool = False,
-                 initial: float = units.mbps(1.0)) -> None:
-        if alpha <= 0 or rm <= 0 or gain <= 0 or pedestal < 0:
-            raise ConfigurationError(
-                "alpha, rm, gain must be > 0; pedestal >= 0")
-        self.alpha = alpha
-        self.rm = rm
-        self.gain = gain
-        self.pedestal = pedestal
-        # With rate_adaptive_gain the tracking gain scales as
-        # gain * rate / alpha, mirroring how per-ACK updates in real CCAs
-        # speed up with the ACK clock; this keeps the closed loop damped
-        # across orders of magnitude of link rate (a fixed gain is
-        # underdamped at high C and resonant at low C).
-        self.rate_adaptive_gain = rate_adaptive_gain
-        self.rate = initial
-
-    def target(self, observed_rtt: float) -> float:
-        """Vegas-family map, optionally shifted by a standing ``pedestal``.
-
-        With pedestal > 0 the equilibrium keeps ``pedestal`` seconds of
-        queueing at every rate (like BBR's cwnd-limited Rm of standing
-        queue), which keeps the Theorem 1 construction in the proof's
-        Case 1 (shared queue never empty).
-        """
-        queueing = max(observed_rtt - self.rm - self.pedestal, 1e-6)
-        return self.alpha / queueing
-
-    def initial_rate(self) -> float:
-        return self.rate
-
-    #: Maximum |d ln rate / dt| (1/s): the rate can at most double (or
-    #: halve) every ln(2)/slew_limit seconds. This bounds the relaxation
-    #: spikes the Vegas map's singularity (d -> rm + pedestal) would
-    #: otherwise cause, without affecting behavior near equilibrium.
-    slew_limit = 2.0
-
-    def step(self, t: float, dt: float, observed_rtt: float) -> float:
-        target = self.target(observed_rtt)
-        gain = self.gain
-        if self.rate_adaptive_gain:
-            gain = self.gain * max(self.rate, 1.0) / self.alpha
-        # Exact exponential update (stable for any dt and gain).
-        decay = math.exp(-gain * dt)
-        desired = target + (self.rate - target) * decay
-        bound = math.exp(self.slew_limit * dt)
-        desired = min(max(desired, self.rate / bound), self.rate * bound)
-        self.rate = desired
-        return self.rate
-
-
 class OscillatingCCA(FluidCCA):
     """A delay-convergent CCA with *non-zero* equilibrium oscillation.
 

@@ -62,11 +62,6 @@ class GilbertElliottLossElement:
         self.dropped = 0
         self.forwarded = 0
 
-    def expected_loss_rate(self) -> float:
-        """Stationary per-packet loss probability of the chain."""
-        pi_bad = self.p_enter_bad / (self.p_enter_bad + self.p_exit_bad)
-        return pi_bad * self.loss_bad + (1 - pi_bad) * self.loss_good
-
     @staticmethod
     def from_mean_loss(sim: Simulator, sink: object, mean_loss: float,
                        burst_packets: float = 4.0, seed: int = 0

@@ -39,24 +39,6 @@ class DelayElement:
             sim.post_at(release, self.sink.receive, packet, release)
 
 
-class TapElement:
-    """Calls a hook for every packet, then forwards it unchanged.
-
-    Useful for instrumentation (e.g. recording per-packet arrival times)
-    without perturbing the simulation.
-    """
-
-    def __init__(self, sim: Simulator, sink: object,
-                 hook: Callable[[object, float], None]) -> None:
-        self.sim = sim
-        self.sink = sink
-        self.hook = hook
-
-    def receive(self, packet: object, now: float) -> None:
-        self.hook(packet, now)
-        self.sink.receive(packet, now)
-
-
 #: An element factory takes ``(sim, sink)`` and returns an element whose
 #: ``receive`` feeds ``sink`` (possibly after delay/drops).
 ElementFactory = Callable[[Simulator, object], object]

@@ -84,10 +84,6 @@ class BottleneckQueue:
             backlog += self._in_service.size
         return backlog
 
-    def queueing_delay(self) -> float:
-        """Estimated delay a newly arriving packet would wait, in seconds."""
-        return self.backlog_bytes / self.rate
-
     def receive(self, packet: Packet, now: float) -> None:
         """Enqueue a packet, dropping it if the buffer is full."""
         self.arrived += 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .engine import Simulator
 from .host import Receiver, Sender
@@ -77,6 +77,22 @@ class FlowRecorder:
         """
         return self._rate_between(self.received_values, t0, t1)
 
+    def delivered_since(self, t0: float, t1: float
+                        ) -> Tuple[List[float], List[float]]:
+        """The window's sample times and the bytes delivered since t0.
+
+        The times are the samples inside ``(t0, t1)``, then ``t1``; the
+        bytes snap as :meth:`throughput_between` snaps them, so the last
+        entry over ``t1 - t0`` is exactly that method's rate.
+        """
+        times, values = self.sample_times, self.delivered_values
+        first = bisect_right(times, t0)
+        inner = bisect_left(times, t1)
+        start = self._value_at(values, t0)
+        curve = [value - start for value in values[first:inner]]
+        curve.append(self._value_at(values, t1) - start)
+        return [*times[first:inner], t1], curve
+
     def _rate_between(self, values, t0: float, t1: float) -> float:
         if not self.sample_times or not values or t1 <= t0:
             return 0.0
@@ -104,15 +120,6 @@ class FlowRecorder:
         if not window:
             return (_NAN, _NAN, _NAN)
         return (sum(window) / len(window), min(window), max(window))
-
-    def rtt_range_after(self, t0: float) -> Tuple[float, float]:
-        """(min, max) of RTT samples observed at times >= t0."""
-        # ACK times are nondecreasing, so the window is a suffix.
-        start = bisect_left(self.rtt_times, t0)
-        if start >= len(self.rtt_values):
-            return (_NAN, _NAN)
-        window = self.rtt_values[start:]
-        return (min(window), max(window))
 
     # ------------------------------------------------------------------
     # Invariant sentinel hook (see repro.sim.invariants)
@@ -244,14 +251,6 @@ class QueueRecorder:
                 prev_t = t
             cursors["backlog"] = end
         return errors
-
-    def max_backlog(self) -> float:
-        return max(self.backlog_values, default=0.0)
-
-    def mean_backlog(self) -> float:
-        if not self.backlog_values:
-            return 0.0
-        return sum(self.backlog_values) / len(self.backlog_values)
 
 
 class Sampler:

@@ -17,7 +17,7 @@ for packet-level experiments; it builds through this module's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from .. import units
 from ..core import fairness
@@ -44,10 +44,6 @@ class FlowStats:
     timeouts: int
     share: float = 0.0
 
-    @property
-    def rtt_range(self) -> Tuple[float, float]:
-        return (self.min_rtt, self.max_rtt)
-
 
 @dataclass
 class RunResult:
@@ -66,6 +62,22 @@ class RunResult:
         """Faster flow's throughput over the slower's (>= 1; ``inf`` for
         total starvation), by :func:`repro.core.fairness.throughput_ratio`."""
         return fairness.throughput_ratio(self.throughputs)
+
+    def fairness(self, s: float) -> fairness.SFairnessVerdict:
+        """Definition 2 over the measurement window ``[warmup, duration]``.
+
+        A flow's throughput at a sample time t is its bytes delivered
+        since the window's first sample over ``t - warmup``
+        (:meth:`~repro.sim.recorder.FlowRecorder.delivered_since`), so
+        ``final_ratio`` is :meth:`throughput_ratio`. Counted from t = 0
+        instead, a finite run's ratio is dominated by its startup
+        transient (docs/THEORY.md).
+        """
+        series = [flow.recorder.delivered_since(self.warmup, self.duration)
+                  for flow in self.scenario.flows]
+        return fairness.check_s_fairness(
+            series[0][0], [curve for _, curve in series], s,
+            origin=self.warmup)
 
     def utilization(self) -> float:
         """Aggregate delivered rate over the (first) bottleneck rate."""

@@ -20,17 +20,16 @@ single root ``seed`` deterministically derives every component RNG
 seed (see :mod:`repro.spec.seeds`).
 """
 
-from .elements import ELEMENTS, ElementSpec, element_kinds
+from .elements import ELEMENTS, ElementSpec
 from .scenario import (SPEC_VERSION, CCASpec, FlowSpec, LinkSpec,
                        ScenarioSpec, single_flow_scenario)
 from .seeds import derive_seed
 from .topology import (NodeSpec, TopoLinkSpec, TopologySpec,
-                       parking_lot_topology, shared_bottleneck_topology)
+                       parking_lot_topology)
 
 __all__ = [
     "CCASpec", "ELEMENTS", "ElementSpec", "FlowSpec", "LinkSpec",
     "NodeSpec", "SPEC_VERSION", "ScenarioSpec", "TopoLinkSpec",
-    "TopologySpec", "derive_seed", "element_kinds",
-    "parking_lot_topology", "shared_bottleneck_topology",
+    "TopologySpec", "derive_seed", "parking_lot_topology",
     "single_flow_scenario",
 ]

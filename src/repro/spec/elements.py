@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..errors import ConfigurationError, SpecValidationError
 from ..sim.faults import (BlackoutElement, DuplicateElement,
@@ -241,8 +241,3 @@ def json_list(data: Any, what: str,
     if not isinstance(data, list):
         raise SpecValidationError(f"{what} must be a list, got {data!r}")
     return tuple(parse(item) for item in data)
-
-
-def element_kinds() -> List[str]:
-    """All element kinds a spec may reference, sorted."""
-    return sorted(ELEMENTS)

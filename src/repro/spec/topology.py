@@ -271,26 +271,6 @@ class TopologySpec:
 # ----------------------------------------------------------------------
 
 
-def shared_bottleneck_topology(rate: float, delay: float = 0.0,
-                               buffer_bdp: Optional[float] = None,
-                               buffer_bytes: Optional[float] = None,
-                               ecn_threshold_bytes: Optional[float] = None,
-                               ) -> TopologySpec:
-    """The dumbbell as a one-link graph (``n0 --b0--> n1``).
-
-    Useful to express competition scenarios in topology form — e.g. for
-    :func:`repro.analysis.competition.competition_matrix` — while
-    staying a single shared queue like the paper's Section 3 model.
-    """
-    return TopologySpec(
-        nodes=(NodeSpec("n0"), NodeSpec("n1")),
-        links=(TopoLinkSpec(id="b0", src="n0", dst="n1", rate=rate,
-                            delay=delay, buffer_bytes=buffer_bytes,
-                            buffer_bdp=buffer_bdp,
-                            ecn_threshold_bytes=ecn_threshold_bytes),),
-    )
-
-
 def parking_lot_topology(rates: Sequence[float],
                          delays: Optional[Sequence[float]] = None,
                          buffer_bdp: Optional[float] = None,

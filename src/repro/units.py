@@ -29,11 +29,6 @@ def kbps(value: float) -> float:
     return value * 1e3 / BITS_PER_BYTE
 
 
-def gbps(value: float) -> float:
-    """Convert gigabits per second to bytes per second."""
-    return value * 1e9 / BITS_PER_BYTE
-
-
 def to_mbps(bytes_per_second: float) -> float:
     """Convert bytes per second to megabits per second."""
     return bytes_per_second * BITS_PER_BYTE / 1e6

@@ -408,6 +408,9 @@ class TestStarveRunsSpecs:
         assert ScenarioSpec.from_json(params["scenario"]) == broken()
         assert (params["duration"], params["warmup"]) == (3.0, 1.0)
         assert params["title"] == "Section 5 scenario: broken"
+        # The report's Definition 2 levels are a param, so its cache key
+        # covers every input of the report text.
+        assert params["levels"] == [2, 5, 10, 50, 100]
         monkeypatch.delitem(starvation.SCENARIOS, "broken")
         assert main(["replay", str(bundle)]) == 1
         out = capsys.readouterr().out

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro import units
-from repro.core.convergence import (certify_delay_convergence,
+from repro.core.convergence import (ConvergenceCertificate,
                                     find_convergence_time,
                                     measure_cca_range,
                                     measure_converged_range)
@@ -70,12 +70,21 @@ def test_measure_cca_range_window_cca():
     assert measured.delta < 0.002
 
 
+def certificate(cca_factory, rates, d_max_bound, delta_bound):
+    """Definition 1's verdict over ranges measured at ``rates``."""
+    ranges = [measure_cca_range(cca_factory, rate, RM, duration=20.0)
+              for rate in rates]
+    return ConvergenceCertificate(ranges=ranges, lam=min(rates) * 0.99,
+                                  d_max_bound=d_max_bound,
+                                  delta_bound=delta_bound)
+
+
 def test_certificate_for_delay_convergent_cca():
     rates = [C, 4 * C, 16 * C]
-    cert = certify_delay_convergence(
+    cert = certificate(
         lambda: WindowTargetCCA(alpha=6000.0, rm=RM, pedestal=0.02,
                                 initial=C),
-        link_rates=rates, rm=RM, duration=20.0)
+        rates, d_max_bound=0.1, delta_bound=0.005)
     assert cert.is_delay_convergent
     assert cert.delta_max < 0.005
     assert len(cert.ranges) == 3
@@ -84,10 +93,9 @@ def test_certificate_for_delay_convergent_cca():
 def test_certificate_rejects_aimd_with_tight_delta_bound():
     """AIMD oscillates over the buffer: fails any small delta bound."""
     rates = [C, 2 * C]
-    cert = certify_delay_convergence(
+    cert = certificate(
         lambda: FluidAimd(rm=RM, threshold=0.05, initial=C / 2),
-        link_rates=rates, rm=RM, duration=20.0,
-        delta_bound=0.001, d_max_bound=1.0)
+        rates, d_max_bound=1.0, delta_bound=0.001)
     assert not cert.is_delay_convergent
 
 

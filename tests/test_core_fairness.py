@@ -1,4 +1,4 @@
-"""Tests for Definitions 2-4 (repro.core.fairness)."""
+"""Tests for Definition 2 and the fairness numbers (repro.core.fairness)."""
 
 import math
 import random
@@ -6,8 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.fairness import (check_f_efficiency, check_s_fairness,
-                                 jain_index, starvation_evidence,
+from repro.core.fairness import (check_s_fairness, jain_index,
                                  throughput_ratio)
 
 
@@ -80,11 +79,14 @@ class TestSFairness:
         verdict = check_s_fairness(times, curves, s=2.0)
         assert verdict.is_s_fair
         assert verdict.final_ratio == pytest.approx(1.1)
+        assert verdict.satisfied_from == times[0]
+        assert math.isnan(verdict.violated_from)
 
     def test_unfair_network_fails_small_s(self):
         times, curves = self.make_curves([1000.0, 5000.0])
         verdict = check_s_fairness(times, curves, s=2.0)
         assert not verdict.is_s_fair
+        assert verdict.violated_from == times[0]
         assert check_s_fairness(times, curves, s=6.0).is_s_fair
 
     def test_late_convergence_detected(self):
@@ -95,49 +97,44 @@ class TestSFairness:
         verdict = check_s_fairness(times, [fast, slow], s=3.0)
         assert verdict.is_s_fair
         assert verdict.satisfied_from > 5.0
+        assert math.isnan(verdict.violated_from)
+
+    def test_late_divergence_dates_the_violation(self):
+        """The verdict works the other way too: a flow that stops at
+        5 s is starved from the first sample whose ratio reaches s."""
+        times = np.arange(0.1, 10.1, 0.1)
+        fast = 1000.0 * times
+        slow = 1000.0 * np.minimum(times, 5.0)
+        verdict = check_s_fairness(times, [fast, slow], s=1.5)
+        assert not verdict.is_s_fair
+        assert math.isnan(verdict.satisfied_from)
+        # fast / slow = t / 5 first reaches 1.5 at t = 7.5.
+        assert verdict.violated_from == pytest.approx(7.5)
+        assert verdict.final_ratio == pytest.approx(2.0)
+
+    def test_origin_counts_throughput_from_the_window(self):
+        """With ``origin`` the bytes are over ``t - origin``; samples at
+        or before it are skipped."""
+        times = [1.0, 2.0, 3.0, 4.0]
+        curves = [[0.0, 100.0, 200.0, 300.0], [0.0, 10.0, 20.0, 30.0]]
+        verdict = check_s_fairness(times, curves, s=5.0, origin=1.0)
+        assert verdict.violated_from == 2.0
+        assert verdict.final_ratio == 10.0
+
+    def test_final_ratio_is_throughput_ratio(self):
+        """The last sample's ratio is :func:`throughput_ratio` of the
+        rates there: 1 for one flow, 1 for two idle flows."""
+        times = [1.0, 2.0]
+        assert check_s_fairness(times, [[5.0, 9.0]], s=2.0).final_ratio == 1
+        idle = check_s_fairness(times, [[0.0, 0.0], [0.0, 0.0]], s=2.0)
+        assert idle.final_ratio == 1.0 and idle.is_s_fair
+
+    def test_no_samples_gives_no_time(self):
+        verdict = check_s_fairness([0.0], [[1.0], [2.0]], s=2.0)
+        assert math.isnan(verdict.satisfied_from)
+        assert math.isnan(verdict.violated_from)
 
     def test_invalid_s_rejected(self):
         times, curves = self.make_curves([1.0, 1.0])
         with pytest.raises(ValueError):
             check_s_fairness(times, curves, s=0.5)
-
-
-class TestFEfficiency:
-    def test_full_rate_flow_is_f_efficient(self):
-        times = np.arange(0.1, 10.1, 0.1)
-        delivered = 1000.0 * times
-        verdict = check_f_efficiency(times, delivered, link_rate=1000.0,
-                                     f=0.9)
-        assert verdict.is_f_efficient
-        assert verdict.best_fraction == pytest.approx(1.0)
-
-    def test_half_rate_flow_fails_high_f(self):
-        times = np.arange(0.1, 10.1, 0.1)
-        delivered = 500.0 * times
-        verdict = check_f_efficiency(times, delivered, link_rate=1000.0,
-                                     f=0.9)
-        assert not verdict.is_f_efficient
-        assert check_f_efficiency(times, delivered, 1000.0,
-                                  f=0.4).is_f_efficient
-
-    def test_bursty_flow_counts_best_window(self):
-        """Definition 4 only needs the fraction to be reached at SOME
-        arbitrarily large time, so a CCA alternating between fast and
-        slow epochs still qualifies at its peak cumulative fraction."""
-        times = np.arange(0.1, 20.1, 0.1)
-        rate = np.where((times // 5) % 2 == 0, 2000.0, 0.0)
-        delivered = np.cumsum(rate * 0.1)
-        verdict = check_f_efficiency(times, delivered, link_rate=1000.0,
-                                     f=0.9)
-        assert verdict.is_f_efficient
-
-    def test_invalid_f_rejected(self):
-        with pytest.raises(ValueError):
-            check_f_efficiency(np.array([1.0]), np.array([1.0]), 1.0,
-                               f=0.0)
-
-
-def test_starvation_evidence_thresholds():
-    evidence = starvation_evidence([1.0, 5.0, 12.0])
-    assert evidence["final_ratio"] == 12.0
-    assert evidence["violated_s"] == [2, 5, 10]

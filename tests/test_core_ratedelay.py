@@ -4,14 +4,8 @@ import math
 
 import pytest
 
-from repro import units
 from repro.core.ratedelay import (ExponentialMap, VegasFamilyMap,
-                                  bbr_cwnd_limited_delay,
-                                  bbr_pacing_delay_range,
-                                  compare_figures_of_merit,
-                                  copa_delay_range,
-                                  vegas_equilibrium_delay,
-                                  vivace_delay_range)
+                                  compare_figures_of_merit)
 from repro.errors import ConfigurationError
 
 RM = 0.1  # Figure 3 uses Rm = 100 ms
@@ -91,37 +85,6 @@ class TestComparison:
             for d in (0.02, 0.01, 0.005)]
         assert merits[1] == pytest.approx(2 * merits[0])
         assert merits[2] == pytest.approx(4 * merits[0])
-
-
-class TestFigure3ClosedForms:
-    def test_vegas_equilibrium_decreases_with_rate(self):
-        low = vegas_equilibrium_delay(units.mbps(1), RM)
-        high = vegas_equilibrium_delay(units.mbps(100), RM)
-        assert low > high > RM
-
-    def test_vegas_equilibrium_scales_with_flows(self):
-        one = vegas_equilibrium_delay(units.mbps(10), RM, n_flows=1)
-        two = vegas_equilibrium_delay(units.mbps(10), RM, n_flows=2)
-        assert two - RM == pytest.approx(2 * (one - RM))
-
-    def test_bbr_cwnd_limited_keeps_2rm_floor(self):
-        delay = bbr_cwnd_limited_delay(units.mbps(100), RM)
-        assert delay > 2 * RM
-        assert delay == pytest.approx(2 * RM, rel=0.01)
-
-    def test_bbr_pacing_band_is_quarter_rm(self):
-        lo, hi = bbr_pacing_delay_range(RM)
-        assert hi - lo == pytest.approx(0.25 * RM)
-
-    def test_vivace_band_is_rm_over_20(self):
-        lo, hi = vivace_delay_range(RM)
-        assert hi - lo == pytest.approx(RM / 20)
-
-    def test_copa_range_shrinks_with_rate(self):
-        lo1, hi1 = copa_delay_range(units.mbps(1), RM)
-        lo2, hi2 = copa_delay_range(units.mbps(100), RM)
-        assert (hi1 - lo1) > (hi2 - lo2)
-        assert lo2 >= RM
 
 
 def test_validation():

@@ -39,7 +39,6 @@ class TestGilbertElliott:
             element.receive(pkt(i), 0.0)
         measured = element.dropped / n
         assert measured == pytest.approx(0.05, rel=0.15)
-        assert element.expected_loss_rate() == pytest.approx(0.05)
 
     def test_losses_are_bursty(self, sim, spy):
         element = GilbertElliottLossElement(

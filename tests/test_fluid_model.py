@@ -8,7 +8,7 @@ import pytest
 from repro import units
 from repro.errors import ConfigurationError
 from repro.model.cca import (FluidAimd, FluidJitterAware, OscillatingCCA,
-                             TargetRateCCA, WindowTargetCCA)
+                             WindowTargetCCA)
 from repro.model.fluid import run_ideal_path, run_shared_queue
 from repro.spec import ElementSpec
 
@@ -150,20 +150,6 @@ class TestOscillatingCCA:
         traj = run_ideal_path(cca, C, RM, 30.0)
         tail_rates = traj.rates[traj.times > 20.0]
         assert tail_rates.max() > tail_rates.min() * 1.01
-
-
-class TestTargetRateCCA:
-    def test_converges_on_moderate_link(self):
-        cca = TargetRateCCA(alpha=6000.0, rm=RM, gain=2.0, initial=C / 2)
-        traj = run_ideal_path(cca, C, RM, 30.0)
-        expected = RM + 6000.0 / C
-        assert traj.delays[-1] == pytest.approx(expected, rel=0.05)
-
-    def test_slew_limit_bounds_rate_change(self):
-        cca = TargetRateCCA(alpha=6000.0, rm=RM, gain=1e6, initial=C)
-        before = cca.rate
-        after = cca.step(0.0, 1e-3, RM + 1e-7)  # absurdly good signal
-        assert after / before <= math.exp(cca.slew_limit * 1e-3) + 1e-9
 
 
 class TestFluidAimd:

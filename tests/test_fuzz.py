@@ -30,7 +30,7 @@ from repro.analysis.harness import RunBudget
 from repro.errors import ConfigurationError
 from repro.fuzz import (CorpusEntry, Finding, FuzzConfig, OracleFailure,
                         battery_params, check_entry, fuzz_battery_point,
-                        generate_spec, generate_specs, known_signatures,
+                        generate_spec, known_signatures,
                         load_corpus, normalize_component, reproduces,
                         run_battery, run_fuzz, shrink_spec, write_entry)
 from repro.sim.host import Receiver
@@ -77,10 +77,6 @@ class TestGenerator:
             assert generate_spec(1, i) == generate_spec(1, i)
             assert generate_spec(1, i).dumps() == generate_spec(1, i).dumps()
 
-    def test_generate_specs_matches_pointwise(self):
-        batch = list(generate_specs(9, 6))
-        assert batch == [(i, generate_spec(9, i)) for i in range(6)]
-
     def test_seed_and_index_both_matter(self):
         specs = {generate_spec(seed, i).dumps()
                  for seed in (1, 2) for i in range(8)}
@@ -104,7 +100,7 @@ class TestGenerator:
             generate_spec(1, i).build()
 
     def test_specs_cover_multiple_flow_counts_and_ccas(self):
-        specs = [spec for _i, spec in generate_specs(1, 40)]
+        specs = [generate_spec(1, i) for i in range(40)]
         assert len({len(s.flows) for s in specs}) >= 4
         assert len({f.cca.name for s in specs for f in s.flows}) >= 5
 

@@ -9,7 +9,7 @@ from repro import units
 from repro.analysis.backends import execute_point
 from repro.analysis.harness import (RECOVERABLE, ResilientSweep, RunBudget,
                                     RunFailure, describe_failures)
-from repro.analysis.sweep import log_rate_grid, sweep_rate_delay
+from repro.analysis.sweep import sweep_rate_delay
 from repro.errors import (BudgetExceededError, ConfigurationError,
                           SimulationError)
 from repro.sim.engine import Simulator
@@ -314,15 +314,6 @@ class TestSweepRateDelayResilience:
         second = sweep_rate_delay("vegas", [2.0, 10.0], **kwargs)
         assert len(second.points) == 2
         assert second.points[0] == first.points[0]
-
-    def test_log_rate_grid_last_point_never_overshoots(self):
-        for lo, hi, n in [(0.1, 100.0, 7), (0.3, 97.3, 11),
-                          (0.7, 3.1, 23), (1e-3, 1e3, 50)]:
-            grid = log_rate_grid(lo, hi, n)
-            assert grid[-1] == hi
-            assert all(x <= hi for x in grid)
-            assert grid[0] == pytest.approx(lo)
-            assert grid == sorted(grid)
 
 
 class TestRecoverableSet:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.path import DelayElement, TapElement, chain
+from repro.sim.path import DelayElement, chain
 from repro.sim.packet import Packet
 
 
@@ -30,24 +30,22 @@ def test_negative_delay_rejected(sim, spy):
         DelayElement(sim, spy, delay=-0.01)
 
 
-def test_tap_element_observes_without_perturbing(sim, spy):
-    seen = []
-    tap = TapElement(sim, spy, hook=lambda p, t: seen.append((t, p.seq)))
-    tap.receive(make_packet(seq=7), 2.0)
-    assert seen == [(2.0, 7)]
-    assert [p.seq for p in spy.packets] == [7]
-    assert spy.times == [2.0]
-
-
 def test_chain_orders_factories_in_traversal_order(sim, spy):
     order = []
 
-    def factory(tag):
-        def build(s, sink):
-            return TapElement(s, sink,
-                              hook=lambda p, t: order.append(tag))
+    class Tap:
+        """Notes its tag for every packet, then forwards it."""
 
-        return build
+        def __init__(self, tag, sink):
+            self.tag = tag
+            self.sink = sink
+
+        def receive(self, packet, now):
+            order.append(self.tag)
+            self.sink.receive(packet, now)
+
+    def factory(tag):
+        return lambda s, sink: Tap(tag, sink)
 
     entry = chain(sim, [factory("first"), factory("second")], spy)
     entry.receive(make_packet(), 0.0)

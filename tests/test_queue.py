@@ -76,13 +76,6 @@ def test_backlog_counts_in_service_packet(sim, spy):
     assert queue.backlog_bytes == 0
 
 
-def test_queueing_delay_estimate(sim, spy):
-    queue = BottleneckQueue(sim, rate=2000.0)
-    queue.register_sink(0, spy)
-    queue.receive(make_packet(size=1000), 0.0)
-    assert queue.queueing_delay() == pytest.approx(0.5)
-
-
 def test_idle_queue_restarts_service(sim, spy):
     queue = BottleneckQueue(sim, rate=1000.0)
     queue.register_sink(0, spy)

@@ -54,12 +54,6 @@ class TestFlowRecorder:
         # A window starting before the first sample reads a 0 baseline.
         assert recorder.throughput_between(0.0, 5.0) > 0.0
 
-    def test_rtt_range_after(self, recorder):
-        lo, hi = recorder.rtt_range_after(1.0)
-        assert units.ms(40) <= lo <= hi
-        nan_lo, nan_hi = recorder.rtt_range_after(1e9)
-        assert nan_lo != nan_lo and nan_hi != nan_hi
-
     def test_goodput_without_receiver_is_zero(self):
         from array import array
 
@@ -80,17 +74,6 @@ class TestQueueRecorder:
         rec = run.scenario.queue_recorder
         assert len(rec.sample_times) == len(rec.backlog_values)
         assert all(v >= 0 for v in rec.backlog_values)
-        assert rec.max_backlog() >= rec.mean_backlog() >= 0.0
-
-    def test_empty_recorder_defaults(self):
-        from repro.sim.recorder import QueueRecorder
-
-        class _StubQueue:
-            backlog_bytes = 0.0
-
-        rec = QueueRecorder(_StubQueue())
-        assert rec.max_backlog() == 0.0
-        assert rec.mean_backlog() == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,9 @@ import math
 import pytest
 
 from repro import units
+from repro.sim.digests import run_digests
 from repro.sim.runner import FlowStats, RunResult, summarize
-from repro.spec import CCASpec, FlowSpec, LinkSpec, ScenarioSpec
+from repro.spec import CCASpec, ElementSpec, FlowSpec, LinkSpec, ScenarioSpec
 
 RM = units.ms(40)
 
@@ -90,10 +91,6 @@ class TestSummarizeWindows:
         assert late.share == 0.0
         assert result.throughput_ratio() == math.inf
 
-    def test_rtt_range_property(self):
-        stat = make_stats(min_rtt=0.04, max_rtt=0.06)
-        assert stat.rtt_range == (0.04, 0.06)
-
     def test_summarize_restricts_rtt_to_window(self):
         result = run_vegas(duration=4.0)
         scenario = result.scenario
@@ -102,3 +99,46 @@ class TestSummarizeWindows:
         # The tail window (steady state) can only narrow the RTT range.
         assert tail.min_rtt >= full.min_rtt
         assert tail.max_rtt <= full.max_rtt
+
+
+class TestFairnessVerdict:
+    """``RunResult.fairness(s)``: Definition 2 over the run's window."""
+
+    @pytest.fixture(scope="class")
+    def jittered(self):
+        """Two Vegas flows, one with its ACKs held to a 20 ms grid."""
+        held = FlowSpec(cca=CCASpec("vegas"), rm=RM, ack_elements=(
+            ElementSpec("ack_aggregation", {"period": units.ms(20)}),))
+        return ScenarioSpec(
+            link=LinkSpec(rate=units.mbps(12)),
+            flows=(FlowSpec(cca=CCASpec("vegas"), rm=RM), held),
+        ).run(duration=8.0, warmup=2.0)
+
+    def test_final_ratio_is_the_window_ratio(self, jittered):
+        ratio = jittered.throughput_ratio()
+        assert ratio > 2.0  # the held flow is behind
+        for s in (1.5, 2.0, 5.0, 100.0):
+            verdict = jittered.fairness(s)
+            assert math.isclose(verdict.final_ratio, ratio, rel_tol=1e-12)
+            assert verdict.is_s_fair == (ratio < s)
+
+    def test_exactly_one_time_is_finite(self, jittered):
+        for s in (1.0, 1.5, 2.0, 3.0, 5.0, 100.0):
+            verdict = jittered.fairness(s)
+            times = (verdict.satisfied_from, verdict.violated_from)
+            assert sum(not math.isnan(t) for t in times) == 1
+            since = times[0] if verdict.is_s_fair else times[1]
+            assert jittered.warmup < since <= jittered.duration
+
+    def test_asking_leaves_the_digests_unchanged(self, jittered):
+        before = run_digests(jittered)
+        jittered.fairness(2.0)
+        assert run_digests(jittered) == before
+
+    def test_window_that_holds_no_sample(self):
+        """A run shorter than one sample interval: both flows read 0,
+        so the verdict, like ``throughput_ratio``, is fair at 1."""
+        result = run_vegas(0.0, 0.0, duration=0.04, sample_interval=0.05)
+        verdict = result.fairness(2.0)
+        assert verdict.final_ratio == result.throughput_ratio() == 1.0
+        assert verdict.satisfied_from == 0.04

@@ -18,7 +18,7 @@ from repro.errors import ConfigurationError, SpecValidationError
 from repro.sim.digests import run_digests
 from repro.spec import (CCASpec, ELEMENTS, ElementSpec, FlowSpec,
                         LinkSpec, ScenarioSpec, TopologySpec, derive_seed,
-                        element_kinds, parking_lot_topology,
+                        parking_lot_topology,
                         single_flow_scenario)
 
 RM = units.ms(40)
@@ -155,7 +155,6 @@ class TestCCASpec:
 class TestElementSpec:
     def test_catalog_params_table_is_complete(self):
         assert set(ELEMENT_PARAMS) == set(ELEMENTS)
-        assert element_kinds() == sorted(ELEMENTS)
 
     @pytest.mark.parametrize("kind", sorted(ELEMENTS))
     def test_every_kind_round_trips_and_builds(self, kind):

@@ -37,8 +37,7 @@ from repro.sim.digests import run_digests
 from repro.sim.runner import FlowStats, RunResult, summarize
 from repro.spec import (CCASpec, ElementSpec, FlowSpec, LinkSpec,
                         NodeSpec, ScenarioSpec, TopoLinkSpec,
-                        TopologySpec, derive_seed, parking_lot_topology,
-                        shared_bottleneck_topology)
+                        TopologySpec, derive_seed, parking_lot_topology)
 
 RM = units.ms(40)
 
@@ -251,9 +250,11 @@ class TestDumbbellEquivalence:
         builder: identical flows over a single equal link must produce
         bit-identical traces either way."""
         legacy = dumbbell_scenario()
-        graph = replace(legacy, link=None,
-                        topology=shared_bottleneck_topology(
-                            units.mbps(10), buffer_bdp=4.0))
+        one_link = TopologySpec(
+            nodes=(NodeSpec("n0"), NodeSpec("n1")),
+            links=(TopoLinkSpec(id="b0", src="n0", dst="n1",
+                                rate=units.mbps(10), buffer_bdp=4.0),))
+        graph = replace(legacy, link=None, topology=one_link)
         assert run_digests(legacy.run()) == run_digests(graph.run())
 
     @pytest.mark.parametrize("make", [dumbbell_scenario,

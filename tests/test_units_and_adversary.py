@@ -20,8 +20,7 @@ class TestUnits:
     def test_mbps_is_bytes_per_second(self):
         assert units.mbps(12) == pytest.approx(1.5e6)
 
-    def test_kbps_gbps_consistency(self):
-        assert units.gbps(1) == pytest.approx(1000 * units.mbps(1))
+    def test_kbps_consistency(self):
         assert units.mbps(1) == pytest.approx(1000 * units.kbps(1))
 
     def test_ms(self):
@@ -89,15 +88,10 @@ class TestRecorderPlumbing:
         assert late >= early          # converged > slow start window
         assert late == pytest.approx(units.mbps(12), rel=0.05)
 
-    def test_rtt_range_after(self, result):
-        recorder = result.scenario.flows[0].recorder
-        lo, hi = recorder.rtt_range_after(3.0)
-        assert units.ms(40) <= lo <= hi < units.ms(60)
-
     def test_queue_recorder_tracks_backlog(self, result):
         qrec = result.scenario.queue_recorder
-        assert qrec.max_backlog() > 0
-        assert 0 < qrec.mean_backlog() <= qrec.max_backlog()
+        assert max(qrec.backlog_values) > 0
+        assert all(v >= 0 for v in qrec.backlog_values)
 
 
 class TestScenarioValidation:
