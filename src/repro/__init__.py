@@ -24,6 +24,11 @@ Quickstart:
     ... ).run(duration=5.0).stats
 """
 
+import functools
+import importlib
+import inspect
+from typing import Any, Tuple
+
 from . import units
 from .errors import (ConfigurationError, ConvergenceError,
                      EmulationInfeasibleError, ReproError, SimulationError)
@@ -34,7 +39,21 @@ from .errors import (ConfigurationError, ConvergenceError,
 #: bumping it invalidates all cached experiment results at once.
 __version__ = "1.1.0"
 
+
+@functools.lru_cache(maxsize=None)
+def resolve(path: str) -> Tuple[Any, bool]:
+    """The object at a catalog row's ``"package.module:Qual.name"``
+    path, and whether it takes a ``seed``. The module is imported on the
+    first call for a path, so a process compiles only the rows it builds.
+    """
+    module, _, qualname = path.partition(":")
+    target: Any = importlib.import_module(module)
+    for name in qualname.split("."):
+        target = getattr(target, name)
+    return target, "seed" in inspect.signature(target).parameters
+
+
 __all__ = [
     "ConfigurationError", "ConvergenceError", "EmulationInfeasibleError",
-    "ReproError", "SimulationError", "__version__", "units",
+    "ReproError", "SimulationError", "__version__", "resolve", "units",
 ]

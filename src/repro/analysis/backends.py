@@ -42,7 +42,6 @@ workers share the cache like serial runs and a failure never poisons it.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
@@ -500,6 +499,7 @@ class ProcessPoolBackend:
     @staticmethod
     def _check_picklable(run_point: RunPoint,
                          points: Iterable[Point]) -> None:
+        import pickle
         try:
             pickle.dumps(run_point)
         except Exception as exc:

@@ -129,8 +129,11 @@ def _as_cca_spec(cca: Optional[CCALike]) -> CCASpec:
         return cca
     if isinstance(cca, str):
         return CCASpec(cca)
+    # A registered class is found by its path, importing no CCA.
+    path = (f"{getattr(cca, '__module__', '')}:"
+            f"{getattr(cca, '__qualname__', '')}")
     for name in registry.names():
-        if registry.entry(name).factory is cca:
+        if registry.entry(name).path == path:
             return CCASpec(name)
     raise ConfigurationError(
         f"sweeps need a declarative CCA (a registry name, a CCASpec or "

@@ -1,44 +1,18 @@
 """Congestion control algorithms for the packet-level simulator.
 
-Delay-convergent CCAs studied by the paper: :class:`Vegas`,
-:class:`FastTCP`, :class:`Copa`, :class:`BBR`, :class:`Vivace`,
-:class:`Ledbat`, and the paper's own :class:`JitterAware` (Algorithm 1).
-Loss-based (non-delay-convergent) baselines: :class:`NewReno`,
-:class:`Cubic`, :class:`Allegro`.
+The package exports the base classes. Each CCA is a module of its own,
+built by its :mod:`~repro.ccas.registry` name, which imports the module
+on first use; the paper's two classes of CCA are lists of those names.
 """
 
-from .allegro import Allegro
 from .base import CCA, RateCCA, WindowCCA
-from .bbr import BBR
-from .copa import Copa
-from .cubic import Cubic
-from .delay_aimd import DelayAimd
-from .ecn import EcnAimd
-from .fast import FastTCP
-from .jitteraware import JitterAware
-from .ledbat import Ledbat
-from .reno import NewReno
-from .vegas import Vegas
-from .verus import Verus
-from .vivace import Vivace
-from .windowtarget import WindowTarget
 
-#: All delay-convergent CCAs (subject to Theorem 1).
-DELAY_CONVERGENT = (Vegas, FastTCP, Copa, BBR, Vivace, Ledbat,
-                    JitterAware, Verus)
+#: Registry names of the delay-convergent CCAs (subject to Theorem 1).
+DELAY_CONVERGENT = ("vegas", "fast", "copa", "bbr", "vivace", "ledbat",
+                    "jitter-aware", "verus")
 
-#: Loss-based CCAs (Section 5.4 analysis).
-LOSS_BASED = (NewReno, Cubic, Allegro)
+#: Registry names of the loss-based CCAs (Section 5.4 analysis).
+LOSS_BASED = ("reno", "cubic", "allegro")
 
-#: Explicit-signal CCA (Section 6.4 conjecture).
-EXPLICIT_SIGNAL = (EcnAimd,)
-
-#: Large-oscillation delay CCA (Section 6.2 conjecture).
-LARGE_OSCILLATION = (DelayAimd,)
-
-__all__ = [
-    "Allegro", "BBR", "CCA", "Copa", "Cubic", "DELAY_CONVERGENT",
-    "DelayAimd", "EXPLICIT_SIGNAL", "EcnAimd", "FastTCP", "JitterAware",
-    "LARGE_OSCILLATION", "LOSS_BASED", "Ledbat", "NewReno", "RateCCA",
-    "Vegas", "Verus", "Vivace", "WindowCCA", "WindowTarget",
-]
+__all__ = ["CCA", "DELAY_CONVERGENT", "LOSS_BASED", "RateCCA",
+           "WindowCCA"]

@@ -14,45 +14,34 @@ Algorithm 1), plus the extension CCAs ``delay-aimd``, ``ecn-aimd``,
 ``verus`` and ``window-target`` (the packet twin of the fluid CCA the
 theorem constructions run).
 
-Seeding: entries whose constructor accepts a ``seed`` argument are
-flagged ``seeded``; :func:`create` injects a caller-provided seed into
-those unless the kwargs already pin one explicitly. This is how a
+Each row names where its class lives (``"repro.ccas.copa:Copa"``) and
+:func:`repro.resolve` imports it on first use, so a process compiles
+only the CCAs it builds.
+
+Seeding: a row whose constructor accepts a ``seed`` argument is
+``seeded`` (read off the signature when the row resolves);
+:func:`create` injects a caller-provided seed into those unless the
+kwargs already pin one explicitly. This is how a
 :class:`~repro.spec.scenario.ScenarioSpec` root seed reaches BBR's
 probe-phase RNG and Allegro's RCT order deterministically.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from .. import units
+from .. import resolve, units
 from ..errors import ConfigurationError
-from .allegro import Allegro
-from .bbr import BBR
-from .copa import Copa
-from .cubic import Cubic
-from .delay_aimd import DelayAimd
-from .ecn import EcnAimd
-from .fast import FastTCP
-from .jitteraware import JitterAware
-from .ledbat import Ledbat
-from .reno import NewReno
-from .vegas import Vegas
-from .verus import Verus
-from .vivace import Vivace
-from .windowtarget import WindowTarget
 
 
 @dataclass(frozen=True)
 class CCAEntry:
-    """One registry row: a constructor plus metadata for spec building."""
+    """One registry row: the ``"package.module:QualName"`` path of the
+    constructor, plus metadata for spec building."""
 
     name: str
-    factory: Callable[..., object]
-    #: True when the constructor accepts a ``seed`` kwarg.
-    seeded: bool
+    path: str
     #: Default kwargs merged under caller kwargs (e.g. Algorithm 1's
     #: required ``jitter_bound``).
     defaults: Dict[str, Any] = field(default_factory=dict)
@@ -62,19 +51,13 @@ class CCAEntry:
 _REGISTRY: Dict[str, CCAEntry] = {}
 
 
-def register(name: str, factory: Callable[..., object],
+def register(name: str, path: str,
              defaults: Optional[Dict[str, Any]] = None,
-             seeded: Optional[bool] = None, doc: str = "") -> None:
-    """Register ``factory`` under ``name`` (detects ``seed`` support)."""
+             doc: str = "") -> None:
+    """Register the constructor at ``path`` under ``name``."""
     if name in _REGISTRY:
         raise ConfigurationError(f"CCA {name!r} is already registered")
-    if seeded is None:
-        try:
-            params = inspect.signature(factory).parameters
-            seeded = "seed" in params
-        except (TypeError, ValueError):  # builtins without signatures
-            seeded = False
-    _REGISTRY[name] = CCAEntry(name=name, factory=factory, seeded=seeded,
+    _REGISTRY[name] = CCAEntry(name=name, path=path,
                                defaults=dict(defaults or {}), doc=doc)
 
 
@@ -101,30 +84,40 @@ def create(name: str, params: Optional[Dict[str, Any]] = None,
     the derived scenario seed.
     """
     reg = entry(name)
+    factory, seeded = resolve(reg.path)
     kwargs = dict(reg.defaults)
     kwargs.update(params or {})
-    if reg.seeded and seed is not None and "seed" not in kwargs:
+    if seeded and seed is not None and "seed" not in kwargs:
         kwargs["seed"] = seed
     try:
-        return reg.factory(**kwargs)
+        return factory(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad params for CCA {name!r}: {exc}")
 
 
-register("vegas", Vegas, doc="TCP Vegas (delay-convergent archetype)")
-register("fast", FastTCP, doc="FAST TCP")
-register("copa", Copa, doc="Copa (NSDI 2018) in default mode")
-register("bbr", BBR, doc="BBR v1 (seeded PROBE_BW phase)")
-register("vivace", Vivace, doc="PCC Vivace (gradient utility)")
-register("allegro", Allegro, doc="PCC Allegro (seeded RCT order)")
-register("reno", NewReno, doc="TCP NewReno (loss-based baseline)")
-register("cubic", Cubic, doc="TCP Cubic (loss-based baseline)")
-register("ledbat", Ledbat, doc="LEDBAT scavenger (RFC 6817)")
-register("jitter-aware", JitterAware,
+register("vegas", "repro.ccas.vegas:Vegas",
+         doc="TCP Vegas (delay-convergent archetype)")
+register("fast", "repro.ccas.fast:FastTCP", doc="FAST TCP")
+register("copa", "repro.ccas.copa:Copa",
+         doc="Copa (NSDI 2018) in default mode")
+register("bbr", "repro.ccas.bbr:BBR", doc="BBR v1 (seeded PROBE_BW phase)")
+register("vivace", "repro.ccas.vivace:Vivace",
+         doc="PCC Vivace (gradient utility)")
+register("allegro", "repro.ccas.allegro:Allegro",
+         doc="PCC Allegro (seeded RCT order)")
+register("reno", "repro.ccas.reno:NewReno",
+         doc="TCP NewReno (loss-based baseline)")
+register("cubic", "repro.ccas.cubic:Cubic",
+         doc="TCP Cubic (loss-based baseline)")
+register("ledbat", "repro.ccas.ledbat:Ledbat",
+         doc="LEDBAT scavenger (RFC 6817)")
+register("jitter-aware", "repro.ccas.jitteraware:JitterAware",
          defaults={"jitter_bound": units.ms(10)},
          doc="the paper's Algorithm 1 (jitter-resilient by design)")
-register("delay-aimd", DelayAimd, doc="Section 6.2 AIMD-on-delay")
-register("ecn-aimd", EcnAimd, doc="Section 6.4 ECN-signal AIMD")
-register("verus", Verus, doc="Verus (delay-profile)")
-register("window-target", WindowTarget,
+register("delay-aimd", "repro.ccas.delay_aimd:DelayAimd",
+         doc="Section 6.2 AIMD-on-delay")
+register("ecn-aimd", "repro.ccas.ecn:EcnAimd",
+         doc="Section 6.4 ECN-signal AIMD")
+register("verus", "repro.ccas.verus:Verus", doc="Verus (delay-profile)")
+register("window-target", "repro.ccas.windowtarget:WindowTarget",
          doc="standing-queue window target (Theorem 1 packet replay)")

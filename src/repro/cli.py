@@ -68,7 +68,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from . import units
 from .errors import ConfigurationError, ReproError, SweepAbortedError
-from .analysis.competition import compile_matrix_plan
 from .analysis.harness import RunBudget, describe_failures
 from .analysis.plan import JobPlan, render_result, run_plan
 from .analysis.report import FAIRNESS_LEVELS, describe_run, rate_delay_ascii
@@ -583,6 +582,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_matrix(args: argparse.Namespace) -> int:
     """Per-CCA-pair fairness/starvation competition matrix."""
+    from .analysis.competition import compile_matrix_plan
     _apply_invariants(args)
     matrix = _run_grid(args, compile_matrix_plan)
     if matrix is None:

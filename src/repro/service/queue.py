@@ -356,15 +356,8 @@ class SweepService:
                     job = self._jobs.get(jid)
                     if job is None or job.state != QUEUED:
                         continue  # cancelled while queued, or stale entry
-                    job.state = RUNNING
-                    job.started = round(time.time(), 3)
-                    job.runs += 1
-                    job.attempts += 1
-                    self._persist(job)
-                    cancel = threading.Event()
-                    self._cancel_events[jid] = cancel
                 try:
-                    self._execute(job, cancel)
+                    self._execute(job)
                 except BaseException as exc:  # noqa: BLE001 - keep draining
                     self._finish(job, FAILED,
                                  error=f"{type(exc).__name__}: {exc}")
@@ -419,14 +412,23 @@ class SweepService:
         except OSError:
             pass
 
-    def _execute(self, job: Job, cancel: threading.Event) -> None:
+    def _execute(self, job: Job) -> None:
         plan = build_plan(job.spec)
+        cancel = threading.Event()
         with self._lock:
-            # Every execution counts from zero: a takeover re-run sees
-            # the points its predecessor finished as ``cached``.
+            if job.state != QUEUED:
+                return  # cancelled while its plan was built
+            # One write moves the job to ``running``. Every execution
+            # counts from zero: a takeover re-run sees the points its
+            # predecessor finished as ``cached``.
+            job.state = RUNNING
+            job.started = round(time.time(), 3)
+            job.runs += 1
+            job.attempts += 1
             job.total = len(plan.points)
             job.done = job.cached = job.failed = 0
             self._persist(job)
+            self._cancel_events[job.id] = cancel
         self._event(job.id, {
             "event": "started", "total": job.total, "run": job.runs,
             "attempt": job.attempts})

@@ -9,9 +9,6 @@ bounded non-congestive jitter elements that never reorder.
 """
 
 from .engine import Event, Simulator
-from .faults import (BlackoutElement, DuplicateElement,
-                     GilbertElliottLossElement, LinkFlapElement,
-                     ReorderElement)
 from .host import Receiver, Sender
 from .invariants import (InvariantSentinel, InvariantWarning, override_mode,
                          resolve_mode)
@@ -21,9 +18,8 @@ from .queue import BottleneckQueue
 from .runner import FlowStats, RunResult
 
 __all__ = [
-    "Ack", "AckInfo", "BlackoutElement", "BottleneckQueue",
-    "DuplicateElement", "Event", "FlowStats", "GilbertElliottLossElement",
-    "InvariantSentinel", "InvariantWarning", "LinkFlapElement", "Packet",
-    "Receiver", "ReorderElement", "RunResult", "Scenario", "Sender",
-    "Simulator", "build_topology", "override_mode", "resolve_mode",
+    "Ack", "AckInfo", "BottleneckQueue", "Event", "FlowStats",
+    "InvariantSentinel", "InvariantWarning", "Packet", "Receiver",
+    "RunResult", "Scenario", "Sender", "Simulator", "build_topology",
+    "override_mode", "resolve_mode",
 ]

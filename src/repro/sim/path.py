@@ -14,7 +14,6 @@ from typing import Callable, Optional, Sequence
 
 from ..errors import ConfigurationError
 from .engine import Simulator
-from .faults import WindowGate
 
 
 class DelayElement:
@@ -67,6 +66,8 @@ def gated(factory: ElementFactory, start: float,
     its sink, so windows in one chain compose: a packet traverses every
     impairment whose window is open.
     """
+    from .faults import WindowGate
+
     def build(sim: Simulator, sink: object) -> object:
         return WindowGate(sim, factory(sim, sink), sink, start, end)
 

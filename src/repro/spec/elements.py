@@ -22,22 +22,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
+from .. import resolve
 from ..errors import ConfigurationError, SpecValidationError
-from ..sim.faults import (BlackoutElement, DuplicateElement,
-                          GilbertElliottLossElement, LinkFlapElement,
-                          ReorderElement)
-from ..sim.jitter import (AckAggregationJitter, ConstantJitter,
-                          ExemptFirstJitter, NoJitter, SquareWaveJitter,
-                          StepTraceJitter, TokenBucketJitter)
-from ..sim.loss import (PeriodicLossElement, RandomLossElement,
-                        TargetedLossElement)
-from ..sim.path import DelayElement, ElementFactory, gated
+from ..sim.path import ElementFactory, gated
 
 
 @dataclass(frozen=True)
 class ElementEntry:
-    """Catalog row: the element's constructor, whether it takes a
-    ``seed``, and whether a ``start``/``end`` window may gate it.
+    """Catalog row: the ``"package.module:QualName"`` path of the
+    element's constructor, and whether a ``start``/``end`` window may
+    gate it.
 
     Kinds that hold packets and release them in order (the
     ``JitterElement`` family and ``delay``) are not windowable: a gate
@@ -46,32 +40,36 @@ class ElementEntry:
     packets too, but reordering is what it is for.
     """
 
-    cls: Callable[..., object]
-    seeded: bool = False
+    path: str
     windowable: bool = True
 
 
 #: Every path element a spec may name. Keys are the JSON ``kind``.
 ELEMENTS: Dict[str, ElementEntry] = {
-    "delay": ElementEntry(DelayElement, windowable=False),
-    "no_jitter": ElementEntry(NoJitter, windowable=False),
-    "constant_jitter": ElementEntry(ConstantJitter, windowable=False),
-    "exempt_first_jitter": ElementEntry(ExemptFirstJitter,
-                                        windowable=False),
-    "ack_aggregation": ElementEntry(AckAggregationJitter,
+    "delay": ElementEntry("repro.sim.path:DelayElement", windowable=False),
+    "no_jitter": ElementEntry("repro.sim.jitter:NoJitter",
+                              windowable=False),
+    "constant_jitter": ElementEntry("repro.sim.jitter:ConstantJitter",
                                     windowable=False),
-    "square_wave_jitter": ElementEntry(SquareWaveJitter, windowable=False),
-    "step_trace_jitter": ElementEntry(StepTraceJitter, windowable=False),
-    "token_bucket": ElementEntry(TokenBucketJitter, windowable=False),
-    "random_loss": ElementEntry(RandomLossElement, seeded=True),
-    "periodic_loss": ElementEntry(PeriodicLossElement),
-    "targeted_loss": ElementEntry(TargetedLossElement),
+    "exempt_first_jitter": ElementEntry(
+        "repro.sim.jitter:ExemptFirstJitter", windowable=False),
+    "ack_aggregation": ElementEntry(
+        "repro.sim.jitter:AckAggregationJitter", windowable=False),
+    "square_wave_jitter": ElementEntry(
+        "repro.sim.jitter:SquareWaveJitter", windowable=False),
+    "step_trace_jitter": ElementEntry(
+        "repro.sim.jitter:StepTraceJitter", windowable=False),
+    "token_bucket": ElementEntry("repro.sim.jitter:TokenBucketJitter",
+                                 windowable=False),
+    "random_loss": ElementEntry("repro.sim.loss:RandomLossElement"),
+    "periodic_loss": ElementEntry("repro.sim.loss:PeriodicLossElement"),
+    "targeted_loss": ElementEntry("repro.sim.loss:TargetedLossElement"),
     "gilbert_elliott": ElementEntry(
-        GilbertElliottLossElement.from_mean_loss, seeded=True),
-    "blackout": ElementEntry(BlackoutElement),
-    "flap": ElementEntry(LinkFlapElement),
-    "reorder": ElementEntry(ReorderElement, seeded=True),
-    "duplicate": ElementEntry(DuplicateElement, seeded=True),
+        "repro.sim.faults:GilbertElliottLossElement.from_mean_loss"),
+    "blackout": ElementEntry("repro.sim.faults:BlackoutElement"),
+    "flap": ElementEntry("repro.sim.faults:LinkFlapElement"),
+    "reorder": ElementEntry("repro.sim.faults:ReorderElement"),
+    "duplicate": ElementEntry("repro.sim.faults:DuplicateElement"),
 }
 
 
@@ -153,7 +151,7 @@ class ElementSpec:
         # params, so a bad one fails here, where the spec is written,
         # not in the middle of a run.
         try:
-            ELEMENTS[self.kind].cls(None, None, **self.params)
+            resolve(ELEMENTS[self.kind].path)[0](None, None, **self.params)
         except (TypeError, ValueError, ConfigurationError) as exc:
             raise SpecValidationError(
                 f"bad params for element {self.kind!r}: {exc}")
@@ -191,13 +189,13 @@ class ElementSpec:
 
     def factory(self, seed: Optional[int] = None) -> ElementFactory:
         """The ``(sim, sink) -> element`` callable the builder chains."""
-        reg = ELEMENTS[self.kind]
+        cls, seeded = resolve(ELEMENTS[self.kind].path)
         kwargs = dict(self.params)
-        if reg.seeded and seed is not None and "seed" not in kwargs:
+        if seeded and seed is not None and "seed" not in kwargs:
             kwargs["seed"] = seed
 
         def build(sim: object, sink: object) -> object:
-            return reg.cls(sim, sink, **kwargs)
+            return cls(sim, sink, **kwargs)
 
         if self.start is None:
             return build

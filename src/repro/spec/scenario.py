@@ -38,6 +38,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
+from .. import resolve
 from ..ccas import registry
 from ..errors import ConfigurationError, SpecValidationError
 from ..sim import runner
@@ -487,7 +488,8 @@ def _upgrade_v1(data: Dict[str, Any]) -> Dict[str, Any]:
             params = {renamed.get(name, name): value for name, value in
                       json_object(window.get("params", {}),
                                   "fault params").items()}
-            if ELEMENTS[kind].seeded:
+            _, seeded = resolve(ELEMENTS[kind].path)
+            if seeded:
                 params["seed"] = schedule_seed * 1000 + k
             element = {"kind": kind, "params": params}
             if (window["start"], window["end"]) != (0.0, float("inf")):

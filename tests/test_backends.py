@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+import repro.ccas
 from repro import units
 from repro.analysis.backends import (PointOutcome, ProcessPoolBackend,
                                      SerialBackend, execute_point,
@@ -178,8 +179,13 @@ class TestProcessPoolBackend:
     def test_workers_start_without_numpy(self):
         # A spawned worker imports this module (so repro.analysis.sweep
         # and repro.spec) to unpickle its task; that is the worker's
-        # start path and it must load no theory code.
-        names = ["numpy", "repro.core.convergence"]
+        # start path and it must load no theory code, and no CCA before
+        # a task names one.
+        ccas = os.path.dirname(os.path.abspath(repro.ccas.__file__))
+        names = ["numpy", "repro.core.convergence"] + sorted(
+            f"repro.ccas.{name[:-3]}" for name in os.listdir(ccas)
+            if name.endswith(".py")
+            and name not in ("__init__.py", "base.py", "registry.py"))
         points = [(f"p{i}", {"names": names}) for i in range(2)]
         pooled = run_grid(ProcessPoolBackend(jobs=2),
                           loaded_modules_point, points)
@@ -252,13 +258,13 @@ class TestSweepRateDelayBackends:
         assert len(curve.points) == 1
 
     def test_callable_still_works_serially(self):
-        from repro.ccas import Vegas
+        from repro.ccas.vegas import Vegas
         curve = sweep_rate_delay(Vegas, [2.0], RM, duration=2.0,
                                  budget=self.BUDGET)
         assert len(curve.points) == 1
 
     def test_callable_with_parallel_backend_rejected(self):
-        from repro.ccas import Vegas
+        from repro.ccas.vegas import Vegas
         # A closure cannot cross a process boundary...
         with pytest.raises(ConfigurationError, match="declarative"):
             sweep_rate_delay(lambda: Vegas(), self.GRID, RM,

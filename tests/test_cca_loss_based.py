@@ -3,7 +3,7 @@ and for the cut and reset every ``WindowCCA`` shares."""
 
 import pytest
 
-from repro import units
+from repro import resolve, units
 from repro.analysis.starvation import loss_based_delayed_acks
 from repro.ccas import registry
 from repro.ccas.base import WindowCCA
@@ -98,8 +98,8 @@ class TestCubic:
         assert beyond > cca.w_max + 40
 
 
-WINDOW_CCAS = [name for name in registry.names()
-               if issubclass(registry.entry(name).factory, WindowCCA)]
+WINDOW_CCAS = [name for name in registry.names() if issubclass(
+    resolve(registry.entry(name).path)[0], WindowCCA)]
 
 
 @pytest.mark.parametrize("name", WINDOW_CCAS)

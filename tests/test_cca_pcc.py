@@ -135,19 +135,24 @@ class TestAllegroIntegration:
         assert result.stats[1].throughput > 2 * result.stats[0].throughput
 
 
+class _Probe(Vivace):
+    """Vivace that keeps every monitor interval it completes."""
+
+    recorded = []
+
+    def on_interval_done(self, stats):
+        self.recorded.append(stats)
+        super().on_interval_done(stats)
+
+
 def test_mi_accounting_attributes_by_send_time(monkeypatch):
     """Packets sent in MI k must be charged to MI k even when their
     ACKs/losses arrive during MI k+1."""
-    recorded = []
-
-    class Probe(Vivace):
-        def on_interval_done(self, stats):
-            recorded.append(stats)
-            super().on_interval_done(stats)
-
-    monkeypatch.setitem(registry._REGISTRY, "probe",
-                        registry.CCAEntry("probe", Probe, seeded=False))
+    monkeypatch.setattr(_Probe, "recorded", [])
+    monkeypatch.setitem(registry._REGISTRY, "probe", registry.CCAEntry(
+        "probe", f"{_Probe.__module__}:{_Probe.__qualname__}"))
     run_dumbbell([flow("probe", RM)], RATE, duration=5.0, buffer_bdp=4.0)
+    recorded = _Probe.recorded
     assert recorded, "no monitor intervals completed"
     for stats in recorded:
         assert stats.pending == 0

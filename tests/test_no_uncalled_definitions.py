@@ -4,16 +4,20 @@ An AST scan: each public top-level ``def`` / ``class`` must be named
 somewhere in ``src/``, ``benchmarks/``, ``examples/`` or ``bench/``
 other than its own definition and a package ``__init__`` re-export. A
 name counts as an identifier, an attribute, an import or a string equal
-to it (``bench/`` wraps methods by name). A definition that only its
-tests call is code nobody uses: give it a caller or delete it.
+to it (``bench/`` wraps methods by name), or as a part of a catalog
+path ``"package.module:Qual.name"`` (the CCA registry and the element
+catalog name their classes so). A definition that only its tests call
+is code nobody uses: give it a caller or delete it.
 """
 
 import ast
 import os
+import re
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOURCE = os.path.join(REPO, "src", "repro")
 CALLER_DIRS = ("src", "benchmarks", "examples", "bench")
+CATALOG_PATH = re.compile(r"[\w.]+:[\w.]+")
 
 #: ``module path :: name`` -> why it may have no caller outside tests.
 ALLOWED = {
@@ -66,8 +70,11 @@ def names_used():
                     name = node.value
                 else:
                     continue
-                used.setdefault(name, []).append(
-                    (path, getattr(node, "lineno", 0)))
+                line = getattr(node, "lineno", 0)
+                used.setdefault(name, []).append((path, line))
+                if CATALOG_PATH.fullmatch(name):
+                    for part in name.partition(":")[2].split("."):
+                        used.setdefault(part, []).append((path, line))
     return used
 
 

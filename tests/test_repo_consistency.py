@@ -8,6 +8,8 @@ the public packages must export what the docs promise.
 import os
 import re
 
+import pytest
+
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -42,12 +44,53 @@ def test_every_bench_module_has_a_test_function():
 
 
 def test_public_cca_exports():
+    """``repro.ccas`` exports the base classes and the paper's name
+    lists; every CCA is reached through its registry name."""
     import repro.ccas as ccas
-    for name in ("Vegas", "FastTCP", "Copa", "BBR", "Vivace", "Allegro",
-                 "NewReno", "Cubic", "Ledbat", "Verus", "JitterAware",
-                 "DelayAimd", "EcnAimd", "WindowTarget"):
-        assert hasattr(ccas, name), name
-        assert name in ccas.__all__, name
+    from repro import resolve
+    from repro.ccas import registry
+    assert sorted(ccas.__all__) == ["CCA", "DELAY_CONVERGENT",
+                                    "LOSS_BASED", "RateCCA", "WindowCCA"]
+    classes = {resolve(registry.entry(name).path)[0].__name__
+               for name in registry.names()}
+    assert classes == {"Vegas", "FastTCP", "Copa", "BBR", "Vivace",
+                       "Allegro", "NewReno", "Cubic", "Ledbat", "Verus",
+                       "JitterAware", "DelayAimd", "EcnAimd",
+                       "WindowTarget"}
+
+
+def _catalog_rows():
+    from repro.ccas import registry
+    from repro.spec import ELEMENTS
+    return ([pytest.param(registry.entry(name).path, name in
+                          ("allegro", "bbr"), id=f"cca-{name}")
+             for name in registry.names()]
+            + [pytest.param(row.path, kind in ("random_loss",
+                                               "gilbert_elliott",
+                                               "reorder", "duplicate"),
+                            id=f"element-{kind}")
+               for kind, row in ELEMENTS.items()])
+
+
+@pytest.mark.parametrize("path, seeded", _catalog_rows())
+def test_catalog_row_resolves_to_what_it_names(path, seeded):
+    """A catalog row is a ``module:QualName`` path: it resolves to the
+    object at that path, and it is ``seeded`` exactly when that object
+    takes a ``seed`` (the stochastic CCAs and elements)."""
+    import importlib
+    import inspect
+
+    from repro import resolve
+    resolved, resolved_seeded = resolve(path)
+    module, _, qualname = path.partition(":")
+    expected = importlib.import_module(module)
+    for name in qualname.split("."):
+        expected = getattr(expected, name)
+    assert resolved == expected
+    assert (resolved.__module__, resolved.__qualname__) == (module,
+                                                            qualname)
+    assert resolved_seeded == \
+        ("seed" in inspect.signature(resolved).parameters) == seeded
 
 
 def test_sim_exports_one_builder_and_one_run():
@@ -56,12 +99,10 @@ def test_sim_exports_one_builder_and_one_run():
     (the spec classes are the only one) and no ``sim.run``."""
     import repro.sim as sim
     assert sorted(sim.__all__) == [
-        "Ack", "AckInfo", "BlackoutElement", "BottleneckQueue",
-        "DuplicateElement", "Event", "FlowStats",
-        "GilbertElliottLossElement", "InvariantSentinel",
-        "InvariantWarning", "LinkFlapElement", "Packet", "Receiver",
-        "ReorderElement", "RunResult", "Scenario", "Sender", "Simulator",
-        "build_topology", "override_mode", "resolve_mode"]
+        "Ack", "AckInfo", "BottleneckQueue", "Event", "FlowStats",
+        "InvariantSentinel", "InvariantWarning", "Packet", "Receiver",
+        "RunResult", "Scenario", "Sender", "Simulator", "build_topology",
+        "override_mode", "resolve_mode"]
     assert not hasattr(sim, "run")
 
 
@@ -103,13 +144,20 @@ def test_delay_convergent_registry_matches_paper_list():
     PCC Vivace, Copa, PCC Proteus*, Verus) intersected with what we
     implement must all be registered as delay-convergent.
     (* not implemented; documented in DESIGN.md.)"""
-    import repro.ccas as ccas
-    names = {cls.__name__ for cls in ccas.DELAY_CONVERGENT}
+    from repro import resolve
+    from repro.ccas import DELAY_CONVERGENT, LOSS_BASED, registry
+
+    def classes(names):
+        return {resolve(registry.entry(name).path)[0].__name__
+                for name in names}
+
+    assert {"vegas", "fast", "copa", "bbr", "vivace",
+            "verus"} <= set(DELAY_CONVERGENT)
+    assert {"reno", "cubic"} <= set(LOSS_BASED)
+    assert not set(DELAY_CONVERGENT) & set(LOSS_BASED)
     assert {"Vegas", "FastTCP", "Copa", "BBR", "Vivace",
-            "Verus"} <= names
-    loss_based = {cls.__name__ for cls in ccas.LOSS_BASED}
-    assert {"NewReno", "Cubic"} <= loss_based
-    assert not names & loss_based
+            "Verus"} <= classes(DELAY_CONVERGENT)
+    assert {"NewReno", "Cubic"} <= classes(LOSS_BASED)
 
 
 def test_examples_are_executable_scripts():

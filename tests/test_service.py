@@ -638,14 +638,21 @@ class TestLongPoll:
 
 
 class _RecordingFS(FileIO):
-    """A FileIO that records the name of every file it writes."""
+    """A FileIO that records the name and text of every file it
+    writes."""
 
     def __init__(self):
         self.writes = []
+        self.texts = []
 
     def write_atomic(self, path, text, prefix=".tmp-"):
         self.writes.append(os.path.basename(path))
+        self.texts.append(text)
         super().write_atomic(path, text, prefix=prefix)
+
+    def job_snapshots(self):
+        return [json.loads(text) for name, text in
+                zip(self.writes, self.texts) if name == "job.json"]
 
 
 class TestSnapshots:
@@ -661,9 +668,10 @@ class TestSnapshots:
         finally:
             service.stop()
         assert job.warm
-        # queued, running, started-from-zero, done — and nothing per
-        # point (the parent rewrote it once more for every point).
-        assert fs.writes.count("job.json") <= 5
+        # queued, running, done: one write per transition, none per
+        # point and none for resetting the counters.
+        assert [snap["state"] for snap in fs.job_snapshots()] == \
+            ["queued", "running", "done"]
         path = os.path.join(service.job_store.job_dir(job.id), "job.json")
         with open(path, encoding="utf-8") as fh:
             assert json.load(fh) == service.snapshot(job.id)
@@ -689,8 +697,28 @@ class TestSnapshots:
         assert job.state == "done" and not job.warm
         assert "sweep-service-dispatcher" in threads
         assert not [name for name in threads if "heartbeat" in name]
-        # queued, running, started-from-zero, done: transitions only.
-        assert fs.writes.count("job.json") == 4
+        # queued, running, done: transitions only.
+        assert fs.writes.count("job.json") == 3
+
+    def test_takeover_rerun_starts_from_zero_on_disk(self, tmp_path):
+        spec = _sweep_spec()
+        JobStore(str(tmp_path / "jobs")).save(Job(
+            id=job_id(spec), spec=spec, state="running",
+            created=round(time.time(), 3), total=len(RATES), done=1,
+            cached=1, failed=1, runs=1, attempts=1))
+        fs = _RecordingFS()
+        service = _service(tmp_path, fs=fs)
+        service.start()
+        try:
+            job = _wait(service, job_id(spec))
+        finally:
+            service.stop()
+        assert job.state == "done" and job.attempts == 2
+        running = [snap for snap in fs.job_snapshots()
+                   if snap["state"] == "running"]
+        assert len(running) == 1
+        assert running[0]["progress"] == {"total": len(RATES), "done": 0,
+                                          "cached": 0, "failed": 0}
 
     def test_snapshots_are_never_torn_under_load(self, served,
                                                  monkeypatch):
