@@ -6,8 +6,8 @@ simpler than TCP but preserves everything the paper's CCAs need:
 * per-packet sequence numbers and per-packet (or aggregated) ACKs,
 * RTT samples from echoed send timestamps,
 * delivery-rate samples in the style of Linux TCP's rate sampler (BBR),
-* gap-based loss detection (the simulated network never reorders, so a
-  sequence gap of ``reorder_threshold`` packets means a drop),
+* gap-based loss detection (a sequence gap of ``reorder_threshold``
+  packets means a drop; only a reorder element makes one spurious),
 * a retransmission-timeout backstop,
 * retransmission of lost packets (lost packets are resent before new
   data so that goodput equals acknowledged unique bytes).
@@ -31,6 +31,9 @@ Design notes (see docs/PERFORMANCE.md):
   a plain ``Ack(...)`` and every CCA digest an ``AckInfo(...)`` built
   positionally; a receiver that ACKs every packet builds the ACK
   without the pending-list bookkeeping.
+* The receiver counts each seq once with an in-order cursor plus the
+  set of seqs that arrived above it, so it holds the reorder window,
+  not one entry per packet of the run.
 """
 
 from __future__ import annotations
@@ -436,7 +439,9 @@ class Receiver:
 
         self.received_packets = 0
         self.received_bytes = 0.0       # unique payload bytes
-        self._seen: Set[int] = set()
+        # Every seq below _expected has arrived; _ahead holds early ones.
+        self._expected = 0
+        self._ahead: Set[int] = set()
         self._pending: List[Packet] = []
         self._flush_timer: Optional[Event] = None
 
@@ -447,9 +452,17 @@ class Receiver:
     def receive(self, packet: Packet, now: float) -> None:
         self.received_packets += 1
         seq = packet.seq
-        seen = self._seen
-        if seq not in seen:
-            seen.add(seq)
+        expected = self._expected
+        if seq == expected:
+            self.received_bytes += packet.size
+            expected += 1
+            ahead = self._ahead
+            while ahead and expected in ahead:
+                ahead.remove(expected)
+                expected += 1
+            self._expected = expected
+        elif seq > expected and seq not in self._ahead:
+            self._ahead.add(seq)
             self.received_bytes += packet.size
         if self.ack_every == 1 and not self._pending:
             # Immediate-ACK fast path: one packet, one ACK, no pending
@@ -501,11 +514,17 @@ class Receiver:
     def invariant_errors(self):
         """Yield (kind, site, message) for violated receiver invariants."""
         errors = []
-        if self.received_packets < len(self._seen):
+        unique = self._expected + len(self._ahead)
+        if self.received_packets < unique:
             errors.append((
                 "conservation", "received_count",
                 f"received_packets={self.received_packets} below unique "
-                f"sequence count {len(self._seen)}"))
+                f"sequence count {unique}"))
+        if self._ahead and min(self._ahead) <= self._expected:
+            errors.append((
+                "conservation", "ahead_above_cursor",
+                f"early arrival {min(self._ahead)} is not above the "
+                f"in-order cursor {self._expected}"))
         if self.received_bytes < 0:
             errors.append((
                 "conservation", "received_bytes",

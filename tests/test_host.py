@@ -1,8 +1,10 @@
 """Unit and integration tests for the sender/receiver endpoints."""
 
+import gc
 import heapq
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,6 +12,7 @@ from repro import units
 from repro.ccas.base import CCA
 from repro.sim.engine import Simulator
 from repro.sim.host import Receiver, Sender
+from repro.sim.packet import Packet
 from repro.sim.path import DelayElement
 from repro.sim.queue import BottleneckQueue
 
@@ -131,8 +134,12 @@ def test_gap_loss_detection_and_retransmit(sim):
     sim.run(2.0)
     assert cca.losses == [5]
     assert sender.retransmits == 1
-    # The retransmitted packet eventually got through.
-    assert 5 in receiver._seen
+    # The retransmitted packet got through: once the window closes and
+    # the path drains, every seq ever sent has arrived.
+    cca.set_outputs(0)
+    sim.run(3.0)
+    assert sender.inflight_bytes == 0
+    assert receiver.received_bytes == sender.next_seq * 1500
 
 
 def test_rto_fires_when_all_acks_lost(sim):
@@ -178,11 +185,99 @@ def test_goodput_counts_unique_bytes_once(sim):
     queue = BottleneckQueue(sim, units.mbps(12))
     delay = DelayElement(sim, receiver, 0.04)
     queue.register_sink(0, delay)
-    sender.attach_path(TargetedLossElement(sim, queue, drop_seqs=[3]))
+    lossy = TargetedLossElement(sim, queue, drop_seqs=[3])
+    sender.attach_path(lossy)
     receiver.attach_ack_path(sender)
     sender.start()
     sim.run(1.0)
-    assert receiver.received_bytes == len(receiver._seen) * 1500
+    cca.set_outputs(0)
+    sim.run(2.0)
+    # Seq 3 went out twice and arrived once; every other seq once.
+    assert sender.sent_packets == sender.next_seq + 1
+    assert receiver.received_packets == sender.sent_packets - lossy.dropped
+    assert receiver.received_bytes == sender.next_seq * 1500
+
+
+def random_arrivals(rng, count):
+    """A seeded arrival order over seqs ``0..count-1``.
+
+    Some seqs never arrive (gaps never filled), most arrive displaced
+    from their send order, and some arrive twice: back to back (a
+    duplicating element) or long after the first copy landed (a
+    spurious retransmit).
+    """
+    gap = rng.choice((0.0, 0.02, 0.1))
+    spread = rng.choice((0, 1, 4, 40))
+    arrivals = [(seq + rng.uniform(0, spread), seq) for seq in range(count)
+                if rng.random() >= gap]
+    for _, seq in list(arrivals):
+        roll = rng.random()
+        if roll < 0.05:
+            arrivals.append((seq + rng.uniform(0, 2), seq))
+        elif roll < 0.10:
+            arrivals.append((seq + rng.uniform(spread, 3 * spread + 50), seq))
+    return [seq for _, seq in sorted(arrivals)]
+
+
+def test_receiver_counts_like_a_set_for_any_arrival_order():
+    # The receiver keeps a cursor and the early arrivals above it, not
+    # every seq ever delivered; it must count what a set would count.
+    shapes = {"reordered": 0, "duplicates": 0, "unfilled": 0}
+    for seed in range(200):
+        rng = random.Random(seed)
+        count = rng.randint(1, 300)
+        receiver = Receiver(Simulator(), 0)
+        seen, unique_bytes, cursor = set(), 0.0, 0
+        arrivals = random_arrivals(rng, count)
+        for index, seq in enumerate(arrivals):
+            size = 1000 + 7 * seq       # a wrong seq counted shows
+            receiver.receive(Packet(0, seq, size, 0.0), 0.0)
+            shapes["reordered"] += seq > cursor
+            shapes["duplicates"] += seq in seen
+            if seq not in seen:
+                seen.add(seq)
+                unique_bytes += size
+            while cursor in seen:
+                cursor += 1
+            where = f"seed {seed}, arrival {index} (seq {seq})"
+            assert receiver.received_packets == index + 1, where
+            assert receiver.received_bytes == unique_bytes, where
+            above = sum(1 for s in seen if s > cursor)
+            assert len(receiver._ahead) <= above, where
+            assert receiver.invariant_errors() == [], where
+        shapes["unfilled"] += len(seen) < count
+    # The schedules must reach every arrival shape the cursor handles.
+    assert min(shapes.values()) > 100, shapes
+
+
+def test_retained_memory_per_ack_is_the_rtt_log_and_samples():
+    # A finished run keeps its reported data: the sender's RTT log
+    # (16 B per ACK) and the recorders' samples. Doubling a run's
+    # length may add no per-packet state beyond those; a set of every
+    # delivered seq costs ~100 B per ACK.
+    from repro.analysis import starvation
+
+    def retained(duration):
+        spec = starvation.copa_two_flow_poisoned.spec(rate_mbps=12.0,
+                                                       duration=duration)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = spec.run()
+            gc.collect()
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        acks = sum(len(flow.sender.rtt_values)
+                   for flow in result.scenario.flows)
+        return result, size, acks
+
+    retained(0.5)       # first-use imports and caches land here
+    kept = [retained(5.0), retained(10.0)]   # both results stay alive
+    (_, short_bytes, short_acks), (_, long_bytes, long_acks) = kept
+    assert long_acks - short_acks > 4000
+    per_ack = (long_bytes - short_bytes) / (long_acks - short_acks)
+    assert per_ack <= 32, f"{per_ack:.1f} retained bytes per extra ACK"
 
 
 class ShrinkOnSend(FixedWindowCCA):

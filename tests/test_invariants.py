@@ -325,6 +325,25 @@ class TestStrictCatchesInjectedCorruption:
         assert excinfo.value.kind == "conservation"
         assert "inflight" in str(excinfo.value)
 
+    def test_stalled_receiver_cursor_raises_mid_run(self):
+        # Step the receiver's cursor back onto a seq it also keeps as an
+        # early arrival: every count still adds up, but the cursor can
+        # never pass that seq again, so each later arrival piles into
+        # _ahead. Only the cursor invariant can see it.
+        scenario = one_flow("vegas", 5, 40).build(invariants="strict")
+        scenario.flows[0].sender.start()
+        scenario.sim.run(1.0)
+        receiver = scenario.flows[0].receiver
+        receiver._expected -= 1
+        receiver._ahead.add(receiver._expected)
+        assert receiver.received_packets >= (receiver._expected
+                                             + len(receiver._ahead))
+        with pytest.raises(InvariantViolation) as excinfo:
+            scenario.sim.run(2.0)
+        assert excinfo.value.kind == "conservation"
+        assert excinfo.value.details["site"] == \
+            "receiver[0].ahead_above_cursor"
+
     def test_lost_parking_entry_raises_mid_run(self):
         # A retransmission in flight sits below the sender's loss
         # cursor, known to loss detection only through its _parked
