@@ -73,8 +73,7 @@ def main():
     shared = sweep_rate_delay("vegas", RATES, units.ms(RM_MS),
                               duration=DURATION, seed=SEED,
                               store=store)
-    assert shared.cache == {"hits": len(RATES), "misses": 0,
-                            "resumed": 0}
+    assert shared.cache == {"hits": len(RATES), "misses": 0}
     print(f"   local run: {shared.cache['hits']} hit(s), "
           f"0 simulations")
 

@@ -1,7 +1,7 @@
 """Pluggable execution backends: how a grid of experiments runs.
 
 The resilient harness (:mod:`repro.analysis.harness`) decides *what* to
-run and how failures/checkpoints are handled; a backend decides *where*
+run and how failures are recorded; a backend decides *where*
 the points execute:
 
 * :class:`SerialBackend` — in-process, in grid order (the default, and
@@ -70,9 +70,8 @@ class PointOutcome:
     result: Any = None
     failure: Optional[RunFailure] = None
     #: True when the result was served from a ResultStore without
-    #: simulating; the content address is in ``cache_key`` either way.
+    #: simulating.
     cached: bool = False
-    cache_key: Optional[str] = None
     #: True when the point simulated fine but the store could not
     #: persist it (ENOSPC et al.) — the result is correct and used,
     #: just not cached; a later run recomputes it.
@@ -137,8 +136,7 @@ def execute_point(run_point: RunPoint, key: str, params: Dict[str, Any],
                                      summary=summarize_params(params))
             except OSError:
                 pass  # catalog is advisory; the failure is recorded
-        return PointOutcome(key=key, params=params, failure=failure,
-                            cache_key=ckey)
+        return PointOutcome(key=key, params=params, failure=failure)
 
     try:
         result = run_point(params, budget)
@@ -165,9 +163,8 @@ def execute_point(run_point: RunPoint, key: str, params: Dict[str, Any],
             # a finished simulation into a failed point. The point is
             # simply not persisted and recomputes next time.
             return PointOutcome(key=key, params=params, result=result,
-                                cache_key=ckey, degraded=True)
-    return PointOutcome(key=key, params=params, result=result,
-                        cache_key=ckey)
+                                degraded=True)
+    return PointOutcome(key=key, params=params, result=result)
 
 
 def cached_outcomes(run_point: RunPoint, points: Sequence[Point],
@@ -196,7 +193,7 @@ def cached_outcomes(run_point: RunPoint, points: Sequence[Point],
         except OSError:
             pass  # catalog is advisory; the hit still serves
         hits.append(PointOutcome(key=key, params=params, result=result,
-                                 cached=True, cache_key=ckey))
+                                 cached=True))
     return hits, misses
 
 

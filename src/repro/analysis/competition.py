@@ -21,7 +21,7 @@ killing the matrix.
 Workers return only finite raw measurements (labels + per-flow rates);
 the possibly-infinite derived metrics (a fully starved flow has ratio
 ``inf``) are recomputed from stored data at assembly time, keeping the
-store and checkpoint files strict JSON.
+store's entries strict JSON.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class CompetitionMatrix:
     #: meets this bound (or one flow moved no bytes at all).
     starve_threshold: float = 50.0
     failures: List[RunFailure] = field(default_factory=list)
-    #: Cache accounting ({"hits", "misses", "resumed"}) when run
+    #: Cache accounting ({"hits", "misses"}) when run
     #: against a result store; None otherwise.
     cache: Optional[Dict[str, int]] = None
 

@@ -9,8 +9,9 @@ partial results. This module supplies the missing robustness layer:
   BudgetExceededError`). A point runs once under the stated budget.
 * :class:`ResilientSweep` — grid execution with graceful degradation
   (a failed point becomes a structured :class:`RunFailure` instead of
-  aborting the sweep) and JSON checkpointing so interrupted sweeps
-  resume from the last completed point. Its ``run`` is the one caller
+  aborting the sweep). An interrupted sweep resumes from the result
+  store, which holds every completed point by content address; a JSON
+  checkpoint remembers only the failures. Its ``run`` is the one caller
   of a backend: every grid, report and fuzz campaign goes through it.
 
 The harness is deliberately generic: a "grid point" is any
@@ -22,17 +23,17 @@ benchmark panels all fit.
 from __future__ import annotations
 
 import json
-import signal
-import threading
 import traceback
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple)
 
 from ..errors import ReproError, SweepAbortedError
-from ..store.fsio import FileIO
+from ..store import FileIO, ResultStore, canonical_json
+
+#: The checkpoint file's format: ``{"version": 3, "failures": [...]}``.
+_FAILURES_VERSION = 3
 
 
 @dataclass
@@ -112,17 +113,15 @@ RECOVERABLE = (ReproError, ArithmeticError, MemoryError, RecursionError)
 class SweepOutcome:
     """Everything a resilient sweep produced.
 
-    ``completed`` maps point keys to run results (in grid order);
-    ``failures`` holds one :class:`RunFailure` per divergent point;
-    ``resumed`` counts points skipped because a checkpoint already had
-    them. With a result store attached, ``hits``/``misses`` count the
+    ``completed`` maps point keys to run results;
+    ``failures`` holds one :class:`RunFailure` per divergent point.
+    With a result store attached, ``hits``/``misses`` count the
     points served from cache versus actually simulated — a fully warm
-    sweep shows ``misses == 0``.
+    or fully resumed sweep shows ``misses == 0``.
     """
 
     completed: Dict[str, Any]
     failures: List[RunFailure]
-    resumed: int = 0
     hits: int = 0
     misses: int = 0
     #: Points that simulated fine but could not be persisted to the
@@ -131,7 +130,7 @@ class SweepOutcome:
     degraded: int = 0
     #: True when a ``stop_check`` ended the sweep before every point
     #: ran (the sweep-service's cooperative job cancellation). The
-    #: checkpoint holds everything that finished.
+    #: store holds everything that finished.
     stopped: bool = False
 
     @property
@@ -140,7 +139,7 @@ class SweepOutcome:
 
 
 class ResilientSweep:
-    """Run a grid of experiments with watchdogs and checkpoints.
+    """Run a grid of experiments with watchdogs and a failure record.
 
     Args:
         run_point: ``run_point(params, budget)`` executes one grid point
@@ -150,18 +149,23 @@ class ResilientSweep:
             it must be a *module-level* function and ``params`` must be
             picklable (see :mod:`repro.analysis.backends`).
         budget: per-point :class:`RunBudget` (default: a generous one).
-        checkpoint_path: JSON file for incremental progress. Written
-            atomically after *every* point; on the next invocation,
-            completed and failed points found there are skipped, so an
-            interrupted sweep resumes where it stopped. None disables
-            checkpointing.
+        checkpoint_path: JSON file of failure records,
+            ``{"version": 3, "failures": [...]}``. Completed points
+            resume from the result store, never from this file; a sweep
+            given a checkpoint and no ``store`` keeps its results in a
+            :class:`~repro.store.ResultStore` at
+            ``<checkpoint_path>.store``. A recorded failure skips its
+            point on the next invocation only when both the point's key
+            and its params equal the record's. The file is rewritten
+            atomically whenever the set of failure records changes; a
+            missing or corrupt file, or one in another format, holds no
+            records. None disables it.
         retry_failures_on_resume: when True, points recorded as
-            failures in the checkpoint are attempted again on resume
-            (completed points are never re-run).
+            failures in the checkpoint are attempted again.
         backend: an :class:`~repro.analysis.backends.SerialBackend`
             (default) or
             :class:`~repro.analysis.backends.ProcessPoolBackend`
-            deciding where points execute. Checkpoint/failure semantics
+            deciding where points execute. Resume/failure semantics
             are backend-independent.
         crash_dir: directory for crash bundles (see
             :mod:`repro.analysis.diagnostics`). Every failed point
@@ -171,14 +175,8 @@ class ResilientSweep:
         store: a :class:`~repro.store.ResultStore` for content-addressed
             result caching. Every point is looked up before dispatch
             and a miss stored after it runs (successes only), so a
-            warm re-run executes zero simulations. With a
-            store, the checkpoint stops persisting results of its own:
-            it records each completed point's *cache key* and becomes a
-            view over the store. A checkpoint entry whose store object
-            was garbage-collected simply re-runs, and so does a whole
-            checkpoint written in the other mode (inline results read
-            with a store attached, or cache keys read without one) —
-            it is ignored like a corrupt file.
+            warm re-run executes zero simulations. A point the store
+            holds is served whatever the checkpoint says.
         refresh: skip the lookup and recompute every point, overwriting
             store entries (the CLI's ``--force``).
         max_failures: fail-fast threshold — the number of failed points
@@ -187,17 +185,15 @@ class ResilientSweep:
             the first failure; ``None``, the default, never aborts).
             A sweep that is mostly quarantining points is usually a
             broken setup, not a broken scenario; better to stop with a
-            clear error than grind to the end. The checkpoint is
-            flushed before the raise, and failures loaded from a
-            resumed checkpoint count toward the threshold, so a
-            re-invocation without fixing anything aborts immediately
-            instead of burning the grid again.
+            clear error than grind to the end. Failures recorded in the
+            checkpoint count toward the threshold, so a re-invocation
+            without fixing anything aborts immediately instead of
+            burning the grid again.
         stop_check: a zero-argument callable polled after every
-            finished point (post checkpoint flush). Returning True ends
-            the sweep cooperatively: in-flight backend work is torn
-            down, the outcome carries ``stopped=True``, and everything
-            completed so far survives in the checkpoint — the
-            sweep-service uses this for job cancellation.
+            finished point. Returning True ends the sweep cooperatively:
+            in-flight backend work is torn down, the outcome carries
+            ``stopped=True``, and everything completed so far is in the
+            store — the sweep-service uses this for job cancellation.
 
     Example::
 
@@ -207,12 +203,6 @@ class ResilientSweep:
         outcome.completed   # {"2mbps": {...}, "50mbps": {...}}
         outcome.failures    # [RunFailure(...)] for divergent points
     """
-
-    #: One format per mode: version 1 checkpoints (no store) inline
-    #: every result; version 2 (store attached) records cache keys and
-    #: resolves them through the store on load.
-    CHECKPOINT_VERSION = 1
-    CHECKPOINT_STORE_VERSION = 2
 
     def __init__(self, run_point: Callable[[Dict[str, Any], RunBudget],
                                            Any],
@@ -241,184 +231,96 @@ class ResilientSweep:
             from .backends import SerialBackend
             backend = SerialBackend()
         self.backend = backend
+        if store is None and checkpoint_path is not None:
+            store = ResultStore(checkpoint_path + ".store")
         self.store = store
         self.refresh = refresh
         self.crash_dir = crash_dir
         self.stop_check = stop_check
-        self._interrupted: Optional[int] = None
 
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def _load_state(self) -> Tuple[Dict[str, Any], Dict[str, str],
-                                   List[RunFailure]]:
-        """Prior progress as ``(results, cache-key refs, failures)``.
-
-        Without a store the file carries results inline (refs stay
-        empty). With one it carries cache keys; each is resolved
-        through the store, and an unresolvable key (entry gc'd, store
-        moved) silently drops the point so it simply re-runs — the
-        checkpoint is a view, the store is the truth. A missing or
-        corrupt file, or one written in the other mode, is no progress.
-        """
-        if self.checkpoint_path is None:
-            return {}, {}, []
+    def _load_failures(self) -> Optional[List[RunFailure]]:
+        """The checkpoint's failure records; None when there is no
+        readable version-3 file."""
         try:
             with open(self.checkpoint_path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return {}, {}, []
-        expected = (self.CHECKPOINT_VERSION if self.store is None
-                    else self.CHECKPOINT_STORE_VERSION)
-        if data.get("version") != expected:
-            return {}, {}, []
-        completed: Dict[str, Any] = {}
-        refs: Dict[str, str] = {}
-        if self.store is None:
-            completed = dict(data.get("completed", {}))
-        else:
-            for key, cache_key in data.get("completed", {}).items():
-                found, result = self.store.fetch(cache_key)
-                if found:
-                    completed[key] = result
-                    refs[key] = cache_key
-        failures = [RunFailure.from_json(f)
-                    for f in data.get("failures", [])]
-        return completed, refs, failures
+        except (OSError, ValueError):
+            return None
+        if (not isinstance(data, dict)
+                or data.get("version") != _FAILURES_VERSION):
+            return None
+        return [RunFailure.from_json(f) for f in data.get("failures", [])]
 
-    def _write_checkpoint(self, completed: Dict[str, Any],
-                          failures: List[RunFailure],
-                          refs: Dict[str, str]) -> None:
-        if self.checkpoint_path is None:
-            return
-        if self.store is not None:
-            payload = {
-                "version": self.CHECKPOINT_STORE_VERSION,
-                "store": getattr(self.store, "root", ""),
-                # The store holds the results; the checkpoint only
-                # remembers which cache keys belong to this grid.
-                "completed": {key: refs[key] for key in completed
-                              if key in refs},
-                "failures": [f.to_json() for f in failures],
-            }
-        else:
-            payload = {
-                "version": self.CHECKPOINT_VERSION,
-                "completed": completed,
-                "failures": [f.to_json() for f in failures],
-            }
-        # Atomic replace so a kill mid-write can't corrupt progress.
+    def _write_failures(self, failures: List[RunFailure]) -> None:
+        # Atomic replace so a kill mid-write can't corrupt the records.
         FileIO().write_atomic(
             self.checkpoint_path,
-            json.dumps(payload, indent=1, sort_keys=True),
+            json.dumps({"version": _FAILURES_VERSION,
+                        "failures": [f.to_json() for f in failures]},
+                       indent=1, sort_keys=True),
             prefix=".checkpoint-")
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-
-    @contextmanager
-    def _trap_signals(self):
-        """Convert SIGINT/SIGTERM into a cooperative stop.
-
-        The handler only sets a flag; the run loop notices it after the
-        in-flight point lands and its checkpoint is flushed, then
-        re-raises, so an interrupted sweep always resumes cleanly from
-        a consistent checkpoint. Without a checkpoint to flush, outside
-        the main thread or where signals are unavailable, it is a no-op.
-        """
-        self._interrupted = None
-        if (self.checkpoint_path is None or threading.current_thread()
-                is not threading.main_thread()):
-            yield
-            return
-        previous = {}
-
-        def handler(signum, frame):
-            self._interrupted = signum
-
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                previous[sig] = signal.signal(sig, handler)
-            except (ValueError, OSError):  # pragma: no cover - exotic env
-                pass
-        try:
-            yield
-        finally:
-            for sig, old in previous.items():
-                try:
-                    signal.signal(sig, old)
-                except (ValueError, OSError):  # pragma: no cover
-                    pass
 
     def run(self, points: Sequence[Tuple[str, Dict[str, Any]]]
             ) -> SweepOutcome:
         """Execute every grid point, degrading gracefully on failures.
 
-        Points already present in the checkpoint are skipped; with a
-        store the rest are looked up before dispatch, and only misses
-        go to the execution backend (serially by default, or a process
-        pool). The checkpoint is rewritten after every finished point,
-        hit or run, so an interrupted parallel sweep resumes exactly
-        like a serial one. With a checkpoint, SIGINT/SIGTERM are
-        trapped for the run: the in-flight point finishes, the
-        checkpoint is flushed, and only then does the signal re-raise
-        (KeyboardInterrupt / SystemExit).
+        With a store every point is looked up before dispatch. Of the
+        misses, those the checkpoint records as failed (same key, same
+        params) are skipped; the rest go to the execution backend
+        (serially by default, or a process pool). Every store put and
+        failure-record write is atomic and lands before the next point
+        starts, so an interrupted sweep resumes from what it finished.
         """
         keys = [key for key, _ in points]
         if len(set(keys)) != len(keys):
             raise ValueError("grid point keys must be unique")
-        completed, refs, failures = self._load_state()
-        if self.retry_failures_on_resume:
-            failures = []
-        failed_keys = {f.key for f in failures}
-        pending = [(key, params) for key, params in points
-                   if key not in completed and key not in failed_keys]
-        resumed = len(points) - len(pending)
-        counts: Counter = Counter()
-        stopped = False
-        self._check_failure_threshold(failures)
         served: List[Any] = []
+        pending = list(points)
         if self.store is not None and not self.refresh:
             from .backends import cached_outcomes  # backends imports us
             served, pending = cached_outcomes(self.run_point, pending,
                                               self.store)
-        with self._trap_signals():
-            for outcome in chain(served, self.backend.execute(
-                    self.run_point, pending, self.budget,
-                    on_start=lambda key: self._note(key, "run"),
-                    store=self.store, crash_dir=self.crash_dir)):
-                if outcome.failure is not None:
-                    failures.append(outcome.failure)
-                    failed_keys.add(outcome.key)
-                    self._note(outcome.key,
-                               f"failed: {outcome.failure.reason}")
-                else:
-                    completed[outcome.key] = outcome.result
-                    if outcome.cache_key is not None:
-                        refs[outcome.key] = outcome.cache_key
-                    status = ("cached" if outcome.cached else
-                              "degraded" if outcome.degraded else "ok")
-                    counts[status] += 1
-                    self._note(outcome.key, status)
-                self._write_checkpoint(completed, failures, refs)
-                # Fail-fast after the flush: everything that finished
-                # survives for a resume with a fixed setup. Raising or
-                # leaving the loop closes the backend generator, which
-                # tears down any pool workers.
-                self._check_failure_threshold(failures)
-                if self.stop_check is not None and self.stop_check():
-                    stopped = True
-                if stopped or self._interrupted is not None:
-                    break
-        if self._interrupted is not None:
-            signum, self._interrupted = self._interrupted, None
-            if signum == signal.SIGTERM:
-                raise SystemExit(128 + signum)
-            raise KeyboardInterrupt
+        failures: List[RunFailure] = []
+        if self.checkpoint_path is not None:
+            saved = self._load_failures()
+            if saved and not self.retry_failures_on_resume:
+                misses = {(key, canonical_json(params))
+                          for key, params in pending}
+                failures = [f for f in saved
+                            if (f.key, canonical_json(f.params)) in misses]
+                skipped = {f.key for f in failures}
+                pending = [point for point in pending
+                           if point[0] not in skipped]
+            if failures != saved:
+                self._write_failures(failures)
+        self._check_failure_threshold(failures)
+        completed: Dict[str, Any] = {}
+        counts: Counter = Counter()
+        stopped = False
+        for outcome in chain(served, self.backend.execute(
+                self.run_point, pending, self.budget,
+                on_start=lambda key: self._note(key, "run"),
+                store=self.store, crash_dir=self.crash_dir)):
+            if outcome.failure is not None:
+                failures.append(outcome.failure)
+                self._note(outcome.key,
+                           f"failed: {outcome.failure.reason}")
+                if self.checkpoint_path is not None:
+                    self._write_failures(failures)
+            else:
+                completed[outcome.key] = outcome.result
+                status = ("cached" if outcome.cached else
+                          "degraded" if outcome.degraded else "ok")
+                counts[status] += 1
+                self._note(outcome.key, status)
+            # Raising or leaving the loop closes the backend generator,
+            # which tears down any pool workers.
+            self._check_failure_threshold(failures)
+            if self.stop_check is not None and self.stop_check():
+                stopped = True
+                break
         return SweepOutcome(
-            completed=completed, failures=failures, resumed=resumed,
+            completed=completed, failures=failures,
             hits=counts["cached"], misses=counts["ok"] + counts["degraded"],
             degraded=counts["degraded"], stopped=stopped)
 

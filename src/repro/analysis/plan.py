@@ -77,8 +77,7 @@ def run_plan(plan: JobPlan, budget: Optional[RunBudget] = None,
                              **sweep_options).run(plan.points)
     result = plan.assemble(outcome)
     if store is not None:
-        result.cache = {"hits": outcome.hits, "misses": outcome.misses,
-                        "resumed": outcome.resumed}
+        result.cache = {"hits": outcome.hits, "misses": outcome.misses}
     return outcome, result
 
 

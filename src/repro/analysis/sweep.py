@@ -7,8 +7,9 @@ Figure 3 — d_min(C) and d_max(C) as functions of C for a fixed Rm.
 
 Sweeps run on the resilient harness (:mod:`repro.analysis.harness`): a
 divergent grid point is recorded as a :class:`RunFailure` on the
-returned curve instead of aborting the sweep, and an optional JSON
-checkpoint lets interrupted sweeps resume from the last completed rate.
+returned curve instead of aborting the sweep, and an interrupted sweep
+resumes from the result store (``store``/``cache_dir``, or the store a
+``checkpoint_path`` keeps beside itself).
 
 Execution is backend-pluggable (:mod:`repro.analysis.backends`). Name
 the CCA declaratively — a registry string or
@@ -71,7 +72,7 @@ class RateDelayCurve:
     points: List[RateDelayPoint]
     #: Grid points that diverged and were skipped (see harness docs).
     failures: List[RunFailure] = field(default_factory=list)
-    #: Cache accounting (``{"hits", "misses", "resumed"}``) when the
+    #: Cache accounting (``{"hits", "misses"}``) when the
     #: sweep ran against a result store; None otherwise. Deliberately
     #: excluded from :meth:`to_json` so cached and uncached runs emit
     #: byte-identical curve documents.
@@ -269,8 +270,11 @@ def sweep_rate_delay(cca_factory: CCALike,
         warmup_fraction: fraction of the run discarded as transient.
         budget: per-point watchdog budget; a point that exceeds it
             lands in ``curve.failures`` instead of hanging the sweep.
-        checkpoint_path: JSON checkpoint file; completed rates are
-            skipped when the sweep is re-invoked after an interruption.
+        checkpoint_path: JSON file of failure records; without a
+            ``store`` the sweep keeps its results in
+            ``<checkpoint_path>.store``, so a re-invoked sweep serves
+            the completed rates from there (see
+            :class:`~repro.analysis.harness.ResilientSweep`).
         retry_failures: when resuming from a checkpoint, re-run rates
             previously recorded as failed (e.g. after raising the
             budget) instead of keeping their failure records.

@@ -53,6 +53,11 @@ reproducible crash bundle (params + seed + traceback + budget; see
 exactly — and ``--invariants off|warn|strict`` sets the runtime
 invariant sentinel mode (:mod:`repro.sim.invariants`).
 
+``sweep``/``matrix`` also accept ``--checkpoint PATH``: a re-invoked
+grid serves its completed points from the store (``--cache-dir``, or
+``PATH.store`` without one) and ``PATH`` remembers only the failed
+points, which ``sweep --retry-failures`` runs again.
+
 Every command prints an ASCII report; nothing is written to disk unless
 ``--checkpoint``/``--json``/``--dump-spec``/``--cache-dir`` asks for it.
 """
@@ -369,8 +374,6 @@ def _report_specs(args: argparse.Namespace,
     ``name`` and ``duration``, and the s levels of its Definition 2
     line — so the cache key covers everything the report says and a
     crash bundle replays on its own.
-
-    Run as a plan; no checkpoint, so no signal trap delays Ctrl-C.
     """
     points = []
     for i, (name, spec) in enumerate(specs):
@@ -525,7 +528,9 @@ def _add_grid_flags(parser: argparse.ArgumentParser, unit: str,
         help=f"also write the result ({unit}s + failures) as JSON")
     parser.add_argument(
         "--checkpoint", default=None, metavar="PATH",
-        help=f"JSON checkpoint; re-invoking resumes completed {unit}s")
+        help=f"JSON file of failed {unit}s; without --cache-dir, "
+             f"completed {unit}s are stored in PATH.store and a "
+             f"re-invocation serves them from there")
     _add_budget_flags(parser, unit, on_excess)
     _add_cache_flags(parser)
     _add_robustness_flags(parser)
@@ -563,9 +568,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     curve = _run_grid(args, compile_sweep_plan)
     if curve is None:
         if args.checkpoint:
-            print(f"completed points are checkpointed in "
-                  f"{args.checkpoint}; fix the setup and re-invoke "
-                  f"with --retry-failures to resume")
+            store = (args.cache_dir if args.cache_dir and not args.no_cache
+                     else f"{args.checkpoint}.store")
+            print(f"completed points are in the store {store} and the "
+                  f"failures in {args.checkpoint}; fix the setup and "
+                  f"re-invoke with --retry-failures to resume")
         return 1
     if not curve.points:
         print("every grid point failed:")

@@ -34,9 +34,11 @@ class SweepAbortedError(ReproError):
     Raised by :class:`repro.analysis.harness.ResilientSweep` when more
     grid points have failed than the configured threshold allows — a
     sweep that is mostly quarantining points is better stopped with a
-    clear error than ground to the end. The checkpoint is flushed
-    before the raise, so every completed point and failure record
-    survives for a resume with a fixed setup.
+    clear error than ground to the end. Every completed point is
+    already in the result store and every failure in the checkpoint's
+    failure records (``<checkpoint>.store`` holds the results when no
+    store was given), so a resume with a fixed setup re-runs nothing
+    that finished.
 
     Attributes:
         failures: the :class:`~repro.analysis.harness.RunFailure`

@@ -223,10 +223,13 @@ class TestResilientSweepWithBackends:
         checkpoint = str(tmp_path / "ck.json")
         first = self.outcome_with(ProcessPoolBackend(jobs=2), checkpoint)
         assert set(first.completed) == {"p0", "p2"}
-        # Resuming — on any backend — skips everything already recorded.
-        resumed = self.outcome_with(SerialBackend(), checkpoint)
-        assert resumed.resumed == 3
-        assert resumed.completed == first.completed
+        # Resuming — on any backend — simulates nothing: the completed
+        # points are store hits, the failure the same record.
+        for backend in (SerialBackend(), ProcessPoolBackend(jobs=2)):
+            resumed = self.outcome_with(backend, checkpoint)
+            assert (resumed.hits, resumed.misses) == (2, 0)
+            assert resumed.completed == first.completed
+            assert resumed.failures == first.failures
 
     def test_progress_callback_fires_with_pool(self):
         events = []

@@ -15,7 +15,7 @@ from repro.analysis.backends import ProcessPoolBackend, SerialBackend
 from repro.analysis.harness import ResilientSweep, RunBudget
 from repro.analysis.sweep import sweep_rate_delay
 from repro.errors import ConfigurationError
-from repro.store import ResultStore
+from repro.store import ResultStore, point_cache_key
 
 RATES = [2.0, 8.0]
 BUDGET = RunBudget(wall_clock=120.0)
@@ -38,11 +38,9 @@ class TestColdWarmSweep:
     def test_warm_serial_rerun_executes_zero_simulations(self, tmp_path):
         store = ResultStore(str(tmp_path / "cache"))
         cold = _sweep(store=store)
-        assert cold.cache == {"hits": 0, "misses": len(RATES),
-                              "resumed": 0}
+        assert cold.cache == {"hits": 0, "misses": len(RATES)}
         warm = _sweep(store=store)
-        assert warm.cache == {"hits": len(RATES), "misses": 0,
-                              "resumed": 0}
+        assert warm.cache == {"hits": len(RATES), "misses": 0}
         # The catalog is the ground truth for "zero simulations ran".
         assert store.catalog.counts() == {"miss": len(RATES),
                                           "hit": len(RATES)}
@@ -53,8 +51,7 @@ class TestColdWarmSweep:
         cold = _sweep(store=store, backend=ProcessPoolBackend(jobs=2))
         assert cold.cache["misses"] == len(RATES)
         warm = _sweep(store=store, backend=ProcessPoolBackend(jobs=2))
-        assert warm.cache == {"hits": len(RATES), "misses": 0,
-                              "resumed": 0}
+        assert warm.cache == {"hits": len(RATES), "misses": 0}
         assert store.catalog.counts() == {"miss": len(RATES),
                                           "hit": len(RATES)}
         assert _doc(warm) == _doc(cold)
@@ -78,16 +75,14 @@ class TestColdWarmSweep:
         warm = sweep_rate_delay("vegas", RATES, rm=0.04, duration=3.0,
                                 budget=BUDGET, seed=3, jobs=2, store=store)
         assert built == []
-        assert warm.cache == {"hits": len(RATES), "misses": 0,
-                              "resumed": 0}
+        assert warm.cache == {"hits": len(RATES), "misses": 0}
         assert _doc(warm) == _doc(cold)
 
     def test_backends_share_one_cache(self, tmp_path):
         store = ResultStore(str(tmp_path / "cache"))
         cold = _sweep(store=store, backend=SerialBackend())
         warm = _sweep(store=store, backend=ProcessPoolBackend(jobs=2))
-        assert warm.cache == {"hits": len(RATES), "misses": 0,
-                              "resumed": 0}
+        assert warm.cache == {"hits": len(RATES), "misses": 0}
         assert _doc(warm) == _doc(cold)
 
     def test_cached_curve_json_matches_uncached(self, tmp_path):
@@ -103,8 +98,7 @@ class TestColdWarmSweep:
         cache_dir = str(tmp_path / "cache")
         cold = _sweep(cache_dir=cache_dir)
         warm = _sweep(cache_dir=cache_dir)
-        assert warm.cache == {"hits": len(RATES), "misses": 0,
-                              "resumed": 0}
+        assert warm.cache == {"hits": len(RATES), "misses": 0}
         assert _doc(warm) == _doc(cold)
 
     def test_store_and_cache_dir_conflict(self, tmp_path):
@@ -130,8 +124,7 @@ class TestColdWarmSweep:
         store = ResultStore(str(tmp_path / "cache"))
         cold = _sweep(store=store)
         forced = _sweep(store=store, refresh=True)
-        assert forced.cache == {"hits": 0, "misses": len(RATES),
-                                "resumed": 0}
+        assert forced.cache == {"hits": 0, "misses": len(RATES)}
         assert _doc(forced) == _doc(cold)
 
     def test_seed_changes_the_key(self, tmp_path):
@@ -157,7 +150,7 @@ class TestCheckpointStoreUnification:
                                  "duration": 3.0, "warmup": 1.5}))
         return run_rate_delay_point, points
 
-    def test_checkpoint_records_cache_keys_not_results(self, tmp_path):
+    def test_checkpoint_records_failures_not_results(self, tmp_path):
         store = ResultStore(str(tmp_path / "cache"))
         ckpt = str(tmp_path / "sweep.json")
         run_point, points = self._points()
@@ -166,13 +159,10 @@ class TestCheckpointStoreUnification:
         outcome = sweep.run(points)
         assert outcome.misses == len(points)
         with open(ckpt) as fh:
-            data = json.load(fh)
-        assert data["version"] == ResilientSweep.CHECKPOINT_STORE_VERSION
-        assert data["store"] == store.root
-        assert sorted(data["completed"]) == sorted(k for k, _ in points)
-        for key, cache_key in data["completed"].items():
-            assert store.contains(cache_key)
-            assert store.get(cache_key) == outcome.completed[key]
+            assert json.load(fh) == {"version": 3, "failures": []}
+        # The given store holds the results; none is made beside the file.
+        assert store.stats().entries == len(points)
+        assert not os.path.exists(ckpt + ".store")
 
     def test_resume_resolves_through_store(self, tmp_path):
         store = ResultStore(str(tmp_path / "cache"))
@@ -184,8 +174,7 @@ class TestCheckpointStoreUnification:
         again = ResilientSweep(run_point, budget=BUDGET,
                                checkpoint_path=ckpt, store=store)
         outcome = again.run(points)
-        assert outcome.resumed == len(points)
-        assert outcome.hits == outcome.misses == 0
+        assert (outcome.hits, outcome.misses) == (len(points), 0)
         assert outcome.completed == baseline.completed
 
     def test_gc_lost_entry_reruns_from_checkpoint(self, tmp_path):
@@ -195,60 +184,67 @@ class TestCheckpointStoreUnification:
         first = ResilientSweep(run_point, budget=BUDGET,
                                checkpoint_path=ckpt, store=store)
         baseline = first.run(points)
-        # Corrupt one entry; gc removes it; the checkpoint ref dangles.
-        with open(ckpt) as fh:
-            lost_key = json.load(fh)["completed"][points[0][0]]
+        # Corrupt one entry; gc removes it; that point re-runs.
+        lost_key = point_cache_key(run_point, points[0][1],
+                                   fingerprint=store.fingerprint)
         with open(store.path_for(lost_key), "w") as fh:
             fh.write("garbage")
         store.gc()
         again = ResilientSweep(run_point, budget=BUDGET,
                                checkpoint_path=ckpt, store=store)
         outcome = again.run(points)
-        assert outcome.resumed == len(points) - 1
-        assert outcome.misses == 1
+        assert (outcome.hits, outcome.misses) == (len(points) - 1, 1)
         assert outcome.completed == baseline.completed
 
     def test_v1_checkpoint_with_store_is_ignored(self, tmp_path):
+        """An inline-results checkpoint (version 1) is no progress: the
+        results it carries under the grid's keys are never served."""
         store = ResultStore(str(tmp_path / "cache"))
         ckpt = str(tmp_path / "sweep.json")
         run_point, points = self._points()
-        # A store-less sweep leaves a version-1 checkpoint behind.
-        baseline = ResilientSweep(run_point, budget=BUDGET,
-                                  checkpoint_path=ckpt).run(points)
-        # One format per mode: read with a store attached it counts as
-        # no progress, the points re-run (deterministically) into the
-        # store, and the file is rewritten as a view over cache keys.
+        baseline = ResilientSweep(run_point, budget=BUDGET).run(points)
+        with open(ckpt, "w") as fh:
+            json.dump({"version": 1, "failures": [],
+                       "completed": {key: {"stale": True}
+                                     for key, _ in points}}, fh)
         outcome = ResilientSweep(run_point, budget=BUDGET,
                                  checkpoint_path=ckpt,
                                  store=store).run(points)
-        assert outcome.resumed == 0
         assert outcome.misses == len(points)
         assert outcome.completed == baseline.completed
         with open(ckpt) as fh:
-            assert json.load(fh)["version"] == \
-                ResilientSweep.CHECKPOINT_STORE_VERSION
+            assert json.load(fh) == {"version": 3, "failures": []}
 
-    def test_checkpoint_without_store_still_v1(self, tmp_path):
+    def test_checkpoint_without_store_keeps_results_beside_it(self,
+                                                              tmp_path):
         ckpt = str(tmp_path / "sweep.json")
         run_point, points = self._points()
-        ResilientSweep(run_point, budget=BUDGET,
-                       checkpoint_path=ckpt).run(points)
-        with open(ckpt) as fh:
-            data = json.load(fh)
-        assert data["version"] == ResilientSweep.CHECKPOINT_VERSION
-        assert sorted(data["completed"]) == sorted(k for k, _ in points)
+        cold = ResilientSweep(run_point, budget=BUDGET,
+                              checkpoint_path=ckpt).run(points)
+        assert ResultStore(ckpt + ".store").stats().entries == len(points)
+        warm = ResilientSweep(run_point, budget=BUDGET,
+                              checkpoint_path=ckpt).run(points)
+        assert (warm.hits, warm.misses) == (len(points), 0)
+        assert warm.completed == cold.completed
 
     def test_v2_checkpoint_without_store_reruns(self, tmp_path):
+        """A cache-key checkpoint (version 2) names entries of a store
+        the sweep was not given: the points re-run into the store
+        beside the checkpoint."""
         store = ResultStore(str(tmp_path / "cache"))
         ckpt = str(tmp_path / "sweep.json")
         run_point, points = self._points()
-        ResilientSweep(run_point, budget=BUDGET, checkpoint_path=ckpt,
-                       store=store).run(points)
-        bare = ResilientSweep(run_point, budget=BUDGET,
-                              checkpoint_path=ckpt)
-        outcome = bare.run(points)
-        # The refs cannot be resolved without the store: points re-run.
-        assert outcome.resumed == 0
+        ResilientSweep(run_point, budget=BUDGET, store=store).run(points)
+        with open(ckpt, "w") as fh:
+            json.dump({"version": 2, "store": store.root, "failures": [],
+                       "completed": {
+                           key: point_cache_key(
+                               run_point, params,
+                               fingerprint=store.fingerprint)
+                           for key, params in points}}, fh)
+        outcome = ResilientSweep(run_point, budget=BUDGET,
+                                 checkpoint_path=ckpt).run(points)
+        assert (outcome.hits, outcome.misses) == (0, len(points))
         assert len(outcome.completed) == len(points)
 
 

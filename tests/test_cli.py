@@ -16,6 +16,7 @@ from repro.cli import build_parser, main, parse_flow_spec
 from repro.errors import ConfigurationError
 from repro.spec import (CCASpec, ElementSpec, FlowSpec, ScenarioSpec,
                         single_flow_scenario)
+from repro.store import ResultStore
 
 
 class TestFlowSpecParsing:
@@ -310,9 +311,32 @@ class TestCommands:
                 "--checkpoint", checkpoint]
         assert main(args) == 0
         capsys.readouterr()
-        # Second invocation resumes from the checkpoint (instant).
+        # Second invocation resumes from the store beside the
+        # checkpoint (instant).
+        assert ResultStore(checkpoint + ".store").stats().entries == 2
         assert main(args) == 0
         assert "delta_max" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cache_dir", [False, True])
+    def test_reused_checkpoint_serves_no_other_cca(self, tmp_path, capsys,
+                                                   cache_dir):
+        """Nothing resumes by point label: a BBR sweep on a Vegas
+        sweep's checkpoint writes a fresh BBR sweep's bytes."""
+        def sweep(cca, name, *extra):
+            out = tmp_path / name
+            assert main(["sweep", "--cca", cca, "--rates", "2,10",
+                         "--rm", "40", "--duration", "3",
+                         "--json", str(out), *extra]) == 0
+            return out.read_bytes()
+
+        reuse = ["--checkpoint", str(tmp_path / "ck.json")]
+        if cache_dir:
+            reuse += ["--cache-dir", str(tmp_path / "cache")]
+        vegas = sweep("vegas", "vegas.json", *reuse)
+        resumed = sweep("bbr", "resumed.json", *reuse)
+        fresh = sweep("bbr", "fresh.json")
+        assert resumed == fresh
+        assert fresh != vegas
 
     def test_sweep_retry_failures_reruns_failed_points(self, tmp_path,
                                                        capsys):
@@ -501,7 +525,9 @@ class TestSweepMaxFailures:
         out = capsys.readouterr().out
         assert "sweep aborted early (--max-failures 0)" in out
         assert "BudgetExceededError" in out
-        assert "checkpointed" in out
+        assert (f"completed points are in the store {checkpoint}.store "
+                f"and the failures in {checkpoint}") in out
+        assert "re-invoke with --retry-failures" in out
 
     def test_within_threshold_completes(self, capsys):
         code = main(["sweep", "--cca", "vegas", "--rates", "2,10",
@@ -561,7 +587,6 @@ class TestServiceCommands:
     @pytest.fixture
     def daemon(self, tmp_path):
         from repro.service import SweepService, serve_background
-        from repro.store import ResultStore
         service = SweepService(str(tmp_path / "jobs"),
                                ResultStore(str(tmp_path / "cache")))
         server = serve_background(service)

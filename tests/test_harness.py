@@ -14,6 +14,7 @@ from repro.errors import (BudgetExceededError, ConfigurationError,
                           SimulationError)
 from repro.sim.engine import Simulator
 from repro.spec import CCASpec, single_flow_scenario
+from repro.store import ResultStore
 
 from .conftest import livelock
 
@@ -155,19 +156,36 @@ def dispatch_point(params, budget):
     return scenario_point(params, budget)
 
 
+#: Params of every :func:`spied_point` call. A module-level worker keeps
+#: one task name, and so one cache key, from one sweep to the next.
+SPIED = []
+
+
+def spied_point(params, budget):
+    SPIED.append(params)
+    return dispatch_point(params, budget)
+
+
+@pytest.fixture
+def calls():
+    SPIED.clear()
+    yield SPIED
+    SPIED.clear()
+
+
 class TestResilientSweep:
-    def test_failed_point_recorded_not_fatal(self, tmp_path):
+    def test_failed_point_recorded_not_fatal(self, tmp_path, calls):
         """Acceptance: a grid containing one livelocked configuration
         completes, records that point as a RunFailure with a
-        machine-readable reason, checkpoints partial results to JSON,
-        and resumes from the checkpoint on re-invocation."""
+        machine-readable reason, keeps completed results in the store
+        beside the checkpoint, and resumes on re-invocation."""
         checkpoint = str(tmp_path / "sweep.json")
         grid = [("good-2", {"rate_mbps": 2.0}),
                 ("livelocked", {"livelock": True}),
                 ("good-10", {"rate_mbps": 10.0})]
         budget = RunBudget(max_events=200_000, wall_clock=30.0)
 
-        sweep = ResilientSweep(dispatch_point, budget=budget,
+        sweep = ResilientSweep(spied_point, budget=budget,
                                checkpoint_path=checkpoint)
         outcome = sweep.run(grid)
 
@@ -183,65 +201,101 @@ class TestResilientSweep:
         assert "budget of 200000 events" in failure.message
         assert failure.params == {"livelock": True}
 
-        # Partial results landed in the JSON checkpoint.
+        # The checkpoint holds the failure only; the results are in
+        # the store beside it.
         with open(checkpoint) as fh:
             data = json.load(fh)
-        assert set(data["completed"]) == {"good-2", "good-10"}
-        assert data["failures"][0]["reason"] == "BudgetExceededError"
+        assert data == {"version": 3, "failures": [failure.to_json()]}
+        assert ResultStore(checkpoint + ".store").stats().entries == 2
 
         # Re-invocation resumes: nothing is re-run.
-        calls = []
-
-        def counting_point(params, budget):
-            calls.append(params)
-            return dispatch_point(params, budget)
-
-        resumed = ResilientSweep(counting_point, budget=budget,
+        calls.clear()
+        resumed = ResilientSweep(spied_point, budget=budget,
                                  checkpoint_path=checkpoint).run(grid)
         assert calls == []
-        assert resumed.resumed == 3
-        assert set(resumed.completed) == {"good-2", "good-10"}
-        assert resumed.failures[0].key == "livelocked"
+        assert (resumed.hits, resumed.misses) == (2, 0)
+        assert resumed.completed == outcome.completed
+        assert resumed.failures == outcome.failures
 
-    def test_interrupted_sweep_resumes_mid_grid(self, tmp_path):
+    def test_interrupted_sweep_resumes_mid_grid(self, tmp_path, calls):
         checkpoint = str(tmp_path / "sweep.json")
-        full_grid = [(f"p{i}", {"rate_mbps": 2.0}) for i in range(4)]
+        full_grid = [(f"p{i}", {"rate_mbps": 2.0 + i}) for i in range(4)]
         budget = RunBudget(max_events=500_000)
 
         # "Interrupted" after the first two points.
-        ResilientSweep(scenario_point, budget=budget,
+        ResilientSweep(spied_point, budget=budget,
                        checkpoint_path=checkpoint).run(full_grid[:2])
 
-        calls = []
-
-        def counting_point(params, budget):
-            calls.append(params)
-            return scenario_point(params, budget)
-
-        outcome = ResilientSweep(counting_point, budget=budget,
+        calls.clear()
+        outcome = ResilientSweep(spied_point, budget=budget,
                                  checkpoint_path=checkpoint).run(full_grid)
-        assert len(calls) == 2                 # only p2, p3 ran
-        assert outcome.resumed == 2
+        assert calls == [params for _, params in full_grid[2:]]
+        assert (outcome.hits, outcome.misses) == (2, 2)
         assert set(outcome.completed) == {"p0", "p1", "p2", "p3"}
+
+    def test_changed_params_under_the_same_keys_resimulate(self, tmp_path,
+                                                           calls):
+        """A checkpoint serves nothing by key: the same point keys with
+        another seed are another experiment, and they run."""
+        checkpoint = str(tmp_path / "sweep.json")
+        budget = RunBudget(max_events=500_000)
+        grid = [(f"p{i}", {"rate_mbps": 2.0 + i}) for i in range(2)]
+        ResilientSweep(spied_point, budget=budget,
+                       checkpoint_path=checkpoint).run(grid)
+        reseeded = [(key, {**params, "seed": 5}) for key, params in grid]
+        calls.clear()
+        outcome = ResilientSweep(spied_point, budget=budget,
+                                 checkpoint_path=checkpoint).run(reseeded)
+        assert calls == [params for _, params in reseeded]
+        assert (outcome.hits, outcome.misses) == (0, 2)
+
+    def test_resumed_sweep_equals_a_fresh_one_for_another_seed(
+            self, tmp_path):
+        checkpoint = str(tmp_path / "curve.json")
+        kwargs = dict(rm=units.ms(40), duration=3.0)
+        sweep_rate_delay("bbr", [2.0], seed=0, checkpoint_path=checkpoint,
+                         **kwargs)
+        resumed = sweep_rate_delay("bbr", [2.0], seed=5,
+                                   checkpoint_path=checkpoint, **kwargs)
+        fresh = sweep_rate_delay("bbr", [2.0], seed=5, **kwargs)
+        assert fresh.to_json() != sweep_rate_delay(
+            "bbr", [2.0], seed=0, **kwargs).to_json()
+        assert resumed.to_json() == fresh.to_json()
 
     def test_retry_failures_on_resume(self, tmp_path):
         checkpoint = str(tmp_path / "sweep.json")
-        budget = RunBudget(max_events=10_000)
-        grid = [("flaky", {"livelock": True})]
-        first = ResilientSweep(dispatch_point, budget=budget,
+        grid = [("flaky", {"rate_mbps": 2.0})]
+        first = ResilientSweep(dispatch_point,
+                               budget=RunBudget(max_events=100),
                                checkpoint_path=checkpoint).run(grid)
         assert first.failures
 
-        # Without the flag the failure is remembered, with it, re-run.
-        healthy = [("flaky", {"rate_mbps": 2.0})]
-        kept = ResilientSweep(dispatch_point, budget=budget,
-                              checkpoint_path=checkpoint).run(healthy)
-        assert kept.failures and not kept.completed
+        # A budget is not part of a point: without the flag the
+        # failure is remembered under the raised one, with it, re-run.
+        roomy = RunBudget(max_events=500_000)
+        kept = ResilientSweep(dispatch_point, budget=roomy,
+                              checkpoint_path=checkpoint).run(grid)
+        assert kept.failures == first.failures and not kept.completed
         retried = ResilientSweep(
-            dispatch_point, budget=budget, checkpoint_path=checkpoint,
-            retry_failures_on_resume=True).run(healthy)
+            dispatch_point, budget=roomy, checkpoint_path=checkpoint,
+            retry_failures_on_resume=True).run(grid)
         assert not retried.failures
         assert "flaky" in retried.completed
+        with open(checkpoint) as fh:
+            assert json.load(fh) == {"version": 3, "failures": []}
+
+    def test_failure_record_skips_only_its_own_params(self, tmp_path):
+        checkpoint = str(tmp_path / "sweep.json")
+        budget = RunBudget(max_events=10_000)
+        ResilientSweep(dispatch_point, budget=budget,
+                       checkpoint_path=checkpoint).run(
+                           [("flaky", {"livelock": True})])
+        # Same key, other params: the record is another point's.
+        outcome = ResilientSweep(dispatch_point, budget=budget,
+                                 checkpoint_path=checkpoint).run(
+                                     [("flaky", {"rate_mbps": 2.0})])
+        assert not outcome.failures
+        assert "flaky" in outcome.completed
 
     def test_corrupt_checkpoint_tolerated(self, tmp_path):
         checkpoint = tmp_path / "sweep.json"
@@ -352,12 +406,12 @@ class TestMaxFailures:
                                max_failures=1)
         with pytest.raises(SweepAbortedError, match="max_failures=1"):
             sweep.run(grid)
-        # The checkpoint was flushed before the raise: the completed
-        # prefix and both failure records survive for a resume.
+        # Both failure records and the completed prefix landed before
+        # the raise and survive for a resume.
         with open(checkpoint) as fh:
             saved = json.load(fh)
-        assert "p0" in saved["completed"]
         assert [f["key"] for f in saved["failures"]] == ["p1", "p2"]
+        assert ResultStore(checkpoint + ".store").stats().entries == 1
 
     def test_abort_error_carries_failures(self):
         from repro.errors import SweepAbortedError
@@ -384,21 +438,16 @@ class TestMaxFailures:
         with pytest.raises(ValueError, match="max_failures"):
             ResilientSweep(dispatch_point, max_failures=-1)
 
-    def test_resume_counts_checkpointed_failures(self, tmp_path):
+    def test_resume_counts_checkpointed_failures(self, tmp_path, calls):
         from repro.errors import SweepAbortedError
         checkpoint = str(tmp_path / "ck.json")
-        grid = self.grid({"livelock": True}, {})
-        ResilientSweep(dispatch_point, budget=self.BUDGET,
-                       checkpoint_path=checkpoint).run(grid)
+        grid = self.grid({"livelock": True}, {"rate_mbps": 3.0})
+        ResilientSweep(spied_point, budget=self.BUDGET,
+                       checkpoint_path=checkpoint).run(grid[:1])
         # Resuming under a now-exceeded threshold aborts before
-        # re-running anything.
-        calls = []
-
-        def counting_point(params, budget):
-            calls.append(params)
-            return dispatch_point(params, budget)
-
-        sweep = ResilientSweep(counting_point, budget=self.BUDGET,
+        # running anything.
+        calls.clear()
+        sweep = ResilientSweep(spied_point, budget=self.BUDGET,
                                checkpoint_path=checkpoint,
                                max_failures=0)
         with pytest.raises(SweepAbortedError):

@@ -349,8 +349,8 @@ class TestCompetitionMatrix:
                       cache_dir=str(tmp_path / "cache"))
         cold = competition_matrix(**kwargs)
         warm = competition_matrix(**kwargs)
-        assert cold.cache == {"hits": 0, "misses": 3, "resumed": 0}
-        assert warm.cache == {"hits": 3, "misses": 0, "resumed": 0}
+        assert cold.cache == {"hits": 0, "misses": 3}
+        assert warm.cache == {"hits": 3, "misses": 0}
         assert json.dumps(cold.to_json(), sort_keys=True) \
             == json.dumps(warm.to_json(), sort_keys=True)
         assert not cold.failures
