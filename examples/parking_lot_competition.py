@@ -15,19 +15,22 @@ traffic at each hop:
 The long flow pays the parking-lot tax (it must win at *both* queues)
 while each Cubic flow only contends at one; the per-pair throughput
 ratio shows how far from proportional fairness the outcome lands. A
-second panel runs the same topology through the competition-matrix
-helper to put numbers on every pairing at once.
+second panel compiles the same topology into a competition matrix
+(the plan ``repro matrix --topology`` runs) to put numbers on every
+pairing at once.
 
 Run:  python examples/parking_lot_competition.py
 """
 
 from repro import units
-from repro.analysis.competition import competition_matrix
+from repro.analysis.competition import compile_matrix_plan
+from repro.analysis.plan import run_plan
 from repro.analysis.report import describe_run
 from repro.spec import (CCASpec, FlowSpec, ScenarioSpec,
                         parking_lot_topology)
 
-RM = units.ms(40)
+RM_MS = 40.0
+RM = units.ms(RM_MS)
 DURATION = 30.0
 TOPOLOGY = parking_lot_topology(
     [units.mbps(20), units.mbps(16)], buffer_bdp=4.0)
@@ -51,9 +54,10 @@ def long_vs_cross_traffic():
 
 def pairwise_matrix():
     """Every BBR/Cubic pairing as long flows over the same lot."""
-    return competition_matrix(
-        ["bbr", "cubic"], rate=units.mbps(20), rm=RM,
-        duration=DURATION, seed=1, topology=TOPOLOGY)
+    _, matrix = run_plan(compile_matrix_plan(
+        ["bbr", "cubic"], rate_mbps=20.0, rm_ms=RM_MS,
+        duration=DURATION, seed=1, topology=TOPOLOGY.to_json()))
+    return matrix
 
 
 def main():

@@ -9,9 +9,10 @@ resulting per-pair goodputs are distilled into Jain's index and the
 paper-style max/min throughput ratio.
 
 Execution rides the same pipeline as rate sweeps
-(:mod:`repro.analysis.plan`): :func:`competition_plan` pairs the grid
-of serialized :class:`~repro.spec.ScenarioSpec` documents with its
-worker and assembler, and the plan runs through one
+(:mod:`repro.analysis.plan`): :func:`compile_matrix_plan` compiles a
+matrix parameter document into the plan that pairs the grid of
+serialized :class:`~repro.spec.ScenarioSpec` documents with its worker
+and assembler, and ``run_plan(plan, ...)`` runs it through one
 :class:`~repro.analysis.harness.ResilientSweep`, so ``jobs=N`` fans
 pairs out over worker processes bit-identically to a serial run, the
 content-addressed store caches finished pairs, and a failed pair lands
@@ -37,7 +38,7 @@ from ..spec import (CCASpec, FlowSpec, LinkSpec, ScenarioSpec,
                     TopologySpec, derive_seed)
 from ..spec.elements import _check_number
 from .harness import RunBudget, RunFailure
-from .plan import JobPlan, check_window, run_plan
+from .plan import JobPlan, check_window
 from .report import format_table
 
 
@@ -83,7 +84,7 @@ class CompetitionMatrix:
     cells: Dict[str, Dict[str, Any]]
     #: A pair is flagged starved when its max/min throughput ratio
     #: meets this bound (or one flow moved no bytes at all).
-    starve_threshold: float = 50.0
+    starve_threshold: float
     failures: List[RunFailure] = field(default_factory=list)
     #: Cache accounting ({"hits", "misses"}) when run
     #: against a result store; None otherwise.
@@ -170,22 +171,21 @@ class CompetitionMatrix:
         return "\n".join(lines)
 
 
-def build_matrix_points(ccas: Sequence[str], rate: float, rm: float,
-                        duration: float = 30.0,
-                        warmup_fraction: float = 0.5,
-                        mss: int = 1500,
-                        seed: int = 0,
-                        topology: Optional[TopologySpec] = None,
-                        ) -> List[Any]:
-    """The declarative pair grid one competition matrix executes.
+def competition_plan(*, ccas: Sequence[str], rate: float, rm: float,
+                     duration: float, warmup_fraction: float, mss: int,
+                     seed: int, starve_threshold: float,
+                     topology: Optional[TopologySpec]) -> JobPlan:
+    """Pair the grid, its worker and its matrix assembler (SI units).
 
-    Each point is ``(pair_key(a, b), params)`` ready for
-    :func:`run_competition_point` — the same construction
-    :func:`competition_matrix` uses, exposed so the sweep service can
-    probe cache keys or run the identical grid itself. Per-pair seeds
-    are ``derive_seed(seed, "matrix", a, b)``, independent of execution
+    Every unordered pair of ``ccas`` (self-pairs included) shares a
+    bottleneck of ``rate`` bytes/s: the dumbbell, or ``topology`` with
+    its *first* link's rate replaced (both flows route over every
+    link). Each point is ``(pair_key(a, b), params)`` for
+    :func:`run_competition_point`, its scenario seeded
+    ``derive_seed(seed, "matrix", a, b)``, independent of execution
     order.
     """
+    _check_number("starve_threshold", starve_threshold, positive=True)
     names = list(ccas)
     if len(names) < 1:
         raise ConfigurationError("competition matrix needs >= 1 CCA")
@@ -193,11 +193,11 @@ def build_matrix_points(ccas: Sequence[str], rate: float, rm: float,
     if len(set(names)) != len(names):
         raise ConfigurationError(f"duplicate CCA names: {names}")
     check_window(duration, warmup_fraction)
-    base_topology = None
+    link = None
     if topology is not None:
-        base_topology = topology.with_link_rate(topology.links[0].id,
-                                                rate)
-    warmup = duration * warmup_fraction
+        topology = topology.with_link_rate(topology.links[0].id, rate)
+    else:
+        link = LinkSpec(rate=rate)
     points = []
     for i, (a, cca_a) in enumerate(zip(names, specs)):
         for b, cca_b in zip(names[i:], specs[i:]):
@@ -205,33 +205,13 @@ def build_matrix_points(ccas: Sequence[str], rate: float, rm: float,
                 FlowSpec(cca=cca_a, rm=rm, mss=mss, label=f"{a}#0"),
                 FlowSpec(cca=cca_b, rm=rm, mss=mss, label=f"{b}#1"),
             )
-            if base_topology is not None:
-                spec = ScenarioSpec(topology=base_topology, flows=flows,
-                                    seed=derive_seed(seed, "matrix", a, b))
-            else:
-                spec = ScenarioSpec(link=LinkSpec(rate=rate), flows=flows,
-                                    seed=derive_seed(seed, "matrix", a, b))
+            spec = ScenarioSpec(link=link, topology=topology, flows=flows,
+                                seed=derive_seed(seed, "matrix", a, b))
             points.append((pair_key(a, b), {
                 "scenario": spec.to_json(),
                 "duration": duration,
-                "warmup": warmup,
+                "warmup": duration * warmup_fraction,
             }))
-    return points
-
-
-def competition_plan(ccas: Sequence[str], rate: float, rm: float,
-                     duration: float = 30.0,
-                     warmup_fraction: float = 0.5,
-                     mss: int = 1500,
-                     seed: int = 0,
-                     starve_threshold: float = 50.0,
-                     topology: Optional[TopologySpec] = None) -> JobPlan:
-    """Pair the grid, its worker and its matrix assembler (SI units)."""
-    _check_number("starve_threshold", starve_threshold, positive=True)
-    names = list(ccas)
-    points = build_matrix_points(names, rate, rm, duration=duration,
-                                 warmup_fraction=warmup_fraction,
-                                 mss=mss, seed=seed, topology=topology)
 
     def assemble(outcome: Any) -> CompetitionMatrix:
         return CompetitionMatrix(
@@ -252,64 +232,17 @@ def compile_matrix_plan(ccas: Sequence[str], rate_mbps: float,
                         ) -> JobPlan:
     """Compile a matrix parameter document into its plan.
 
-    The keywords are exactly the normalized matrix
-    :class:`~repro.service.jobs.JobSpec` params — the one vocabulary the
-    CLI flags, a submitted job and this compiler share. ``topology`` is
-    a serialized :class:`TopologySpec`.
+    The one declaration of a matrix's parameters: the normalized
+    :class:`~repro.service.jobs.JobSpec` reads its fields and defaults
+    from this signature, and ``repro matrix`` / ``repro submit matrix``
+    describe the same document. ``topology`` is a serialized
+    :class:`TopologySpec`; ``starve_threshold`` is the max/min
+    throughput ratio at which a pair is flagged starved (50 is a
+    paper-scale "not s-fair for practical s").
     """
     return competition_plan(
-        ccas, units.mbps(rate_mbps), units.ms(rm_ms), duration=duration,
-        warmup_fraction=warmup_fraction, mss=mss, seed=seed,
-        starve_threshold=starve_threshold,
+        ccas=ccas, rate=units.mbps(rate_mbps), rm=units.ms(rm_ms),
+        duration=duration, warmup_fraction=warmup_fraction, mss=mss,
+        seed=seed, starve_threshold=starve_threshold,
         topology=(None if topology is None
                   else TopologySpec.from_json(topology)))
-
-
-def competition_matrix(ccas: Sequence[str], rate: float, rm: float,
-                       duration: float = 30.0,
-                       warmup_fraction: float = 0.5,
-                       mss: int = 1500,
-                       seed: int = 0,
-                       starve_threshold: float = 50.0,
-                       topology: Optional[TopologySpec] = None,
-                       budget: Optional[RunBudget] = None,
-                       backend: Optional[object] = None,
-                       jobs: Optional[int] = None,
-                       store: Optional[object] = None,
-                       cache_dir: Optional[str] = None,
-                       refresh: bool = False,
-                       crash_dir: Optional[str] = None,
-                       checkpoint_path: Optional[str] = None,
-                       max_failures: Optional[int] = None
-                       ) -> CompetitionMatrix:
-    """Run every unordered CCA pair (incl. self-pairs) head-to-head.
-
-    Args:
-        ccas: CCA registry names (``repro.ccas.registry``); duplicates
-            are rejected because pair keys must be unique.
-        rate: bottleneck rate in bytes/s. With a ``topology`` this
-            overrides the *first* link's rate (the designated
-            bottleneck); other links keep their declared rates.
-        rm: both flows' propagation RTT, seconds.
-        topology: optional multi-bottleneck graph to compete over —
-            e.g. :func:`repro.spec.parking_lot_topology`. Both flows
-            route over every link in declaration order. Default: the
-            legacy single-queue dumbbell.
-        seed: root seed; each pair derives its scenario seed as
-            ``derive_seed(seed, "matrix", a, b)``, independent of
-            execution order and backend.
-        starve_threshold: throughput ratio at which a pair is flagged
-            starved (50 is a paper-scale "not s-fair for practical s").
-        backend/jobs/store/cache_dir/refresh/crash_dir/checkpoint_path/
-        max_failures: exactly as in
-            :func:`repro.analysis.sweep.sweep_rate_delay`.
-    """
-    plan = competition_plan(
-        ccas, rate, rm, duration=duration,
-        warmup_fraction=warmup_fraction, mss=mss, seed=seed,
-        starve_threshold=starve_threshold, topology=topology)
-    _, matrix = run_plan(
-        plan, budget=budget, backend=backend, jobs=jobs, store=store,
-        cache_dir=cache_dir, checkpoint_path=checkpoint_path,
-        refresh=refresh, crash_dir=crash_dir, max_failures=max_failures)
-    return matrix

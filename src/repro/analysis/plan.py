@@ -1,8 +1,8 @@
 """The one grid pipeline: compile to a plan, run the plan, render.
 
-``repro sweep`` / ``repro matrix``, the library's ``sweep_rate_delay``
-/ ``competition_matrix`` and every sweep-service job take the same
-steps: a compiler (:func:`~repro.analysis.sweep.compile_sweep_plan`,
+``repro sweep`` / ``repro matrix``, the library and every
+sweep-service job take the same steps: a compiler
+(:func:`~repro.analysis.sweep.compile_sweep_plan`,
 :func:`~repro.analysis.competition.compile_matrix_plan`) pairs the grid
 points with their worker and assembler in a :class:`JobPlan`,
 :func:`run_plan` executes it through one

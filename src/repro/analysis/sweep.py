@@ -17,8 +17,7 @@ the CCA declaratively — a registry string or
 workers as a serialized :class:`~repro.spec.ScenarioSpec`, so
 ``jobs=N`` scales with cores while staying bit-identical to a serial
 run (per-point seeds derive from the root ``seed`` and the grid key,
-never from execution order). A class or factory registered in
-:mod:`repro.ccas.registry` is accepted as shorthand for its name.
+never from execution order).
 
 :func:`rate_delay_plan` is the one place the grid builder, the worker
 and the curve assembler are paired (see :mod:`repro.analysis.plan`);
@@ -29,20 +28,17 @@ the plan it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import units
-from ..ccas import registry
 from ..errors import ConfigurationError
 from ..spec import CCASpec, ScenarioSpec, derive_seed, single_flow_scenario
 from ..spec.elements import _check_number
 from .harness import RunBudget, RunFailure
 from .plan import JobPlan, check_window, run_plan
 
-#: What callers may sweep: a registry name, a CCASpec, or a class /
-#: factory registered in :mod:`repro.ccas.registry`.
-CCALike = Union[str, CCASpec, Callable[..., object]]
+#: What callers may sweep: a registry name or a CCASpec.
+CCALike = Union[str, CCASpec]
 
 
 @dataclass
@@ -130,18 +126,10 @@ def _as_cca_spec(cca: Optional[CCALike]) -> CCASpec:
         return cca
     if isinstance(cca, str):
         return CCASpec(cca)
-    # A registered class is found by its path, importing no CCA.
-    path = (f"{getattr(cca, '__module__', '')}:"
-            f"{getattr(cca, '__qualname__', '')}")
-    for name in registry.names():
-        if registry.entry(name).path == path:
-            return CCASpec(name)
     raise ConfigurationError(
-        f"sweeps need a declarative CCA (a registry name, a CCASpec or "
-        f"a registered class) or a ScenarioSpec template, got {cca!r} "
-        f"— a closure cannot cross process boundaries or be part of a "
-        f"stable cache key; give it a name with "
-        f"repro.ccas.registry.register() first")
+        f"sweeps need a declarative CCA (a registry name or a CCASpec) "
+        f"or a ScenarioSpec template, got {cca!r}; give a CCA class a "
+        f"row with repro.ccas.registry.register() and sweep its name")
 
 
 def build_rate_delay_points(cca: Optional[CCALike],
@@ -190,14 +178,11 @@ def build_rate_delay_points(cca: Optional[CCALike],
     return label, points
 
 
-def rate_delay_plan(cca: Optional[CCALike],
+def rate_delay_plan(*, cca: Optional[CCALike],
                     link_rates_mbps: Sequence[float], rm: float,
-                    label: str = "",
-                    duration: Optional[float] = None,
-                    warmup_fraction: float = 0.5,
-                    mss: int = 1500,
-                    seed: int = 0,
-                    template: Optional[ScenarioSpec] = None) -> JobPlan:
+                    label: str, duration: Optional[float],
+                    warmup_fraction: float, mss: int, seed: int,
+                    template: Optional[ScenarioSpec]) -> JobPlan:
     """Pair the grid, its worker and its curve assembler (SI units)."""
     built_label, points = build_rate_delay_points(
         cca, link_rates_mbps, rm, duration=duration,
@@ -223,14 +208,16 @@ def compile_sweep_plan(cca: str, rates_mbps: Sequence[float],
                        ) -> JobPlan:
     """Compile a sweep parameter document into its plan.
 
-    The keywords are exactly the normalized sweep
-    :class:`~repro.service.jobs.JobSpec` params — the one vocabulary the
-    CLI flags, a submitted job and this compiler share. ``template`` is
-    a serialized :class:`ScenarioSpec`; the curve is labelled by
-    ``cca`` either way.
+    The one declaration of a sweep's parameters: the normalized
+    :class:`~repro.service.jobs.JobSpec` reads its fields and defaults
+    from this signature, and ``repro sweep`` / ``repro submit sweep``
+    describe the same document. ``duration`` None scales each point's
+    run with :func:`default_run_time`. ``template`` is a serialized
+    :class:`ScenarioSpec`; the curve is labelled by ``cca`` either way.
     """
     return rate_delay_plan(
-        cca, rates_mbps, units.ms(rm_ms), label=cca, duration=duration,
+        cca=cca, link_rates_mbps=rates_mbps, rm=units.ms(rm_ms),
+        label=cca, duration=duration,
         warmup_fraction=warmup_fraction, mss=mss, seed=seed,
         template=(None if template is None
                   else ScenarioSpec.from_json(template)))
@@ -258,10 +245,9 @@ def sweep_rate_delay(cca_factory: CCALike,
     """Measure the equilibrium RTT range across link rates.
 
     Args:
-        cca_factory: the CCA to sweep — a registry name (``"vegas"``),
-            a :class:`~repro.spec.CCASpec` (``CCASpec("bbr",
-            {"seed": 3})``), or a class registered in
-            :mod:`repro.ccas.registry` (``Vegas``).
+        cca_factory: the CCA to sweep — a registry name (``"vegas"``)
+            or a :class:`~repro.spec.CCASpec` (``CCASpec("bbr",
+            {"seed": 3})``).
         link_rates_mbps: sweep grid in Mbit/s (the paper uses
             0.1 .. 100).
         rm: propagation RTT (the paper's Figure 3 uses 100 ms).
@@ -307,9 +293,9 @@ def sweep_rate_delay(cca_factory: CCALike,
             first failure; ``None`` = never, the default).
     """
     plan = rate_delay_plan(
-        cca_factory, link_rates_mbps, rm, label=label, duration=duration,
-        warmup_fraction=warmup_fraction, mss=mss, seed=seed,
-        template=template)
+        cca=cca_factory, link_rates_mbps=link_rates_mbps, rm=rm,
+        label=label, duration=duration, warmup_fraction=warmup_fraction,
+        mss=mss, seed=seed, template=template)
     _, curve = run_plan(
         plan, budget=budget, backend=backend, jobs=jobs, store=store,
         cache_dir=cache_dir, checkpoint_path=checkpoint_path,

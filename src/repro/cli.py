@@ -53,10 +53,12 @@ reproducible crash bundle (params + seed + traceback + budget; see
 exactly — and ``--invariants off|warn|strict`` sets the runtime
 invariant sentinel mode (:mod:`repro.sim.invariants`).
 
-``sweep``/``matrix`` also accept ``--checkpoint PATH``: a re-invoked
-grid serves its completed points from the store (``--cache-dir``, or
+``sweep`` also accepts ``--checkpoint PATH``: a re-invoked sweep
+serves its completed points from the store (``--cache-dir``, or
 ``PATH.store`` without one) and ``PATH`` remembers only the failed
-points, which ``sweep --retry-failures`` runs again.
+points, which ``--retry-failures`` runs again. A ``matrix`` resumes
+from its ``--cache-dir`` store alone, and runs a failed pair again on
+every invocation.
 
 Every command prints an ASCII report; nothing is written to disk unless
 ``--checkpoint``/``--json``/``--dump-spec``/``--cache-dir`` asks for it.
@@ -526,20 +528,17 @@ def _add_grid_flags(parser: argparse.ArgumentParser, unit: str,
     parser.add_argument(
         "--json", default=None, metavar="PATH",
         help=f"also write the result ({unit}s + failures) as JSON")
-    parser.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help=f"JSON file of failed {unit}s; without --cache-dir, "
-             f"completed {unit}s are stored in PATH.store and a "
-             f"re-invocation serves them from there")
     _add_budget_flags(parser, unit, on_excess)
     _add_cache_flags(parser)
     _add_robustness_flags(parser)
 
 
-def _run_grid(args: argparse.Namespace, compiler: Any) -> Any:
+def _run_grid(args: argparse.Namespace, compiler: Any,
+              **resume: Any) -> Any:
     """Compile the flags' parameter document and run its plan the way
-    the sweep/matrix flags ask; returns the assembled result, or None
-    when ``--max-failures`` aborted the grid."""
+    the sweep/matrix flags ask (``resume``: the sweep's checkpoint
+    keywords for :func:`run_plan`); returns the assembled result, or
+    None when ``--max-failures`` aborted the grid."""
     store = _cache_store(args)
     try:
         outcome, result = run_plan(
@@ -548,10 +547,7 @@ def _run_grid(args: argparse.Namespace, compiler: Any) -> Any:
                              wall_clock=args.wall_clock),
             jobs=args.jobs,
             store=store, refresh=args.force, crash_dir=args.crash_dir,
-            checkpoint_path=args.checkpoint,
-            retry_failures_on_resume=getattr(args, "retry_failures",
-                                             False),
-            max_failures=args.max_failures)
+            max_failures=args.max_failures, **resume)
     except SweepAbortedError as exc:
         print(f"{args.command} aborted early (--max-failures "
               f"{args.max_failures}):")
@@ -565,7 +561,9 @@ def _run_grid(args: argparse.Namespace, compiler: Any) -> Any:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     _apply_invariants(args)
-    curve = _run_grid(args, compile_sweep_plan)
+    curve = _run_grid(args, compile_sweep_plan,
+                      checkpoint_path=args.checkpoint,
+                      retry_failures_on_resume=args.retry_failures)
     if curve is None:
         if args.checkpoint:
             store = (args.cache_dir if args.cache_dir and not args.no_cache
@@ -975,6 +973,11 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="rate-delay curve (Figure 3)")
     _add_sweep_args(sweep_parser)
     _add_grid_flags(sweep_parser, "point", "abort the sweep")
+    sweep_parser.add_argument(
+        "--checkpoint", default=None, metavar="PATH",
+        help="JSON file of failed points; without --cache-dir, "
+             "completed points are stored in PATH.store and a "
+             "re-invocation serves them from there")
     sweep_parser.add_argument(
         "--retry-failures", action="store_true",
         help="re-run checkpointed failed points (e.g. after raising "

@@ -8,7 +8,10 @@ a daemon restart. The moving parts:
 * :class:`JobSpec` — the normalized request. Normalization (JSON shape
   checked, defaults filled in, numbers coerced) happens at construction
   so two documents describing the same experiment serialize identically
-  and therefore share one content-derived :func:`job_id`.
+  and therefore share one content-derived :func:`job_id`. The field
+  names, which of them are required, and every default come from the
+  kind's compiler signature (:data:`COMPILERS`), so a parameter is
+  declared once.
 * :func:`build_plan` — hands the spec's params to the plan compiler
   for its kind (:func:`repro.analysis.sweep.compile_sweep_plan` /
   :func:`repro.analysis.competition.compile_matrix_plan`), the same
@@ -29,6 +32,7 @@ a daemon restart. The moving parts:
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import threading
@@ -58,8 +62,10 @@ STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED, DEAD)
 #: States a job cannot leave without being resubmitted.
 TERMINAL = (DONE, FAILED, CANCELLED, DEAD)
 
-#: The spec kinds the service executes.
-KINDS = ("sweep", "matrix")
+#: Every job kind and the plan compiler that runs it. A compiler's
+#: signature is the one declaration of its kind's parameters: their
+#: names, which are required, and every default.
+COMPILERS = {"sweep": compile_sweep_plan, "matrix": compile_matrix_plan}
 
 #: The task identity hashed into every job id (versioned with the code
 #: fingerprint, so ids roll over when result-affecting code changes).
@@ -88,11 +94,40 @@ def _array(value: Any, name: str) -> List[Any]:
     return list(value)
 
 
-def _object_or_none(value: Any, name: str) -> Optional[Dict[str, Any]]:
-    if value is not None and not isinstance(value, dict):
+def _numbers(value: Any, name: str) -> List[float]:
+    return [_number(item, f"{name}[]") for item in _array(value, name)]
+
+
+def _object(value: Any, name: str) -> Dict[str, Any]:
+    if not isinstance(value, dict):
         raise ServiceError(
             f"{name} must be a JSON object or null, got {value!r}")
     return value
+
+
+def _string(value: Any, name: str) -> str:
+    if not isinstance(value, str):
+        raise ServiceError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+#: The JSON shape of every compiler parameter (``CCASpec`` checks a CCA
+#: name when the plan compiles).
+_SHAPES = {
+    "cca": _string, "ccas": _array, "rates_mbps": _numbers,
+    "rate_mbps": _number, "rm_ms": _number, "duration": _number,
+    "warmup_fraction": _number, "starve_threshold": _number,
+    "seed": _integer, "mss": _integer,
+    "template": _object, "topology": _object,
+}
+
+_REQUIRED = inspect.Parameter.empty
+
+#: ``{kind: {field: (shape, default)}}`` in signature order, read once.
+_FIELDS = {
+    kind: {name: (_SHAPES[name], param.default)
+           for name, param in inspect.signature(compiler).parameters.items()}
+    for kind, compiler in COMPILERS.items()}
 
 
 @dataclass(frozen=True)
@@ -100,22 +135,13 @@ class JobSpec:
     """A normalized service request (values are checked by
     :func:`build_plan`, which submit runs before it accepts a job).
 
-    ``kind`` selects the grid family; ``params`` is the normalized
-    parameter document (every default filled in explicitly, so the
-    JSON form — and therefore the content-derived job id — is a pure
-    function of the experiment, not of which optional keys the client
-    happened to send).
-
-    Sweep params: ``cca`` (registry name), ``rates_mbps`` (grid),
-    ``rm_ms``, ``duration`` (None = per-point default), ``seed``,
-    ``warmup_fraction``, ``mss``, optional ``template`` (a serialized
-    :class:`~repro.spec.ScenarioSpec` swept over the grid instead of a
-    fresh single-flow scenario).
-
-    Matrix params: ``ccas`` (list), ``rate_mbps``, ``rm_ms``,
-    ``duration``, ``seed``, ``warmup_fraction``, ``mss``,
-    ``starve_threshold``, optional ``topology`` (a serialized
-    :class:`~repro.spec.TopologySpec`).
+    ``kind`` selects the grid family; ``params`` holds exactly the
+    keywords of that kind's compiler (:data:`COMPILERS`), every default
+    filled in explicitly, so the JSON form — and therefore the
+    content-derived job id — is a pure function of the experiment, not
+    of which optional keys the client happened to send. ``template`` /
+    ``topology`` are a serialized :class:`~repro.spec.ScenarioSpec` /
+    :class:`~repro.spec.TopologySpec`.
     """
 
     kind: str
@@ -123,69 +149,42 @@ class JobSpec:
 
     @staticmethod
     def sweep(cca: str, rates_mbps: List[float], rm_ms: float,
-              duration: Optional[float] = None, seed: int = 0,
-              warmup_fraction: float = 0.5, mss: int = 1500,
-              template: Optional[Dict[str, Any]] = None) -> "JobSpec":
-        return JobSpec("sweep", {
-            "cca": cca,
-            "rates_mbps": [_number(r, "rates_mbps[]")
-                           for r in _array(rates_mbps, "rates_mbps")],
-            "rm_ms": _number(rm_ms, "rm_ms"),
-            "duration": None if duration is None
-            else _number(duration, "duration"),
-            "seed": _integer(seed, "seed"),
-            "warmup_fraction": _number(warmup_fraction, "warmup_fraction"),
-            "mss": _integer(mss, "mss"),
-            "template": _object_or_none(template, "template"),
-        })
-
-    @staticmethod
-    def matrix(ccas: List[str], rate_mbps: float, rm_ms: float,
-               duration: float = 30.0, seed: int = 0,
-               warmup_fraction: float = 0.5, mss: int = 1500,
-               starve_threshold: float = 50.0,
-               topology: Optional[Dict[str, Any]] = None) -> "JobSpec":
-        return JobSpec("matrix", {
-            "ccas": _array(ccas, "ccas"),
-            "rate_mbps": _number(rate_mbps, "rate_mbps"),
-            "rm_ms": _number(rm_ms, "rm_ms"),
-            "duration": _number(duration, "duration"),
-            "seed": _integer(seed, "seed"),
-            "warmup_fraction": _number(warmup_fraction, "warmup_fraction"),
-            "mss": _integer(mss, "mss"),
-            "starve_threshold": _number(starve_threshold,
-                                        "starve_threshold"),
-            "topology": _object_or_none(topology, "topology"),
-        })
+              **optional: Any) -> "JobSpec":
+        """A sweep spec from keywords, normalized as :meth:`from_json`."""
+        return JobSpec.from_json({"kind": "sweep", "cca": cca,
+                                  "rates_mbps": rates_mbps,
+                                  "rm_ms": rm_ms, **optional})
 
     @staticmethod
     def from_json(data: Any) -> "JobSpec":
-        """Normalize a client-submitted document into a JobSpec."""
+        """Normalize a client-submitted document into a JobSpec.
+
+        ``null`` stands for a field exactly where its compiler default
+        is None (a sweep's ``duration``, a ``template``).
+        """
         if not isinstance(data, dict):
             raise ServiceError(
                 f"job spec must be a JSON object, got {type(data).__name__}")
         kind = data.get("kind")
-        known = {
-            "sweep": (JobSpec.sweep,
-                      ("cca", "rates_mbps", "rm_ms", "duration", "seed",
-                       "warmup_fraction", "mss", "template")),
-            "matrix": (JobSpec.matrix,
-                       ("ccas", "rate_mbps", "rm_ms", "duration", "seed",
-                        "warmup_fraction", "mss", "starve_threshold",
-                        "topology")),
-        }
-        if kind not in known:
+        fields = _FIELDS.get(kind)
+        if fields is None:
             raise ServiceError(
-                f"job kind must be one of {KINDS}, got {kind!r}")
-        builder, fields = known[kind]
-        unknown = sorted(set(data) - set(fields) - {"kind"})
+                f"job kind must be one of {tuple(COMPILERS)}, got {kind!r}")
+        unknown = sorted(set(data) - fields.keys() - {"kind"})
         if unknown:
             raise ServiceError(f"unknown {kind} spec field(s): {unknown}")
-        kwargs = {key: data[key] for key in fields if key in data}
-        try:
-            return builder(**kwargs)
-        except TypeError as exc:
-            raise ServiceError(f"bad {kind} spec: {exc}")
+        params = {}
+        for name, (shape, default) in fields.items():
+            if name not in data:
+                if default is _REQUIRED:
+                    raise ServiceError(
+                        f"bad {kind} spec: missing field {name!r}")
+                params[name] = default
+            elif data[name] is None and default is None:
+                params[name] = None
+            else:
+                params[name] = shape(data[name], name)
+        return JobSpec(kind, params)
 
     def to_json(self) -> Dict[str, Any]:
         return {"kind": self.kind, **self.params}
@@ -212,10 +211,8 @@ def build_plan(spec: JobSpec) -> JobPlan:
     byte-identical to a local run of the same parameters — the service
     adds a transport, never a new semantics.
     """
-    compilers = {"sweep": compile_sweep_plan,
-                 "matrix": compile_matrix_plan}
     try:
-        return compilers[spec.kind](**spec.params)
+        return COMPILERS[spec.kind](**spec.params)
     except ConfigurationError as exc:  # SpecValidationError included
         raise ServiceError(f"cannot compile {spec.kind} spec: {exc}")
 

@@ -5,7 +5,6 @@ from repro.analysis.report import (describe_run, flow_table,
                                    format_table, rate_delay_ascii)
 from repro.analysis.sweep import (RateDelayCurve, RateDelayPoint,
                                   sweep_rate_delay)
-from repro.ccas.vegas import Vegas
 from repro.sim.runner import FlowStats
 
 
@@ -50,9 +49,8 @@ class TestReport:
 
 class TestSweep:
     def test_sweep_vegas_produces_decreasing_dmax(self):
-        curve = sweep_rate_delay(Vegas, [2.0, 8.0, 32.0],
-                                 rm=units.ms(50), label="vegas",
-                                 duration=15.0)
+        curve = sweep_rate_delay("vegas", [2.0, 8.0, 32.0],
+                                 rm=units.ms(50), duration=15.0)
         d_maxes = [p.d_max for p in curve.points]
         assert d_maxes[0] > d_maxes[-1]
         assert curve.worst_utilization() > 0.8

@@ -260,24 +260,21 @@ class TestSweepRateDelayBackends:
         assert curve.label == "vegas"
         assert len(curve.points) == 1
 
-    def test_callable_still_works_serially(self):
+    def test_class_is_not_a_grid_cca(self):
         from repro.ccas.vegas import Vegas
-        curve = sweep_rate_delay(Vegas, [2.0], RM, duration=2.0,
-                                 budget=self.BUDGET)
-        assert len(curve.points) == 1
+        # A grid CCA is a registry name or a CCASpec; a class is not
+        # looked up by its module path, serially or on the pool.
+        for jobs in (None, 2):
+            with pytest.raises(ConfigurationError, match="declarative"):
+                sweep_rate_delay(Vegas, self.GRID, RM, duration=2.0,
+                                 budget=self.BUDGET, jobs=jobs)
 
     def test_callable_with_parallel_backend_rejected(self):
         from repro.ccas.vegas import Vegas
-        # A closure cannot cross a process boundary...
+        # A closure cannot cross a process boundary.
         with pytest.raises(ConfigurationError, match="declarative"):
             sweep_rate_delay(lambda: Vegas(), self.GRID, RM,
                              duration=2.0, budget=self.BUDGET, jobs=2)
-        # ...a registered class resolves to its name and can.
-        pooled = sweep_rate_delay(Vegas, self.GRID, RM, duration=2.0,
-                                  budget=self.BUDGET, jobs=2)
-        serial = sweep_rate_delay("vegas", self.GRID, RM, duration=2.0,
-                                  budget=self.BUDGET)
-        assert pooled.to_json() == serial.to_json()
 
     def test_backend_and_jobs_are_exclusive(self):
         with pytest.raises(ConfigurationError, match="not both"):

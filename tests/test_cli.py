@@ -9,6 +9,7 @@ import pytest
 from repro import units
 from repro.analysis import starvation
 from repro.analysis.competition import compile_matrix_plan
+from repro.analysis.plan import render_result, run_plan
 from repro.analysis.report import describe_run
 from repro.analysis.sweep import compile_sweep_plan
 from repro.ccas import registry
@@ -537,6 +538,54 @@ class TestSweepMaxFailures:
         assert "delta_max" in capsys.readouterr().out
 
 
+class TestMatrixCommand:
+    """``repro matrix`` end to end: the report it prints, the bytes its
+    ``--json`` writes, and a store that resumes it with no failure
+    file."""
+
+    @pytest.mark.parametrize("lot", [False, True],
+                             ids=["dumbbell", "parking-lot"])
+    def test_json_is_the_compiled_plan_run(self, tmp_path, capsys, lot):
+        flags = ["matrix", "--ccas", "reno,vegas", "--rate", "8",
+                 "--rm", "40", "--duration", "2",
+                 "--json", str(tmp_path / "m.json")]
+        topology = None
+        if lot:
+            from repro.spec import parking_lot_topology
+            lot_spec = parking_lot_topology([units.mbps(12),
+                                             units.mbps(8)])
+            lot_spec.save(str(tmp_path / "topo.json"))
+            flags += ["--topology", str(tmp_path / "topo.json")]
+            topology = lot_spec.to_json()
+        assert main(flags) == 0
+        out = capsys.readouterr().out
+        _, matrix = run_plan(compile_matrix_plan(
+            ["reno", "vegas"], 8.0, 40.0, duration=2.0,
+            topology=topology))
+        assert "max/min throughput ratio" in out
+        assert "Jain fairness index:" in out
+        assert matrix.describe() in out
+        assert (tmp_path / "m.json").read_bytes() \
+            == render_result(matrix.to_json()).encode()
+
+    def test_failed_pair_runs_again_from_the_store(self, tmp_path,
+                                                   capsys):
+        flags = ["matrix", "--ccas", "vegas,reno", "--rate", "10",
+                 "--rm", "40", "--duration", "3",
+                 "--cache-dir", str(tmp_path / "cache")]
+        assert main(flags + ["--max-events", "200"]) == 1
+        out = capsys.readouterr().out
+        assert sum("BudgetExceededError" in line
+                   for line in out.splitlines()) == 3
+        # The budget is lifted: every pair runs, none is held failed.
+        assert main(flags) == 0
+        assert "cache: 0 hit(s), 3 miss(es)" in capsys.readouterr().out
+        # There is no failure file that could pin a pair as failed.
+        with pytest.raises(SystemExit) as excinfo:
+            main(flags + ["--checkpoint", str(tmp_path / "ck.json")])
+        assert excinfo.value.code == 2
+
+
 class TestLocalAndSubmitAgree:
     """A verb and its ``submit`` twin take the same experiment flags
     and compile them to the same parameter document."""
@@ -579,6 +628,29 @@ class TestLocalAndSubmitAgree:
         compiler = {"sweep": compile_sweep_plan,
                     "matrix": compile_matrix_plan}[kind]
         assert build_plan(spec).points == compiler(**params).points
+
+    @pytest.mark.parametrize("verb,required,defaulted", [
+        (["sweep"], ["--cca", "vegas"], {"duration", "seed"}),
+        (["submit", "sweep"], ["--cca", "vegas"], {"duration", "seed"}),
+        (["matrix"], ["--ccas", "vegas"],
+         {"duration", "seed", "starve_threshold", "topology"}),
+        (["submit", "matrix"], ["--ccas", "vegas"],
+         {"duration", "seed", "starve_threshold", "topology"}),
+    ])
+    def test_flag_defaults_are_the_compiler_defaults(self, verb, required,
+                                                     defaulted):
+        """``import repro.cli`` may not load the matrix compiler, so the
+        flags restate its defaults; this keeps them from drifting."""
+        import inspect
+        compiler = {"sweep": compile_sweep_plan,
+                    "matrix": compile_matrix_plan}[verb[-1]]
+        defaults = {name: param.default for name, param in
+                    inspect.signature(compiler).parameters.items()
+                    if param.default is not param.empty}
+        args = vars(build_parser().parse_args(verb + required))
+        flagged = {name: args[name] for name in defaults if name in args}
+        assert set(flagged) == defaulted
+        assert flagged == {name: defaults[name] for name in flagged}
 
 
 class TestServiceCommands:

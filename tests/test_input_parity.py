@@ -14,7 +14,8 @@ import json
 import pytest
 
 from repro import units
-from repro.analysis.competition import competition_matrix
+from repro.analysis.competition import compile_matrix_plan
+from repro.analysis.plan import run_plan
 from repro.analysis.sweep import sweep_rate_delay
 from repro.cli import main
 from repro.errors import ConfigurationError, ServiceError
@@ -74,9 +75,7 @@ def _library(kind, params):
             template=(None if template is None
                       else ScenarioSpec.from_json(template)))
     else:
-        competition_matrix(
-            params["ccas"], units.mbps(params["rate_mbps"]),
-            units.ms(params["rm_ms"]), duration=params["duration"])
+        run_plan(compile_matrix_plan(**params))
 
 
 def _cli_args(kind, params, tmp_path):

@@ -27,8 +27,9 @@ import pytest
 
 from repro import units
 from repro.analysis.harness import ResilientSweep, RunBudget
-from repro.analysis.sweep import sweep_rate_delay
-from repro.analysis.competition import competition_matrix
+from repro.analysis.competition import compile_matrix_plan
+from repro.analysis.plan import run_plan
+from repro.analysis.sweep import compile_sweep_plan, sweep_rate_delay
 from repro.errors import ServiceError
 from repro.service import (Job, JobSpec, JobStore, ReproServer,
                            ServiceClient, SweepService, build_plan,
@@ -80,6 +81,26 @@ class TestJobSpec:
             "rm_ms": 40.0, "duration": 3.0, "seed": 3})
         assert job_id(explicit) == job_id(minimal)
         assert job_id(explicit) == job_id(_sweep_spec())
+
+    @pytest.mark.parametrize("doc,compiler", [
+        (SWEEP_DOC, compile_sweep_plan), (MATRIX_DOC, compile_matrix_plan)])
+    def test_fields_and_defaults_are_the_compiler_signature(self, doc,
+                                                            compiler):
+        import inspect
+        signature = inspect.signature(compiler).parameters
+        spec = JobSpec.from_json(doc)
+        assert list(spec.params) == list(signature)
+        assert {name: spec.params[name] for name in signature
+                if name not in doc} \
+            == {name: param.default for name, param in signature.items()
+                if param.default is not param.empty}
+        # null stands for a field exactly where its default is None.
+        nulls = {name: None for name, param in signature.items()
+                 if param.default is None}
+        assert JobSpec.from_json({**doc, **nulls}) == spec
+        for name in set(signature) - set(nulls):
+            with pytest.raises(ServiceError, match=name):
+                JobSpec.from_json({**doc, name: None})
 
     def test_id_changes_with_params(self):
         assert job_id(_sweep_spec(seed=3)) != job_id(_sweep_spec(seed=4))
@@ -212,16 +233,17 @@ class TestServiceExecution:
     def test_matrix_job_matches_local_matrix(self, tmp_path):
         service = _service(tmp_path)
         service.start()
-        spec = JobSpec.matrix(["vegas", "reno"], 8.0, 40.0,
-                              duration=3.0, seed=5)
+        spec = JobSpec.from_json({
+            "kind": "matrix", "ccas": ["vegas", "reno"], "rate_mbps": 8.0,
+            "rm_ms": 40.0, "duration": 3.0, "seed": 5})
         try:
             job = _wait(service, service.submit(spec).id, timeout=120)
         finally:
             service.stop()
         assert job.state == "done"
-        matrix = competition_matrix(
-            ["vegas", "reno"], rate=units.mbps(8.0), rm=units.ms(40.0),
-            duration=3.0, seed=5, budget=BUDGET)
+        _, matrix = run_plan(
+            compile_matrix_plan(["vegas", "reno"], 8.0, 40.0,
+                                duration=3.0, seed=5), budget=BUDGET)
         assert service.result_bytes(job.id) \
             == render_result(matrix.to_json()).encode()
 

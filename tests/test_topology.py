@@ -12,8 +12,9 @@ The load-bearing claims under test:
   compatibility contract.
 * A parking lot (3 flows, 2 bottlenecks) runs clean under the strict
   sentinel, serially and on a process pool, bit-identically.
-* ``competition_matrix`` caches through the content-addressed store
-  and encodes starved (infinite-ratio) pairs as strict JSON.
+* A competition matrix (``compile_matrix_plan`` run by ``run_plan``)
+  caches through the content-addressed store and encodes starved
+  (infinite-ratio) pairs as strict JSON.
 * The fuzzer's topology scenarios are valid by construction and the
   shrinker can collapse them back to a dumbbell.
 """
@@ -27,9 +28,10 @@ import pytest
 from repro import units
 from repro.analysis.backends import ProcessPoolBackend, SerialBackend
 from repro.analysis.competition import (CompetitionMatrix,
-                                        competition_matrix,
+                                        compile_matrix_plan,
                                         run_competition_point)
 from repro.analysis.harness import ResilientSweep, RunBudget
+from repro.analysis.plan import run_plan
 from repro.errors import (ConfigurationError, SpecValidationError)
 from repro.fuzz.generate import FuzzConfig, generate_spec
 from repro.fuzz.shrink import _candidates
@@ -344,11 +346,12 @@ class TestCompetitionMatrix:
             == 6219425853858143240
 
     def test_matrix_caches_byte_identically(self, tmp_path):
-        kwargs = dict(ccas=["reno", "vegas"], rate=units.mbps(8),
-                      rm=RM, duration=2.0, seed=1,
-                      cache_dir=str(tmp_path / "cache"))
-        cold = competition_matrix(**kwargs)
-        warm = competition_matrix(**kwargs)
+        def matrix():
+            plan = compile_matrix_plan(["reno", "vegas"], 8.0, 40.0,
+                                       duration=2.0, seed=1)
+            return run_plan(plan, cache_dir=str(tmp_path / "cache"))[1]
+        cold = matrix()
+        warm = matrix()
         assert cold.cache == {"hits": 0, "misses": 3}
         assert warm.cache == {"hits": 3, "misses": 0}
         assert json.dumps(cold.to_json(), sort_keys=True) \
@@ -359,10 +362,10 @@ class TestCompetitionMatrix:
         assert cold.cell("reno", "reno") is not None
 
     def test_topology_matrix_overrides_first_link_rate(self):
-        matrix = competition_matrix(
-            ["reno"], rate=units.mbps(6), rm=RM, duration=1.0,
+        _, matrix = run_plan(compile_matrix_plan(
+            ["reno"], 6.0, 40.0, duration=1.0,
             topology=parking_lot_topology(
-                [units.mbps(99), units.mbps(8)]))
+                [units.mbps(99), units.mbps(8)]).to_json()))
         assert not matrix.failures
         cell = matrix.cell("reno", "reno")
         # Both flows crossed both queues at the overridden rate.
@@ -373,7 +376,8 @@ class TestCompetitionMatrix:
             ccas=["a", "b"], rate=1e6, rm=0.04, duration=1.0,
             cells={"a|b": {"labels": ["a#0", "b#1"],
                            "throughputs": [0.0, 5.0],
-                           "goodputs": [0.0, 5.0], "losses": [0, 0]}})
+                           "goodputs": [0.0, 5.0], "losses": [0, 0]}},
+            starve_threshold=50.0)
         doc = matrix.to_json()
         assert doc["cells"]["a|b"]["ratio"] == "inf"
         assert doc["cells"]["a|b"]["starved"] is True
