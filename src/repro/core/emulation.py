@@ -12,6 +12,8 @@ exactly its single-flow rate. The shared delay follows Equation 5:
 and the per-flow jitter is ``eta_i(t) = bar_di(t) - d*(t)``, feasible
 (0 <= eta <= D) exactly when D >= 2*(delta_max + eps) and both delay
 trajectories stay within a common interval of width delta_max + eps.
+That is the proof's Case 1 (:func:`build_emulation_plan`); Case 2's plan
+is :func:`build_fast_link_plan`. :func:`check_feasible` judges either.
 
 Every construction replays a recorded delay trajectory as a
 non-congestive delay; :func:`step_trace` spells such a replay as the
@@ -97,6 +99,22 @@ def check_feasible(plan: EmulationPlan, jitter_bound: float,
             "(Case 1 of the proof requires d*(0) >= Rm)")
 
 
+def _post_convergence(traj1: Trajectory, traj2: Trajectory,
+                      t_conv1: float, t_conv2: float):
+    """The common grid and bar_d1, bar_d2: both delay trajectories from
+    their convergence times on, over the length both runs cover."""
+    if abs(traj1.dt - traj2.dt) > 1e-12:
+        raise ConfigurationError("trajectories must share the same dt")
+    if abs(traj1.rm - traj2.rm) > 1e-12:
+        raise ConfigurationError("trajectories must share the same Rm")
+    bar1 = traj1.shifted(t_conv1)
+    bar2 = traj2.shifted(t_conv2)
+    n = min(len(bar1.times), len(bar2.times))
+    if n < 2:
+        raise ConfigurationError("post-convergence overlap too short")
+    return bar1.times[:n], bar1.delays[:n], bar2.delays[:n]
+
+
 def build_emulation_plan(traj1: Trajectory, traj2: Trajectory,
                          t_conv1: float, t_conv2: float,
                          delta_max: float, epsilon: float,
@@ -115,18 +133,7 @@ def build_emulation_plan(traj1: Trajectory, traj2: Trajectory,
     Returns a feasible :class:`EmulationPlan` (raises
     :class:`EmulationInfeasibleError` otherwise).
     """
-    if abs(traj1.dt - traj2.dt) > 1e-12:
-        raise ConfigurationError("trajectories must share the same dt")
-    if abs(traj1.rm - traj2.rm) > 1e-12:
-        raise ConfigurationError("trajectories must share the same Rm")
-    bar1 = traj1.shifted(t_conv1)
-    bar2 = traj2.shifted(t_conv2)
-    n = min(len(bar1.times), len(bar2.times))
-    if n < 2:
-        raise ConfigurationError("post-convergence overlap too short")
-    times = bar1.times[:n]
-    d1 = bar1.delays[:n]
-    d2 = bar2.delays[:n]
+    times, d1, d2 = _post_convergence(traj1, traj2, t_conv1, t_conv2)
     c1 = traj1.link_rate
     c2 = traj2.link_rate
     slack = delta_max + epsilon
@@ -138,6 +145,26 @@ def build_emulation_plan(traj1: Trajectory, traj2: Trajectory,
                          initial_queue_delay=float(d_star[0] - traj1.rm),
                          link_rate=c1 + c2, c1=c1, c2=c2, rm=traj1.rm,
                          slack=slack)
+    check_feasible(plan, jitter_bound)
+    return plan
+
+
+def build_fast_link_plan(traj1: Trajectory, traj2: Trajectory,
+                         t_conv1: float, t_conv2: float,
+                         delta_max: float, epsilon: float,
+                         jitter_bound: float) -> EmulationPlan:
+    """Case 2's adversary, from :func:`build_emulation_plan`'s arguments:
+    the faster rate's queueing is below delta_max + eps, so a shared link
+    of 1000 x (C1 + C2) keeps its own queue empty (d* = Rm) and
+    ``eta_i(t) = bar_di(t) - Rm`` emulates both flows directly."""
+    times, d1, d2 = _post_convergence(traj1, traj2, t_conv1, t_conv2)
+    rm = traj1.rm
+    c1 = traj1.link_rate
+    c2 = traj2.link_rate
+    plan = EmulationPlan(times=times, d_star=np.full(len(times), rm),
+                         eta1=d1 - rm, eta2=d2 - rm, initial_queue_delay=0.0,
+                         link_rate=1000.0 * (c1 + c2), c1=c1, c2=c2, rm=rm,
+                         slack=delta_max + epsilon)
     check_feasible(plan, jitter_bound)
     return plan
 

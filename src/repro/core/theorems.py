@@ -22,10 +22,11 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ..errors import ConvergenceError, EmulationInfeasibleError
-from ..model.fluid import (Trajectory, TwoFlowResult, run_ideal_path,
+from ..model.fluid import (SharedQueueRun, Trajectory, run_ideal_path,
                            run_shared_queue)
 from .convergence import ConvergedRange, measure_converged_range
-from .emulation import EmulationPlan, build_emulation_plan, step_trace
+from .emulation import (EmulationPlan, build_emulation_plan,
+                        build_fast_link_plan, step_trace)
 from .pigeonhole import PigeonholePair, find_pigeonhole_pair
 
 
@@ -43,7 +44,7 @@ class StarvationConstruction:
     plan: EmulationPlan
     traj1: Trajectory
     traj2: Trajectory
-    two_flow: TwoFlowResult
+    two_flow: SharedQueueRun
     s_target: float
     jitter_bound: float
     case: int
@@ -119,35 +120,9 @@ def construct_starvation(cca_factory: Callable[[float], object],
 
     slack = delta_max + epsilon
     case = 1 if min(pair.c1.d_min, pair.c2.d_min) > rm + slack else 2
-    if case == 1:
-        # Equation 5 adversary: shared rate C1+C2, pre-filled queue.
-        plan = build_emulation_plan(
-            traj1, traj2, pair.c1.t_converged, pair.c2.t_converged,
-            delta_max, epsilon, jitter_bound)
-        link_rate = plan.link_rate
-        initial_queue_delay = plan.initial_queue_delay
-    else:
-        # Case 2: the faster link's queueing is below slack, so both
-        # delays fit under Rm + D and a link fast enough to keep its own
-        # queue empty lets the jitter element emulate everything.
-        bar1 = traj1.shifted(pair.c1.t_converged)
-        bar2 = traj2.shifted(pair.c2.t_converged)
-        n = min(len(bar1.times), len(bar2.times))
-        times = bar1.times[:n]
-        eta1 = bar1.delays[:n] - rm
-        eta2 = bar2.delays[:n] - rm
-        worst = float(max(eta1.max(), eta2.max()))
-        if worst > jitter_bound + 1e-9:
-            raise EmulationInfeasibleError(
-                f"Case 2 needs bar_d - Rm <= D but found {worst:.6f} > "
-                f"{jitter_bound:.6f}", required_delay=worst)
-        link_rate = 1000.0 * (pair.c1.link_rate + pair.c2.link_rate)
-        initial_queue_delay = 0.0
-        plan = EmulationPlan(
-            times=times, d_star=np.full(n, rm), eta1=eta1, eta2=eta2,
-            initial_queue_delay=0.0, link_rate=link_rate,
-            c1=pair.c1.link_rate, c2=pair.c2.link_rate, rm=rm,
-            slack=slack)
+    build_plan = build_emulation_plan if case == 1 else build_fast_link_plan
+    plan = build_plan(traj1, traj2, pair.c1.t_converged,
+                      pair.c2.t_converged, delta_max, epsilon, jitter_bound)
 
     # Step 3: run the two flows on the shared queue from their converged
     # states, with the planned jitter schedules.
@@ -157,11 +132,11 @@ def construct_starvation(cca_factory: Callable[[float], object],
     cca1 = cca_factory(rate1_0)
     cca2 = cca_factory(rate2_0)
     two_flow = run_shared_queue(
-        [cca1, cca2], link_rate=link_rate, rm=rm,
+        [cca1, cca2], link_rate=plan.link_rate, rm=rm,
         duration=horizon,
         etas=[step_trace(plan.times, plan.eta1),
               step_trace(plan.times, plan.eta2)],
-        initial_queue_delay=initial_queue_delay, dt=dt)
+        initial_queue_delay=plan.initial_queue_delay, dt=dt)
     return StarvationConstruction(pair=pair, plan=plan, traj1=traj1,
                                   traj2=traj2, two_flow=two_flow,
                                   s_target=s, jitter_bound=jitter_bound,

@@ -8,7 +8,7 @@ sending rate:
 * ``on_loss(t)`` — a loss was signalled at time t (the packet
   ``CCA.on_loss`` vocabulary; no-op by default). Only the adversarial
   search (:mod:`repro.model.explorer`) signals loss: the fluid
-  integrators have no buffer to overflow;
+  engine (:mod:`repro.model.fluid`) has no buffer to overflow;
 * ``clone_state() -> FluidCCA`` — an independent copy of the internal
   state, which is how the search branches.
 

@@ -13,7 +13,7 @@ both jobs over a discretized version of the Section 3 model:
 * the flows are fluid CCAs (:mod:`repro.model.cca`), driven through
   ``initial_rate`` / ``step`` / ``on_loss``; the search branches with
   ``clone_state()`` and never touches the CCAs it is given;
-* time advances in steps of one Rm, in the fluid integrators' order:
+* time advances in steps of one Rm, in the fluid engine's order:
   every flow sends ``rate * Rm`` bytes into one droptail queue that
   serves ``C * Rm`` a step, then observes ``Rm + queueing delay +
   jitter`` and steps its CCA. A flow that had bytes dropped by overflow

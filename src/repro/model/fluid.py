@@ -2,15 +2,17 @@
 
 The proofs of Theorems 1-3 are stated over deterministic trajectories: a
 single FIFO queue drained at a constant rate, a propagation delay Rm, and
-a per-flow non-congestive delay eta(t) in [0, D]. This module integrates
-those dynamics exactly (forward Euler on a fixed grid):
+a per-flow non-congestive delay eta(t) in [0, D]. This module is one
+engine for those dynamics, integrated exactly (forward Euler on a fixed
+grid) by :func:`run_shared_queue`:
 
-* ideal path (single flow, eta = 0):
-      d'(t) = (r(t) - C) / C        while the queue is non-empty,
-      d(t) >= Rm                    always;
-* shared queue (two flows):
-      d*'(t) = (r1(t) + r2(t) - C) / C,
-  and flow i observes d*(t) + eta_i(t).
+      d*'(t) = (sum_i r_i(t) - C) / C   while the queue is non-empty,
+      d*(t) >= Rm                       always,
+
+and flow i observes d*(t) + eta_i(t). The ideal path of Definition 1 and
+of every theorem's single-flow run is the same network with one flow and
+eta = 0 (:func:`run_ideal_path`). Every flow's run comes back as a
+:class:`Trajectory`.
 
 A non-congestive delay eta(t) is an :class:`~repro.spec.ElementSpec`,
 the same data the packet simulator puts on a path, and it is played back
@@ -54,13 +56,13 @@ def eta_schedule(spec: ElementSpec) -> Callable[[float], float]:
 
 @dataclass
 class Trajectory:
-    """A recorded single-flow run on an ideal path.
+    """One flow's recorded run: the delay it observed, the rate it sent.
 
     Attributes:
         times: sample grid (seconds), uniform spacing dt.
         delays: observed RTT d(t) at each sample.
         rates: sending rate r(t) at each sample (bytes/s).
-        link_rate: the path's bottleneck rate C (bytes/s).
+        link_rate: the bottleneck rate C (bytes/s).
         rm: propagation RTT.
         dt: grid spacing.
     """
@@ -102,110 +104,101 @@ class Trajectory:
         )
 
 
+@dataclass
+class SharedQueueRun:
+    """A run of one or more fluid CCAs over one shared FIFO queue.
+
+    Attributes:
+        times: sample grid (seconds), uniform spacing dt.
+        shared_delay: d*(t), Rm plus the shared queueing delay.
+        flows: one :class:`Trajectory` per CCA, in order: the delay it
+            observed, d*(t) + eta_i(t), and the rate it sent.
+    """
+
+    times: np.ndarray
+    shared_delay: np.ndarray
+    flows: List[Trajectory]
+
+    def throughputs(self, t0: float = 0.0) -> List[float]:
+        return [flow.throughput(t0) for flow in self.flows]
+
+    def throughput_ratio(self, t0: float = 0.0) -> float:
+        return fairness.throughput_ratio(self.throughputs(t0))
+
+
 def run_ideal_path(cca, link_rate: float, rm: float, duration: float,
                    dt: float = 1e-3,
                    jitter: Optional[ElementSpec] = None) -> Trajectory:
     """Run a fluid CCA on an ideal path (optionally with added jitter).
 
-    Args:
-        cca: object with ``initial_rate()`` and ``step(t, dt, rtt)``.
-        link_rate: bottleneck rate C, bytes/s.
-        rm: propagation RTT, seconds.
-        duration: run length, seconds.
-        dt: integration step.
-        jitter: optional eta(t), an element spec of one of
-            :data:`FLUID_KINDS`, added to the *observed* delay (the
-            network model's non-congestive element); the queue itself is
-            unaffected.
-
-    Returns a :class:`Trajectory` of observed delays and sending rates.
+    The ideal path is the shared queue with one flow; ``jitter`` (an
+    element spec of one of :data:`FLUID_KINDS`, default ``no_jitter``)
+    is that flow's eta(t), added to the *observed* delay only. Returns
+    the flow's :class:`Trajectory`.
     """
-    if link_rate <= 0 or rm <= 0 or duration <= 0 or dt <= 0:
-        raise ConfigurationError("link_rate, rm, duration, dt must be > 0")
-    eta = eta_schedule(jitter) if jitter is not None else None
-    steps = int(round(duration / dt))
-    times = np.arange(steps) * dt
-    delays = np.empty(steps)
-    rates = np.empty(steps)
-    queue_delay = 0.0
-    rate = cca.initial_rate()
-    for i in range(steps):
-        t = times[i]
-        observed = rm + queue_delay + (eta(t) if eta is not None else 0.0)
-        delays[i] = observed
-        rates[i] = rate
-        # Queue evolution over [t, t+dt).
-        queue_delay += (rate - link_rate) / link_rate * dt
-        if queue_delay < 0.0:
-            queue_delay = 0.0
-        rate = cca.step(t + dt, dt, observed)
-        if rate < 0:
-            rate = 0.0
-    return Trajectory(times=times, delays=delays, rates=rates,
-                      link_rate=link_rate, rm=rm, dt=dt)
-
-
-@dataclass
-class TwoFlowResult:
-    """Result of a shared-queue two-flow fluid run."""
-
-    times: np.ndarray
-    shared_delay: np.ndarray      # d*(t): Rm + queueing delay
-    observed_delays: List[np.ndarray]
-    rates: List[np.ndarray]
-    etas: List[np.ndarray]
-    link_rate: float
-    rm: float
-
-    def throughputs(self, t0: float = 0.0) -> List[float]:
-        mask = self.times >= t0
-        return [float(r[mask].mean()) for r in self.rates]
-
-    def throughput_ratio(self, t0: float = 0.0) -> float:
-        return fairness.throughput_ratio(self.throughputs(t0))
+    eta = jitter if jitter is not None else ElementSpec("no_jitter")
+    return run_shared_queue([cca], link_rate, rm, duration, etas=[eta],
+                            dt=dt).flows[0]
 
 
 def run_shared_queue(ccas: Sequence, link_rate: float, rm: float,
                      duration: float,
                      etas: Sequence[ElementSpec],
                      initial_queue_delay: float = 0.0,
-                     dt: float = 1e-3) -> TwoFlowResult:
-    """Run several fluid CCAs over one shared FIFO queue.
+                     dt: float = 1e-3) -> SharedQueueRun:
+    """Run fluid CCAs over one shared FIFO queue of rate ``link_rate``.
 
     Each flow i observes ``rm + queue_delay(t) + eta_i(t)``, where
     ``etas[i]`` is an element spec of one of :data:`FLUID_KINDS`. The
     adversary (Theorem 1) is a particular choice of the eta schedules and
     the initial queue delay.
     """
+    # Written so that NaN fails: every comparison with it is False.
+    for name, value in (("link_rate", link_rate), ("rm", rm),
+                        ("duration", duration), ("dt", dt)):
+        if not 0.0 < value < math.inf:
+            raise ConfigurationError(
+                f"fluid run: {name} must be finite and > 0, got {value!r}")
+    if not 0.0 <= initial_queue_delay < math.inf:
+        raise ConfigurationError(
+            f"fluid run: initial_queue_delay must be finite and >= 0, "
+            f"got {initial_queue_delay!r}")
     if len(ccas) != len(etas):
         raise ConfigurationError("need one eta schedule per CCA")
-    schedules = [eta_schedule(spec) for spec in etas]
     steps = int(round(duration / dt))
-    times = np.arange(steps) * dt
-    n = len(ccas)
-    shared = np.empty(steps)
-    observed = [np.empty(steps) for _ in range(n)]
-    rates = [np.empty(steps) for _ in range(n)]
-    eta_series = [np.empty(steps) for _ in range(n)]
+    grid = np.arange(steps) * dt
+    # Every fluid kind's eta depends on t alone: evaluate each once
+    # over the grid, before the loop.
+    times = grid.tolist()
+    eta_series = [[eta(t) for t in times] for eta in map(eta_schedule, etas)]
+    # Flow k's rate log holds its rate for [t_i, t_i + dt) at index i.
+    logs = [[cca.initial_rate()] for cca in ccas]
+    flows = [(cca.step, series, log)
+             for cca, series, log in zip(ccas, eta_series, logs)]
+    shared = []
     queue_delay = float(initial_queue_delay)
-    current = [cca.initial_rate() for cca in ccas]
-    for i in range(steps):
-        t = times[i]
-        shared[i] = rm + queue_delay
-        total_rate = 0.0
-        for k in range(n):
-            eta = schedules[k](t)
-            eta_series[k][i] = eta
-            obs = rm + queue_delay + eta
-            observed[k][i] = obs
-            rates[k][i] = current[k]
-            total_rate += current[k]
-        queue_delay += (total_rate - link_rate) / link_rate * dt
+    total = 0.0
+    for log in logs:
+        total += log[0]
+    # Step i covers [t_i, t_i + dt); each CCA steps at its end.
+    for i, after in enumerate((grid + dt).tolist()):
+        base = rm + queue_delay
+        shared.append(base)
+        queue_delay += (total - link_rate) / link_rate * dt
         if queue_delay < 0.0:
             queue_delay = 0.0
-        for k in range(n):
-            new_rate = ccas[k].step(t + dt, dt, observed[k][i])
-            current[k] = max(new_rate, 0.0)
-    return TwoFlowResult(times=times, shared_delay=shared,
-                         observed_delays=observed, rates=rates,
-                         etas=eta_series, link_rate=link_rate, rm=rm)
+        total = 0.0
+        for step, series, log in flows:
+            rate = step(after, dt, base + series[i])
+            if rate < 0.0:
+                rate = 0.0
+            log.append(rate)
+            total += rate
+    shared_delay = np.array(shared, dtype=float)
+    # Flow k observed base + eta_k[i] at step i: the same sums, at once.
+    return SharedQueueRun(times=grid, shared_delay=shared_delay, flows=[
+        Trajectory(times=grid,
+                   delays=shared_delay + np.array(series, dtype=float),
+                   rates=np.fromiter(log, float, steps),
+                   link_rate=link_rate, rm=rm, dt=dt)
+        for series, log in zip(eta_series, logs)])

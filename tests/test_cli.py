@@ -363,10 +363,19 @@ class TestCommands:
             out = capsys.readouterr().out
             assert "--jobs" in out and "--chunk" not in out
 
-    def test_theorem_2(self, capsys):
-        code = main(["theorem", "2"])
-        assert code == 0
-        assert "utilization" in capsys.readouterr().out
+    @pytest.mark.parametrize("number, expected", [
+        ("1", "Theorem 1 (case 1): C1/C2 = 192.0/3840.0 Mbit/s, D = 6.8 ms\n"
+              "two-flow throughputs 191.5 / 3840.5 Mbit/s -> ratio 20.1 "
+              "(target s = 10.0)\n"),
+        ("2", "Theorem 2: utilization 0.0100 on a 960 Mbit/s link "
+              "(100x capacity wasted)\n"),
+        ("3", "Theorem 3: D = 45.0 ms, 2 traces, consecutive ratio "
+              "950179.7 >= s = 10.0\n"),
+    ], ids=["1", "2", "3"])
+    def test_theorem(self, capsys, number, expected):
+        """The fluid constructions print exactly these lines."""
+        assert main(["theorem", number]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.emulation import (EmulationPlan, build_emulation_plan,
-                                  check_feasible, step_trace)
+                                  build_fast_link_plan, check_feasible,
+                                  step_trace)
 from repro.errors import (ConfigurationError, EmulationInfeasibleError)
 from repro.model.fluid import Trajectory, eta_schedule
 from repro.spec import ElementSpec
@@ -74,6 +75,34 @@ def test_infeasible_when_initial_queue_negative():
     with pytest.raises(EmulationInfeasibleError):
         build_emulation_plan(traj1, traj2, 0.0, 0.0, delta_max=0.001,
                              epsilon=0.001, jitter_bound=0.004)
+
+
+def test_fast_link_plan_is_case_2():
+    """Case 2: an empty queue on a 1000x faster link, each flow's whole
+    queueing delay played as its eta."""
+    c1, c2 = 1e6, 2e7
+    traj1 = flat_trajectory(RM + 0.003, c1, c1)
+    traj2 = flat_trajectory(RM + 0.0001, c2, c2)
+    plan = build_fast_link_plan(traj1, traj2, 0.0, 0.0, delta_max=0.001,
+                                epsilon=0.001, jitter_bound=0.004)
+    assert (plan.d_star == RM).all()
+    assert plan.initial_queue_delay == 0.0
+    assert plan.link_rate == 1000.0 * (c1 + c2)
+    assert (plan.eta1 == traj1.delays - RM).all()
+    assert (plan.eta2 == traj2.delays - RM).all()
+
+
+def test_fast_link_plan_judged_by_check_feasible():
+    """A queueing delay above D is refused with check_feasible's report,
+    which names the flow and the eta it needs."""
+    c1, c2 = 1e6, 2e7
+    traj1 = flat_trajectory(RM + 0.005, c1, c1)
+    traj2 = flat_trajectory(RM + 0.0001, c2, c2)
+    with pytest.raises(EmulationInfeasibleError,
+                       match=r"flow 1 needs eta=0\.005 > D=0\.004") as excinfo:
+        build_fast_link_plan(traj1, traj2, 0.0, 0.0, delta_max=0.001,
+                             epsilon=0.001, jitter_bound=0.004)
+    assert excinfo.value.required_delay == pytest.approx(0.005)
 
 
 def test_mismatched_grids_rejected():

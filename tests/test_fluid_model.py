@@ -1,11 +1,13 @@
 """Tests for the fluid-flow network model and fluid CCAs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from repro import units
+from repro.core.emulation import step_trace
 from repro.errors import ConfigurationError
 from repro.model.cca import (FluidAimd, FluidJitterAware, OscillatingCCA,
                              WindowTargetCCA)
@@ -32,6 +34,33 @@ class ConstantRateCCA:
 
     def step(self, t, dt, observed_rtt):
         return self.rate
+
+
+def ideal_path(**kwargs):
+    return run_ideal_path(ConstantRateCCA(C), **kwargs)
+
+
+def shared_queue(**kwargs):
+    return run_shared_queue([ConstantRateCCA(C)], etas=[NO_JITTER],
+                            **kwargs)
+
+
+#: (entry point, field, bad value): each field out of range, NaN and inf.
+#: Only the shared queue takes an initial queue delay.
+INVALID_INPUTS = [
+    (run, field, value)
+    for run in (ideal_path, shared_queue)
+    for field, values in (("link_rate", (0.0, math.nan, math.inf)),
+                          ("rm", (-0.05, math.nan, math.inf)),
+                          ("duration", (-1.0, math.nan, math.inf)),
+                          ("dt", (0.0, math.nan, -math.inf)))
+    for value in values
+] + [(shared_queue, "initial_queue_delay", value)
+     for value in (-0.1, math.nan, math.inf)]
+
+
+def invalid_input_id(param):
+    return getattr(param, "__name__", str(param))
 
 
 class TestQueueDynamics:
@@ -75,11 +104,15 @@ class TestQueueDynamics:
             run_shared_queue([ConstantRateCCA(C / 2)], C, RM, 1.0,
                              etas=[spec])
 
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_ideal_path(ConstantRateCCA(C), 0.0, RM, 1.0)
-        with pytest.raises(ConfigurationError):
-            run_ideal_path(ConstantRateCCA(C), C, -1.0, 1.0)
+    @pytest.mark.parametrize("run, field, value", INVALID_INPUTS,
+                             ids=invalid_input_id)
+    def test_invalid_parameters_rejected(self, run, field, value):
+        """One check, in the one loop, for both entry points: it names
+        the field, and NaN and inf fail it like any out-of-range value."""
+        kwargs = {"link_rate": C, "rm": RM, "duration": 1.0, "dt": 1e-3,
+                  field: value}
+        with pytest.raises(ConfigurationError, match=field):
+            run(**kwargs)
 
 
 class TestTrajectory:
@@ -223,8 +256,32 @@ class TestSharedQueue:
             [ConstantRateCCA(C / 4), ConstantRateCCA(C / 4)],
             link_rate=C, rm=RM, duration=1.0,
             etas=[NO_JITTER, constant(0.02)])
-        assert np.allclose(result.observed_delays[0], RM)
-        assert np.allclose(result.observed_delays[1], RM + 0.02)
+        assert np.allclose(result.flows[0].delays, RM)
+        assert np.allclose(result.flows[1].delays, RM + 0.02)
+
+    def test_each_flow_records_what_its_cca_saw_and_sent(self):
+        """A flow's delay log is the very floats its CCA was stepped with,
+        and its rate log the rates it returned (from initial_rate on)."""
+        class Recording(FluidAimd):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                self.seen, self.sent = [], [self.rate]
+
+            def step(self, t, dt, observed_rtt):
+                self.seen.append(observed_rtt)
+                self.sent.append(super().step(t, dt, observed_rtt))
+                return self.sent[-1]
+
+        grid = np.arange(300) * 0.01
+        ccas = [Recording(rm=RM, threshold=0.01, initial=C / 2),
+                Recording(rm=RM, threshold=0.01, initial=C / 3)]
+        result = run_shared_queue(
+            ccas, link_rate=C, rm=RM, duration=3.0,
+            etas=[constant(0.002), step_trace(grid, 0.004 * np.sin(grid))],
+            initial_queue_delay=0.01)
+        for cca, flow in zip(ccas, result.flows):
+            assert flow.delays.tolist() == cca.seen
+            assert flow.rates.tolist() == cca.sent[:-1]
 
     def test_initial_queue_delay_respected(self):
         result = run_shared_queue(
@@ -249,3 +306,10 @@ class TestSharedQueue:
             link_rate=C, rm=RM, duration=1.0,
             etas=[NO_JITTER, NO_JITTER])
         assert idle.throughput_ratio() == 1.0
+        # A window past the run's end holds no samples: every flow's
+        # throughput reads 0.0 (as Trajectory.throughput does), the
+        # ratio 1.0, and nothing warns about an empty mean.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert result.throughputs(5.0) == [0.0, 0.0]
+            assert result.throughput_ratio(5.0) == 1.0
