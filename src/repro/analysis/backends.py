@@ -173,11 +173,13 @@ def cached_outcomes(run_point: RunPoint, points: Sequence[Point],
     """One fetch per point, before dispatch: ``(hit outcomes, misses)``.
 
     A hit is bit-identical to a live run by the cache-key contract
-    (:mod:`repro.store.keys`); only misses reach a backend.
+    (:mod:`repro.store.keys`); only misses reach a backend. The hits'
+    catalog lines go out in one append after the last fetch.
     """
     task = task_name(run_point)
     hits: List[PointOutcome] = []
     misses: List[Point] = []
+    lines: List[str] = []
     for key, params in points:
         start = time.monotonic()
         ckey = point_cache_key(run_point, params,
@@ -186,14 +188,16 @@ def cached_outcomes(run_point: RunPoint, points: Sequence[Point],
         if not found:
             misses.append((key, params))
             continue
-        try:
-            store.catalog.record(ckey, "hit", task=task, backend="store",
-                                 wall_s=time.monotonic() - start,
-                                 summary=summarize_params(params))
-        except OSError:
-            pass  # catalog is advisory; the hit still serves
+        lines.append(store.catalog.line(
+            ckey, "hit", task=task, backend="store",
+            wall_s=time.monotonic() - start,
+            summary=summarize_params(params)))
         hits.append(PointOutcome(key=key, params=params, result=result,
                                  cached=True))
+    try:
+        store.catalog.append(lines)
+    except OSError:
+        pass  # catalog is advisory; the hits still serve
     return hits, misses
 
 

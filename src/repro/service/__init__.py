@@ -20,8 +20,9 @@ Layering (strictly one-way):
   at a time, under an ``flock`` on the directory itself.
 * :mod:`repro.service.server` — :class:`ReproServer`, a
   ``ThreadingHTTPServer`` translating HTTP to service calls.
-* :mod:`repro.service.client` — :class:`ServiceClient`, the urllib
-  client used by ``repro submit`` / ``repro jobs``.
+* :mod:`repro.service.client` — :class:`ServiceClient`, the
+  ``http.client`` client used by ``repro submit`` / ``repro jobs``,
+  one kept-alive connection per calling thread.
 
 The control plane is chaos-hardened: :mod:`repro.service.chaos`
 provides a deterministic, seeded :class:`ChaosPolicy` injecting faults

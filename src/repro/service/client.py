@@ -1,13 +1,17 @@
-"""urllib client for the sweep-service HTTP API.
+"""HTTP/1.1 client for the sweep-service HTTP API.
 
 :class:`ServiceClient` is the programmatic face of a running daemon —
 the CLI's ``repro submit`` / ``repro jobs`` verbs, the examples, and
 the service tests all speak through it. Pure stdlib
-(:mod:`urllib.request`), synchronous, one connection per call: the
-service is a lab tool on localhost, not a hyperscale RPC layer, and
-boring transport keeps it debuggable with ``curl``. Job completion is
-not polled for: :meth:`ServiceClient.wait` long-polls
-``GET /jobs/<id>?wait=S``, a connection the daemon holds open and
+(:mod:`http.client`), synchronous, one kept-alive connection per
+thread: a warm submit → wait → result is three requests on one socket
+and one daemon handler thread, not three connects. ``http.client``
+sets ``TCP_NODELAY`` on the socket and the daemon's handler does the
+same, so a request on a kept-alive connection does not wait out Nagle
+against a delayed ACK. The service is a lab tool on localhost, not a
+hyperscale RPC layer, and boring transport keeps it debuggable with
+``curl``. Job completion is not polled for: :meth:`ServiceClient.wait`
+long-polls ``GET /jobs/<id>?wait=S``, a request the daemon holds and
 answers the moment the job turns terminal.
 
 All failures — connection refused, non-2xx statuses, malformed bodies —
@@ -17,9 +21,12 @@ attached (0 when no response arrived).
 Retry policy (the chaos-hardening contract):
 
 * Transport failures (connection refused/reset, timeouts, truncated
-  bodies) and server-fault statuses (429 and 5xx) are retried up to
-  ``retries`` times with capped exponential backoff and **full
-  jitter** — ``uniform(0, min(cap, base * 2^attempt))`` — the
+  bodies) close the thread's connection, so the next attempt connects
+  afresh; ``http.client`` closes it itself after a response that says
+  it will close.
+* Transport failures and server-fault statuses (429 and 5xx) are
+  retried up to ``retries`` times with capped exponential backoff and
+  **full jitter** — ``uniform(0, min(cap, base * 2^attempt))`` — the
   AWS-style schedule that avoids synchronized retry storms when many
   clients hit one recovering daemon.
 * A server ``Retry-After`` hint takes precedence over the jittered
@@ -41,10 +48,10 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Callable, Dict, Iterator, List, Optional
+from urllib.parse import urlsplit
 
 from ..errors import ServiceError
 from .jobs import TERMINAL, JobSpec
@@ -90,6 +97,18 @@ class ServiceClient:
                  seed: Optional[int] = None,
                  sleep: Callable[[float], None] = time.sleep) -> None:
         self.base_url = base_url.rstrip("/")
+        parts = urlsplit(self.base_url)
+        try:
+            self._host, self._port = parts.hostname, parts.port
+        except ValueError:  # a port that is not a number
+            self._host = None
+        if parts.scheme != "http" or not self._host:
+            raise ServiceError(f"daemon URL must be http://HOST[:PORT], "
+                               f"got {base_url!r}")
+        self._prefix = parts.path
+        #: One kept-alive connection per calling thread: a connection
+        #: carries one request at a time.
+        self._local = threading.local()
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.backoff = float(backoff)
@@ -101,6 +120,13 @@ class ServiceClient:
     # Transport
     # ------------------------------------------------------------------
 
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = http.client.HTTPConnection(
+                self._host, self._port, timeout=self.timeout)
+        return conn
+
     def _request_once(self, method: str, path: str,
                       body: Optional[Dict[str, Any]] = None) -> bytes:
         data = None
@@ -108,36 +134,31 @@ class ServiceClient:
         if body is not None:
             data = json.dumps(body, sort_keys=True).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers,
-            method=method)
+        conn = self._connection()
         try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as resp:
-                return resp.read()
-        except urllib.error.HTTPError as exc:
-            retry_after = _parse_retry_after(exc.headers)
-            detail = ""
-            try:
-                payload = json.loads(exc.read().decode("utf-8"))
-                detail = payload.get("error", "")
-            except (ValueError, AttributeError, OSError,
-                    http.client.HTTPException):
-                pass
-            message = detail or f"{exc.code} {exc.reason}"
-            raise ServiceError(
-                f"{method} {path} failed: {message}",
-                status=exc.code, retry_after=retry_after) from None
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"{method} {path} failed: {exc.reason}") from None
-        except (http.client.HTTPException, ConnectionError,
-                TimeoutError) as exc:
-            # A dropped connection mid-response (RemoteDisconnected) or
-            # a truncated body (IncompleteRead): no usable reply.
+            conn.request(method, self._prefix + path, body=data,
+                         headers=headers)
+            resp = conn.getresponse()
+            raw = resp.read()
+        except (http.client.HTTPException, OSError) as exc:
+            # Refused, reset, timed out, dropped mid-response
+            # (RemoteDisconnected) or a truncated body (IncompleteRead):
+            # no usable reply, and the socket is in an unknown state.
+            conn.close()
             raise ServiceError(
                 f"{method} {path} failed: "
                 f"{type(exc).__name__}: {exc}") from None
+        if 200 <= resp.status < 300:
+            return raw
+        detail = ""
+        try:
+            detail = json.loads(raw.decode("utf-8")).get("error", "")
+        except (ValueError, AttributeError):
+            pass
+        message = detail or f"{resp.status} {resp.reason}"
+        raise ServiceError(
+            f"{method} {path} failed: {message}", status=resp.status,
+            retry_after=_parse_retry_after(resp.headers))
 
     def _request(self, method: str, path: str,
                  body: Optional[Dict[str, Any]] = None) -> bytes:

@@ -385,22 +385,26 @@ class JobStore:
     # Events
     # ------------------------------------------------------------------
 
-    def append_event(self, jid: str, event: Dict[str, Any]) -> int:
-        """Append one NDJSON progress line; returns its sequence number."""
+    def append_event(self, jid: str, event: Dict[str, Any],
+                     *more: Dict[str, Any]) -> int:
+        """Append NDJSON progress lines, one per event, in one write;
+        returns the last line's sequence number."""
         with self._lock:
             seq = self._event_seq.get(jid)
             if seq is None:
                 seq = sum(1 for _ in self.events(jid))
             path = self._events_path(jid)
-            line = json.dumps({"seq": seq, "ts": round(time.time(), 3),
-                               **event}, sort_keys=True)
+            ts = round(time.time(), 3)
+            lines = [json.dumps({"seq": seq + n, "ts": ts, **doc},
+                                sort_keys=True)
+                     for n, doc in enumerate((event, *more))]
             # Seal-on-next-append (same rule as the store catalog): a
             # daemon killed mid-append leaves a torn final line; weld
             # this record onto it and both are lost to readers.
             prefix = "" if tail_sealed(path) else "\n"
-            self.fs.append(path, prefix + line + "\n")
-            self._event_seq[jid] = seq + 1
-            return seq
+            self.fs.append(path, prefix + "\n".join(lines) + "\n")
+            self._event_seq[jid] = seq + len(lines)
+            return seq + len(lines) - 1
 
     def events(self, jid: str, since: int = 0) -> Iterator[Dict[str, Any]]:
         """Progress lines with ``seq >= since``, oldest first."""

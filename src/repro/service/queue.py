@@ -54,7 +54,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from ..analysis.harness import RunBudget
-from ..analysis.plan import render_result, run_plan
+from ..analysis.plan import JobPlan, render_result, run_plan
 from ..errors import ConfigurationError, ServiceError, SweepAbortedError
 from ..store import ResultStore
 from ..store import point_cache_key  # noqa: F401 (bench/layers.py wraps it)
@@ -101,6 +101,8 @@ class SweepService:
         self.max_failures = max_failures
         self.max_attempts = int(max_attempts)
         self._jobs: Dict[str, Job] = {}
+        #: Plans compiled at submit, each popped by the run that uses it.
+        self._plans: Dict[str, JobPlan] = {}
         self._lock = threading.RLock()
         #: Notified when a job turns terminal and on :meth:`stop`;
         #: :meth:`wait_terminal` sleeps on it.
@@ -175,7 +177,7 @@ class SweepService:
         cleared and every point flows through the result store again
         (warm store ⇒ all catalog hits, no simulations).
         """
-        build_plan(spec)  # surface bad specs at submit time
+        plan = build_plan(spec)  # surface bad specs at submit time
         jid = job_id(spec)
         with self._lock:
             self._submitted += 1
@@ -207,9 +209,11 @@ class SweepService:
                     # client retry coalesces onto it) but flag the
                     # durability gap.
                     job.degraded = True
+                    self._plans[jid] = plan
                     self._queue.put(jid)
                 raise
             self._event(jid, {"event": "queued"})
+            self._plans[jid] = plan
             self._queue.put(jid)
             return job
 
@@ -355,6 +359,7 @@ class SweepService:
                 with self._lock:
                     job = self._jobs.get(jid)
                     if job is None or job.state != QUEUED:
+                        self._plans.pop(jid, None)
                         continue  # cancelled while queued, or stale entry
                 try:
                     self._execute(job)
@@ -405,15 +410,19 @@ class SweepService:
         except OSError:
             job.degraded = True
 
-    def _event(self, jid: str, event: Dict[str, Any]) -> None:
-        """Append a progress event; the stream is advisory under faults."""
+    def _event(self, jid: str, event: Dict[str, Any],
+               *more: Dict[str, Any]) -> None:
+        """Append progress events; the stream is advisory under faults."""
         try:
-            self.job_store.append_event(jid, event)
+            self.job_store.append_event(jid, event, *more)
         except OSError:
             pass
 
     def _execute(self, job: Job) -> None:
-        plan = build_plan(job.spec)
+        with self._lock:
+            plan = self._plans.pop(job.id, None)
+        if plan is None:  # reloaded from disk: takeover or restart
+            plan = build_plan(job.spec)
         cancel = threading.Event()
         with self._lock:
             if job.state != QUEUED:
@@ -433,19 +442,36 @@ class SweepService:
             "event": "started", "total": job.total, "run": job.runs,
             "attempt": job.attempts})
 
+        # The store's hits are reported before any point runs; their
+        # events wait here and go out in one append with the first
+        # non-cached status, or when the run returns.
+        pending: List[Dict[str, Any]] = []
+
+        def flush() -> None:
+            if pending:
+                self._event(job.id, *pending)
+                pending.clear()
+
         def progress(key: str, status: str) -> None:
-            self._note_progress(job, key, status)
+            event = self._note_progress(job, key, status)
+            if event is not None:
+                pending.append(event)
+            if status != "cached":
+                flush()
 
         def stop_check() -> bool:
             return cancel.is_set() or self._stopping.is_set()
 
         try:
-            outcome, result = run_plan(
-                plan, budget=self.budget, jobs=self.jobs,
-                store=self.store, progress=progress,
-                crash_dir=os.path.join(self.job_store.job_dir(job.id),
-                                       "crashes"),
-                max_failures=self.max_failures, stop_check=stop_check)
+            try:
+                outcome, result = run_plan(
+                    plan, budget=self.budget, jobs=self.jobs,
+                    store=self.store, progress=progress,
+                    crash_dir=os.path.join(self.job_store.job_dir(job.id),
+                                           "crashes"),
+                    max_failures=self.max_failures, stop_check=stop_check)
+            finally:
+                flush()
         except SweepAbortedError as exc:
             self._finish(job, FAILED, error=str(exc))
             return
@@ -495,7 +521,10 @@ class SweepService:
                         f"{exc}") from exc
                 time.sleep(0.05 * (2.0 ** attempt))
 
-    def _note_progress(self, job: Job, key: str, status: str) -> None:
+    def _note_progress(self, job: Job, key: str,
+                       status: str) -> Optional[Dict[str, Any]]:
+        """Count one point's status; its ``point`` event, or None for
+        the ``run`` dispatch mark."""
         degraded_point = False
         with self._lock:
             if status == "cached":
@@ -511,27 +540,29 @@ class SweepService:
             elif status.startswith("failed"):
                 job.failed += 1
             else:
-                return  # "run" marks dispatch, not completion
+                return None  # "run" marks dispatch, not completion
         event: Dict[str, Any] = {"event": "point", "key": key,
                                  "status": status}
         if degraded_point:
             event["degraded"] = True
-        self._event(job.id, event)
+        return event
 
     def _finish(self, job: Job, state: str,
                 error: Optional[str] = None) -> None:
+        event: Dict[str, Any] = {"event": state}
+        if error:
+            event["error"] = error
         with self._lock:
             job.state = state
             job.finished = round(time.time(), 3)
             job.error = error
             self._persist(job)
+            # Under the lock, before anyone can see the new state: a
+            # client answered "done" reads a stream that ends in it.
+            self._event(job.id, event)
             self._changed.notify_all()
             if state == DONE:
                 self._completed += 1
-        event: Dict[str, Any] = {"event": state}
-        if error:
-            event["error"] = error
-        self._event(job.id, event)
 
     def __repr__(self) -> str:
         return (f"SweepService(root={self.job_store.root!r}, "

@@ -28,10 +28,15 @@ payload (dispatcher liveness, queue depth, store writability) when
 healthy and 503 with the same payload when not, so monitors can tell
 *hung* from *busy*.
 
-``ThreadingHTTPServer`` gives one thread per connection;
+``ThreadingHTTPServer`` gives one thread per connection, and a
+connection stays open between requests (HTTP/1.1 keep-alive; a
+:class:`~.client.ServiceClient` keeps one per thread);
 :class:`~.queue.SweepService` is thread-safe, so concurrent clients
-need no extra coordination. Bind port 0 to get an ephemeral port
-(tests read it back from ``server.server_address``).
+need no extra coordination. Closing the server shuts its open
+connections down, so a client kept alive across a restart reconnects
+to the new daemon instead of talking to the stopped one. Bind port 0
+to get an ephemeral port (tests read it back from
+``server.server_address``).
 
 Chaos: constructed with a :class:`~.chaos.ChaosPolicy`, every request
 first consults the ``http.*`` fault sites — injected delay, dropped
@@ -44,9 +49,11 @@ from __future__ import annotations
 
 import json
 import math
+import socket
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from ..errors import ServiceError
@@ -74,6 +81,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-sweepd/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: a response goes out as two writes (headers, body),
+    #: and on a kept-alive connection Nagle would hold the second
+    #: until the client's delayed ACK, ~40 ms later.
+    disable_nagle_algorithm = True
 
     # -- helpers -------------------------------------------------------
 
@@ -315,10 +326,34 @@ class ReproServer(ThreadingHTTPServer):
         #: Armed fault schedule; every request consults the ``http.*``
         #: sites before routing (None = no injection).
         self.chaos = chaos
+        #: Accepted connections not yet closed, shut down by
+        #: :meth:`server_close` (a kept-alive one would outlive it).
+        self._open: Set[socket.socket] = set()
+        self._open_lock = threading.Lock()
 
     @property
     def port(self) -> int:
         return self.server_address[1]
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listening socket and every open connection."""
+        super().server_close()
+        with self._open_lock:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # already gone
 
     def serve(self) -> None:
         """Run the HTTP loop until shutdown, then stop the service."""
@@ -343,7 +378,6 @@ def serve_background(service: SweepService, host: str = "127.0.0.1",
     the benchmark harness; the CLI runs :meth:`ReproServer.serve` in
     the foreground instead.
     """
-    import threading
     service.start()
     server = ReproServer((host, port), service, chaos=chaos)
     thread = threading.Thread(target=server.serve_forever,

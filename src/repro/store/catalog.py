@@ -25,7 +25,7 @@ import math
 import os
 import time
 from collections import Counter
-from typing import Any, Dict, Iterator, Mapping, Optional
+from typing import Any, Dict, Iterator, Mapping, Optional, Sequence
 
 from .fsio import FileIO, tail_sealed
 from .locks import advisory_lock
@@ -93,14 +93,28 @@ class Catalog:
                backend: str = "", wall_s: float = 0.0,
                summary: Optional[Mapping[str, Any]] = None) -> None:
         """Append one lookup event (atomic line under advisory lock)."""
+        self.append([self.line(key, event, task=task, backend=backend,
+                               wall_s=wall_s, summary=summary)])
+
+    @staticmethod
+    def line(key: str, event: str, task: str = "", backend: str = "",
+             wall_s: float = 0.0,
+             summary: Optional[Mapping[str, Any]] = None) -> str:
+        """One lookup event as a catalog line, stamped now."""
         if event not in EVENTS:
             raise ValueError(f"event must be one of {EVENTS}, got {event!r}")
-        line = json.dumps({
+        return json.dumps({
             "key": key, "event": event, "task": task,
             "backend": backend, "wall_s": round(wall_s, 6),
             "ts": round(time.time(), 3),
             "summary": dict(summary or {}),
         }, sort_keys=True)
+
+    def append(self, lines: Sequence[str]) -> None:
+        """Append :meth:`line` results in one write under one lock, so
+        a grid's hits cost one append, not one per point."""
+        if not lines:
+            return
         with advisory_lock(self._lock_path):
             # A writer killed mid-append can leave a torn final line
             # with no trailing newline. Appending straight after it
@@ -108,7 +122,7 @@ class Catalog:
             # sealing the tail first confines the damage to the torn
             # line (which entries() already skips).
             prefix = "" if self._tail_sealed() else "\n"
-            self.fs.append(self.path, prefix + line + "\n")
+            self.fs.append(self.path, prefix + "\n".join(lines) + "\n")
 
     def _tail_sealed(self) -> bool:
         """True when the file is empty/missing or ends in a newline."""

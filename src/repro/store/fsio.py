@@ -55,9 +55,13 @@ class FileIO:
         file at the live path.
         """
         directory = os.path.dirname(path) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=prefix,
-                                        suffix=".json")
+        try:
+            fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=prefix,
+                                            suffix=".json")
+        except FileNotFoundError:
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=prefix,
+                                            suffix=".json")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -71,10 +75,12 @@ class FileIO:
 
     def append(self, path: str, text: str) -> None:
         """Append ``text`` to ``path`` (creating parent dirs)."""
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(path, "a", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "a", encoding="utf-8")
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fh = open(path, "a", encoding="utf-8")
+        with fh:
             fh.write(text)
 
     def __repr__(self) -> str:

@@ -58,9 +58,11 @@ def advisory_lock(path: str) -> Iterator[None]:
         if fcntl is None:  # pragma: no cover - non-POSIX fallback
             yield
             return
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
+        try:
+            fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)
             try:

@@ -374,6 +374,26 @@ class TestServiceUnderChaos:
                                  duration=3.0, seed=3, budget=BUDGET)
         assert raw == render_result(curve.to_json()).encode()
 
+    def test_a_dropped_kept_alive_connection_is_replaced(self, tmp_path):
+        service = _service(tmp_path)
+        server = serve_background(service)
+        accepted = []
+        accept = server.get_request
+        server.get_request = lambda: accepted.append(1) or accept()
+        client = ServiceClient(f"http://127.0.0.1:{server.port}",
+                               retries=4, backoff=0.01, seed=1)
+        try:
+            assert client.stats()["counters"]["submitted"] == 0
+            # The daemon closes the kept-alive connection on the next
+            # request without answering; the retry connects afresh.
+            server.chaos = _policy(http__drop={"rate": 1.0, "limit": 1})
+            assert client.stats()["counters"]["submitted"] == 0
+            assert server.chaos.counts()["fired"] == {"http.drop": 1}
+            assert client.health()["ok"]
+        finally:
+            server.close()
+        assert len(accepted) == 2
+
     def test_lost_submit_response_coalesces_on_retry(self, tmp_path):
         # The daemon acts, the response is lost (truncated body), the
         # client retries: at-least-once delivery must coalesce onto

@@ -17,11 +17,13 @@ The acceptance criteria under test:
 """
 
 import contextlib
+import gc
 import json
 import os
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -467,6 +469,80 @@ class TestHttpApi:
         assert service.stats()["counters"]["completed"] == 1
 
 
+def _counting_server(service):
+    """A live daemon that records every connection it accepts."""
+    server = serve_background(service)
+    accepted = []
+    accept = server.get_request
+
+    def counting():
+        request = accept()
+        accepted.append(request[1])
+        return request
+
+    server.get_request = counting
+    return server, accepted
+
+
+class TestKeepAlive:
+    """A client keeps one connection per thread between requests."""
+
+    def test_warm_op_is_one_connection_per_thread(self, tmp_path):
+        server, accepted = _counting_server(_service(tmp_path))
+        url = f"http://127.0.0.1:{server.port}"
+        try:
+            ServiceClient(url, timeout=60.0).submit_and_wait(
+                _sweep_spec(), timeout=90)
+            del accepted[:]
+            client = ServiceClient(url)
+            job = client.submit(_sweep_spec())
+            assert client.wait(job["id"])["warm"]
+            client.result_bytes(job["id"])
+            assert len(accepted) == 1  # submit, long-poll, result
+            threads = [threading.Thread(target=client.stats)
+                       for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert len(accepted) == 3  # one more per calling thread
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("url", ["127.0.0.1:8642", "http://",
+                                     "https://127.0.0.1:8642",
+                                     "http://127.0.0.1:port"])
+    def test_url_that_is_not_plain_http_is_refused(self, url):
+        with pytest.raises(ServiceError, match="http://HOST"):
+            ServiceClient(url)
+
+    def test_restarted_daemon_is_reached_on_the_next_call(self,
+                                                          tmp_path):
+        server = serve_background(_service(tmp_path))
+        port = server.port
+        sleeps = []
+        client = ServiceClient(f"http://127.0.0.1:{port}", seed=1,
+                               sleep=sleeps.append)
+        assert client.health()["ok"]
+        # Closing shuts the kept-alive connection down: the stopped
+        # daemon's handler cannot answer (it would say 503) ...
+        server.close()
+        server = serve_background(_service(tmp_path), port=port)
+        try:
+            # ... so the next call fails once on the dead socket and
+            # its retry connects to the new daemon.
+            assert client.health()["ok"]
+            assert len(sleeps) == 1
+            # The client's own error is still raised at once.
+            with pytest.raises(ServiceError) as err:
+                client.submit(JobSpec("sweep", {**SWEEP_DOC,
+                                                "seed": "abc"}))
+            assert err.value.status == 400
+            assert len(sleeps) == 1
+        finally:
+            server.close()
+
+
 class TestStopCheck:
     """The harness hook the service's cancellation rides on."""
 
@@ -525,6 +601,16 @@ class TestLongPoll:
         assert len(counting.job_calls) == 1
         assert counting.sleeps == []
         assert service.stats()["counters"]["waits"] >= 1
+
+    def test_a_done_answer_follows_the_done_event(self, served):
+        # The terminal event is on disk before the state is visible, so
+        # a client that reads the stream after wait() sees it last.
+        _, client = served
+        client.submit_and_wait(_sweep_spec(), timeout=90)
+        for _ in range(20):
+            jid = client.submit(_sweep_spec())["id"]
+            assert client.wait(jid)["state"] == "done"
+            assert list(client.events(jid))[-1]["event"] == "done"
 
     def test_cold_wait_returns_with_the_done_event(self, served):
         _, client = served
@@ -661,16 +747,21 @@ class TestLongPoll:
 
 class _RecordingFS(FileIO):
     """A FileIO that records the name and text of every file it
-    writes."""
+    writes, and the name of every file it appends to."""
 
     def __init__(self):
         self.writes = []
         self.texts = []
+        self.appends = []
 
     def write_atomic(self, path, text, prefix=".tmp-"):
         self.writes.append(os.path.basename(path))
         self.texts.append(text)
         super().write_atomic(path, text, prefix=prefix)
+
+    def append(self, path, text):
+        self.appends.append(os.path.basename(path))
+        super().append(path, text)
 
     def job_snapshots(self):
         return [json.loads(text) for name, text in
@@ -698,6 +789,76 @@ class TestSnapshots:
         with open(path, encoding="utf-8") as fh:
             assert json.load(fh) == service.snapshot(job.id)
         assert service.snapshot(job.id)["progress"]["cached"] == len(RATES)
+
+    def test_warm_job_writes_each_file_once(self, tmp_path, monkeypatch):
+        fs = _RecordingFS()
+        store = ResultStore(str(tmp_path / "cache"), fs=fs)
+        service = SweepService(str(tmp_path / "jobs"), store,
+                               budget=BUDGET, fs=fs)
+        rates = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+        spec = JobSpec.sweep("vegas", rates, 40.0, duration=1.0, seed=3)
+        sweep_rate_delay("vegas", rates, units.ms(40.0), duration=1.0,
+                         seed=3, store=store, budget=BUDGET)
+        made = []
+        real_makedirs = os.makedirs
+
+        def counting_makedirs(*args, **kwargs):
+            made.append(args[0])
+            real_makedirs(*args, **kwargs)
+
+        service.start()
+        try:
+            # The first warm job makes its job directory; the second
+            # finds every directory in place.
+            service.wait_terminal(service.submit(spec).id, 90)
+            del fs.writes[:], fs.appends[:]
+            monkeypatch.setattr(os, "makedirs", counting_makedirs)
+            job = service.submit(spec)
+            snapshot = service.wait_terminal(job.id, 90)
+        finally:
+            service.stop()
+        assert snapshot["warm"]
+        assert snapshot["progress"]["cached"] == len(rates)
+        assert sorted(fs.appends) == ["catalog.jsonl"] \
+            + ["events.ndjson"] * 4  # queued, started, points, done
+        assert sorted(fs.writes) == ["job.json"] * 3 + ["result.json"]
+        assert made == []
+        # The event documents are one per point, as they always were.
+        keys = [key for key, _ in build_plan(spec).points]
+        events = [{k: v for k, v in event.items() if k != "ts"}
+                  for event in service.events(job.id)]
+        assert events == (
+            [{"seq": 0, "event": "queued"},
+             {"seq": 1, "event": "started", "total": len(rates),
+              "run": 2, "attempt": 1}]
+            + [{"seq": 2 + n, "event": "point", "key": key,
+                "status": "cached"} for n, key in enumerate(keys)]
+            + [{"seq": 2 + len(rates), "event": "done"}])
+
+    def test_a_finished_job_holds_no_plan(self, tmp_path, monkeypatch):
+        built = []
+        real_build_plan = service_queue.build_plan
+
+        def tracking_build_plan(spec):
+            plan = real_build_plan(spec)
+            built.append(weakref.ref(plan))
+            return plan
+
+        monkeypatch.setattr(service_queue, "build_plan",
+                            tracking_build_plan)
+        service = _service(tmp_path)
+        sweep_rate_delay("vegas", RATES, units.ms(40.0), duration=3.0,
+                         seed=3, store=service.store, budget=BUDGET)
+        service.start()
+        try:
+            for _ in range(50):
+                job = service.submit(_sweep_spec())
+                assert service.wait_terminal(job.id, 90)["warm"]
+        finally:
+            service.stop()
+        assert len(built) == 50  # compiled once, at submit
+        gc.collect()
+        assert [ref for ref in built if ref() is not None] == []
 
     def test_running_job_has_no_heartbeat_thread(self, tmp_path,
                                                  monkeypatch):
