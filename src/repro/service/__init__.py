@@ -12,7 +12,8 @@ dispatch.
 Layering (strictly one-way):
 
 * :mod:`repro.service.jobs` — the durable job model: normalized specs,
-  content-derived job ids, atomic per-job persistence, compiled plans.
+  content-derived job ids, compiled plans, and one append-only log per
+  job whose state-transition lines carry the job's snapshot.
 * :mod:`repro.service.queue` — :class:`SweepService`: the dispatcher
   draining the queue through :class:`~repro.analysis.harness.
   ResilientSweep` onto the shared store, with coalescing, cooperative

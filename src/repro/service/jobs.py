@@ -23,11 +23,11 @@ a daemon restart. The moving parts:
   (``queued → running → done|failed|cancelled``, plus ``dead`` when a
   job exhausts its takeover attempt budget), per-point progress
   counters (done / cached / failed), timestamps, error text.
-* :class:`JobStore` — one directory per job with atomic JSON
-  persistence (``job.json``), an append-only NDJSON progress log
-  (``events.ndjson``) and the rendered result document
-  (``result.json``). A restarted daemon rebuilds its queue from these
-  files alone.
+* :class:`JobStore` — one directory per job: an append-only NDJSON
+  log (``events.ndjson``) whose every state-transition line carries
+  the job's snapshot, and the rendered result document
+  (``result.json``). A restarted daemon rebuilds its queue from the
+  logs alone.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..analysis.competition import compile_matrix_plan
 from ..analysis.plan import JobPlan
@@ -304,17 +304,20 @@ class JobStore:
 
     Layout::
 
-        <root>/<job id>/job.json        atomic state+progress snapshot
-                        events.ndjson   append-only progress stream
+        <root>/<job id>/events.ndjson   the job's log, one line per event
                         result.json     rendered result document
 
-    ``job.json`` writes are tempfile + ``os.replace`` (same durability
-    rule as the result store, through the same injectable
-    :class:`~repro.store.fsio.FileIO` seam), so a killed daemon leaves
-    at worst a stale-but-parseable snapshot; :meth:`load_all` is how a
-    restarted daemon resumes its queue. Event appends seal a torn
-    trailing NDJSON line before writing, the same discipline as the
-    store catalog, so one killed append never corrupts later records.
+    The log is the job's only durable record. Every state transition
+    is one line carrying the job's snapshot under ``job``
+    (:meth:`save`); per-point progress lines carry none
+    (:meth:`append_event`). Every append seals a torn trailing line
+    first, the same discipline as the store catalog, so one killed
+    append never corrupts later records; and :meth:`load` takes the
+    last parseable snapshot, so a killed daemon leaves at worst the
+    previous state, stale but parseable. :meth:`load_all` is how a
+    restarted daemon resumes its queue. Writes go through the
+    injectable :class:`~repro.store.fsio.FileIO` seam, like the result
+    store's.
     """
 
     def __init__(self, root: str, fs: Optional[FileIO] = None) -> None:
@@ -325,7 +328,7 @@ class JobStore:
         self.fs = fs if fs is not None else FileIO()
         self._lock = threading.Lock()
         #: Next event sequence number per job id (lazily initialized
-        #: from the event file's line count on first append).
+        #: from the log's line count on first append).
         self._event_seq: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -337,9 +340,6 @@ class JobStore:
             raise ConfigurationError(f"malformed job id {jid!r}")
         return os.path.join(self.root, jid)
 
-    def _job_path(self, jid: str) -> str:
-        return os.path.join(self.job_dir(jid), "job.json")
-
     def _events_path(self, jid: str) -> str:
         return os.path.join(self.job_dir(jid), "events.ndjson")
 
@@ -347,27 +347,79 @@ class JobStore:
         return os.path.join(self.job_dir(jid), "result.json")
 
     # ------------------------------------------------------------------
-    # Job snapshots
+    # The log
     # ------------------------------------------------------------------
 
-    def save(self, job: Job) -> None:
-        """Atomically persist one job snapshot."""
-        text = json.dumps(job.to_json(), indent=1, sort_keys=True) + "\n"
-        self.fs.write_atomic(self._job_path(job.id), text,
-                             prefix=".job-")
+    def save(self, job: Job, event: Dict[str, Any],
+             new_log: bool = False) -> int:
+        """Log one state transition: ``event`` with the job's snapshot.
+
+        One sealed append, or with ``new_log`` one atomic write that
+        swaps in a log holding only this line (a resubmit starts its
+        events from seq 0, and the old record stands until the swap).
+        Returns the line's sequence number.
+        """
+        return self._append(job.id, ({**event, "job": job.to_json()},),
+                            new_log)
+
+    def append_event(self, jid: str, event: Dict[str, Any],
+                     *more: Dict[str, Any]) -> int:
+        """Append progress lines, one per event, in one write; returns
+        the last line's sequence number."""
+        return self._append(jid, (event, *more))
+
+    def _append(self, jid: str, docs: Tuple[Dict[str, Any], ...],
+                new_log: bool = False) -> int:
+        with self._lock:
+            seq = 0 if new_log else self._event_seq.get(jid)
+            if seq is None:
+                seq = len(self._lines(jid))
+            path = self._events_path(jid)
+            ts = round(time.time(), 3)
+            text = "".join(json.dumps({"seq": seq + n, "ts": ts, **doc},
+                                      sort_keys=True) + "\n"
+                           for n, doc in enumerate(docs))
+            if new_log:
+                self.fs.write_atomic(path, text, prefix=".events-")
+            else:
+                # Seal-on-next-append (same rule as the store catalog):
+                # a daemon killed mid-append leaves a torn final line;
+                # weld this record onto it and both are lost to readers.
+                prefix = "" if tail_sealed(path) else "\n"
+                self.fs.append(path, prefix + text)
+            self._event_seq[jid] = seq + len(docs)
+            return seq + len(docs) - 1
+
+    def _lines(self, jid: str) -> List[Dict[str, Any]]:
+        """Every parseable line of the log, oldest first."""
+        try:
+            with open(self._events_path(jid), "r",
+                      encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError:
+            return []
+        docs = []
+        for line in text.split("\n"):
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError:
+                continue  # torn line from a killed daemon, or blank
+            if isinstance(doc, dict):
+                docs.append(doc)
+        return docs
 
     def load(self, jid: str) -> Optional[Job]:
-        """One persisted job, or None (missing/corrupt = absent)."""
-        try:
-            with open(self._job_path(jid), "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            return Job.from_json(data)
-        except (OSError, json.JSONDecodeError, ConfigurationError,
-                ServiceError, KeyError, TypeError, ValueError):
-            return None
+        """The job as its last readable transition left it, or None."""
+        for doc in reversed(self._lines(jid)):
+            try:
+                return Job.from_json(doc["job"])
+            except (ConfigurationError, ServiceError, KeyError,
+                    TypeError, ValueError, AttributeError):
+                continue  # a point line, or a damaged snapshot
+        return None
 
     def load_all(self) -> List[Job]:
-        """Every persisted job, oldest submission first."""
+        """Every logged job, oldest submission first."""
         jobs: List[Job] = []
         try:
             names = sorted(os.listdir(self.root))
@@ -381,49 +433,13 @@ class JobStore:
         jobs.sort(key=lambda job: (job.created, job.id))
         return jobs
 
-    # ------------------------------------------------------------------
-    # Events
-    # ------------------------------------------------------------------
-
-    def append_event(self, jid: str, event: Dict[str, Any],
-                     *more: Dict[str, Any]) -> int:
-        """Append NDJSON progress lines, one per event, in one write;
-        returns the last line's sequence number."""
-        with self._lock:
-            seq = self._event_seq.get(jid)
-            if seq is None:
-                seq = sum(1 for _ in self.events(jid))
-            path = self._events_path(jid)
-            ts = round(time.time(), 3)
-            lines = [json.dumps({"seq": seq + n, "ts": ts, **doc},
-                                sort_keys=True)
-                     for n, doc in enumerate((event, *more))]
-            # Seal-on-next-append (same rule as the store catalog): a
-            # daemon killed mid-append leaves a torn final line; weld
-            # this record onto it and both are lost to readers.
-            prefix = "" if tail_sealed(path) else "\n"
-            self.fs.append(path, prefix + "\n".join(lines) + "\n")
-            self._event_seq[jid] = seq + len(lines)
-            return seq + len(lines) - 1
-
     def events(self, jid: str, since: int = 0) -> Iterator[Dict[str, Any]]:
-        """Progress lines with ``seq >= since``, oldest first."""
-        try:
-            with open(self._events_path(jid), "r",
-                      encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError:
-            return
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn trailing line from a killed daemon
-            if isinstance(event, dict) and event.get("seq", 0) >= since:
-                yield event
+        """Log lines with ``seq >= since``, oldest first, without their
+        snapshots."""
+        for doc in self._lines(jid):
+            if doc.get("seq", 0) >= since:
+                doc.pop("job", None)
+                yield doc
 
     # ------------------------------------------------------------------
     # Results
@@ -441,20 +457,5 @@ class JobStore:
         except OSError:
             return None
 
-    def clear_run_state(self, jid: str) -> None:
-        """Drop the previous execution's event stream.
-
-        Called when a terminal job is resubmitted: the fresh run's
-        events restart from seq 0. (Its points flow through the result
-        store again, so a warm resubmit reports all-cached.)
-        """
-        with self._lock:
-            try:
-                os.unlink(self._events_path(jid))
-            except OSError:
-                pass
-            self._event_seq[jid] = 0
-
     def __repr__(self) -> str:
         return f"JobStore({self.root!r})"
-

@@ -15,10 +15,10 @@ Design points:
   active spec returns the in-flight job instead of queueing a
   duplicate. Resubmitting a *terminal* spec re-executes it; with a warm
   store every point is a hit read before dispatch, so no pool starts.
-* **Durability** — every state transition is persisted through
-  :class:`~.jobs.JobStore` before it is visible, and ``job.json`` is
-  written on transitions only: per-point progress lives in memory and
-  ``events.ndjson``.
+* **Durability** — every state transition is one line of the job's
+  log (:meth:`~.jobs.JobStore.save`), carrying the job's snapshot and
+  written before the transition is visible; per-point progress lives
+  in memory and in snapshot-free lines of the same log.
 * **One daemon per job directory** — :meth:`start` takes a
   non-blocking ``flock`` on the directory itself, held until the
   dispatcher exits and dropped by the OS if the process dies; a second
@@ -173,9 +173,9 @@ class SweepService:
 
         Active jobs coalesce: a spec already queued or running is
         returned as-is. Terminal jobs (done/failed/cancelled) are
-        re-executed under the same id — the previous run's events are
-        cleared and every point flows through the result store again
-        (warm store ⇒ all catalog hits, no simulations).
+        re-executed under the same id — a fresh log replaces the
+        previous run's and every point flows through the result store
+        again (warm store ⇒ all catalog hits, no simulations).
         """
         plan = build_plan(spec)  # surface bad specs at submit time
         jid = job_id(spec)
@@ -193,14 +193,16 @@ class SweepService:
             else:
                 job.reset_run()
                 job.created = round(time.time(), 3)
-                self.job_store.clear_run_state(jid)
             self._cancel_events.pop(jid, None)
             try:
                 # The submit ack must be durable — a client told
                 # "queued" expects the job to survive a daemon restart.
                 # On a storage fault, un-register and let the error
                 # surface as a retryable 503 (resubmit is idempotent).
-                self.job_store.save(job)
+                # A resubmit swaps in a fresh log, so a fault leaves
+                # the previous run's record whole.
+                self.job_store.save(job, {"event": "queued"},
+                                    new_log=not fresh)
             except OSError:
                 if fresh:
                     self._jobs.pop(jid, None)
@@ -212,7 +214,6 @@ class SweepService:
                     self._plans[jid] = plan
                     self._queue.put(jid)
                 raise
-            self._event(jid, {"event": "queued"})
             self._plans[jid] = plan
             self._queue.put(jid)
             return job
@@ -280,9 +281,8 @@ class SweepService:
             if job.state == QUEUED:
                 job.state = CANCELLED
                 job.finished = round(time.time(), 3)
-                self._persist(job)
+                self._persist(job, {"event": "cancelled"})
                 self._changed.notify_all()
-                self._event(jid, {"event": "cancelled"})
                 return job
             event = self._cancel_events.get(jid)
             if event is not None:
@@ -382,31 +382,31 @@ class SweepService:
         the dead-letter listing and resubmit to grant a fresh budget.
         """
         self._takeovers += 1
-        self._event(job.id, {"event": "takeover",
-                             "attempts": job.attempts})
+        event = {"event": "takeover", "attempts": job.attempts}
         if job.attempts >= self.max_attempts:
             self._dead += 1
+            self._event(job.id, event)
             self._finish(job, DEAD, error=(
                 f"orphaned after {job.attempts} attempt(s); "
                 f"giving up (max_attempts={self.max_attempts})"))
             return
         job.state = QUEUED
-        self._persist(job)
+        self._persist(job, event)
         self._queue.put(job.id)
 
     # ------------------------------------------------------------------
     # Best-effort persistence (the disk may be lying — see chaos tests)
     # ------------------------------------------------------------------
 
-    def _persist(self, job: Job) -> None:
-        """Save a snapshot; storage faults degrade, never crash.
+    def _persist(self, job: Job, event: Dict[str, Any]) -> None:
+        """Log a state transition; storage faults degrade, never crash.
 
         The in-memory job table stays authoritative while the disk
         misbehaves; the job is flagged ``degraded`` so operators know
-        the on-disk snapshot may lag.
+        the logged state may lag.
         """
         try:
-            self.job_store.save(job)
+            self.job_store.save(job, event)
         except OSError:
             job.degraded = True
 
@@ -436,11 +436,10 @@ class SweepService:
             job.attempts += 1
             job.total = len(plan.points)
             job.done = job.cached = job.failed = 0
-            self._persist(job)
+            self._persist(job, {
+                "event": "started", "total": job.total, "run": job.runs,
+                "attempt": job.attempts})
             self._cancel_events[job.id] = cancel
-        self._event(job.id, {
-            "event": "started", "total": job.total, "run": job.runs,
-            "attempt": job.attempts})
 
         # The store's hits are reported before any point runs; their
         # events wait here and go out in one append with the first
@@ -490,7 +489,7 @@ class SweepService:
                 # next daemon re-runs it against the store.
                 with self._lock:
                     job.state = QUEUED
-                    self._persist(job)
+                    self._persist(job, {"event": "requeued"})
             return
 
         text = render_result(result.to_json())
@@ -556,10 +555,9 @@ class SweepService:
             job.state = state
             job.finished = round(time.time(), 3)
             job.error = error
-            self._persist(job)
             # Under the lock, before anyone can see the new state: a
             # client answered "done" reads a stream that ends in it.
-            self._event(job.id, event)
+            self._persist(job, event)
             self._changed.notify_all()
             if state == DONE:
                 self._completed += 1

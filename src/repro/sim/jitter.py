@@ -85,7 +85,10 @@ class StepTraceJitter(JitterElement):
     last step at or before ``now`` (0 before the first step). This is the
     trace-playback element: the theorem constructions replay recorded
     delay trajectories through it, in the fluid model and in packets
-    (:func:`repro.core.emulation.step_trace`).
+    (:func:`repro.core.emulation.step_trace`). Both engines ask at
+    non-decreasing times, so the lookup is a cursor that steps forward
+    and bisects only when ``now`` jumps more than one step or goes
+    backwards.
     """
 
     def __init__(self, sim: Simulator, sink: object,
@@ -98,10 +101,22 @@ class StepTraceJitter(JitterElement):
             raise ConfigurationError("jitter trace values must be >= 0")
         self.steps: List[Tuple[float, float]] = list(steps)
         self._times = times
+        #: eta from each step on, after the 0.0 before the first step.
+        self._etas = [0.0] + [eta for _, eta in steps]
+        #: ``bisect_right(self._times, q)`` for the last query ``q``.
+        self._index = 0
 
     def extra_delay(self, packet: Packet, now: float) -> float:
-        index = bisect_right(self._times, now)
-        return self.steps[index - 1][1] if index else 0.0
+        times = self._times
+        index = self._index
+        if index < len(times) and times[index] <= now:
+            index += 1
+            if index < len(times) and times[index] <= now:
+                index = bisect_right(times, now, index)
+            self._index = index
+        elif index and times[index - 1] > now:  # went backwards
+            index = self._index = bisect_right(times, now, 0, index)
+        return self._etas[index]
 
 
 class SquareWaveJitter(JitterElement):

@@ -42,6 +42,7 @@ from repro.service import (ChaosPolicy, ChaosSite, FaultyFS, Job,
                            SweepService, job_id, render_result,
                            serve_background)
 from repro.store import ResultStore
+from repro.store.fsio import FileIO
 
 RATES = [2.0, 8.0]
 BUDGET = RunBudget(wall_clock=120.0)
@@ -457,12 +458,17 @@ class TestServiceUnderChaos:
 
 class TestLeases:
     def _orphan(self, tmp_path, attempts=1):
-        """Persist a running job whose daemon has vanished."""
+        """Log a running job whose daemon has vanished: its last
+        transition line is the ``started`` one."""
         spec = _sweep_spec()
-        job = Job(id=job_id(spec), spec=spec, state="running",
-                  created=round(time.time(), 3), total=len(RATES),
-                  runs=attempts, attempts=attempts)
-        JobStore(str(tmp_path / "jobs")).save(job)
+        job = Job(id=job_id(spec), spec=spec,
+                  created=round(time.time(), 3))
+        store = JobStore(str(tmp_path / "jobs"))
+        store.save(job, {"event": "queued"})
+        job.state, job.total = "running", len(RATES)
+        job.runs = job.attempts = attempts
+        store.save(job, {"event": "started", "total": job.total,
+                         "run": job.runs, "attempt": job.attempts})
         return job
 
     def test_startup_takes_over_an_expired_lease(self, tmp_path):
@@ -509,16 +515,18 @@ class TestLeases:
             == render_result(curve.to_json()).encode()
 
     def test_live_looking_lease_is_taken_over_at_startup(self, tmp_path):
-        # A job.json written before the job directory was locked: its
+        # A snapshot logged before the job directory was locked: its
         # lease stamp still looks live, but no daemon can hold the
         # directory's lock beside this one, so the job is orphaned.
         snapshot = self._orphan(tmp_path).to_json()
         snapshot["lease"] = {"owner": "dead-daemon.feedface",
                              "expires": round(time.time() + 120, 3)}
         jobs = JobStore(str(tmp_path / "jobs"))
-        with open(os.path.join(jobs.job_dir(snapshot["id"]), "job.json"),
-                  "w", encoding="utf-8") as fh:
-            json.dump(snapshot, fh)
+        with open(os.path.join(jobs.job_dir(snapshot["id"]),
+                               "events.ndjson"),
+                  "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"seq": 2, "event": "started",
+                                 "job": snapshot}) + "\n")
         service = _service(tmp_path)
         service.start()
         try:
@@ -610,6 +618,148 @@ class TestTornEventSeal:
         assert [e["event"] for e in events] == ["queued", "done"]
         with open(path, encoding="utf-8") as fh:
             assert fh.read().endswith("\n")
+
+
+class _FailingSwapFS(FileIO):
+    """Fails the next atomic write of a job log once armed: the fault
+    that hits a resubmit just before its fresh log swaps in."""
+
+    armed = False
+
+    def write_atomic(self, path, text, prefix=".tmp-"):
+        if self.armed and os.path.basename(path) == "events.ndjson":
+            self.armed = False
+            raise OSError(errno.EIO, "injected swap fault", path)
+        super().write_atomic(path, text, prefix=prefix)
+
+
+class TestJobLog:
+    """``events.ndjson`` is the job's one durable record: every state
+    transition line carries the job's snapshot."""
+
+    def _log(self, tmp_path, jid):
+        return os.path.join(str(tmp_path / "jobs"), jid, "events.ndjson")
+
+    def test_restarted_daemon_resumes_queued_jobs_from_the_log(
+            self, tmp_path):
+        first = _service(tmp_path)  # never started: the job stays queued
+        jid = first.submit(_sweep_spec()).id
+        assert os.listdir(first.job_store.job_dir(jid)) == ["events.ndjson"]
+        service = _service(tmp_path)
+        service.start()
+        try:
+            job = _wait(service, jid)
+        finally:
+            service.stop()
+        assert job.state == "done" and job.attempts == 1
+        assert [e["event"] for e in service.events(jid)][:3] == \
+            ["queued", "started", "point"]
+        assert JobStore(str(tmp_path / "jobs")).load(jid).state == "done"
+
+    @pytest.mark.parametrize("max_attempts,state,attempts",
+                             [(3, "done", 3), (2, "dead", 2)])
+    def test_running_job_is_taken_over_with_attempts_from_started_line(
+            self, tmp_path, max_attempts, state, attempts):
+        spec = _sweep_spec()
+        jid = job_id(spec)
+        started = Job(id=jid, spec=spec, state="running",
+                      created=round(time.time(), 3), total=len(RATES),
+                      runs=2, attempts=2).to_json()
+        # What a daemon killed mid-run leaves: its queued line, the
+        # started line of its second attempt, one point line.
+        os.makedirs(os.path.dirname(self._log(tmp_path, jid)))
+        with open(self._log(tmp_path, jid), "w", encoding="utf-8") as fh:
+            for doc in ({"seq": 0, "event": "queued",
+                         "job": {**started, "state": "queued",
+                                 "attempts": 0, "runs": 1}},
+                        {"seq": 1, "event": "started", "total": 2,
+                         "run": 2, "attempt": 2, "job": started},
+                        {"seq": 2, "event": "point", "key": "k",
+                         "status": "ok"}):
+                fh.write(json.dumps(doc) + "\n")
+        service = _service(tmp_path, max_attempts=max_attempts)
+        service.start()
+        try:
+            job = _wait(service, jid)
+        finally:
+            service.stop()
+        assert (job.state, job.attempts) == (state, attempts)
+        events = service.events(jid)
+        assert events[3] == {"seq": 3, "ts": events[3]["ts"],
+                             "event": "takeover", "attempts": 2}
+        assert events[-1]["event"] == state
+        reloaded = JobStore(str(tmp_path / "jobs")).load(jid)
+        assert (reloaded.state, reloaded.attempts) == (state, attempts)
+
+    def test_torn_final_transition_line_yields_the_previous_state(
+            self, tmp_path):
+        store = JobStore(str(tmp_path / "jobs"))
+        job = Job(id=job_id(_sweep_spec()), spec=_sweep_spec())
+        store.save(job, {"event": "queued"})
+        job.state, job.total, job.attempts = "running", 2, 1
+        store.save(job, {"event": "started"})
+        job.state = "done"
+        line = json.dumps({"seq": 2, "event": "done",
+                           "job": job.to_json()})
+        with open(self._log(tmp_path, job.id), "a",
+                  encoding="utf-8") as fh:
+            fh.write(line[:len(line) // 2])  # killed mid-append
+        fresh = JobStore(str(tmp_path / "jobs"))
+        assert fresh.load(job.id).state == "running"
+        assert [j.state for j in fresh.load_all()] == ["running"]
+        assert [e["event"] for e in fresh.events(job.id)] == \
+            ["queued", "started"]
+
+    def test_enospc_on_submit_is_a_503_and_registers_nothing(
+            self, tmp_path):
+        policy = _policy(fs__enospc={"rate": 1.0, "limit": 1})
+        service = _service(tmp_path, fs=FaultyFS(policy))
+        server = serve_background(service)
+        client = ServiceClient(f"http://127.0.0.1:{server.port}",
+                               retries=0)
+        try:
+            with pytest.raises(ServiceError) as err:
+                client.submit(_sweep_spec())
+            assert err.value.status == 503
+            assert service.get(job_id(_sweep_spec())) is None
+            assert client.jobs() == []
+            assert not os.path.exists(
+                self._log(tmp_path, job_id(_sweep_spec())))
+            # The fault is spent: the retry is accepted and runs.
+            jid = client.submit(_sweep_spec())["id"]
+            assert client.wait(jid, timeout=90)["state"] == "done"
+        finally:
+            server.close()
+        assert sorted(os.listdir(service.job_store.job_dir(jid))) == \
+            ["events.ndjson", "result.json"]
+
+    def test_resubmit_survives_a_fault_before_its_log_swap(self,
+                                                          tmp_path):
+        fs = _FailingSwapFS()
+        service = _service(tmp_path, fs=fs)
+        service.start()
+        try:
+            jid = _wait(service, service.submit(_sweep_spec()).id).id
+        finally:
+            service.stop()  # no dispatcher appends behind the checks
+        before = service.events(jid)
+        result = service.result_bytes(jid)
+        fs.armed = True
+        with pytest.raises(OSError):
+            service.submit(_sweep_spec())
+        # In memory the resubmit stands queued, flagged degraded...
+        job = service.get(jid)
+        assert (job.state, job.degraded) == ("queued", True)
+        # ...and on disk the old record stands whole: a daemon that
+        # died here comes back to the finished job and its events.
+        restarted = _service(tmp_path)
+        restarted.start()
+        try:
+            assert restarted.snapshot(jid)["state"] == "done"
+            assert restarted.events(jid) == before
+            assert restarted.result_bytes(jid) == result
+        finally:
+            restarted.stop()
 
 
 def _repo_env():

@@ -98,6 +98,23 @@ def test_step_trace_long_trace_matches_linear_walk(sim, spy):
         assert element.extra_delay(make_packet(), now) == linear_walk(now)
 
 
+@pytest.mark.parametrize("order", ["monotone", "random"])
+def test_step_trace_cursor_equals_bisect(sim, spy, order):
+    from bisect import bisect_right
+    rng = random.Random(11)
+    times = sorted(round(rng.uniform(0.0, 20.0), 2) for _ in range(2000))
+    steps = [(t, rng.uniform(0.0, 0.05)) for t in times]
+    element = StepTraceJitter(sim, spy, steps=steps)
+    probes = [rng.uniform(-1.0, 21.0) for _ in range(3000)] + times[::7]
+    if order == "monotone":
+        # Dense and sparse stretches, repeats and exact step times.
+        probes = sorted(probes + probes[:50])
+    for now in probes:
+        index = bisect_right(times, now)
+        expected = steps[index - 1][1] if index else 0.0
+        assert element.extra_delay(make_packet(), now) == expected
+
+
 def test_step_trace_requires_sorted_steps(sim, spy):
     with pytest.raises(ConfigurationError):
         StepTraceJitter(sim, spy, steps=[(1.0, 0.1), (0.5, 0.2)])

@@ -161,20 +161,36 @@ class TestJobStore:
         store = JobStore(str(tmp_path))
         job = Job(id=job_id(_sweep_spec()), spec=_sweep_spec(),
                   created=12.0, total=2, done=1)
-        store.save(job)
+        assert store.save(job, {"event": "queued"}) == 0
         loaded = store.load(job.id)
         assert loaded.to_json() == job.to_json()
         assert [j.id for j in store.load_all()] == [job.id]
+        # The log is the only file: no snapshot beside it.
+        assert os.listdir(store.job_dir(job.id)) == ["events.ndjson"]
 
     def test_corrupt_snapshot_reads_as_absent(self, tmp_path):
         store = JobStore(str(tmp_path))
         jid = job_id(_sweep_spec())
         os.makedirs(store.job_dir(jid))
-        with open(os.path.join(store.job_dir(jid), "job.json"),
+        with open(os.path.join(store.job_dir(jid), "events.ndjson"),
                   "w") as fh:
-            fh.write("{torn")
+            fh.write('{"seq": 0, "event": "point"}\n{torn')
         assert store.load(jid) is None
         assert store.load_all() == []
+
+    def test_last_snapshot_wins_and_point_lines_carry_none(self,
+                                                          tmp_path):
+        store = JobStore(str(tmp_path))
+        job = Job(id=job_id(_sweep_spec()), spec=_sweep_spec())
+        store.save(job, {"event": "queued"})
+        job.state, job.total = "running", 2
+        store.save(job, {"event": "started", "total": 2})
+        store.append_event(job.id, {"event": "point", "key": "k"})
+        assert store.load(job.id).to_json() == job.to_json()
+        path = os.path.join(store.job_dir(job.id), "events.ndjson")
+        with open(path, encoding="utf-8") as fh:
+            lines = [json.loads(line) for line in fh]
+        assert ["job" in line for line in lines] == [True, True, False]
 
     def test_events_are_sequenced_and_filterable(self, tmp_path):
         store = JobStore(str(tmp_path))
@@ -184,9 +200,13 @@ class TestJobStore:
             == ["e0", "e1", "e2"]
         assert [e["seq"] for e in store.events("ab12", since=1)] \
             == [1, 2]
-        store.clear_run_state("ab12")
-        assert list(store.events("ab12")) == []
-        assert store.append_event("ab12", {"event": "fresh"}) == 0
+        # A resubmit's queued line swaps in a fresh log at seq 0.
+        job = Job(id="ab12", spec=_sweep_spec())
+        assert store.save(job, {"event": "queued"}, new_log=True) == 0
+        assert [(e["seq"], e["event"]) for e in store.events("ab12")] \
+            == [(0, "queued")]
+        assert store.append_event("ab12", {"event": "fresh"}) == 1
+        assert "job" not in list(store.events("ab12"))[0]
 
 
 class TestServiceExecution:
@@ -746,31 +766,38 @@ class TestLongPoll:
 
 
 class _RecordingFS(FileIO):
-    """A FileIO that records the name and text of every file it
-    writes, and the name of every file it appends to."""
+    """A FileIO that records the name of every file it writes or
+    appends to, and the text of every job log write."""
 
     def __init__(self):
         self.writes = []
-        self.texts = []
         self.appends = []
+        self.log_texts = []
 
     def write_atomic(self, path, text, prefix=".tmp-"):
         self.writes.append(os.path.basename(path))
-        self.texts.append(text)
+        self._note(path, text)
         super().write_atomic(path, text, prefix=prefix)
 
     def append(self, path, text):
         self.appends.append(os.path.basename(path))
+        self._note(path, text)
         super().append(path, text)
 
+    def _note(self, path, text):
+        if os.path.basename(path) == "events.ndjson":
+            self.log_texts.append(text)
+
     def job_snapshots(self):
-        return [json.loads(text) for name, text in
-                zip(self.writes, self.texts) if name == "job.json"]
+        """The job snapshots logged, one per state transition."""
+        lines = [json.loads(line) for text in self.log_texts
+                 for line in text.splitlines() if line]
+        return [line["job"] for line in lines if "job" in line]
 
 
 class TestSnapshots:
-    def test_warm_job_rewrites_job_json_on_transitions_only(self,
-                                                            tmp_path):
+    def test_warm_job_logs_a_snapshot_on_transitions_only(self,
+                                                          tmp_path):
         fs = _RecordingFS()
         service = _service(tmp_path, fs=fs)
         sweep_rate_delay("vegas", RATES, units.ms(40.0), duration=3.0,
@@ -781,14 +808,15 @@ class TestSnapshots:
         finally:
             service.stop()
         assert job.warm
-        # queued, running, done: one write per transition, none per
+        # queued, running, done: one snapshot per transition, none per
         # point and none for resetting the counters.
         assert [snap["state"] for snap in fs.job_snapshots()] == \
             ["queued", "running", "done"]
-        path = os.path.join(service.job_store.job_dir(job.id), "job.json")
-        with open(path, encoding="utf-8") as fh:
-            assert json.load(fh) == service.snapshot(job.id)
+        assert JobStore(service.job_store.root).load(job.id).to_json() \
+            == service.snapshot(job.id)
         assert service.snapshot(job.id)["progress"]["cached"] == len(RATES)
+        assert sorted(os.listdir(service.job_store.job_dir(job.id))) \
+            == ["events.ndjson", "result.json"]
 
     def test_warm_job_writes_each_file_once(self, tmp_path, monkeypatch):
         fs = _RecordingFS()
@@ -819,9 +847,11 @@ class TestSnapshots:
             service.stop()
         assert snapshot["warm"]
         assert snapshot["progress"]["cached"] == len(rates)
+        # The resubmit's queued line swaps in a fresh log; started,
+        # the points and done are appends to it.
         assert sorted(fs.appends) == ["catalog.jsonl"] \
-            + ["events.ndjson"] * 4  # queued, started, points, done
-        assert sorted(fs.writes) == ["job.json"] * 3 + ["result.json"]
+            + ["events.ndjson"] * 3
+        assert sorted(fs.writes) == ["events.ndjson", "result.json"]
         assert made == []
         # The event documents are one per point, as they always were.
         keys = [key for key, _ in build_plan(spec).points]
@@ -834,6 +864,35 @@ class TestSnapshots:
             + [{"seq": 2 + n, "event": "point", "key": key,
                 "status": "cached"} for n, key in enumerate(keys)]
             + [{"seq": 2 + len(rates), "event": "done"}])
+
+    def test_served_events_of_a_warm_job_are_the_documents_they_were(
+            self, served):
+        service, client = served
+        sweep_rate_delay("vegas", RATES, units.ms(40.0), duration=3.0,
+                         seed=3, store=service.store, budget=BUDGET)
+        jid = client.submit(_sweep_spec())["id"]
+        assert client.wait(jid, timeout=90)["warm"]
+        keys = [key for key, _ in build_plan(_sweep_spec()).points]
+        served_docs = list(client.events(jid))
+        # Exactly the documents the log served before it held the
+        # snapshots: no ``job`` key on any of them.
+        assert [{k: v for k, v in doc.items() if k != "ts"}
+                for doc in served_docs] == (
+            [{"seq": 0, "event": "queued"},
+             {"seq": 1, "event": "started", "total": len(RATES),
+              "run": 1, "attempt": 1}]
+            + [{"seq": 2 + n, "event": "point", "key": key,
+                "status": "cached"} for n, key in enumerate(keys)]
+            + [{"seq": 2 + len(RATES), "event": "done"}])
+        # On disk the transition lines carry the job, the points not.
+        path = os.path.join(service.job_store.job_dir(jid),
+                            "events.ndjson")
+        with open(path, encoding="utf-8") as fh:
+            lines = [json.loads(line) for line in fh]
+        assert [line["job"]["state"] for line in lines if "job" in line] \
+            == ["queued", "running", "done"]
+        assert [line for line in lines if "job" not in line] == \
+            [doc for doc in served_docs if doc["event"] == "point"]
 
     def test_a_finished_job_holds_no_plan(self, tmp_path, monkeypatch):
         built = []
@@ -881,14 +940,15 @@ class TestSnapshots:
         assert "sweep-service-dispatcher" in threads
         assert not [name for name in threads if "heartbeat" in name]
         # queued, running, done: transitions only.
-        assert fs.writes.count("job.json") == 3
+        assert [snap["state"] for snap in fs.job_snapshots()] == \
+            ["queued", "running", "done"]
 
     def test_takeover_rerun_starts_from_zero_on_disk(self, tmp_path):
         spec = _sweep_spec()
         JobStore(str(tmp_path / "jobs")).save(Job(
             id=job_id(spec), spec=spec, state="running",
             created=round(time.time(), 3), total=len(RATES), done=1,
-            cached=1, failed=1, runs=1, attempts=1))
+            cached=1, failed=1, runs=1, attempts=1), {"event": "started"})
         fs = _RecordingFS()
         service = _service(tmp_path, fs=fs)
         service.start()
